@@ -64,7 +64,19 @@ let e2 () =
       "  paper's claim: the Charlotte package is the largest (its\n\
       \  unwanted-message and multi-enclosure machinery): %s\n"
       (if c > s && c > h then "[ok]" else "[MISMATCH]");
-    if not (c > s && c > h) then fail ()
+    if not (c > s && c > h) then fail ();
+    (* The same measure over our own layers: the ledger of net lines
+       each change adds or removes. *)
+    match Metrics.Source_size.layer_sizes () with
+    | None -> ()
+    | Some layers ->
+      let module SS = Metrics.Source_size in
+      let total = List.fold_left (fun a (_, c) -> SS.add a c) SS.zero layers in
+      R.table ~header:[ "layer"; "files"; "code lines" ]
+        (List.map
+           (fun (name, c) ->
+             [ name; string_of_int c.SS.files; string_of_int c.SS.code_lines ])
+           (layers @ [ ("total", total) ]))
 
 (* ---- E3: §4.3 — SODA 3x + break-even ------------------------------------- *)
 
@@ -578,12 +590,8 @@ let sweep_wall jobs =
 let micro () =
   R.section "M1-M4: simulator micro-benchmarks (wall time, Bechamel)";
   let open Bechamel in
-  (* The headline engine bench runs the batch configuration — the one
-     sweeps and the races command use — where the legacy string trace is
-     not rendered on the emit path.  The rendering cost is tracked
-     separately so a regression in either path is visible. *)
-  let engine_run ~legacy_trace () =
-    let e = Sim.Engine.create ~legacy_trace () in
+  let engine_events () =
+    let e = Sim.Engine.create () in
     ignore
       (Sim.Engine.spawn e (fun () ->
            for _ = 1 to 100 do
@@ -591,8 +599,6 @@ let micro () =
            done));
     Sim.Engine.run e
   in
-  let engine_events () = engine_run ~legacy_trace:false () in
-  let engine_events_legacy () = engine_run ~legacy_trace:true () in
   let heap_churn () =
     let h = Sim.Heap.create () in
     for i = 0 to 199 do
@@ -631,8 +637,6 @@ let micro () =
   let tests =
     [
       Test.make ~name:"engine: 100 timer events" (Staged.stage engine_events);
-      Test.make ~name:"engine: 100 events, legacy trace"
-        (Staged.stage engine_events_legacy);
       Test.make ~name:"heap: 200 add+pop" (Staged.stage heap_churn);
       Test.make ~name:"codec: encode+decode 280B" (Staged.stage codec_roundtrip);
       Test.make ~name:"full chrysalis RPC sim" (Staged.stage chrysalis_rpc);

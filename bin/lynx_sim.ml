@@ -139,8 +139,9 @@ let scenario_cmd =
       if name = "enclosures" then
         S.enclosure_protocol ~seed ~n_encl:encl (module W)
       else
-        S.run sc ~seed ~policy:Sim.Engine.Fifo ~legacy_trace:true ~shards
-          ~population:None (module W)
+        sc.S.sc_run
+          { S.seed; policy = Sim.Engine.Fifo; shards; population = None }
+          (module W)
     in
     Printf.printf "%s: %s (%.2f ms simulated)\n" W.name
       (if o.S.o_ok then "ok" else "FAILED")
@@ -901,9 +902,10 @@ let repro_cmd =
   let log_capacity_arg =
     let doc =
       "Retain only the last $(docv) structured events in a ring buffer \
-       while re-running.  The judged artifact — verdict, violations, \
+       while re-running (default 64, the trace tail's length).  The \
+       judged artifact — verdict, violations, \
        races, events hash — is identical at any capacity; only the \
-       retained log is bounded."
+       retained log, and with it the text dump's trace tail, is bounded."
     in
     Arg.(
       value
@@ -932,73 +934,20 @@ let repro_cmd =
     | Error msg ->
       prerr_endline msg;
       exit 2);
-    (* The text dump wants the legacy trace tail; JSON consumers do not
-       (the trace is a rendering of the events the hash already covers). *)
-    let exec_spec =
-      if json then spec else { spec with Run.Spec.legacy_trace = true }
-    in
     let exec_spec =
       match shards with
-      | None -> exec_spec
-      | Some k -> { exec_spec with Run.Spec.shards = k }
+      | None -> spec
+      | Some k -> { spec with Run.Spec.shards = k }
     in
-    match Run.execute_full ?log_capacity exec_spec with
+    let log_capacity = Option.value log_capacity ~default:Run.tail_length in
+    match Run.execute_full ~log_capacity exec_spec with
     | None ->
       Printf.eprintf "scenario %s does not apply to backend %s\n"
         spec.Run.Spec.scenario spec.Run.Spec.backend;
       exit 2
     | Some (o, a) ->
       let a = { a with Run.Artifact.spec } in
-      if json then print_string (Run.Artifact.to_json a)
-      else begin
-        let module A = Run.Artifact in
-        Printf.printf "repro %s\n" (Run.Spec.to_string spec);
-        (match spec.Run.Spec.plan with
-        | Some p ->
-          Printf.printf "  plan: %s\n"
-            (Faults.Plan.to_string (Run.Spec.fault_plan p))
-        | None -> ());
-        Printf.printf "  ok=%b  detail: %s\n" a.A.ok a.A.detail;
-        Printf.printf "  duration %s  events hash %016Lx\n"
-          (Sim.Time.to_string a.A.duration)
-          a.A.events_hash;
-        List.iter
-          (fun v ->
-            Printf.printf "  VIOLATION %s\n" (Run.Invariant.to_string v))
-          a.A.violations;
-        List.iter
-          (fun f -> Format.printf "  RACE %a@." Analysis.Races.pp_finding f)
-          a.A.races;
-        let active = List.filter (fun (_, v) -> v <> 0) a.A.counters in
-        if active <> [] then begin
-          print_endline "  counter activity:";
-          List.iter (fun (k, v) -> Printf.printf "    %-44s %d\n" k v) active
-        end;
-        match o with
-        | None -> ()
-        | Some o ->
-          let v = o.S.o_view in
-          let unfinished =
-            List.filter
-              (fun f -> f.Sim.Engine.fi_state <> "finished")
-              v.Sim.Engine.v_fibers
-          in
-          if unfinished <> [] then begin
-            print_endline "  unfinished fibers:";
-            List.iter
-              (fun f ->
-                Printf.printf "    #%d %s%s  %s\n" f.Sim.Engine.fi_id
-                  f.Sim.Engine.fi_name
-                  (if f.Sim.Engine.fi_daemon then " (daemon)" else "")
-                  f.Sim.Engine.fi_state)
-              unfinished
-          end;
-          print_endline "  trace tail:";
-          List.iter
-            (fun (t, msg) ->
-              Printf.printf "    %-12s %s\n" (Sim.Time.to_string t) msg)
-            v.Sim.Engine.v_trace
-      end;
+      print_string (if json then Run.Artifact.to_json a else Run.dump o a);
       (* Same verdict the sweeps use: a faulted run may legitimately
          miss its scripted finale, so only invariant violations fail
          it; an unfaulted run must also finish ok and race-free. *)

@@ -20,7 +20,6 @@ type plan_kind = Run.Spec.plan =
 let all_plans = Run.Spec.all_plans
 let plan_kind_name = Run.Spec.plan_name
 let plan_kind_of_string = Run.Spec.plan_of_string
-let plan_of = Run.Spec.fault_plan
 
 type case = {
   h_scenario : string;
@@ -55,7 +54,6 @@ let spec c =
     plan = Some c.h_plan;
     population = None;
     shards = 1;
-    legacy_trace = false;
   }
 
 let of_artifact c (a : Run.Artifact.t) =
@@ -155,24 +153,4 @@ let summary results =
     rows;
   Buffer.contents buf
 
-let repro c =
-  let buf = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "chaos repro %s (plan: %s)\n" (case_name c)
-    (Faults.Plan.to_string (plan_of c.h_plan));
-  (match run_case c with
-  | None -> pr "  scenario does not apply to this backend\n"
-  | Some r ->
-    pr "  ok=%b  detail: %s\n" r.h_ok r.h_detail;
-    pr "  events hash %016Lx\n" r.h_events_hash;
-    (match r.h_liveness with
-    | Run.Liveness.Vacuous -> ()
-    | v -> pr "  liveness: %s\n" (Run.Liveness.to_string v));
-    List.iter
-      (fun v -> pr "  VIOLATION %s\n" (Run.Invariant.to_string v))
-      r.h_violations;
-    if r.h_faults <> [] then begin
-      pr "  fault counters:\n";
-      List.iter (fun (k, n) -> pr "    %-32s %d\n" k n) r.h_faults
-    end);
-  Buffer.contents buf
+let repro c = Run.repro (spec c)

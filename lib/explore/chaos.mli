@@ -38,7 +38,6 @@ val all_plans : plan_kind list
 
 val plan_kind_name : plan_kind -> string
 val plan_kind_of_string : string -> plan_kind option
-val plan_of : plan_kind -> Faults.Plan.t
 
 type case = {
   h_scenario : string;
@@ -66,8 +65,7 @@ val case_name : case -> string
     the equivalent ["scenario/backend/seed/fifo@plan"]. *)
 
 val spec : case -> Run.Spec.t
-(** The case as a universal run spec (FIFO policy, plan armed, no
-    legacy trace). *)
+(** The case as a universal run spec (FIFO policy, plan armed). *)
 
 val run_case : case -> result option
 (** [None] when the scenario does not apply to the backend.  A run that
@@ -125,5 +123,5 @@ val summary : result list -> string
 (** Per-(scenario, plan) pass/fail table. *)
 
 val repro : case -> string
-(** Re-runs a failing case and dumps verdict, violations and fault
-    counters. *)
+(** Re-runs a failing case and renders its {!Run.dump}: verdict,
+    liveness, violations, counter activity and the trace tail. *)

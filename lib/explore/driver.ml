@@ -31,7 +31,7 @@ type result = {
   r_events_hash : int64;
 }
 
-let spec ?(legacy_trace = false) c =
+let spec c =
   {
     Run.Spec.scenario = c.c_scenario;
     backend = c.c_backend;
@@ -40,15 +40,11 @@ let spec ?(legacy_trace = false) c =
     plan = None;
     population = None;
     shards = 1;
-    legacy_trace;
   }
 
 let case_name c = Run.Spec.to_string (spec c)
 let scenario_names = S.names
 let backend_names = BW.names
-
-let run_outcome ?(legacy_trace = true) case =
-  Run.run_outcome (spec ~legacy_trace case)
 
 let of_artifact case (a : Run.Artifact.t) =
   {
@@ -63,8 +59,7 @@ let of_artifact case (a : Run.Artifact.t) =
 
 let assess case (o : S.outcome) = of_artifact case (Run.judge (spec case) o)
 
-let run_case ?(legacy_trace = true) case =
-  Option.map (of_artifact case) (Run.execute (spec ~legacy_trace case))
+let run_case case = Option.map (of_artifact case) (Run.execute (spec case))
 
 let cases ?(scenarios = scenario_names) ?(backends = backend_names)
     ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(policies = [ Fifo; Random ]) () =
@@ -84,9 +79,7 @@ let cases ?(scenarios = scenario_names) ?(backends = backend_names)
 (* Each case owns a private engine and stats table, so cases are
    embarrassingly parallel; the pool preserves input order, which makes
    the aggregated result list — and anything rendered from it —
-   byte-identical at every [jobs] count.  Sweep cases skip the legacy
-   string trace: nothing downstream of a sweep reads it, and the sweep
-   is the hot path the emit-side rendering cost was hurting. *)
+   byte-identical at every [jobs] count. *)
 let sweep_full ?(jobs = 1) ?scenarios ?backends ?seeds ?policies () =
   let cs = cases ?scenarios ?backends ?seeds ?policies () in
   Run.execute_many ~jobs (List.map spec cs)
@@ -103,47 +96,7 @@ let soundness_gaps pairs = Run.Soundness.check (List.map snd pairs)
 let failed r = (not r.r_ok) || r.r_violations <> [] || r.r_races <> []
 let failures results = List.filter failed results
 
-let repro case =
-  let buf = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "repro %s\n" (case_name case);
-  (match Run.execute_full (spec ~legacy_trace:true case) with
-  | None -> pr "  scenario does not apply to this backend\n"
-  | Some (None, a) -> pr "  run aborted: %s\n" a.Run.Artifact.detail
-  | Some (Some o, a) ->
-    let v = o.S.o_view in
-    pr "  ok=%b  detail: %s\n" a.Run.Artifact.ok a.Run.Artifact.detail;
-    pr "  duration %s, clock %s, %d trace events (hash %016Lx)\n"
-      (Time.to_string a.Run.Artifact.duration)
-      (Time.to_string v.Engine.v_now)
-      v.Engine.v_trace_count v.Engine.v_trace_hash;
-    List.iter
-      (fun viol -> pr "  VIOLATION %s\n" (Run.Invariant.to_string viol))
-      a.Run.Artifact.violations;
-    List.iter
-      (fun (f : Analysis.Races.finding) ->
-        pr "  RACE %s %s: %s\n" f.Analysis.Races.r_rule f.Analysis.Races.r_obj
-          f.Analysis.Races.r_detail)
-      a.Run.Artifact.races;
-    let unfinished =
-      List.filter
-        (fun f -> f.Engine.fi_state <> "finished")
-        v.Engine.v_fibers
-    in
-    if unfinished <> [] then begin
-      pr "  unfinished fibers:\n";
-      List.iter
-        (fun f ->
-          pr "    #%d %s%s  %s\n" f.Engine.fi_id f.Engine.fi_name
-            (if f.Engine.fi_daemon then " (daemon)" else "")
-            f.Engine.fi_state)
-        unfinished
-    end;
-    pr "  trace tail:\n";
-    List.iter
-      (fun (t, msg) -> pr "    %-12s %s\n" (Time.to_string t) msg)
-      v.Engine.v_trace);
-  Buffer.contents buf
+let repro case = Run.repro (spec case)
 
 (* The races command's per-scenario report, rendered to a string so the
    golden tests can pin it byte-for-byte across detector refactors.

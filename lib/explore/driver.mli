@@ -40,8 +40,7 @@ type result = {
   r_duration : Sim.Time.t;
   r_events_hash : int64;
       (** FNV fingerprint of the run's full event stream — the cheap
-          determinism comparator that works even with the legacy string
-          trace disabled *)
+          determinism comparator *)
 }
 
 val scenario_names : string list
@@ -55,21 +54,11 @@ val case_name : case -> string
 (** ["scenario/backend/seed/policy"] — the repro handle, also accepted
     by [lynx_sim repro] and [Run.Spec.of_string]. *)
 
-val spec : ?legacy_trace:bool -> case -> Run.Spec.t
-(** The case as a universal run spec (no fault plan; [legacy_trace]
-    defaults to false, the batch configuration). *)
+val spec : case -> Run.Spec.t
+(** The case as a universal run spec (no fault plan). *)
 
-val run_outcome : ?legacy_trace:bool -> case -> Harness.Scenarios.outcome option
-(** Runs just the scenario for a case, without judging it — [None] when
-    the scenario does not apply to the backend.  The chaos sweep uses
-    this to run catalog scenarios under an ambient fault plan and apply
-    its own verdict. *)
-
-val run_case : ?legacy_trace:bool -> case -> result option
-(** [None] when the scenario does not apply to the backend.
-    [legacy_trace] (default true) is forwarded to the engine; batch
-    paths pass [false] to skip the string-trace rendering on the emit
-    hot path — race findings and invariant verdicts are unaffected. *)
+val run_case : case -> result option
+(** [None] when the scenario does not apply to the backend. *)
 
 val assess : case -> Harness.Scenarios.outcome -> result
 (** Judge an already-obtained outcome as if [run_case] had produced it —
@@ -127,7 +116,7 @@ val failures : result list -> result list
     expected final state — the minimal failing cases to rerun. *)
 
 val repro : case -> string
-(** Re-runs the failing case with tracing and dumps scenario verdict,
+(** Re-runs the failing case and renders its {!Run.dump}: verdict,
     violations, final fiber states and the trace tail — everything
     needed to reproduce and debug the failure from its seed. *)
 

@@ -39,8 +39,8 @@ let ivalue v = Lynx.Value.Int v
 type job = Elect of int * int | Coord of int * int
 type cell = Cell of job * cell Sync.Ivar.t
 
-let run ?(seed = 42) ?policy ?legacy_trace (module W : WORLD) : result =
-  let eng = Engine.create ~seed ?policy ?legacy_trace () in
+let run ?(seed = 42) ?policy (module W : WORLD) : result =
+  let eng = Engine.create ~seed ?policy () in
   (* Candidates on nodes 0..3, monitor on node 4: the high3 partition
      cut then splits the candidates 3-vs-1 and the high4 cut isolates
      the monitor from the whole ring. *)

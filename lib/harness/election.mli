@@ -45,6 +45,5 @@ val deadline : Sim.Time.t
 val run :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  ?legacy_trace:bool ->
   Backend_world.backend ->
   result

@@ -26,8 +26,8 @@ let tick = Time.ms 8
 
 let ivalue v = Lynx.Value.Int v
 
-let run ?(seed = 42) ?policy ?legacy_trace (module W : WORLD) : result =
-  let eng = Engine.create ~seed ?policy ?legacy_trace () in
+let run ?(seed = 42) ?policy (module W : WORLD) : result =
+  let eng = Engine.create ~seed ?policy () in
   (* Writer on node 0, replicas on nodes 1..5: the high4 partition cut
      then isolates a 2-of-5 minority (r4, r5) and the high3 cut a
      3-of-5 majority (r3, r4, r5). *)

@@ -46,8 +46,8 @@ let link l = Lynx.Value.Link l
     them {e simultaneously} — A gives its end to B, D gives its end to
     C.  What used to connect A to D must now connect B to C, proven by a
     B->C call over the moved link. *)
-let simultaneous_move ?(seed = 42) ?policy ?legacy_trace (module W : WORLD) : outcome =
-  let eng = Engine.create ~seed ?policy ?legacy_trace () in
+let simultaneous_move ?(seed = 42) ?policy (module W : WORLD) : outcome =
+  let eng = Engine.create ~seed ?policy () in
   let w = W.create eng ~nodes:6 in
   let sts = W.stats w in
   let result = ref "not finished" in
@@ -130,9 +130,9 @@ let simultaneous_move ?(seed = 42) ?policy ?legacy_trace (module W : WORLD) : ou
     Charlotte the kernel-message count grows with the enclosure count
     (first packet, goahead, enc packets); under SODA and Chrysalis it
     does not. *)
-let enclosure_protocol ?(seed = 42) ?policy ?legacy_trace ~n_encl (module W : WORLD) :
+let enclosure_protocol ?(seed = 42) ?policy ~n_encl (module W : WORLD) :
     outcome =
-  let eng = Engine.create ~seed ?policy ?legacy_trace () in
+  let eng = Engine.create ~seed ?policy () in
   let w = W.create eng ~nodes:4 in
   let sts = W.stats w in
   let ok = ref false in
@@ -177,8 +177,8 @@ let enclosure_protocol ?(seed = 42) ?policy ?legacy_trace ~n_encl (module W : WO
     request unintentionally and must bounce it with [Forbid] (it cannot
     stop receiving — it still wants the reply), then [Allow] it once it
     is willing.  On SODA and Chrysalis nothing is ever bounced. *)
-let cross_request ?(seed = 42) ?policy ?legacy_trace (module W : WORLD) : outcome =
-  let eng = Engine.create ~seed ?policy ?legacy_trace () in
+let cross_request ?(seed = 42) ?policy (module W : WORLD) : outcome =
+  let eng = Engine.create ~seed ?policy () in
   let w = W.create eng ~nodes:4 in
   let sts = W.stats w in
   let a_done = ref false and b_done = ref false in
@@ -232,8 +232,8 @@ let cross_request ?(seed = 42) ?policy ?legacy_trace (module W : WORLD) : outcom
     again before reaching a block point; B requests in the window.  The
     cancel fails, A receives the unwanted request and returns it with
     [Retry]; the kernel delays B's retransmission until A reopens. *)
-let open_close_race ?(seed = 42) ?policy ?legacy_trace (module W : WORLD) : outcome =
-  let eng = Engine.create ~seed ?policy ?legacy_trace () in
+let open_close_race ?(seed = 42) ?policy (module W : WORLD) : outcome =
+  let eng = Engine.create ~seed ?policy () in
   let w = W.create eng ~nodes:4 in
   let sts = W.stats w in
   let served = ref false and b_done = ref false in
@@ -288,8 +288,8 @@ let open_close_race ?(seed = 42) ?policy ?legacy_trace (module W : WORLD) : outc
     Chrysalis B never receives the unwanted message, so the enclosure
     survives ([far_end_died] stays false and the failed send recovers
     the end). *)
-let lost_enclosure ?(seed = 42) ?policy ?legacy_trace (module W : WORLD) : outcome =
-  let eng = Engine.create ~seed ?policy ?legacy_trace () in
+let lost_enclosure ?(seed = 42) ?policy (module W : WORLD) : outcome =
+  let eng = Engine.create ~seed ?policy () in
   let w = W.create eng ~nodes:4 in
   let sts = W.stats w in
   let far_end_died = ref false
@@ -354,8 +354,8 @@ let lost_enclosure ?(seed = 42) ?policy ?legacy_trace (module W : WORLD) : outco
     as the loss rate rises the freeze/unfreeze absolute search (§4.2)
     takes over.  Returns the usual outcome; the counters of interest
     are [lynx_soda.discover_attempts] and [lynx_soda.freeze_searches]. *)
-let soda_hint_repair ?(seed = 42) ?policy ?legacy_trace ?(broadcast_loss = 0.05) () : outcome =
-  let eng = Engine.create ~seed ?policy ?legacy_trace () in
+let soda_hint_repair ?(seed = 42) ?policy ?(broadcast_loss = 0.05) () : outcome =
+  let eng = Engine.create ~seed ?policy () in
   let w =
     Lynx_soda.World.create
       ~kernel_costs:{ Soda.Costs.default with Soda.Costs.broadcast_loss }
@@ -428,8 +428,8 @@ let soda_hint_repair ?(seed = 42) ?policy ?legacy_trace ?(broadcast_loss = 0.05)
     bounce (retry or forbid) must return the enclosure to the sender,
     which retransmits; the end must arrive intact once the receiver
     becomes willing.  Under SODA/Chrysalis the message simply waits. *)
-let bounced_enclosure ?(seed = 42) ?policy ?legacy_trace (module W : WORLD) : outcome =
-  let eng = Engine.create ~seed ?policy ?legacy_trace () in
+let bounced_enclosure ?(seed = 42) ?policy (module W : WORLD) : outcome =
+  let eng = Engine.create ~seed ?policy () in
   let w = W.create eng ~nodes:4 in
   let sts = W.stats w in
   let delivered = ref false and pong = ref false in
@@ -489,9 +489,9 @@ let bounced_enclosure ?(seed = 42) ?policy ?legacy_trace (module W : WORLD) : ou
     kernel's per-pair outstanding-request limit and the data puts
     starve — the deadlock the paper warns about.  [o_ok] reports
     whether {e all} calls completed; [o_detail] has the tally. *)
-let soda_pair_pressure ?(seed = 42) ?policy ?legacy_trace ?(budget = true) ?(n_links = 6)
+let soda_pair_pressure ?(seed = 42) ?policy ?(budget = true) ?(n_links = 6)
     ?(deadline = Time.sec 2) () : outcome =
-  let eng = Engine.create ~seed ?policy ?legacy_trace () in
+  let eng = Engine.create ~seed ?policy () in
   let w = Lynx_soda.World.create ~signal_budget:budget eng ~nodes:4 in
   let sts = Lynx_soda.World.stats w in
   let completed = ref 0 in
@@ -553,20 +553,20 @@ let soda_pair_pressure ?(seed = 42) ?policy ?legacy_trace ?(budget = true) ?(n_l
    own name-matched list; a new scenario plugs into all of them with one
    entry. *)
 
+type ctx = {
+  seed : int;
+  policy : Engine.policy;
+  shards : int;
+  population : int option;
+}
+
 type registered = {
   sc_name : string;
   sc_applies_to : backend -> bool;
   sc_parameterised : bool;
       (* accepts a population (the spec's ~nN axis)?  Only the workload
          scenarios do; Exec.check rejects a population elsewhere. *)
-  sc_run :
-    seed:int ->
-    policy:Engine.policy ->
-    legacy_trace:bool ->
-    shards:int ->
-    population:int option ->
-    backend ->
-    outcome;
+  sc_run : ctx -> backend -> outcome;
   sc_recovery_deadline : Time.t option;
       (* fault-tolerant scenarios: recovery budget after window close *)
 }
@@ -577,153 +577,80 @@ let every_backend (_ : backend) = true
    the pair budget) the other kernels do not have. *)
 let soda_only (module W : WORLD) = String.equal W.name "soda"
 
+let entry ?(applies_to = every_backend) ?(parameterised = false) ?deadline
+    name run =
+  {
+    sc_name = name;
+    sc_applies_to = applies_to;
+    sc_parameterised = parameterised;
+    sc_run = run;
+    sc_recovery_deadline = deadline;
+  }
+
+(* The single-engine vignettes build their own engine from the seed and
+   policy; sharding and population do not apply to them. *)
+let vignette name
+    (f : ?seed:int -> ?policy:Engine.policy -> backend -> outcome) =
+  entry name (fun c w -> f ~seed:c.seed ~policy:c.policy w)
+
+(* The layered scenarios (shard-rpc, election, quorum, workloads) report
+   through their own result records; this lifts one into an outcome. *)
+let lifted c ?latency ~ok ~duration ~counters ~detail view =
+  {
+    o_ok = ok;
+    o_duration = duration;
+    o_counters = counters;
+    o_detail = detail;
+    o_seed = c.seed;
+    o_policy = Engine.policy_name c.policy;
+    o_latency = latency;
+    o_view = view;
+  }
+
 let registry =
   [
-    {
-      sc_name = "move";
-      sc_applies_to = every_backend;
-      sc_parameterised = false;
-      sc_run =
-        (fun ~seed ~policy ~legacy_trace ~shards:_ ~population:_ w ->
-          simultaneous_move ~seed ~policy ~legacy_trace w);
-      sc_recovery_deadline = None;
-    };
-    {
-      sc_name = "enclosures";
-      sc_applies_to = every_backend;
-      sc_parameterised = false;
-      sc_run =
-        (fun ~seed ~policy ~legacy_trace ~shards:_ ~population:_ w ->
-          enclosure_protocol ~seed ~policy ~legacy_trace ~n_encl:3 w);
-      sc_recovery_deadline = None;
-    };
-    {
-      sc_name = "cross-request";
-      sc_applies_to = every_backend;
-      sc_parameterised = false;
-      sc_run =
-        (fun ~seed ~policy ~legacy_trace ~shards:_ ~population:_ w ->
-          cross_request ~seed ~policy ~legacy_trace w);
-      sc_recovery_deadline = None;
-    };
-    {
-      sc_name = "open-close";
-      sc_applies_to = every_backend;
-      sc_parameterised = false;
-      sc_run =
-        (fun ~seed ~policy ~legacy_trace ~shards:_ ~population:_ w ->
-          open_close_race ~seed ~policy ~legacy_trace w);
-      sc_recovery_deadline = None;
-    };
-    {
-      sc_name = "lost-enclosure";
-      sc_applies_to = every_backend;
-      sc_parameterised = false;
-      sc_run =
-        (fun ~seed ~policy ~legacy_trace ~shards:_ ~population:_ w ->
-          lost_enclosure ~seed ~policy ~legacy_trace w);
-      sc_recovery_deadline = None;
-    };
-    {
-      sc_name = "bounced-enclosure";
-      sc_applies_to = every_backend;
-      sc_parameterised = false;
-      sc_run =
-        (fun ~seed ~policy ~legacy_trace ~shards:_ ~population:_ w ->
-          bounced_enclosure ~seed ~policy ~legacy_trace w);
-      sc_recovery_deadline = None;
-    };
-    {
-      sc_name = "shard-rpc";
-      sc_applies_to = every_backend;
-      sc_parameterised = false;
-      sc_run =
-        (fun ~seed ~policy ~legacy_trace ~shards ~population:_ w ->
-          (* Priced by the backend's kernel cost table; the engine
-             policy kind is reinterpreted at the shard barriers, so we
-             pass it through unchanged. *)
-          let r = Shard_rpc.run ~seed ~policy ~legacy_trace ~shards w in
-          {
-            o_ok = r.Shard_rpc.r_ok;
-            o_duration = r.Shard_rpc.r_duration;
-            o_counters = r.Shard_rpc.r_counters;
-            o_detail = r.Shard_rpc.r_detail;
-            o_seed = seed;
-            o_policy = Engine.policy_name policy;
-            o_latency = None;
-            o_view = r.Shard_rpc.r_view;
-          });
-      sc_recovery_deadline = None;
-    };
-    {
-      sc_name = "ring-election";
-      sc_applies_to = every_backend;
-      sc_parameterised = false;
-      sc_run =
-        (fun ~seed ~policy ~legacy_trace ~shards:_ ~population:_ w ->
-          let r = Election.run ~seed ~policy ~legacy_trace w in
-          {
-            o_ok = r.Election.r_ok;
-            o_duration = r.Election.r_duration;
-            o_counters = r.Election.r_counters;
-            o_detail = r.Election.r_detail;
-            o_seed = seed;
-            o_policy = Engine.policy_name policy;
-            o_latency = None;
-            o_view = r.Election.r_view;
-          });
-      sc_recovery_deadline = Some Election.deadline;
-    };
-    {
-      sc_name = "quorum";
-      sc_applies_to = every_backend;
-      sc_parameterised = false;
-      sc_run =
-        (fun ~seed ~policy ~legacy_trace ~shards:_ ~population:_ w ->
-          let r = Quorum.run ~seed ~policy ~legacy_trace w in
-          {
-            o_ok = r.Quorum.r_ok;
-            o_duration = r.Quorum.r_duration;
-            o_counters = r.Quorum.r_counters;
-            o_detail = r.Quorum.r_detail;
-            o_seed = seed;
-            o_policy = Engine.policy_name policy;
-            o_latency = None;
-            o_view = r.Quorum.r_view;
-          });
-      sc_recovery_deadline = Some Quorum.deadline;
-    };
+    vignette "move" simultaneous_move;
+    vignette "enclosures" (enclosure_protocol ~n_encl:3);
+    vignette "cross-request" cross_request;
+    vignette "open-close" open_close_race;
+    vignette "lost-enclosure" lost_enclosure;
+    vignette "bounced-enclosure" bounced_enclosure;
+    (* Priced by the backend's kernel cost table; the engine policy kind
+       is reinterpreted at the shard barriers, so it passes through
+       unchanged.  Only shard-rpc and the workloads fan out over
+       [c.shards]. *)
+    entry "shard-rpc" (fun c w ->
+        let r = Shard_rpc.run ~seed:c.seed ~policy:c.policy ~shards:c.shards w in
+        lifted c ~ok:r.Shard_rpc.r_ok ~duration:r.Shard_rpc.r_duration
+          ~counters:r.Shard_rpc.r_counters ~detail:r.Shard_rpc.r_detail
+          r.Shard_rpc.r_view);
+    entry "ring-election" ~deadline:Election.deadline (fun c w ->
+        let r = Election.run ~seed:c.seed ~policy:c.policy w in
+        lifted c ~ok:r.Election.r_ok ~duration:r.Election.r_duration
+          ~counters:r.Election.r_counters ~detail:r.Election.r_detail
+          r.Election.r_view);
+    entry "quorum" ~deadline:Quorum.deadline (fun c w ->
+        let r = Quorum.run ~seed:c.seed ~policy:c.policy w in
+        lifted c ~ok:r.Quorum.r_ok ~duration:r.Quorum.r_duration
+          ~counters:r.Quorum.r_counters ~detail:r.Quorum.r_detail
+          r.Quorum.r_view);
   ]
   (* Parameterised workload scenarios: population-scale topologies over
      the shard engine, priced by the backend cost tables.  The
      population is the spec's ~nN axis; with no axis they run at
      Workload.default_population so the default sweeps stay fast. *)
   @ (let wl name topology load =
-       {
-         sc_name = name;
-         sc_applies_to = every_backend;
-         sc_parameterised = true;
-         sc_run =
-           (fun ~seed ~policy ~legacy_trace ~shards ~population w ->
-             let population =
-               Option.value ~default:Workload.default_population population
-             in
-             let r =
-               Workload.run ~seed ~policy ~legacy_trace ~shards ~topology ~load
-                 ~population w
-             in
-             {
-               o_ok = r.Workload.r_ok;
-               o_duration = r.Workload.r_duration;
-               o_counters = r.Workload.r_counters;
-               o_detail = r.Workload.r_detail;
-               o_seed = seed;
-               o_policy = Engine.policy_name policy;
-               o_latency = r.Workload.r_latency;
-               o_view = r.Workload.r_view;
-             });
-         sc_recovery_deadline = None;
-       }
+       entry name ~parameterised:true (fun c w ->
+           let population =
+             Option.value ~default:Workload.default_population c.population
+           in
+           let r =
+             Workload.run ~seed:c.seed ~policy:c.policy ~shards:c.shards
+               ~topology ~load ~population w
+           in
+           lifted c ?latency:r.Workload.r_latency ~ok:r.Workload.r_ok
+             ~duration:r.Workload.r_duration ~counters:r.Workload.r_counters
+             ~detail:r.Workload.r_detail r.Workload.r_view)
      in
      [
        wl "wl-farm" Workload.Farm (Workload.default_load Workload.Farm);
@@ -733,29 +660,12 @@ let registry =
        wl "wl-tree" Workload.Tree (Workload.default_load Workload.Tree);
      ])
   @ [
-    {
-      sc_name = "hint-repair";
-      sc_applies_to = soda_only;
-      sc_parameterised = false;
-      sc_run =
-        (fun ~seed ~policy ~legacy_trace ~shards:_ ~population:_ _ ->
-          soda_hint_repair ~seed ~policy ~legacy_trace ());
-      sc_recovery_deadline = None;
-    };
-    {
-      sc_name = "pair-pressure";
-      sc_applies_to = soda_only;
-      sc_parameterised = false;
-      sc_run =
-        (fun ~seed ~policy ~legacy_trace ~shards:_ ~population:_ _ ->
-          soda_pair_pressure ~seed ~policy ~legacy_trace ());
-      sc_recovery_deadline = None;
-    };
+    entry "hint-repair" ~applies_to:soda_only (fun c _ ->
+        soda_hint_repair ~seed:c.seed ~policy:c.policy ());
+    entry "pair-pressure" ~applies_to:soda_only (fun c _ ->
+        soda_pair_pressure ~seed:c.seed ~policy:c.policy ());
   ]
 
 let names = List.map (fun r -> r.sc_name) registry
 let find name_ = List.find_opt (fun r -> String.equal r.sc_name name_) registry
 let applies r b = r.sc_applies_to b
-
-let run r ~seed ~policy ~legacy_trace ~shards ~population b =
-  r.sc_run ~seed ~policy ~legacy_trace ~shards ~population b

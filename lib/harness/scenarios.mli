@@ -27,7 +27,6 @@ val counter : outcome -> string -> int
 val simultaneous_move :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  ?legacy_trace:bool ->
   (module WORLD) ->
   outcome
 (** Figure 1: A and D hold the two ends of one link and move them at the
@@ -37,7 +36,6 @@ val simultaneous_move :
 val enclosure_protocol :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  ?legacy_trace:bool ->
   n_encl:int ->
   (module WORLD) ->
   outcome
@@ -48,7 +46,6 @@ val enclosure_protocol :
 val cross_request :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  ?legacy_trace:bool ->
   (module WORLD) ->
   outcome
 (** §3.2.1, first case: B requests an operation in the reverse direction
@@ -58,7 +55,6 @@ val cross_request :
 val open_close_race :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  ?legacy_trace:bool ->
   (module WORLD) ->
   outcome
 (** §3.2.1, second case: A opens and closes its request queue before a
@@ -68,7 +64,6 @@ val open_close_race :
 val lost_enclosure :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  ?legacy_trace:bool ->
   (module WORLD) ->
   outcome
 (** §3.2.2: B receives a request (enclosing an end) it never wanted and
@@ -78,7 +73,6 @@ val lost_enclosure :
 val bounced_enclosure :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  ?legacy_trace:bool ->
   (module WORLD) ->
   outcome
 (** An unwanted request carrying a link end: under Charlotte the bounce
@@ -89,7 +83,6 @@ val bounced_enclosure :
 val soda_pair_pressure :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  ?legacy_trace:bool ->
   ?budget:bool ->
   ?n_links:int ->
   ?deadline:Sim.Time.t ->
@@ -103,7 +96,6 @@ val soda_pair_pressure :
 val soda_hint_repair :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  ?legacy_trace:bool ->
   ?broadcast_loss:float ->
   unit ->
   outcome
@@ -119,6 +111,20 @@ val soda_hint_repair :
     resolves scenarios here instead of keeping its own name-matched
     list, so a new scenario plugs into all of them with one entry. *)
 
+type ctx = {
+  seed : int;
+  policy : Sim.Engine.policy;
+  shards : int;
+      (** partitions the simulation across domains via {!Sim.Shard}.
+          Only shard-aware scenarios (["shard-rpc"] and the workloads)
+          fan out; the outcome is byte-identical at every value, so the
+          axis never changes a verdict. *)
+  population : int option;
+      (** sizes parameterised scenarios ([None]: the scenario default) *)
+}
+(** The run parameters a scenario receives — {!Run.Exec} builds one
+    from a spec. *)
+
 type registered = {
   sc_name : string;
   sc_applies_to : backend -> bool;
@@ -129,21 +135,7 @@ type registered = {
           workload scenarios (["wl-farm"], ["wl-farm-open"],
           ["wl-ring"], ["wl-tree"]) do; {!Exec.check} rejects a
           population on any other scenario. *)
-  sc_run :
-    seed:int ->
-    policy:Sim.Engine.policy ->
-    legacy_trace:bool ->
-    shards:int ->
-    population:int option ->
-    backend ->
-    outcome;
-      (** [shards] partitions the simulation across domains via
-          {!Sim.Shard}.  Only shard-aware scenarios (["shard-rpc"] and
-          the workloads) actually fan out; the single-engine vignettes
-          ignore it — either way the outcome is byte-identical at every
-          value, so the axis never changes a verdict.  [population]
-          sizes parameterised scenarios ([None]: the scenario default);
-          non-parameterised scenarios ignore it. *)
+  sc_run : ctx -> backend -> outcome;
   sc_recovery_deadline : Sim.Time.t option;
       (** for fault-tolerant scenarios: the virtual-time budget, counted
           from the fault plan's {!Faults.Plan.window_close}, within
@@ -157,13 +149,3 @@ val registry : registered list
 val names : string list
 val find : string -> registered option
 val applies : registered -> backend -> bool
-
-val run :
-  registered ->
-  seed:int ->
-  policy:Sim.Engine.policy ->
-  legacy_trace:bool ->
-  shards:int ->
-  population:int option ->
-  backend ->
-  outcome

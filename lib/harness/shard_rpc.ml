@@ -55,11 +55,11 @@ type result = {
   r_view : Engine.view;
 }
 
-let run ?(seed = 42) ?(policy = Engine.Fifo) ?legacy_trace ?(shards = 1)
+let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
     ?(pairs = 4) ?(rounds = 3) ?(max_payload = 1024) ?(spin = 1) ?pool
     (module W : WORLD) : result =
   let lookahead, per_byte = cost_model (module W) in
-  let t = Shard.create ~shards ~seed ~policy ?legacy_trace ?pool ~lookahead () in
+  let t = Shard.create ~shards ~seed ~policy ?pool ~lookahead () in
   let verified = Array.make pairs 0 in
   (* Nodes 0..pairs-1 are clients, pairs..2*pairs-1 their servers:
      client i talks to server pairs + i, so with round-robin placement

@@ -33,7 +33,6 @@ type result = {
 val run :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  ?legacy_trace:bool ->
   ?shards:int ->
   ?pairs:int ->
   ?rounds:int ->

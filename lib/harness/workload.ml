@@ -58,6 +58,10 @@ let default_think = Time.ms 2
 let default_rounds = 2
 let default_window = Time.ms 50
 
+(* A bound on the arithmetic, not on memory: node ids and cell counts
+   derived from a population this size stay far below [max_int]. *)
+let max_population = 1_000_000_000
+
 let default_load = function
   | Farm | Ring | Tree -> Closed { think = default_think; rounds = default_rounds }
 
@@ -83,12 +87,13 @@ let exp_draw rng mean =
   let u = Rng.float rng in
   Time.ns (int_of_float (-.float_of_int (Time.to_ns mean) *. log (1. -. u)))
 
-let run ?(seed = 42) ?(policy = Engine.Fifo) ?legacy_trace ?(shards = 1)
+let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
     ?(max_payload = 512) ?(spin = 1) ?pool ~topology ~load ~population
     (module W : WORLD) : result =
-  if population < 1 then invalid_arg "Workload.run: population must be >= 1";
+  if population < 1 || population > max_population then
+    invalid_arg "Workload.run: population out of range";
   let lookahead, per_byte = Shard_rpc.cost_model (module W) in
-  let t = Shard.create ~shards ~seed ~policy ?legacy_trace ?pool ~lookahead () in
+  let t = Shard.create ~shards ~seed ~policy ?pool ~lookahead () in
   let xfer size = Time.add lookahead (Time.scale per_byte size) in
   let rounds = match load with Closed { rounds; _ } -> rounds | Open _ -> 1 in
   let hists = Array.init shards (fun _ -> Stats.Histogram.create ()) in

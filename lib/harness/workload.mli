@@ -40,6 +40,11 @@ val default_population : int
 (** Population used when a spec carries no [~nN] axis — small enough
     that the default explore/chaos sweeps stay fast. *)
 
+val max_population : int
+(** The largest population {!run} accepts (one billion clients): a
+    bound that keeps every derived count (cells, node ids) far from
+    integer overflow.  {!Run.Exec.check} rejects larger [~nN] axes. *)
+
 val default_load : topology -> load
 val default_window : Sim.Time.t
 (** The open-loop arrival window used by the registered ["wl-farm-open"]
@@ -62,7 +67,6 @@ type result = {
 val run :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  ?legacy_trace:bool ->
   ?shards:int ->
   ?max_payload:int ->
   ?spin:int ->
@@ -73,6 +77,6 @@ val run :
   Backend_world.backend ->
   result
 (** [population] counts client processes; servers/relays are added on
-    top, one small group per cell.  Raises [Invalid_argument] if
-    [population < 1].  Defaults: payloads of 64..576 bytes, [spin] 1,
+    top, one small group per cell.  Raises [Invalid_argument] unless
+    [1 <= population <= max_population].  Defaults: payloads of 64..576 bytes, [spin] 1,
     one shard. *)

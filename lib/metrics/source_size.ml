@@ -109,3 +109,25 @@ let backend_sizes () =
       (List.map
          (fun name_ -> (name_, count_dir (dir name_)))
          [ "lynx_charlotte"; "lynx_soda"; "lynx_chrysalis"; "lynx" ])
+
+(** Our own lines per layer: each [lib/*] library, then [bin], [bench]
+    and [test].  [None] when the sources are not accessible. *)
+let layer_sizes () =
+  match find_repo_root () with
+  | None -> None
+  | Some root ->
+    let lib = Filename.concat root "lib" in
+    let libs =
+      match Sys.readdir lib with
+      | exception Sys_error _ -> []
+      | entries ->
+        Array.to_list entries
+        |> List.filter (fun d -> Sys.is_directory (Filename.concat lib d))
+        |> List.sort String.compare
+        |> List.map (fun d -> ("lib/" ^ d, count_dir (Filename.concat lib d)))
+    in
+    Some
+      (libs
+      @ List.map
+          (fun d -> (d, count_dir (Filename.concat root d)))
+          [ "bin"; "bench"; "test" ])

@@ -27,3 +27,10 @@ val backend_sizes : unit -> (string * count) list option
 (** Sizes of [lynx_charlotte], [lynx_soda], [lynx_chrysalis] and the
     shared [lynx] core, relative to the repository root; [None] when the
     sources are not accessible. *)
+
+val layer_sizes : unit -> (string * count) list option
+(** Our own code per layer, the way {!backend_sizes} measures the
+    paper's run-time packages: one ["lib/<name>"] entry per library
+    directory (sorted), then ["bin"], ["bench"] and ["test"].  The
+    [lib/*] entries sum to [count_dir "lib"].  [None] when the sources
+    are not accessible. *)

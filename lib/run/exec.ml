@@ -45,7 +45,14 @@ let check (spec : Spec.t) =
              spec.Spec.scenario
              (Spec.population_to_string
                 (Option.value ~default:1 spec.Spec.population)))
-      else Ok ()
+      else
+        match spec.Spec.population with
+        | Some p when p > Harness.Workload.max_population ->
+          Error
+            (Printf.sprintf "population ~n%s exceeds the maximum ~n%s"
+               (Spec.population_to_string p)
+               (Spec.population_to_string Harness.Workload.max_population))
+        | _ -> Ok ()
   end
 
 let run_outcome (spec : Spec.t) =
@@ -58,13 +65,15 @@ let run_outcome (spec : Spec.t) =
         (Printf.sprintf "scenario %s is not parameterised (population %d)"
            spec.Spec.scenario p)
     | _ -> ());
-    let run () =
-      Some
-        (S.run sc ~seed:spec.Spec.seed
-           ~policy:(Spec.engine_policy spec.Spec.policy ~seed:spec.Spec.seed)
-           ~legacy_trace:spec.Spec.legacy_trace ~shards:spec.Spec.shards
-           ~population:spec.Spec.population backend)
+    let ctx =
+      {
+        S.seed = spec.Spec.seed;
+        policy = Spec.engine_policy spec.Spec.policy ~seed:spec.Spec.seed;
+        shards = spec.Spec.shards;
+        population = spec.Spec.population;
+      }
     in
+    let run () = Some (sc.S.sc_run ctx backend) in
     match spec.Spec.plan with
     | None -> run ()
     | Some plan -> Faults.with_plan (Spec.fault_plan plan) run
@@ -175,3 +184,66 @@ let execute ?log_capacity (spec : Spec.t) =
 
 let execute_many ?(jobs = 1) ?log_capacity specs =
   Parallel.Pool.map_list ~jobs (execute ?log_capacity) specs
+
+let tail_length = 64
+
+let dump (o : S.outcome option) (a : Artifact.t) =
+  let buf = Buffer.create 1024 in
+  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  pr "repro %s\n" (Spec.to_string a.Artifact.spec);
+  Option.iter
+    (fun p -> pr "  plan: %s\n" (Faults.Plan.to_string (Spec.fault_plan p)))
+    a.Artifact.spec.Spec.plan;
+  pr "  ok=%b  detail: %s\n" a.Artifact.ok a.Artifact.detail;
+  pr "  duration %s  events hash %016Lx\n"
+    (Sim.Time.to_string a.Artifact.duration)
+    a.Artifact.events_hash;
+  (match a.Artifact.liveness with
+  | Liveness.Vacuous -> ()
+  | v -> pr "  liveness: %s\n" (Liveness.to_string v));
+  List.iter
+    (fun v -> pr "  VIOLATION %s\n" (Invariant.to_string v))
+    a.Artifact.violations;
+  List.iter
+    (fun f -> pr "  RACE %s\n" (Format.asprintf "%a" Analysis.Races.pp_finding f))
+    a.Artifact.races;
+  (match List.filter (fun (_, v) -> v <> 0) a.Artifact.counters with
+  | [] -> ()
+  | active ->
+    pr "  counter activity:\n";
+    List.iter (fun (k, v) -> pr "    %-44s %d\n" k v) active);
+  Option.iter
+    (fun (o : S.outcome) ->
+      let module E = Sim.Engine in
+      let v = o.S.o_view in
+      (match List.filter (fun f -> f.E.fi_state <> "finished") v.E.v_fibers with
+      | [] -> ()
+      | unfinished ->
+        pr "  unfinished fibers:\n";
+        List.iter
+          (fun f ->
+            pr "    #%d %s%s  %s\n" f.E.fi_id f.E.fi_name
+              (if f.E.fi_daemon then " (daemon)" else "")
+              f.E.fi_state)
+          unfinished);
+      let evs = v.E.v_events in
+      let n = Array.length evs in
+      let shown = min n tail_length in
+      pr "  trace tail (last %d of %d events):\n" shown
+        (n + v.E.v_events_dropped);
+      for i = n - shown to n - 1 do
+        let ev = evs.(i) in
+        pr "    %-12s %-7s %s\n"
+          (Sim.Time.to_string ev.Sim.Event.ev_time)
+          ("#" ^ string_of_int ev.Sim.Event.ev_fiber)
+          (Sim.Event.kind_to_string ev.Sim.Event.ev_kind)
+      done)
+    o;
+  Buffer.contents buf
+
+let repro (spec : Spec.t) =
+  match execute_full ~log_capacity:tail_length spec with
+  | None ->
+    Printf.sprintf "repro %s\n  scenario does not apply to this backend\n"
+      (Spec.to_string spec)
+  | Some (o, a) -> dump o a

@@ -10,8 +10,9 @@
 
 val check : Spec.t -> (unit, string) result
 (** Pre-flight applicability check with a one-line reason: unknown
-    scenario or backend, a backend the scenario does not apply to, or a
-    population ([~nN]) axis on a scenario that is not parameterised.
+    scenario or backend, a backend the scenario does not apply to, a
+    population ([~nN]) axis on a scenario that is not parameterised, or
+    one above {!Harness.Workload.max_population}.
     [lynx_sim repro] and [lynx_sim workload] call this first so every
     bad spec exits 2 with a uniform message. *)
 
@@ -24,7 +25,7 @@ val run_outcome : Spec.t -> Harness.Scenarios.outcome option
 
 val judge : Spec.t -> Harness.Scenarios.outcome -> Artifact.t
 (** Judge an already-obtained outcome post-hoc, from its retained event
-    log and trace window: the invariant suite, the clean-failure check
+    log: the invariant suite, the clean-failure check
     (threads must not die with non-LYNX exceptions), and the
     happens-before race detector over [v_events].  This is the
     reference path the differential suite compares the streaming
@@ -77,3 +78,23 @@ val execute_many :
     domain-local), and the pool preserves input order, so the result
     list — and anything rendered from it — is byte-identical at every
     [jobs] count (default 1). *)
+
+val tail_length : int
+(** Events a dump's trace tail shows: 64. *)
+
+val dump : Harness.Scenarios.outcome option -> Artifact.t -> string
+(** The repro dump every front end prints ([lynx_sim repro], the
+    explore and chaos sweeps' failure reports): the artifact's spec,
+    plan, verdict, events hash, liveness, violations, races and counter
+    activity, then — when the run produced an outcome — its unfinished
+    fibers and a trace tail of the last {!tail_length} retained
+    structured events as time, fiber id and {!Sim.Event.kind_to_string}.
+    The tail is the end of the run only when the outcome was retained
+    in a [log_capacity] ring: the engine's default append mode keeps
+    the oldest events.  A ring shorter than {!tail_length} shortens
+    the tail. *)
+
+val repro : Spec.t -> string
+(** {!execute_full} with a ring of {!tail_length} events, then
+    {!dump}; a scenario that does not apply to the backend renders as
+    a one-line note. *)

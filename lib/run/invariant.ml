@@ -54,31 +54,42 @@ let no_leaked_fibers (o : S.outcome) =
   in
   leak @ crashed
 
+(* Both monotonicity checks report through here: [backwards] is the
+   first regression (time, label, previous time), [last] the final
+   event (time, label). *)
+let monotone_violations ~now ~backwards ~last =
+  (match backwards with
+  | Some (t, label, prev) ->
+    [
+      violation "time-monotone"
+        "trace went backwards at %s (event %S, previous %s)"
+        (Time.to_string t) label (Time.to_string prev);
+    ]
+  | None -> [])
+  @
+  match last with
+  | Some (t, label) when Time.(t > now) ->
+    [
+      violation "time-monotone" "trace event %S at %s is after the clock %s"
+        label (Time.to_string t) (Time.to_string now);
+    ]
+  | _ -> []
+
+(* Post-hoc: scan the retained structured log directly, independent of
+   the streaming analyzer it is the reference for. *)
 let time_monotone (o : S.outcome) =
   let v = o.S.o_view in
-  let rec scan prev = function
-    | [] -> []
-    | (t, msg) :: rest ->
-      if Time.(t < prev) then
-        [
-          violation "time-monotone"
-            "trace went backwards at %s (event %S, previous %s)"
-            (Time.to_string t) msg (Time.to_string prev);
-        ]
-      else scan t rest
+  let evs = v.Engine.v_events in
+  let n = Array.length evs in
+  let at i = evs.(i).Event.ev_time in
+  let label i = Event.kind_to_string evs.(i).Event.ev_kind in
+  let rec first_back i =
+    if i >= n then None
+    else if Time.(at i < at (i - 1)) then Some (at i, label i, at (i - 1))
+    else first_back (i + 1)
   in
-  let backwards = scan Time.zero v.Engine.v_trace in
-  let beyond_now =
-    match List.rev v.Engine.v_trace with
-    | (t, msg) :: _ when Time.(t > v.Engine.v_now) ->
-      [
-        violation "time-monotone" "trace event %S at %s is after the clock %s"
-          msg (Time.to_string t)
-          (Time.to_string v.Engine.v_now);
-      ]
-    | _ -> []
-  in
-  backwards @ beyond_now
+  monotone_violations ~now:v.Engine.v_now ~backwards:(first_back 1)
+    ~last:(if n = 0 then None else Some (at (n - 1), label (n - 1)))
 
 let link_conservation (o : S.outcome) =
   let adopted = S.counter o "lynx.ends_adopted" in
@@ -109,30 +120,10 @@ let check (o : S.outcome) =
 (* Streamed monotonicity: the analyzer recorded the first regression
    and the final timestamp while the run was still emitting, so the
    check holds over the {e whole} structured stream — the post-hoc
-   variant above only sees the recent trace window of legacy-rendered
-   events, and nothing at all when [legacy_trace] is off. *)
+   variant above only sees the events the log retained. *)
 let time_monotone_streamed (sum : Analysis.Stream.summary) (o : S.outcome) =
-  let backwards =
-    match sum.Analysis.Stream.s_backwards with
-    | Some (t, label, prev) ->
-      [
-        violation "time-monotone"
-          "trace went backwards at %s (event %S, previous %s)"
-          (Time.to_string t) label (Time.to_string prev);
-      ]
-    | None -> []
-  in
-  let beyond_now =
-    match sum.Analysis.Stream.s_last with
-    | Some (t, label) when Time.(t > o.S.o_view.Engine.v_now) ->
-      [
-        violation "time-monotone" "trace event %S at %s is after the clock %s"
-          label (Time.to_string t)
-          (Time.to_string o.S.o_view.Engine.v_now);
-      ]
-    | _ -> []
-  in
-  backwards @ beyond_now
+  monotone_violations ~now:o.S.o_view.Engine.v_now
+    ~backwards:sum.Analysis.Stream.s_backwards ~last:sum.Analysis.Stream.s_last
 
 let check_streamed (sum : Analysis.Stream.summary) (o : S.outcome) =
   no_deadlock o @ no_leaked_fibers o @ time_monotone_streamed sum o

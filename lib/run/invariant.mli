@@ -24,8 +24,8 @@ val check : Harness.Scenarios.outcome -> violation list
       queue has drained — the scenario must reach quiescence, not starve.
     - [no-leaked-fibers]: after quiescence no fiber is left runnable (a
       continuation was enqueued but never run) and none crashed.
-    - [time-monotone]: trace timestamps never decrease and never exceed
-      the engine clock.
+    - [time-monotone]: the timestamps of the retained structured events
+      ([v_events]) never decrease and never exceed the engine clock.
     - [link-conservation]: link ends are conserved across moves — every
       adopted end balances a moved-out end
       ([lynx.ends_adopted <= lynx.ends_moved_out]).
@@ -38,7 +38,7 @@ val check_streamed :
     structural checks (deadlock, leaked fibers, counters) read the
     outcome exactly as {!check} does, while time monotonicity comes
     from the running counters the analyzer maintained over the whole
-    stream instead of the retained trace window — so the verdict does
+    stream instead of the retained events — so the verdict does
     not depend on how much of the log was kept.  On any run whose
     stream is monotone (every run the engine itself produces), the
     result is identical to {!check}. *)

@@ -90,16 +90,14 @@ type t = {
   plan : plan option;
   population : int option;
   shards : int;
-  legacy_trace : bool;
 }
 
-let v ?(policy = Fifo) ?plan ?population ?(shards = 1) ?(legacy_trace = false)
-    ~scenario ~backend seed =
+let v ?(policy = Fifo) ?plan ?population ?(shards = 1) ~scenario ~backend seed =
   if shards < 1 then invalid_arg "Spec.v: shards must be at least 1";
   (match population with
   | Some p when p < 1 -> invalid_arg "Spec.v: population must be at least 1"
   | _ -> ());
-  { scenario; backend; seed; policy; plan; population; shards; legacy_trace }
+  { scenario; backend; seed; policy; plan; population; shards }
 
 (* Populations print with K/M multipliers when they divide evenly
    ("~n100K", "~n2M") and as plain digits otherwise ("~n1234"); the
@@ -121,20 +119,17 @@ let population_of_string s =
       | _ -> (1, s)
     in
     match int_of_string_opt digits with
-    | Some n when n >= 1 -> Some (n * mult)
+    | Some n when n >= 1 && n <= max_int / mult -> Some (n * mult)
     | _ -> None
 
-let trace_suffix = "~trace"
-
 let to_string s =
-  Printf.sprintf "%s/%s/%d/%s%s%s%s%s" s.scenario s.backend s.seed
+  Printf.sprintf "%s/%s/%d/%s%s%s%s" s.scenario s.backend s.seed
     (policy_name s.policy)
     (match s.plan with None -> "" | Some p -> "@" ^ plan_name p)
     (match s.population with
     | None -> ""
     | Some p -> "~n" ^ population_to_string p)
     (if s.shards = 1 then "" else Printf.sprintf "~s%d" s.shards)
-    (if s.legacy_trace then trace_suffix else "")
 
 let of_string str =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -145,16 +140,9 @@ let of_string str =
     | _, "", _ -> err "empty backend in %S" str
     | _, _, None -> err "bad seed %S in %S" seed_str str
     | _, _, Some seed ->
-      let tail, legacy_trace =
-        if String.ends_with ~suffix:trace_suffix tail then
-          ( String.sub tail 0 (String.length tail - String.length trace_suffix),
-            true )
-        else (tail, false)
-      in
-      (* The population and shard suffixes sit between the plan and
-         [~trace]: policy[@plan][~nN][~sK][~trace].  Each tag appears at
-         most once; stripping from the right accepts either order. *)
-      let suffix_err = ref None in
+      (* The population and shard suffixes follow the plan:
+         policy[@plan][~nN][~sK].  Each tag appears at most once;
+         stripping from the right accepts either order. *)
       let rec strip tail shards population =
         match String.rindex_opt tail '~' with
         | Some i when i + 1 < String.length tail -> begin
@@ -164,61 +152,49 @@ let of_string str =
           | 's' when shards = None -> begin
             match int_of_string_opt num with
             | Some k when k >= 1 -> strip rest (Some k) population
-            | _ ->
-              suffix_err := Some (Printf.sprintf "bad shard count %S" num);
-              (tail, shards, population)
+            | _ -> err "bad shard count %S in %S" num str
           end
           | 'n' when population = None -> begin
             match population_of_string num with
             | Some p -> strip rest shards (Some p)
-            | None ->
-              suffix_err := Some (Printf.sprintf "bad population %S" num);
-              (tail, shards, population)
+            | None -> err "bad population %S in %S" num str
           end
-          | _ -> (tail, shards, population)
+          | _ ->
+            err "unknown or repeated suffix %S in %S"
+              (String.sub tail i (String.length tail - i))
+              str
         end
-        | _ -> (tail, shards, population)
+        | _ -> Ok (tail, shards, population)
       in
-      let tail, shards, population = strip tail None None in
-      let shards = Option.value ~default:1 shards in
-      let finish policy plan =
-        match !suffix_err with
-        | Some m -> err "%s in %S" m str
-        | None ->
-          Ok
-            {
-              scenario;
-              backend;
-              seed;
-              policy;
-              plan;
-              population;
-              shards;
-              legacy_trace;
-            }
-      in
-      begin
-        match String.index_opt tail '@' with
-        | Some i -> begin
-          let pol = String.sub tail 0 i in
-          let pl = String.sub tail (i + 1) (String.length tail - i - 1) in
-          match (policy_of_string pol, plan_of_string pl) with
-          | Some policy, Some plan -> finish policy (Some plan)
-          | None, _ -> err "unknown policy %S in %S" pol str
-          | _, None -> err "unknown fault plan %S in %S" pl str
-        end
-        | None -> begin
-          match policy_of_string tail with
-          | Some policy -> finish policy None
+      match strip tail None None with
+      | Error _ as e -> e
+      | Ok (tail, shards, population) ->
+        let shards = Option.value ~default:1 shards in
+        let finish policy plan =
+          Ok { scenario; backend; seed; policy; plan; population; shards }
+        in
+        begin
+          match String.index_opt tail '@' with
+          | Some i -> begin
+            let pol = String.sub tail 0 i in
+            let pl = String.sub tail (i + 1) (String.length tail - i - 1) in
+            match (policy_of_string pol, plan_of_string pl) with
+            | Some policy, Some plan -> finish policy (Some plan)
+            | None, _ -> err "unknown policy %S in %S" pol str
+            | _, None -> err "unknown fault plan %S in %S" pl str
+          end
           | None -> begin
-            (* Chaos case names put the plan in the policy position
-               ("move/soda/1/drop"); read them as fifo@plan. *)
-            match plan_of_string tail with
-            | Some plan -> finish Fifo (Some plan)
-            | None -> err "unknown policy or plan %S in %S" tail str
+            match policy_of_string tail with
+            | Some policy -> finish policy None
+            | None -> begin
+              (* Chaos case names put the plan in the policy position
+                 ("move/soda/1/drop"); read them as fifo@plan. *)
+              match plan_of_string tail with
+              | Some plan -> finish Fifo (Some plan)
+              | None -> err "unknown policy or plan %S in %S" tail str
+            end
           end
         end
-      end
   end
   | _ -> err "spec %S is not scenario/backend/seed/policy[@plan]" str
 

@@ -7,7 +7,7 @@
     ambient fault plan.  A [Spec.t] names that run completely, and its
     canonical string form
 
-    {v scenario/backend/seed/policy[@plan][~nN][~sK][~trace] v}
+    {v scenario/backend/seed/policy[@plan][~nN][~sK] v}
 
     is the repro handle: any spec printed in a CLI table, CI log or
     test failure can be parsed back with {!of_string} and re-executed
@@ -79,10 +79,6 @@ type t = {
           engine ({!Sim.Shard}) guarantees it — so the axis changes
           wall-clock, never verdicts or fingerprints.  Printed as a
           [~sK] suffix, omitted when 1. *)
-  legacy_trace : bool;
-      (** render the legacy string trace during the run (repro dumps
-          want it; batch sweeps skip it on the emit hot path).  Does
-          not affect verdicts or fingerprints. *)
 }
 
 val v :
@@ -90,13 +86,12 @@ val v :
   ?plan:plan ->
   ?population:int ->
   ?shards:int ->
-  ?legacy_trace:bool ->
   scenario:string ->
   backend:string ->
   int ->
   t
 (** [v ~scenario ~backend seed] with [Fifo], no plan, default population,
-    one shard, no legacy trace.  Raises [Invalid_argument] if
+    one shard.  Raises [Invalid_argument] if
     [shards < 1] or [population < 1]. *)
 
 val population_to_string : int -> string
@@ -104,16 +99,18 @@ val population_to_string : int -> string
 
 val population_of_string : string -> int option
 (** Inverse of {!population_to_string}; also what [lynx_sim workload -n]
-    accepts.  [None] on empty/zero/negative/garbage. *)
+    accepts.  [None] on empty/zero/negative/garbage, and on a value
+    that does not fit in an [int] once multiplied out. *)
 
 val to_string : t -> string
 (** The canonical
-    ["scenario/backend/seed/policy[@plan][~nN][~sK][~trace]"]. *)
+    ["scenario/backend/seed/policy[@plan][~nN][~sK]"]. *)
 
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}: [of_string (to_string s) = Ok s] for every
     spec (QCheck-tested).  Scenario and backend names are checked only
-    syntactically here; {!Exec.execute} rejects unknown ones. *)
+    syntactically here; {!Exec.execute} rejects unknown ones.  A [~]
+    suffix other than one [~nN] and one [~sK] is an error. *)
 
 val of_string_exn : string -> t
 val equal : t -> t -> bool

@@ -36,8 +36,6 @@ type t = {
   root_rng : Rng.t;
   policy : policy;
   sched_rng : Rng.t;
-  trace_buf : Trace.t;
-  legacy_trace : bool;
   (* Causality state.  [amb_clock] is the clock of the task currently
      running in scheduler context; every queued task carries the clock
      of whoever enqueued it (inline in its [Taskq.entry]) and the drain
@@ -84,9 +82,8 @@ type observer = { ob_log_capacity : int option; ob_attach : t -> unit }
 let ambient_observer : observer option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let create ?(seed = 42) ?(policy = Fifo) ?trace_capacity
-    ?(event_capacity = 200_000) ?log_capacity ?(legacy_trace = true)
-    ?(on_crash = `Raise) () =
+let create ?(seed = 42) ?(policy = Fifo) ?(event_capacity = 200_000)
+    ?log_capacity ?(on_crash = `Raise) () =
   let sched_seed =
     match policy with
     | Fifo -> 0
@@ -115,8 +112,6 @@ let create ?(seed = 42) ?(policy = Fifo) ?trace_capacity
       root_rng = Rng.create seed;
       policy;
       sched_rng = Rng.create sched_seed;
-      trace_buf = Trace.create ?capacity:trace_capacity ();
-      legacy_trace;
       amb_clock = Vclock.empty;
       ev_arr = [||];
       ev_len = 0;
@@ -153,7 +148,6 @@ let without_observer f =
 let now t = t.now
 let rng t = t.root_rng
 let policy t = t.policy
-let trace t = t.trace_buf
 
 (* The clock of "whoever is acting right now": the running fiber's, or
    the ambient clock restored by the drain loop in scheduler context. *)
@@ -215,22 +209,15 @@ let emit t kind =
   let ev = { Event.ev_time = t.now; ev_fiber = fid; ev_clock = clock; ev_kind = kind } in
   t.events_total <- t.events_total + 1;
   retain t ev;
-  (* FNV-style word fold in native ints: the byte-wise int64 variant in
-     [Trace] costs 24 boxed multiplications per event, which dominates
-     the emit path.  This fingerprint is new in this log format and has
-     no stored-hash compatibility to honour.  It folds every emitted
-     event, retained or not, so it is exact at any [log_capacity]. *)
+  (* FNV-style word fold in native ints: a byte-wise int64 fold would
+     cost 24 boxed multiplications per event, which would dominate the
+     emit path.  It folds every emitted event, retained or not, so it
+     is exact at any [log_capacity]. *)
   let fold h i = (h lxor i) * 0x100000001B3 in
   t.events_hash <-
     fold (fold (fold t.events_hash (Time.to_ns t.now)) fid)
       (Event.kind_tag kind);
-  (match t.consumers with
-  | [] -> ()
-  | cs -> List.iter (fun f -> f ev) cs);
-  if t.legacy_trace then
-    match Event.legacy_render ev with
-    | Some msg -> Trace.record t.trace_buf t.now msg
-    | None -> ()
+  match t.consumers with [] -> () | cs -> List.iter (fun f -> f ev) cs
 
 let record t msg = emit t (Event.Note msg)
 
@@ -251,13 +238,7 @@ let absorb t (ev : Event.t) =
     fold
       (fold (fold t.events_hash (Time.to_ns ev.Event.ev_time)) ev.Event.ev_fiber)
       (Event.kind_tag ev.Event.ev_kind);
-  (match t.consumers with
-  | [] -> ()
-  | cs -> List.iter (fun f -> f ev) cs);
-  if t.legacy_trace then
-    match Event.legacy_render ev with
-    | Some msg -> Trace.record t.trace_buf ev.Event.ev_time msg
-    | None -> ()
+  match t.consumers with [] -> () | cs -> List.iter (fun f -> f ev) cs
 
 (* Append mode trims to fit, then shares: the first call after a run
    replaces the backing array with a fresh copy of the live prefix
@@ -483,15 +464,12 @@ type view = {
   v_blocked : string list;  (** non-daemon fibers stuck at a suspension *)
   v_fibers : fiber_info list;  (** every fiber ever spawned, by id *)
   v_crashes : (string * string) list;
-  v_trace : (Time.t * string) list;  (** most recent trace window *)
-  v_trace_hash : int64;
-  v_trace_count : int;
   v_events : Event.t array;  (** structured event log, oldest first *)
   v_events_hash : int64;  (** incremental fingerprint of the full stream *)
   v_events_dropped : int;  (** events lost to the capacity cap *)
 }
 
-let view ?(trace_window = 64) t =
+let view t =
   {
     v_now = t.now;
     v_pending = Taskq.length t.tasks;
@@ -508,9 +486,6 @@ let view ?(trace_window = 64) t =
         t.fibers;
     v_crashes =
       List.rev_map (fun (n, e) -> (n, Printexc.to_string e)) t.crashes;
-    v_trace = Trace.recent t.trace_buf trace_window;
-    v_trace_hash = Trace.hash t.trace_buf;
-    v_trace_count = Trace.count t.trace_buf;
     v_events = events t;
     v_events_hash = Int64.of_int t.events_hash;
     v_events_dropped = t.events_total - t.ev_len;

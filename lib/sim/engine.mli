@@ -35,10 +35,8 @@ exception Fiber_crash of string * exn
 val create :
   ?seed:int ->
   ?policy:policy ->
-  ?trace_capacity:int ->
   ?event_capacity:int ->
   ?log_capacity:int ->
-  ?legacy_trace:bool ->
   ?on_crash:[ `Raise | `Record ] ->
   unit ->
   t
@@ -46,12 +44,7 @@ val create :
     initialises the root RNG.  [policy] (default {!Fifo}) selects the
     scheduling policy; the scheduler draws from its own RNG, so the root
     RNG stream — and therefore all model-level randomness — is identical
-    across policies.  [legacy_trace] (default true) controls whether
-    legacy event kinds are also rendered into the string trace; batch
-    drivers (explore sweeps, race scans) disable it to keep the emit
-    path allocation-light, at the cost of an empty string trace
-    ({!view}'s [v_trace] fields become vacuous).  The structured event
-    log and {!events_hash} are unaffected either way.
+    across policies.
 
     [log_capacity] bounds the {e retained} structured log: [Some k]
     keeps only the last [k] events in a ring buffer (so a long run
@@ -94,7 +87,6 @@ val without_observer : (unit -> 'a) -> 'a
 val now : t -> Time.t
 val rng : t -> Rng.t
 val policy : t -> policy
-val trace : t -> Trace.t
 
 val clock : t -> Vclock.t
 (** The clock of whoever is acting right now: the running fiber's, or
@@ -103,9 +95,8 @@ val clock : t -> Vclock.t
     cross to another engine. *)
 
 val record : t -> string -> unit
-(** Records a free-form trace note at the current virtual time (a
-    {!Event.Note} in the structured log, rendered verbatim into the
-    string trace). *)
+(** Records a free-form note at the current virtual time (an
+    {!Event.Note} in the structured log). *)
 
 (** {1 Structured events and causality}
 
@@ -119,16 +110,13 @@ val record : t -> string -> unit
 val emit : t -> Event.kind -> unit
 (** Appends a structured event stamped with the current time and clock.
     Inside a fiber this ticks the fiber's clock first; in scheduler
-    context the ambient clock is snapshotted unticked.  Legacy kinds
-    ([Spawn]/[Crash]/[Note]) are also rendered into the string trace;
-    the new kinds are not, so the legacy stream is unperturbed. *)
+    context the ambient clock is snapshotted unticked. *)
 
 val absorb : t -> Event.t -> unit
 (** Re-admits an event emitted by {e another} engine, verbatim: folds
     {!events_hash} with the event's own time, fiber id and kind tag
     (the same fold {!emit} applies), feeds the consumers, retains per
-    the capacity policy, renders legacy kinds when the engine keeps a
-    legacy trace, and advances {!now} to the event's timestamp.  The
+    the capacity policy, and advances {!now} to the event's timestamp.  The
     shard coordinator absorbs the canonically merged per-shard streams
     into a sink engine at each window barrier, so the sink's event
     surface is byte-identical to a single-engine run emitting the same
@@ -166,8 +154,8 @@ val events_dropped : t -> int
 val events_hash : t -> int64
 (** Incremental FNV-1a fingerprint of the full structured stream
     (time, fiber id and kind tag of every event, in order) — the
-    determinism comparator that works even with [legacy_trace] off.
-    Maintained in O(1) per event with no rendering. *)
+    determinism comparator.  Maintained in O(1) per event with no
+    rendering. *)
 
 val stamp : t -> string -> unit
 (** [stamp t key] saves the current clock under [key] — called where a
@@ -204,7 +192,7 @@ val spawn : t -> ?fid:int -> ?name:string -> ?daemon:bool -> (unit -> unit) -> f
 (** Starts a fiber at the current virtual time.  [daemon] fibers (default
     false) are expected to outlive the simulation and are excluded from
     quiescence accounting.  Each spawn is assigned the next fiber id and
-    recorded in the trace as ["spawn #<id> <name>"].  [?fid] pins the id
+    logged as an {!Event.Spawn} event.  [?fid] pins the id
     explicitly (raising [Invalid_argument] on a negative or already-used
     id, and bumping the internal counter past it): sharded runs assign
     fiber ids globally — fiber [n] is node [n] at every shard count — so
@@ -253,19 +241,15 @@ type view = {
   v_blocked : string list;  (** non-daemon fibers stuck at a suspension *)
   v_fibers : fiber_info list;  (** every fiber ever spawned, by id *)
   v_crashes : (string * string) list;
-  v_trace : (Time.t * string) list;  (** most recent trace window *)
-  v_trace_hash : int64;
-  v_trace_count : int;
   v_events : Event.t array;  (** structured event log, oldest first *)
   v_events_hash : int64;  (** incremental fingerprint of the full stream *)
   v_events_dropped : int;  (** events lost to the capacity cap *)
 }
 
-val view : ?trace_window:int -> t -> view
+val view : t -> view
 (** Snapshot of the engine's observable state, taken after a run for
-    invariant checking ([trace_window] caps the events copied out,
-    default 64).  A plain record so checkers and test fixtures can build
-    synthetic views. *)
+    invariant checking.  A plain record so checkers and test fixtures
+    can build synthetic views. *)
 
 (** {1 Fiber operations — callable only inside a fiber} *)
 

@@ -32,19 +32,6 @@ let obj t =
     Some obj
   | Spawn _ | Crash _ | Note _ | Block _ -> None
 
-(* These three renderings must stay byte-identical to the strings the
-   engine recorded before events existed: trace hashes are compared
-   across versions. *)
-let legacy_render t =
-  match t.ev_kind with
-  | Spawn { fid; name } -> Some (Printf.sprintf "spawn #%d %s" fid name)
-  | Crash { fid; name; error } ->
-    Some (Printf.sprintf "crash #%d %s: %s" fid name error)
-  | Note msg -> Some msg
-  | Block _ | Send _ | Receive _ | Signal _ | Signal_seen _ | Wait _
-  | Link_move _ | Drop _ | Fault _ ->
-    None
-
 (* Stable small integers for the cheap event-stream fingerprint the
    engine folds incrementally; changing an existing tag invalidates
    stored hashes. *)

@@ -1,19 +1,18 @@
 (** Structured, typed trace events with vector-clock timestamps.
 
-    The engine's old trace was a stream of strings; analysis tools could
-    only grep it.  Events carry the same information in typed form, keyed
-    by the fiber that produced them and (for communication events) the
-    kernel object they touched, plus a {!Vclock} snapshot that captures
-    the causal past of the event.  The string trace is kept as a {e
-    rendering} of the legacy event kinds ({!Spawn}, {!Crash}, {!Note}),
-    byte-identical to what earlier versions recorded, so stored trace
-    hashes remain comparable across versions; the new kinds live only in
-    the structured log. *)
+    The engine's one event log.  Each event is keyed by the fiber that
+    produced it and (for communication events) the kernel object it
+    touched, and carries a {!Vclock} snapshot that captures its causal
+    past.  Nothing is rendered to text while a run executes: consumers
+    read the typed kinds, the engine folds {!kind_tag} into its
+    fingerprint, and human-readable forms ({!kind_to_string},
+    {!describe}) are produced on demand — e.g. for a repro dump's
+    trace tail. *)
 
 type kind =
   | Spawn of { fid : int; name : string }
   | Crash of { fid : int; name : string; error : string }
-  | Note of string  (** free-form legacy trace line *)
+  | Note of string  (** free-form note ({!Engine.record}) *)
   | Block of { reason : string }  (** a fiber suspended *)
   | Send of { obj : string; op : string; unordered : bool }
       (** a message entered the queue named [obj] *)
@@ -50,11 +49,6 @@ val kind_tag : kind -> int
 (** Stable small integer per kind (the two [Signal] polarities count as
     distinct kinds), folded into the engine's incremental event-stream
     hash without rendering anything. *)
-
-val legacy_render : t -> string option
-(** The string-trace line for legacy kinds ([Spawn]/[Crash]/[Note]),
-    identical to what pre-structured versions recorded; [None] for the
-    new kinds, which must not perturb the legacy stream. *)
 
 val kind_to_string : kind -> string
 (** Short human-readable form of the kind alone, e.g.

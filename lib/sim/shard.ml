@@ -82,8 +82,8 @@ type 'msg t = {
 
 type 'msg ctx = { c_t : 'msg t; c_node : 'msg node; c_eng : Engine.t }
 
-let create ?(shards = 1) ?(seed = 42) ?(policy = Engine.Fifo) ?legacy_trace
-    ?log_capacity ?pool ~lookahead () =
+let create ?(shards = 1) ?(seed = 42) ?(policy = Engine.Fifo) ?log_capacity
+    ?pool ~lookahead () =
   if shards < 1 then invalid_arg "Shard.create: shards must be at least 1";
   if Time.is_zero lookahead then
     invalid_arg "Shard.create: lookahead must be positive";
@@ -91,20 +91,18 @@ let create ?(shards = 1) ?(seed = 42) ?(policy = Engine.Fifo) ?legacy_trace
      only it — adopts the ambient observer: streaming analyses see the
      canonical merged stream exactly once, fed at the barriers from
      coordinator context. *)
-  let sink = Engine.create ~seed ?legacy_trace ?log_capacity () in
+  let sink = Engine.create ~seed ?log_capacity () in
   let root = Rng.create seed in
   let engines =
     Engine.without_observer (fun () ->
         Array.init shards (fun _ ->
             (* Sub-engines run Fifo regardless of the policy (schedule
-               exploration is applied at the barriers), retain nothing
-               (the sink holds the canonical log) and render no legacy
-               trace (the sink does, when asked). *)
+               exploration is applied at the barriers) and retain
+               nothing (the sink holds the canonical log). *)
             let r = Rng.split root in
             Engine.create
               ~seed:(Rng.int r max_int)
-              ~policy:Engine.Fifo ~log_capacity:0 ~legacy_trace:false
-              ~on_crash:`Record ()))
+              ~policy:Engine.Fifo ~log_capacity:0 ~on_crash:`Record ()))
   in
   let buffers =
     Array.init shards (fun _ -> { eb_arr = [||]; eb_len = 0 })

@@ -53,7 +53,6 @@ val create :
   ?shards:int ->
   ?seed:int ->
   ?policy:Engine.policy ->
-  ?legacy_trace:bool ->
   ?log_capacity:int ->
   ?pool:Parallel.Pool.Persistent.t ->
   lookahead:Time.t ->
@@ -62,8 +61,8 @@ val create :
 (** [create ~lookahead ()] makes a coordinator with [shards] partitions
     (default 1; 1 runs inline with no pool).  [seed] keys every node's
     rng stream; [policy] is applied at the barriers as described above;
-    [legacy_trace] and [log_capacity] configure the merge sink exactly
-    as they would a plain {!Engine.create} (the sink also adopts the
+    [log_capacity] configures the merge sink exactly as it would a
+    plain {!Engine.create} (the sink also adopts the
     ambient {!Engine.with_observer}).  [pool] lends resident domains —
     shard [i] runs on slot [i mod workers] — so callers issuing many
     runs (the bench) can reuse one pool; without it, [shards > 1]

@@ -1,6 +1,6 @@
 (* Tests for lib/analysis: the static protocol linter, the
-   happens-before race detector, and the structured-trace compatibility
-   guarantees they build on. *)
+   happens-before race detector, and the structured event log they
+   build on. *)
 
 open Sim
 module L = Analysis.Lint
@@ -358,50 +358,39 @@ let races_clean_tests =
             D.scenario_names))
     Harness.Backend_world.all
 
-(* ---- Structured trace: legacy rendering and hashing -------------------- *)
+(* ---- Structured trace: spawn records and hashing ---------------------- *)
 
-let rendered view =
-  Array.to_list view.Engine.v_events
-  |> List.filter_map (fun e ->
-         match Event.legacy_render e with
-         | Some m -> Some (e.Event.ev_time, m)
-         | None -> None)
-
-let trace_compat_tests =
+let event_log_tests =
   List.map
     (fun (module W : Harness.Backend_world.WORLD) ->
       Alcotest.test_case
-        (Printf.sprintf "string trace is the legacy rendering [%s]" W.name)
+        (Printf.sprintf "spawn events match the fiber table [%s]" W.name)
         `Quick
         (fun () ->
           let o = S.simultaneous_move ~seed:7 (module W) in
           let v = o.S.o_view in
           checki "no dropped events" 0 v.Engine.v_events_dropped;
-          let r = rendered v in
-          checki "trace count" v.Engine.v_trace_count (List.length r);
-          let tail n l =
-            let len = List.length l in
-            List.filteri (fun i _ -> i >= len - n) l
+          let spawns =
+            Array.to_list v.Engine.v_events
+            |> List.filter_map (fun e ->
+                   match e.Event.ev_kind with
+                   | Event.Spawn { fid; name } -> Some (fid, name)
+                   | _ -> None)
           in
-          checkb "trace window matches rendering" true
-            (v.Engine.v_trace = tail (List.length v.Engine.v_trace) r)))
+          checkb "one spawn per fiber, in id order" true
+            (spawns
+            = List.map
+                (fun f -> (f.Engine.fi_id, f.Engine.fi_name))
+                v.Engine.v_fibers)))
     Harness.Backend_world.all
   @ [
-      Alcotest.test_case "same seed, same trace hash" `Quick (fun () ->
+      Alcotest.test_case "same seed, same events hash" `Quick (fun () ->
           let run () =
             (S.simultaneous_move ~seed:11 Harness.Backend_world.charlotte)
               .S.o_view
-              .Engine.v_trace_hash
+              .Engine.v_events_hash
           in
           checkb "deterministic" true (run () = run ()));
-      Alcotest.test_case "hash_hex is the full 64-bit state" `Quick (fun () ->
-          let t = Trace.create () in
-          Trace.record t Time.zero "one";
-          Trace.record t Time.zero "two";
-          checks "hex form"
-            (Printf.sprintf "%016Lx" (Trace.hash t))
-            (Trace.hash_hex t);
-          checki "hex width" 16 (String.length (Trace.hash_hex t)));
     ]
 
 let () =
@@ -411,5 +400,5 @@ let () =
       ("protocol", protocol_tests);
       ("races-synthetic", race_synth_tests);
       ("races-clean", races_clean_tests);
-      ("trace-compat", trace_compat_tests);
+      ("event-log", event_log_tests);
     ]

@@ -82,7 +82,7 @@ let dup_heavy =
 
 let at_most_once ~seed (module W : Harness.Backend_world.WORLD) =
   Faults.with_plan dup_heavy (fun () ->
-      let e = Engine.create ~seed ~legacy_trace:false () in
+      let e = Engine.create ~seed () in
       let w = W.create e ~nodes:4 in
       let sts = W.stats w in
       let calls = 5 in
@@ -136,7 +136,7 @@ let at_most_once ~seed (module W : Harness.Backend_world.WORLD) =
    [Excn.Timeout] when the budget runs out — never hang. *)
 let budget_exhaustion ~seed (module W : Harness.Backend_world.WORLD) =
   Faults.with_plan Faults.Plan.none (fun () ->
-      let e = Engine.create ~seed ~legacy_trace:false () in
+      let e = Engine.create ~seed () in
       let w = W.create e ~nodes:4 in
       let sts = W.stats w in
       let timed_out = ref false in

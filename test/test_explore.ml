@@ -138,10 +138,12 @@ let broken_outcome =
           { Engine.fi_id = 1; fi_name = "client"; fi_daemon = false; fi_state = "runnable" };
         ];
       v_crashes = [];
-      v_trace = [ (Time.ms 3, "late"); (Time.ms 1, "early") ];
-      v_trace_hash = 0L;
-      v_trace_count = 2;
-      v_events = [||];
+      v_events =
+        Array.map
+          (fun (t, msg) ->
+            { Event.ev_time = t; ev_fiber = 1; ev_clock = Vclock.empty;
+              ev_kind = Event.Note msg })
+          [| (Time.ms 3, "late"); (Time.ms 1, "early") |];
       v_events_hash = 0L;
       v_events_dropped = 0;
     }
@@ -177,6 +179,14 @@ let test_broken_fixture_caught () =
         true
         (List.mem name found))
     [ "no-deadlock"; "no-leaked-fibers"; "time-monotone"; "link-conservation"; "at-most-once" ];
+  Alcotest.(check (list string))
+    "monotonicity cites the regressing event"
+    [ {|time-monotone: trace went backwards at 1.000ms (event "note early", previous 3.000ms)|} ]
+    (List.filter_map
+       (fun v ->
+         if v.I.v_invariant = "time-monotone" then Some (I.to_string v)
+         else None)
+       r.D.r_violations);
   (* the failure is reported together with the seed that reproduces it *)
   Alcotest.(check int) "failing seed reported" 3 r.D.r_case.D.c_seed;
   Alcotest.(check bool) "case name carries the seed" true

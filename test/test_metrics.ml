@@ -77,6 +77,25 @@ let source_tests =
           checkb "charlotte is biggest backend" true
             (get "lynx_charlotte" > get "lynx_soda"
             && get "lynx_charlotte" > get "lynx_chrysalis"));
+    Alcotest.test_case "layer_sizes partitions lib" `Quick (fun () ->
+        match
+          (Metrics.Source_size.layer_sizes (), Metrics.Source_size.find_repo_root ())
+        with
+        | Some layers, Some root ->
+          let module SS = Metrics.Source_size in
+          let libs =
+            List.filter
+              (fun (name, _) -> String.length name > 4 && String.sub name 0 4 = "lib/")
+              layers
+          in
+          checkb "has the sim layer" true (List.mem_assoc "lib/sim" libs);
+          checkb "ends with bin, bench, test" true
+            (List.map fst (List.filter (fun l -> not (List.memq l libs)) layers)
+            = [ "bin"; "bench"; "test" ]);
+          let sum = List.fold_left (fun a (_, c) -> SS.add a c) SS.zero libs in
+          checkb "lib layers sum to count_dir lib" true
+            (sum = SS.count_dir (Filename.concat root "lib"))
+        | _ -> Alcotest.fail "repo root not found");
   ]
 
 let report_tests =

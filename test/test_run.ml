@@ -19,18 +19,8 @@ module BW = Harness.Backend_world
 (* ---- spec round-trip ------------------------------------------------- *)
 
 let spec_of_tuple
-    ((scenario, backend, seed, policy, plan, shards, legacy_trace), population)
-    =
-  {
-    Spec.scenario;
-    backend;
-    seed;
-    policy;
-    plan;
-    population;
-    shards;
-    legacy_trace;
-  }
+    ((scenario, backend, seed, policy, plan, shards), population) =
+  { Spec.scenario; backend; seed; policy; plan; population; shards }
 
 let spec_arb =
   let open QCheck in
@@ -45,7 +35,7 @@ let spec_arb =
     ~print:(fun t -> Spec.to_string (spec_of_tuple t))
     Gen.(
       pair
-        (tup7 name_gen
+        (tup6 name_gen
            (oneof [ oneofl BW.names; name_gen ])
            small_signed_int
            (oneofl Spec.all_policies)
@@ -53,8 +43,7 @@ let spec_arb =
               (None
               :: List.map Option.some
                    ((Spec.Screen :: Spec.all_plans) @ Spec.targeted_plans)))
-           (oneofl [ 1; 1; 2; 4; 8 ])
-           bool)
+           (oneofl [ 1; 1; 2; 4; 8 ]))
         (* The population axis: round K/M values print with multipliers,
            ragged ones as digits; all must round-trip. *)
         (oneofl
@@ -101,10 +90,11 @@ let test_parse_forms () =
   Alcotest.(check string)
     "legacy handle canonicalises" "move/charlotte/1/fifo@crash-restart"
     (Spec.to_string (Spec.of_string_exn "move/charlotte/1/crash-restart"));
-  Alcotest.(check check_spec)
-    "trace suffix"
-    (Spec.v ~legacy_trace:true ~scenario:"move" ~backend:"soda" 7)
-    (Spec.of_string_exn "move/soda/7/fifo~trace");
+  (* The retired [~trace] suffix is an ordinary one-line parse error. *)
+  Alcotest.(check (result check_spec string))
+    "trace suffix rejected"
+    (Error {|unknown or repeated suffix "~trace" in "move/soda/7/fifo~trace"|})
+    (Spec.of_string "move/soda/7/fifo~trace");
   Alcotest.(check check_spec)
     "screening plan"
     (Spec.v ~plan:Spec.Screen ~scenario:"open-close" ~backend:"chrysalis" 1)
@@ -127,10 +117,10 @@ let test_parse_forms () =
     (Spec.v ~population:100_000 ~scenario:"wl-farm" ~backend:"chrysalis" 1)
     (Spec.of_string_exn "wl-farm/chrysalis/1/fifo~n100K");
   Alcotest.(check check_spec)
-    "population with plan, shards and trace"
-    (Spec.v ~plan:Spec.Mix ~population:2_000_000 ~shards:4 ~legacy_trace:true
-       ~scenario:"wl-tree" ~backend:"soda" 5)
-    (Spec.of_string_exn "wl-tree/soda/5/fifo@mix~n2M~s4~trace");
+    "population with plan and shards"
+    (Spec.v ~plan:Spec.Mix ~population:2_000_000 ~shards:4 ~scenario:"wl-tree"
+       ~backend:"soda" 5)
+    (Spec.of_string_exn "wl-tree/soda/5/fifo@mix~n2M~s4");
   Alcotest.(check string)
     "ragged population prints as digits" "wl-ring/charlotte/2/fifo~n1234"
     (Spec.to_string
@@ -159,6 +149,42 @@ let test_parse_errors () =
       "wl-farm/soda/1/fifo~n5X";
       "wl-farm/soda/1/fifo~n-3";
     ]
+
+(* Mutating a valid handle (insert, delete or replace one character,
+   several times over) must yield a spec or a one-line error — never an
+   exception — and whatever parses must round-trip canonically. *)
+let test_mutations_never_raise =
+  let open QCheck in
+  let alphabet = "/~@nsKM0123456789-+x_fiorandmtesp " in
+  let mutate str ops =
+    List.fold_left
+      (fun s (op, pos, c) ->
+        let n = String.length s in
+        let i = if n = 0 then 0 else pos mod n in
+        let c = String.make 1 alphabet.[c mod String.length alphabet] in
+        match op mod 3 with
+        | 0 -> String.sub s 0 i ^ c ^ String.sub s i (n - i)
+        | 1 when n > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+        | _ when n > 0 -> String.sub s 0 i ^ c ^ String.sub s (i + 1) (n - i - 1)
+        | _ -> s)
+      str ops
+  in
+  let gen =
+    Gen.pair (QCheck.gen spec_arb)
+      (Gen.list_size (Gen.int_range 1 4)
+         (Gen.triple Gen.nat Gen.nat Gen.nat))
+  in
+  let print (t, ops) = mutate (Spec.to_string (spec_of_tuple t)) ops in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:1000 ~name:"of_string never raises on mutated handles"
+       (make ~print gen) (fun (t, ops) ->
+         let str = mutate (Spec.to_string (spec_of_tuple t)) ops in
+         match Spec.of_string str with
+         | Error m -> m <> "" && not (String.contains m '\n')
+         | Ok s -> (
+           match Spec.of_string (Spec.to_string s) with
+           | Ok s' -> Spec.equal s s'
+           | Error m -> Test.fail_reportf "%S re-parse failed: %s" str m)))
 
 (* ---- the registry ----------------------------------------------------- *)
 
@@ -212,7 +238,7 @@ let test_execute_matches_driver () =
     { D.c_scenario = "move"; c_backend = "chrysalis"; c_seed = 3;
       c_policy = D.Fifo }
   in
-  match (R.execute (D.spec case), D.run_case ~legacy_trace:false case) with
+  match (R.execute (D.spec case), D.run_case case) with
   | Some a, Some r ->
     Alcotest.(check bool) "ok" r.D.r_ok a.A.ok;
     Alcotest.(check string) "detail" r.D.r_detail a.A.detail;
@@ -304,6 +330,92 @@ let test_json_shape () =
            i + nl <= jl && (String.sub j i nl = needle || go (i + 1))
          in
          go 0))
+
+(* ---- repro dump ------------------------------------------------------- *)
+
+(* The dump's trace tail: the header line and the event lines after it. *)
+let trace_tail dump =
+  let rec from = function
+    | [] -> Alcotest.fail "dump has no trace tail"
+    | l :: rest when String.starts_with ~prefix:"  trace tail" l ->
+      (l, List.filter (fun l -> l <> "") rest)
+    | _ :: rest -> from rest
+  in
+  from (String.split_on_char '\n' dump)
+
+let dump_spec = Spec.v ~scenario:"move" ~backend:"chrysalis" 3
+
+let test_dump_tail () =
+  match R.execute_full dump_spec with
+  | Some (Some o, a) ->
+    let v = o.S.o_view in
+    let evs = v.Sim.Engine.v_events in
+    let n = Array.length evs in
+    Alcotest.(check bool) "run outlasts the tail" true (n > 64);
+    let header, lines = trace_tail (R.dump (Some o) a) in
+    Alcotest.(check string)
+      "header"
+      (Printf.sprintf "  trace tail (last 64 of %d events):"
+         (n + v.Sim.Engine.v_events_dropped))
+      header;
+    let expect =
+      List.init 64 (fun i ->
+          let ev = evs.(n - 64 + i) in
+          Printf.sprintf "    %-12s %-7s %s"
+            (Sim.Time.to_string ev.Sim.Event.ev_time)
+            ("#" ^ string_of_int ev.Sim.Event.ev_fiber)
+            (Sim.Event.kind_to_string ev.Sim.Event.ev_kind))
+    in
+    Alcotest.(check (list string)) "last 64 events" expect lines
+  | _ -> Alcotest.fail "move/chrysalis should produce an outcome"
+
+(* [repro] retains a ring of 64, far fewer than the run emits: its
+   tail must still be the end of the run, as a full log shows it. *)
+let test_repro_tail_is_run_end () =
+  match R.execute_full dump_spec with
+  | Some (Some o, a) ->
+    Alcotest.(check bool)
+      "run outlasts the ring" true
+      (Array.length o.S.o_view.Sim.Engine.v_events > R.tail_length);
+    Alcotest.(check (pair string (list string)))
+      "same tail as the full log"
+      (trace_tail (R.dump (Some o) a))
+      (trace_tail (R.repro dump_spec))
+  | _ -> Alcotest.fail "move/chrysalis should produce an outcome"
+
+let test_dump_log_capacity () =
+  let _, full = trace_tail (R.repro dump_spec) in
+  let header, short =
+    match R.execute_full ~log_capacity:5 dump_spec with
+    | Some (o, a) -> trace_tail (R.dump o a)
+    | None -> Alcotest.fail "move/chrysalis should run"
+  in
+  Alcotest.(check int) "ring of 5 shows 5" 5 (List.length short);
+  Alcotest.(check bool)
+    "header counts the retained window" true
+    (String.starts_with ~prefix:"  trace tail (last 5 of " header);
+  Alcotest.(check (list string))
+    "same newest events"
+    (List.filteri (fun i _ -> i >= List.length full - 5) full)
+    short
+
+let test_dump_without_outcome () =
+  match R.execute dump_spec with
+  | None -> Alcotest.fail "move/chrysalis should run"
+  | Some a ->
+    let d = R.dump None a in
+    let lines = String.split_on_char '\n' d in
+    Alcotest.(check string)
+      "first line" "repro move/chrysalis/3/fifo" (List.hd lines);
+    Alcotest.(check bool)
+      "full 64-bit events hash" true
+      (List.exists
+         (String.ends_with
+            ~suffix:(Printf.sprintf "events hash %016Lx" a.A.events_hash))
+         lines);
+    Alcotest.(check bool)
+      "no trace tail without an outcome" false
+      (List.exists (String.starts_with ~prefix:"  trace tail") lines)
 
 (* ---- golden compatibility -------------------------------------------- *)
 
@@ -457,6 +569,7 @@ let () =
           test_roundtrip;
           Alcotest.test_case "parse forms" `Quick test_parse_forms;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          test_mutations_never_raise;
         ] );
       ("registry", [ Alcotest.test_case "registry" `Quick test_registry ]);
       ( "execute",
@@ -466,6 +579,17 @@ let () =
             test_faulted_execute_deterministic;
           Alcotest.test_case "pool order" `Quick test_execute_many_order;
           Alcotest.test_case "json shape" `Quick test_json_shape;
+        ] );
+      ( "dump",
+        [
+          Alcotest.test_case "trace tail is the last 64 events" `Quick
+            test_dump_tail;
+          Alcotest.test_case "repro tail is the end of the run" `Quick
+            test_repro_tail_is_run_end;
+          Alcotest.test_case "log capacity shortens the tail exactly" `Quick
+            test_dump_log_capacity;
+          Alcotest.test_case "hash line, no tail without an outcome" `Quick
+            test_dump_without_outcome;
         ] );
       ( "golden",
         [

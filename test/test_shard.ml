@@ -39,7 +39,6 @@ type fingerprint = {
   fp_total : int;
   fp_counters : (string * int) list;
   fp_windows : int;
-  fp_trace_hash : int64;
 }
 
 let fingerprint t =
@@ -49,7 +48,6 @@ let fingerprint t =
     fp_total = Array.length v.Engine.v_events;
     fp_counters = Shard.counters t;
     fp_windows = Shard.windows t;
-    fp_trace_hash = v.Engine.v_trace_hash;
   }
 
 let show_fp fp =

@@ -196,26 +196,40 @@ let event_log_tests =
         Engine.iter_events e (fun ev -> seen := ev :: !seen);
         checkb "same events in order" true
           (List.rev !seen = Array.to_list (Engine.events e)));
-    Alcotest.test_case "legacy_trace:false keeps events and hash" `Quick
-      (fun () ->
-        let run ~legacy_trace =
-          let e = Engine.create ~legacy_trace () in
+    Alcotest.test_case "events_hash is order sensitive" `Quick (fun () ->
+        let run first =
+          let e = Engine.create () in
+          if first then Engine.record e "x";
+          ignore (Engine.spawn e ~name:"w" (fun () -> ()));
+          if not first then Engine.record e "x";
+          Engine.run e;
+          Engine.events_hash e
+        in
+        checkb "differ" false (Int64.equal (run true) (run false)));
+    Alcotest.test_case "events_hash covers evicted events" `Quick (fun () ->
+        (* Two streams that differ only in their second event, long
+           since rotated out of a 4-slot ring: the retained windows are
+           equal, the fingerprints are not. *)
+        let run first_note =
+          let e = Engine.create ~log_capacity:4 () in
           ignore
             (Engine.spawn e ~name:"w" (fun () ->
-                 Engine.sleep e (Time.ms 2);
-                 Engine.record e "mid";
-                 Engine.sleep e (Time.ms 3)));
+                 for i = 1 to 10 do
+                   Engine.record e (string_of_int i);
+                   Engine.sleep e (Time.ms 1)
+                 done));
+          if first_note then Engine.record e "x"
+          else ignore (Engine.spawn e ~name:"x" (fun () -> ()));
           Engine.run e;
           e
         in
-        let on = run ~legacy_trace:true in
-        let off = run ~legacy_trace:false in
-        checkb "same fingerprint" true
-          (Int64.equal (Engine.events_hash on) (Engine.events_hash off));
-        checkb "same structured events" true
-          (Engine.events on = Engine.events off);
-        checki "no legacy trace rendered" 0
-          (Engine.view off).Engine.v_trace_count);
+        let a = run true and b = run false in
+        let window e = Array.map Event.describe (Engine.events e) in
+        checki "same total" (Engine.events_total a) (Engine.events_total b);
+        checkb "prefix evicted" true (Engine.events_dropped a > 2);
+        checkb "same retained window" true (window a = window b);
+        checkb "differ" false
+          (Int64.equal (Engine.events_hash a) (Engine.events_hash b)));
     Alcotest.test_case "event capacity drops with O(1) accounting" `Quick
       (fun () ->
         let e = Engine.create ~event_capacity:4 () in
@@ -481,43 +495,6 @@ let rng_tests =
         check Alcotest.(array int) "same elements" (Array.init 20 Fun.id) sorted);
   ]
 
-(* ---- Trace ----------------------------------------------------------------- *)
-
-let trace_tests =
-  [
-    Alcotest.test_case "hash is order sensitive" `Quick (fun () ->
-        let a = Trace.create () and b = Trace.create () in
-        Trace.record a Time.zero "x";
-        Trace.record a Time.zero "y";
-        Trace.record b Time.zero "y";
-        Trace.record b Time.zero "x";
-        checkb "differ" false (Trace.hash a = Trace.hash b));
-    Alcotest.test_case "hash covers evicted events" `Quick (fun () ->
-        let a = Trace.create ~capacity:4 () and b = Trace.create ~capacity:4 () in
-        for i = 1 to 20 do
-          Trace.record a Time.zero (string_of_int i)
-        done;
-        for i = 1 to 20 do
-          Trace.record b Time.zero (string_of_int (if i = 1 then 99 else i))
-        done;
-        checkb "differ" false (Trace.hash a = Trace.hash b));
-    Alcotest.test_case "recent returns newest window" `Quick (fun () ->
-        let t = Trace.create ~capacity:3 () in
-        List.iter (fun s -> Trace.record t Time.zero s) [ "a"; "b"; "c"; "d" ];
-        check
-          Alcotest.(list string)
-          "window" [ "c"; "d" ]
-          (List.map snd (Trace.recent t 2));
-        checki "count" 4 (Trace.count t));
-    Alcotest.test_case "clear resets" `Quick (fun () ->
-        let t = Trace.create () in
-        let h0 = Trace.hash t in
-        Trace.record t Time.zero "x";
-        Trace.clear t;
-        checki "count" 0 (Trace.count t);
-        checkb "hash reset" true (Trace.hash t = h0));
-  ]
-
 (* ---- Engine ----------------------------------------------------------------- *)
 
 let engine_tests =
@@ -661,7 +638,7 @@ let engine_tests =
                done));
         Engine.run e;
         checki "stopped" 5 !count);
-    Alcotest.test_case "identical runs have identical trace hashes" `Quick
+    Alcotest.test_case "identical runs have identical event hashes" `Quick
       (fun () ->
         let run_once () =
           let e = Engine.create ~seed:11 () in
@@ -672,10 +649,10 @@ let engine_tests =
                    Engine.record e (Printf.sprintf "step %d" i)
                  done));
           Engine.run e;
-          Trace.hash (Engine.trace e)
+          Engine.events_hash e
         in
         checkb "equal" true (run_once () = run_once ()));
-    Alcotest.test_case "different seeds give different traces" `Quick (fun () ->
+    Alcotest.test_case "different seeds give different event hashes" `Quick (fun () ->
         let run_once seed =
           let e = Engine.create ~seed () in
           ignore
@@ -685,10 +662,10 @@ let engine_tests =
                    Engine.record e (Printf.sprintf "step %d" i)
                  done));
           Engine.run e;
-          Trace.hash (Engine.trace e)
+          Engine.events_hash e
         in
         checkb "differ" false (run_once 1 = run_once 2));
-    Alcotest.test_case "fiber ids are monotonic and exposed in the trace"
+    Alcotest.test_case "fiber ids are monotonic and exposed as spawn events"
       `Quick (fun () ->
         let e = Engine.create () in
         let child_id = ref (-1) in
@@ -703,15 +680,18 @@ let engine_tests =
         checki "second" 1 (Engine.fiber_id b);
         checki "nested third" 2 !child_id;
         let spawns =
-          List.filter
-            (fun (_, m) -> String.length m >= 5 && String.sub m 0 5 = "spawn")
-            (Trace.recent (Engine.trace e) 16)
+          List.filter_map
+            (fun ev ->
+              match ev.Event.ev_kind with
+              | Event.Spawn _ as k -> Some (Event.kind_to_string k)
+              | _ -> None)
+            (Array.to_list (Engine.events e))
         in
         check
           Alcotest.(list string)
-          "trace records ids"
+          "spawn events carry ids"
           [ "spawn #0 a"; "spawn #1 b"; "spawn #2 c" ]
-          (List.map snd spawns));
+          spawns);
     Alcotest.test_case "fiber ids are stable across same-seed runs" `Quick
       (fun () ->
         let run_once () =
@@ -726,11 +706,11 @@ let engine_tests =
             ids := (Engine.fiber_name f, Engine.fiber_id f) :: !ids
           done;
           Engine.run e;
-          (List.rev !ids, Trace.hash (Engine.trace e))
+          (List.rev !ids, Engine.events_hash e)
         in
         let a = run_once () and b = run_once () in
         checkb "identical id assignment" true (fst a = fst b);
-        checkb "identical traces" true (snd a = snd b));
+        checkb "identical event hashes" true (snd a = snd b));
     Alcotest.test_case "random-order policy is deterministic per seed" `Quick
       (fun () ->
         let run_once policy =
@@ -1032,7 +1012,7 @@ let extra_tests =
         checki "four so far" 4 !steps;
         Engine.run e;
         checki "all ten" 10 !steps);
-    Alcotest.test_case "record feeds the trace" `Quick (fun () ->
+    Alcotest.test_case "record feeds the event log" `Quick (fun () ->
         let e = Engine.create () in
         ignore
           (Engine.spawn e (fun () ->
@@ -1040,12 +1020,17 @@ let extra_tests =
                Engine.sleep e (Time.ms 1);
                Engine.record e "two"));
         Engine.run e;
-        (* Three events: the spawn record plus the two explicit ones. *)
-        checki "three events" 3 (Trace.count (Engine.trace e));
-        match Trace.recent (Engine.trace e) 3 with
-        | [ (_, "spawn #0 fiber"); (_, "one"); (t2, "two") ] ->
+        (* Four events: the spawn, the two notes and the sleep's block. *)
+        checki "four events" 4 (Engine.events_total e);
+        match Array.to_list (Engine.events e) with
+        | [
+         { Event.ev_kind = Event.Spawn { fid = 0; name = "fiber" }; _ };
+         { Event.ev_kind = Event.Note "one"; _ };
+         { Event.ev_kind = Event.Block { reason = "sleep" }; _ };
+         { Event.ev_kind = Event.Note "two"; ev_time = t2; _ };
+        ] ->
           checki "timestamped" (Time.to_ns (Time.ms 1)) (Time.to_ns t2)
-        | _ -> Alcotest.fail "unexpected trace");
+        | _ -> Alcotest.fail "unexpected event log");
     Alcotest.test_case "fibers can spawn fibers" `Quick (fun () ->
         let e = Engine.create () in
         let order = ref [] in
@@ -1093,7 +1078,6 @@ let () =
             QCheck_alcotest.to_alcotest heap_model_property;
           ] );
       ("rng", rng_tests @ [ QCheck_alcotest.to_alcotest rng_property ]);
-      ("trace", trace_tests);
       ("engine", engine_tests);
       ("event-log", event_log_tests);
       ("sync", sync_tests);

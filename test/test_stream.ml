@@ -394,7 +394,6 @@ let spec_arb =
             plan;
             population = None;
             shards = 1;
-            legacy_trace = false;
           })
         (tup5 (oneofl S.names) (oneofl primaries) (int_range 1 6)
            (oneofl Spec.all_policies)
@@ -403,8 +402,8 @@ let spec_arb =
   make ~print:Spec.to_string gen
 
 (* The post-hoc reference: run the scenario, then judge from the fully
-   retained log — [Run.judge] still analyzes [v_events] and reads the
-   trace window, exactly as the pipeline did before streaming. *)
+   retained log — [Run.judge] analyzes [v_events] directly, exactly as
+   the pipeline did before streaming. *)
 let posthoc spec =
   match Run.run_outcome spec with
   | None -> None

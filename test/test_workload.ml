@@ -162,9 +162,13 @@ let test_spec_roundtrip_population () =
     [
       "wl-farm/chrysalis/1/fifo~n100K";
       "wl-farm-open/soda/2/fifo~n1M~s4";
-      "wl-tree/charlotte/3/random~n24~trace";
+      "wl-tree/charlotte/3/random~n24";
       "wl-ring/chrysalis/4/fifo@mix~n96K~s2";
-    ]
+    ];
+  (* The retired [~trace] suffix no longer parses. *)
+  match Spec.of_string "wl-tree/charlotte/3/random~n24~trace" with
+  | Ok _ -> Alcotest.fail "~trace must be rejected"
+  | Error _ -> ()
 
 (* ---- Run.check: one-line rejection of mis-parameterised specs --------- *)
 
@@ -190,6 +194,24 @@ let test_check_errors () =
   reject
     (Spec.v ~scenario:"hint-repair" ~backend:"charlotte" 1)
     "does not apply";
+  (* Populations past the arithmetic bound: one that overflows while
+     being multiplied out fails to parse, and one that fits in an int
+     but not in the workload's cell arithmetic fails the check. *)
+  let reject_str str frag =
+    match Spec.of_string str with
+    | Error msg ->
+      if not (contains msg frag) then
+        Alcotest.failf "%s: %S does not mention %S" str msg frag
+    | Ok spec -> reject spec frag
+  in
+  reject_str "wl-farm/soda/1/fifo~n9999999999999M" "bad population";
+  reject_str "wl-farm/soda/1/fifo~n4611686018427387903" "exceeds the maximum";
+  reject_str "wl-farm/soda/1/fifo~n1001M" "exceeds the maximum";
+  Alcotest.(check (result unit string))
+    "population at the bound passes" (Ok ())
+    (Run.check
+       (Spec.v ~population:Harness.Workload.max_population ~scenario:"wl-farm"
+          ~backend:"soda" 1));
   Alcotest.(check (result unit string))
     "parameterised spec passes" (Ok ())
     (Run.check (Spec.v ~population:48 ~scenario:"wl-farm" ~backend:"soda" 1));
