@@ -766,17 +766,7 @@ let workload_cmd =
     in
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
   in
-  let log_capacity_arg =
-    let doc =
-      "Retain only the last $(docv) structured events per shard.  \
-       Population runs emit millions of events; the judged artifact is \
-       identical at any capacity, so large populations should always \
-       bound the log."
-    in
-    Arg.(value & opt (some int) None & info [ "log-capacity" ] ~docv:"N" ~doc)
-  in
-  let run scenario_filter backend_filter population seed shards log_capacity
-      jobs json =
+  let run scenario_filter backend_filter population seed shards jobs json =
     let wl_names =
       List.filter
         (fun n ->
@@ -815,17 +805,12 @@ let workload_cmd =
           prerr_endline msg;
           exit 2)
       specs;
+    let artifacts = List.filter_map Fun.id (Run.execute_many ~jobs specs) in
     if json then begin
-      let artifacts =
-        List.filter_map Fun.id (Run.execute_many ~jobs ?log_capacity specs)
-      in
       print_string (Run.Artifact.list_to_json artifacts);
       if List.exists Run.Artifact.strict_failed artifacts then exit 1
     end
     else begin
-      let artifacts =
-        List.filter_map Fun.id (Run.execute_many ~jobs ?log_capacity specs)
-      in
       Printf.printf
         "workload: %d runs (%d scenarios x %d backends, population %s)\n\n"
         (List.length artifacts) (List.length scenarios)
@@ -884,7 +869,7 @@ let workload_cmd =
           (-n 100K); runs are deterministic at every -j and --shards.")
     Term.(
       const run $ scenario_filter $ backend_filter $ population_arg
-      $ seed_arg $ shards_arg $ log_capacity_arg $ jobs_arg $ json_arg)
+      $ seed_arg $ shards_arg $ jobs_arg $ json_arg)
 
 (* ---- repro: re-run any spec and dump its artifact -------------------------- *)
 

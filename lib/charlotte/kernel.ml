@@ -22,6 +22,7 @@ type end_state = {
 
 type link = {
   l_id : int;
+  l_obj : string;  (* event-object name, "cha.L<id>" *)
   l_ends : end_state array;  (* index = side *)
   mutable l_destroyed : bool;
 }
@@ -154,7 +155,7 @@ and start_transfer t l ~src ~dst ~s ~r ~src_pid ~dst_pid =
   Netmodel.Token_ring.transmit t.ring ~src:src_node ~dst:dst_node ~duration
     ~on_delivered:
       (Faults.Injector.wrap_delivery t.inj ~src:src_node ~dst:dst_node
-         ~obj:(Printf.sprintf "cha.L%d" l.l_id)
+         ~obj:l.l_obj
          ~op:"transfer"
       @@ fun () ->
       (* Stale if the link was destroyed (destroy already completed the
@@ -268,7 +269,10 @@ let make_link t pid =
     t.next_link <- id + 1;
     let e0 = { link_id = id; side = 0 } and e1 = { link_id = id; side = 1 } in
     let mk e = { e_end = e; e_owner = Some pid; e_send = None; e_recv = None } in
-    let l = { l_id = id; l_ends = [| mk e0; mk e1 |]; l_destroyed = false } in
+    let l =
+      { l_id = id; l_obj = Printf.sprintf "cha.L%d" id; l_ends = [| mk e0; mk e1 |];
+        l_destroyed = false }
+    in
     Hashtbl.add t.links id l;
     add_owned p e0;
     add_owned p e1;

@@ -20,6 +20,7 @@ type event_block = {
 
 type dual_queue = {
   dq_name : dualq_name;
+  dq_obj : string;  (* event-object name, "chry.dq<name>" *)
   dq_capacity : int;
   dq_data : int Queue.t;
   dq_waiting : event_name Queue.t;  (* event names of blocked consumers *)
@@ -269,19 +270,20 @@ let dualq t name =
   | Some q -> q
   | None -> raise (Memory_fault Bad_name)
 
+let dq_obj qname = Printf.sprintf "chry.dq%d" qname
+
 let make_dualq t _pid ~capacity =
   charge t t.cst.Costs.dq_make;
   let name = fresh t in
   Hashtbl.add t.dualqs name
     {
       dq_name = name;
+      dq_obj = dq_obj name;
       dq_capacity = capacity;
       dq_data = Queue.create ();
       dq_waiting = Queue.create ();
     };
   name
-
-let dq_obj qname = Printf.sprintf "chry.dq%d" qname
 
 (* [post] is how a waiting consumer gets woken: the charged [event_post]
    on the synchronous path, the uncharged [event_post_now] when a fault
@@ -291,7 +293,7 @@ let dq_enqueue_via t qname datum ~post =
   let q = dualq t qname in
   match Queue.take_opt q.dq_waiting with
   | Some ev_name ->
-    Engine.emit t.eng (Event.Signal { obj = dq_obj qname; woke = true });
+    Engine.emit t.eng (Event.Signal { obj = q.dq_obj; woke = true });
     (* The queue holds event names: enqueue actually posts. *)
     post ev_name datum
   | None ->
@@ -301,7 +303,7 @@ let dq_enqueue_via t qname datum ~post =
       (* No consumer was parked: the datum sits in the queue — a hint
          that is either noticed by a later dequeue (Signal_seen) or
          lost. *)
-      Engine.emit t.eng (Event.Signal { obj = dq_obj qname; woke = false });
+      Engine.emit t.eng (Event.Signal { obj = q.dq_obj; woke = false });
       Queue.add datum q.dq_data
     end
 
@@ -314,14 +316,20 @@ let dq_enqueue t pid qname datum =
        or duplicate one, and the flag words (the truth, §4.3) cover the
        gap.  A deferred enqueue that finds the queue full sheds the hint
        rather than faulting in scheduler context — same recovery. *)
+    let obj =
+      (* A stale name still draws its fault verdict, under the same
+         name a live queue would carry. *)
+      match Hashtbl.find_opt t.dualqs qname with
+      | Some q -> q.dq_obj
+      | None -> dq_obj qname
+    in
     let shed_full () =
       try dq_enqueue_via t qname datum ~post:(event_post_now t)
       with Memory_fault Bounds ->
         Stats.incr t.sts "chrysalis.dq_hints_shed";
-        Engine.emit t.eng (Event.Drop { obj = dq_obj qname; op = "enqueue" })
+        Engine.emit t.eng (Event.Drop { obj; op = "enqueue" })
     in
-    Faults.Injector.wrap_delivery (Some inj) ~obj:(dq_obj qname) ~op:"enqueue"
-      shed_full ()
+    Faults.Injector.wrap_delivery (Some inj) ~obj ~op:"enqueue" shed_full ()
 
 let dq_dequeue t _pid qname ~ev =
   charge t t.cst.Costs.dq_op;
@@ -329,12 +337,12 @@ let dq_dequeue t _pid qname ~ev =
   let q = dualq t qname in
   match Queue.take_opt q.dq_data with
   | Some datum ->
-    Engine.emit t.eng (Event.Signal_seen { obj = dq_obj qname });
+    Engine.emit t.eng (Event.Signal_seen { obj = q.dq_obj });
     Some datum
   | None ->
     (* Committing to wait: the check-then-block point of the lost-signal
        window §5.2 worries about. *)
-    Engine.emit t.eng (Event.Wait { obj = dq_obj qname });
+    Engine.emit t.eng (Event.Wait { obj = q.dq_obj });
     Queue.add ev q.dq_waiting;
     None
 

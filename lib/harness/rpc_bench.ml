@@ -22,7 +22,7 @@ let mean_ms r = Time.to_ms r.r_mean
 
 let run ?(nodes = 4) ?(iters = 30) ?(warmup = 5) ?(seed = 42)
     (module W : WORLD) ~payload () =
-  let eng = Engine.create ~seed () in
+  let eng = Engine.create ~seed ~log_capacity:0 () in
   let w = W.create eng ~nodes in
   let sts = W.stats w in
   let series = Stats.Series.create () in
@@ -76,7 +76,7 @@ let run ?(nodes = 4) ?(iters = 30) ?(warmup = 5) ?(seed = 42)
     tables.) *)
 let throughput ?(nodes = 4) ?(coroutines = 4) ?(calls = 40) ?(seed = 42)
     (module W : WORLD) ~payload () =
-  let eng = Engine.create ~seed () in
+  let eng = Engine.create ~seed ~log_capacity:0 () in
   let w = W.create eng ~nodes in
   let link_for_client = Sync.Ivar.create eng in
   let t_start = ref Time.zero and t_end = ref Time.zero in
@@ -123,7 +123,7 @@ let throughput ?(nodes = 4) ?(coroutines = 4) ?(calls = 40) ?(seed = 42)
     kernel's interface. *)
 let raw_charlotte ?(iters = 30) ?(warmup = 5) ?(seed = 42) ~payload () =
   let open Charlotte.Types in
-  let eng = Engine.create ~seed () in
+  let eng = Engine.create ~seed ~log_capacity:0 () in
   let k = Charlotte.Kernel.create eng ~nodes:2 () in
   let series = Stats.Series.create () in
   let ends = Sync.Ivar.create eng in
@@ -178,7 +178,7 @@ let raw_charlotte ?(iters = 30) ?(warmup = 5) ?(seed = 42) ~payload () =
 let raw_soda ?(iters = 30) ?(warmup = 5) ?(seed = 42) ~payload () =
   let open Soda.Types in
   let reply_name = 1_999_999 in
-  let eng = Engine.create ~seed () in
+  let eng = Engine.create ~seed ~log_capacity:0 () in
   let k = Soda.Kernel.create eng ~nodes:4 () in
   let series = Stats.Series.create () in
   let ready = Sync.Ivar.create eng in

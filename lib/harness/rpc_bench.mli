@@ -1,6 +1,8 @@
 (** The paper's latency experiment: a simple remote operation, with and
     without parameter bytes, measured in steady state (§3.3, §4.3,
-    §5.3). *)
+    §5.3).  Every run returns a summary only, so its engine retains no
+    events ([~log_capacity:0]); {!Sim.Engine.events_hash} and streaming
+    consumers still see the whole stream. *)
 
 open Backend_world
 

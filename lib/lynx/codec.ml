@@ -18,46 +18,53 @@ let tag_link = 5
 let tag_pair = 6
 let tag_list = 7
 
+(* The payload is written straight into a buffer of its exact size,
+   {!Value.size_list} — the same size that prices the transfer. *)
 let encode (vs : Value.t list) : bytes * Link.t list =
-  let buf = Buffer.create 64 in
+  let buf = Bytes.create (Value.size_list vs) in
+  let pos = ref 0 in
   let encl = ref [] in
   let n_encl = ref 0 in
+  let add_u8 n =
+    Bytes.set buf !pos (Char.unsafe_chr (n land 0xff));
+    incr pos
+  in
   let add_u32 n =
-    Buffer.add_char buf (Char.chr (n land 0xff));
-    Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-    Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-    Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
+    for shift = 0 to 3 do
+      add_u8 (n lsr (shift * 8))
+    done
   in
   let rec enc (v : Value.t) =
     match v with
-    | Unit -> Buffer.add_char buf (Char.chr tag_unit)
-    | Bool false -> Buffer.add_char buf (Char.chr tag_false)
-    | Bool true -> Buffer.add_char buf (Char.chr tag_true)
+    | Unit -> add_u8 tag_unit
+    | Bool false -> add_u8 tag_false
+    | Bool true -> add_u8 tag_true
     | Int i ->
-      Buffer.add_char buf (Char.chr tag_int);
+      add_u8 tag_int;
       for shift = 0 to 7 do
-        Buffer.add_char buf (Char.chr ((i lsr (shift * 8)) land 0xff))
+        add_u8 (i lsr (shift * 8))
       done
     | Str s ->
-      Buffer.add_char buf (Char.chr tag_str);
+      add_u8 tag_str;
       add_u32 (String.length s);
-      Buffer.add_string buf s
+      Bytes.blit_string s 0 buf !pos (String.length s);
+      pos := !pos + String.length s
     | Link l ->
-      Buffer.add_char buf (Char.chr tag_link);
+      add_u8 tag_link;
       add_u32 !n_encl;
       incr n_encl;
       encl := l :: !encl
     | Pair (a, b) ->
-      Buffer.add_char buf (Char.chr tag_pair);
+      add_u8 tag_pair;
       enc a;
       enc b
     | List items ->
-      Buffer.add_char buf (Char.chr tag_list);
+      add_u8 tag_list;
       add_u32 (List.length items);
       List.iter enc items
   in
   List.iter enc vs;
-  (Buffer.to_bytes buf, List.rev !encl)
+  (buf, List.rev !encl)
 
 let decode (payload : bytes) ~(enclosures : Link.t array) : Value.t list =
   let pos = ref 0 in

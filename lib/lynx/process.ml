@@ -7,7 +7,11 @@ type incoming = {
   in_reply : Value.t list -> unit;
 }
 
-type handler = { h_sg : Ty.signature option; h_fn : Value.t list -> Value.t list }
+type handler = {
+  h_sg : Ty.signature option;
+  h_fn : Value.t list -> Value.t list;
+  h_tname : string;  (* "<pname>.<op>", the name of each handler thread *)
+}
 
 type req_waiter = {
   w_filter : int list option;  (* lids; None = any live link *)
@@ -424,7 +428,7 @@ let send_exn_reply t (l : Link.t) ~corr ~op msg =
 
 (* Run a registered handler for a request in its own thread. *)
 let run_handler t (l : Link.t) (h : handler) ~corr (inc : incoming) =
-  spawn_thread t ~tname:(Printf.sprintf "%s.%s" t.pname inc.in_op) (fun () ->
+  spawn_thread t ~tname:h.h_tname (fun () ->
       let check_or_exn tys vs what =
         if not (Value.check_list tys vs) then begin
           Stats.incr t.sts "lynx.type_errors";
@@ -646,7 +650,8 @@ let close_queue t (l : Link.t) =
 
 let serve t (l : Link.t) ~op ?sg fn =
   usable_or_raise l;
-  Hashtbl.replace t.handlers (l.Link.lid, op) { h_sg = sg; h_fn = fn };
+  Hashtbl.replace t.handlers (l.Link.lid, op)
+    { h_sg = sg; h_fn = fn; h_tname = t.pname ^ "." ^ op };
   l.Link.request_queue_open <- true;
   refresh_interest t l
 

@@ -65,6 +65,9 @@ type chan = {
   partials : partial option array;  (* index by kind *)
   in_requests : Lynx.Backend.rx Queue.t;
   in_replies : Lynx.Backend.rx Queue.t;
+  rx_objs : string array;  (* our receive queues' event names, by kind *)
+  tx_objs : string array;  (* the far end's receive queues' names *)
+  end_obj : string;
 }
 
 type t = {
@@ -87,17 +90,22 @@ let kind_index = function Lynx.Backend.Request -> 0 | Lynx.Backend.Reply -> 1
 let kind_label = function Lynx.Backend.Request -> "req" | Lynx.Backend.Reply -> "rep"
 let ring t = Sync.Mailbox.put t.doorbell ()
 
-(* Structured-event object names.  The receive queue of end (L, s) for a
-   message kind is "cha.L<id>.s<s>.<kind>"; both parties can compute it
-   (the sender targets the far side of its own end), so Send and Receive
-   events for one message meet on the same key, and a per-message stamp
-   keyed by the sender's frame seq carries the sender's clock across the
-   passive queue to the consumer. *)
-let queue_obj (e : CT.link_end) ~side kind =
-  Printf.sprintf "cha.L%d.s%d.%s" e.CT.link_id side (kind_label kind)
+(* Structured-event object names, built once per registered end.  The
+   receive queue of end (L, s) for a message kind is
+   "cha.L<id>.s<s>.<kind>"; both parties can compute it (the sender
+   targets the far side of its own end), so Send and Receive events for
+   one message meet on the same name, and a per-message stamp keyed by
+   that queue and the sender's frame seq carries the sender's clock
+   across the passive queue to the consumer. *)
+let queue_objs (e : CT.link_end) ~side =
+  Array.map
+    (fun kind -> Printf.sprintf "cha.L%d.s%d.%s" e.CT.link_id side (kind_label kind))
+    [| Lynx.Backend.Request; Lynx.Backend.Reply |]
 
-let end_obj (e : CT.link_end) =
-  Printf.sprintf "cha.L%d.s%d" e.CT.link_id e.CT.side
+let stamp_key (e : CT.link_end) ~side kind ~seq =
+  Engine.stamp_key ~layer:1
+    ~obj:((((e.CT.link_id lsl 1) lor side) lsl 1) lor kind_index kind)
+    ~seq
 
 let fresh_handle t =
   let h = t.next_handle in
@@ -132,6 +140,9 @@ let register t (ce : CT.link_end) =
       partials = Array.make 2 None;
       in_requests = Queue.create ();
       in_replies = Queue.create ();
+      rx_objs = queue_objs ce ~side:ce.CT.side;
+      tx_objs = queue_objs ce ~side:(1 - ce.CT.side);
+      end_obj = Printf.sprintf "cha.L%d.s%d" ce.CT.link_id ce.CT.side;
     }
   in
   Hashtbl.replace t.chans h c;
@@ -141,8 +152,15 @@ let register t (ce : CT.link_end) =
 let chan_of_end t (e : CT.link_end) =
   Hashtbl.find_opt t.by_end (e.CT.link_id, e.CT.side)
 
-let count_pkt t dir (h : Packet.header) =
-  Stats.incr t.sts (Printf.sprintf "lynx_charlotte.pkt_%s.%s" dir (Packet.label h))
+(* Per-packet counter names, one per direction and packet type. *)
+let pkt_counters dir =
+  Array.map (Printf.sprintf "lynx_charlotte.pkt_%s.%s" dir) Packet.labels
+
+let sent_counters = pkt_counters "sent"
+let received_counters = pkt_counters "received"
+
+let count_pkt t counters (h : Packet.header) =
+  Stats.incr t.sts counters.(Packet.label_index h)
 
 (* ---- Frame failure ----------------------------------------------------- *)
 
@@ -246,7 +264,7 @@ let rec kick t (c : chan) =
             | None -> None)
         in
         let data = Packet.encode pk.pk_header in
-        count_pkt t "sent" pk.pk_header;
+        count_pkt t sent_counters pk.pk_header;
         let status = K.send t.kernel t.pid c.ce ?enclosure data in
         c.kicking <- false;
         match status with
@@ -364,9 +382,9 @@ let rec ensure_recv t (c : chan) =
 let finalize_incoming t (c : chan) kind (d : Packet.data_header)
     (ends : CT.link_end list) =
   let eng = K.engine t.kernel in
-  let dest = queue_obj c.ce ~side:c.ce.CT.side kind in
-  Engine.adopt eng (Printf.sprintf "%s#%d" dest d.Packet.d_seq);
-  Engine.emit eng (Event.Receive { obj = dest; op = d.Packet.d_op });
+  Engine.adopt eng (stamp_key c.ce ~side:c.ce.CT.side kind ~seq:d.Packet.d_seq);
+  Engine.emit eng
+    (Event.Receive { obj = c.rx_objs.(kind_index kind); op = d.Packet.d_op });
   let handles = List.map (fun e -> (register t e).h) ends in
   let rx =
     {
@@ -467,7 +485,7 @@ let handle_received t (c : chan) (comp : CT.completion) =
   match Packet.decode comp.CT.c_data with
   | exception Packet.Malformed -> Stats.incr t.sts "lynx_charlotte.malformed"
   | header ->
-    count_pkt t "received" header;
+    count_pkt t received_counters header;
     (match header with
     | Packet.Req_first d ->
       handle_data_packet t c Lynx.Backend.Request d comp.CT.c_enclosure
@@ -599,15 +617,15 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion
     if not c.live then fail_frame t c fr
     else begin
       let eng = K.engine t.kernel in
-      let dest = queue_obj c.ce ~side:(1 - c.ce.CT.side) kind in
       Engine.emit eng
         (Event.Send
-           { obj = dest; op; unordered = retx || kind = Lynx.Backend.Reply });
-      Engine.stamp eng (Printf.sprintf "%s#%d" dest fr.fr_seq);
+           { obj = c.tx_objs.(kind_index kind); op;
+             unordered = retx || kind = Lynx.Backend.Reply });
+      Engine.stamp eng (stamp_key c.ce ~side:(1 - c.ce.CT.side) kind ~seq:fr.fr_seq);
       List.iter
         (fun h ->
           match Hashtbl.find_opt t.chans h with
-          | Some ec -> Engine.emit eng (Event.Link_move { obj = end_obj ec.ce })
+          | Some ec -> Engine.emit eng (Event.Link_move { obj = ec.end_obj })
           | None -> ())
         enclosures;
       Hashtbl.replace c.frames fr.fr_seq fr;

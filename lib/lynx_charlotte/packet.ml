@@ -43,15 +43,20 @@ and data_header = {
 let kind_code = function Lynx.Backend.Request -> 0 | Lynx.Backend.Reply -> 1
 let kind_of_code = function 0 -> Lynx.Backend.Request | _ -> Lynx.Backend.Reply
 
-let label = function
-  | Req_first _ -> "request"
-  | Rep_first _ -> "reply"
-  | Enc _ -> "enc"
-  | Goahead _ -> "goahead"
-  | Retry _ -> "retry"
-  | Forbid _ -> "forbid"
-  | Allow -> "allow"
-  | Ack _ -> "ack"
+let labels = [| "request"; "reply"; "enc"; "goahead"; "retry"; "forbid"; "allow"; "ack" |]
+
+(* Index of the packet's type in [labels]. *)
+let label_index = function
+  | Req_first _ -> 0
+  | Rep_first _ -> 1
+  | Enc _ -> 2
+  | Goahead _ -> 3
+  | Retry _ -> 4
+  | Forbid _ -> 5
+  | Allow -> 6
+  | Ack _ -> 7
+
+let label h = labels.(label_index h)
 
 let encode (h : header) : bytes =
   let buf = Buffer.create 64 in

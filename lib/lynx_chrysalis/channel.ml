@@ -39,6 +39,8 @@ type chan = {
   (* Receiving: local mirror of which inbound slots look occupied. *)
   mutable in_present : bool array;  (* index: 0 = request, 1 = reply *)
   in_order : Lynx.Backend.kind Queue.t;  (* arrival order of the above *)
+  slot_objs : string array;  (* the link object's slot queues' event names *)
+  end_obj : string;
 }
 
 type t = {
@@ -66,13 +68,13 @@ let fresh_handle t =
 
 let ring t = Sync.Mailbox.put t.doorbell ()
 
-(* Structured-event object names.  A message slot of the shared link
-   object is "chry.o<obj>.slot<n>" (the slot index encodes sender side
-   and kind, so it names one direction's queue); the per-message stamp
-   adds the correlation id so queued frames do not overwrite each
-   other's clocks while a slot is busy. *)
-let slot_queue_obj obj slot = Printf.sprintf "chry.o%d.slot%d" obj slot
-let slot_stamp_key obj slot corr = Printf.sprintf "chry.o%d.slot%d#%d" obj slot corr
+(* Structured-event object names, built once per registered end.  A
+   message slot of the shared link object is "chry.o<obj>.slot<n>" (the
+   slot index encodes sender side and kind, so it names one direction's
+   queue); the per-message stamp adds the correlation id so queued
+   frames do not overwrite each other's clocks while a slot is busy. *)
+let slot_stamp_key obj slot corr =
+  Engine.stamp_key ~layer:3 ~obj:((obj lsl 2) lor slot) ~seq:corr
 
 (* ---- Flag helpers ------------------------------------------------------ *)
 
@@ -117,6 +119,8 @@ let register t ~obj ~side ~handle =
       out_q = [| Queue.create (); Queue.create () |];
       in_present = Array.make 2 false;
       in_order = Queue.create ();
+      slot_objs = Array.init 4 (Printf.sprintf "chry.o%d.slot%d" obj);
+      end_obj = Printf.sprintf "chry.end.o%d.s%d" obj side;
     }
   in
   Hashtbl.replace t.chans handle c;
@@ -209,7 +213,7 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion
       Engine.emit eng
         (Event.Send
            {
-             obj = slot_queue_obj c.obj slot;
+             obj = c.slot_objs.(slot);
              op;
              unordered = retx || kind = Lynx.Backend.Reply;
            });
@@ -218,9 +222,7 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion
         (fun h ->
           match Hashtbl.find_opt t.chans h with
           | Some ec ->
-            Engine.emit eng
-              (Event.Link_move
-                 { obj = Printf.sprintf "chry.end.o%d.s%d" ec.obj ec.side })
+            Engine.emit eng (Event.Link_move { obj = ec.end_obj })
           | None -> ())
         enclosures;
       let ki = kind_index kind in
@@ -298,7 +300,7 @@ let take t ~link ~kind =
         let eng = K.engine t.kernel in
         Engine.adopt eng (slot_stamp_key c.obj slot d.Layout.d_corr);
         Engine.emit eng
-          (Event.Receive { obj = slot_queue_obj c.obj slot; op = d.Layout.d_op });
+          (Event.Receive { obj = c.slot_objs.(slot); op = d.Layout.d_op });
         c.in_present.(ki) <- false;
         clear_flag t c bit;
         notify_peer t c (Layout.notice_msg ~obj:c.obj ~slot);

@@ -32,6 +32,9 @@ type chan = {
       (* our status signal at the peer: (request id, destination) *)
   mutable peer_sigs : ST.req_id list;  (* peer signals pending at us *)
   in_q : pend_in Queue.t array;  (* indexed by kind *)
+  rx_objs : string array;  (* our receive queues' event names, by kind *)
+  tx_objs : string array;  (* the far end's receive queues' names *)
+  end_obj : string;
 }
 
 type out_msg = {
@@ -79,13 +82,16 @@ let kind_label = function Lynx.Backend.Request -> "req" | Lynx.Backend.Reply -> 
 let ring t = Sync.Mailbox.put t.doorbell ()
 let engine t = S.engine t.kernel
 
-(* Structured-event object names.  A SODA end's receive queue is named
-   after the end's kernel-global name, which both parties know (the
-   sender holds it as [far_name]); the per-message stamp rides the
-   kernel-global request id, re-stamped on every retry so redirects keep
-   the sender's clock attached. *)
-let queue_obj name kind = Printf.sprintf "soda.n%d.%s" name (kind_label kind)
-let req_key req = Printf.sprintf "soda.req%d" req
+(* Structured-event object names, built once per registered end.  A
+   SODA end's receive queue is named after the end's kernel-global
+   name, which both parties know (the sender holds it as [far_name]);
+   the per-message stamp rides the kernel-global request id, re-stamped
+   on every retry so redirects keep the sender's clock attached. *)
+let queue_objs name =
+  Array.init 2 (fun ki ->
+      Printf.sprintf "soda.n%d.%s" name (kind_label (kind_of_index ki)))
+
+let req_key req = Engine.stamp_key ~layer:2 ~obj:req ~seq:0
 
 let fresh_handle t =
   let h = t.next_handle in
@@ -107,6 +113,9 @@ let register t ~my_name ~far_name ~hint =
       sig_out = None;
       peer_sigs = [];
       in_q = [| Queue.create (); Queue.create () |];
+      rx_objs = queue_objs my_name;
+      tx_objs = queue_objs far_name;
+      end_obj = Printf.sprintf "soda.n%d" my_name;
     }
   in
   Hashtbl.replace t.chans h c;
@@ -524,19 +533,21 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion
          { Lynx.Backend.se_exn = Lynx.Excn.Link_destroyed;
             se_recovered = enclosures })
   | Some c ->
-    let encl_desc =
+    let encl_chans =
       List.map
         (fun h ->
           match Hashtbl.find_opt t.chans h with
           | Some ec ->
             ec.moving_out <- true;
-            {
-              Wire.e_my_name = ec.my_name;
-              e_far_name = ec.far_name;
-              e_hint = ec.hint;
-            }
+            ec
           | None -> invalid_arg "lynx_soda.send: unknown enclosure")
         enclosures
+    in
+    let encl_desc =
+      List.map
+        (fun ec ->
+          { Wire.e_my_name = ec.my_name; e_far_name = ec.far_name; e_hint = ec.hint })
+        encl_chans
     in
     let body =
       Wire.encode_body
@@ -562,15 +573,13 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion
     Engine.emit (engine t)
       (Event.Send
          {
-           obj = queue_obj c.far_name kind;
+           obj = c.tx_objs.(kind_index kind);
            op;
            unordered = retx || kind = Lynx.Backend.Reply;
          });
     List.iter
-      (fun (e : Wire.encl) ->
-        Engine.emit (engine t)
-          (Event.Link_move { obj = Printf.sprintf "soda.n%d" e.Wire.e_my_name }))
-      encl_desc;
+      (fun ec -> Engine.emit (engine t) (Event.Link_move { obj = ec.end_obj }))
+      encl_chans;
     post_msg t m
 
 let set_interest t ~link ~requests ~replies =
@@ -624,7 +633,7 @@ let take t ~link ~kind =
           Engine.adopt (engine t) (req_key p.p_req);
           Engine.emit (engine t)
             (Event.Receive
-               { obj = queue_obj c.my_name kind; op = body.Wire.b_op });
+               { obj = c.rx_objs.(kind_index kind); op = body.Wire.b_op });
           let handles =
             List.map
               (fun (e : Wire.encl) ->

@@ -61,9 +61,14 @@ let transmit t ~src ~dst ~duration ~on_delivered =
     invalid_arg "Csma_bus.transmit: bad station";
   Stats.incr t.stats "csma.frames";
   let on_delivered =
-    Faults.Injector.wrap_delivery t.faults ~src ~dst
-      ~obj:(Printf.sprintf "bus:%d->%d" src dst)
-      ~op:"frame" on_delivered
+    (* The frame's name is only read by the injector: build it only
+       when one is armed. *)
+    match t.faults with
+    | None -> on_delivered
+    | Some _ ->
+      Faults.Injector.wrap_delivery t.faults ~src ~dst
+        ~obj:(Printf.sprintf "bus:%d->%d" src dst)
+        ~op:"frame" on_delivered
   in
   if src = dst then Engine.schedule_after t.engine duration on_delivered
   else begin

@@ -177,8 +177,10 @@ let execute_full ?log_capacity (spec : Spec.t) =
     Some (Some o, judge_streamed spec (Analysis.Stream.finish state) o)
   | exception e when spec.Spec.plan <> None -> Some (None, aborted spec e)
 
-let execute ?log_capacity (spec : Spec.t) =
-  match execute_full ?log_capacity spec with
+(* The artifact is judged from the stream, so by default nothing needs
+   retaining. *)
+let execute ?(log_capacity = 0) (spec : Spec.t) =
+  match execute_full ~log_capacity spec with
   | None -> None
   | Some (_, a) -> Some a
 

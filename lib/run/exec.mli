@@ -55,8 +55,10 @@ val execute_full :
   Spec.t ->
   (Harness.Scenarios.outcome option * Artifact.t) option
 (** [execute], also returning the raw outcome — repro dumps read the
-    engine view (trace tail, fiber states) from it.  The outcome is
-    [None] only when a faulted run aborted (no engine view exists). *)
+    engine view (trace tail, fiber states) from it, so without
+    [log_capacity] it keeps the engine's default append log.  The
+    outcome is [None] only when a faulted run aborted (no engine view
+    exists). *)
 
 val execute : ?log_capacity:int -> Spec.t -> Artifact.t option
 (** The pipeline: run with the streaming analyzer attached, judge from
@@ -66,14 +68,17 @@ val execute : ?log_capacity:int -> Spec.t -> Artifact.t option
     an exception — the wedged run is itself the finding.  Clean runs
     let exceptions propagate.
 
-    [log_capacity] bounds the events the engine retains (a ring of the
-    last [k]); the artifact — findings, counters, [events_hash] — is
-    identical at every capacity, only the trace tail a repro dump can
-    show is truncated. *)
+    [log_capacity] (default 0: nothing) bounds the events the engine
+    retains to a ring of the last [k].  The artifact — findings,
+    counters, [events_hash] — is identical at every capacity, so a
+    caller that only reads the artifact has no use for a log; callers
+    that read the engine view use {!execute_full}, whose default is the
+    engine's append log. *)
 
 val execute_many :
   ?jobs:int -> ?log_capacity:int -> Spec.t list -> Artifact.t option list
-(** [execute] mapped over the {!Parallel.Pool} domain pool.  Every spec
+(** [execute] mapped over the {!Parallel.Pool} domain pool (retaining
+    nothing by default, like [execute]).  Every spec
     owns a private engine and a private analyzer (the observer is
     domain-local), and the pool preserves input order, so the result
     list — and anything rendered from it — is byte-identical at every

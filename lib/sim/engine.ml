@@ -57,7 +57,7 @@ type t = {
   mutable events_total : int;
   mutable events_hash : int;
   mutable consumers : (Event.t -> unit) list;
-  stamps : (string, Vclock.t) Hashtbl.t;
+  stamps : (int, Vclock.t) Hashtbl.t;
 }
 
 exception Deadlock of string
@@ -159,7 +159,7 @@ let clock = current_clock
 let grow_events t ~cap_limit =
   let cap = Array.length t.ev_arr in
   let ncap = min cap_limit (if cap = 0 then 256 else cap * 2) in
-  let narr = Array.make ncap t.ev_arr.(0) in
+  let narr = Array.make ncap Event.placeholder in
   Array.blit t.ev_arr 0 narr 0 t.ev_len;
   t.ev_arr <- narr
 
@@ -170,8 +170,7 @@ let retain t ev =
   | None ->
     if t.ev_len < t.event_cap then begin
       if t.ev_len = Array.length t.ev_arr then
-        if t.ev_len = 0 then t.ev_arr <- Array.make (min t.event_cap 256) ev
-        else grow_events t ~cap_limit:t.event_cap;
+        grow_events t ~cap_limit:t.event_cap;
       t.ev_arr.(t.ev_len) <- ev;
       t.ev_len <- t.ev_len + 1
     end
@@ -180,9 +179,7 @@ let retain t ev =
       if t.ev_len < k then begin
         (* Growth phase: behaves like the plain append mode until the
            ring is full, so short runs pay nothing for the bound. *)
-        if t.ev_len = Array.length t.ev_arr then
-          if t.ev_len = 0 then t.ev_arr <- Array.make (min k 256) ev
-          else grow_events t ~cap_limit:k;
+        if t.ev_len = Array.length t.ev_arr then grow_events t ~cap_limit:k;
         t.ev_arr.(t.ev_len) <- ev;
         t.ev_len <- t.ev_len + 1
       end
@@ -271,6 +268,13 @@ let iter_events t f =
 let events_total t = t.events_total
 let events_dropped t = t.events_total - t.ev_len
 let events_hash t = Int64.of_int t.events_hash
+
+(* Packs a layer tag (2 bits), an object id and a per-object sequence
+   number into one int.  The sequence wraps at 2^30, so two keys can
+   only meet when one stamp is still unadopted 2^30 messages later on
+   the same object. *)
+let stamp_key ~layer ~obj ~seq =
+  (((obj lsl 30) lor (seq land 0x3FFF_FFFF)) lsl 2) lor (layer land 3)
 
 let stamp t key = Hashtbl.replace t.stamps key (current_clock t)
 

@@ -55,7 +55,13 @@ val create :
     streaming consumers ({!add_consumer}) observe — those see every
     emitted event, so determinism fingerprints and online analyses are
     exact at any capacity.  When unset, [create] adopts the capacity of
-    the ambient {!with_observer} scope, if any. *)
+    the ambient {!with_observer} scope, if any.
+
+    Retention costs host time (every kept event is promoted to the major
+    heap), so callers that read only summaries retain nothing:
+    [Run.execute], [Run.execute_many] and [Harness.Rpc_bench] pass
+    [0].  The append default serves callers that read {!events} or
+    [v_events]. *)
 
 val add_consumer : t -> (Event.t -> unit) -> unit
 (** Registers a streaming consumer called synchronously from {!emit}
@@ -157,12 +163,19 @@ val events_hash : t -> int64
     determinism comparator.  Maintained in O(1) per event with no
     rendering. *)
 
-val stamp : t -> string -> unit
+val stamp_key : layer:int -> obj:int -> seq:int -> int
+(** [stamp_key ~layer ~obj ~seq] packs ids a message already carries
+    into a {!stamp} key, so no key is rendered per message.  [layer]
+    (0–3) keeps the layers' key spaces disjoint: 0 the shard inboxes,
+    1 Charlotte, 2 SODA, 3 Chrysalis.  [obj] names the passive queue
+    (below 2^30) and [seq] the message on it; [seq] wraps at 2^30. *)
+
+val stamp : t -> int -> unit
 (** [stamp t key] saves the current clock under [key] — called where a
     message is deposited into a passive queue that is later drained
     without a waker hand-off. *)
 
-val adopt : t -> string -> unit
+val adopt : t -> int -> unit
 (** [adopt t key] merges the clock saved under [key] into the current
     fiber (or ambient) clock and forgets it.  No-op when [key] was never
     stamped. *)

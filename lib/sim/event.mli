@@ -42,6 +42,11 @@ type t = {
   ev_kind : kind;
 }
 
+val placeholder : t
+(** A fill value for fresh event arrays, allocated once; never emitted.
+    Seeding a major-heap-sized [Array.make] with a young event instead
+    would force a minor collection first. *)
+
 val obj : t -> string option
 (** The kernel object an event is keyed by, if any. *)
 

@@ -8,22 +8,21 @@ let is_empty h = h.len = 0
 
 let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
+(* Fill value for fresh backing arrays; never read past [len], so its
+   payload's type does not matter.  Filling a major-heap-sized array
+   with a young entry would make [Array.make] force a minor collection
+   first. *)
+let placeholder = { time = 0; seq = 0; payload = () }
+
 let grow h =
   let cap = Array.length h.arr in
-  let ncap = if cap = 0 then 16 else cap * 2 in
-  (* Dummy slot reuses an existing entry; it is never read past [len]. *)
-  let dummy = if cap = 0 then None else Some h.arr.(0) in
-  match dummy with
-  | None -> ()
-  | Some d ->
-    let narr = Array.make ncap d in
-    Array.blit h.arr 0 narr 0 h.len;
-    h.arr <- narr
+  let narr = Array.make (if cap = 0 then 16 else cap * 2) (Obj.magic placeholder) in
+  Array.blit h.arr 0 narr 0 h.len;
+  h.arr <- narr
 
 let add h ~time ~seq payload =
   let e = { time; seq; payload } in
-  if h.len = Array.length h.arr then
-    if h.len = 0 then h.arr <- Array.make 16 e else grow h;
+  if h.len = Array.length h.arr then grow h;
   h.arr.(h.len) <- e;
   h.len <- h.len + 1;
   (* Sift up. *)

@@ -31,7 +31,7 @@ type 'msg node = {
   (* Inbox entries carry the stamp key holding the sender's clock while
      the message rests in the queue (the kernels' passive-queue idiom);
      [None] never occurs today but keeps the adopt site honest. *)
-  n_inbox : (string option * string * string * 'msg) Queue.t;
+  n_inbox : (int option * string * string * 'msg) Queue.t;
   mutable n_waker : ((string * string * 'msg, exn) result -> unit) option;
   mutable n_send_seq : int;
   mutable n_arrivals : int;
@@ -44,13 +44,13 @@ type 'msg node = {
 type evbuf = { mutable eb_arr : Event.t array; mutable eb_len : int }
 
 let evbuf_push b ev =
-  if b.eb_len = Array.length b.eb_arr then
-    if b.eb_len = 0 then b.eb_arr <- Array.make 256 ev
-    else begin
-      let narr = Array.make (2 * b.eb_len) ev in
-      Array.blit b.eb_arr 0 narr 0 b.eb_len;
-      b.eb_arr <- narr
-    end;
+  if b.eb_len = Array.length b.eb_arr then begin
+    let narr =
+      Array.make (if b.eb_len = 0 then 256 else 2 * b.eb_len) Event.placeholder
+    in
+    Array.blit b.eb_arr 0 narr 0 b.eb_len;
+    b.eb_arr <- narr
+  end;
   b.eb_arr.(b.eb_len) <- ev;
   b.eb_len <- b.eb_len + 1
 
@@ -307,8 +307,8 @@ let inject_upto t limit =
                        a later recv adopts the happens-before edge, the
                        kernels' passive-queue idiom. *)
                     let key =
-                      Printf.sprintf "shard.in.%d.%d" node.n_id
-                        node.n_arrivals
+                      Engine.stamp_key ~layer:0 ~obj:node.n_id
+                        ~seq:node.n_arrivals
                     in
                     Engine.stamp eng key;
                     Queue.add (Some key, pd.pd_obj, pd.pd_op, pd.pd_msg)
@@ -335,11 +335,7 @@ let cmp_event a b =
 let merge_window t =
   let total = Array.fold_left (fun a b -> a + b.eb_len) 0 t.buffers in
   if total > 0 then begin
-    let first =
-      let b = Array.to_seq t.buffers |> Seq.find (fun b -> b.eb_len > 0) in
-      (Option.get b).eb_arr.(0)
-    in
-    let all = Array.make total first in
+    let all = Array.make total Event.placeholder in
     let off = ref 0 in
     Array.iter
       (fun b ->

@@ -19,16 +19,20 @@ let length q = q.len
 
 let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
+(* Fill value for fresh backing arrays; never read past [len].  Filling
+   a major-heap-sized array with a young entry would make [Array.make]
+   force a minor collection first. *)
+let placeholder = { time = 0; seq = 0; clk = Vclock.empty; fn = ignore }
+
 let grow q =
   let cap = Array.length q.arr in
-  let narr = Array.make (cap * 2) q.arr.(0) in
+  let narr = Array.make (if cap = 0 then 16 else cap * 2) placeholder in
   Array.blit q.arr 0 narr 0 q.len;
   q.arr <- narr
 
 let add q ~time ~seq ~clk fn =
   let e = { time; seq; clk; fn } in
-  if q.len = Array.length q.arr then
-    if q.len = 0 then q.arr <- Array.make 16 e else grow q;
+  if q.len = Array.length q.arr then grow q;
   q.arr.(q.len) <- e;
   q.len <- q.len + 1;
   let i = ref (q.len - 1) in

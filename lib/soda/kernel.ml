@@ -20,6 +20,7 @@ type process = {
   p_id : pid;
   p_node : node;
   p_label : string;
+  p_intr_obj : string;  (* event-object name, "soda.int<pid>" *)
   mutable p_alive : bool;
   mutable p_handler : (interrupt -> unit) option;
   mutable p_masked : bool;
@@ -95,21 +96,19 @@ let charge t = Engine.sleep t.eng t.cst.Costs.interrupt_cpu
 (* Deliver an interrupt to a process's handler.  Runs in scheduler
    context; handlers must not block (they may only record state and wake
    fibers), mirroring SODA's interrupt discipline. *)
-let intr_obj (p : process) = Printf.sprintf "soda.int%d" p.p_id
-
 let deliver t p intr =
   if p.p_alive then begin
     match (p.p_handler, p.p_masked, intr) with
     | Some h, false, _ ->
       Stats.incr t.sts "soda.interrupts";
-      Engine.emit t.eng (Event.Signal { obj = intr_obj p; woke = true });
+      Engine.emit t.eng (Event.Signal { obj = p.p_intr_obj; woke = true });
       h intr
     | _, _, (Completed _ | Aborted _ | Withdrawn _) ->
       Stats.incr t.sts "soda.interrupts_queued";
       (* The software-interrupt window: the completion arrived while the
          handler was masked or unset, so it only sits in the queue — it
          is seen again (Signal_seen) when the drain runs, or never. *)
-      Engine.emit t.eng (Event.Signal { obj = intr_obj p; woke = false });
+      Engine.emit t.eng (Event.Signal { obj = p.p_intr_obj; woke = false });
       Queue.add intr p.p_queued
     | _, _, Request _ ->
       (* Requests are never queued at the target while masked: the
@@ -334,7 +333,7 @@ let discover t pid name_ =
 
 let drain_queued t p =
   while not (Queue.is_empty p.p_queued) do
-    Engine.emit t.eng (Event.Signal_seen { obj = intr_obj p });
+    Engine.emit t.eng (Event.Signal_seen { obj = p.p_intr_obj });
     deliver t p (Queue.take p.p_queued)
   done
 
@@ -382,6 +381,7 @@ let spawn_process t ?(daemon = false) ~node ~name:label body =
       p_id = pid;
       p_node = node;
       p_label = label;
+      p_intr_obj = Printf.sprintf "soda.int%d" pid;
       p_alive = true;
       p_handler = None;
       p_masked = false;

@@ -97,4 +97,72 @@ let tests =
         Alcotest.check (Alcotest.float 0.0001) "same" a b);
   ]
 
-let () = Alcotest.run "latency" [ ("calibration", tests) ]
+(* Rpc_bench returns only a summary, so its engines retain no events.
+   The fingerprints are those of the fully retained runs: retention
+   never moves them. *)
+let pinned_hashes =
+  [
+    ("charlotte", 0xd6b85e2b70dc4cddL);
+    ("soda", 0xf64949c00c186becL);
+    ("chrysalis", 0x16cb570a2d07939cL);
+  ]
+
+let retention_tests =
+  List.map
+    (fun b ->
+      let module W = (val b : Harness.Backend_world.WORLD) in
+      Alcotest.test_case (W.name ^ " echo retains no events") `Quick (fun () ->
+          let engines = ref [] in
+          ignore
+            (Sim.Engine.with_observer
+               ~attach:(fun e -> engines := e :: !engines)
+               (fun () -> Harness.Rpc_bench.run b ~payload:0 ()));
+          match !engines with
+          | [ e ] ->
+            Alcotest.(check int) "nothing retained" 0
+              (Array.length (Sim.Engine.events e));
+            checkb "every event dropped" true
+              (Sim.Engine.events_total e > 0
+              && Sim.Engine.events_dropped e = Sim.Engine.events_total e);
+            Alcotest.(check string) "events hash"
+              (Printf.sprintf "%016Lx" (List.assoc W.name pinned_hashes))
+              (Printf.sprintf "%016Lx" (Sim.Engine.events_hash e))
+          | es -> Alcotest.failf "expected one engine, got %d" (List.length es)))
+    Harness.Backend_world.all
+
+(* Steady-state minor words per 0 B echo call: the difference of two
+   runs cancels set-up and warm-up.  Allocation is deterministic, so the
+   budget is tight, 2% over the recorded value: one more string built
+   per message (50-70 words each, two or more messages per call)
+   breaks it. *)
+let words_per_call b =
+  let words iters =
+    let before = Gc.minor_words () in
+    ignore (Harness.Rpc_bench.run b ~payload:0 ~iters ());
+    Gc.minor_words () -. before
+  in
+  let w30 = words 30 in
+  (words 130 -. w30) /. 100.
+
+let budgets = [ ("charlotte", 3501.3); ("soda", 3307.0); ("chrysalis", 5114.0) ]
+
+let allocation_tests =
+  List.map
+    (fun b ->
+      let module W = (val b : Harness.Backend_world.WORLD) in
+      Alcotest.test_case (W.name ^ " words per echo call") `Quick (fun () ->
+          let budget = List.assoc W.name budgets in
+          let w = words_per_call b in
+          checkb
+            (Printf.sprintf "%.1f words per call vs budget %.1f (+2%%)" w budget)
+            true
+            (w <= budget *. 1.02)))
+    Harness.Backend_world.all
+
+let () =
+  Alcotest.run "latency"
+    [
+      ("calibration", tests);
+      ("retention", retention_tests);
+      ("allocation", allocation_tests);
+    ]

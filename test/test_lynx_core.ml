@@ -172,6 +172,43 @@ let size_property =
       let payload, _ = Lynx.Codec.encode [ v ] in
       Bytes.length payload = V.size_bytes v)
 
+(* Messages as the runtime sends them: several values, links included,
+   strings up to 4 KB. *)
+let message_gen =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        return V.Unit;
+        map (fun b -> V.Bool b) bool;
+        map (fun i -> V.Int i) int;
+        map (fun s -> V.Str s) (string_size (int_bound 4096));
+        map (fun lid -> V.Link (mklink lid)) nat;
+      ]
+  in
+  let value =
+    fix (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (3, leaf);
+              (1, map2 (fun a b -> V.Pair (a, b)) (self (depth - 1)) (self (depth - 1)));
+              (1, map (fun vs -> V.List vs) (list_size (int_bound 4) (self (depth - 1))));
+            ])
+  in
+  list_size (int_bound 4) (value 3)
+
+let exact_size_property =
+  QCheck.Test.make ~name:"encode is exact-size and round-trips messages" ~count:200
+    (QCheck.make message_gen)
+    (fun vs ->
+      let payload, encl = Lynx.Codec.encode vs in
+      let back = Lynx.Codec.decode payload ~enclosures:(Array.of_list encl) in
+      Bytes.length payload = V.size_list vs
+      && List.length back = List.length vs
+      && List.for_all2 V.equal vs back)
+
 let typecheck_property =
   QCheck.Test.make ~name:"decoded values keep their types" ~count:200
     (QCheck.make value_gen)
@@ -241,7 +278,12 @@ let () =
       ( "codec",
         codec_tests
         @ List.map QCheck_alcotest.to_alcotest
-            [ codec_roundtrip_property; size_property; typecheck_property ] );
+            [
+              codec_roundtrip_property;
+              size_property;
+              exact_size_property;
+              typecheck_property;
+            ] );
       ("link", link_tests);
       ("excn", excn_tests);
     ]
