@@ -58,6 +58,14 @@ type t = {
   mutable events_hash : int;
   mutable consumers : (Event.t -> unit) list;
   stamps : (int, Vclock.t) Hashtbl.t;
+  (* Causality on demand: an engine is observed iff something can read
+     an [Event.t] — a consumer, or a log that retains.  An unobserved
+     engine still counts and fingerprints every event (both fold only
+     time, fiber and tag), but builds no event record, ticks and merges
+     no clock and keeps no stamps: nothing could read them.  Set at
+     [create] and by [add_consumer], which is refused once the engine
+     has emitted, so no reader ever sees clocks that were skipped. *)
+  mutable observed : bool;
 }
 
 exception Deadlock of string
@@ -122,12 +130,17 @@ let create ?(seed = 42) ?(policy = Fifo) ?(event_capacity = 200_000)
       events_hash = 0x0bf29ce484222325;
       consumers = [];
       stamps = Hashtbl.create 64;
+      observed = log_cap <> Some 0;
     }
   in
   (match observer with Some ob -> ob.ob_attach t | None -> ());
   t
 
-let add_consumer t f = t.consumers <- t.consumers @ [ f ]
+let add_consumer t f =
+  if t.events_total > 0 then
+    invalid_arg "Engine.add_consumer: the engine has already emitted events";
+  t.consumers <- t.consumers @ [ f ];
+  t.observed <- true
 
 let with_observer ?log_capacity ~attach f =
   let saved = Domain.DLS.get ambient_observer in
@@ -191,30 +204,38 @@ let retain t ev =
         t.ev_start <- (t.ev_start + 1) mod k
       end
 
+(* FNV-style word fold in native ints: a byte-wise int64 fold would
+   cost 24 boxed multiplications per event, which would dominate the
+   emit path.  It folds every emitted event, retained or not, so it is
+   exact at any [log_capacity] and in either mode. *)
+let fold h i = (h lxor i) * 0x100000001B3
+
+let[@inline] count_event t time fid kind =
+  t.events_total <- t.events_total + 1;
+  t.events_hash <-
+    fold (fold (fold t.events_hash (Time.to_ns time)) fid) (Event.kind_tag kind)
+
 (* Events emitted by a fiber tick its component so successive events are
    strictly ordered.  Scheduler-context events only snapshot the ambient
    clock: ticking a shared pseudo-component would fabricate causality
    between unrelated kernel tasks. *)
 let emit t kind =
-  let clock, fid =
-    match t.current with
-    | Some f ->
-      f.clock <- Vclock.tick f.clock f.fid;
-      (f.clock, f.fid)
-    | None -> (t.amb_clock, -1)
-  in
-  let ev = { Event.ev_time = t.now; ev_fiber = fid; ev_clock = clock; ev_kind = kind } in
-  t.events_total <- t.events_total + 1;
-  retain t ev;
-  (* FNV-style word fold in native ints: a byte-wise int64 fold would
-     cost 24 boxed multiplications per event, which would dominate the
-     emit path.  It folds every emitted event, retained or not, so it
-     is exact at any [log_capacity]. *)
-  let fold h i = (h lxor i) * 0x100000001B3 in
-  t.events_hash <-
-    fold (fold (fold t.events_hash (Time.to_ns t.now)) fid)
-      (Event.kind_tag kind);
-  match t.consumers with [] -> () | cs -> List.iter (fun f -> f ev) cs
+  let fid = match t.current with Some f -> f.fid | None -> -1 in
+  count_event t t.now fid kind;
+  if t.observed then begin
+    let clock =
+      match t.current with
+      | Some f ->
+        f.clock <- Vclock.tick f.clock fid;
+        f.clock
+      | None -> t.amb_clock
+    in
+    let ev =
+      { Event.ev_time = t.now; ev_fiber = fid; ev_clock = clock; ev_kind = kind }
+    in
+    retain t ev;
+    match t.consumers with [] -> () | cs -> List.iter (fun f -> f ev) cs
+  end
 
 let record t msg = emit t (Event.Note msg)
 
@@ -228,13 +249,8 @@ let record t msg = emit t (Event.Note msg)
    single-engine run emitting the same sequence. *)
 let absorb t (ev : Event.t) =
   if Time.(ev.Event.ev_time > t.now) then t.now <- ev.Event.ev_time;
-  t.events_total <- t.events_total + 1;
+  count_event t ev.Event.ev_time ev.Event.ev_fiber ev.Event.ev_kind;
   retain t ev;
-  let fold h i = (h lxor i) * 0x100000001B3 in
-  t.events_hash <-
-    fold
-      (fold (fold t.events_hash (Time.to_ns ev.Event.ev_time)) ev.Event.ev_fiber)
-      (Event.kind_tag ev.Event.ev_kind);
   match t.consumers with [] -> () | cs -> List.iter (fun f -> f ev) cs
 
 (* Append mode trims to fit, then shares: the first call after a run
@@ -276,16 +292,18 @@ let events_hash t = Int64.of_int t.events_hash
 let stamp_key ~layer ~obj ~seq =
   (((obj lsl 30) lor (seq land 0x3FFF_FFFF)) lsl 2) lor (layer land 3)
 
-let stamp t key = Hashtbl.replace t.stamps key (current_clock t)
+let stamp t key =
+  if t.observed then Hashtbl.replace t.stamps key (current_clock t)
 
 let adopt t key =
-  match Hashtbl.find_opt t.stamps key with
-  | None -> ()
-  | Some c -> (
-    Hashtbl.remove t.stamps key;
-    match t.current with
-    | Some f -> f.clock <- Vclock.merge f.clock c
-    | None -> t.amb_clock <- Vclock.merge t.amb_clock c)
+  if t.observed then
+    match Hashtbl.find_opt t.stamps key with
+    | None -> ()
+    | Some c -> (
+      Hashtbl.remove t.stamps key;
+      match t.current with
+      | Some f -> f.clock <- Vclock.merge f.clock c
+      | None -> t.amb_clock <- Vclock.merge t.amb_clock c)
 
 (* Under [Fifo] same-time tasks run in schedule order.  [Random_order]
    replaces the tie-breaking sequence number with a seeded random draw, so
@@ -344,6 +362,8 @@ let handle_crash t fiber exn =
     (Event.Crash
        { fid = fiber.fid; name = fiber.name; error = Printexc.to_string exn })
 
+let unread_block = Event.Block { reason = "" }
+
 let effc : type b. t -> fiber -> b Effect.t -> ((b, unit) Effect.Deep.continuation -> unit) option =
  fun t fiber eff ->
   match eff with
@@ -351,7 +371,8 @@ let effc : type b. t -> fiber -> b Effect.t -> ((b, unit) Effect.Deep.continuati
     Some
       (fun (k : (b, unit) Effect.Deep.continuation) ->
         fiber.state <- Blocked reason;
-        emit t (Event.Block { reason });
+        (* Unobserved, only the tag is read: skip building the record. *)
+        emit t (if t.observed then Event.Block { reason } else unread_block);
         let fired = ref false in
         let waker (r : (b, exn) result) =
           if not !fired then begin
@@ -362,7 +383,8 @@ let effc : type b. t -> fiber -> b Effect.t -> ((b, unit) Effect.Deep.continuati
                 fiber.state <- Runnable;
                 (* The waker's cause happens before everything the fiber
                    does from here on. *)
-                fiber.clock <- Vclock.merge fiber.clock t.amb_clock;
+                if t.observed then
+                  fiber.clock <- Vclock.merge fiber.clock t.amb_clock;
                 (match r with
                 | Ok v -> Effect.Deep.continue k v
                 | Error e -> Effect.Deep.discontinue k e);
@@ -379,7 +401,8 @@ let effc : type b. t -> fiber -> b Effect.t -> ((b, unit) Effect.Deep.continuati
             let prev = t.current in
             t.current <- Some fiber;
             fiber.state <- Runnable;
-            fiber.clock <- Vclock.merge fiber.clock t.amb_clock;
+            if t.observed then
+              fiber.clock <- Vclock.merge fiber.clock t.amb_clock;
             Effect.Deep.continue k ();
             t.current <- prev))
   | _ -> None
@@ -404,10 +427,10 @@ let spawn t ?fid ?(name = "fiber") ?(daemon = false) f =
   Hashtbl.replace t.fids fid ();
   emit t (Event.Spawn { fid; name });
   (* The child starts causally after the spawn event in its parent. *)
-  let fiber =
-    { fid; name; daemon; state = Runnable;
-      clock = Vclock.tick (current_clock t) fid }
+  let clock =
+    if t.observed then Vclock.tick (current_clock t) fid else current_clock t
   in
+  let fiber = { fid; name; daemon; state = Runnable; clock } in
   t.fibers <- fiber :: t.fibers;
   enqueue t t.now (fun () ->
       let prev = t.current in
@@ -431,7 +454,7 @@ let suspend t ?(reason = "wait") register =
 
 let sleep t d =
   match t.current with
-  | None -> invalid_arg "Engine.suspend: not inside a fiber"
+  | None -> invalid_arg "Engine.sleep: not inside a fiber"
   | Some _ -> Effect.perform (Sleep_for d)
 
 let yield t =

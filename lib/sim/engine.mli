@@ -61,14 +61,31 @@ val create :
     heap), so callers that read only summaries retain nothing:
     [Run.execute], [Run.execute_many] and [Harness.Rpc_bench] pass
     [0].  The append default serves callers that read {!events} or
-    [v_events]. *)
+    [v_events].
+
+    {b Causality on demand.}  An engine is {e observed} when something
+    can read its events: it retains them ([log_capacity] other than
+    [Some 0]) or it has a consumer (the ambient observer's [attach]
+    runs inside [create], so consumers it registers count).  An
+    unobserved engine still counts and fingerprints every event —
+    {!events_total} and {!events_hash} are identical in both modes —
+    but builds no event records, ticks and merges no vector clocks and
+    keeps no {!stamp}s.  [Harness.Rpc_bench] engines run unobserved;
+    [Run.execute]/[Run.execute_many] always attach a consumer and run
+    observed, as does a default [create ()]. *)
 
 val add_consumer : t -> (Event.t -> unit) -> unit
 (** Registers a streaming consumer called synchronously from {!emit}
     with every structured event, in emission order — including events
     the log does not retain (past [event_capacity], or rotated out of a
     [log_capacity] ring).  Consumers run in emission order of
-    registration and must not call back into the engine. *)
+    registration and must not call back into the engine.
+
+    Registering makes the engine observed (see {!create}), so it is
+    only allowed before the first event: raises [Invalid_argument] once
+    the engine has emitted, since a late consumer would see clocks that
+    were never kept.  Attach at creation time — through the ambient
+    {!with_observer} hook, or right after [create]. *)
 
 val with_observer :
   ?log_capacity:int -> attach:(t -> unit) -> (unit -> 'a) -> 'a
@@ -98,7 +115,9 @@ val clock : t -> Vclock.t
 (** The clock of whoever is acting right now: the running fiber's, or
     the ambient clock in scheduler context — the snapshot {!stamp}
     would record.  Shard senders capture it to stamp messages that
-    cross to another engine. *)
+    cross to another engine (shard engines always carry a consumer, so
+    they are observed).  An unobserved engine keeps no causality: there
+    this returns the fiber's spawn clock, never advanced. *)
 
 val record : t -> string -> unit
 (** Records a free-form note at the current virtual time (an
@@ -111,12 +130,15 @@ val record : t -> string -> unit
     and restore it while they run, and wakers merge it into the resumed
     fiber — so happens-before edges follow message hops and wakeups
     automatically.  Kernel code adds edges for data that rests in passive
-    queues via {!stamp}/{!adopt}. *)
+    queues via {!stamp}/{!adopt}.  All of this happens on observed
+    engines only (see {!create}); an unobserved engine emits bare
+    counts and fingerprints. *)
 
 val emit : t -> Event.kind -> unit
 (** Appends a structured event stamped with the current time and clock.
     Inside a fiber this ticks the fiber's clock first; in scheduler
-    context the ambient clock is snapshotted unticked. *)
+    context the ambient clock is snapshotted unticked.  On an unobserved
+    engine it only bumps {!events_total} and folds {!events_hash}. *)
 
 val absorb : t -> Event.t -> unit
 (** Re-admits an event emitted by {e another} engine, verbatim: folds
@@ -173,12 +195,12 @@ val stamp_key : layer:int -> obj:int -> seq:int -> int
 val stamp : t -> int -> unit
 (** [stamp t key] saves the current clock under [key] — called where a
     message is deposited into a passive queue that is later drained
-    without a waker hand-off. *)
+    without a waker hand-off.  No-op on an unobserved engine. *)
 
 val adopt : t -> int -> unit
 (** [adopt t key] merges the clock saved under [key] into the current
     fiber (or ambient) clock and forgets it.  No-op when [key] was never
-    stamped. *)
+    stamped, and always on an unobserved engine. *)
 
 (** {1 Scheduling} *)
 

@@ -144,7 +144,9 @@ let words_per_call b =
   let w30 = words 30 in
   (words 130 -. w30) /. 100.
 
-let budgets = [ ("charlotte", 3501.3); ("soda", 3307.0); ("chrysalis", 5114.0) ]
+(* Recorded on unobserved engines, which build no event records, vector
+   clocks or stamps (see the causality tests below). *)
+let budgets = [ ("charlotte", 2676.3); ("soda", 2550.0); ("chrysalis", 3572.0) ]
 
 let allocation_tests =
   List.map
@@ -159,10 +161,53 @@ let allocation_tests =
             (w <= budget *. 1.02)))
     Harness.Backend_world.all
 
+(* Rpc_bench engines have no consumer and retain nothing, so they run
+   unobserved: no event records, clocks or stamps.  A no-op consumer
+   makes the same run observed; everything the run reports must be
+   identical either way. *)
+let bench_run ~observed b payload =
+  let engines = ref [] in
+  let attach e =
+    if observed then Sim.Engine.add_consumer e ignore;
+    engines := e :: !engines
+  in
+  let r =
+    Sim.Engine.with_observer ~attach (fun () ->
+        Harness.Rpc_bench.run b ~payload ())
+  in
+  match !engines with
+  | [ e ] -> (r, Sim.Engine.events_hash e, Sim.Engine.events_total e)
+  | es -> Alcotest.failf "expected one engine, got %d" (List.length es)
+
+let causality_tests =
+  List.concat_map
+    (fun b ->
+      let module W = (val b : Harness.Backend_world.WORLD) in
+      List.map
+        (fun payload ->
+          Alcotest.test_case
+            (Printf.sprintf "%s %d B: observed = unobserved" W.name payload)
+            `Quick (fun () ->
+              let r, hash, total = bench_run ~observed:false b payload in
+              let r', hash', total' = bench_run ~observed:true b payload in
+              let ns t = Sim.Time.to_ns t in
+              Alcotest.(check string) "events hash"
+                (Printf.sprintf "%016Lx" hash')
+                (Printf.sprintf "%016Lx" hash);
+              Alcotest.(check int) "events total" total' total;
+              Alcotest.(check (list int)) "mean, min, max"
+                [ ns r'.r_mean; ns r'.r_min; ns r'.r_max ]
+                [ ns r.r_mean; ns r.r_min; ns r.r_max ];
+              Alcotest.(check (list (pair string int))) "counters"
+                r'.r_counters r.r_counters))
+        [ 0; 1000 ])
+    Harness.Backend_world.all
+
 let () =
   Alcotest.run "latency"
     [
       ("calibration", tests);
       ("retention", retention_tests);
       ("allocation", allocation_tests);
+      ("causality", causality_tests);
     ]

@@ -1067,6 +1067,182 @@ let extra_tests =
         checkb "not zero" false (Time.is_zero (Time.ns 1)));
   ]
 
+(* ---- Causality on demand ------------------------------------------------ *)
+
+(* An engine with no consumer and [log_capacity = 0] keeps no clocks,
+   event records or stamps; one with a consumer keeps them all.  Both
+   must run the same program: same events, same fingerprint, same
+   fiber behaviour. *)
+let make_engine ~observed =
+  let e = Engine.create ~log_capacity:0 () in
+  if observed then Engine.add_consumer e ignore;
+  e
+
+type op = Sleep of int | Wait of int | Signal of int | Stamp of int | Adopt of int
+
+let op_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun d -> Sleep d) (int_bound 3);
+        map (fun q -> Wait q) (int_bound 1);
+        map (fun q -> Signal q) (int_bound 1);
+        map (fun k -> Stamp k) (int_bound 3);
+        map (fun k -> Adopt k) (int_bound 3);
+      ])
+
+let show_op = function
+  | Sleep d -> Printf.sprintf "sleep %d" d
+  | Wait q -> Printf.sprintf "wait %d" q
+  | Signal q -> Printf.sprintf "signal %d" q
+  | Stamp k -> Printf.sprintf "stamp %d" k
+  | Adopt k -> Printf.sprintf "adopt %d" k
+
+(* Runs one fiber per op list; returns everything a program can see. *)
+let run_program ~observed fibers =
+  let e = make_engine ~observed in
+  let qs = Array.init 2 (fun _ -> Sync.Waitq.create e) in
+  let seen = ref [] in
+  List.iteri
+    (fun i ops ->
+      ignore
+        (Engine.spawn e (fun () ->
+             List.iteri
+               (fun j op ->
+                 (match op with
+                 | Sleep d -> Engine.sleep e (Time.ms d)
+                 | Wait q -> Sync.Waitq.wait qs.(q)
+                 | Signal q -> ignore (Sync.Waitq.signal qs.(q) ())
+                 | Stamp k -> Engine.stamp e (Engine.stamp_key ~layer:0 ~obj:k ~seq:0)
+                 | Adopt k -> Engine.adopt e (Engine.stamp_key ~layer:0 ~obj:k ~seq:0));
+                 Engine.record e "step";
+                 seen := (i, j, Time.to_ns (Engine.now e)) :: !seen)
+               ops)))
+    fibers;
+  Engine.run e;
+  ( Engine.events_hash e,
+    Engine.events_total e,
+    Time.to_ns (Engine.now e),
+    List.rev !seen,
+    Engine.blocked_fibers e )
+
+let observed_unobserved_property =
+  QCheck.Test.make ~name:"observed and unobserved engines run the same program"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(Print.list (Print.list show_op))
+        Gen.(list_size (int_range 1 4) (list_size (int_bound 8) op_gen)))
+    (fun fibers ->
+      run_program ~observed:true fibers = run_program ~observed:false fibers)
+
+(* Steady-state minor words per iteration: the difference of two runs
+   cancels set-up.  Allocation is deterministic, so budgets sit 2% over
+   the recorded value, like the words-per-echo gates in test_latency. *)
+let words_per_iter run =
+  let words n =
+    let before = Gc.minor_words () in
+    run n;
+    Gc.minor_words () -. before
+  in
+  let w100 = words 100 in
+  (words 1100 -. w100) /. 1000.
+
+let sleeps ~observed n =
+  let e = make_engine ~observed in
+  ignore
+    (Engine.spawn e (fun () ->
+         for _ = 1 to n do
+           Engine.sleep e (Time.us 1)
+         done));
+  Engine.run e
+
+let waitq_cycles ~observed n =
+  let e = make_engine ~observed in
+  let q = Sync.Waitq.create e in
+  ignore
+    (Engine.spawn e (fun () ->
+         for _ = 1 to n do
+           Sync.Waitq.wait q
+         done));
+  ignore
+    (Engine.spawn e (fun () ->
+         for _ = 1 to n do
+           Engine.sleep e (Time.us 1);
+           ignore (Sync.Waitq.signal q ())
+         done));
+  Engine.run e
+
+let gate name ~budget words =
+  checkb
+    (Printf.sprintf "%s: %.1f words vs budget %.1f (+2%%)" name words budget)
+    true
+    (words <= budget *. 1.02)
+
+let causality_tests =
+  [
+    Alcotest.test_case "add_consumer after the first emit is refused" `Quick
+      (fun () ->
+        let e = Engine.create ~log_capacity:0 () in
+        Engine.add_consumer e ignore;
+        Engine.record e "first";
+        Alcotest.check_raises "late consumer"
+          (Invalid_argument
+             "Engine.add_consumer: the engine has already emitted events")
+          (fun () -> Engine.add_consumer e ignore));
+    Alcotest.test_case "sleep outside a fiber names Engine.sleep" `Quick
+      (fun () ->
+        Alcotest.check_raises "outside a fiber"
+          (Invalid_argument "Engine.sleep: not inside a fiber") (fun () ->
+            Engine.sleep (Engine.create ()) (Time.ms 1)));
+    Alcotest.test_case "unobserved engines keep no causality" `Quick (fun () ->
+        let e = make_engine ~observed:false in
+        let clk = ref Vclock.empty in
+        ignore
+          (Engine.spawn e (fun () ->
+               Engine.record e "x";
+               Engine.sleep e (Time.ms 1);
+               clk := Engine.clock e));
+        Engine.run e;
+        checki "events counted" 3 (Engine.events_total e);
+        check Alcotest.string "spawn clock" "{}" (Vclock.to_string !clk));
+    QCheck_alcotest.to_alcotest observed_unobserved_property;
+    Alcotest.test_case "words per sleep" `Quick (fun () ->
+        gate "observed" ~budget:45.0
+          (words_per_iter (sleeps ~observed:true));
+        gate "unobserved" ~budget:30.0
+          (words_per_iter (sleeps ~observed:false)));
+    Alcotest.test_case "words per waitq wait, signal and sleep" `Quick
+      (fun () ->
+        gate "observed" ~budget:120.0
+          (words_per_iter (waitq_cycles ~observed:true));
+        gate "unobserved" ~budget:85.0
+          (words_per_iter (waitq_cycles ~observed:false)));
+    Alcotest.test_case "unobserved emit of a constant kind allocates nothing"
+      `Quick (fun () ->
+        let e = make_engine ~observed:false in
+        let kind = Event.Block { reason = "sleep" } in
+        let w =
+          words_per_iter (fun n ->
+              for _ = 1 to n do
+                Engine.emit e kind
+              done)
+        in
+        check (Alcotest.float 0.) "words per emit" 0. w);
+    Alcotest.test_case "unobserved stamp and adopt allocate nothing" `Quick
+      (fun () ->
+        let e = make_engine ~observed:false in
+        let w =
+          words_per_iter (fun n ->
+              for seq = 1 to n do
+                let key = Engine.stamp_key ~layer:1 ~obj:7 ~seq in
+                Engine.stamp e key;
+                Engine.adopt e key
+              done)
+        in
+        check (Alcotest.float 0.) "words per stamp and adopt" 0. w);
+  ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -1082,4 +1258,5 @@ let () =
       ("event-log", event_log_tests);
       ("sync", sync_tests);
       ("extra", extra_tests);
+      ("causality", causality_tests);
     ]
