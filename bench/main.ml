@@ -584,7 +584,11 @@ let write_bench_json ~jobs ~micros ~sweeps =
    recommended domain count. *)
 let sweep_wall jobs =
   let t0 = Unix.gettimeofday () in
-  ignore (Explore.Driver.sweep ~jobs ~seeds:[ 1; 2 ] ());
+  ignore
+    (Run.execute_many ~jobs
+       (Run.Spec.product ~seeds:[ 1; 2 ]
+          ~policies:[ Run.Spec.Fifo; Run.Spec.Random ]
+          ()));
   (Unix.gettimeofday () -. t0) *. 1000.
 
 let micro () =

@@ -19,22 +19,26 @@
    "scenario/backend/seed/policy[@plan]" (see lib/run): `repro` accepts
    exactly that string from any table, log or CI failure, and --json on
    explore/chaos/races/static emits the judged artifacts machine-readably.
-   The explore, chaos and races sweeps additionally cross-check every
-   dynamic race finding against the static prediction set (a gap fails
-   the run — see lib/run/soundness.mli). *)
+   Every sweep is a Run.Spec.product run by Run.execute_many and rendered
+   from the artifacts; the explore, chaos and races sweeps additionally
+   cross-check every dynamic race finding against the static prediction
+   set (a gap fails the run — see lib/run/soundness.mli). *)
 
 open Cmdliner
 module BW = Harness.Backend_world
 module S = Harness.Scenarios
 
-let backend_conv =
+(* A flag value looked up by name in a registry. *)
+let named_conv what find name =
   let parse s =
-    match BW.find s with
-    | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown backend %S" s))
+    match find s with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "unknown %s %S" what s))
   in
-  let print ppf (module W : BW.WORLD) = Format.pp_print_string ppf W.name in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (name v))
+
+let backend_conv =
+  named_conv "backend" BW.find (fun (module W : BW.WORLD) -> W.name)
 
 let backend_arg =
   let doc =
@@ -57,6 +61,59 @@ let json_arg =
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 
+let jobs_arg =
+  let doc =
+    "Worker domains for the sweep (default: the machine's recommended \
+     domain count).  Results are identical at every job count."
+  in
+  Arg.(
+    value
+    & opt int (Parallel.Pool.default_jobs ())
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+(* [-n N] as the seed list 1..N. *)
+let seeds_arg ~default doc =
+  Term.(
+    const (fun n -> List.init (max n 0) (fun i -> i + 1))
+    $ Arg.(value & opt int default & info [ "n"; "seeds" ] ~docv:"N" ~doc))
+
+let scenario_filter =
+  let doc = "Restrict to one scenario; repeatable." in
+  Arg.(value & opt_all string [] & info [ "scenario" ] ~docv:"SCENARIO" ~doc)
+
+let backend_filter =
+  let doc = "Restrict to one backend; repeatable." in
+  Arg.(value & opt_all string [] & info [ "backend" ] ~docv:"BACKEND" ~doc)
+
+(* ---- bad input: one stderr line, exit 2 ------------------------------- *)
+
+let reject fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
+(* The one range check behind every numeric flag, so an out-of-range
+   value fails like a bad spec or population instead of crashing or
+   running as if it were valid. *)
+let in_range ~lo ?hi flag show v =
+  if v < lo || Option.fold ~none:false ~some:(fun hi -> v > hi) hi then
+    reject "bad %s %s (must be %s)" flag (show v)
+      (match hi with
+      | None -> "at least " ^ show lo
+      | Some hi -> Printf.sprintf "within %s..%s" (show lo) (show hi))
+
+let at_least lo flag = in_range ~lo flag string_of_int
+
+let resolve_filter what filter have =
+  List.iter
+    (fun s ->
+      if not (List.mem s have) then
+        reject "unknown %s %S (have: %s)" what s (String.concat ", " have))
+    filter;
+  if filter = [] then have else filter
+
 (* ---- rpc ------------------------------------------------------------- *)
 
 let rpc_cmd =
@@ -74,6 +131,7 @@ let rpc_cmd =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print counter activity.")
   in
   let run (module W : BW.WORLD) payload iters seed verbose =
+    at_least 1 "--iters" iters;
     let r = Harness.Rpc_bench.run (module W) ~payload ~iters ~seed () in
     Printf.printf
       "%s: simple remote operation, %d bytes each way, %d iterations\n" W.name
@@ -121,18 +179,16 @@ let scenario_cmd =
              at every value; only wall-clock time changes.")
   in
   let run (module W : BW.WORLD) name encl shards seed =
+    at_least 1 "--shards" shards;
     let sc =
       match S.find name with
       | Some sc -> sc
       | None ->
-        Printf.eprintf "unknown scenario %S (have: %s)\n" name
-          (String.concat ", " S.names);
-        exit 2
+        reject "unknown scenario %S (have: %s)" name
+          (String.concat ", " S.names)
     in
-    if not (S.applies sc (module W)) then begin
-      Printf.eprintf "scenario %s does not apply to backend %s\n" name W.name;
-      exit 2
-    end;
+    if not (S.applies sc (module W)) then
+      reject "scenario %s does not apply to backend %s" name W.name;
     let o =
       (* The registry runner fixes n_encl at the sweep default; the CLI
          keeps its -k knob by calling the scenario directly. *)
@@ -157,18 +213,6 @@ let scenario_cmd =
     (Cmd.info "scenario" ~doc:"Run one of the paper's qualitative scenarios.")
     Term.(const run $ backend_arg $ scenario_name $ encl $ shards $ seed_arg)
 
-(* ---- jobs flag -------------------------------------------------------- *)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for the sweep (default: the machine's recommended \
-     domain count).  Results are identical at every job count."
-  in
-  Arg.(
-    value
-    & opt int (Parallel.Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 (* ---- sweep ------------------------------------------------------------- *)
 
 let sweep_cmd =
@@ -176,6 +220,7 @@ let sweep_cmd =
   let hi = Arg.(value & opt int 2500 & info [ "to" ] ~docv:"BYTES" ~doc:"End payload.") in
   let step = Arg.(value & opt int 250 & info [ "step" ] ~docv:"BYTES" ~doc:"Step.") in
   let run lo hi step seed jobs =
+    at_least 1 "--step" step;
     let rec payloads p = if p > hi then [] else p :: payloads (p + step) in
     let rows = Harness.Rpc_bench.sweep ~jobs ~seed ~payloads:(payloads lo) () in
     Metrics.Report.table
@@ -205,18 +250,16 @@ let repair_cmd =
       & info [ "loss" ] ~docv:"P" ~doc:"Broadcast loss probability (0..1).")
   in
   let run loss seed =
+    in_range ~lo:0. ~hi:1. "--loss" (Printf.sprintf "%g") loss;
     let o = S.soda_hint_repair ~seed ~broadcast_loss:loss () in
-    Printf.printf "hint repair at %.0f%%%% loss: %s
-" (loss *. 100.)
+    Printf.printf "hint repair at %.0f%% loss: %s\n" (loss *. 100.)
       o.S.o_detail;
-    Printf.printf "  discover attempts: %d   freeze searches: %d
-"
+    Printf.printf "  discover attempts: %d   freeze searches: %d\n"
       (S.counter o "lynx_soda.discover_attempts")
       (S.counter o "lynx_soda.freeze_searches");
     let budgeted = S.soda_pair_pressure ~seed ~budget:true () in
     let naive = S.soda_pair_pressure ~seed ~budget:false () in
-    Printf.printf "pair pressure (6 links): %s  vs naive: %s
-"
+    Printf.printf "pair pressure (6 links): %s  vs naive: %s\n"
       budgeted.S.o_detail naive.S.o_detail;
     if not o.S.o_ok then exit 1
   in
@@ -225,109 +268,74 @@ let repair_cmd =
        ~doc:"SODA hint repair under broadcast loss, and the §4.2.1 budget.")
     Term.(const run $ loss $ seed_arg)
 
-(* ---- shared filter validation --------------------------------------------- *)
+(* ---- the sweep path ------------------------------------------------------ *)
 
-let check_names what names have =
-  List.iter
-    (fun s ->
-      if not (List.mem s have) then begin
-        Printf.eprintf "unknown %s %S (have: %s)\n" what s
-          (String.concat ", " have);
-        exit 2
-      end)
-    names
+(* Every sweep is a spec list run by [Run.execute_many]; an empty
+   product (no seeds, or nothing that applies to the selected backends)
+   is a bad selection. *)
+let execute_sweep ~jobs specs =
+  match List.filter_map Fun.id (Run.execute_many ~jobs specs) with
+  | [] -> reject "no runs selected"
+  | artifacts -> artifacts
 
-let scenario_filter =
-  let doc = "Restrict to one scenario; repeatable." in
-  Arg.(value & opt_all string [] & info [ "scenario" ] ~docv:"SCENARIO" ~doc)
-
-let backend_filter =
-  let doc = "Restrict to one backend; repeatable." in
-  Arg.(value & opt_all string [] & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
-let resolve_filter what filter have =
-  if filter = [] then have
-  else begin
-    check_names what filter have;
-    filter
-  end
-
-(* Emit the judged artifacts of a spec list as JSON on stdout, run the
-   dynamic-vs-static soundness cross-check (reported on stderr so the
-   JSON stream stays pure), and say whether anything failed. *)
-let json_sweep ~jobs ~failed specs =
-  let artifacts = List.filter_map Fun.id (Run.execute_many ~jobs specs) in
-  print_string (Run.Artifact.list_to_json artifacts);
+(* explore and chaos: run, render (JSON, or the tables and a repro dump
+   per failure), cross-check dynamic races against the static
+   predictions (on stderr under --json, so the stream stays pure), and
+   exit 1 on any failure or soundness gap.  A faulted sweep also prints
+   the per-run fingerprint table. *)
+let judged_sweep ~jobs ~json ~header specs =
+  let artifacts = execute_sweep ~jobs specs in
   let gaps = Run.Soundness.check artifacts in
-  if gaps <> [] then prerr_string (Run.Soundness.report gaps);
-  gaps <> [] || List.exists failed artifacts
+  let fails = List.filter Run.Artifact.failed artifacts in
+  if json then begin
+    print_string (Run.Artifact.list_to_json artifacts);
+    if gaps <> [] then prerr_string (Run.Soundness.report gaps)
+  end
+  else begin
+    let faulted = Run.Artifact.faulted artifacts in
+    Printf.printf "%s\n\n" (header (List.length artifacts));
+    if faulted then print_string (Run.Artifact.table artifacts ^ "\n");
+    print_string (Run.Artifact.summary artifacts);
+    (match fails with
+    | [] ->
+      Printf.printf "\nall invariants held on every %srun\n"
+        (if faulted then "faulted " else "")
+    | fails ->
+      Printf.printf "\n%d failing runs; repro dumps follow\n\n"
+        (List.length fails);
+      List.iter
+        (fun (a : Run.Artifact.t) ->
+          print_string (Run.repro a.Run.Artifact.spec);
+          print_newline ())
+        fails);
+    print_string (Run.Soundness.report gaps)
+  end;
+  if fails <> [] || gaps <> [] then exit 1
 
 (* ---- explore: schedule exploration with invariant checking ---------------- *)
 
 let explore_cmd =
   let seeds =
-    Arg.(
-      value & opt int 25
-      & info [ "n"; "seeds" ] ~docv:"N"
-          ~doc:"Number of seeds to explore (seeds 1..N).")
-  in
-  let policy_conv =
-    let parse s =
-      match Explore.Driver.policy_kind_of_string s with
-      | Some p -> Ok p
-      | None -> Error (`Msg (Printf.sprintf "unknown policy %S" s))
-    in
-    let print ppf p =
-      Format.pp_print_string ppf (Explore.Driver.policy_kind_name p)
-    in
-    Arg.conv (parse, print)
+    seeds_arg ~default:25 "Number of seeds to explore (seeds 1..N)."
   in
   let policies =
     let doc = "Scheduling policy to explore (fifo, random, jitter); repeatable." in
-    Arg.(value & opt_all policy_conv [] & info [ "policy" ] ~docv:"POLICY" ~doc)
+    let policy =
+      named_conv "policy" Run.Spec.policy_of_string Run.Spec.policy_name
+    in
+    Arg.(value & opt_all policy [] & info [ "policy" ] ~docv:"POLICY" ~doc)
   in
-  let run n policies scenario_filter backend_filter jobs json =
-    let module D = Explore.Driver in
-    let seeds = List.init (max n 0) (fun i -> i + 1) in
-    let policies = if policies = [] then D.all_policies else policies in
-    let scenarios = resolve_filter "scenario" scenario_filter D.scenario_names in
-    let backends = resolve_filter "backend" backend_filter D.backend_names in
-    if json then begin
-      let specs =
-        D.cases ~scenarios ~backends ~seeds ~policies ()
-        |> List.map (fun c -> D.spec c)
-      in
-      if specs = [] then begin
-        prerr_endline "no runs selected";
-        exit 2
-      end;
-      if json_sweep ~jobs ~failed:Run.Artifact.strict_failed specs then
-        exit 1
-    end
-    else begin
-      let pairs = D.sweep_full ~jobs ~scenarios ~backends ~seeds ~policies () in
-      let results = List.map (fun (c, a) -> D.of_artifact c a) pairs in
-      if results = [] then begin
-        print_endline "no runs selected";
-        exit 2
-      end;
-      Printf.printf "explored %d runs (%d scenarios, %d backends, %d seeds, %d policies)\n\n"
-        (List.length results) (List.length scenarios) (List.length backends)
-        (List.length seeds) (List.length policies);
-      print_string (D.summary results);
-      let fails = D.failures results in
-      let gaps = D.soundness_gaps pairs in
-      (match fails with
-      | [] -> print_endline "\nall invariants held on every run"
-      | fails ->
-        Printf.printf "\n%d failing runs; repro dumps follow\n\n"
-          (List.length fails);
-        List.iter
-          (fun r -> print_string (D.repro r.D.r_case); print_newline ())
-          fails);
-      print_string (Run.Soundness.report gaps);
-      if fails <> [] || gaps <> [] then exit 1
-    end
+  let run seeds policies scenario_filter backend_filter jobs json =
+    let policies = if policies = [] then Run.Spec.all_policies else policies in
+    let scenarios = resolve_filter "scenario" scenario_filter S.names in
+    let backends = resolve_filter "backend" backend_filter BW.names in
+    judged_sweep ~jobs ~json
+      ~header:(fun runs ->
+        Printf.sprintf
+          "explored %d runs (%d scenarios, %d backends, %d seeds, %d policies)"
+          runs (List.length scenarios) (List.length backends)
+          (List.length seeds) (List.length policies))
+      (Run.Spec.product ~scenarios ~backends ~seeds ~policies ())
   in
   Cmd.v
     (Cmd.info "explore"
@@ -341,29 +349,13 @@ let explore_cmd =
 (* ---- chaos: fault-injection sweep ----------------------------------------- *)
 
 let chaos_cmd =
-  let seeds =
-    Arg.(
-      value & opt int 2
-      & info [ "n"; "seeds" ] ~docv:"N"
-          ~doc:"Number of seeds to sweep (seeds 1..N).")
-  in
+  let seeds = seeds_arg ~default:2 "Number of seeds to sweep (seeds 1..N)." in
   let one_seed =
     let doc =
       "Sweep exactly this seed (overrides $(b,-n)).  Two invocations \
        with the same seed print byte-identical tables at any $(b,-j)."
     in
     Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let plan_conv =
-    let parse s =
-      match Explore.Chaos.plan_kind_of_string s with
-      | Some p -> Ok p
-      | None -> Error (`Msg (Printf.sprintf "unknown fault plan %S" s))
-    in
-    let print ppf p =
-      Format.pp_print_string ppf (Explore.Chaos.plan_kind_name p)
-    in
-    Arg.conv (parse, print)
   in
   let plans =
     let doc =
@@ -374,58 +366,24 @@ let chaos_cmd =
        topologies and are judged by the recovery deadline); \
        repeatable.  Default: every generic fault-injecting plan."
     in
-    Arg.(value & opt_all plan_conv [] & info [ "plan" ] ~docv:"PLAN" ~doc)
-  in
-  let run n one_seed plans scenario_filter backend_filter jobs json =
-    let module D = Explore.Driver in
-    let module C = Explore.Chaos in
-    let seeds =
-      match one_seed with
-      | Some s -> [ s ]
-      | None -> List.init (max n 0) (fun i -> i + 1)
+    let plan =
+      named_conv "fault plan" Run.Spec.plan_of_string Run.Spec.plan_name
     in
-    let plans = if plans = [] then C.all_plans else plans in
-    let scenarios = resolve_filter "scenario" scenario_filter D.scenario_names in
-    let backends = resolve_filter "backend" backend_filter D.backend_names in
-    if json then begin
-      let specs =
-        C.cases ~scenarios ~backends ~seeds ~plans ()
-        |> List.map (fun c -> C.spec c)
-      in
-      if specs = [] then begin
-        prerr_endline "no runs selected";
-        exit 2
-      end;
-      if json_sweep ~jobs ~failed:Run.Artifact.anomalous specs then
-        exit 1
-    end
-    else begin
-      let pairs = C.sweep_full ~jobs ~scenarios ~backends ~seeds ~plans () in
-      let results = List.map (fun (c, a) -> C.of_artifact c a) pairs in
-      if results = [] then begin
-        print_endline "no runs selected";
-        exit 2
-      end;
-      Printf.printf
-        "chaos: %d runs (%d scenarios, %d backends, %d seeds, %d plans)\n\n"
-        (List.length results) (List.length scenarios) (List.length backends)
-        (List.length seeds) (List.length plans);
-      print_string (C.table results);
-      print_newline ();
-      print_string (C.summary results);
-      let fails = C.failures results in
-      let gaps = Run.Soundness.check (List.map snd pairs) in
-      (match fails with
-      | [] -> print_endline "\nall invariants held on every faulted run"
-      | fails ->
-        Printf.printf "\n%d failing runs; repro dumps follow\n\n"
-          (List.length fails);
-        List.iter
-          (fun r -> print_string (C.repro r.C.h_case); print_newline ())
-          fails);
-      print_string (Run.Soundness.report gaps);
-      if fails <> [] || gaps <> [] then exit 1
-    end
+    Arg.(value & opt_all plan [] & info [ "plan" ] ~docv:"PLAN" ~doc)
+  in
+  let run seeds one_seed plans scenario_filter backend_filter jobs json =
+    let seeds = Option.fold ~none:seeds ~some:(fun s -> [ s ]) one_seed in
+    let plans = if plans = [] then Run.Spec.all_plans else plans in
+    let scenarios = resolve_filter "scenario" scenario_filter S.names in
+    let backends = resolve_filter "backend" backend_filter BW.names in
+    judged_sweep ~jobs ~json
+      ~header:(fun runs ->
+        Printf.sprintf
+          "chaos: %d runs (%d scenarios, %d backends, %d seeds, %d plans)" runs
+          (List.length scenarios) (List.length backends) (List.length seeds)
+          (List.length plans))
+      (Run.Spec.product ~scenarios ~backends ~seeds
+         ~plans:(List.map Option.some plans) ())
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -463,10 +421,8 @@ let lint_cmd =
               match Analysis.Catalog.find n with
               | Some p -> (n, p)
               | None ->
-                Printf.eprintf "unknown protocol %S (have: %s, broken)\n" n
-                  (String.concat ", "
-                     (List.map fst Analysis.Catalog.all));
-                exit 2)
+                reject "unknown protocol %S (have: %s, broken)" n
+                  (String.concat ", " (List.map fst Analysis.Catalog.all)))
           names
     in
     let total = ref 0 in
@@ -512,43 +468,10 @@ let static_cmd =
     in
     Arg.(value & flag & info [ "sweep" ] ~doc)
   in
-  let seeds =
-    Arg.(
-      value & opt int 2
-      & info [ "n"; "seeds" ] ~docv:"N"
-          ~doc:"Seeds 1..N for the $(b,--sweep) product.")
-  in
-  (* Local JSON writer, same objects/strings/numbers subset as
-     Run.Artifact (bench/compare.exe is the schema check). *)
-  let escape s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  in
-  let indexed buf ~indent render = function
-    | [] -> Buffer.add_string buf "{}"
-    | items ->
-      Buffer.add_string buf "{\n";
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf
-            (Printf.sprintf "%s  \"%d\": \"%s\"" indent i
-               (escape (render item))))
-        items;
-      Buffer.add_string buf (Printf.sprintf "\n%s}" indent)
-  in
-  let run names sweep n jobs json =
+  let seeds = seeds_arg ~default:2 "Seeds 1..N for the $(b,--sweep) product." in
+  let run names sweep seeds jobs json =
     let module St = Analysis.Static in
+    let escape = Run.Artifact.escape and indexed = Run.Artifact.indexed_obj in
     let lookup name =
       if name = "broken" then Some Analysis.Catalog.broken
       else
@@ -565,12 +488,10 @@ let static_cmd =
             match lookup name with
             | Some p -> (name, p)
             | None ->
-              Printf.eprintf "unknown protocol %S (have: %s, broken, %s)\n"
-                name
+              reject "unknown protocol %S (have: %s, broken, %s)" name
                 (String.concat ", " (List.map fst Analysis.Catalog.all))
                 (String.concat ", "
-                   (List.map fst Analysis.Catalog.broken_static));
-              exit 2)
+                   (List.map fst Analysis.Catalog.broken_static)))
           names
     in
     let analysed = List.map (fun (name, p) -> (name, St.predict p)) targets in
@@ -582,33 +503,15 @@ let static_cmd =
        seed 1..n and fault plan, clean and screened runs included. *)
     let sweep_artifacts =
       if not sweep then None
-      else begin
+      else
         let scenarios =
-          List.filter (fun (name, _) -> List.mem name S.names) targets
-          |> List.map fst
+          List.filter (fun name -> List.mem name S.names) (List.map fst targets)
         in
-        let seeds = List.init (max n 0) (fun i -> i + 1) in
         let plans =
-          None
-          :: Some Run.Spec.Screen
-          :: List.map Option.some Run.Spec.all_plans
+          None :: List.map Option.some (Run.Spec.Screen :: Run.Spec.all_plans)
         in
-        let specs =
-          List.concat_map
-            (fun scenario ->
-              List.concat_map
-                (fun backend ->
-                  List.concat_map
-                    (fun seed ->
-                      List.map
-                        (fun plan -> Run.Spec.v ?plan ~scenario ~backend seed)
-                        plans)
-                    seeds)
-                BW.names)
-            scenarios
-        in
-        Some (List.filter_map Fun.id (Run.execute_many ~jobs specs))
-      end
+        Some
+          (execute_sweep ~jobs (Run.Spec.product ~scenarios ~seeds ~plans ()))
     in
     let gaps =
       match sweep_artifacts with
@@ -682,7 +585,7 @@ let static_cmd =
       | Some artifacts ->
         Printf.printf "\nsoundness sweep: %d runs (all backends, seeds 1..%d, \
                        every plan)\n"
-          (List.length artifacts) (max n 0);
+          (List.length artifacts) (List.length seeds);
         print_string (Run.Soundness.report gaps);
         print_newline ();
         print_string (Run.Soundness.coverage_report artifacts)
@@ -702,17 +605,14 @@ let static_cmd =
 
 let races_cmd =
   let run (module W : BW.WORLD) names seed jobs json =
-    let names = if names = [] then S.names else names in
-    check_names "scenario" names S.names;
-    let specs =
-      List.map
-        (fun sc ->
-          Run.Spec.v ~policy:Run.Spec.Fifo ~scenario:sc ~backend:W.name seed)
-        names
-    in
+    let names = resolve_filter "scenario" names S.names in
     (* Run every scenario replay on the pool, then print in scenario
        order — jobs never print, so the report is identical at any -j. *)
-    let artifacts = Run.execute_many ~jobs specs in
+    let artifacts =
+      Run.execute_many ~jobs
+        (Run.Spec.product ~scenarios:names ~backends:[ W.name ] ~seeds:[ seed ]
+           ())
+    in
     let gaps = Run.Soundness.check (List.filter_map Fun.id artifacts) in
     if json then begin
       print_string
@@ -729,7 +629,7 @@ let races_cmd =
     end
     else begin
       let report, total =
-        Explore.Driver.races_report ~backend:W.name ~scenarios:names artifacts
+        Run.Artifact.races_report ~backend:W.name ~scenarios:names artifacts
       in
       print_string report;
       print_string (Run.Soundness.report gaps);
@@ -767,6 +667,7 @@ let workload_cmd =
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
   in
   let run scenario_filter backend_filter population seed shards jobs json =
+    at_least 1 "--shards" shards;
     let wl_names =
       List.filter
         (fun n ->
@@ -783,32 +684,19 @@ let workload_cmd =
       | Some s -> (
         match Run.Spec.population_of_string s with
         | Some n -> Some n
-        | None ->
-          Printf.eprintf "bad population %S (want e.g. 96, 100K or 1M)\n" s;
-          exit 2)
+        | None -> reject "bad population %S (want e.g. 96, 100K or 1M)" s)
     in
     let specs =
-      List.concat_map
-        (fun scenario ->
-          List.map
-            (fun backend ->
-              Run.Spec.v ~policy:Run.Spec.Fifo ?population ~shards ~scenario
-                ~backend seed)
-            backends)
-        scenarios
+      Run.Spec.product ~scenarios ~backends ~seeds:[ seed ] ?population ~shards
+        ()
     in
     List.iter
-      (fun spec ->
-        match Run.check spec with
-        | Ok () -> ()
-        | Error msg ->
-          prerr_endline msg;
-          exit 2)
+      (fun spec -> Result.iter_error (reject "%s") (Run.check spec))
       specs;
-    let artifacts = List.filter_map Fun.id (Run.execute_many ~jobs specs) in
+    let artifacts = execute_sweep ~jobs specs in
     if json then begin
       print_string (Run.Artifact.list_to_json artifacts);
-      if List.exists Run.Artifact.strict_failed artifacts then exit 1
+      if List.exists Run.Artifact.failed artifacts then exit 1
     end
     else begin
       Printf.printf
@@ -847,10 +735,10 @@ let workload_cmd =
       print_endline
         "every row is a repro handle: lynx_sim repro \"<spec>\" re-runs it \
          (add --shards K to check shard invariance).";
-      if List.exists A.strict_failed artifacts then begin
+      if List.exists A.failed artifacts then begin
         List.iter
           (fun (a : A.t) ->
-            if A.strict_failed a then
+            if A.failed a then
               Printf.printf "FAILED %s: %s\n"
                 (Run.Spec.to_string a.A.spec)
                 a.A.detail)
@@ -878,9 +766,7 @@ let repro_cmd =
     let doc =
       "Run spec, as printed by any sweep table or log line: \
        $(i,scenario/backend/seed/policy[@plan]), e.g. \
-       \"move/chrysalis/3/fifo\" or \"cross-request/soda/2/fifo@drop\".  \
-       The chaos tables' historical \
-       $(i,scenario/backend/seed/plan) form is also accepted."
+       \"move/chrysalis/3/fifo\" or \"cross-request/soda/2/fifo@drop\"."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC" ~doc)
   in
@@ -907,18 +793,14 @@ let repro_cmd =
     Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"K" ~doc)
   in
   let run spec_str json log_capacity shards =
+    Option.iter (at_least 1 "--shards") shards;
+    Option.iter (at_least 0 "--log-capacity") log_capacity;
     let spec =
       match Run.Spec.of_string spec_str with
       | Ok s -> s
-      | Error msg ->
-        prerr_endline msg;
-        exit 2
+      | Error msg -> reject "%s" msg
     in
-    (match Run.check spec with
-    | Ok () -> ()
-    | Error msg ->
-      prerr_endline msg;
-      exit 2);
+    Result.iter_error (reject "%s") (Run.check spec);
     let exec_spec =
       match shards with
       | None -> spec
@@ -927,21 +809,12 @@ let repro_cmd =
     let log_capacity = Option.value log_capacity ~default:Run.tail_length in
     match Run.execute_full ~log_capacity exec_spec with
     | None ->
-      Printf.eprintf "scenario %s does not apply to backend %s\n"
-        spec.Run.Spec.scenario spec.Run.Spec.backend;
-      exit 2
+      reject "scenario %s does not apply to backend %s" spec.Run.Spec.scenario
+        spec.Run.Spec.backend
     | Some (o, a) ->
       let a = { a with Run.Artifact.spec } in
       print_string (if json then Run.Artifact.to_json a else Run.dump o a);
-      (* Same verdict the sweeps use: a faulted run may legitimately
-         miss its scripted finale, so only invariant violations fail
-         it; an unfaulted run must also finish ok and race-free. *)
-      let failed =
-        match spec.Run.Spec.plan with
-        | Some _ -> Run.Artifact.anomalous a
-        | None -> Run.Artifact.strict_failed a
-      in
-      if failed then exit 1
+      if Run.Artifact.failed a then exit 1
   in
   Cmd.v
     (Cmd.info "repro"
@@ -987,9 +860,7 @@ let memsmoke_cmd =
     let spec =
       match Run.Spec.of_string spec_str with
       | Ok s -> s
-      | Error msg ->
-        prerr_endline msg;
-        exit 2
+      | Error msg -> reject "%s" msg
     in
     Printf.printf "scenario pipeline: %s (capacity %d)\n"
       (Run.Spec.to_string spec) capacity;
@@ -1035,9 +906,7 @@ let memsmoke_cmd =
             Harness.Rpc_bench.run (module W) ~iters ~seed ~payload:0 ())
       in
       match !captured with
-      | None ->
-        prerr_endline "memsmoke: the benchmark created no engine";
-        exit 2
+      | None -> reject "memsmoke: the benchmark created no engine"
       | Some e ->
         (Sim.Engine.view e, Analysis.Stream.finish !stream,
          Sim.Engine.events_total e)

@@ -1,8 +1,8 @@
 (** What one executed {!Spec.t} produced: the scenario's own verdict,
     the invariant violations, the happens-before race findings, the
     counter increments, the virtual duration and the event-stream
-    fingerprint.  Every sweep row, repro dump and [--json] record in the
-    repo is a rendering of this one record. *)
+    fingerprint.  Every sweep row, summary, repro dump and [--json]
+    record in the repo is a rendering of this one record. *)
 
 type t = {
   spec : Spec.t;
@@ -44,6 +44,38 @@ val fault_counters : t -> (string * int) list
 val strict_failed : t -> bool
 (** Violated an invariant, raced, or missed the scenario's expected
     final state — the failure criterion for clean exploration runs. *)
+
+val failed : t -> bool
+(** The failure criterion, chosen by the spec: {!anomalous} when a
+    fault plan is armed, {!strict_failed} otherwise. *)
+
+val faulted : t list -> bool
+(** Some artifact ran under a fault plan. *)
+
+val summary : t list -> string
+(** Per-(scenario, plan) run/fail table when any artifact ran under a
+    fault plan, per-(scenario, policy) otherwise; failures counted by
+    {!failed}. *)
+
+val table : t list -> string
+(** One line per artifact: canonical spec, [ok], events hash, liveness
+    cell and verdict — the byte-comparable determinism witness of a
+    sweep. *)
+
+val races_report :
+  backend:string -> scenarios:string list -> t option list -> string * int
+(** The [lynx_sim races] report for one backend: per-scenario
+    clean/n-races lines with finding details, plus the total race
+    count.  The artifacts align with [scenarios]; [None] entries render
+    as ["n/a on <backend>"]. *)
+
+val escape : string -> string
+(** JSON string-body escaping. *)
+
+val indexed_obj :
+  Buffer.t -> indent:string -> ('a -> string) -> 'a list -> unit
+(** A list rendered as an index-keyed object of strings
+    ([{"0": "...", ...}]) — the parser subset has no arrays. *)
 
 val to_json : t -> string
 (** One artifact as JSON.  Stays within the objects/strings/numbers

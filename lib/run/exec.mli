@@ -4,9 +4,9 @@
     registry and the {!Harness.Backend_world} registry, arms the fault
     plan (if any) ambiently, runs the scenario on a private engine, and
     judges the outcome into an {!Artifact.t}: invariant suite, race
-    detector, counter snapshot, fingerprint.  [Explore.Driver],
-    [Explore.Chaos], the [races] command and [lynx_sim repro] are all
-    thin plan-builders over this function. *)
+    detector, counter snapshot, fingerprint.  Every [lynx_sim] sweep
+    maps it over a {!Spec.product} with {!execute_many}; [lynx_sim
+    repro] calls {!execute_full}. *)
 
 val check : Spec.t -> (unit, string) result
 (** Pre-flight applicability check with a one-line reason: unknown

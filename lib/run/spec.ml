@@ -99,6 +99,29 @@ let v ?(policy = Fifo) ?plan ?population ?(shards = 1) ~scenario ~backend seed =
   | _ -> ());
   { scenario; backend; seed; policy; plan; population; shards }
 
+(* The sweep product, scenario-major: every CLI sweep and test sweep is
+   one call, so the row order of every table is the same everywhere. *)
+let product ?(scenarios = Harness.Scenarios.names)
+    ?(backends = Harness.Backend_world.names) ?(seeds = [ 1 ])
+    ?(policies = [ Fifo ]) ?(plans = [ None ]) ?population ?shards () =
+  List.concat_map
+    (fun scenario ->
+      List.concat_map
+        (fun backend ->
+          List.concat_map
+            (fun seed ->
+              List.concat_map
+                (fun policy ->
+                  List.map
+                    (fun plan ->
+                      v ~policy ?plan ?population ?shards ~scenario ~backend
+                        seed)
+                    plans)
+                policies)
+            seeds)
+        backends)
+    scenarios
+
 (* Populations print with K/M multipliers when they divide evenly
    ("~n100K", "~n2M") and as plain digits otherwise ("~n1234"); the
    parser accepts all three forms, so round/huge populations stay
@@ -184,15 +207,12 @@ let of_string str =
             | _, None -> err "unknown fault plan %S in %S" pl str
           end
           | None -> begin
-            match policy_of_string tail with
-            | Some policy -> finish policy None
-            | None -> begin
-              (* Chaos case names put the plan in the policy position
-                 ("move/soda/1/drop"); read them as fifo@plan. *)
-              match plan_of_string tail with
-              | Some plan -> finish Fifo (Some plan)
-              | None -> err "unknown policy or plan %S in %S" tail str
-            end
+            match (policy_of_string tail, plan_of_string tail) with
+            | Some policy, _ -> finish policy None
+            | None, Some _ ->
+              err "unknown policy %S in %S (a fault plan follows the policy: \
+                   fifo@%s)" tail str tail
+            | None, None -> err "unknown policy %S in %S" tail str
           end
         end
   end

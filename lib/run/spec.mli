@@ -12,12 +12,9 @@
     is the repro handle: any spec printed in a CLI table, CI log or
     test failure can be parsed back with {!of_string} and re-executed
     with {!Exec.execute} to reproduce the identical run — same
-    verdict, same violations, same event-stream fingerprint.
-
-    For compatibility with the chaos sweep's historical case names
-    ("scenario/backend/seed/plan", no policy segment), {!of_string}
-    also accepts a fault-plan name in the policy position and reads it
-    as [fifo@plan]. *)
+    verdict, same violations, same event-stream fingerprint.  A fault
+    plan always follows a policy ([fifo@drop]); a plan in the policy
+    position is a parse error. *)
 
 type policy = Fifo | Random | Jitter
 (** Scheduling policy kind.  The concrete engine policy derives its
@@ -93,6 +90,23 @@ val v :
 (** [v ~scenario ~backend seed] with [Fifo], no plan, default population,
     one shard.  Raises [Invalid_argument] if
     [shards < 1] or [population < 1]. *)
+
+val product :
+  ?scenarios:string list ->
+  ?backends:string list ->
+  ?seeds:int list ->
+  ?policies:policy list ->
+  ?plans:plan option list ->
+  ?population:int ->
+  ?shards:int ->
+  unit ->
+  t list
+(** Every combination of the axes, in scenario → backend → seed →
+    policy → plan order — the spec list of every sweep.  Defaults: all
+    registered scenarios, the three primary backends, seed 1, [Fifo],
+    no plan ([\[None\]]), the default population, one shard.
+    Combinations a scenario does not apply to are kept; {!Exec.execute}
+    returns [None] for them.  Raises [Invalid_argument] like {!v}. *)
 
 val population_to_string : int -> string
 (** ["100K"], ["2M"], ["1234"] — the [~n] suffix payload. *)

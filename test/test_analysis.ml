@@ -7,7 +7,6 @@ module L = Analysis.Lint
 module Pr = Analysis.Protocol
 module C = Analysis.Catalog
 module R = Analysis.Races
-module D = Explore.Driver
 module S = Harness.Scenarios
 
 let checki = Alcotest.check Alcotest.int
@@ -48,7 +47,7 @@ let lint_tests =
             | Some p ->
               checks (name ^ " protocol name matches") name p.Pr.p_name;
               Pr.validate p)
-          D.scenario_names);
+          S.names);
     Alcotest.test_case "broken fixture reports all three defects" `Quick
       (fun () ->
         let fs = L.check C.broken in
@@ -340,22 +339,17 @@ let races_clean_tests =
               List.iter
                 (fun seed ->
                   match
-                    D.run_case
-                      {
-                        D.c_scenario = sc;
-                        c_backend = W.name;
-                        c_seed = seed;
-                        c_policy = D.Fifo;
-                      }
+                    Run.execute
+                      (Run.Spec.v ~scenario:sc ~backend:W.name seed)
                   with
                   | None -> ()
-                  | Some r ->
+                  | Some a ->
                     checki
                       (Printf.sprintf "%s/%s/%d races" sc W.name seed)
                       0
-                      (List.length r.D.r_races))
+                      (List.length a.Run.Artifact.races))
                 [ 1; 2; 3; 4; 5 ])
-            D.scenario_names))
+            S.names))
     Harness.Backend_world.all
 
 (* ---- Structured trace: spawn records and hashing ---------------------- *)

@@ -6,7 +6,8 @@
 open Sim
 module P = Lynx.Process
 module V = Lynx.Value
-module C = Explore.Chaos
+module A = Run.Artifact
+module Spec = Run.Spec
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -205,33 +206,37 @@ let broadcast_loss_event () =
 
 (* ---- the chaos sweep ------------------------------------------------------ *)
 
+(* The chaos CLI's sweep: the spec product under fault plans, run on
+   the pool, inapplicable combinations dropped. *)
+let chaos_sweep ~jobs ?scenarios ~seeds plans =
+  List.filter_map Fun.id
+    (Run.execute_many ~jobs
+       (Spec.product ?scenarios ~seeds ~plans:(List.map Option.some plans) ()))
+
 (* Acceptance: every catalog scenario, on every backend, passes the full
    invariant suite under drop, duplicate and crash-restart plans. *)
 let chaos_catalog_invariants () =
   let results =
-    C.sweep
+    chaos_sweep
       ~jobs:(Parallel.Pool.default_jobs ())
       ~seeds:[ 1 ]
-      ~plans:[ C.Drop; C.Duplicate; C.Crash_restart ]
-      ()
+      [ Spec.Drop; Spec.Duplicate; Spec.Crash_restart ]
   in
   checkb "sweep ran" true (List.length results > 0);
-  match C.failures results with
+  match List.filter A.failed results with
   | [] -> ()
   | fails ->
     Alcotest.failf "%d chaos failures, first: %s" (List.length fails)
-      (C.repro (List.hd fails).C.h_case)
+      (Run.repro (List.hd fails).A.spec)
 
 (* Determinism: the same sweep renders a byte-identical table on a
    second run and at every job count. *)
 let chaos_deterministic () =
   let run jobs =
-    C.table
-      (C.sweep ~jobs
+    A.table
+      (chaos_sweep ~jobs
          ~scenarios:[ "move"; "cross-request" ]
-         ~seeds:[ 2 ]
-         ~plans:[ C.Duplicate; C.Mix ]
-         ())
+         ~seeds:[ 2 ] [ Spec.Duplicate; Spec.Mix ])
   in
   let t1 = run 1 in
   let t2 = run 1 in
@@ -243,20 +248,18 @@ let chaos_deterministic () =
 let chaos_faults_fire () =
   let sum results key =
     List.fold_left
-      (fun acc r ->
-        acc + (try List.assoc key r.C.h_faults with Not_found -> 0))
+      (fun acc a ->
+        acc + (try List.assoc key (A.fault_counters a) with Not_found -> 0))
       0 results
   in
-  let sweep plan =
-    C.sweep ~jobs:2 ~seeds:[ 1; 2 ] ~plans:[ plan ] ()
-  in
-  let drops = sweep C.Drop in
+  let sweep plan = chaos_sweep ~jobs:2 ~seeds:[ 1; 2 ] [ plan ] in
+  let drops = sweep Spec.Drop in
   checkb "drop plan drops frames" true
     (sum drops "faults.drops" + sum drops "faults.rx_drops" > 0);
-  let dups = sweep C.Duplicate in
+  let dups = sweep Spec.Duplicate in
   checkb "duplicate plan duplicates frames" true
     (sum dups "faults.dups" + sum dups "faults.rx_dups" > 0);
-  let crash = sweep C.Crash_restart in
+  let crash = sweep Spec.Crash_restart in
   checkb "crash plan crashes" true (sum crash "faults.crashes" > 0);
   (* Scenario counters are diffed against a baseline taken after the
      bootstrap link is up, which can postdate the crash itself — so a

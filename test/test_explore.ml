@@ -9,17 +9,27 @@
    agree on language-level behaviour. *)
 
 open Sim
-module D = Explore.Driver
+module A = Run.Artifact
+module Spec = Run.Spec
 module I = Run.Invariant
 module S = Harness.Scenarios
 module BW = Harness.Backend_world
 
 let seeds = [ 1; 2; 3; 4; 5 ]
+let fifo_random = [ Spec.Fifo; Spec.Random ]
+
+(* The CLI's sweep: the spec product, run on the pool, inapplicable
+   combinations dropped. *)
+let sweep ?(jobs = 1) ~seeds ~policies () =
+  List.filter_map Fun.id
+    (Run.execute_many ~jobs (Spec.product ~seeds ~policies ()))
+
+let name (a : A.t) = Spec.to_string a.A.spec
 
 (* ---- the sweep itself ---------------------------------------------- *)
 
 let test_sweep_green () =
-  let results = D.sweep ~seeds ~policies:[ D.Fifo; D.Random ] () in
+  let results = sweep ~seeds ~policies:fifo_random () in
   (* 13 cross-backend scenarios x 3 backends + 2 SODA-only, x 5 seeds x 2
      policies. *)
   Alcotest.(check int) "run count" ((13 * 3 + 2) * 5 * 2) (List.length results);
@@ -28,28 +38,28 @@ let test_sweep_green () =
       Alcotest.(check bool)
         (Printf.sprintf "scenario %s covered" sc)
         true
-        (List.exists (fun r -> r.D.r_case.D.c_scenario = sc) results))
-    D.scenario_names;
+        (List.exists (fun a -> a.A.spec.Spec.scenario = sc) results))
+    S.names;
   List.iter
     (fun b ->
       Alcotest.(check bool)
         (Printf.sprintf "backend %s covered" b)
         true
-        (List.exists (fun r -> r.D.r_case.D.c_backend = b) results))
-    D.backend_names;
-  match D.failures results with
+        (List.exists (fun a -> a.A.spec.Spec.backend = b) results))
+    BW.names;
+  match List.filter A.failed results with
   | [] -> ()
   | fails ->
-    List.iter (fun r -> print_string (D.repro r.D.r_case)) fails;
+    List.iter (fun a -> print_string (Run.repro a.A.spec)) fails;
     Alcotest.failf "%d of %d exploration runs failed (first: %s)"
       (List.length fails) (List.length results)
-      (D.case_name (List.hd fails).D.r_case)
+      (name (List.hd fails))
 
 let test_sweep_jitter_green () =
-  let results = D.sweep ~seeds:[ 1; 2 ] ~policies:[ D.Jitter ] () in
+  let results = sweep ~seeds:[ 1; 2 ] ~policies:[ Spec.Jitter ] () in
   Alcotest.(check int) "run count" ((13 * 3 + 2) * 2) (List.length results);
   Alcotest.(check int) "no failures under jitter" 0
-    (List.length (D.failures results))
+    (List.length (List.filter A.failed results))
 
 (* ---- the domain pool must be invisible in the results ---------------- *)
 
@@ -58,35 +68,34 @@ let render_races rs =
     (List.map (fun f -> Format.asprintf "%a" Analysis.Races.pp_finding f) rs)
 
 let test_parallel_matches_sequential () =
-  let seq = D.sweep ~jobs:1 ~seeds:[ 1; 2 ] () in
-  let par = D.sweep ~jobs:4 ~seeds:[ 1; 2 ] () in
+  let seq = sweep ~jobs:1 ~seeds:[ 1; 2 ] ~policies:fifo_random () in
+  let par = sweep ~jobs:4 ~seeds:[ 1; 2 ] ~policies:fifo_random () in
   Alcotest.(check int) "same count" (List.length seq) (List.length par);
   List.iter2
     (fun a b ->
-      let name = D.case_name a.D.r_case in
-      Alcotest.(check string) "case order" name (D.case_name b.D.r_case);
-      Alcotest.(check bool) (name ^ " verdict") a.D.r_ok b.D.r_ok;
-      Alcotest.(check string) (name ^ " detail") a.D.r_detail b.D.r_detail;
+      let name = name a in
+      Alcotest.(check string) "case order" name (Spec.to_string b.A.spec);
+      Alcotest.(check bool) (name ^ " verdict") a.A.ok b.A.ok;
+      Alcotest.(check string) (name ^ " detail") a.A.detail b.A.detail;
       Alcotest.(check int) (name ^ " duration")
-        (Time.to_ns a.D.r_duration)
-        (Time.to_ns b.D.r_duration);
-      Alcotest.(check string) (name ^ " races") (render_races a.D.r_races)
-        (render_races b.D.r_races);
+        (Time.to_ns a.A.duration)
+        (Time.to_ns b.A.duration);
+      Alcotest.(check string) (name ^ " races") (render_races a.A.races)
+        (render_races b.A.races);
       Alcotest.(check bool) (name ^ " events hash") true
-        (Int64.equal a.D.r_events_hash b.D.r_events_hash))
+        (Int64.equal a.A.events_hash b.A.events_hash))
     seq par;
   (* ... and therefore anything rendered from them is byte-identical. *)
-  Alcotest.(check string) "summary identical" (D.summary seq) (D.summary par)
+  Alcotest.(check string) "summary identical" (A.summary seq) (A.summary par)
 
 let test_jobs_determinism () =
   (* The full per-case verdict/race/fingerprint table at -j1, -j4 and
      -j8: running with more workers than cases must change nothing. *)
   let table jobs =
-    D.sweep ~jobs ~seeds:[ 1; 2 ] ()
-    |> List.map (fun r ->
-           Printf.sprintf "%s ok=%b races=[%s] hash=%016Lx"
-             (D.case_name r.D.r_case) r.D.r_ok (render_races r.D.r_races)
-             r.D.r_events_hash)
+    sweep ~jobs ~seeds:[ 1; 2 ] ~policies:fifo_random ()
+    |> List.map (fun a ->
+           Printf.sprintf "%s ok=%b races=[%s] hash=%016Lx" (name a) a.A.ok
+             (render_races a.A.races) a.A.events_hash)
   in
   let reference = table 1 in
   List.iter
@@ -97,29 +106,20 @@ let test_jobs_determinism () =
     [ 4; 8 ]
 
 let test_case_determinism () =
-  let case =
-    { D.c_scenario = "move"; c_backend = "soda"; c_seed = 3; c_policy = D.Random }
-  in
-  match (D.run_case case, D.run_case case) with
+  let spec = Spec.v ~policy:Spec.Random ~scenario:"move" ~backend:"soda" 3 in
+  match (Run.execute spec, Run.execute spec) with
   | Some a, Some b ->
-    Alcotest.(check bool) "same verdict" a.D.r_ok b.D.r_ok;
+    Alcotest.(check bool) "same verdict" a.A.ok b.A.ok;
     Alcotest.(check int) "same duration"
-      (Time.to_ns a.D.r_duration)
-      (Time.to_ns b.D.r_duration);
-    Alcotest.(check string) "same detail" a.D.r_detail b.D.r_detail
+      (Time.to_ns a.A.duration)
+      (Time.to_ns b.A.duration);
+    Alcotest.(check string) "same detail" a.A.detail b.A.detail
   | _ -> Alcotest.fail "move/soda should be runnable"
 
 let test_soda_only_skipped () =
-  let case =
-    {
-      D.c_scenario = "hint-repair";
-      c_backend = "charlotte";
-      c_seed = 1;
-      c_policy = D.Fifo;
-    }
-  in
   Alcotest.(check bool) "hint-repair skipped off SODA" true
-    (D.run_case case = None)
+    (Run.execute (Spec.v ~scenario:"hint-repair" ~backend:"charlotte" 1)
+    = None)
 
 (* ---- broken fixture: the checker must actually catch violations ----- *)
 
@@ -167,11 +167,9 @@ let broken_outcome =
   }
 
 let test_broken_fixture_caught () =
-  let case =
-    { D.c_scenario = "fixture"; c_backend = "soda"; c_seed = 3; c_policy = D.Fifo }
-  in
-  let r = D.assess case broken_outcome in
-  let found = List.map (fun v -> v.I.v_invariant) r.D.r_violations in
+  let spec = Spec.v ~scenario:"fixture" ~backend:"soda" 3 in
+  let a = Run.judge spec broken_outcome in
+  let found = List.map (fun v -> v.I.v_invariant) a.A.violations in
   List.iter
     (fun name ->
       Alcotest.(check bool)
@@ -186,41 +184,44 @@ let test_broken_fixture_caught () =
        (fun v ->
          if v.I.v_invariant = "time-monotone" then Some (I.to_string v)
          else None)
-       r.D.r_violations);
+       a.A.violations);
   (* the failure is reported together with the seed that reproduces it *)
-  Alcotest.(check int) "failing seed reported" 3 r.D.r_case.D.c_seed;
+  Alcotest.(check int) "failing seed reported" 3 a.A.spec.Spec.seed;
   Alcotest.(check bool) "case name carries the seed" true
-    (let name = D.case_name r.D.r_case in
-     let re = Str.regexp_string "/3/" in
-     try ignore (Str.search_forward re name 0); true with Not_found -> false);
-  match D.failures [ r ] with
-  | [ f ] -> Alcotest.(check string) "failures keeps it" (D.case_name case) (D.case_name f.D.r_case)
+    (let re = Str.regexp_string "/3/" in
+     try
+       ignore (Str.search_forward re (name a) 0);
+       true
+     with Not_found -> false);
+  match List.filter A.failed [ a ] with
+  | [ f ] ->
+    Alcotest.(check string) "failures keeps it" (Spec.to_string spec) (name f)
   | _ -> Alcotest.fail "broken fixture must be reported as a failure"
 
 let test_clean_outcome_passes () =
   (* A genuine run through the same assessment path yields no violations. *)
-  let case =
-    { D.c_scenario = "cross-request"; c_backend = "chrysalis"; c_seed = 3; c_policy = D.Fifo }
-  in
-  match D.run_case case with
+  match
+    Run.execute (Spec.v ~scenario:"cross-request" ~backend:"chrysalis" 3)
+  with
   | None -> Alcotest.fail "cross-request runs on chrysalis"
-  | Some r ->
-    Alcotest.(check bool) "ok" true r.D.r_ok;
+  | Some a ->
+    Alcotest.(check bool) "ok" true a.A.ok;
     Alcotest.(check (list string)) "no violations" []
-      (List.map I.to_string r.D.r_violations)
+      (List.map I.to_string a.A.violations)
 
 let test_repro_dump () =
-  let case =
-    { D.c_scenario = "bounced-enclosure"; c_backend = "charlotte"; c_seed = 2; c_policy = D.Random }
+  let spec =
+    Spec.v ~policy:Spec.Random ~scenario:"bounced-enclosure"
+      ~backend:"charlotte" 2
   in
-  let dump = D.repro case in
+  let dump = Run.repro spec in
   let contains needle =
     try
       ignore (Str.search_forward (Str.regexp_string needle) dump 0);
       true
     with Not_found -> false
   in
-  Alcotest.(check bool) "names the case" true (contains (D.case_name case));
+  Alcotest.(check bool) "names the case" true (contains (Spec.to_string spec));
   Alcotest.(check bool) "has a trace tail" true (contains "trace tail");
   Alcotest.(check bool) "states the verdict" true (contains "ok=true")
 
@@ -327,17 +328,17 @@ let test_policy_roundtrip () =
   List.iter
     (fun p ->
       Alcotest.(check bool)
-        (D.policy_kind_name p ^ " roundtrips")
+        (Spec.policy_name p ^ " roundtrips")
         true
-        (D.policy_kind_of_string (D.policy_kind_name p) = Some p))
-    D.all_policies;
+        (Spec.policy_of_string (Spec.policy_name p) = Some p))
+    Spec.all_policies;
   Alcotest.(check bool) "unknown rejected" true
-    (D.policy_kind_of_string "bogus" = None)
+    (Spec.policy_of_string "bogus" = None)
 
 let test_outcome_records_policy () =
   let o =
     S.cross_request ~seed:9
-      ~policy:(D.engine_policy D.Random ~seed:9)
+      ~policy:(Spec.engine_policy Spec.Random ~seed:9)
       BW.charlotte
   in
   Alcotest.(check string) "policy recorded" "random:9" o.S.o_policy;

@@ -3,16 +3,13 @@
    The spec string "scenario/backend/seed/policy[@plan]" is the
    universal repro handle — every sweep table, failing test and CI log
    line prints one, and `lynx_sim repro` must parse it back.  So the
-   round-trip law is property-tested here, the historical chaos handle
-   (plan in the policy position) is pinned, and the explore/chaos
-   renderings are compared byte-for-byte against outputs captured
-   before the pipelines were rebased onto [Run.execute]. *)
+   round-trip law is property-tested here, a plan in the policy position
+   is pinned as a parse error, and the explore/chaos/races renderings
+   are compared byte-for-byte against pinned outputs. *)
 
 module R = Run
 module Spec = Run.Spec
 module A = Run.Artifact
-module D = Explore.Driver
-module C = Explore.Chaos
 module S = Harness.Scenarios
 module BW = Harness.Backend_world
 
@@ -81,15 +78,13 @@ let test_parse_forms () =
     (Spec.v ~policy:Spec.Random ~plan:Spec.Drop ~scenario:"cross-request"
        ~backend:"soda" 2)
     (Spec.of_string_exn "cross-request/soda/2/random@drop");
-  (* The chaos tables' historical handle puts the plan in the policy
-     position; it must keep working as a repro string. *)
-  Alcotest.(check check_spec)
-    "legacy chaos handle"
-    (Spec.v ~plan:Spec.Crash_restart ~scenario:"move" ~backend:"charlotte" 1)
-    (Spec.of_string_exn "move/charlotte/1/crash-restart");
-  Alcotest.(check string)
-    "legacy handle canonicalises" "move/charlotte/1/fifo@crash-restart"
-    (Spec.to_string (Spec.of_string_exn "move/charlotte/1/crash-restart"));
+  (* A plan in the policy position (the old chaos-table handle) is a
+     one-line parse error that names the canonical form. *)
+  Alcotest.(check (result check_spec string))
+    "plan in the policy slot rejected"
+    (Error
+       {|unknown policy "crash-restart" in "move/charlotte/1/crash-restart" (a fault plan follows the policy: fifo@crash-restart)|})
+    (Spec.of_string "move/charlotte/1/crash-restart");
   (* The retired [~trace] suffix is an ordinary one-line parse error. *)
   Alcotest.(check (result check_spec string))
     "trace suffix rejected"
@@ -99,17 +94,11 @@ let test_parse_forms () =
     "screening plan"
     (Spec.v ~plan:Spec.Screen ~scenario:"open-close" ~backend:"chrysalis" 1)
     (Spec.of_string_exn "open-close/chrysalis/1/fifo@screen");
-  (* The targeted plans parse in both positions too — the chaos tables
-     print them in the policy slot. *)
   Alcotest.(check check_spec)
     "targeted plan"
     (Spec.v ~plan:Spec.Leader_crash ~scenario:"ring-election"
        ~backend:"charlotte" 1)
     (Spec.of_string_exn "ring-election/charlotte/1/fifo@leader-crash");
-  Alcotest.(check string)
-    "targeted legacy handle canonicalises"
-    "quorum/soda/2/fifo@partition-majority"
-    (Spec.to_string (Spec.of_string_exn "quorum/soda/2/partition-majority"));
   (* The population axis parses with K/M multipliers, composes with the
      other suffixes, and canonicalises. *)
   Alcotest.(check check_spec)
@@ -143,6 +132,8 @@ let test_parse_errors () =
       "move//1/fifo";
       "move/soda/1/warp";
       "move/soda/1/fifo@meteor";
+      "move/soda/1/drop";
+      "quorum/soda/2/partition-majority";
       "move/soda/1/fifo/extra";
       "wl-farm/soda/1/fifo~n0";
       "wl-farm/soda/1/fifo~nx";
@@ -233,20 +224,128 @@ let test_registry () =
 
 (* ---- execution: equivalence, determinism, judging --------------------- *)
 
-let test_execute_matches_driver () =
-  let case =
-    { D.c_scenario = "move"; c_backend = "chrysalis"; c_seed = 3;
-      c_policy = D.Fifo }
+(* ---- the sweep product ------------------------------------------------ *)
+
+let test_product () =
+  let scenarios = [ "move"; "hint-repair"; "wl-farm" ]
+  and backends = [ "soda"; "charlotte" ]
+  and seeds = [ 3; 1 ]
+  and policies = [ Spec.Random; Spec.Fifo ]
+  and plans = [ None; Some Spec.Drop; Some Spec.Leader_crash ] in
+  let specs =
+    Spec.product ~scenarios ~backends ~seeds ~policies ~plans ~shards:2 ()
   in
-  match (R.execute (D.spec case), D.run_case case) with
-  | Some a, Some r ->
-    Alcotest.(check bool) "ok" r.D.r_ok a.A.ok;
-    Alcotest.(check string) "detail" r.D.r_detail a.A.detail;
-    Alcotest.(check int64) "events hash" r.D.r_events_hash a.A.events_hash;
-    Alcotest.(check int)
-      "violations" (List.length r.D.r_violations)
-      (List.length a.A.violations)
-  | _ -> Alcotest.fail "both paths should produce a result"
+  Alcotest.(check int) "length is the product of the axes" (3 * 2 * 2 * 2 * 3)
+    (List.length specs);
+  (* Scenario-major: each axis varies slower than the one after it. *)
+  let expect =
+    List.concat_map
+      (fun sc ->
+        List.concat_map
+          (fun b ->
+            List.concat_map
+              (fun seed ->
+                List.concat_map
+                  (fun pol ->
+                    List.map
+                      (fun pl ->
+                        Printf.sprintf "%s/%s/%d/%s%s~s2" sc b seed
+                          (Spec.policy_name pol)
+                          (Option.fold ~none:""
+                             ~some:(fun p -> "@" ^ Spec.plan_name p)
+                             pl))
+                      plans)
+                  policies)
+              seeds)
+          backends)
+      scenarios
+  in
+  Alcotest.(check (list string)) "scenario-major order" expect
+    (List.map Spec.to_string specs);
+  List.iter
+    (fun s ->
+      Alcotest.(check (result check_spec string))
+        (Spec.to_string s ^ " round-trips") (Ok s)
+        (Spec.of_string (Spec.to_string s)))
+    specs;
+  Alcotest.(check (list string))
+    "defaults: every scenario on the primaries, seed 1, fifo, clean"
+    (List.concat_map
+       (fun sc ->
+         List.map (fun b -> Printf.sprintf "%s/%s/1/fifo" sc b) BW.names)
+       S.names)
+    (List.map Spec.to_string (Spec.product ()))
+
+let test_product_matches_execute () =
+  let specs =
+    Spec.product
+      ~scenarios:[ "move"; "hint-repair" ]
+      ~seeds:[ 3 ]
+      ~plans:[ None; Some Spec.Drop ]
+      ()
+  in
+  Alcotest.(check bool)
+    "product + execute_many = per-spec execute" true
+    (R.execute_many ~jobs:2 specs = List.map R.execute specs)
+
+(* The failure criterion follows the spec: strict on a clean run, only a
+   safety or liveness breach under a fault plan. *)
+let test_failed () =
+  let clean = Spec.v ~scenario:"move" ~backend:"soda" 1 in
+  let base =
+    match R.execute clean with
+    | Some a -> a
+    | None -> Alcotest.fail "move/soda should run"
+  in
+  let missed_finale = { base with A.ok = false } in
+  let raced =
+    {
+      base with
+      A.races =
+        [
+          {
+            Analysis.Races.r_rule = "R-MSG";
+            r_obj = "x";
+            r_detail = "fixture";
+          };
+        ];
+    }
+  in
+  let violated =
+    {
+      base with
+      A.violations =
+        [ { R.Invariant.v_invariant = "no-deadlock"; v_detail = "fixture" } ];
+    }
+  in
+  let missed = { base with A.liveness = R.Liveness.Missed "fixture" } in
+  let faulted a =
+    { a with A.spec = { clean with Spec.plan = Some Spec.Drop } }
+  in
+  List.iter
+    (fun (name, a) ->
+      Alcotest.(check bool)
+        (name ^ ", clean: strict")
+        (A.strict_failed a) (A.failed a);
+      Alcotest.(check bool)
+        (name ^ ", faulted: anomalous")
+        (A.anomalous (faulted a))
+        (A.failed (faulted a)))
+    [
+      ("pass", base);
+      ("missed finale", missed_finale);
+      ("raced", raced);
+      ("violated", violated);
+      ("liveness missed", missed);
+    ];
+  Alcotest.(check (list bool))
+    "clean verdicts" [ false; true; true; true; false ]
+    (List.map A.failed [ base; missed_finale; raced; violated; missed ]);
+  Alcotest.(check (list bool))
+    "faulted verdicts" [ false; false; false; true; true ]
+    (List.map
+       (fun a -> A.failed (faulted a))
+       [ base; missed_finale; raced; violated; missed ])
 
 let test_faulted_execute_deterministic () =
   let spec =
@@ -462,39 +561,46 @@ let golden_explore_summary =
    failed only because sub-RTT timeouts made every healthy call
    retransmit), and the Charlotte/SODA hashes moved with the timing.
    The liveness column is "-" throughout: duplicate and mix are
-   windowless plans, so the recovery judge is vacuous here. *)
+   windowless plans, so the recovery judge is vacuous here.  The case
+   column is the canonical spec ("…/fifo@plan"), so every row parses
+   back as a repro handle. *)
 let golden_chaos_table =
   "case                                     ok     events             \
    liveness       verdict\n\
-   move/charlotte/2/duplicate               true   f01f93cb0f33d8e7  \
+   move/charlotte/2/fifo@duplicate          true   f01f93cb0f33d8e7  \
    -              pass\n\
-   move/charlotte/2/mix                     true   c97ff84200aea4b4  \
+   move/charlotte/2/fifo@mix                true   c97ff84200aea4b4  \
    -              pass\n\
-   move/soda/2/duplicate                    true   d666c291fdc324a4  \
+   move/soda/2/fifo@duplicate               true   d666c291fdc324a4  \
    -              pass\n\
-   move/soda/2/mix                          true   067d43d0064d3eb8  \
+   move/soda/2/fifo@mix                     true   067d43d0064d3eb8  \
    -              pass\n\
-   move/chrysalis/2/duplicate               true   038e238703c788e9  \
+   move/chrysalis/2/fifo@duplicate          true   038e238703c788e9  \
    -              pass\n\
-   move/chrysalis/2/mix                     false  105144786418775b  \
+   move/chrysalis/2/fifo@mix                false  105144786418775b  \
    -              pass\n\
-   cross-request/charlotte/2/duplicate      false  fdbe6bfa44a64148  \
+   cross-request/charlotte/2/fifo@duplicate false  fdbe6bfa44a64148  \
    -              pass\n\
-   cross-request/charlotte/2/mix            false  1662c12adbc6b6ef  \
+   cross-request/charlotte/2/fifo@mix       false  1662c12adbc6b6ef  \
    -              pass\n\
-   cross-request/soda/2/duplicate           false  cc2a331adc1e2384  \
+   cross-request/soda/2/fifo@duplicate      false  cc2a331adc1e2384  \
    -              pass\n\
-   cross-request/soda/2/mix                 false  c36650601c3050b1  \
+   cross-request/soda/2/fifo@mix            false  c36650601c3050b1  \
    -              pass\n\
-   cross-request/chrysalis/2/duplicate      false  dcfe1c5c4b30a0c8  \
+   cross-request/chrysalis/2/fifo@duplicate false  dcfe1c5c4b30a0c8  \
    -              pass\n\
-   cross-request/chrysalis/2/mix            false  e64d19f8aac0a403  \
+   cross-request/chrysalis/2/fifo@mix       false  e64d19f8aac0a403  \
    -              pass\n"
 
+let sweep ?scenarios ?seeds ?policies ?plans () =
+  List.filter_map Fun.id
+    (R.execute_many ~jobs:2
+       (Spec.product ?scenarios ?seeds ?policies ?plans ()))
+
 let test_golden_explore () =
-  let results = D.sweep ~jobs:2 ~seeds:[ 1; 2 ] () in
+  let results = sweep ~seeds:[ 1; 2 ] ~policies:[ Spec.Fifo; Spec.Random ] () in
   Alcotest.(check string)
-    "explore summary unchanged" golden_explore_summary (D.summary results)
+    "explore summary unchanged" golden_explore_summary (A.summary results)
 
 (* Captured from `lynx_sim races -b charlotte --seed 1` and
    `-b soda --seed 2` before the detector went streaming. *)
@@ -539,7 +645,7 @@ let test_golden_races () =
         (fun sc -> Spec.v ~policy:Spec.Fifo ~scenario:sc ~backend seed)
         S.names
     in
-    D.races_report ~backend ~scenarios:S.names
+    A.races_report ~backend ~scenarios:S.names
       (R.execute_many ~jobs:2 specs)
   in
   let charlotte, n_charlotte = report "charlotte" 1 in
@@ -553,13 +659,14 @@ let test_golden_races () =
 
 let test_golden_chaos () =
   let results =
-    C.sweep ~jobs:2
+    sweep
       ~scenarios:[ "move"; "cross-request" ]
       ~seeds:[ 2 ]
-      ~plans:[ C.Duplicate; C.Mix ] ()
+      ~plans:[ Some Spec.Duplicate; Some Spec.Mix ]
+      ()
   in
   Alcotest.(check string) "chaos table unchanged" golden_chaos_table
-    (C.table results)
+    (A.table results)
 
 let () =
   Alcotest.run "run"
@@ -569,12 +676,15 @@ let () =
           test_roundtrip;
           Alcotest.test_case "parse forms" `Quick test_parse_forms;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "product" `Quick test_product;
           test_mutations_never_raise;
         ] );
       ("registry", [ Alcotest.test_case "registry" `Quick test_registry ]);
       ( "execute",
         [
-          Alcotest.test_case "matches driver" `Quick test_execute_matches_driver;
+          Alcotest.test_case "product + execute_many = execute" `Quick
+            test_product_matches_execute;
+          Alcotest.test_case "failed follows the plan" `Quick test_failed;
           Alcotest.test_case "faulted determinism" `Quick
             test_faulted_execute_deterministic;
           Alcotest.test_case "pool order" `Quick test_execute_many_order;

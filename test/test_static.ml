@@ -280,21 +280,12 @@ let soundness_logic_tests =
 
 (* ---- the soundness differential over the full sweep product ----------- *)
 
-let primaries = [ "charlotte"; "soda"; "chrysalis" ]
-
 let product_specs =
-  List.concat_map
-    (fun scenario ->
-      List.concat_map
-        (fun backend ->
-          List.concat_map
-            (fun seed ->
-              List.map
-                (fun plan -> Spec.v ?plan ~scenario ~backend seed)
-                (None :: List.map Option.some (Spec.Screen :: Spec.all_plans)))
-            [ 1; 2 ])
-        primaries)
-    S.names
+  Spec.product
+    ~backends:[ "charlotte"; "soda"; "chrysalis" ]
+    ~seeds:[ 1; 2 ]
+    ~plans:(None :: List.map Option.some (Spec.Screen :: Spec.all_plans))
+    ()
 
 let gap_str g =
   Printf.sprintf "%s: %s %s — %s"
@@ -335,22 +326,22 @@ let test_soundness_product () =
     = "soundness: every dynamic race finding was predicted\n")
 
 let test_driver_chaos_soundness () =
-  (* The sweep wiring the CLI uses: both plan-builders expose their
-     artifacts, and the soundness audit over them is gap-free. *)
-  let pairs =
-    Explore.Driver.sweep_full ~seeds:[ 1 ] ~policies:[ Spec.Fifo ] ()
+  (* The sweep wiring the CLI uses: the explore and chaos spec products,
+     and the soundness audit over their artifacts is gap-free. *)
+  let sweep ?plans () =
+    List.filter_map Fun.id
+      (Run.execute_many (Spec.product ~seeds:[ 1 ] ?plans ()))
   in
-  checkb "driver sweep non-empty" true (pairs <> []);
+  let explore = sweep () in
+  checkb "explore sweep non-empty" true (explore <> []);
   Alcotest.(check (list string))
-    "driver sweep gap-free" []
-    (List.map gap_str (Explore.Driver.soundness_gaps pairs));
-  let chaos =
-    Explore.Chaos.sweep_full ~seeds:[ 1 ] ~plans:[ Spec.Drop; Spec.Mix ] ()
-  in
+    "explore sweep gap-free" []
+    (List.map gap_str (Run.Soundness.check explore));
+  let chaos = sweep ~plans:[ Some Spec.Drop; Some Spec.Mix ] () in
   checkb "chaos sweep non-empty" true (chaos <> []);
   Alcotest.(check (list string))
     "chaos sweep gap-free" []
-    (List.map gap_str (Run.Soundness.check (List.map snd chaos)))
+    (List.map gap_str (Run.Soundness.check chaos))
 
 let () =
   Alcotest.run "static"
@@ -364,7 +355,7 @@ let () =
             "dynamic races contained in static predictions (full product, \
              -j1/-j4)"
             `Slow test_soundness_product;
-          Alcotest.test_case "driver and chaos sweeps are gap-free" `Quick
+          Alcotest.test_case "explore and chaos sweeps are gap-free" `Quick
             test_driver_chaos_soundness;
         ] );
     ]
