@@ -21,6 +21,15 @@ let wrap eng ~stats inj ?victim (ops : Backend.ops) : Backend.ops =
      then reappear via [b_readable]/[b_take] and a doorbell ring. *)
   let pending : (int * Backend.kind * Backend.rx) list ref = ref [] in
   let shut = ref false in
+  (* Event-object names, built once per link rather than per frame. *)
+  let names : (int, string) Hashtbl.t = Hashtbl.create 8 in
+  let link_name link =
+    try Hashtbl.find names link
+    with Not_found ->
+      let name = Printf.sprintf "lynx.l%d" link in
+      Hashtbl.add names link name;
+      name
+  in
   let release entry =
     if not !shut then begin
       pending := !pending @ [ entry ];
@@ -51,7 +60,6 @@ let wrap eng ~stats inj ?victim (ops : Backend.ops) : Backend.ops =
       | Some rx ->
         if rx.Backend.rx_enclosures <> [] then Some rx
         else begin
-          let obj = Printf.sprintf "lynx.l%d" link in
           let outage =
             match victim with
             | Some vid -> Faults.Injector.outage inj vid
@@ -64,7 +72,10 @@ let wrap eng ~stats inj ?victim (ops : Backend.ops) : Backend.ops =
             Engine.schedule_after eng lag (fun () -> release (link, kind, rx));
             None
           | None -> (
-            match Faults.Injector.rx_verdict inj ~obj ~op:rx.Backend.rx_op with
+            match
+              Faults.Injector.rx_verdict inj ~obj:(link_name link)
+                ~op:rx.Backend.rx_op
+            with
             | Faults.Injector.Pass -> Some rx
             | Faults.Injector.Hold lag ->
               Engine.schedule_after eng lag (fun () ->

@@ -215,6 +215,15 @@ let[@inline] count_event t time fid kind =
   t.events_hash <-
     fold (fold (fold t.events_hash (Time.to_ns time)) fid) (Event.kind_tag kind)
 
+(* A direct walk: [List.iter (fun f -> f ev)] would allocate its closure
+   once per observed event. *)
+let rec feed consumers ev =
+  match consumers with
+  | [] -> ()
+  | f :: rest ->
+    f ev;
+    feed rest ev
+
 (* Events emitted by a fiber tick its component so successive events are
    strictly ordered.  Scheduler-context events only snapshot the ambient
    clock: ticking a shared pseudo-component would fabricate causality
@@ -234,7 +243,7 @@ let emit t kind =
       { Event.ev_time = t.now; ev_fiber = fid; ev_clock = clock; ev_kind = kind }
     in
     retain t ev;
-    match t.consumers with [] -> () | cs -> List.iter (fun f -> f ev) cs
+    feed t.consumers ev
   end
 
 let record t msg = emit t (Event.Note msg)
@@ -251,7 +260,7 @@ let absorb t (ev : Event.t) =
   if Time.(ev.Event.ev_time > t.now) then t.now <- ev.Event.ev_time;
   count_event t ev.Event.ev_time ev.Event.ev_fiber ev.Event.ev_kind;
   retain t ev;
-  match t.consumers with [] -> () | cs -> List.iter (fun f -> f ev) cs
+  feed t.consumers ev
 
 (* Append mode trims to fit, then shares: the first call after a run
    replaces the backing array with a fresh copy of the live prefix

@@ -668,6 +668,99 @@ let test_golden_chaos () =
   Alcotest.(check string) "chaos table unchanged" golden_chaos_table
     (A.table results)
 
+(* [events_hash] folds time, fiber and kind tag only, so no fingerprint
+   above sees a vector clock.  This golden does: one row per run of the
+   two scenarios with the widest clocks, on every backend, clean and
+   under [@mix] and their targeted plans — the event count, an MD5 of
+   every retained event's [Event.describe] line (clock included), and
+   the race findings the clocks decide.  Captured before the clock
+   representation changed; it must stay byte-identical. *)
+let golden_clock_digest =
+  "ring-election/charlotte/1/fifo                  521 a6a11b4b41776a97d66be06938a16fb4 clean\n\
+   ring-election/charlotte/1/fifo@mix              572 c8087a8e8e70da15f3c1104fef97224e clean\n\
+   ring-election/charlotte/1/fifo@leader-crash     716 0ce1fef6217efac68580181b06780d34 clean\n\
+   ring-election/charlotte/2/fifo                  521 a6a11b4b41776a97d66be06938a16fb4 clean\n\
+   ring-election/charlotte/2/fifo@mix              572 bf736bd134b949ddb3cb27d1f918f79f clean\n\
+   ring-election/charlotte/2/fifo@leader-crash     716 0ce1fef6217efac68580181b06780d34 clean\n\
+   ring-election/soda/1/fifo                       584 4958181a4b6f64dcb79b420cb0103d83 clean\n\
+   ring-election/soda/1/fifo@mix                   659 602f5522bbe1831b7d33f3e73f9cf183 clean\n\
+   ring-election/soda/1/fifo@leader-crash          793 3c3ed694543820c5b79780cdbf54b2ae clean\n\
+   ring-election/soda/2/fifo                       584 bd58ca1adf312c190653cb0ea3de8fe0 clean\n\
+   ring-election/soda/2/fifo@mix                   661 e84f36516b09365fa9e5596eb7c8e135 clean\n\
+   ring-election/soda/2/fifo@leader-crash          793 06c01984a249df256d42b67596c05f9e clean\n\
+   ring-election/chrysalis/1/fifo                 1067 406f28386857a7ff34c19a4c8898f5a0 clean\n\
+   ring-election/chrysalis/1/fifo@mix             1132 92b7e49f6009dec1e1197b97176591ba clean\n\
+   ring-election/chrysalis/1/fifo@leader-crash    2616 4f12de4f12fe5941bc79e17479e3d43a clean\n\
+   ring-election/chrysalis/2/fifo                 1067 406f28386857a7ff34c19a4c8898f5a0 clean\n\
+   ring-election/chrysalis/2/fifo@mix             1128 5f4fa1d575cac422557832323ab4b47f clean\n\
+   ring-election/chrysalis/2/fifo@leader-crash    2616 4f12de4f12fe5941bc79e17479e3d43a clean\n\
+   quorum/charlotte/1/fifo                         318 be40bd7fd2bbfd874e03419cab912c0e clean\n\
+   quorum/charlotte/1/fifo@mix                     350 e41389809b218eacb2d4a62e1b39fcca clean\n\
+   quorum/charlotte/1/fifo@partition-minority      775 2165d72487523c3939f08b4e7cf63b57 clean\n\
+   quorum/charlotte/1/fifo@partition-majority     1061 d35b15b3d786b260fd37fdbf82bf9944 clean\n\
+   quorum/charlotte/2/fifo                         318 be40bd7fd2bbfd874e03419cab912c0e clean\n\
+   quorum/charlotte/2/fifo@mix                     345 206d7b88addd04593a2ef74d16527c7e clean\n\
+   quorum/charlotte/2/fifo@partition-minority      775 2165d72487523c3939f08b4e7cf63b57 clean\n\
+   quorum/charlotte/2/fifo@partition-majority     1061 d35b15b3d786b260fd37fdbf82bf9944 clean\n\
+   quorum/soda/1/fifo                              361 8dfe607841ac73b3214fecec5708d67c clean\n\
+   quorum/soda/1/fifo@mix                          408 bef537272a0d788dc22e2eb992918694 clean\n\
+   quorum/soda/1/fifo@partition-minority          5099 6d15b66f561b55e7fddaa41485673272 clean\n\
+   quorum/soda/1/fifo@partition-majority          6746 c99fb39ef8b2d3f21d1e2dc644434a5b clean\n\
+   quorum/soda/2/fifo                              361 094844928373db2d0dba802ec33b9d88 clean\n\
+   quorum/soda/2/fifo@mix                          406 7042c1d24b8da6b02ea1ad48dca49e76 clean\n\
+   quorum/soda/2/fifo@partition-minority          5100 1d0831622ffd5b901f8b8915040e232c clean\n\
+   quorum/soda/2/fifo@partition-majority          6747 6f2be436ba993a8f759a0eb03aa68a34 clean\n\
+   quorum/chrysalis/1/fifo                         692 1f1d36c9684af17ff4f049a10ab78fe4 clean\n\
+   quorum/chrysalis/1/fifo@mix                     720 c83f908def036856ebc60448331ccd47 clean\n\
+   quorum/chrysalis/1/fifo@partition-minority     5956 f918c61a024f7f9a680a86b6698b041f clean\n\
+   quorum/chrysalis/1/fifo@partition-majority     5956 f918c61a024f7f9a680a86b6698b041f clean\n\
+   quorum/chrysalis/2/fifo                         692 1f1d36c9684af17ff4f049a10ab78fe4 clean\n\
+   quorum/chrysalis/2/fifo@mix                     707 c46745353ce5a44be0b22427d6211fec clean\n\
+   quorum/chrysalis/2/fifo@partition-minority     5956 f918c61a024f7f9a680a86b6698b041f clean\n\
+   quorum/chrysalis/2/fifo@partition-majority     5956 f918c61a024f7f9a680a86b6698b041f clean\n"
+
+let clock_digest_row spec =
+  let name = Spec.to_string spec in
+  match R.execute_full spec with
+  | Some (Some o, a) ->
+    let v = o.S.o_view in
+    if v.Sim.Engine.v_events_dropped > 0 then
+      Alcotest.failf "%s: log not fully retained" name;
+    let b = Buffer.create 4096 in
+    Array.iter
+      (fun ev ->
+        Buffer.add_string b (Sim.Event.describe ev);
+        Buffer.add_char b '\n')
+      v.Sim.Engine.v_events;
+    let races =
+      match a.A.races with
+      | [] -> "clean"
+      | fs ->
+        String.concat "; "
+          (List.map (Format.asprintf "%a" Analysis.Races.pp_finding) fs)
+    in
+    Printf.sprintf "%-44s %6d %s %s\n" name
+      (Array.length v.Sim.Engine.v_events)
+      (Digest.to_hex (Digest.string (Buffer.contents b)))
+      races
+  | _ -> Alcotest.failf "%s: no engine view" name
+
+let test_golden_clock_digest () =
+  let specs =
+    List.concat_map
+      (fun (scenario, targeted) ->
+        Spec.product ~scenarios:[ scenario ] ~seeds:[ 1; 2 ]
+          ~plans:(None :: Some Spec.Mix :: List.map Option.some targeted)
+          ())
+      [
+        ("ring-election", [ Spec.Leader_crash ]);
+        ("quorum", [ Spec.Partition_minority; Spec.Partition_majority ]);
+      ]
+  in
+  Alcotest.(check string)
+    "clock and race digest unchanged" golden_clock_digest
+    (String.concat "" (List.map clock_digest_row specs))
+
 let () =
   Alcotest.run "run"
     [
@@ -706,5 +799,7 @@ let () =
           Alcotest.test_case "explore summary" `Slow test_golden_explore;
           Alcotest.test_case "chaos table" `Slow test_golden_chaos;
           Alcotest.test_case "races report" `Slow test_golden_races;
+          Alcotest.test_case "clock and race digest" `Slow
+            test_golden_clock_digest;
         ] );
     ]
