@@ -87,17 +87,32 @@ let owner_of t e =
 let link_destroyed t e =
   match end_state t e with None -> true | Some (l, _) -> l.l_destroyed
 
+module Key = struct
+  let bytes = Stats.key "charlotte.bytes"
+  let cancels = Stats.key "charlotte.cancels"
+  let cancels_failed = Stats.key "charlotte.cancels_failed"
+  let completions_to_dead = Stats.key "charlotte.completions_to_dead"
+  let kernel_calls = Stats.key "charlotte.kernel_calls"
+  let kernel_msgs = Stats.key "charlotte.kernel_msgs"
+  let links_destroyed = Stats.key "charlotte.links_destroyed"
+  let links_made = Stats.key "charlotte.links_made"
+  let move_protocol_msgs = Stats.key "charlotte.move_protocol_msgs"
+  let receives = Stats.key "charlotte.receives"
+  let sends = Stats.key "charlotte.sends"
+  let terminations = Stats.key "charlotte.terminations"
+end
+
 (* Charge the calling fiber the kernel-call CPU cost.  This includes the
    argument checking that the paper's end-to-end discussion calls
    redundant for a careful runtime package. *)
 let charge t =
-  Stats.incr t.sts "charlotte.kernel_calls";
+  Stats.incr t.sts Key.kernel_calls;
   Engine.sleep t.eng t.cst.Costs.call_cpu
 
 let deliver t pid completion =
   match Hashtbl.find_opt t.procs pid with
   | Some p when p.p_alive -> Sync.Mailbox.put p.p_completions completion
-  | _ -> Stats.incr t.sts "charlotte.completions_to_dead"
+  | _ -> Stats.incr t.sts Key.completions_to_dead
 
 let remove_owned p e =
   p.p_owned <- List.filter (fun o -> o <> e) p.p_owned
@@ -141,12 +156,12 @@ and start_transfer t l ~src ~dst ~s ~r ~src_pid ~dst_pid =
     | Some _ ->
       (* The real kernel runs a three-party agreement protocol to move a
          link end; we charge its latency and message count. *)
-      Stats.incr t.sts "charlotte.move_protocol_msgs"
+      Stats.incr t.sts Key.move_protocol_msgs
         ~by:t.cst.Costs.move_protocol_msgs;
       Time.add duration t.cst.Costs.move_extra
   in
-  Stats.incr t.sts "charlotte.kernel_msgs";
-  Stats.incr t.sts "charlotte.bytes" ~by:bytes;
+  Stats.incr t.sts Key.kernel_msgs;
+  Stats.incr t.sts Key.bytes ~by:bytes;
   let src_node = process_node t src_pid and dst_node = process_node t dst_pid in
   (* Injected transport faults sit between the ring and the link-state
      update: a duplicated delivery is absorbed by the staleness guards
@@ -202,7 +217,7 @@ and start_transfer t l ~src ~dst ~s ~r ~src_pid ~dst_pid =
 let rec destroy_link t (l : link) =
   if not l.l_destroyed then begin
     l.l_destroyed <- true;
-    Stats.incr t.sts "charlotte.links_destroyed";
+    Stats.incr t.sts Key.links_destroyed;
     Array.iter
       (fun (es : end_state) ->
         (match es.e_send with
@@ -276,7 +291,7 @@ let make_link t pid =
     Hashtbl.add t.links id l;
     add_owned p e0;
     add_owned p e1;
-    Stats.incr t.sts "charlotte.links_made";
+    Stats.incr t.sts Key.links_made;
     Some (e0, e1)
   end
 
@@ -331,7 +346,7 @@ let send t pid e ?enclosure data =
         | None -> ());
         es.e_send <-
           Some { s_data = data; s_enclosure = enclosure; s_matched = false };
-        Stats.incr t.sts "charlotte.sends";
+        Stats.incr t.sts Key.sends;
         try_match t l;
         Ok_done
       | s -> s)
@@ -344,14 +359,14 @@ let receive t pid e ~max_len =
     if es.e_recv <> None then E_busy
     else begin
       es.e_recv <- Some { r_max_len = max_len; r_matched = false };
-      Stats.incr t.sts "charlotte.receives";
+      Stats.incr t.sts Key.receives;
       try_match t l;
       Ok_done
     end
 
 let cancel t pid e dir =
   charge t;
-  Stats.incr t.sts "charlotte.cancels";
+  Stats.incr t.sts Key.cancels;
   match validate t pid e with
   | Error s -> s
   | Ok (_, es) -> (
@@ -361,7 +376,7 @@ let cancel t pid e dir =
       | None -> E_no_activity
       | Some s ->
         if s.s_matched then begin
-          Stats.incr t.sts "charlotte.cancels_failed";
+          Stats.incr t.sts Key.cancels_failed;
           E_busy
         end
         else begin
@@ -377,7 +392,7 @@ let cancel t pid e dir =
       | None -> E_no_activity
       | Some r ->
         if r.r_matched then begin
-          Stats.incr t.sts "charlotte.cancels_failed";
+          Stats.incr t.sts Key.cancels_failed;
           E_busy
         end
         else begin
@@ -398,7 +413,7 @@ let terminate t pid =
   let p = proc t pid in
   if p.p_alive then begin
     p.p_alive <- false;
-    Stats.incr t.sts "charlotte.terminations";
+    Stats.incr t.sts Key.terminations;
     let owned = p.p_owned in
     p.p_owned <- [];
     List.iter

@@ -81,8 +81,22 @@ let proc t pid =
 let process_alive t pid = (proc t pid).c_alive
 let process_node t pid = (proc t pid).c_node
 
+module Key = struct
+  let atomic16 = Stats.key "chrysalis.atomic16"
+  let dq_dequeues = Stats.key "chrysalis.dq_dequeues"
+  let dq_enqueues = Stats.key "chrysalis.dq_enqueues"
+  let dq_hints_shed = Stats.key "chrysalis.dq_hints_shed"
+  let event_posts = Stats.key "chrysalis.event_posts"
+  let kernel_ops = Stats.key "chrysalis.kernel_ops"
+  let maps = Stats.key "chrysalis.maps"
+  let objects_made = Stats.key "chrysalis.objects_made"
+  let objects_reclaimed = Stats.key "chrysalis.objects_reclaimed"
+  let remote_bytes = Stats.key "chrysalis.remote_bytes"
+  let terminations = Stats.key "chrysalis.terminations"
+end
+
 let charge t cost =
-  Stats.incr t.sts "chrysalis.kernel_ops";
+  Stats.incr t.sts Key.kernel_ops;
   Engine.sleep t.eng cost
 
 (* ---- Memory objects --------------------------------------------------- *)
@@ -115,7 +129,7 @@ let make_object t pid ~size =
   in
   Hashtbl.add t.objects name o;
   Hashtbl.replace p.c_mapped name 1;
-  Stats.incr t.sts "chrysalis.objects_made";
+  Stats.incr t.sts Key.objects_made;
   name
 
 let map_object t pid name =
@@ -125,12 +139,12 @@ let map_object t pid name =
   o.o_refcount <- o.o_refcount + 1;
   let count = Option.value ~default:0 (Hashtbl.find_opt p.c_mapped name) in
   Hashtbl.replace p.c_mapped name (count + 1);
-  Stats.incr t.sts "chrysalis.maps"
+  Stats.incr t.sts Key.maps
 
 let reclaim t (o : mem_object) =
   if o.o_deleting && o.o_refcount <= 0 then begin
     Hashtbl.remove t.objects o.o_name;
-    Stats.incr t.sts "chrysalis.objects_reclaimed"
+    Stats.incr t.sts Key.objects_reclaimed
   end
 
 let unmap_no_charge t p name =
@@ -172,14 +186,14 @@ let write_bytes t pid name ~off data =
   let p, o = check_access t pid name ~off ~len in
   charge t (copy_cost t p o ~bytes:len);
   if p.c_node <> o.o_home then
-    Stats.incr t.sts "chrysalis.remote_bytes" ~by:len;
+    Stats.incr t.sts Key.remote_bytes ~by:len;
   Bytes.blit data 0 o.o_data off len
 
 let read_bytes t pid name ~off ~len =
   let p, o = check_access t pid name ~off ~len in
   charge t (copy_cost t p o ~bytes:len);
   if p.c_node <> o.o_home then
-    Stats.incr t.sts "chrysalis.remote_bytes" ~by:len;
+    Stats.incr t.sts Key.remote_bytes ~by:len;
   Bytes.sub o.o_data off len
 
 let get16 o off = Char.code (Bytes.get o.o_data off) lor (Char.code (Bytes.get o.o_data (off + 1)) lsl 8)
@@ -191,7 +205,7 @@ let set16 o off v =
 let atomic_rmw16 t pid name ~off f =
   let _, o = check_access t pid name ~off ~len:2 in
   charge t t.cst.Costs.atomic16;
-  Stats.incr t.sts "chrysalis.atomic16";
+  Stats.incr t.sts Key.atomic16;
   let old = get16 o off in
   set16 o off (f old land 0xffff);
   old
@@ -238,7 +252,7 @@ let make_event t pid =
 (* The uncharged core: waking a waiter is scheduler-safe, so injected
    faults can re-run it from a timer. *)
 let event_post_now t name datum =
-  Stats.incr t.sts "chrysalis.event_posts";
+  Stats.incr t.sts Key.event_posts;
   let ev = event t name in
   match ev.ev_waiter with
   | Some waker ->
@@ -289,7 +303,7 @@ let make_dualq t _pid ~capacity =
    on the synchronous path, the uncharged [event_post_now] when a fault
    replays the enqueue from a timer (scheduler context cannot sleep). *)
 let dq_enqueue_via t qname datum ~post =
-  Stats.incr t.sts "chrysalis.dq_enqueues";
+  Stats.incr t.sts Key.dq_enqueues;
   let q = dualq t qname in
   match Queue.take_opt q.dq_waiting with
   | Some ev_name ->
@@ -326,14 +340,14 @@ let dq_enqueue t pid qname datum =
     let shed_full () =
       try dq_enqueue_via t qname datum ~post:(event_post_now t)
       with Memory_fault Bounds ->
-        Stats.incr t.sts "chrysalis.dq_hints_shed";
+        Stats.incr t.sts Key.dq_hints_shed;
         Engine.emit t.eng (Event.Drop { obj; op = "enqueue" })
     in
     Faults.Injector.wrap_delivery (Some inj) ~obj ~op:"enqueue" shed_full ()
 
 let dq_dequeue t _pid qname ~ev =
   charge t t.cst.Costs.dq_op;
-  Stats.incr t.sts "chrysalis.dq_dequeues";
+  Stats.incr t.sts Key.dq_dequeues;
   let q = dualq t qname in
   match Queue.take_opt q.dq_data with
   | Some datum ->
@@ -358,7 +372,7 @@ let terminate t pid =
   let p = proc t pid in
   if p.c_alive then begin
     p.c_alive <- false;
-    Stats.incr t.sts "chrysalis.terminations";
+    Stats.incr t.sts Key.terminations;
     let cleanups = p.c_cleanups in
     p.c_cleanups <- [];
     List.iter (fun f -> try f () with _ -> ()) cleanups;

@@ -206,6 +206,18 @@ let transport_loss eng sts ~counter ~obj ~op =
   Stats.incr sts counter;
   Engine.emit eng (Event.Drop { obj; op })
 
+module Key = struct
+  let crashes = Stats.key "faults.crashes"
+  let delays = Stats.key "faults.delays"
+  let drops = Stats.key "faults.drops"
+  let dups = Stats.key "faults.dups"
+  let partition_stalls = Stats.key "faults.partition_stalls"
+  let restarts = Stats.key "faults.restarts"
+  let rx_delays = Stats.key "faults.rx_delays"
+  let rx_drops = Stats.key "faults.rx_drops"
+  let rx_dups = Stats.key "faults.rx_dups"
+end
+
 module Injector = struct
   type t = {
     plan : Plan.t;
@@ -243,11 +255,11 @@ module Injector = struct
       let name = List.nth t.victims (n - 1 - idx) in
       t.down <- Some idx;
       t.heal_at <- Time.add (Engine.now t.eng) restart_after;
-      Stats.incr t.sts "faults.crashes";
+      Stats.incr t.sts Key.crashes;
       Engine.emit t.eng (Event.Fault { what = "crash"; obj = name });
       Engine.schedule_after t.eng restart_after (fun () ->
           t.down <- None;
-          Stats.incr t.sts "faults.restarts";
+          Stats.incr t.sts Key.restarts;
           Engine.emit t.eng (Event.Fault { what = "restart"; obj = name }))
     end
 
@@ -305,25 +317,25 @@ module Injector = struct
      completion callbacks), where [Engine.emit] stamps fiber -1. *)
   let rec deliver t ?src ?dst ~obj ~op k =
     if partitioned t ~src ~dst then begin
-      Stats.incr t.sts "faults.partition_stalls";
+      Stats.incr t.sts Key.partition_stalls;
       Engine.emit t.eng (Event.Fault { what = "partition"; obj });
       Engine.schedule_after t.eng t.plan.Plan.retransmit (fun () ->
           deliver t ?src ?dst ~obj ~op k)
     end
     else if Rng.bool t.rng t.plan.Plan.drop then begin
-      Stats.incr t.sts "faults.drops";
+      Stats.incr t.sts Key.drops;
       Engine.emit t.eng (Event.Drop { obj; op });
       Engine.schedule_after t.eng t.plan.Plan.retransmit (fun () ->
           deliver t ?src ?dst ~obj ~op k)
     end
     else if Rng.bool t.rng t.plan.Plan.dup then begin
-      Stats.incr t.sts "faults.dups";
+      Stats.incr t.sts Key.dups;
       Engine.emit t.eng (Event.Fault { what = "dup"; obj });
       Engine.schedule_after t.eng t.plan.Plan.retransmit k;
       k ()
     end
     else if Rng.bool t.rng t.plan.Plan.delay then begin
-      Stats.incr t.sts "faults.delays";
+      Stats.incr t.sts Key.delays;
       Engine.emit t.eng (Event.Fault { what = "delay"; obj });
       Engine.schedule_after t.eng (spike t) k
     end
@@ -336,19 +348,19 @@ module Injector = struct
 
   let rx_verdict t ~obj ~op =
     if Rng.bool t.rng t.plan.Plan.drop then begin
-      Stats.incr t.sts "faults.rx_drops";
+      Stats.incr t.sts Key.rx_drops;
       Engine.emit t.eng (Event.Drop { obj; op });
       (* lost, then retransmitted below us — redelivered one interval
          later, by which time the caller has usually retried *)
       Hold t.plan.Plan.retransmit
     end
     else if Rng.bool t.rng t.plan.Plan.dup then begin
-      Stats.incr t.sts "faults.rx_dups";
+      Stats.incr t.sts Key.rx_dups;
       Engine.emit t.eng (Event.Fault { what = "dup"; obj });
       Dup t.plan.Plan.retransmit
     end
     else if Rng.bool t.rng t.plan.Plan.delay then begin
-      Stats.incr t.sts "faults.rx_delays";
+      Stats.incr t.sts Key.rx_delays;
       Engine.emit t.eng (Event.Fault { what = "delay"; obj });
       Hold (spike t)
     end

@@ -133,7 +133,12 @@ val with_plan : Plan.t -> (unit -> 'a) -> 'a
 val ambient : unit -> Plan.t option
 
 val transport_loss :
-  Sim.Engine.t -> Sim.Stats.t -> counter:string -> obj:string -> op:string -> unit
+  Sim.Engine.t ->
+  Sim.Stats.t ->
+  counter:Sim.Stats.key ->
+  obj:string ->
+  op:string ->
+  unit
 (** Records a modeled transport-level frame loss — a counter bump plus a
     typed {!Sim.Event.Drop} — for losses that are part of the network
     model itself (CSMA broadcast loss) rather than injected. *)

@@ -39,6 +39,15 @@ let ivalue v = Lynx.Value.Int v
 type job = Elect of int * int | Coord of int * int
 type cell = Cell of job * cell Sync.Ivar.t
 
+module Key = struct
+  let elections_started = Stats.key "recovery.elections_started"
+  let elections_won = Stats.key "recovery.elections_won"
+  let failovers = Stats.key "recovery.failovers"
+  let kicks = Stats.key "recovery.kicks"
+  let recovered_at_us = Stats.key "recovery.recovered_at_us"
+  let suspicions = Stats.key "recovery.suspicions"
+end
+
 let run ?(seed = 42) ?policy (module W : WORLD) : result =
   let eng = Engine.create ~seed ?policy () in
   (* Candidates on nodes 0..3, monitor on node 4: the high3 partition
@@ -142,7 +151,7 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
                   cand := max !cand c;
                   if e > !ldr_ep || (e = !ldr_ep && i > !ldr) then begin
                     adopt_leader e i;
-                    Stats.incr sts "recovery.elections_won";
+                    Stats.incr sts Key.elections_won;
                     push (Coord (e, i))
                   end;
                   "won"
@@ -171,7 +180,7 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
               else begin
                 ep := e;
                 cand := i;
-                Stats.incr sts "recovery.elections_started";
+                Stats.incr sts Key.elections_started;
                 push (Elect (e, i));
                 "ok"
               end
@@ -205,7 +214,7 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
            attempt is a fresh epoch so stale-wave arithmetic never
            revives a dead one. *)
         let kick () =
-          Stats.incr sts "recovery.kicks";
+          Stats.incr sts Key.kicks;
           let rec attempt k =
             if k >= 0 then begin
               incr epoch;
@@ -225,14 +234,14 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
              | [ Lynx.Value.Int l ] when l = t ->
                (* t believes it leads itself: the ring is healthy. *)
                if !healthy <> t then begin
-                 if !healthy >= 0 then Stats.incr sts "recovery.failovers";
+                 if !healthy >= 0 then Stats.incr sts Key.failovers;
                  healthy := t
                end;
                let now = Engine.now eng in
                if Time.(now >= wc) then begin
                  recovered := true;
                  Stats.incr sts ~by:(Time.to_ns now / 1000)
-                   "recovery.recovered_at_us"
+                   Key.recovered_at_us
                end
              | [ Lynx.Value.Int l ] when l >= 0 && l < n_cand && l <> t ->
                believed := l (* referral: follow t's belief *)
@@ -240,7 +249,7 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
              | exception e when Lynx.Excn.is_lynx e ->
                (* Screening timed out on the believed leader: suspect a
                   crash and force a re-election. *)
-               Stats.incr sts "recovery.suspicions";
+               Stats.incr sts Key.suspicions;
                believed := -1;
                kick ()
            end

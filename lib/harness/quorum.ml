@@ -26,6 +26,15 @@ let tick = Time.ms 8
 
 let ivalue v = Lynx.Value.Int v
 
+module Key = struct
+  let commits = Stats.key "recovery.commits"
+  let degraded_commits = Stats.key "recovery.degraded_commits"
+  let quorum_failures = Stats.key "recovery.quorum_failures"
+  let reads_unavailable = Stats.key "recovery.reads_unavailable"
+  let recovered_at_us = Stats.key "recovery.recovered_at_us"
+  let unsafe = Stats.key "recovery.unsafe"
+end
+
 let run ?(seed = 42) ?policy (module W : WORLD) : result =
   let eng = Engine.create ~seed ?policy () in
   (* Writer on node 0, replicas on nodes 1..5: the high4 partition cut
@@ -89,11 +98,11 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
           in
           if acks >= majority then begin
             committed := s;
-            Stats.incr sts "recovery.commits";
+            Stats.incr sts Key.commits;
             if acks < n_replicas then
-              Stats.incr sts "recovery.degraded_commits"
+              Stats.incr sts Key.degraded_commits
           end
-          else Stats.incr sts "recovery.quorum_failures";
+          else Stats.incr sts Key.quorum_failures;
           acks
         in
         (* Majority read: any quorum must see a sequence number at
@@ -114,10 +123,10 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
           if !got >= majority then begin
             if !best < !committed then begin
               incr unsafe;
-              Stats.incr sts "recovery.unsafe"
+              Stats.incr sts Key.unsafe
             end
           end
-          else Stats.incr sts "recovery.reads_unavailable"
+          else Stats.incr sts Key.reads_unavailable
         in
         let rec loop () =
           let acks = write_round () in
@@ -132,7 +141,7 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
           then begin
             recovered := true;
             Stats.incr sts ~by:(Time.to_ns now / 1000)
-              "recovery.recovered_at_us"
+              Key.recovered_at_us
           end;
           read_check ();
           if (not !recovered) && Time.(Engine.now eng <= give_up) then begin

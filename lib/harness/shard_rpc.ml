@@ -55,6 +55,12 @@ type result = {
   r_view : Engine.view;
 }
 
+module Key = struct
+  let bytes = Stats.key "shard.bytes"
+  let rpcs = Stats.key "shard.rpcs"
+  let served = Stats.key "shard.served"
+end
+
 let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
     ?(pairs = 4) ?(rounds = 3) ?(max_payload = 1024) ?(spin = 1) ?pool
     (module W : WORLD) : result =
@@ -74,8 +80,8 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
              let key = Rng.int rng 0x3FFFFFFF in
              Shard.send ctx ~dst:(pairs + i) ~latency:(xfer size) ~op:"rpc"
                (Req { round; size; key });
-             Shard.incr ctx "shard.rpcs" 1;
-             Shard.incr ctx "shard.bytes" size;
+             Shard.incr ctx Key.rpcs 1;
+             Shard.incr ctx Key.bytes size;
              match Shard.recv ctx with
              | Rep { round = r; check }
                when r = round && check = checksum ~key ~size ~spin ->
@@ -90,7 +96,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
              match Shard.recv ctx with
              | Req { round; size; key } ->
                let check = checksum ~key ~size ~spin in
-               Shard.incr ctx "shard.served" 1;
+               Shard.incr ctx Key.served 1;
                Shard.send ctx ~dst:i ~latency:(xfer 8) ~op:"reply"
                  (Rep { round; check })
              | Rep _ -> Shard.note ctx "server got a stray reply"

@@ -87,6 +87,13 @@ let exp_draw rng mean =
   let u = Rng.float rng in
   Time.ns (int_of_float (-.float_of_int (Time.to_ns mean) *. log (1. -. u)))
 
+module Key = struct
+  let errors = Stats.key "wl.errors"
+  let replies = Stats.key "wl.replies"
+  let requests = Stats.key "wl.requests"
+  let served = Stats.key "wl.served"
+end
+
 let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
     ?(max_payload = 512) ?(spin = 1) ?pool ~topology ~load ~population
     (module W : WORLD) : result =
@@ -111,12 +118,12 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
       let t0 = Shard.now ctx in
       Shard.send ctx ~dst:server ~latency:(xfer size) ~op:"wl.req"
         (Req { t0; key; size; ttl; client = me });
-      Shard.incr ctx "wl.requests" 1;
+      Shard.incr ctx Key.requests 1;
       match Shard.recv ctx with
       | Rep { check; _ } when check = expect key size ->
         record ctx (Time.sub (Shard.now ctx) t0);
-        Shard.incr ctx "wl.replies" 1
-      | _ -> Shard.incr ctx "wl.errors" 1
+        Shard.incr ctx Key.replies 1
+      | _ -> Shard.incr ctx Key.errors 1
     in
     match load with
     | Closed { think; _ } ->
@@ -155,10 +162,10 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
             match Shard.recv ctx with
             | Req { t0; key; size; client; _ } ->
               let check = checksum key size in
-              Shard.incr ctx "wl.served" 1;
+              Shard.incr ctx Key.served 1;
               Shard.send ctx ~dst:client ~latency:(xfer 16) ~op:"wl.rep"
                 (Rep { t0; check })
-            | _ -> Shard.incr ctx "wl.errors" 1
+            | _ -> Shard.incr ctx Key.errors 1
           done);
       for j = 0 to nc - 1 do
         add
@@ -194,11 +201,11 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
                     (Req { t0; key; size; ttl = ttl - 1; client })
                 else begin
                   let check = checksum key size in
-                  Shard.incr ctx "wl.served" 1;
+                  Shard.incr ctx Key.served 1;
                   Shard.send ctx ~dst:client ~latency:(xfer 16) ~op:"wl.rep"
                     (Rep { t0; check })
                 end
-              | _ -> Shard.incr ctx "wl.errors" 1
+              | _ -> Shard.incr ctx Key.errors 1
             done)
       done;
       for j = 0 to nc - 1 do
@@ -242,7 +249,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
                 acc := !acc + check;
                 decr remaining;
                 if !remaining = 0 then begin
-                  Shard.incr ctx "wl.served" 1;
+                  Shard.incr ctx Key.served 1;
                   Shard.send ctx ~dst:client ~latency:(xfer 16) ~op:"wl.rep"
                     (Rep { t0; check = !acc });
                   incr served;
@@ -250,9 +257,9 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
                   if not (Queue.is_empty backlog) then
                     start (Queue.pop backlog)
                 end
-              | _ -> Shard.incr ctx "wl.errors" 1
+              | _ -> Shard.incr ctx Key.errors 1
             end
-            | _ -> Shard.incr ctx "wl.errors" 1
+            | _ -> Shard.incr ctx Key.errors 1
           done);
       Array.iteri
         (fun li _leaf_id ->
@@ -264,7 +271,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
                 | Sub { key; size; client } ->
                   Shard.send ctx ~dst:root ~latency:(xfer 16) ~op:"wl.subrep"
                     (Sub_rep { check = checksum key size; client })
-                | _ -> Shard.incr ctx "wl.errors" 1
+                | _ -> Shard.incr ctx Key.errors 1
               done))
         leaves;
       let expect key size =

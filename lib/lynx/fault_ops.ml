@@ -16,6 +16,8 @@
 
 open Sim
 
+let rx_outage_held = Stats.key "faults.rx_outage_held"
+
 let wrap eng ~stats inj ?victim (ops : Backend.ops) : Backend.ops =
   (* Withheld/duplicated frames park here until their release time,
      then reappear via [b_readable]/[b_take] and a doorbell ring. *)
@@ -68,7 +70,7 @@ let wrap eng ~stats inj ?victim (ops : Backend.ops) : Backend.ops =
           match outage with
           | Some lag ->
             (* The process is down: nothing is delivered until restart. *)
-            Stats.incr stats "faults.rx_outage_held";
+            Stats.incr stats rx_outage_held;
             Engine.schedule_after eng lag (fun () -> release (link, kind, rx));
             None
           | None -> (

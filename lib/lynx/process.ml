@@ -98,6 +98,35 @@ let register_link t lid =
   List.iter (fun hook -> hook l) t.link_hooks;
   l
 
+module Key = struct
+  let call_budget_exhausted = Stats.key "lynx.call_budget_exhausted"
+  let call_retries = Stats.key "lynx.call_retries"
+  let call_timeouts = Stats.key "lynx.call_timeouts"
+  let calls = Stats.key "lynx.calls"
+  let dup_replies_resent = Stats.key "lynx.dup_replies_resent"
+  let dup_requests_dropped = Stats.key "lynx.dup_requests_dropped"
+  let enclosures_lost = Stats.key "lynx.enclosures_lost"
+  let ends_adopted = Stats.key "lynx.ends_adopted"
+  let ends_moved_out = Stats.key "lynx.ends_moved_out"
+  let handler_errors = Stats.key "lynx.handler_errors"
+  let links_dead = Stats.key "lynx.links_dead"
+  let links_destroyed = Stats.key "lynx.links_destroyed"
+  let links_made = Stats.key "lynx.links_made"
+  let messages_delivered = Stats.key "lynx.messages_delivered"
+  let messages_received = Stats.key "lynx.messages_received"
+  let messages_sent = Stats.key "lynx.messages_sent"
+  let orphan_replies = Stats.key "lynx.orphan_replies"
+  let processes = Stats.key "lynx.processes"
+  let processes_finished = Stats.key "lynx.processes_finished"
+  let requests_handled = Stats.key "lynx.requests_handled"
+  let thread_exceptions = Stats.key "lynx.thread_exceptions"
+  let thread_exceptions_clean = Stats.key "lynx.thread_exceptions_clean"
+  let thread_exceptions_dirty = Stats.key "lynx.thread_exceptions_dirty"
+  let threads = Stats.key "lynx.threads"
+  let type_errors = Stats.key "lynx.type_errors"
+  let unknown_operations = Stats.key "lynx.unknown_operations"
+end
+
 (* An enclosure arriving in a message: an end that moved here gets a
    fresh handle.  Every adoption must balance against an [ends_moved_out]
    at some sender — link ends are conserved across moves. *)
@@ -105,7 +134,7 @@ let adopt_enclosure t lid =
   match Hashtbl.find_opt t.links lid with
   | Some l -> l
   | None ->
-    Stats.incr t.sts "lynx.ends_adopted";
+    Stats.incr t.sts Key.ends_adopted;
     register_link t lid
 
 (* ---- Death and termination ------------------------------------------- *)
@@ -164,7 +193,7 @@ let mark_dead t lid =
   | Some l ->
     if l.Link.l_state = Link.Live || l.Link.l_state = Link.Moving then begin
       l.Link.l_state <- Link.Dead;
-      Stats.incr t.sts "lynx.links_dead";
+      Stats.incr t.sts Key.links_dead;
       prune_seen t lid;
       (* Threads waiting for replies on this link feel the exception. *)
       let tbl = reply_tbl t lid in
@@ -180,7 +209,7 @@ let mark_dead t lid =
 let finish t =
   if not t.terminated then begin
     t.terminated <- true;
-    Stats.incr t.sts "lynx.processes_finished";
+    Stats.incr t.sts Key.processes_finished;
     t.ops.Backend.b_shutdown ();
     Hashtbl.iter
       (fun lid l ->
@@ -217,16 +246,16 @@ let spawn_thread t ?tname f =
       t.thread_seq <- t.thread_seq + 1;
       Printf.sprintf "%s.t%d" t.pname t.thread_seq
   in
-  Stats.incr t.sts "lynx.threads";
+  Stats.incr t.sts Key.threads;
   ignore
     (Engine.spawn t.eng ~name:tname ~daemon:true (fun () ->
          try f () with
          | Excn.Process_terminated -> ()
          | e ->
-           Stats.incr t.sts "lynx.thread_exceptions";
+           Stats.incr t.sts Key.thread_exceptions;
            Stats.incr t.sts
-             (if Excn.is_lynx e then "lynx.thread_exceptions_clean"
-              else "lynx.thread_exceptions_dirty");
+             (if Excn.is_lynx e then Key.thread_exceptions_clean
+              else Key.thread_exceptions_dirty);
            Engine.record t.eng
              (Printf.sprintf "%s aborted: %s" tname (Excn.to_string e));
            t.thread_failures <- (tname, e) :: t.thread_failures))
@@ -262,7 +291,7 @@ let send_message t (l : Link.t) ~kind ~corr ~op ?(retx = false) ?exn_msg
     (Costs.message_cpu t.costs ~bytes:(Bytes.length payload) ~side:`Send);
   List.iter (fun (e : Link.t) -> e.Link.l_state <- Link.Moving) encls;
   l.Link.unreceived_sends <- l.Link.unreceived_sends + 1;
-  Stats.incr t.sts "lynx.messages_sent";
+  Stats.incr t.sts Key.messages_sent;
   let done_ivar = Sync.Ivar.create t.eng in
   t.ops.Backend.b_send ~link:l.Link.lid ~kind ~corr ~op ~retx ~exn_msg ~payload
     ~enclosures:(List.map (fun (e : Link.t) -> e.Link.lid) encls)
@@ -273,15 +302,15 @@ let send_message t (l : Link.t) ~kind ~corr ~op ?(retx = false) ?exn_msg
   | Ok () ->
     List.iter (fun (e : Link.t) -> e.Link.l_state <- Link.Moved) encls;
     if encls <> [] then
-      Stats.incr t.sts ~by:(List.length encls) "lynx.ends_moved_out";
-    Stats.incr t.sts "lynx.messages_delivered"
+      Stats.incr t.sts ~by:(List.length encls) Key.ends_moved_out;
+    Stats.incr t.sts Key.messages_delivered
   | Error { Backend.se_exn; se_recovered } ->
     List.iter
       (fun (e : Link.t) ->
         if List.mem e.Link.lid se_recovered then e.Link.l_state <- Link.Live
         else begin
           e.Link.l_state <- Link.Lost;
-          Stats.incr t.sts "lynx.enclosures_lost"
+          Stats.incr t.sts Key.enclosures_lost
         end)
       encls;
     raise se_exn
@@ -317,7 +346,7 @@ let call_attempt t (l : Link.t) ~op ~corr ?(retx = false) ?timeout vs =
   | Some d ->
     Engine.schedule_after t.eng d (fun () ->
         if not (Sync.Ivar.is_filled ivar) then begin
-          Stats.incr t.sts "lynx.call_timeouts";
+          Stats.incr t.sts Key.call_timeouts;
           Sync.Ivar.fill_error ivar (Excn.Timeout op)
         end));
   let rx =
@@ -351,7 +380,7 @@ let decode_reply t ~op ?expect (rx : Backend.rx) =
 
 let call t (l : Link.t) ~op ?expect vs =
   usable_or_raise l;
-  Stats.incr t.sts "lynx.calls";
+  Stats.incr t.sts Key.calls;
   let corr = fresh_corr t in
   let rx =
     match t.screening with
@@ -369,12 +398,12 @@ let call t (l : Link.t) ~op ?expect vs =
           | rx -> rx
           | exception Excn.Timeout _ ->
             if n >= sp.Faults.Plan.s_budget then begin
-              Stats.incr t.sts "lynx.call_budget_exhausted";
+              Stats.incr t.sts Key.call_budget_exhausted;
               raise
                 (Excn.Timeout
                    (Printf.sprintf "%s: no reply after %d attempts" op n))
             end;
-            Stats.incr t.sts "lynx.call_retries";
+            Stats.incr t.sts Key.call_retries;
             attempt (n + 1)
               ~timeout:
                 (Time.min
@@ -431,7 +460,7 @@ let run_handler t (l : Link.t) (h : handler) ~corr (inc : incoming) =
   spawn_thread t ~tname:h.h_tname (fun () ->
       let check_or_exn tys vs what =
         if not (Value.check_list tys vs) then begin
-          Stats.incr t.sts "lynx.type_errors";
+          Stats.incr t.sts Key.type_errors;
           raise
             (Excn.Type_error
                (Printf.sprintf "%s of %s does not match %s" what inc.in_op
@@ -448,10 +477,10 @@ let run_handler t (l : Link.t) (h : handler) ~corr (inc : incoming) =
         | None -> h.h_fn inc.in_args
       with
       | results ->
-        Stats.incr t.sts "lynx.requests_handled";
+        Stats.incr t.sts Key.requests_handled;
         inc.in_reply results
       | exception e ->
-        Stats.incr t.sts "lynx.handler_errors";
+        Stats.incr t.sts Key.handler_errors;
         (* The incoming still owes a reply; answer with the exception. *)
         send_exn_reply t l ~corr ~op:inc.in_op (Excn.to_string e))
 
@@ -504,13 +533,13 @@ let dispatch_reply t (l : Link.t) (rx : Backend.rx) =
   | Some ivar ->
     Hashtbl.remove tbl rx.Backend.rx_corr;
     Sync.Ivar.fill ivar rx
-  | None -> Stats.incr t.sts "lynx.orphan_replies"
+  | None -> Stats.incr t.sts Key.orphan_replies
 
 (* Answer a duplicate of an already-served request from the dedup cache:
    the reply the client missed is retransmitted, the handler does not
    run again. *)
 let resend_cached t (l : Link.t) ~corr ~op served =
-  Stats.incr t.sts "lynx.dup_replies_resent";
+  Stats.incr t.sts Key.dup_replies_resent;
   spawn_thread t ~tname:(Printf.sprintf "%s.rereply" t.pname) (fun () ->
       try
         match served with
@@ -534,10 +563,10 @@ let screen_duplicate t (l : Link.t) (rx : Backend.rx) =
     let key = (l.Link.lid, rx.Backend.rx_corr) in
     match Hashtbl.find_opt t.seen key with
     | Some In_progress ->
-      Stats.incr t.sts "lynx.dup_requests_dropped";
+      Stats.incr t.sts Key.dup_requests_dropped;
       true
     | Some (Served served) ->
-      Stats.incr t.sts "lynx.dup_requests_dropped";
+      Stats.incr t.sts Key.dup_requests_dropped;
       resend_cached t l ~corr:rx.Backend.rx_corr ~op:rx.Backend.rx_op served;
       true
     | None ->
@@ -573,7 +602,7 @@ let dispatch_request t (l : Link.t) (rx : Backend.rx) =
         spawn_thread t (fun () ->
             send_exn_reply t l ~corr:rx.Backend.rx_corr ~op:rx.Backend.rx_op m))
     | None ->
-      Stats.incr t.sts "lynx.unknown_operations";
+      Stats.incr t.sts Key.unknown_operations;
       (* The queue was open but nobody serves this operation. *)
       l.Link.owed_replies <- l.Link.owed_replies + 1;
       spawn_thread t (fun () ->
@@ -595,7 +624,7 @@ let dispatcher_step t =
            (Costs.message_cpu t.costs
               ~bytes:(Bytes.length rx.Backend.rx_payload)
               ~side:`Recv));
-      Stats.incr t.sts "lynx.messages_received";
+      Stats.incr t.sts Key.messages_received;
       (match kind with
       | Backend.Reply -> dispatch_reply t l rx
       | Backend.Request -> dispatch_request t l rx);
@@ -618,7 +647,7 @@ let rec dispatcher_loop t =
 
 let new_link t =
   let lid_a, lid_b = t.ops.Backend.b_new_link () in
-  Stats.incr t.sts "lynx.links_made";
+  Stats.incr t.sts Key.links_made;
   (register_link t lid_a, register_link t lid_b)
 
 let adopt_link t lid =
@@ -634,7 +663,7 @@ let park t =
 
 let destroy_link t (l : Link.t) =
   usable_or_raise l;
-  Stats.incr t.sts "lynx.links_destroyed";
+  Stats.incr t.sts Key.links_destroyed;
   t.ops.Backend.b_destroy ~link:l.Link.lid;
   mark_dead t l.Link.lid
 
@@ -698,7 +727,7 @@ let make eng ~name:pname ~costs ~stats:sts ?screening ops =
       thread_seq = 0;
     }
   in
-  Stats.incr sts "lynx.processes";
+  Stats.incr sts Key.processes;
   ignore
     (Engine.spawn eng ~name:(pname ^ ".dispatch") ~daemon:true (fun () ->
          dispatcher_loop t));

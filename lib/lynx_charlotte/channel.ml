@@ -152,9 +152,25 @@ let register t (ce : CT.link_end) =
 let chan_of_end t (e : CT.link_end) =
   Hashtbl.find_opt t.by_end (e.CT.link_id, e.CT.side)
 
-(* Per-packet counter names, one per direction and packet type. *)
+module Key = struct
+  let bounce_unknown_seq = Stats.key "lynx_charlotte.bounce_unknown_seq"
+  let cancel_failed = Stats.key "lynx_charlotte.cancel_failed"
+  let enclosures_lost = Stats.key "lynx_charlotte.enclosures_lost"
+  let malformed = Stats.key "lynx_charlotte.malformed"
+  let orphan_acks = Stats.key "lynx_charlotte.orphan_acks"
+  let orphan_completions = Stats.key "lynx_charlotte.orphan_completions"
+  let orphan_enc = Stats.key "lynx_charlotte.orphan_enc"
+  let orphan_goahead = Stats.key "lynx_charlotte.orphan_goahead"
+  let orphan_sent = Stats.key "lynx_charlotte.orphan_sent"
+  let send_errors = Stats.key "lynx_charlotte.send_errors"
+  let unwanted_received = Stats.key "lynx_charlotte.unwanted_received"
+end
+
+(* Per-packet counter keys, one per direction and packet type. *)
 let pkt_counters dir =
-  Array.map (Printf.sprintf "lynx_charlotte.pkt_%s.%s" dir) Packet.labels
+  Array.map
+    (fun l -> Stats.key (Printf.sprintf "lynx_charlotte.pkt_%s.%s" dir l))
+    Packet.labels
 
 let sent_counters = pkt_counters "sent"
 let received_counters = pkt_counters "received"
@@ -181,7 +197,7 @@ let fail_frame t (c : chan) (fr : frame) =
     List.iter
       (fun h ->
         if not (List.mem h recovered) then
-          Stats.incr t.sts "lynx_charlotte.enclosures_lost")
+          Stats.incr t.sts Key.enclosures_lost)
       fr.fr_encl;
     ignore c;
     fr.fr_completion
@@ -219,7 +235,7 @@ let enclosure_ready t (ec : chan) =
       ec.recv_posted <- false;
       true
     | CT.E_busy ->
-      Stats.incr t.sts "lynx_charlotte.cancel_failed";
+      Stats.incr t.sts Key.cancel_failed;
       false
     | CT.E_destroyed ->
       on_dead t ec;
@@ -275,7 +291,7 @@ let rec kick t (c : chan) =
           on_dead t c
         | st ->
           c.send_outstanding <- None;
-          Stats.incr t.sts "lynx_charlotte.send_errors";
+          Stats.incr t.sts Key.send_errors;
           Engine.record (K.engine t.kernel)
             (Printf.sprintf "charlotte send error: %s" (CT.status_to_string st));
           (match pk.pk_frame with Some fr -> fail_frame t c fr | None -> ());
@@ -371,7 +387,7 @@ let rec ensure_recv t (c : chan) =
         c.recv_posted <- false;
         (* Cancelling may enable a pending Allow. *)
         if c.forbid_sent then ensure_recv t c
-      | CT.E_busy -> Stats.incr t.sts "lynx_charlotte.cancel_failed"
+      | CT.E_busy -> Stats.incr t.sts Key.cancel_failed
       | CT.E_destroyed -> on_dead t c
       | _ -> ()
     end
@@ -411,7 +427,7 @@ let finalize_incoming t (c : chan) kind (d : Packet.data_header)
    [Forbid] if we must keep a receive posted (a reply is expected, so a
    plain retransmission would come straight back), else with [Retry]. *)
 let bounce_request t (c : chan) (d : Packet.data_header) enclosure =
-  Stats.incr t.sts "lynx_charlotte.unwanted_received";
+  Stats.incr t.sts Key.unwanted_received;
   let carry = Option.map (fun e -> Raw e) enclosure in
   if c.want_replies then begin
     c.forbid_sent <- true;
@@ -426,7 +442,7 @@ let bounce_request t (c : chan) (d : Packet.data_header) enclosure =
    back with the bounce and is ours again; requeue the frame. *)
 let revive_frame t (c : chan) seq ~resend =
   match Hashtbl.find_opt c.frames seq with
-  | None -> Stats.incr t.sts "lynx_charlotte.bounce_unknown_seq"
+  | None -> Stats.incr t.sts Key.bounce_unknown_seq
   | Some fr ->
     if not fr.fr_failed then begin
       (* Returned first enclosure: we own its end again. *)
@@ -470,7 +486,7 @@ let handle_data_packet t (c : chan) kind (d : Packet.data_header) enclosure =
 
 let handle_enc_packet t (c : chan) kind _seq enclosure =
   match c.partials.(kind_index kind) with
-  | None -> Stats.incr t.sts "lynx_charlotte.orphan_enc"
+  | None -> Stats.incr t.sts Key.orphan_enc
   | Some pa ->
     (match enclosure with
     | Some e -> pa.pa_got <- e :: pa.pa_got
@@ -483,7 +499,7 @@ let handle_enc_packet t (c : chan) kind _seq enclosure =
 let handle_received t (c : chan) (comp : CT.completion) =
   c.recv_posted <- false;
   match Packet.decode comp.CT.c_data with
-  | exception Packet.Malformed -> Stats.incr t.sts "lynx_charlotte.malformed"
+  | exception Packet.Malformed -> Stats.incr t.sts Key.malformed
   | header ->
     count_pkt t received_counters header;
     (match header with
@@ -499,7 +515,7 @@ let handle_received t (c : chan) (comp : CT.completion) =
         fr.fr_awaiting_goahead <- false;
         c.awaiting_goaheads <- c.awaiting_goaheads - 1;
         enqueue_enc_packets t c fr
-      | _ -> Stats.incr t.sts "lynx_charlotte.orphan_goahead")
+      | _ -> Stats.incr t.sts Key.orphan_goahead)
     | Packet.Retry { r_seq } ->
       (* Resend at once: the kernel will delay the retransmission until
          the peer posts a receive again. *)
@@ -512,7 +528,7 @@ let handle_received t (c : chan) (comp : CT.completion) =
       | Some fr when not (fr.fr_completed || fr.fr_failed) ->
         c.awaiting_acks <- max 0 (c.awaiting_acks - 1);
         complete_frame t c fr
-      | _ -> Stats.incr t.sts "lynx_charlotte.orphan_acks")
+      | _ -> Stats.incr t.sts Key.orphan_acks)
     | Packet.Allow ->
       c.forbid_received <- false;
       let rec drain () =
@@ -527,7 +543,7 @@ let handle_received t (c : chan) (comp : CT.completion) =
 
 let handle_sent t (c : chan) (comp : CT.completion) =
   match c.send_outstanding with
-  | None -> Stats.incr t.sts "lynx_charlotte.orphan_sent"
+  | None -> Stats.incr t.sts Key.orphan_sent
   | Some pk ->
     c.send_outstanding <- None;
     (if comp.CT.c_status = CT.E_destroyed then (
@@ -564,7 +580,7 @@ let handle_sent t (c : chan) (comp : CT.completion) =
 
 let handle_completion t (comp : CT.completion) =
   match chan_of_end t comp.CT.c_end with
-  | None -> Stats.incr t.sts "lynx_charlotte.orphan_completions"
+  | None -> Stats.incr t.sts Key.orphan_completions
   | Some c -> (
     if comp.CT.c_status = CT.E_destroyed then begin
       (match comp.CT.c_dir with

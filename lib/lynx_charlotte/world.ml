@@ -33,6 +33,8 @@ let kernel t = t.kernel
 let stats t = t.sts
 let engine t = Charlotte.Kernel.engine t.kernel
 
+let bodies_screened = Sim.Stats.key "lynx.bodies_screened"
+
 let spawn t ?daemon ~node ~name body =
   let eng = engine t in
   let m =
@@ -79,7 +81,7 @@ let spawn t ?daemon ~node ~name body =
              else
                try body p
                with e when Lynx.Excn.is_lynx e ->
-                 Sim.Stats.incr t.sts "lynx.bodies_screened")));
+                 Sim.Stats.incr t.sts bodies_screened)));
   m
 
 (** Creates a link with one end in each process — the bootstrap link a

@@ -89,6 +89,18 @@ let clear_flag t (c : chan) bit =
 let peer_dq t (c : chan) =
   K.read32 t.kernel t.pid c.obj ~off:(Layout.dq_name_off (1 - c.side))
 
+module Key = struct
+  let destroys = Stats.key "lynx_chrysalis.destroys"
+  let discarded_notices = Stats.key "lynx_chrysalis.discarded_notices"
+  let ends_adopted = Stats.key "lynx_chrysalis.ends_adopted"
+  let links_made = Stats.key "lynx_chrysalis.links_made"
+  let msgs_taken = Stats.key "lynx_chrysalis.msgs_taken"
+  let msgs_written = Stats.key "lynx_chrysalis.msgs_written"
+  let spurious_free_notices = Stats.key "lynx_chrysalis.spurious_free_notices"
+  let stale_mirror = Stats.key "lynx_chrysalis.stale_mirror"
+  let stale_notices = Stats.key "lynx_chrysalis.stale_notices"
+end
+
 (* Post a notice on the peer's dual queue.  The name we read may be stale
    or torn (it is written non-atomically when the end moves); a notice to
    a wrong queue is harmless — notices are hints — and flag inspection by
@@ -98,7 +110,7 @@ let notify_peer t (c : chan) datum =
   match K.dq_enqueue t.kernel t.pid dq datum with
   | () -> ()
   | exception Chrysalis.Types.Memory_fault _ ->
-    Stats.incr t.sts "lynx_chrysalis.stale_notices"
+    Stats.incr t.sts Key.stale_notices
 
 let self_notice t datum =
   try K.dq_enqueue t.kernel t.pid t.my_dq datum
@@ -144,7 +156,7 @@ let adopt t ~obj ~side =
   done;
   if flags land Layout.destroyed_bit <> 0 then
     self_notice t (Layout.notice_destroy ~obj);
-  Stats.incr t.sts "lynx_chrysalis.ends_adopted";
+  Stats.incr t.sts Key.ends_adopted;
   c
 
 (* ---- Sending ------------------------------------------------------------ *)
@@ -178,7 +190,7 @@ let transmit t (c : chan) (fr : frame) =
     invalid_arg "lynx_chrysalis: message exceeds link buffer";
   K.write_bytes t.kernel t.pid c.obj ~off:(Layout.slot_off slot) body;
   set_flag t c (Layout.present_bit slot);
-  Stats.incr t.sts "lynx_chrysalis.msgs_written";
+  Stats.incr t.sts Key.msgs_written;
   notify_peer t c (Layout.notice_msg ~obj:c.obj ~slot)
 
 let fail_frame (fr : frame) exn =
@@ -235,7 +247,7 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion
 let on_slot_freed t (c : chan) kind =
   let ki = kind_index kind in
   match c.inflight.(ki) with
-  | None -> Stats.incr t.sts "lynx_chrysalis.spurious_free_notices"
+  | None -> Stats.incr t.sts Key.spurious_free_notices
   | Some fr ->
     c.inflight.(ki) <- None;
     (* Moved ends leave our address space now that the peer has them. *)
@@ -278,7 +290,7 @@ let take t ~link ~kind =
       (* The flags are the truth; the mirror is a cached hint. *)
       if read_flags t c land bit = 0 then begin
         c.in_present.(ki) <- false;
-        Stats.incr t.sts "lynx_chrysalis.stale_mirror";
+        Stats.incr t.sts Key.stale_mirror;
         None
       end
       else begin
@@ -304,7 +316,7 @@ let take t ~link ~kind =
         c.in_present.(ki) <- false;
         clear_flag t c bit;
         notify_peer t c (Layout.notice_msg ~obj:c.obj ~slot);
-        Stats.incr t.sts "lynx_chrysalis.msgs_taken";
+        Stats.incr t.sts Key.msgs_taken;
         (* Adopt any moved ends. *)
         let encl_handles =
           List.map
@@ -376,7 +388,7 @@ let destroy t ~link =
   | None -> ()
   | Some c ->
     if c.live then begin
-      Stats.incr t.sts "lynx_chrysalis.destroys";
+      Stats.incr t.sts Key.destroys;
       set_flag t c Layout.destroyed_bit;
       notify_peer t c (Layout.notice_destroy ~obj:c.obj);
       release t c
@@ -394,7 +406,7 @@ let on_destroyed t (c : chan) =
 
 let handle_notice t datum =
   let obj = Layout.notice_obj datum and tag = Layout.notice_tag datum in
-  let discard () = Stats.incr t.sts "lynx_chrysalis.discarded_notices" in
+  let discard () = Stats.incr t.sts Key.discarded_notices in
   if tag = notice_shutdown then ()
   else if tag = 15 then begin
     (* Destruction hint: believe it only if the flag agrees, for every
@@ -463,7 +475,7 @@ let new_link t () =
   ignore (register t ~obj ~side:0 ~handle:h0);
   let h1 = fresh_handle t in
   ignore (register t ~obj ~side:1 ~handle:h1);
-  Stats.incr t.sts "lynx_chrysalis.links_made";
+  Stats.incr t.sts Key.links_made;
   (h0, h1)
 
 let set_interest t ~link ~requests ~replies =

@@ -188,6 +188,27 @@ let on_dead t (c : chan) ~by_peer =
     end
   end
 
+module Key = struct
+  let data_puts = Stats.key "lynx_soda.data_puts"
+  let destroys = Stats.key "lynx_soda.destroys"
+  let discover_attempts = Stats.key "lynx_soda.discover_attempts"
+  let ends_adopted = Stats.key "lynx_soda.ends_adopted"
+  let ends_moved_out = Stats.key "lynx_soda.ends_moved_out"
+  let freeze_searches = Stats.key "lynx_soda.freeze_searches"
+  let freezes_received = Stats.key "lynx_soda.freezes_received"
+  let hints_repaired = Stats.key "lynx_soda.hints_repaired"
+  let links_made = Stats.key "lynx_soda.links_made"
+  let links_presumed_destroyed = Stats.key "lynx_soda.links_presumed_destroyed"
+  let malformed = Stats.key "lynx_soda.malformed"
+  let moved_redirects = Stats.key "lynx_soda.moved_redirects"
+  let msgs_queued = Stats.key "lynx_soda.msgs_queued"
+  let orphan_completions = Stats.key "lynx_soda.orphan_completions"
+  let pair_limit_backoffs = Stats.key "lynx_soda.pair_limit_backoffs"
+  let redirects_served = Stats.key "lynx_soda.redirects_served"
+  let signal_budget_deferrals = Stats.key "lynx_soda.signal_budget_deferrals"
+  let stale_hints = Stats.key "lynx_soda.stale_hints"
+end
+
 let rec post_msg t (m : out_msg) =
   if not m.o_done then
     if not m.o_chan.live then fail_msg m Lynx.Excn.Link_destroyed
@@ -200,13 +221,13 @@ let rec post_msg t (m : out_msg) =
           ~data:m.o_body ~recv_max:0
       with
       | Ok req ->
-        Stats.incr t.sts "lynx_soda.data_puts";
+        Stats.incr t.sts Key.data_puts;
         Engine.stamp (engine t) (req_key req);
         Hashtbl.replace t.out_by_req req (O_msg m)
       | Error `Pair_limit ->
         (* Too many outstanding requests to this destination (§4.2.1);
            back off and retry from a fresh fiber. *)
-        Stats.incr t.sts "lynx_soda.pair_limit_backoffs";
+        Stats.incr t.sts Key.pair_limit_backoffs;
         ignore
           (Engine.spawn (engine t) ~name:"soda.backoff" ~daemon:true (fun () ->
                Engine.sleep (engine t) (Time.ms 2);
@@ -232,7 +253,7 @@ let rec post_signal t (c : chan) =
     let budget = (S.costs t.kernel).Soda.Costs.pair_limit - 2 in
     let dst = c.hint in
     if t.signal_budget && sigs_at t dst >= budget then begin
-      Stats.incr t.sts "lynx_soda.signal_budget_deferrals";
+      Stats.incr t.sts Key.signal_budget_deferrals;
       ignore
         (Engine.spawn (engine t) ~name:"soda.sig-budget" ~daemon:true
            (fun () ->
@@ -250,7 +271,7 @@ let rec post_signal t (c : chan) =
         Hashtbl.replace t.out_by_req req (O_sig c)
       | Error `Pair_limit ->
         sig_slot_release t dst;
-        Stats.incr t.sts "lynx_soda.pair_limit_backoffs";
+        Stats.incr t.sts Key.pair_limit_backoffs;
         ignore
           (Engine.spawn (engine t) ~name:"soda.sig-backoff" ~daemon:true
              (fun () ->
@@ -265,7 +286,7 @@ let rec post_signal t (c : chan) =
 (* The freeze/unfreeze absolute search (§4.2): ask every process, while
    it pauses its own sends, whether it knows where [name] lives. *)
 let freeze_search t name =
-  Stats.incr t.sts "lynx_soda.freeze_searches";
+  Stats.incr t.sts Key.freeze_searches;
   let mb = Sync.Mailbox.create (engine t) in
   let targets =
     List.filter
@@ -312,7 +333,7 @@ let resolve_far_end t (c : chan) =
   let rec disc k =
     if k = 0 then None
     else begin
-      Stats.incr t.sts "lynx_soda.discover_attempts";
+      Stats.incr t.sts Key.discover_attempts;
       match S.discover t.kernel t.pid c.far_name with
       | Some pid -> Some pid
       | None -> disc (k - 1)
@@ -325,7 +346,7 @@ let repair_and_retry t (c : chan) ~retry ~give_up =
     (Engine.spawn (engine t) ~name:"soda.repair" ~daemon:true (fun () ->
          match resolve_far_end t c with
          | Some pid ->
-           Stats.incr t.sts "lynx_soda.hints_repaired";
+           Stats.incr t.sts Key.hints_repaired;
            c.hint <- pid;
            retry ()
          | None ->
@@ -334,7 +355,7 @@ let repair_and_retry t (c : chan) ~retry ~give_up =
               assume it has been destroyed").  The operation that
               triggered the search fails explicitly — it was already
               detached from the outstanding-request table. *)
-           Stats.incr t.sts "lynx_soda.links_presumed_destroyed";
+           Stats.incr t.sts Key.links_presumed_destroyed;
            on_dead t c ~by_peer:true;
            give_up ()))
 
@@ -354,7 +375,7 @@ let finish_move t (m : out_msg) =
         Hashtbl.remove t.chans h;
         Hashtbl.remove t.by_name ec.my_name;
         Hashtbl.replace t.forward ec.my_name m.o_dst;
-        Stats.incr t.sts "lynx_soda.ends_moved_out";
+        Stats.incr t.sts Key.ends_moved_out;
         (match ec.sig_out with
         | Some (req, dst) ->
           ignore (S.withdraw t.kernel t.pid req);
@@ -375,7 +396,7 @@ let handle_request t (inc : ST.incoming) =
   if inc.ST.i_name = Wire.freeze_name t.pid then (
     match Wire.decode_req_oob inc.ST.i_oob with
     | Some (Wire.Freeze sought) ->
-      Stats.incr t.sts "lynx_soda.freezes_received";
+      Stats.incr t.sts Key.freezes_received;
       t.frozen <- true;
       let answer =
         match Hashtbl.find_opt t.by_name sought with
@@ -405,7 +426,7 @@ let handle_request t (inc : ST.incoming) =
       c.hint <- inc.ST.i_from;
       match Wire.decode_req_oob inc.ST.i_oob with
       | Some (Wire.Msg kind) ->
-        Stats.incr t.sts "lynx_soda.msgs_queued";
+        Stats.incr t.sts Key.msgs_queued;
         Queue.add
           { p_req = inc.ST.i_id; p_from = inc.ST.i_from }
           c.in_q.(kind_index kind);
@@ -416,7 +437,7 @@ let handle_request t (inc : ST.incoming) =
     | None -> (
       match Hashtbl.find_opt t.forward inc.ST.i_name with
       | Some fwd ->
-        Stats.incr t.sts "lynx_soda.redirects_served";
+        Stats.incr t.sts Key.redirects_served;
         accept_zero t inc.ST.i_id (Wire.Moved fwd)
       | None ->
         (* A name we have forgotten entirely: destroyed long ago. *)
@@ -424,7 +445,7 @@ let handle_request t (inc : ST.incoming) =
 
 let handle_completed t (comp : ST.completion) =
   match Hashtbl.find_opt t.out_by_req comp.ST.c_id with
-  | None -> Stats.incr t.sts "lynx_soda.orphan_completions"
+  | None -> Stats.incr t.sts Key.orphan_completions
   | Some entry -> (
     Hashtbl.remove t.out_by_req comp.ST.c_id;
     match entry with
@@ -440,7 +461,7 @@ let handle_completed t (comp : ST.completion) =
         on_dead t m.o_chan ~by_peer:true;
         fail_msg m Lynx.Excn.Link_destroyed
       | Some (Wire.Moved pid) ->
-        Stats.incr t.sts "lynx_soda.moved_redirects";
+        Stats.incr t.sts Key.moved_redirects;
         m.o_chan.hint <- pid;
         post_msg t m
       | _ -> fail_msg m (Lynx.Excn.Remote_error "bad accept oob"))
@@ -470,7 +491,7 @@ let handle_aborted t a_id (reason : ST.abort_reason) =
         (* The hint may merely be stale (the far end moved on, or the
            caching process died).  Search before giving up: if nobody
            knows the name, the link is presumed destroyed (§4.2). *)
-        Stats.incr t.sts "lynx_soda.stale_hints";
+        Stats.incr t.sts Key.stale_hints;
         repair_and_retry t m.o_chan
           ~retry:(fun () -> post_msg t m)
           ~give_up:(fun () -> fail_msg m Lynx.Excn.Link_destroyed)
@@ -482,7 +503,7 @@ let handle_aborted t a_id (reason : ST.abort_reason) =
       c.sig_out <- None;
       match reason with
       | ST.Peer_crashed | ST.Name_not_advertised ->
-        Stats.incr t.sts "lynx_soda.stale_hints";
+        Stats.incr t.sts Key.stale_hints;
         repair_and_retry t c
           ~retry:(fun () -> post_signal t c)
           ~give_up:(fun () -> ())
@@ -519,7 +540,7 @@ let new_link t () =
   let n0 = S.new_name t.kernel t.pid and n1 = S.new_name t.kernel t.pid in
   let c0 = register t ~my_name:n0 ~far_name:n1 ~hint:t.pid in
   let c1 = register t ~my_name:n1 ~far_name:n0 ~hint:t.pid in
-  Stats.incr t.sts "lynx_soda.links_made";
+  Stats.incr t.sts Key.links_made;
   (c0.h, c1.h)
 
 let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion =
@@ -627,7 +648,7 @@ let take t ~link ~kind =
       | Ok raw -> (
         match Wire.decode_body raw with
         | exception Wire.Malformed ->
-          Stats.incr t.sts "lynx_soda.malformed";
+          Stats.incr t.sts Key.malformed;
           None
         | body ->
           Engine.adopt (engine t) (req_key p.p_req);
@@ -641,7 +662,7 @@ let take t ~link ~kind =
                   register t ~my_name:e.Wire.e_my_name ~far_name:e.Wire.e_far_name
                     ~hint:e.Wire.e_hint
                 in
-                Stats.incr t.sts "lynx_soda.ends_adopted";
+                Stats.incr t.sts Key.ends_adopted;
                 ec.h)
               body.Wire.b_encl
           in
@@ -668,7 +689,7 @@ let destroy t ~link =
   | None -> ()
   | Some c ->
     if c.live then begin
-      Stats.incr t.sts "lynx_soda.destroys";
+      Stats.incr t.sts Key.destroys;
       flush_pending t c Wire.Destroyed;
       on_dead t c ~by_peer:false
     end

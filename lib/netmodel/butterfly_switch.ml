@@ -39,12 +39,18 @@ let access_time t ~src ~dst ~bytes =
       (Time.scale t.stage_latency t.n_stages)
       (Time.scale t.remote_byte_time bytes)
 
+module Key = struct
+  let bytes = Stats.key "switch.bytes"
+  let remote_transfers = Stats.key "switch.remote_transfers"
+  let transfers = Stats.key "switch.transfers"
+end
+
 let transfer t ~src ~dst ~bytes ~on_done =
   if src < 0 || src >= t.n_processors || dst < 0 || dst >= t.n_processors then
     invalid_arg "Butterfly_switch.transfer: bad processor";
-  Stats.incr t.stats "switch.transfers";
-  Stats.incr t.stats "switch.bytes" ~by:bytes;
-  if src <> dst then Stats.incr t.stats "switch.remote_transfers";
+  Stats.incr t.stats Key.transfers;
+  Stats.incr t.stats Key.bytes ~by:bytes;
+  if src <> dst then Stats.incr t.stats Key.remote_transfers;
   Engine.schedule_after t.engine (access_time t ~src ~dst ~bytes) on_done
 
 let stats t = t.stats

@@ -37,6 +37,14 @@ let stations t = t.n_stations
 let frame_time t ~bytes =
   Time.add t.frame_overhead (Time.scale t.byte_time bytes)
 
+module Key = struct
+  let backoffs = Stats.key "csma.backoffs"
+  let broadcast_losses = Stats.key "csma.broadcast_losses"
+  let broadcasts = Stats.key "csma.broadcasts"
+  let busy_ns = Stats.key "csma.busy_ns"
+  let frames = Stats.key "csma.frames"
+end
+
 (* Acquire the bus: if busy, back off a random number of slots drawn from
    a window that doubles with each failed attempt. Returns the start time
    and reserves the bus through [start + duration]. *)
@@ -45,7 +53,7 @@ let acquire t ~duration =
   let rec attempt tries candidate =
     if Time.(candidate >= t.busy_until) then candidate
     else begin
-      Stats.incr t.stats "csma.backoffs";
+      Stats.incr t.stats Key.backoffs;
       let exp = min tries t.max_backoff_exp in
       let window = 1 lsl exp in
       let slots = 1 + Rng.int t.rng window in
@@ -59,7 +67,7 @@ let acquire t ~duration =
 let transmit t ~src ~dst ~duration ~on_delivered =
   if src < 0 || src >= t.n_stations || dst < 0 || dst >= t.n_stations then
     invalid_arg "Csma_bus.transmit: bad station";
-  Stats.incr t.stats "csma.frames";
+  Stats.incr t.stats Key.frames;
   let on_delivered =
     (* The frame's name is only read by the injector: build it only
        when one is armed. *)
@@ -73,13 +81,13 @@ let transmit t ~src ~dst ~duration ~on_delivered =
   if src = dst then Engine.schedule_after t.engine duration on_delivered
   else begin
     let start = acquire t ~duration in
-    Stats.incr t.stats "csma.busy_ns" ~by:(Time.to_ns duration);
+    Stats.incr t.stats Key.busy_ns ~by:(Time.to_ns duration);
     Engine.schedule_at t.engine (Time.add start duration) on_delivered
   end
 
 let broadcast t ~src ~duration ~on_delivered =
   if src < 0 || src >= t.n_stations then invalid_arg "Csma_bus.broadcast: bad station";
-  Stats.incr t.stats "csma.broadcasts";
+  Stats.incr t.stats Key.broadcasts;
   let start = acquire t ~duration in
   let finish = Time.add start duration in
   for station = 0 to t.n_stations - 1 do
@@ -88,7 +96,7 @@ let broadcast t ~src ~duration ~on_delivered =
         (* Medium loss is part of the model ("unreliable broadcast"),
            not an injected fault, but it flows through the same typed
            event so traces and analyses see the drop. *)
-        Faults.transport_loss t.engine t.stats ~counter:"csma.broadcast_losses"
+        Faults.transport_loss t.engine t.stats ~counter:Key.broadcast_losses
           ~obj:(Printf.sprintf "bus:%d->%d" src station)
           ~op:"broadcast"
       else

@@ -28,14 +28,21 @@ let stations t = t.n_stations
 let frame_time t ~bytes =
   Time.add t.frame_overhead (Time.scale t.byte_time bytes)
 
+module Key = struct
+  let busy_ns = Stats.key "ring.busy_ns"
+  let frames = Stats.key "ring.frames"
+  let loopback_frames = Stats.key "ring.loopback_frames"
+  let queued_frames = Stats.key "ring.queued_frames"
+end
+
 let transmit t ~src ~dst ~duration ~on_delivered =
   if src < 0 || src >= t.n_stations || dst < 0 || dst >= t.n_stations then
     invalid_arg "Token_ring.transmit: bad station";
   let now = Engine.now t.engine in
-  Stats.incr t.stats "ring.frames";
+  Stats.incr t.stats Key.frames;
   if src = dst then begin
     (* Loopback: no token, no ring occupation. *)
-    Stats.incr t.stats "ring.loopback_frames";
+    Stats.incr t.stats Key.loopback_frames;
     Engine.schedule_after t.engine duration on_delivered
   end
   else begin
@@ -43,8 +50,8 @@ let transmit t ~src ~dst ~duration ~on_delivered =
     let finish = Time.add start duration in
     let queued = Time.sub start now in
     if not (Time.is_zero (Time.sub queued t.token_latency)) then
-      Stats.incr t.stats "ring.queued_frames";
-    Stats.incr t.stats "ring.busy_ns" ~by:(Time.to_ns duration);
+      Stats.incr t.stats Key.queued_frames;
+    Stats.incr t.stats Key.busy_ns ~by:(Time.to_ns duration);
     t.busy_until <- finish;
     Engine.schedule_at t.engine finish on_delivered
   end

@@ -177,8 +177,7 @@ let rng ctx = ctx.c_node.n_rng
 let note ctx msg = Engine.emit ctx.c_eng (Event.Note msg)
 let sleep ctx d = Engine.sleep ctx.c_eng d
 
-let incr ctx name by =
-  Stats.incr ~by ctx.c_t.stats.(ctx.c_node.n_shard) name
+let incr ctx key by = Stats.incr ~by ctx.c_t.stats.(ctx.c_node.n_shard) key
 
 let send ctx ~dst ?latency ?(op = "msg") msg =
   let t = ctx.c_t in
@@ -438,18 +437,7 @@ let run ?(expect_quiescent = false) t =
 
 let shard_hashes t = Array.map Engine.events_hash t.engines
 
-let counters t =
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun st ->
-      List.iter
-        (fun (k, v) ->
-          Hashtbl.replace tbl k
-            (v + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-        (Stats.to_list st))
-    t.stats;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort compare
+let counters t = Stats.to_list (Stats.sum t.stats)
 
 let merged_view t =
   let base = Engine.view t.sink in

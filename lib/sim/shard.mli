@@ -115,8 +115,8 @@ val recv : 'msg ctx -> 'msg
 
 val sleep : 'msg ctx -> Time.t -> unit
 val note : 'msg ctx -> string -> unit
-val incr : 'msg ctx -> string -> int -> unit
-(** Adds to a named counter (shard-local table, summed at the end), so
+val incr : 'msg ctx -> Stats.key -> int -> unit
+(** Adds to a counter (shard-local block, summed at the end), so
     counters are shard-count-invariant as long as each node's
     increments are. *)
 
@@ -129,7 +129,7 @@ val merged_view : 'msg t -> Engine.view
     stream and its fingerprint — byte-identical at every shard count. *)
 
 val counters : 'msg t -> (string * int) list
-(** All shard counter tables summed, sorted by name. *)
+(** All shard counter blocks summed, sorted by name. *)
 
 val windows : 'msg t -> int
 (** Barrier count — a function of the global virtual-time schedule,

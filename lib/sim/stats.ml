@@ -1,29 +1,104 @@
-type t = (string, int ref) Hashtbl.t
+(* ---- Counter keys -------------------------------------------------------
 
-let create () : t = Hashtbl.create 64
+   Counter names are static, so each is interned once, at module
+   initialisation, into this process-wide append-only registry, and a
+   [t] is an int array indexed by key.  This is the one piece of mutable
+   module-level state in lib/ (DESIGN.md §10).  Writers take [lock];
+   readers take the published [names]/[order] snapshot from an atomic,
+   so listing a block never waits.  Key numbers never reach output:
+   every listing walks [order], the keys sorted by name. *)
 
-let incr ?(by = 1) t name =
-  match Hashtbl.find_opt t name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add t name (ref by)
+type key = int
 
-let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
+type registry = {
+  names : string array;  (* key -> name *)
+  order : int array;  (* every key, sorted by name *)
+}
+
+let lock = Mutex.create ()
+let by_name : (string, key) Hashtbl.t = Hashtbl.create 256
+let registry = Atomic.make { names = [||]; order = [||] }
+
+let key name =
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt by_name name with
+      | Some k -> k
+      | None ->
+        let r = Atomic.get registry in
+        let k = Array.length r.names in
+        (* [name] goes after the [at] keys that sort before it. *)
+        let at =
+          Array.fold_left
+            (fun n j -> if String.compare r.names.(j) name < 0 then n + 1 else n)
+            0 r.order
+        in
+        let order =
+          Array.init (k + 1) (fun i ->
+              if i < at then r.order.(i) else if i = at then k else r.order.(i - 1))
+        in
+        let names = Array.append r.names [| name |] in
+        Hashtbl.add by_name name k;
+        Atomic.set registry { names; order };
+        k)
+
+(* A slot that was never bumped: distinct from 0, so a counter bumped
+   [~by:0] is still listed. *)
+let absent = min_int
+
+type t = { mutable counts : int array }
+
+let create () =
+  { counts = Array.make (Array.length (Atomic.get registry).names) absent }
+
+(* A key registered after [t] was created: grow to cover every key
+   registered so far, so this happens at most once per late batch. *)
+let grow t k =
+  let n = max (k + 1) (Array.length (Atomic.get registry).names) in
+  let a = Array.make n absent in
+  Array.blit t.counts 0 a 0 (Array.length t.counts);
+  t.counts <- a
+
+let incr ?(by = 1) t k =
+  if k >= Array.length t.counts then grow t k;
+  let c = Array.unsafe_get t.counts k in
+  Array.unsafe_set t.counts k (if c = absent then by else c + by)
+
+let get t name =
+  match Mutex.protect lock (fun () -> Hashtbl.find_opt by_name name) with
+  | Some k when k < Array.length t.counts && t.counts.(k) <> absent ->
+    t.counts.(k)
+  | _ -> 0
 
 let to_list t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let r = Atomic.get registry in
+  let a = t.counts in
+  Array.fold_right
+    (fun k acc ->
+      if k < Array.length a && a.(k) <> absent then (r.names.(k), a.(k)) :: acc
+      else acc)
+    r.order []
 
-let clear = Hashtbl.reset
+let clear t = Array.fill t.counts 0 (Array.length t.counts) absent
 let snapshot = to_list
 
-let diff ~before ~after =
-  let base = Hashtbl.create 16 in
-  List.iter (fun (k, v) -> Hashtbl.replace base k v) before;
-  List.filter_map
-    (fun (k, v) ->
-      let prev = Option.value ~default:0 (Hashtbl.find_opt base k) in
-      if v = prev then None else Some (k, v - prev))
-    after
+let sum ts =
+  let s = create () in
+  Array.iter
+    (fun t -> Array.iteri (fun k c -> if c <> absent then incr ~by:c s k) t.counts)
+    ts;
+  s
+
+(* Both snapshots are sorted by name, so one merge walk pairs them. *)
+let rec diff ~before ~after =
+  match (before, after) with
+  | _, [] -> []
+  | (kb, _) :: before, (ka, _) :: _ when String.compare kb ka < 0 ->
+    diff ~before ~after
+  | (kb, prev) :: before', (ka, v) :: after when String.equal kb ka ->
+    if v = prev then diff ~before:before' ~after
+    else (ka, v - prev) :: diff ~before:before' ~after
+  | _, (ka, v) :: after ->
+    if v = 0 then diff ~before ~after else (ka, v) :: diff ~before ~after
 
 let pp ppf t =
   Format.pp_open_vbox ppf 0;

@@ -4,23 +4,50 @@
     tests snapshot them afterwards.  Counters are cheap and passive — they
     never affect simulation behaviour. *)
 
+type key
+(** An interned counter name.
+
+    - Register each name once, at module initialisation, next to its
+      use: [let calls = Stats.key "lynx.calls"].  Registering the same
+      name again returns the same key.
+    - Registration is thread-safe: the registry is process-wide and
+      append-only, shared by every domain, and guarded by a mutex.
+    - Key numbering is never observable: every listing below is sorted
+      by name, so output does not depend on registration order, [-j] or
+      shard count. *)
+
+val key : string -> key
+
 type t
+(** A block of counters: an int array indexed by key. *)
 
 val create : unit -> t
 
-val incr : ?by:int -> t -> string -> unit
+val incr : ?by:int -> t -> key -> unit
+(** A bounds check and an array store; allocates nothing.  A computed
+    [~by] costs the caller the optional argument's 2-word [Some] cell.
+    A key registered after [t] was created grows [t] on its first use.
+    A counter that was never bumped is {e absent}, which is distinct
+    from 0: a counter bumped [~by:0] is listed by {!to_list}. *)
+
 val get : t -> string -> int
 (** 0 for a counter that was never incremented. *)
 
 val to_list : t -> (string * int) list
-(** All counters, sorted by name. *)
+(** Every present counter, sorted by name. *)
 
 val clear : t -> unit
+(** Every counter becomes absent again. *)
+
+val sum : t array -> t
+(** A fresh block holding the per-key sums; a counter is present in it
+    if it is present in any input. *)
 
 val snapshot : t -> (string * int) list
 val diff : before:(string * int) list -> after:(string * int) list -> (string * int) list
-(** Per-counter increase between two snapshots (counters that did not
-    change are omitted). *)
+(** Per-counter increase between two snapshots, both sorted by name
+    (counters that did not change are omitted; counters only in
+    [before] are ignored). *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -93,6 +93,19 @@ let outstanding t ~src ~dst = !(pair t src dst)
    interrupt; the kernel processor runs concurrently, so this is small. *)
 let charge t = Engine.sleep t.eng t.cst.Costs.interrupt_cpu
 
+module Key = struct
+  let aborts = Stats.key "soda.aborts"
+  let accepts = Stats.key "soda.accepts"
+  let discovers = Stats.key "soda.discovers"
+  let interrupts = Stats.key "soda.interrupts"
+  let interrupts_queued = Stats.key "soda.interrupts_queued"
+  let pair_limit_hits = Stats.key "soda.pair_limit_hits"
+  let request_retries = Stats.key "soda.request_retries"
+  let requests = Stats.key "soda.requests"
+  let terminations = Stats.key "soda.terminations"
+  let withdrawals = Stats.key "soda.withdrawals"
+end
+
 (* Deliver an interrupt to a process's handler.  Runs in scheduler
    context; handlers must not block (they may only record state and wake
    fibers), mirroring SODA's interrupt discipline. *)
@@ -100,11 +113,11 @@ let deliver t p intr =
   if p.p_alive then begin
     match (p.p_handler, p.p_masked, intr) with
     | Some h, false, _ ->
-      Stats.incr t.sts "soda.interrupts";
+      Stats.incr t.sts Key.interrupts;
       Engine.emit t.eng (Event.Signal { obj = p.p_intr_obj; woke = true });
       h intr
     | _, _, (Completed _ | Aborted _ | Withdrawn _) ->
-      Stats.incr t.sts "soda.interrupts_queued";
+      Stats.incr t.sts Key.interrupts_queued;
       (* The software-interrupt window: the completion arrived while the
          handler was masked or unset, so it only sits in the queue — it
          is seen again (Signal_seen) when the drain runs, or never. *)
@@ -145,7 +158,7 @@ let finish_req t (q : req) =
 let abort_req t (q : req) reason =
   if q.q_state <> Finished then begin
     finish_req t q;
-    Stats.incr t.sts "soda.aborts";
+    Stats.incr t.sts Key.aborts;
     (match Hashtbl.find_opt t.procs q.q_src with
     | Some src when src.p_alive ->
       deliver t src (Aborted { a_id = q.q_id; a_reason = reason })
@@ -163,7 +176,7 @@ let rec present t (q : req) =
       else if not (Hashtbl.mem dst.p_advertised q.q_name) then
         abort_req t q Name_not_advertised
       else if dst.p_masked || dst.p_handler = None then begin
-        Stats.incr t.sts "soda.request_retries";
+        Stats.incr t.sts Key.request_retries;
         Engine.schedule_after t.eng t.cst.Costs.retry_interval (fun () ->
             present t q)
       end
@@ -191,7 +204,7 @@ let request t pid ~dst ~name:name_ ~oob ~data ~recv_max =
   else begin
     let counter = pair t pid dst in
     if !counter >= t.cst.Costs.pair_limit then begin
-      Stats.incr t.sts "soda.pair_limit_hits";
+      Stats.incr t.sts Key.pair_limit_hits;
       Error `Pair_limit
     end
     else begin
@@ -211,7 +224,7 @@ let request t pid ~dst ~name:name_ ~oob ~data ~recv_max =
         }
       in
       Hashtbl.add t.reqs id q;
-      Stats.incr t.sts "soda.requests";
+      Stats.incr t.sts Key.requests;
       (* Request leg: kernel processing + a small frame on the bus. *)
       let dst_node =
         match Hashtbl.find_opt t.procs dst with
@@ -242,7 +255,7 @@ let accept t pid ~req ~oob ~data ~recv_max =
       match Hashtbl.find_opt t.procs q.q_src with
       | Some src when src.p_alive ->
         finish_req t q;
-        Stats.incr t.sts "soda.accepts";
+        Stats.incr t.sts Key.accepts;
         let taken = min (Bytes.length q.q_data) recv_max in
         let back =
           if Bytes.length data <= q.q_recv_max then data
@@ -276,7 +289,7 @@ let withdraw t pid req_id =
     else begin
       let was_presented = q.q_state = Presented in
       finish_req t q;
-      Stats.incr t.sts "soda.withdrawals";
+      Stats.incr t.sts Key.withdrawals;
       if was_presented then (
         match Hashtbl.find_opt t.procs q.q_dst with
         | Some dst when dst.p_alive ->
@@ -290,7 +303,7 @@ let withdraw t pid req_id =
 
 let discover t pid name_ =
   charge t;
-  Stats.incr t.sts "soda.discovers";
+  Stats.incr t.sts Key.discovers;
   let p = proc t pid in
   let responses = Sync.Mailbox.create t.eng in
   let duration = t.cst.Costs.op_fixed in
@@ -355,7 +368,7 @@ let terminate t pid =
   let p = proc t pid in
   if p.p_alive then begin
     p.p_alive <- false;
-    Stats.incr t.sts "soda.terminations";
+    Stats.incr t.sts Key.terminations;
     (* Requests presented to us and never accepted: requesters feel a
        crash interrupt ("if a process dies before accepting a request,
        the requester feels an interrupt", §4.1). *)

@@ -131,10 +131,9 @@ let retention_tests =
     Harness.Backend_world.all
 
 (* Steady-state minor words per 0 B echo call: the difference of two
-   runs cancels set-up and warm-up.  Allocation is deterministic, so the
-   budget is tight, 2% over the recorded value: one more string built
-   per message (50-70 words each, two or more messages per call)
-   breaks it. *)
+   runs cancels set-up and warm-up.  The budgets, recorded on unobserved
+   engines (no event records, vector clocks or stamps; see the causality
+   tests below), live in budgets.ml. *)
 let words_per_call b =
   let words iters =
     let before = Gc.minor_words () in
@@ -144,21 +143,14 @@ let words_per_call b =
   let w30 = words 30 in
   (words 130 -. w30) /. 100.
 
-(* Recorded on unobserved engines, which build no event records, vector
-   clocks or stamps (see the causality tests below). *)
-let budgets = [ ("charlotte", 2676.3); ("soda", 2550.0); ("chrysalis", 3572.0) ]
-
 let allocation_tests =
   List.map
     (fun b ->
       let module W = (val b : Harness.Backend_world.WORLD) in
       Alcotest.test_case (W.name ^ " words per echo call") `Quick (fun () ->
-          let budget = List.assoc W.name budgets in
-          let w = words_per_call b in
-          checkb
-            (Printf.sprintf "%.1f words per call vs budget %.1f (+2%%)" w budget)
-            true
-            (w <= budget *. 1.02)))
+          Budgets.gate "echo call"
+            ~budget:(List.assoc W.name Budgets.echo_call)
+            (words_per_call b)))
     Harness.Backend_world.all
 
 (* Rpc_bench engines have no consumer and retain nothing, so they run

@@ -761,6 +761,197 @@ let test_golden_clock_digest () =
     "clock and race digest unchanged" golden_clock_digest
     (String.concat "" (List.map clock_digest_row specs))
 
+(* [events_hash] folds no counters either.  This golden pins them: one
+   row per run, an MD5 of the artifact's [counters] list rendered as
+   [name=value] lines, over the vignettes, ring-election and quorum on
+   every backend (clean, [@mix] and the targeted plans), shard-rpc and
+   a small open-loop farm.  Captured before counters became interned
+   keys; it must stay byte-identical. *)
+let golden_counter_digest =
+  "move/charlotte/1/fifo                         25 c904a2b76742ddb8704fa9225785b8ef\n\
+   move/charlotte/1/fifo@mix                     31 10f885ed11ff4e612cb2ccc63bdc9972\n\
+   move/charlotte/2/fifo                         25 c904a2b76742ddb8704fa9225785b8ef\n\
+   move/charlotte/2/fifo@mix                     30 873fd1a16c911dcf39e1ed0dc03b96ec\n\
+   move/soda/1/fifo                              23 2e58ac34862070f485e21922d5c51e21\n\
+   move/soda/1/fifo@mix                          31 9f3e4e7cf8478772b20dd7c084225100\n\
+   move/soda/2/fifo                              23 2e58ac34862070f485e21922d5c51e21\n\
+   move/soda/2/fifo@mix                          30 44b2c5a1ae1cefad1e4b1ab122a8c7ee\n\
+   move/chrysalis/1/fifo                         21 e332dde71bd5911de25b7d37efb133ad\n\
+   move/chrysalis/1/fifo@mix                     28 811225608ccb9046286d29dcc386c8ba\n\
+   move/chrysalis/2/fifo                         21 e332dde71bd5911de25b7d37efb133ad\n\
+   move/chrysalis/2/fifo@mix                     29 dd048913a0166078b95082086f682f52\n\
+   enclosures/charlotte/1/fifo                   28 609cf162ba3b898e295f1fea664960b8\n\
+   enclosures/charlotte/1/fifo@mix               33 9b5897661685b9ecda0b35136326988f\n\
+   enclosures/charlotte/2/fifo                   28 609cf162ba3b898e295f1fea664960b8\n\
+   enclosures/charlotte/2/fifo@mix               30 c9eb66c680603744a306f5c00ef00113\n\
+   enclosures/soda/1/fifo                        22 6c1ef4d73787f4cefa58311286a7dcb7\n\
+   enclosures/soda/1/fifo@mix                    28 ccb29558875a6c55440f4b9d66dcb214\n\
+   enclosures/soda/2/fifo                        22 6c1ef4d73787f4cefa58311286a7dcb7\n\
+   enclosures/soda/2/fifo@mix                    26 b00df3f664ca083a900922a234cd8468\n\
+   enclosures/chrysalis/1/fifo                   23 f92493faff2fbfe97fa9d828706a591a\n\
+   enclosures/chrysalis/1/fifo@mix               30 3193b93bb1e184ff7bb46d51dc4f2eaf\n\
+   enclosures/chrysalis/2/fifo                   23 f92493faff2fbfe97fa9d828706a591a\n\
+   enclosures/chrysalis/2/fifo@mix               29 0e09698ed5aa03900092527e06b87b05\n\
+   cross-request/charlotte/1/fifo                27 f5b47a33fb4e75795e02c788d4ba0699\n\
+   cross-request/charlotte/1/fifo@mix            40 357a87fd8abab72ba46ae9a399b626a8\n\
+   cross-request/charlotte/2/fifo                27 f5b47a33fb4e75795e02c788d4ba0699\n\
+   cross-request/charlotte/2/fifo@mix            40 9d34e779ee448039fc46afbcd2d96d65\n\
+   cross-request/soda/1/fifo                     17 6443509fdf41b3ccd0522dfd014575f1\n\
+   cross-request/soda/1/fifo@mix                 21 b6880530cf80b72f61e82583579605e1\n\
+   cross-request/soda/2/fifo                     17 6443509fdf41b3ccd0522dfd014575f1\n\
+   cross-request/soda/2/fifo@mix                 21 e1c2b7b6fe096ccb6bec8dd1edc9f581\n\
+   cross-request/chrysalis/1/fifo                17 d6d4c8ef59574dd02698b1eb9d483a23\n\
+   cross-request/chrysalis/1/fifo@mix            21 dd02dd262051cc816fb4dfb0fd859266\n\
+   cross-request/chrysalis/2/fifo                17 d6d4c8ef59574dd02698b1eb9d483a23\n\
+   cross-request/chrysalis/2/fifo@mix            21 b2ba91a49d7c785b0018aa5d388f19a2\n\
+   open-close/charlotte/1/fifo                   25 85fd46441a34f3748a6aff6c4fd622d6\n\
+   open-close/charlotte/1/fifo@mix               35 cd2166654f1b283dd4358e71a02af9b4\n\
+   open-close/charlotte/2/fifo                   25 85fd46441a34f3748a6aff6c4fd622d6\n\
+   open-close/charlotte/2/fifo@mix               33 fafb8ce8d34fe2cf8428d1af03378494\n\
+   open-close/soda/1/fifo                        16 aade5a4dcaa954436d7dd491846b616d\n\
+   open-close/soda/1/fifo@mix                    22 9134f72ae829ec359b853b8fc581269b\n\
+   open-close/soda/2/fifo                        16 aade5a4dcaa954436d7dd491846b616d\n\
+   open-close/soda/2/fifo@mix                    21 40609ce35ac2a1dd975ce493974d4d52\n\
+   open-close/chrysalis/1/fifo                   16 289025bc8f4f2ade1b78fae6cec37183\n\
+   open-close/chrysalis/1/fifo@mix               24 65d549d9b6738d8fbb286ceaaa2b85ed\n\
+   open-close/chrysalis/2/fifo                   16 289025bc8f4f2ade1b78fae6cec37183\n\
+   open-close/chrysalis/2/fifo@mix               22 75623181d41e0f3c808a717cc417bd7d\n\
+   lost-enclosure/charlotte/1/fifo               25 57b5534134fde100e48dcc6674542aa7\n\
+   lost-enclosure/charlotte/1/fifo@mix           28 3d1ff350ab7b4e22f4db10e7ea23b5a1\n\
+   lost-enclosure/charlotte/2/fifo               25 57b5534134fde100e48dcc6674542aa7\n\
+   lost-enclosure/charlotte/2/fifo@mix           27 8ce7454e274ca029229e6665e0c2f759\n\
+   lost-enclosure/soda/1/fifo                    20 a08d40bccdd9587f96a93a06916b4b42\n\
+   lost-enclosure/soda/1/fifo@mix                27 be11b5ec7f48d0c3eefae15e895cbe67\n\
+   lost-enclosure/soda/2/fifo                    20 a08d40bccdd9587f96a93a06916b4b42\n\
+   lost-enclosure/soda/2/fifo@mix                25 f7ff270fdb335dc44ab8ea6b3035405e\n\
+   lost-enclosure/chrysalis/1/fifo               22 577b17116a7bb0649a3ba19f23fa7fb6\n\
+   lost-enclosure/chrysalis/1/fifo@mix           30 7927079bce835d22ae821c0bb627beb9\n\
+   lost-enclosure/chrysalis/2/fifo               22 577b17116a7bb0649a3ba19f23fa7fb6\n\
+   lost-enclosure/chrysalis/2/fifo@mix           30 0593736508a7a7dc9761b4c2db637e50\n\
+   bounced-enclosure/charlotte/1/fifo            32 57a674ffa7409554040c0c212b059f92\n\
+   bounced-enclosure/charlotte/1/fifo@mix        37 ce89261861227ff39ab715ed7d15fbe9\n\
+   bounced-enclosure/charlotte/2/fifo            32 57a674ffa7409554040c0c212b059f92\n\
+   bounced-enclosure/charlotte/2/fifo@mix        36 7798863693dfa9ca2a7b116c7c264d26\n\
+   bounced-enclosure/soda/1/fifo                 24 477dcb030cf2ed199505a31951fa73eb\n\
+   bounced-enclosure/soda/1/fifo@mix             32 27c6dd04934e1ca2b8594c4b31bfc07e\n\
+   bounced-enclosure/soda/2/fifo                 24 477dcb030cf2ed199505a31951fa73eb\n\
+   bounced-enclosure/soda/2/fifo@mix             31 a2884dda0e3056783403ee0b305c494d\n\
+   bounced-enclosure/chrysalis/1/fifo            25 e5404af10e9e7bd7af7373e40936fe08\n\
+   bounced-enclosure/chrysalis/1/fifo@mix        33 99323b6560e81f1a4fc952cfe3fcbdb8\n\
+   bounced-enclosure/chrysalis/2/fifo            25 e5404af10e9e7bd7af7373e40936fe08\n\
+   bounced-enclosure/chrysalis/2/fifo@mix        32 e0b0cd8281181d2139f81094f837447b\n\
+   shard-rpc/charlotte/1/fifo                     3 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/charlotte/1/fifo@mix                 3 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/charlotte/2/fifo                     3 b1ac739c208261e212f8c6fdd46fd7ed\n\
+   shard-rpc/charlotte/2/fifo@mix                 3 b1ac739c208261e212f8c6fdd46fd7ed\n\
+   shard-rpc/soda/1/fifo                          3 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/soda/1/fifo@mix                      3 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/soda/2/fifo                          3 b1ac739c208261e212f8c6fdd46fd7ed\n\
+   shard-rpc/soda/2/fifo@mix                      3 b1ac739c208261e212f8c6fdd46fd7ed\n\
+   shard-rpc/chrysalis/1/fifo                     3 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/chrysalis/1/fifo@mix                 3 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/chrysalis/2/fifo                     3 b1ac739c208261e212f8c6fdd46fd7ed\n\
+   shard-rpc/chrysalis/2/fifo@mix                 3 b1ac739c208261e212f8c6fdd46fd7ed\n\
+   ring-election/charlotte/1/fifo                26 d1e8e9905cddd0342d886846d58a8902\n\
+   ring-election/charlotte/1/fifo@mix            34 f9cfac9a1c89b9e4fd452aca07dae96a\n\
+   ring-election/charlotte/1/fifo@leader-crash   38 4837ac3d592f48036657a485d9109db8\n\
+   ring-election/charlotte/2/fifo                26 d1e8e9905cddd0342d886846d58a8902\n\
+   ring-election/charlotte/2/fifo@mix            34 c8f886b8b5841a7ae101204612ca268c\n\
+   ring-election/charlotte/2/fifo@leader-crash   38 4837ac3d592f48036657a485d9109db8\n\
+   ring-election/soda/1/fifo                     23 f99d09cc82d1ace9ae88a7f3b24ace44\n\
+   ring-election/soda/1/fifo@mix                 33 0330275107925828670f93c45926d7d3\n\
+   ring-election/soda/1/fifo@leader-crash        31 f99e48da06c6f4691a09c2bb7c05cf9c\n\
+   ring-election/soda/2/fifo                     23 3e8e64212affe493e608d16fb8711c0b\n\
+   ring-election/soda/2/fifo@mix                 34 1fe8437f398c8e008ab31ab2069f9db5\n\
+   ring-election/soda/2/fifo@leader-crash        31 1e7be6166194c9f28d4eba76c328fa89\n\
+   ring-election/chrysalis/1/fifo                23 8d01c8de3f35305bef71c0def9ab5178\n\
+   ring-election/chrysalis/1/fifo@mix            31 988d3eec9aa36eab481f921f82ae06d1\n\
+   ring-election/chrysalis/1/fifo@leader-crash   31 643b6ed395f609f02cc04d7fd791327f\n\
+   ring-election/chrysalis/2/fifo                23 8d01c8de3f35305bef71c0def9ab5178\n\
+   ring-election/chrysalis/2/fifo@mix            33 87155f881e19728737d0d5f9af8a7ed2\n\
+   ring-election/chrysalis/2/fifo@leader-crash   31 643b6ed395f609f02cc04d7fd791327f\n\
+   quorum/charlotte/1/fifo                       23 ba803b42e3e6fff008f45e148ee3017b\n\
+   quorum/charlotte/1/fifo@mix                   28 988bc962a6b24b495af69ba4393d2941\n\
+   quorum/charlotte/1/fifo@partition-minority    24 3335f50d1667a55bcf7ad5e2a32b013e\n\
+   quorum/charlotte/1/fifo@partition-majority    24 a858d13bd284c8ec2a98ea32c1bb6fd4\n\
+   quorum/charlotte/2/fifo                       23 ba803b42e3e6fff008f45e148ee3017b\n\
+   quorum/charlotte/2/fifo@mix                   30 c3c473e9d51a7378e6aea7cf07c32b43\n\
+   quorum/charlotte/2/fifo@partition-minority    24 3335f50d1667a55bcf7ad5e2a32b013e\n\
+   quorum/charlotte/2/fifo@partition-majority    24 a858d13bd284c8ec2a98ea32c1bb6fd4\n\
+   quorum/soda/1/fifo                            21 0ce6ef5fc330b49a5d6b05a57d299d52\n\
+   quorum/soda/1/fifo@mix                        29 a4eb596a2f5cc92999ecd40a500a22e1\n\
+   quorum/soda/1/fifo@partition-minority         22 12e89df99310581ccbf34ada7e926f60\n\
+   quorum/soda/1/fifo@partition-majority         22 fe4c31c20610751e2ef1a8a9f90781c6\n\
+   quorum/soda/2/fifo                            21 0ce6ef5fc330b49a5d6b05a57d299d52\n\
+   quorum/soda/2/fifo@mix                        31 fffb2f2a42035837ce892b70ad95392f\n\
+   quorum/soda/2/fifo@partition-minority         22 948054f05bf9e8d6265c9ce02863f977\n\
+   quorum/soda/2/fifo@partition-majority         22 9f30929b455a013231e0ecb931ea6d72\n\
+   quorum/chrysalis/1/fifo                       21 ece2d9e8a4f75563b27a71e3d4a7d239\n\
+   quorum/chrysalis/1/fifo@mix                   27 3730dfabb7214d0d474237e175c53c47\n\
+   quorum/chrysalis/1/fifo@partition-minority    21 2be928c74f620c6cfae2d76d1339d59f\n\
+   quorum/chrysalis/1/fifo@partition-majority    21 2be928c74f620c6cfae2d76d1339d59f\n\
+   quorum/chrysalis/2/fifo                       21 ece2d9e8a4f75563b27a71e3d4a7d239\n\
+   quorum/chrysalis/2/fifo@mix                   29 c7d31f6fb861cc66d435d3d5a0785c2b\n\
+   quorum/chrysalis/2/fifo@partition-minority    21 2be928c74f620c6cfae2d76d1339d59f\n\
+   quorum/chrysalis/2/fifo@partition-majority    21 2be928c74f620c6cfae2d76d1339d59f\n\
+   wl-farm-open/charlotte/1/fifo~n1K              3 892f0134e37869ac315c9dd20b7a8128\n\
+   wl-farm-open/charlotte/2/fifo~n1K              3 892f0134e37869ac315c9dd20b7a8128\n\
+   wl-farm-open/soda/1/fifo~n1K                   3 892f0134e37869ac315c9dd20b7a8128\n\
+   wl-farm-open/soda/2/fifo~n1K                   3 892f0134e37869ac315c9dd20b7a8128\n\
+   wl-farm-open/chrysalis/1/fifo~n1K              3 892f0134e37869ac315c9dd20b7a8128\n\
+   wl-farm-open/chrysalis/2/fifo~n1K              3 892f0134e37869ac315c9dd20b7a8128\n\
+   shard-rpc/charlotte/1/fifo~s2                  3 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/charlotte/2/fifo~s2                  3 b1ac739c208261e212f8c6fdd46fd7ed\n\
+   wl-farm-open/charlotte/1/fifo~n1K~s2           3 892f0134e37869ac315c9dd20b7a8128\n\
+   wl-farm-open/charlotte/2/fifo~n1K~s2           3 892f0134e37869ac315c9dd20b7a8128\n"
+
+let counter_digest_specs =
+  let vignettes =
+    [
+      "move";
+      "enclosures";
+      "cross-request";
+      "open-close";
+      "lost-enclosure";
+      "bounced-enclosure";
+    ]
+  in
+  List.concat_map
+    (fun (scenario, targeted) ->
+      Spec.product ~scenarios:[ scenario ] ~seeds:[ 1; 2 ]
+        ~plans:(None :: Some Spec.Mix :: List.map Option.some targeted)
+        ())
+    (List.map (fun sc -> (sc, [])) (vignettes @ [ "shard-rpc" ])
+    @ [
+        ("ring-election", [ Spec.Leader_crash ]);
+        ("quorum", [ Spec.Partition_minority; Spec.Partition_majority ]);
+      ])
+  @ Spec.product ~scenarios:[ "wl-farm-open" ] ~seeds:[ 1; 2 ] ~population:1000
+      ()
+  (* Two shards sum two counter blocks into one list. *)
+  @ Spec.product ~scenarios:[ "shard-rpc" ] ~backends:[ "charlotte" ]
+      ~seeds:[ 1; 2 ] ~shards:2 ()
+  @ Spec.product ~scenarios:[ "wl-farm-open" ] ~backends:[ "charlotte" ]
+      ~seeds:[ 1; 2 ] ~population:1000 ~shards:2 ()
+
+let counter_digest_row spec a =
+  let name = Spec.to_string spec in
+  match a with
+  | None -> Printf.sprintf "%-44s n/a\n" name
+  | Some a ->
+    let lines =
+      List.map (fun (k, v) -> Printf.sprintf "%s=%d\n" k v) a.A.counters
+    in
+    Printf.sprintf "%-44s %3d %s\n" name (List.length a.A.counters)
+      (Digest.to_hex (Digest.string (String.concat "" lines)))
+
+let test_golden_counter_digest () =
+  let specs = counter_digest_specs in
+  Alcotest.(check string)
+    "counter digest unchanged" golden_counter_digest
+    (String.concat ""
+       (List.map2 counter_digest_row specs (R.execute_many ~jobs:2 specs)))
+
 let () =
   Alcotest.run "run"
     [
@@ -801,5 +992,7 @@ let () =
           Alcotest.test_case "races report" `Slow test_golden_races;
           Alcotest.test_case "clock and race digest" `Slow
             test_golden_clock_digest;
+          Alcotest.test_case "counter digest" `Slow
+            test_golden_counter_digest;
         ] );
     ]

@@ -6,6 +6,9 @@
 
 open Sim
 
+let mesh_sent = Stats.key "mesh.sent"
+let mesh_got = Stats.key "mesh.got"
+
 (* A ping-pong mesh with data-dependent control flow: node i sends
    rounds of rng-sized messages to (i + stride) mod n, receivers spin a
    checksum and reply; enough cross-node traffic that a partition bug
@@ -24,9 +27,9 @@ let mesh_workload ~nodes:n ~rounds ~shards ~seed ~policy () =
              let lat = Time.add look (Time.us (Rng.int rng 40)) in
              Shard.send ctx ~dst ~latency:lat ~op:"ping"
                (Printf.sprintf "r%d from %d" r me);
-             Shard.incr ctx "mesh.sent" 1;
+             Shard.incr ctx mesh_sent 1;
              let msg = Shard.recv ctx in
-             Shard.incr ctx "mesh.got" (String.length msg);
+             Shard.incr ctx mesh_got (String.length msg);
              if r mod 3 = 0 then Shard.sleep ctx (Time.us (Rng.int rng 120));
              Shard.note ctx (Printf.sprintf "%d done r%d" me r)
            done))
@@ -166,9 +169,9 @@ let test_pool_reuse () =
                    let lat = Time.add look (Time.us (Rng.int rng 40)) in
                    Shard.send ctx ~dst ~latency:lat ~op:"ping"
                      (Printf.sprintf "r%d from %d" r me);
-                   Shard.incr ctx "mesh.sent" 1;
+                   Shard.incr ctx mesh_sent 1;
                    let msg = Shard.recv ctx in
-                   Shard.incr ctx "mesh.got" (String.length msg);
+                   Shard.incr ctx mesh_got (String.length msg);
                    if r mod 3 = 0 then
                      Shard.sleep ctx (Time.us (Rng.int rng 120));
                    Shard.note ctx (Printf.sprintf "%d done r%d" me r)

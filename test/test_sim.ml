@@ -916,19 +916,32 @@ let sync_tests =
           "fifo" [ (1, "x"); (2, "y"); (3, "z") ]
           (List.rev !got));
     Alcotest.test_case "stats counters accumulate and diff" `Quick (fun () ->
+        (* Registered out of name order: numbering never shows. *)
+        let c = Stats.key "c" and b = Stats.key "b" and a = Stats.key "a" in
+        checkb "re-registering returns the same key" true (Stats.key "a" == a);
         let s = Stats.create () in
-        Stats.incr s "a";
-        Stats.incr s ~by:4 "a";
-        Stats.incr s "b";
+        Stats.incr s a;
+        Stats.incr s ~by:4 a;
+        Stats.incr s b;
         checki "a" 5 (Stats.get s "a");
         checki "missing" 0 (Stats.get s "zzz");
         let before = Stats.snapshot s in
-        Stats.incr s ~by:2 "a";
-        Stats.incr s "c";
+        Stats.incr s ~by:2 a;
+        Stats.incr s c;
         let d = Stats.diff ~before ~after:(Stats.snapshot s) in
-        checki "a diff" 2 (List.assoc "a" d);
-        checki "c diff" 1 (List.assoc "c" d);
-        checkb "b unchanged" true (not (List.mem_assoc "b" d)));
+        let listing = Alcotest.(list (pair string int)) in
+        check listing "diff" [ ("a", 2); ("c", 1) ] d;
+        check listing "sorted by name" [ ("a", 7); ("b", 1); ("c", 1) ]
+          (Stats.to_list s);
+        (* A counter bumped by 0 is listed; blocks sum by key. *)
+        let z = Stats.key "zero" and s' = Stats.create () in
+        Stats.incr s' ~by:0 z;
+        Stats.incr s' ~by:3 a;
+        check listing "summed"
+          [ ("a", 10); ("b", 1); ("c", 1); ("zero", 0) ]
+          (Stats.to_list (Stats.sum [| s; s' |]));
+        Stats.clear s';
+        check listing "cleared" [] (Stats.to_list s'));
     Alcotest.test_case "series statistics" `Quick (fun () ->
         let s = Stats.Series.create () in
         List.iter (fun n -> Stats.Series.add s (Time.ms n)) [ 4; 2; 6 ];
@@ -1137,8 +1150,8 @@ let observed_unobserved_property =
       run_program ~observed:true fibers = run_program ~observed:false fibers)
 
 (* Steady-state minor words per iteration: the difference of two runs
-   cancels set-up.  Allocation is deterministic, so budgets sit 2% over
-   the recorded value, like the words-per-echo gates in test_latency. *)
+   cancels set-up.  Allocation is deterministic; the budgets live in
+   budgets.ml, shared with test_latency's words-per-echo gates. *)
 let words_per_iter run =
   let words n =
     let before = Gc.minor_words () in
@@ -1172,12 +1185,6 @@ let waitq_cycles ~observed n =
            ignore (Sync.Waitq.signal q ())
          done));
   Engine.run e
-
-let gate name ~budget words =
-  checkb
-    (Printf.sprintf "%s: %.1f words vs budget %.1f (+2%%)" name words budget)
-    true
-    (words <= budget *. 1.02)
 
 (* ---- Vclock -------------------------------------------------------------- *)
 
@@ -1321,12 +1328,13 @@ let vclock_tests =
       (fun () ->
         let w1 = words_per_iter (owner_ticks (owned_clock 1)) in
         let w32 = words_per_iter (owner_ticks (owned_clock 32)) in
-        check (Alcotest.float 0.) "width 1" 4. w1;
+        check (Alcotest.float 0.) "width 1" Budgets.owner_tick w1;
         check (Alcotest.float 0.) "width 32 = width 1" w1 w32);
     Alcotest.test_case "merging a dominated clock allocates nothing" `Quick
       (fun () ->
         let a = owned_clock 32 in
-        check (Alcotest.float 0.) "merge a a" 0. (words_per_iter (merges a a));
+        check (Alcotest.float 0.) "merge a a" Budgets.dominated_merge
+          (words_per_iter (merges a a));
         (* [b] is an older snapshot of the owner; [c] is another fiber's
            clock that [a] has already absorbed. *)
         let b = a in
@@ -1335,10 +1343,38 @@ let vclock_tests =
         let a = Vclock.tick (Vclock.merge a c) owner in
         checkb "a dominates b" true (Vclock.leq b a);
         checkb "a dominates c" true (Vclock.leq c a);
-        check (Alcotest.float 0.) "merge a b (same owner)" 0.
+        check (Alcotest.float 0.) "merge a b (same owner)"
+          Budgets.dominated_merge
           (words_per_iter (merges a b));
-        check (Alcotest.float 0.) "merge a c (other owner)" 0.
+        check (Alcotest.float 0.) "merge a c (other owner)"
+          Budgets.dominated_merge
           (words_per_iter (merges a c)));
+  ]
+
+(* ---- Counters ------------------------------------------------------------ *)
+
+let early = Stats.key "rung.early"
+
+let bumps s k n =
+  for _ = 1 to n do
+    Stats.incr s k
+  done
+
+let counter_tests =
+  [
+    Alcotest.test_case "Stats.incr allocates nothing" `Quick (fun () ->
+        let s = Stats.create () in
+        check (Alcotest.float 0.) "key registered before create"
+          Budgets.stats_incr
+          (words_per_iter (bumps s early));
+        (* Registered after [s] was created: the first bump grows the
+           block, later ones are array stores. *)
+        let late = Stats.key "rung.late" in
+        Stats.incr s late;
+        check (Alcotest.float 0.) "key registered after create"
+          Budgets.stats_incr
+          (words_per_iter (bumps s late));
+        checki "late key counted" 1201 (Stats.get s "rung.late"));
   ]
 
 let causality_tests =
@@ -1370,15 +1406,15 @@ let causality_tests =
         check Alcotest.string "spawn clock" "{}" (Vclock.to_string !clk));
     QCheck_alcotest.to_alcotest observed_unobserved_property;
     Alcotest.test_case "words per sleep" `Quick (fun () ->
-        gate "observed" ~budget:39.0
+        Budgets.gate "observed" ~budget:Budgets.sleep_observed
           (words_per_iter (sleeps ~observed:true));
-        gate "unobserved" ~budget:30.0
+        Budgets.gate "unobserved" ~budget:Budgets.sleep_unobserved
           (words_per_iter (sleeps ~observed:false)));
     Alcotest.test_case "words per waitq wait, signal and sleep" `Quick
       (fun () ->
-        gate "observed" ~budget:113.0
+        Budgets.gate "observed" ~budget:Budgets.waitq_cycle_observed
           (words_per_iter (waitq_cycles ~observed:true));
-        gate "unobserved" ~budget:85.0
+        Budgets.gate "unobserved" ~budget:Budgets.waitq_cycle_unobserved
           (words_per_iter (waitq_cycles ~observed:false)));
     Alcotest.test_case "unobserved emit of a constant kind allocates nothing"
       `Quick (fun () ->
@@ -1390,7 +1426,7 @@ let causality_tests =
                 Engine.emit e kind
               done)
         in
-        check (Alcotest.float 0.) "words per emit" 0. w);
+        check (Alcotest.float 0.) "words per emit" Budgets.unobserved_emit w);
     Alcotest.test_case "unobserved stamp and adopt allocate nothing" `Quick
       (fun () ->
         let e = make_engine ~observed:false in
@@ -1402,7 +1438,8 @@ let causality_tests =
                 Engine.adopt e key
               done)
         in
-        check (Alcotest.float 0.) "words per stamp and adopt" 0. w);
+        check (Alcotest.float 0.) "words per stamp and adopt"
+          Budgets.unobserved_stamp_adopt w);
   ]
 
 let () =
@@ -1422,4 +1459,5 @@ let () =
       ("extra", extra_tests);
       ("causality", causality_tests);
       ("vclock", vclock_tests);
+      ("counters", counter_tests);
     ]
