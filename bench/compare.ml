@@ -1,20 +1,15 @@
-(* Perf-regression gate over BENCH_sim.json.
+(* JSON subset checker for lynx_sim's --json artifacts.
 
-   usage:  compare.exe BASELINE FRESH
-           compare.exe --check FILE [SCHEMA]
+   usage:  compare.exe --check FILE [SCHEMA]
 
-   Fails (exit 1) if any micro benchmark present in both files got
-   slower by more than the gate percentage — default 25, overridable
-   with BENCH_GATE_PCT.  The explore-sweep wall times are printed for
-   context but not gated: they depend on the runner's core count and
-   load in a way ns-per-iter slopes do not.
+   Parses FILE and, when SCHEMA is given, asserts that its top-level
+   "schema" field matches; exits 0 on success, 1 on a schema mismatch
+   and 2 on an unreadable or malformed file or a bad command line, each
+   with one line on stderr.  CI runs it over every artifact the CLI
+   writes.
 
-   --check only parses FILE (optionally asserting its "schema" field)
-   and exits 0 — CI uses it to validate lynx_sim's --json artifacts,
-   which are emitted in the same JSON subset.
-
-   The parser covers exactly the JSON subset the bench emits (objects,
-   strings, numbers) so the repo needs no JSON dependency. *)
+   The parser covers exactly the JSON subset the artifacts use
+   (objects, strings, numbers) so the repo needs no JSON dependency. *)
 
 type json = Num of float | Str of string | Obj of (string * json) list
 
@@ -53,7 +48,7 @@ let parse (s : string) : json =
         (match s.[!pos] with
         | 'n' -> Buffer.add_char buf '\n'
         | 't' -> Buffer.add_char buf '\t'
-        | 'u' -> pos := !pos + 4 (* the bench never emits these in keys *)
+        | 'u' -> pos := !pos + 4 (* dropped: control characters only *)
         | c -> Buffer.add_char buf c);
         incr pos;
         go ()
@@ -119,29 +114,27 @@ let parse (s : string) : json =
   v
 
 let read_json path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  try parse s
-  with Parse_error msg ->
-    Printf.eprintf "%s: %s\n" path msg;
+  let fail reason =
+    Printf.eprintf "%s: %s\n" path reason;
     exit 2
+  in
+  let s =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg ->
+      (* [msg] usually already starts with the path. *)
+      let prefix = path ^ ": " in
+      fail
+        (if String.starts_with ~prefix msg then
+           String.sub msg (String.length prefix)
+             (String.length msg - String.length prefix)
+         else msg)
+  in
+  try parse s with Parse_error msg -> fail msg
 
-let numbers_under key = function
-  | Obj fields -> (
-    match List.assoc_opt key fields with
-    | Some (Obj sub) ->
-      List.filter_map
-        (fun (k, v) -> match v with Num f -> Some (k, f) | _ -> None)
-        sub
-    | _ -> [])
-  | _ -> []
-
-(* Parse-only mode: assert FILE is well-formed (and, when SCHEMA is
-   given, that its top-level "schema" field matches).  lynx_sim's
-   --json artifact output stays inside this parser's subset by
-   construction; CI pins that with `--check repro.json lynx-run/1`. *)
+(* Asserts FILE is well-formed and, when SCHEMA is given, that its
+   top-level "schema" field matches.  lynx_sim's --json output stays
+   inside this parser's subset by construction; CI pins that with
+   `--check repro.json lynx-run/1`. *)
 let check path schema =
   match (read_json path, schema) with
   | _, None -> Printf.printf "%s: parses\n" path
@@ -160,73 +153,9 @@ let check path schema =
     exit 1
 
 let () =
-  let base_path, fresh_path =
-    match Sys.argv with
-    | [| _; "--check"; f |] ->
-      check f None;
-      exit 0
-    | [| _; "--check"; f; schema |] ->
-      check f (Some schema);
-      exit 0
-    | [| _; b; f |] -> (b, f)
-    | _ ->
-      prerr_endline "usage: compare.exe BASELINE FRESH | --check FILE [SCHEMA]";
-      exit 2
-  in
-  let gate_pct =
-    match Option.map float_of_string_opt (Sys.getenv_opt "BENCH_GATE_PCT") with
-    | Some (Some p) when p > 0. -> p
-    | Some _ ->
-      prerr_endline "BENCH_GATE_PCT must be a positive number";
-      exit 2
-    | None -> 25.
-  in
-  let base = read_json base_path and fresh = read_json fresh_path in
-  let base_micro = numbers_under "micro_ns_per_iter" base in
-  let fresh_micro = numbers_under "micro_ns_per_iter" fresh in
-  if base_micro = [] then begin
-    Printf.eprintf "%s: no micro_ns_per_iter entries\n" base_path;
+  match Sys.argv with
+  | [| _; "--check"; f |] -> check f None
+  | [| _; "--check"; f; schema |] -> check f (Some schema)
+  | _ ->
+    prerr_endline "usage: compare.exe --check FILE [SCHEMA]";
     exit 2
-  end;
-  Printf.printf "perf gate: +%.0f%% allowed vs %s\n" gate_pct base_path;
-  let regressions = ref 0 in
-  List.iter
-    (fun (name, b) ->
-      match List.assoc_opt name fresh_micro with
-      | None -> Printf.printf "  %-32s missing from fresh run [skip]\n" name
-      | Some f ->
-        let pct = (f -. b) /. b *. 100. in
-        let verdict =
-          if pct > gate_pct then begin
-            incr regressions;
-            "[REGRESSED]"
-          end
-          else "[ok]"
-        in
-        Printf.printf "  %-32s %10.1f -> %10.1f ns  %+6.1f%%  %s\n" name b f
-          pct verdict)
-    base_micro;
-  List.iter
-    (fun (name, _) ->
-      if not (List.mem_assoc name base_micro) then
-        Printf.printf "  %-32s new benchmark, no baseline [info]\n" name)
-    fresh_micro;
-  (match
-     (numbers_under "sweep_wall_ms" base, numbers_under "sweep_wall_ms" fresh)
-   with
-  | [], _ | _, [] -> ()
-  | base_sweep, fresh_sweep ->
-    print_endline "  sweep wall times (not gated):";
-    List.iter
-      (fun (name, b) ->
-        match List.assoc_opt name fresh_sweep with
-        | Some f ->
-          Printf.printf "    %-30s %10.1f -> %10.1f ms\n" name b f
-        | None -> ())
-      base_sweep);
-  if !regressions > 0 then begin
-    Printf.printf "%d micro benchmark(s) regressed beyond +%.0f%%\n"
-      !regressions gate_pct;
-    exit 1
-  end
-  else print_endline "no regressions beyond the gate"

@@ -2,7 +2,6 @@
 
    Run with:    dune exec bench/main.exe            (all experiments)
                 dune exec bench/main.exe -- e1 f2   (a subset)
-                dune exec bench/main.exe -- micro   (Bechamel micro benches)
 
    Each experiment prints the paper's number next to the measured one and
    flags mismatches.  Absolute times are simulated virtual time from the
@@ -538,218 +537,6 @@ let x3 () =
     \  and the latency gap between rows is pure kernel cost: Charlotte's\n\
     \  26 ms RPC floor vs SODA datagrams vs Chrysalis shared memory."
 
-(* ---- Micro benches (Bechamel): simulator substrate throughput -------------- *)
-
-(* The micro results are also written as JSON (default BENCH_sim.json,
-   override with BENCH_OUT) so CI can diff a fresh run against the
-   committed baseline with bench/compare.exe. *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_bench_json ~jobs ~micros ~sweeps =
-  let path = Option.value ~default:"BENCH_sim.json" (Sys.getenv_opt "BENCH_OUT") in
-  let buf = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let obj fields =
-    String.concat ",\n"
-      (List.map
-         (fun (k, v) -> Printf.sprintf "    \"%s\": %.1f" (json_escape k) v)
-         fields)
-  in
-  pr "{\n";
-  pr "  \"schema\": \"lynx-bench/1\",\n";
-  pr "  \"jobs\": %d,\n" jobs;
-  pr "  \"micro_ns_per_iter\": {\n%s\n  },\n" (obj micros);
-  pr "  \"sweep_wall_ms\": {\n%s\n  }\n" (obj sweeps);
-  pr "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  R.printf "  wrote %s\n" path
-
-(* Wall-clock time of a fixed reduced explore sweep — the macro workload
-   the multicore pool exists for.  Measured at -j1 and at the machine's
-   recommended domain count. *)
-let sweep_wall jobs =
-  let t0 = Unix.gettimeofday () in
-  ignore
-    (Run.execute_many ~jobs
-       (Run.Spec.product ~seeds:[ 1; 2 ]
-          ~policies:[ Run.Spec.Fifo; Run.Spec.Random ]
-          ()));
-  (Unix.gettimeofday () -. t0) *. 1000.
-
-let micro () =
-  R.section "M1-M4: simulator micro-benchmarks (wall time, Bechamel)";
-  let open Bechamel in
-  let engine_events () =
-    let e = Sim.Engine.create () in
-    ignore
-      (Sim.Engine.spawn e (fun () ->
-           for _ = 1 to 100 do
-             Sim.Engine.sleep e (Sim.Time.us 10)
-           done));
-    Sim.Engine.run e
-  in
-  let heap_churn () =
-    let h = Sim.Heap.create () in
-    for i = 0 to 199 do
-      Sim.Heap.add h ~time:((i * 7919) mod 1000) ~seq:i i
-    done;
-    let rec drain () = match Sim.Heap.pop h with Some _ -> drain () | None -> () in
-    drain ()
-  in
-  let codec_roundtrip () =
-    let vs =
-      [
-        Lynx.Value.Int 42;
-        Lynx.Value.Str (String.make 256 'x');
-        Lynx.Value.List [ Lynx.Value.Bool true; Lynx.Value.Int 7 ];
-      ]
-    in
-    let payload, _ = Lynx.Codec.encode vs in
-    ignore (Lynx.Codec.decode payload ~enclosures:[||])
-  in
-  let chrysalis_rpc () =
-    ignore (Harness.Rpc_bench.run BW.chrysalis ~payload:0 ~iters:3 ~warmup:1 ())
-  in
-  (* Same RPC with a zero-probability fault plan ambient: no faults ever
-     fire, but the injector hooks, the per-call screening timers and the
-     server-side dedup table are all live — the retry-path overhead. *)
-  let chrysalis_rpc_screened () =
-    Faults.with_plan Faults.Plan.none (fun () ->
-        ignore (Harness.Rpc_bench.run BW.chrysalis ~payload:0 ~iters:3 ~warmup:1 ()))
-  in
-  (* The PDES coordinator at shards = 1: same workload class as the
-     sharded wall-clock section below, but gated — single-shard runs
-     must not pay for the partitioning machinery. *)
-  let shard_rpc_one () =
-    ignore (Harness.Shard_rpc.run ~shards:1 BW.chrysalis)
-  in
-  let tests =
-    [
-      Test.make ~name:"engine: 100 timer events" (Staged.stage engine_events);
-      Test.make ~name:"heap: 200 add+pop" (Staged.stage heap_churn);
-      Test.make ~name:"codec: encode+decode 280B" (Staged.stage codec_roundtrip);
-      Test.make ~name:"full chrysalis RPC sim" (Staged.stage chrysalis_rpc);
-      Test.make ~name:"chrysalis RPC, screening armed"
-        (Staged.stage chrysalis_rpc_screened);
-      Test.make ~name:"shard RPC sim, 1 shard" (Staged.stage shard_rpc_one);
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let micros =
-    List.concat_map
-      (fun test ->
-        List.filter_map
-          (fun elt ->
-            let m = Benchmark.run cfg instances elt in
-            let est = Analyze.one ols Toolkit.Instance.monotonic_clock m in
-            match Analyze.OLS.estimates est with
-            | Some [ ns ] ->
-              R.printf "  %-32s %12.1f ns/iter (%d samples)\n"
-                (Test.Elt.name elt) ns m.Benchmark.stats.Benchmark.samples;
-              Some (Test.Elt.name elt, ns)
-            | _ ->
-              R.printf "  %-32s (no estimate)\n" (Test.Elt.name elt);
-              None)
-          (Test.elements test))
-      tests
-  in
-  R.section "M5: explore-sweep wall time (seeds 1-2, real time)";
-  let jn = Parallel.Pool.default_jobs () in
-  let w1 = sweep_wall 1 in
-  (* -j4 is the fixed cross-machine reference point (CI runners have at
-     least 4 cores); -jN additionally reports this machine's sweet
-     spot when it differs. *)
-  let w4 = sweep_wall 4 in
-  let wn = if jn = 1 then w1 else if jn = 4 then w4 else sweep_wall jn in
-  R.printf "  sweep -j1 %38.1f ms\n" w1;
-  R.printf "  sweep -j4 %38.1f ms  (%s speedup)\n" w4 (R.ratio (w1 /. w4));
-  if jn <> 1 && jn <> 4 then
-    R.printf "  sweep -j%-2d %37.1f ms  (%s speedup)\n" jn wn
-      (R.ratio (w1 /. wn));
-  let sweeps =
-    ("sweep -j1", w1) :: ("sweep -j4", w4)
-    :: (if jn = 1 || jn = 4 then []
-        else [ (Printf.sprintf "sweep -j%d" jn, wn) ])
-  in
-  (* Intra-run parallelism: ONE big simulation partitioned across
-     domains by Sim.Shard.  Charlotte's 26 ms message floor gives the
-     widest conservative windows, so the checksum burn dominates the
-     barrier cost and the speedup is visible on small runners.  The
-     persistent pool is shared across the three runs — what a sweep
-     over shard counts would do — and the merged outcome is
-     byte-identical at every shard count (asserted in test_shard; only
-     the wall clock may move here). *)
-  R.section "M6: sharded RPC sim wall time (charlotte, 48 pairs x 12 rounds)";
-  let pool = Parallel.Pool.Persistent.create ~workers:4 () in
-  let shard_wall shards =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Harness.Shard_rpc.run ~shards ~pairs:48 ~rounds:12 ~spin:100 ~pool
-        BW.charlotte
-    in
-    if not r.Harness.Shard_rpc.r_ok then begin
-      R.printf "  shard rpc x%d FAILED: %s\n" shards r.Harness.Shard_rpc.r_detail;
-      fail ()
-    end;
-    (Unix.gettimeofday () -. t0) *. 1000.
-  in
-  let s1 = shard_wall 1 in
-  let s2 = shard_wall 2 in
-  let s4 = shard_wall 4 in
-  Parallel.Pool.Persistent.shutdown pool;
-  R.printf "  shard rpc, 1 shard %29.1f ms\n" s1;
-  R.printf "  shard rpc, 2 shards %28.1f ms  (%s speedup)\n" s2
-    (R.ratio (s1 /. s2));
-  R.printf "  shard rpc, 4 shards %28.1f ms  (%s speedup)\n" s4
-    (R.ratio (s1 /. s4));
-  let sweeps =
-    sweeps
-    @ [
-        ("shard rpc x1", s1); ("shard rpc x2", s2); ("shard rpc x4", s4);
-      ]
-  in
-  (* Wall time for a population run through the full pipeline (engine,
-     streaming analyzer, judge) — the end-to-end cost a CI workload
-     smoke pays per backend.  Regressions here usually mean something
-     per-event started walking global state (see lib/analysis/stream). *)
-  R.section "M7: population workload wall time (wl-farm-open, 4K clients)";
-  let workload_wall () =
-    let spec =
-      Run.Spec.v ~population:4_000 ~scenario:"wl-farm-open"
-        ~backend:"chrysalis" 1
-    in
-    let t0 = Unix.gettimeofday () in
-    (match Run.execute ~log_capacity:2048 spec with
-    | Some a when a.Run.Artifact.ok -> ()
-    | _ ->
-      R.printf "  workload 4K FAILED\n";
-      fail ());
-    (Unix.gettimeofday () -. t0) *. 1000.
-  in
-  let wl = workload_wall () in
-  R.printf "  wl-farm-open 4K, chrysalis %21.1f ms\n" wl;
-  let sweeps = sweeps @ [ ("workload wl-farm-open 4K", wl) ] in
-  write_bench_json ~jobs:jn ~micros ~sweeps
-
 (* ---- Driver --------------------------------------------------------------------- *)
 
 let experiments =
@@ -770,7 +557,6 @@ let experiments =
     ("x1", x1);
     ("x2", x2);
     ("x3", x3);
-    ("micro", micro);
   ]
 
 let usage () =
@@ -788,8 +574,20 @@ let () =
     | name :: rest -> parse jobs (name :: names) rest
   in
   let jobs, requested = parse 1 [] (List.tl (Array.to_list Sys.argv)) in
-  let requested =
-    if requested = [] then List.map fst experiments else requested
+  (* Every name is resolved before anything runs: an unknown one must
+     not let the rest report a match. *)
+  let selected =
+    if requested = [] then List.map snd experiments
+    else
+      List.map
+        (fun name ->
+          match List.assoc_opt name experiments with
+          | Some f -> f
+          | None ->
+            Printf.eprintf "unknown experiment %S (known: %s)\n" name
+              (String.concat " " (List.map fst experiments));
+            exit 2)
+        requested
   in
   print_endline
     "LYNX reproduction bench — every table/figure from Scott, ICPP'86";
@@ -797,26 +595,15 @@ let () =
     "(simulated time from calibrated cost models; counts are exact)";
   (* -j runs whole experiments on the domain pool, each collecting its
      report into a private buffer; printing afterwards in request order
-     keeps the output byte-identical to a sequential run.  The default
-     stays -j1: the micro benches are wall-clock-sensitive and should
-     not share the machine. *)
-  if jobs = 1 then
-    List.iter
-      (fun name ->
-        match List.assoc_opt name experiments with
-        | Some f -> f ()
-        | None -> R.printf "unknown experiment %S\n" name)
-      requested
+     keeps the output byte-identical to a sequential run. *)
+  if jobs = 1 then List.iter (fun f -> f ()) selected
   else
     Parallel.Pool.map_list ~jobs
-      (fun name ->
+      (fun f ->
         let buf = Buffer.create 4096 in
-        R.with_sink buf (fun () ->
-            match List.assoc_opt name experiments with
-            | Some f -> f ()
-            | None -> R.printf "unknown experiment %S\n" name);
+        R.with_sink buf f;
         buf)
-      requested
+      selected
     |> List.iter (fun buf -> print_string (Buffer.contents buf));
   R.printf "\n%s\n"
     (if Atomic.get all_ok then "ALL EXPERIMENTS MATCH THE PAPER (within tolerance)"

@@ -11,8 +11,8 @@ let check_status msg exp got =
 
 (* Run a two-process scenario: [a] and [b] get their pids and a link end
    each; the engine runs to completion. *)
-let two_procs ?(on_crash = `Raise) a b =
-  let e = Engine.create ~on_crash () in
+let two_procs ?(on_crash = `Raise) ?log_capacity a b =
+  let e = Engine.create ~on_crash ?log_capacity () in
   let k = K.create e ~nodes:4 () in
   let ends = Sync.Ivar.create e in
   let pa =
@@ -423,6 +423,32 @@ let edge_tests =
         checki "empty" 0 !len);
   ]
 
+(* [n] matched send+receive pairs of 0 B on an unobserved engine (no
+   consumer, nothing retained): the kernel primitive a LYNX message
+   costs on Charlotte. *)
+let send_receives n =
+  let each f k pid end_ =
+    for _ = 1 to n do
+      ignore (f k pid end_);
+      ignore (K.wait k pid)
+    done
+  in
+  ignore
+    (two_procs ~log_capacity:0
+       (each (fun k pid e0 -> K.send k pid e0 Bytes.empty))
+       (each (fun k pid e1 -> K.receive k pid e1 ~max_len:0)))
+
+let allocation_tests =
+  [
+    Alcotest.test_case "words per matched send+receive" `Quick (fun () ->
+        Budgets.gate "send+receive" ~budget:Budgets.charlotte_send_receive
+          (Budgets.words_per_iter send_receives));
+  ]
+
 let () =
   Alcotest.run "charlotte_kernel"
-    [ ("kernel", tests); ("edges", edge_tests) ]
+    [
+      ("kernel", tests);
+      ("edges", edge_tests);
+      ("allocation", allocation_tests);
+    ]

@@ -295,6 +295,41 @@ let tests_lifecycle =
         checkb "still readable" true !readable_after);
   ]
 
+(* [n] dual-queue enqueues, each finding the consumer waiting and so
+   posting its event, on an unobserved engine (no consumer, nothing
+   retained): the kernel primitive a LYNX message costs on Chrysalis.
+   The producer sleeps between enqueues so the consumer is always back
+   on the queue. *)
+let enqueue_posts n =
+  let e = Engine.create ~log_capacity:0 () in
+  let k = K.create e ~processors:2 () in
+  let q_ivar = Sync.Ivar.create e in
+  ignore
+    (K.spawn_process k ~node:0 ~name:"consumer" (fun pid ->
+         let q = K.make_dualq k pid ~capacity:8 in
+         let ev = K.make_event k pid in
+         Sync.Ivar.fill q_ivar q;
+         for _ = 1 to n do
+           match K.dq_dequeue k pid q ~ev with
+           | None -> ignore (K.event_wait k pid ev)
+           | Some _ -> Alcotest.fail "the consumer should have waited"
+         done));
+  ignore
+    (K.spawn_process k ~node:1 ~name:"producer" (fun pid ->
+         let q = Sync.Ivar.read q_ivar in
+         for i = 1 to n do
+           Engine.sleep e (Time.ms 1);
+           K.dq_enqueue k pid q i
+         done));
+  Engine.run e
+
+let allocation_tests =
+  [
+    Alcotest.test_case "words per enqueue and event post" `Quick (fun () ->
+        Budgets.gate "enqueue+post" ~budget:Budgets.chrysalis_enqueue_post
+          (Budgets.words_per_iter enqueue_posts));
+  ]
+
 let () =
   Alcotest.run "chrysalis_kernel"
     [
@@ -302,4 +337,5 @@ let () =
       ("events", tests_events);
       ("dualq", tests_dualq);
       ("lifecycle", tests_lifecycle);
+      ("allocation", allocation_tests);
     ]

@@ -130,18 +130,12 @@ let retention_tests =
           | es -> Alcotest.failf "expected one engine, got %d" (List.length es)))
     Harness.Backend_world.all
 
-(* Steady-state minor words per 0 B echo call: the difference of two
-   runs cancels set-up and warm-up.  The budgets, recorded on unobserved
-   engines (no event records, vector clocks or stamps; see the causality
-   tests below), live in budgets.ml. *)
-let words_per_call b =
-  let words iters =
-    let before = Gc.minor_words () in
-    ignore (Harness.Rpc_bench.run b ~payload:0 ~iters ());
-    Gc.minor_words () -. before
-  in
-  let w30 = words 30 in
-  (words 130 -. w30) /. 100.
+(* Steady-state minor words per 0 B echo call.  Rpc_bench engines are
+   unobserved (no event records, vector clocks or stamps; see the
+   causality tests below). *)
+let words_per_call ?(iters = 100) b =
+  Budgets.words_per_iter ~warm:30 ~iters (fun iters ->
+      ignore (Harness.Rpc_bench.run b ~payload:0 ~iters ()))
 
 let allocation_tests =
   List.map
@@ -152,6 +146,22 @@ let allocation_tests =
             ~budget:(List.assoc W.name Budgets.echo_call)
             (words_per_call b)))
     Harness.Backend_world.all
+  @ [
+      (* A zero-probability plan: no fault ever fires, but the injector
+         hooks, the per-call screening timers and the server's dedup
+         table are live.  The gate reads the premium over the same call
+         unscreened, to the word: over 128 calls both sides and their
+         difference are exact binary fractions. *)
+      Alcotest.test_case "chrysalis screening premium per echo call" `Quick
+        (fun () ->
+          let b = Harness.Backend_world.chrysalis in
+          let screened =
+            Faults.with_plan Faults.Plan.none (fun () ->
+                words_per_call ~iters:128 b)
+          in
+          Budgets.exact "screening premium" ~budget:Budgets.screening_premium
+            (screened -. words_per_call ~iters:128 b));
+    ]
 
 (* Rpc_bench engines have no consumer and retain nothing, so they run
    unobserved: no event records, clocks or stamps.  A no-op consumer

@@ -73,8 +73,21 @@ let value_tests =
              (V.Pair (V.Int 1, V.List [ V.Bool true; V.Unit ]))));
   ]
 
+(* The 280 B value list: an int, a 256 B string and a short list. *)
+let codec_roundtrips n =
+  let vs =
+    [ V.Int 42; V.Str (String.make 256 'x'); V.List [ V.Bool true; V.Int 7 ] ]
+  in
+  for _ = 1 to n do
+    let payload, _ = Lynx.Codec.encode vs in
+    ignore (Sys.opaque_identity (Lynx.Codec.decode payload ~enclosures:[||]))
+  done
+
 let codec_tests =
   [
+    Alcotest.test_case "words per encode+decode of 280 B" `Quick (fun () ->
+        Budgets.exact "encode+decode" ~budget:Budgets.codec_roundtrip
+          (Budgets.words_per_iter codec_roundtrips));
     Alcotest.test_case "round trip without links" `Quick (fun () ->
         let vs = [ V.Int (-7); V.Str "abc"; V.Bool true; V.Unit ] in
         let payload, encl = Lynx.Codec.encode vs in

@@ -273,6 +273,17 @@ let qcheck_invariance =
       in
       String.equal (fp 1) (fp k))
 
+(* Minor words of one default Shard_rpc run at one shard on Chrysalis
+   (4 pairs x 3 rounds), after one warm-up run: what a single-shard run
+   pays for the partitioning machinery. *)
+let test_one_shard_words () =
+  Budgets.gate "shard run" ~budget:Budgets.shard_run
+    (Budgets.words_per_iter ~warm:1 ~iters:1 (fun n ->
+         for _ = 1 to n do
+           ignore
+             (Harness.Shard_rpc.run ~shards:1 Harness.Backend_world.chrysalis)
+         done))
+
 let () =
   Alcotest.run "shard"
     [
@@ -298,5 +309,10 @@ let () =
           Alcotest.test_case "persistent pool reuse" `Quick test_pool_reuse;
           Alcotest.test_case "observer sees merged stream" `Quick
             test_observer_sees_merged_stream;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "words per one-shard run" `Quick
+            test_one_shard_words;
         ] );
     ]

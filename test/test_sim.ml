@@ -165,6 +165,36 @@ let heap_clear_tests =
         checkb "payload collected after clear" true (Weak.check w 0 = false))
   ]
 
+(* Add+pop pairs on a queue that holds 100 entries throughout, so its
+   backing array (128 slots) never grows: what one scheduled event
+   costs the queue. *)
+let words_per_pair ~add ~pop =
+  for seq = 1 to 100 do
+    add ~time:0 ~seq
+  done;
+  Budgets.words_per_iter (fun n ->
+      for seq = 1 to n do
+        add ~time:(seq * 7919 mod 1000) ~seq;
+        ignore (Sys.opaque_identity (pop ()))
+      done)
+
+let queue_rung_tests =
+  [
+    Alcotest.test_case "words per heap add+pop" `Quick (fun () ->
+        let h = Heap.create () in
+        Budgets.exact "heap" ~budget:Budgets.heap_pair
+          (words_per_pair
+             ~add:(fun ~time ~seq -> Heap.add h ~time ~seq seq)
+             ~pop:(fun () -> Heap.pop h)));
+    Alcotest.test_case "words per task queue add+pop" `Quick (fun () ->
+        let q = Taskq.create () in
+        Budgets.exact "taskq" ~budget:Budgets.taskq_pair
+          (words_per_pair
+             ~add:(fun ~time ~seq ->
+               Taskq.add q ~time ~seq ~clk:Vclock.empty ignore)
+             ~pop:(fun () -> Taskq.pop q)));
+  ]
+
 (* ---- structured event log: array representation ----------------------- *)
 
 let event_log_tests =
@@ -1149,18 +1179,6 @@ let observed_unobserved_property =
     (fun fibers ->
       run_program ~observed:true fibers = run_program ~observed:false fibers)
 
-(* Steady-state minor words per iteration: the difference of two runs
-   cancels set-up.  Allocation is deterministic; the budgets live in
-   budgets.ml, shared with test_latency's words-per-echo gates. *)
-let words_per_iter run =
-  let words n =
-    let before = Gc.minor_words () in
-    run n;
-    Gc.minor_words () -. before
-  in
-  let w100 = words 100 in
-  (words 1100 -. w100) /. 1000.
-
 let sleeps ~observed n =
   let e = make_engine ~observed in
   ignore
@@ -1326,15 +1344,15 @@ let vclock_tests =
     QCheck_alcotest.to_alcotest vclock_property;
     Alcotest.test_case "an owner tick costs one cell at any width" `Quick
       (fun () ->
-        let w1 = words_per_iter (owner_ticks (owned_clock 1)) in
-        let w32 = words_per_iter (owner_ticks (owned_clock 32)) in
-        check (Alcotest.float 0.) "width 1" Budgets.owner_tick w1;
+        let w1 = Budgets.words_per_iter (owner_ticks (owned_clock 1)) in
+        let w32 = Budgets.words_per_iter (owner_ticks (owned_clock 32)) in
+        Budgets.exact "width 1" ~budget:Budgets.owner_tick w1;
         check (Alcotest.float 0.) "width 32 = width 1" w1 w32);
     Alcotest.test_case "merging a dominated clock allocates nothing" `Quick
       (fun () ->
         let a = owned_clock 32 in
-        check (Alcotest.float 0.) "merge a a" Budgets.dominated_merge
-          (words_per_iter (merges a a));
+        Budgets.exact "merge a a" ~budget:Budgets.dominated_merge
+          (Budgets.words_per_iter (merges a a));
         (* [b] is an older snapshot of the owner; [c] is another fiber's
            clock that [a] has already absorbed. *)
         let b = a in
@@ -1343,12 +1361,12 @@ let vclock_tests =
         let a = Vclock.tick (Vclock.merge a c) owner in
         checkb "a dominates b" true (Vclock.leq b a);
         checkb "a dominates c" true (Vclock.leq c a);
-        check (Alcotest.float 0.) "merge a b (same owner)"
-          Budgets.dominated_merge
-          (words_per_iter (merges a b));
-        check (Alcotest.float 0.) "merge a c (other owner)"
-          Budgets.dominated_merge
-          (words_per_iter (merges a c)));
+        Budgets.exact "merge a b (same owner)"
+          ~budget:Budgets.dominated_merge
+          (Budgets.words_per_iter (merges a b));
+        Budgets.exact "merge a c (other owner)"
+          ~budget:Budgets.dominated_merge
+          (Budgets.words_per_iter (merges a c)));
   ]
 
 (* ---- Counters ------------------------------------------------------------ *)
@@ -1364,16 +1382,16 @@ let counter_tests =
   [
     Alcotest.test_case "Stats.incr allocates nothing" `Quick (fun () ->
         let s = Stats.create () in
-        check (Alcotest.float 0.) "key registered before create"
-          Budgets.stats_incr
-          (words_per_iter (bumps s early));
+        Budgets.exact "key registered before create"
+          ~budget:Budgets.stats_incr
+          (Budgets.words_per_iter (bumps s early));
         (* Registered after [s] was created: the first bump grows the
            block, later ones are array stores. *)
         let late = Stats.key "rung.late" in
         Stats.incr s late;
-        check (Alcotest.float 0.) "key registered after create"
-          Budgets.stats_incr
-          (words_per_iter (bumps s late));
+        Budgets.exact "key registered after create"
+          ~budget:Budgets.stats_incr
+          (Budgets.words_per_iter (bumps s late));
         checki "late key counted" 1201 (Stats.get s "rung.late"));
   ]
 
@@ -1407,39 +1425,39 @@ let causality_tests =
     QCheck_alcotest.to_alcotest observed_unobserved_property;
     Alcotest.test_case "words per sleep" `Quick (fun () ->
         Budgets.gate "observed" ~budget:Budgets.sleep_observed
-          (words_per_iter (sleeps ~observed:true));
+          (Budgets.words_per_iter (sleeps ~observed:true));
         Budgets.gate "unobserved" ~budget:Budgets.sleep_unobserved
-          (words_per_iter (sleeps ~observed:false)));
+          (Budgets.words_per_iter (sleeps ~observed:false)));
     Alcotest.test_case "words per waitq wait, signal and sleep" `Quick
       (fun () ->
         Budgets.gate "observed" ~budget:Budgets.waitq_cycle_observed
-          (words_per_iter (waitq_cycles ~observed:true));
+          (Budgets.words_per_iter (waitq_cycles ~observed:true));
         Budgets.gate "unobserved" ~budget:Budgets.waitq_cycle_unobserved
-          (words_per_iter (waitq_cycles ~observed:false)));
+          (Budgets.words_per_iter (waitq_cycles ~observed:false)));
     Alcotest.test_case "unobserved emit of a constant kind allocates nothing"
       `Quick (fun () ->
         let e = make_engine ~observed:false in
         let kind = Event.Block { reason = "sleep" } in
         let w =
-          words_per_iter (fun n ->
+          Budgets.words_per_iter (fun n ->
               for _ = 1 to n do
                 Engine.emit e kind
               done)
         in
-        check (Alcotest.float 0.) "words per emit" Budgets.unobserved_emit w);
+        Budgets.exact "words per emit" ~budget:Budgets.unobserved_emit w);
     Alcotest.test_case "unobserved stamp and adopt allocate nothing" `Quick
       (fun () ->
         let e = make_engine ~observed:false in
         let w =
-          words_per_iter (fun n ->
+          Budgets.words_per_iter (fun n ->
               for seq = 1 to n do
                 let key = Engine.stamp_key ~layer:1 ~obj:7 ~seq in
                 Engine.stamp e key;
                 Engine.adopt e key
               done)
         in
-        check (Alcotest.float 0.) "words per stamp and adopt"
-          Budgets.unobserved_stamp_adopt w);
+        Budgets.exact "words per stamp and adopt"
+          ~budget:Budgets.unobserved_stamp_adopt w);
   ]
 
 let () =
@@ -1447,7 +1465,7 @@ let () =
     [
       ("time", time_tests);
       ( "heap",
-        heap_tests @ heap_clear_tests
+        heap_tests @ heap_clear_tests @ queue_rung_tests
         @ [
             QCheck_alcotest.to_alcotest heap_property;
             QCheck_alcotest.to_alcotest heap_model_property;

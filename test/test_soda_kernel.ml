@@ -8,8 +8,8 @@ let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
 (* A process harness that records interrupts into a mailbox. *)
-let with_kernel ?(nodes = 6) f =
-  let e = Engine.create () in
+let with_kernel ?(nodes = 6) ?log_capacity f =
+  let e = Engine.create ?log_capacity () in
   let k = K.create e ~nodes () in
   f e k;
   Engine.run e;
@@ -351,4 +351,50 @@ let tests =
         Alcotest.check Alcotest.string "client" "from-server" !client_got);
   ]
 
-let () = Alcotest.run "soda_kernel" [ ("kernel", tests) ]
+(* [n] accepted 0 B requests on an unobserved engine (no consumer,
+   nothing retained), interrupts included: the kernel primitive a LYNX
+   message costs on SODA. *)
+let request_accepts n =
+  ignore
+    (with_kernel ~log_capacity:0 (fun e k ->
+         let server_mb, server_pid, server_body =
+           spawn_with_mailbox e k ~node:0 ~name:"server"
+         in
+         let client_mb, _, client_body =
+           spawn_with_mailbox e k ~node:1 ~name:"client"
+         in
+         let name = Sync.Ivar.create e in
+         Sync.Ivar.fill server_body (fun pid ->
+             let advertised = K.new_name k pid in
+             K.advertise k pid advertised;
+             Sync.Ivar.fill name advertised;
+             for _ = 1 to n do
+               match Sync.Mailbox.take server_mb with
+               | Request inc ->
+                 ignore
+                   (K.accept k pid ~req:inc.i_id ~oob:Bytes.empty
+                      ~data:Bytes.empty ~recv_max:0)
+               | _ -> Alcotest.fail "expected a request"
+             done);
+         Sync.Ivar.fill client_body (fun pid ->
+             let dst = Sync.Ivar.read server_pid in
+             let name = Sync.Ivar.read name in
+             for _ = 1 to n do
+               ignore
+                 (K.request k pid ~dst ~name ~oob:Bytes.empty
+                    ~data:Bytes.empty ~recv_max:0);
+               match Sync.Mailbox.take client_mb with
+               | Completed _ -> ()
+               | _ -> Alcotest.fail "expected a completion"
+             done)))
+
+let allocation_tests =
+  [
+    Alcotest.test_case "words per request+accept" `Quick (fun () ->
+        Budgets.gate "request+accept" ~budget:Budgets.soda_request_accept
+          (Budgets.words_per_iter request_accepts));
+  ]
+
+let () =
+  Alcotest.run "soda_kernel"
+    [ ("kernel", tests); ("allocation", allocation_tests) ]

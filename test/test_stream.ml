@@ -513,6 +513,54 @@ let test_of_events_matches_live () =
     "monotone" true
     (live.Stream.s_backwards = None && replay.Stream.s_backwards = None)
 
+(* ---- per-event allocation ------------------------------------------- *)
+
+(* The whole event stream of one run, recorded in the engine's append
+   log. *)
+let recorded spec =
+  match Run.run_outcome (Spec.of_string_exn spec) with
+  | Some o -> o.S.o_view.Engine.v_events
+  | None -> Alcotest.failf "%s did not run" spec
+
+let farm n = "wl-farm-open/chrysalis/1/fifo~n" ^ n
+let farm_1k = lazy (recorded (farm "1K"))
+
+let stream_words events =
+  let t = Stream.init () in
+  Budgets.words_per_event (fun ev -> ignore (Stream.feed ev t)) events
+
+let races_words events =
+  Budgets.words_per_event (R.feed (R.init ())) events
+
+let test_analyser_words () =
+  let events = Lazy.force farm_1k in
+  let stream = stream_words events and races = races_words events in
+  Budgets.gate "Stream.feed" ~budget:Budgets.stream_feed stream;
+  Budgets.gate "Races.feed" ~budget:Budgets.races_feed races;
+  Budgets.exact "Stream.feed beyond Races.feed"
+    ~budget:Budgets.stream_over_races (stream -. races)
+
+(* Nothing on the per-event path may cost O(fibers): a farm four times
+   the size must cost the same words per event. *)
+let test_population_independent () =
+  Budgets.gate "n4K against n1K"
+    ~budget:(stream_words (Lazy.force farm_1k))
+    (stream_words (recorded (farm "4K")))
+
+(* The whole observed pipeline on the same farm — engine, streaming
+   analyser and judge, nothing retained — per event of its stream: a
+   consumer that does work, added anywhere on the emit path, shows up
+   here. *)
+let test_pipeline_words () =
+  let spec = Spec.of_string_exn (farm "1K") in
+  let events = float (Array.length (Lazy.force farm_1k)) in
+  Budgets.gate "Run.execute" ~budget:Budgets.pipeline_event
+    (Budgets.words_per_iter ~warm:1 ~iters:1 (fun n ->
+         for _ = 1 to n do
+           ignore (Run.execute spec)
+         done)
+    /. events)
+
 let () =
   Alcotest.run "stream"
     [
@@ -531,5 +579,14 @@ let () =
             test_bounded_retention;
           Alcotest.test_case "of_events matches live feed" `Quick
             test_of_events_matches_live;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "words per event fed to the analysers" `Quick
+            test_analyser_words;
+          Alcotest.test_case "words per event independent of population"
+            `Quick test_population_independent;
+          Alcotest.test_case "words per event through Run.execute" `Quick
+            test_pipeline_words;
         ] );
     ]
