@@ -145,11 +145,11 @@ let f1 () =
   R.section "F1 (figure 1): both ends of one link moved simultaneously";
   let rows =
     List.map
-      (fun (module W : BW.WORLD) ->
-        let o = S.simultaneous_move (module W) in
+      (fun (backend : BW.backend) ->
+        let o = S.simultaneous_move backend in
         if not o.S.o_ok then fail ();
         let move_cost =
-          match W.name with
+          match backend.name with
           | "charlotte" ->
             Printf.sprintf "%d kernel move-protocol msgs"
               (S.counter o "charlotte.move_protocol_msgs")
@@ -161,7 +161,7 @@ let f1 () =
               (S.counter o "lynx_chrysalis.ends_adopted")
         in
         [
-          W.name;
+          backend.name;
           (if o.S.o_ok then "link survives" else "BROKEN");
           Printf.sprintf "%.1f ms" (Sim.Time.to_ms o.S.o_duration);
           move_cost;
@@ -219,13 +219,13 @@ let e5 () =
   in
   let rows =
     List.concat_map
-      (fun (module W : BW.WORLD) ->
-        let cross = S.cross_request (module W) in
-        let race = S.open_close_race (module W) in
+      (fun (backend : BW.backend) ->
+        let cross = S.cross_request backend in
+        let race = S.open_close_race backend in
         if not (cross.S.o_ok && race.S.o_ok) then fail ();
         [
-          row (W.name ^ ": cross request") cross;
-          row (W.name ^ ": open/close race") race;
+          row (backend.name ^ ": cross request") cross;
+          row (backend.name ^ ": open/close race") race;
         ])
       BW.all
   in
@@ -238,10 +238,10 @@ let e5 () =
   R.section "E5b (§3.2.2): the lost-enclosure deviation";
   let rows =
     List.map
-      (fun (module W : BW.WORLD) ->
-        let o = S.lost_enclosure (module W) in
+      (fun (backend : BW.backend) ->
+        let o = S.lost_enclosure backend in
         if not o.S.o_ok then fail ();
-        [ W.name; o.S.o_detail ])
+        [ backend.name; o.S.o_detail ])
       BW.all
   in
   R.table ~header:[ "backend"; "outcome" ] rows;
@@ -256,20 +256,20 @@ let e6 () =
   let sizes = Metrics.Source_size.backend_sizes () in
   let rows =
     List.map
-      (fun (module W : BW.WORLD) ->
-        let r0 = Harness.Rpc_bench.run (module W) ~payload:0 () in
-        let r1000 = Harness.Rpc_bench.run (module W) ~payload:1000 () in
-        let cross = S.cross_request (module W) in
+      (fun (backend : BW.backend) ->
+        let r0 = Harness.Rpc_bench.run backend ~payload:0 () in
+        let r1000 = Harness.Rpc_bench.run backend ~payload:1000 () in
+        let cross = S.cross_request backend in
         let loc =
           match sizes with
           | Some l -> (
-            match List.assoc_opt ("lynx_" ^ W.name) l with
+            match List.assoc_opt ("lynx_" ^ backend.name) l with
             | Some c -> string_of_int c.Metrics.Source_size.code_lines
             | None -> "-")
           | None -> "-"
         in
         [
-          W.name;
+          backend.name;
           R.ms (Harness.Rpc_bench.mean_ms r0);
           R.ms (Harness.Rpc_bench.mean_ms r1000);
           string_of_int (S.counter cross "lynx_charlotte.unwanted_received");

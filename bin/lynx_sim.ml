@@ -12,7 +12,6 @@
      races     happens-before race detector replay
      workload  population-scale topologies with latency percentiles
      repro     re-run any spec string and dump its full artifact
-     memsmoke  bounded-retention equivalence smoke (ring buffer vs full log)
      backends  list available backends
 
    Every sweep row is identified by a run spec
@@ -37,8 +36,7 @@ let named_conv what find name =
   in
   Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (name v))
 
-let backend_conv =
-  named_conv "backend" BW.find (fun (module W : BW.WORLD) -> W.name)
+let backend_conv = named_conv "backend" BW.find BW.name
 
 let backend_arg =
   let doc =
@@ -106,6 +104,15 @@ let in_range ~lo ?hi flag show v =
 
 let at_least lo flag = in_range ~lo flag string_of_int
 
+(* A value past what a backend's messages can carry (a payload or an
+   enclosure count) fails inside the simulation; report it like any
+   other out-of-range flag. *)
+let within_capacity flag v f =
+  try f () with
+  | Invalid_argument msg -> reject "bad %s %d (%s)" flag v msg
+  | Sim.Engine.Fiber_crash (who, e) ->
+    reject "bad %s %d (%s failed: %s)" flag v who (Printexc.to_string e)
+
 let resolve_filter what filter have =
   List.iter
     (fun s ->
@@ -130,11 +137,15 @@ let rpc_cmd =
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print counter activity.")
   in
-  let run (module W : BW.WORLD) payload iters seed verbose =
+  let run (backend : BW.backend) payload iters seed verbose =
     at_least 1 "--iters" iters;
-    let r = Harness.Rpc_bench.run (module W) ~payload ~iters ~seed () in
+    at_least 0 "--payload" payload;
+    let r =
+      within_capacity "--payload" payload (fun () ->
+          Harness.Rpc_bench.run backend ~payload ~iters ~seed ())
+    in
     Printf.printf
-      "%s: simple remote operation, %d bytes each way, %d iterations\n" W.name
+      "%s: simple remote operation, %d bytes each way, %d iterations\n" backend.name
       payload iters;
     Printf.printf "  mean %.3f ms   min %.3f ms   max %.3f ms\n"
       (Sim.Time.to_ms r.Harness.Rpc_bench.r_mean)
@@ -178,7 +189,7 @@ let scenario_cmd =
              (conservative-window PDES).  The outcome is byte-identical \
              at every value; only wall-clock time changes.")
   in
-  let run (module W : BW.WORLD) name encl shards seed =
+  let run (backend : BW.backend) name encl shards seed =
     at_least 1 "--shards" shards;
     let sc =
       match S.find name with
@@ -187,19 +198,22 @@ let scenario_cmd =
         reject "unknown scenario %S (have: %s)" name
           (String.concat ", " S.names)
     in
-    if not (S.applies sc (module W)) then
-      reject "scenario %s does not apply to backend %s" name W.name;
+    if not (S.applies sc backend) then
+      reject "scenario %s does not apply to backend %s" name backend.name;
     let o =
       (* The registry runner fixes n_encl at the sweep default; the CLI
          keeps its -k knob by calling the scenario directly. *)
-      if name = "enclosures" then
-        S.enclosure_protocol ~seed ~n_encl:encl (module W)
+      if name = "enclosures" then begin
+        at_least 0 "--enclosures" encl;
+        within_capacity "--enclosures" encl (fun () ->
+            S.enclosure_protocol ~seed ~n_encl:encl backend)
+      end
       else
         sc.S.sc_run
           { S.seed; policy = Sim.Engine.Fifo; shards; population = None }
-          (module W)
+          backend
     in
-    Printf.printf "%s: %s (%.2f ms simulated)\n" W.name
+    Printf.printf "%s: %s (%.2f ms simulated)\n" backend.name
       (if o.S.o_ok then "ok" else "FAILED")
       (Sim.Time.to_ms o.S.o_duration);
     Printf.printf "  detail: %s\n" o.S.o_detail;
@@ -217,12 +231,17 @@ let scenario_cmd =
 
 let sweep_cmd =
   let lo = Arg.(value & opt int 0 & info [ "from" ] ~docv:"BYTES" ~doc:"Start payload.") in
-  let hi = Arg.(value & opt int 2500 & info [ "to" ] ~docv:"BYTES" ~doc:"End payload.") in
+  let hi = Arg.(value & opt int 2000 & info [ "to" ] ~docv:"BYTES" ~doc:"End payload.") in
   let step = Arg.(value & opt int 250 & info [ "step" ] ~docv:"BYTES" ~doc:"Step.") in
   let run lo hi step seed jobs =
     at_least 1 "--step" step;
+    at_least 0 "--from" lo;
+    if lo > hi then reject "empty sweep: --from %d is past --to %d" lo hi;
     let rec payloads p = if p > hi then [] else p :: payloads (p + step) in
-    let rows = Harness.Rpc_bench.sweep ~jobs ~seed ~payloads:(payloads lo) () in
+    let rows =
+      within_capacity "--to" hi (fun () ->
+          Harness.Rpc_bench.sweep ~jobs ~seed ~payloads:(payloads lo) ())
+    in
     Metrics.Report.table
       ~header:("payload" :: BW.names)
       (List.map
@@ -604,13 +623,13 @@ let static_cmd =
 (* ---- races: happens-before race detector ---------------------------------- *)
 
 let races_cmd =
-  let run (module W : BW.WORLD) names seed jobs json =
+  let run (backend : BW.backend) names seed jobs json =
     let names = resolve_filter "scenario" names S.names in
     (* Run every scenario replay on the pool, then print in scenario
        order — jobs never print, so the report is identical at any -j. *)
     let artifacts =
       Run.execute_many ~jobs
-        (Run.Spec.product ~scenarios:names ~backends:[ W.name ] ~seeds:[ seed ]
+        (Run.Spec.product ~scenarios:names ~backends:[ backend.name ] ~seeds:[ seed ]
            ())
     in
     let gaps = Run.Soundness.check (List.filter_map Fun.id artifacts) in
@@ -629,7 +648,7 @@ let races_cmd =
     end
     else begin
       let report, total =
-        Run.Artifact.races_report ~backend:W.name ~scenarios:names artifacts
+        Run.Artifact.races_report ~backend:backend.name ~scenarios:names artifacts
       in
       print_string report;
       print_string (Run.Soundness.report gaps);
@@ -824,143 +843,6 @@ let repro_cmd =
           violations, races, counters, events hash and trace tail.")
     Term.(const run $ spec_arg $ json_arg $ log_capacity_arg $ shards_arg)
 
-(* ---- memsmoke: bounded-retention equivalence smoke ------------------------ *)
-
-let memsmoke_cmd =
-  let capacity_arg =
-    let doc = "Ring-buffer capacity for the bounded runs." in
-    Arg.(value & opt int 64 & info [ "capacity" ] ~docv:"N" ~doc)
-  in
-  let iters_arg =
-    let doc =
-      "Measured RPC iterations for the long run (default 300, 10x the \
-       rpc command's default)."
-    in
-    Arg.(value & opt int 300 & info [ "n"; "iters" ] ~docv:"N" ~doc)
-  in
-  let spec_arg =
-    let doc = "Run spec for the scenario-pipeline half of the smoke." in
-    Arg.(
-      value
-      & opt string "move/charlotte/1/fifo"
-      & info [ "spec" ] ~docv:"SPEC" ~doc)
-  in
-  let run (module W : BW.WORLD) capacity iters spec_str seed =
-    let failures = ref 0 in
-    let check name cond detail =
-      if cond then Printf.printf "  ok   %s\n" name
-      else begin
-        incr failures;
-        Printf.printf "  FAIL %s: %s\n" name detail
-      end
-    in
-    (* Half 1: the full run pipeline, unbounded vs ring-bounded.  The
-       judged artifact must be identical and the bounded view must
-       retain at most [capacity] events with exact drop accounting. *)
-    let spec =
-      match Run.Spec.of_string spec_str with
-      | Ok s -> s
-      | Error msg -> reject "%s" msg
-    in
-    Printf.printf "scenario pipeline: %s (capacity %d)\n"
-      (Run.Spec.to_string spec) capacity;
-    (match
-       (Run.execute_full spec, Run.execute_full ~log_capacity:capacity spec)
-     with
-    | Some (Some o_u, a_u), Some (Some o_b, a_b) ->
-      let v_u = o_u.S.o_view and v_b = o_b.S.o_view in
-      let n_u = Array.length v_u.Sim.Engine.v_events in
-      let n_b = Array.length v_b.Sim.Engine.v_events in
-      let total_u = n_u + v_u.Sim.Engine.v_events_dropped in
-      let total_b = n_b + v_b.Sim.Engine.v_events_dropped in
-      check "artifact identical under ring" (a_u = a_b)
-        "bounded run was judged differently";
-      check "retained <= capacity" (n_b <= capacity)
-        (Printf.sprintf "%d events retained" n_b);
-      check "drop accounting exact" (total_b = total_u)
-        (Printf.sprintf "%d+dropped=%d vs %d" n_b total_b total_u);
-      check "events hash exact under ring"
-        (v_u.Sim.Engine.v_events_hash = v_b.Sim.Engine.v_events_hash)
-        (Printf.sprintf "%016Lx vs %016Lx" v_u.Sim.Engine.v_events_hash
-           v_b.Sim.Engine.v_events_hash);
-      check "streamed races match post-hoc"
-        (Analysis.Races.analyze v_u.Sim.Engine.v_events
-        = a_u.Run.Artifact.races)
-        "post-hoc analyze of the retained log disagrees"
-    | _ ->
-      incr failures;
-      Printf.printf "  FAIL spec did not produce two full runs\n");
-    (* Half 2: a 10x-length RPC run with the observer attached by hand,
-       so peak retention is checked against a stream long enough to
-       wrap the ring many times over. *)
-    let observe log_capacity =
-      let stream = ref (Analysis.Stream.init ()) in
-      let captured = ref None in
-      let attach e =
-        captured := Some e;
-        Sim.Engine.add_consumer e (fun ev ->
-            stream := Analysis.Stream.feed ev !stream)
-      in
-      let _r =
-        Sim.Engine.with_observer ?log_capacity ~attach (fun () ->
-            Harness.Rpc_bench.run (module W) ~iters ~seed ~payload:0 ())
-      in
-      match !captured with
-      | None -> reject "memsmoke: the benchmark created no engine"
-      | Some e ->
-        (Sim.Engine.view e, Analysis.Stream.finish !stream,
-         Sim.Engine.events_total e)
-    in
-    Printf.printf "long run: rpc on %s, %d iters (capacity %d)\n" W.name
-      iters capacity;
-    let v_u, sum_u, total_u = observe None in
-    let v_b, sum_b, total_b = observe (Some capacity) in
-    let n_b = Array.length v_b.Sim.Engine.v_events in
-    check "stream long enough to wrap" (total_u > 2 * capacity)
-      (Printf.sprintf "only %d events" total_u);
-    check "peak retained <= capacity" (n_b <= capacity)
-      (Printf.sprintf "%d events retained" n_b);
-    check "totals equal" (total_u = total_b && sum_u.Analysis.Stream.s_events = total_u
-                          && sum_b.Analysis.Stream.s_events = total_b)
-      (Printf.sprintf "%d vs %d (streamed %d/%d)" total_u total_b
-         sum_u.Analysis.Stream.s_events sum_b.Analysis.Stream.s_events);
-    check "drop accounting exact"
-      (v_b.Sim.Engine.v_events_dropped = total_b - n_b)
-      (Printf.sprintf "dropped %d, expected %d"
-         v_b.Sim.Engine.v_events_dropped (total_b - n_b));
-    check "events hash exact under ring"
-      (v_u.Sim.Engine.v_events_hash = v_b.Sim.Engine.v_events_hash)
-      (Printf.sprintf "%016Lx vs %016Lx" v_u.Sim.Engine.v_events_hash
-         v_b.Sim.Engine.v_events_hash);
-    check "streamed races equal at both capacities"
-      (sum_u.Analysis.Stream.s_races = sum_b.Analysis.Stream.s_races)
-      "ring retention changed the streaming findings";
-    check "streamed races match post-hoc on the full log"
-      (Analysis.Races.analyze v_u.Sim.Engine.v_events
-      = sum_u.Analysis.Stream.s_races)
-      "post-hoc analyze of the unbounded log disagrees";
-    check "stream monotone"
-      (sum_u.Analysis.Stream.s_backwards = None
-      && sum_b.Analysis.Stream.s_backwards = None)
-      "a timestamp regression was recorded";
-    if !failures > 0 then begin
-      Printf.printf "%d check(s) failed\n" !failures;
-      exit 1
-    end
-    else print_endline "all checks passed"
-  in
-  Cmd.v
-    (Cmd.info "memsmoke"
-       ~doc:
-         "Bounded-retention smoke: re-run a scenario and a long RPC run \
-          with the event log capped to a small ring buffer, and assert \
-          the judged artifact, events hash and streaming race findings \
-          are identical to the unbounded run while peak retained events \
-          stay within the cap.")
-    Term.(
-      const run $ backend_arg $ capacity_arg $ iters_arg $ spec_arg
-      $ seed_arg)
-
 (* ---- backends ------------------------------------------------------------ *)
 
 let backends_cmd =
@@ -972,7 +854,7 @@ let backends_cmd =
   in
   let run all =
     List.iter
-      (fun (module W : BW.WORLD) -> print_endline W.name)
+      (fun b -> print_endline (BW.name b))
       (if all then BW.variants else BW.all)
   in
   Cmd.v
@@ -998,6 +880,5 @@ let () =
             races_cmd;
             workload_cmd;
             repro_cmd;
-            memsmoke_cmd;
             backends_cmd;
           ]))

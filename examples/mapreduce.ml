@@ -32,17 +32,17 @@ let () =
     if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 3
   in
   Printf.printf "Map-reduce on %s with %d workers\n" backend n_workers;
-  let (module W) = Harness.Backend_world.find_exn backend in
+  let backend = Harness.Backend_world.find_exn backend in
   let engine = Engine.create () in
-  let world = W.create engine ~nodes:(n_workers + 3) in
+  let world = backend.create engine ~nodes:(n_workers + 3) in
 
   let ns_member =
-    W.spawn world ~daemon:true ~node:0 ~name:"nameserver" NS.body
+    Lynx.World.spawn world ~daemon:true ~node:0 ~name:"nameserver" NS.body
   in
 
   let workers =
     List.init n_workers (fun i ->
-        W.spawn world ~daemon:true ~node:(i + 1)
+        Lynx.World.spawn world ~daemon:true ~node:(i + 1)
           ~name:(Printf.sprintf "worker%d" i) (fun p ->
             let ns = wait_first_link p in
             NS.serve_clones p ~ns ~on_client:(fun mine ->
@@ -55,7 +55,7 @@ let () =
   in
 
   let master =
-    W.spawn world ~node:(n_workers + 1) ~name:"master" (fun p ->
+    Lynx.World.spawn world ~node:(n_workers + 1) ~name:"master" (fun p ->
         let ns = wait_first_link p in
         P.sleep p (Time.ms 300) (* registrations *);
         let data = List.init 120 (fun i -> i + 1) in
@@ -105,7 +105,7 @@ let () =
   ignore
     (Engine.spawn engine ~name:"wiring" (fun () ->
          List.iter
-           (fun m -> ignore (W.link_between world m ns_member))
+           (fun m -> ignore (Lynx.World.link_between world m ns_member))
            (workers @ [ master ])));
 
   Engine.run engine;

@@ -31,16 +31,16 @@ let wait_first_link p =
 let () =
   let backend = if Array.length Sys.argv > 1 then Sys.argv.(1) else "chrysalis" in
   Printf.printf "Name service on %s\n" backend;
-  let (module W) = Harness.Backend_world.find_exn backend in
+  let backend = Harness.Backend_world.find_exn backend in
   let engine = Engine.create () in
-  let world = W.create engine ~nodes:6 in
+  let world = backend.create engine ~nodes:6 in
 
   let ns_member =
-    W.spawn world ~daemon:true ~node:0 ~name:"nameserver" NS.body
+    Lynx.World.spawn world ~daemon:true ~node:0 ~name:"nameserver" NS.body
   in
 
   let greeter =
-    W.spawn world ~daemon:true ~node:1 ~name:"greeter" (fun p ->
+    Lynx.World.spawn world ~daemon:true ~node:1 ~name:"greeter" (fun p ->
         let ns = wait_first_link p in
         NS.serve_clones p ~ns ~on_client:(fun mine ->
             L.serve p mine greet_op (fun who -> "hello, " ^ who ^ "!"));
@@ -49,7 +49,7 @@ let () =
   in
 
   let counter =
-    W.spawn world ~daemon:true ~node:2 ~name:"counter" (fun p ->
+    Lynx.World.spawn world ~daemon:true ~node:2 ~name:"counter" (fun p ->
         let ns = wait_first_link p in
         let count = ref 0 in
         NS.serve_clones p ~ns ~on_client:(fun mine ->
@@ -61,7 +61,7 @@ let () =
   in
 
   let client =
-    W.spawn world ~node:3 ~name:"client" (fun p ->
+    Lynx.World.spawn world ~node:3 ~name:"client" (fun p ->
         let ns = wait_first_link p in
         P.sleep p (Time.ms 300) (* let the providers register *);
         Printf.printf "  registered services: %s\n"
@@ -84,7 +84,7 @@ let () =
   ignore
     (Engine.spawn engine ~name:"wiring" (fun () ->
          List.iter
-           (fun m -> ignore (W.link_between world m ns_member))
+           (fun m -> ignore (Lynx.World.link_between world m ns_member))
            [ greeter; counter; client ]));
 
   Engine.run engine;

@@ -24,9 +24,9 @@ let () =
   Printf.printf "Pipeline (%s) on %s with %d items\n"
     (String.concat " -> " (List.map fst stages))
     backend n_items;
-  let (module W) = Harness.Backend_world.find_exn backend in
+  let backend = Harness.Backend_world.find_exn backend in
   let engine = Engine.create () in
-  let world = W.create engine ~nodes:8 in
+  let world = backend.create engine ~nodes:8 in
 
   let control_plan = Sync.Ivar.create engine in
   let first_stage = Sync.Ivar.create engine in
@@ -37,7 +37,7 @@ let () =
   let stage_members =
     List.mapi
       (fun i (sname, f) ->
-        W.spawn world ~daemon:true ~node:(i + 1) ~name:sname (fun p ->
+        Lynx.World.spawn world ~daemon:true ~node:(i + 1) ~name:sname (fun p ->
             let wire = P.await_request p () in
             let next =
               match wire.P.in_args with [ V.Link l ] -> Some l | _ -> None
@@ -70,7 +70,7 @@ let () =
   (* Control process: tells each stage where its successor lives by
      moving a link end in the wire request. *)
   let control =
-    W.spawn world ~daemon:true ~node:6 ~name:"control" (fun p ->
+    Lynx.World.spawn world ~daemon:true ~node:6 ~name:"control" (fun p ->
         let plan = Sync.Ivar.read control_plan in
         List.iter
           (fun (ctrl_link, down) ->
@@ -82,7 +82,7 @@ let () =
   in
 
   let source =
-    W.spawn world ~node:0 ~name:"source" (fun p ->
+    Lynx.World.spawn world ~node:0 ~name:"source" (fun p ->
         let head = Sync.Ivar.read first_stage in
         let expect x = List.fold_left (fun acc (_, f) -> f acc) x stages in
         for x = 1 to n_items do
@@ -101,7 +101,7 @@ let () =
          let ctrl_links =
            List.map
              (fun m ->
-               let c_end, _ = W.link_between world control m in
+               let c_end, _ = Lynx.World.link_between world control m in
                c_end)
              stage_members
          in
@@ -109,14 +109,14 @@ let () =
             stage_{i+1}; control moves its end to stage_i via "wire". *)
          let rec downs = function
            | _ :: (m2 :: _ as rest) ->
-             let to_next, _ = W.link_between world control m2 in
+             let to_next, _ = Lynx.World.link_between world control m2 in
              Some to_next :: downs rest
            | _ -> [ None ]
          in
          Sync.Ivar.fill control_plan
            (List.combine ctrl_links (downs stage_members));
          Sync.Ivar.read wired;
-         let src_end, _ = W.link_between world source (List.hd stage_members) in
+         let src_end, _ = Lynx.World.link_between world source (List.hd stage_members) in
          Sync.Ivar.fill first_stage src_end));
 
   Engine.run engine;

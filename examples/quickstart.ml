@@ -4,18 +4,18 @@
 
    A server process serves an "add" operation on a link; a client calls
    it.  The same program runs unchanged on all three simulated operating
-   systems — only the World module differs. *)
+   systems — only the kernel under Lynx.World differs. *)
 
 open Sim
 module P = Lynx.Process
 
-let run (module W : Harness.Backend_world.WORLD) =
+let run (backend : Harness.Backend_world.backend) =
   let engine = Engine.create () in
-  let world = W.create engine ~nodes:4 in
+  let world = backend.create engine ~nodes:4 in
 
   (* The server registers a typed handler and serves forever. *)
   let server =
-    W.spawn world ~daemon:true ~node:0 ~name:"adder" (fun p ->
+    Lynx.World.spawn world ~daemon:true ~node:0 ~name:"adder" (fun p ->
         let links = P.await_request p () in
         (* First request arrives before any serve registration: handle it
            directly, then register a handler for the rest. *)
@@ -34,7 +34,7 @@ let run (module W : Harness.Backend_world.WORLD) =
 
   let link_for_client = Sync.Ivar.create engine in
   let client =
-    W.spawn world ~node:1 ~name:"client" (fun p ->
+    Lynx.World.spawn world ~node:1 ~name:"client" (fun p ->
         let lnk = Sync.Ivar.read link_for_client in
         for i = 1 to 3 do
           let t0 = Engine.now engine in
@@ -46,7 +46,7 @@ let run (module W : Harness.Backend_world.WORLD) =
           | [ Lynx.Value.Int sum ] ->
             Printf.printf "  %d + %d = %d   (%.2f ms on %s)\n" i (10 * i) sum
               (Time.to_ms (Time.sub (Engine.now engine) t0))
-              W.name
+              backend.name
           | _ -> print_endline "  unexpected reply"
         done)
   in
@@ -55,7 +55,7 @@ let run (module W : Harness.Backend_world.WORLD) =
      harness provides the same service. *)
   ignore
     (Engine.spawn engine ~name:"parent" (fun () ->
-         let client_end, _server_end = W.link_between world client server in
+         let client_end, _server_end = Lynx.World.link_between world client server in
          Sync.Ivar.fill link_for_client client_end));
 
   Engine.run engine;

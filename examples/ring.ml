@@ -20,16 +20,16 @@ let () =
     if Array.length Sys.argv > 3 then int_of_string Sys.argv.(3) else 3
   in
   Printf.printf "Token ring: %d processes, %d rounds, on %s\n" n rounds backend;
-  let (module W) = Harness.Backend_world.find_exn backend in
+  let backend = Harness.Backend_world.find_exn backend in
   let engine = Engine.create () in
-  let world = W.create engine ~nodes:(n + 1) in
+  let world = backend.create engine ~nodes:(n + 1) in
 
   (* Station i: waits for the token on its inbound link and forwards it
      on its outbound link.  Station 0 (the injector) closes each round
      instead of forwarding forever. *)
   let stations =
     List.init n (fun i ->
-        W.spawn world ~daemon:true ~node:i ~name:(Printf.sprintf "s%d" i)
+        Lynx.World.spawn world ~daemon:true ~node:i ~name:(Printf.sprintf "s%d" i)
           (fun p ->
             if i = 0 then begin
               (* Injector: kicks the token and measures each round. *)
@@ -94,7 +94,7 @@ let () =
          let arr = Array.of_list stations in
          for i = 1 to n - 1 do
            (* Station i's inbound comes from station i-1. *)
-           ignore (W.link_between world arr.(i - 1) arr.(i))
+           ignore (Lynx.World.link_between world arr.(i - 1) arr.(i))
          done));
 
   Engine.run engine;

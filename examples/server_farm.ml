@@ -20,14 +20,14 @@ let () =
   let backend = if Array.length Sys.argv > 1 then Sys.argv.(1) else "chrysalis" in
   Printf.printf "Server farm on %s: 1 master, %d workers, 1 client\n" backend
     n_workers;
-  let (module W) = Harness.Backend_world.find_exn backend in
+  let backend = Harness.Backend_world.find_exn backend in
   let engine = Engine.create () in
-  let world = W.create engine ~nodes:8 in
+  let world = backend.create engine ~nodes:8 in
 
   (* Workers: serve "work" on whatever link they are given. *)
   let workers =
     List.init n_workers (fun i ->
-        W.spawn world ~daemon:true ~node:(2 + i)
+        Lynx.World.spawn world ~daemon:true ~node:(2 + i)
           ~name:(Printf.sprintf "worker%d" i) (fun p ->
             let rec serve () =
               let inc = P.await_request p () in
@@ -44,7 +44,7 @@ let () =
   (* Master: owns a link to every worker; leases the whole pool to a
      client in a single reply carrying n_workers enclosures. *)
   let master =
-    W.spawn world ~daemon:true ~node:0 ~name:"master" (fun p ->
+    Lynx.World.spawn world ~daemon:true ~node:0 ~name:"master" (fun p ->
         let rec serve () =
           let inc = P.await_request p () in
           (match inc.P.in_op with
@@ -68,7 +68,7 @@ let () =
 
   let master_link = Sync.Ivar.create engine in
   let client =
-    W.spawn world ~node:1 ~name:"client" (fun p ->
+    Lynx.World.spawn world ~node:1 ~name:"client" (fun p ->
         let m = Sync.Ivar.read master_link in
         let leased = P.call p m ~op:"lease" [] in
         let links = V.links_of_list leased in
@@ -99,13 +99,13 @@ let () =
     (Engine.spawn engine ~name:"parent" (fun () ->
          (* Master gets a link to each worker, client gets one to the master. *)
          List.iter
-           (fun worker -> ignore (W.link_between world master worker))
+           (fun worker -> ignore (Lynx.World.link_between world master worker))
            workers;
-         let client_end, _ = W.link_between world client master in
+         let client_end, _ = Lynx.World.link_between world client master in
          Sync.Ivar.fill master_link client_end));
 
   Engine.run engine;
-  let sts = W.stats world in
+  let sts = Lynx.World.stats world in
   (match Stats.get sts "lynx_charlotte.pkt_sent.enc" with
   | 0 -> ()
   | n ->

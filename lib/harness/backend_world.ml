@@ -1,154 +1,76 @@
 (** Uniform access to the three LYNX implementations.
 
     Examples, tests and benches that want to run the same scenario on
-    Charlotte, SODA and Chrysalis program against {!WORLD} and pick an
-    implementation from {!all} — the multi-backend portability the paper
-    argues a distributed language should provide. *)
+    Charlotte, SODA and Chrysalis pick a {!backend} from {!all}, build a
+    {!Lynx.World.t} with its [create], and program against
+    {!Lynx.World} — the multi-backend portability the paper argues a
+    distributed language should provide. *)
 
-module type WORLD = sig
-  type world
-  type member
+type backend = {
+  name : string;  (** "charlotte", "soda", "chrysalis" or an ablation variant *)
+  create : ?stats:Sim.Stats.t -> Sim.Engine.t -> nodes:int -> Lynx.World.t;
+}
 
-  val name : string
-  (** "charlotte", "soda" or "chrysalis". *)
+let charlotte =
+  {
+    name = "charlotte";
+    create = (fun ?stats e ~nodes -> Lynx_charlotte.World.create ?stats e ~nodes);
+  }
 
-  val create : ?stats:Sim.Stats.t -> Sim.Engine.t -> nodes:int -> world
+let soda =
+  {
+    name = "soda";
+    create = (fun ?stats e ~nodes -> Lynx_soda.World.create ?stats e ~nodes);
+  }
 
-  val spawn :
-    world ->
-    ?daemon:bool ->
-    node:int ->
-    name:string ->
-    (Lynx.Process.t -> unit) ->
-    member
-
-  val link_between : world -> member -> member -> Lynx.Link.t * Lynx.Link.t
-  (** Bootstrap link with one end in each process; call from a fiber. *)
-
-  val process : member -> Lynx.Process.t
-  (** Blocks until the member has initialised. *)
-
-  val stats : world -> Sim.Stats.t
-end
-
-module Charlotte_world : WORLD = struct
-  type world = Lynx_charlotte.World.t
-  type member = Lynx_charlotte.World.member
-
-  let name = "charlotte"
-  let create ?stats e ~nodes = Lynx_charlotte.World.create ?stats e ~nodes
-  let spawn w ?daemon ~node ~name body =
-    Lynx_charlotte.World.spawn w ?daemon ~node ~name body
-
-  let link_between = Lynx_charlotte.World.link_between
-  let process = Lynx_charlotte.World.process
-  let stats = Lynx_charlotte.World.stats
-end
-
-module Soda_world : WORLD = struct
-  type world = Lynx_soda.World.t
-  type member = Lynx_soda.World.member
-
-  let name = "soda"
-  let create ?stats e ~nodes = Lynx_soda.World.create ?stats e ~nodes
-  let spawn w ?daemon ~node ~name body =
-    Lynx_soda.World.spawn w ?daemon ~node ~name body
-
-  let link_between = Lynx_soda.World.link_between
-  let process = Lynx_soda.World.process
-  let stats = Lynx_soda.World.stats
-end
-
-module Chrysalis_world : WORLD = struct
-  type world = Lynx_chrysalis.World.t
-  type member = Lynx_chrysalis.World.member
-
-  let name = "chrysalis"
-  let create ?stats e ~nodes = Lynx_chrysalis.World.create ?stats e ~nodes
-  let spawn w ?daemon ~node ~name body =
-    Lynx_chrysalis.World.spawn w ?daemon ~node ~name body
-
-  let link_between = Lynx_chrysalis.World.link_between
-  let process = Lynx_chrysalis.World.process
-  let stats = Lynx_chrysalis.World.stats
-end
+let chrysalis =
+  {
+    name = "chrysalis";
+    create = (fun ?stats e ~nodes -> Lynx_chrysalis.World.create ?stats e ~nodes);
+  }
 
 (** Ablation variant: Charlotte with the top-level reply
     acknowledgments the paper rejected (§3.2.2).  Costs +50%% kernel
     messages per remote operation, but reply senders learn their fate.
     Not part of {!all}; used by the ablation bench and tests. *)
-module Charlotte_acks_world : WORLD = struct
-  type world = Lynx_charlotte.World.t
-  type member = Lynx_charlotte.World.member
-
-  let name = "charlotte+acks"
-  let create ?stats e ~nodes =
-    Lynx_charlotte.World.create ~reply_acks:true ?stats e ~nodes
-
-  let spawn w ?daemon ~node ~name body =
-    Lynx_charlotte.World.spawn w ?daemon ~node ~name body
-
-  let link_between = Lynx_charlotte.World.link_between
-  let process = Lynx_charlotte.World.process
-  let stats = Lynx_charlotte.World.stats
-end
+let charlotte_acks =
+  {
+    name = "charlotte+acks";
+    create =
+      (fun ?stats e ~nodes ->
+        Lynx_charlotte.World.create ~reply_acks:true ?stats e ~nodes);
+  }
 
 (** Ablation variant: a Charlotte kernel that moves link ends with
     hints instead of its three-party agreement protocol (the
     simplification lesson one predicts: "the Charlotte kernel itself
     would be simplified considerably by using hints when moving
     links").  Modelled as zero move-protocol cost. *)
-module Charlotte_hints_world : WORLD = struct
-  type world = Lynx_charlotte.World.t
-  type member = Lynx_charlotte.World.member
-
-  let name = "charlotte+hints"
-
-  let create ?stats e ~nodes =
-    Lynx_charlotte.World.create
-      ~kernel_costs:
-        {
-          Charlotte.Costs.default with
-          Charlotte.Costs.move_extra = Sim.Time.zero;
-          move_protocol_msgs = 0;
-        }
-      ?stats e ~nodes
-
-  let spawn w ?daemon ~node ~name body =
-    Lynx_charlotte.World.spawn w ?daemon ~node ~name body
-
-  let link_between = Lynx_charlotte.World.link_between
-  let process = Lynx_charlotte.World.process
-  let stats = Lynx_charlotte.World.stats
-end
+let charlotte_hints =
+  {
+    name = "charlotte+hints";
+    create =
+      (fun ?stats e ~nodes ->
+        Lynx_charlotte.World.create
+          ~kernel_costs:
+            {
+              Charlotte.Costs.default with
+              Charlotte.Costs.move_extra = Sim.Time.zero;
+              move_protocol_msgs = 0;
+            }
+          ?stats e ~nodes);
+  }
 
 (** Ablation variant: Chrysalis with the §5.3 "code tuning now under
     development" applied (fixed runtime costs cut by 35%). *)
-module Chrysalis_tuned_world : WORLD = struct
-  type world = Lynx_chrysalis.World.t
-  type member = Lynx_chrysalis.World.member
+let chrysalis_tuned =
+  {
+    name = "chrysalis+tuned";
+    create =
+      (fun ?stats e ~nodes ->
+        Lynx_chrysalis.World.create ~costs:Lynx.Costs.m68000_tuned ?stats e ~nodes);
+  }
 
-  let name = "chrysalis+tuned"
-
-  let create ?stats e ~nodes =
-    Lynx_chrysalis.World.create ~costs:Lynx.Costs.m68000_tuned ?stats e ~nodes
-
-  let spawn w ?daemon ~node ~name body =
-    Lynx_chrysalis.World.spawn w ?daemon ~node ~name body
-
-  let link_between = Lynx_chrysalis.World.link_between
-  let process = Lynx_chrysalis.World.process
-  let stats = Lynx_chrysalis.World.stats
-end
-
-type backend = (module WORLD)
-
-let charlotte : backend = (module Charlotte_world)
-let charlotte_acks : backend = (module Charlotte_acks_world)
-let charlotte_hints : backend = (module Charlotte_hints_world)
-let chrysalis_tuned : backend = (module Chrysalis_tuned_world)
-let soda : backend = (module Soda_world)
-let chrysalis : backend = (module Chrysalis_world)
 let all = [ charlotte; soda; chrysalis ]
 
 (* Every registered implementation, primaries first: the three paper
@@ -158,11 +80,9 @@ let all = [ charlotte; soda; chrysalis ]
 let variants =
   all @ [ charlotte_acks; charlotte_hints; chrysalis_tuned ]
 
-let name (module W : WORLD) = W.name
+let name b = b.name
 let names = List.map name all
-
-let find name_ =
-  List.find_opt (fun (module W : WORLD) -> String.equal W.name name_) variants
+let find name_ = List.find_opt (fun b -> String.equal b.name name_) variants
 
 let find_exn name_ =
   match find name_ with

@@ -48,13 +48,13 @@ module Key = struct
   let suspicions = Stats.key "recovery.suspicions"
 end
 
-let run ?(seed = 42) ?policy (module W : WORLD) : result =
+let run ?(seed = 42) ?policy (backend : backend) : result =
   let eng = Engine.create ~seed ?policy () in
   (* Candidates on nodes 0..3, monitor on node 4: the high3 partition
      cut then splits the candidates 3-vs-1 and the high4 cut isolates
      the monitor from the whole ring. *)
-  let w = W.create eng ~nodes:6 in
-  let sts = W.stats w in
+  let w = backend.create eng ~nodes:6 in
+  let sts = Lynx.World.stats w in
   let wc =
     match Faults.ambient () with
     | Some plan -> Faults.Plan.window_close (Faults.Plan.validate plan)
@@ -79,7 +79,7 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
            leader-crash plan targets it by name, and Chang–Roberts
            elects it first, so the crash hits the incumbent. *)
         let pname = if i = n_cand - 1 then "leader" else Printf.sprintf "n%d" i in
-        W.spawn w ~daemon:true ~node:i ~name:pname (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:i ~name:pname (fun p ->
             Sync.Ivar.read go.(i);
             let succ1 = Sync.Ivar.read cend.(i).((i + 1) mod n_cand) in
             let succ2 = Sync.Ivar.read cend.(i).((i + 2) mod n_cand) in
@@ -202,7 +202,7 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
             P.park p))
   in
   let monitor =
-    W.spawn w ~node:n_cand ~name:"monitor" (fun p ->
+    Lynx.World.spawn w ~node:n_cand ~name:"monitor" (fun p ->
         Sync.Ivar.read go.(n_cand);
         let ends = Array.init n_cand (fun j -> Sync.Ivar.read mon_end.(j)) in
         let epoch = ref 0 in
@@ -288,13 +288,13 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
     (Engine.spawn eng ~name:"driver" (fun () ->
          for i = 0 to n_cand - 1 do
            for j = i + 1 to n_cand - 1 do
-             let ei, ej = W.link_between w cands.(i) cands.(j) in
+             let ei, ej = Lynx.World.link_between w cands.(i) cands.(j) in
              Sync.Ivar.fill cend.(i).(j) ei;
              Sync.Ivar.fill cend.(j).(i) ej
            done
          done;
          for i = 0 to n_cand - 1 do
-           let em, ec = W.link_between w monitor cands.(i) in
+           let em, ec = Lynx.World.link_between w monitor cands.(i) in
            Sync.Ivar.fill mon_end.(i) em;
            Sync.Ivar.fill cmon.(i) ec
          done;

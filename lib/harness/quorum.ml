@@ -35,13 +35,13 @@ module Key = struct
   let unsafe = Stats.key "recovery.unsafe"
 end
 
-let run ?(seed = 42) ?policy (module W : WORLD) : result =
+let run ?(seed = 42) ?policy (backend : backend) : result =
   let eng = Engine.create ~seed ?policy () in
   (* Writer on node 0, replicas on nodes 1..5: the high4 partition cut
      then isolates a 2-of-5 minority (r4, r5) and the high3 cut a
      3-of-5 majority (r3, r4, r5). *)
-  let w = W.create eng ~nodes:6 in
-  let sts = W.stats w in
+  let w = backend.create eng ~nodes:6 in
+  let sts = Lynx.World.stats w in
   let wc =
     match Faults.ambient () with
     | Some plan -> Faults.Plan.window_close (Faults.Plan.validate plan)
@@ -54,7 +54,7 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
   let detail = ref "writer did not finish" in
   let replicas =
     Array.init n_replicas (fun k ->
-        W.spawn w ~daemon:true ~node:(k + 1)
+        Lynx.World.spawn w ~daemon:true ~node:(k + 1)
           ~name:(Printf.sprintf "r%d" (k + 1))
           (fun p ->
             let l = Sync.Ivar.read repl_end.(k) in
@@ -73,7 +73,7 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
             P.park p))
   in
   let writer =
-    W.spawn w ~node:0 ~name:"writer" (fun p ->
+    Lynx.World.spawn w ~node:0 ~name:"writer" (fun p ->
         let ends =
           Array.to_list (Array.map Sync.Ivar.read writer_end)
         in
@@ -160,7 +160,7 @@ let run ?(seed = 42) ?policy (module W : WORLD) : result =
   ignore
     (Engine.spawn eng ~name:"driver" (fun () ->
          for k = 0 to n_replicas - 1 do
-           let we, re = W.link_between w writer replicas.(k) in
+           let we, re = Lynx.World.link_between w writer replicas.(k) in
            Sync.Ivar.fill writer_end.(k) we;
            Sync.Ivar.fill repl_end.(k) re
          done;

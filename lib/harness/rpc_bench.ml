@@ -20,45 +20,55 @@ type result = {
 
 let mean_ms r = Time.to_ms r.r_mean
 
-let run ?(nodes = 4) ?(iters = 30) ?(warmup = 5) ?(seed = 42)
-    (module W : WORLD) ~payload () =
-  let eng = Engine.create ~seed ~log_capacity:0 () in
-  let w = W.create eng ~nodes in
-  let sts = W.stats w in
-  let series = Stats.Series.create () in
-  let counters = ref [] in
+(* An echo pair: [server] on node 0 and [client] on node 1, linked by a
+   driver fiber that hands the client its end; then the run. *)
+let run_pair eng w ~server ~client =
   let link_for_client = Sync.Ivar.create eng in
-  let server =
-    W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
-        let rec loop () =
-          let inc = Lynx.Process.await_request p () in
-          inc.Lynx.Process.in_reply inc.Lynx.Process.in_args;
-          loop ()
-        in
-        try loop () with Lynx.Excn.Link_destroyed | Lynx.Excn.Process_terminated -> ())
-  in
-  let client =
-    W.spawn w ~node:1 ~name:"client" (fun p ->
-        let lnk = Sync.Ivar.read link_for_client in
-        let args = [ Lynx.Value.Str (String.make payload 'x') ] in
-        for _ = 1 to warmup do
-          ignore (Lynx.Process.call p lnk ~op:"echo" args)
-        done;
-        let before = Stats.snapshot sts in
-        for _ = 1 to iters do
-          let t0 = Engine.now eng in
-          ignore (Lynx.Process.call p lnk ~op:"echo" args);
-          Stats.Series.add series (Time.sub (Engine.now eng) t0)
-        done;
-        counters := Stats.diff ~before ~after:(Stats.snapshot sts))
+  let s = Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" server in
+  let c =
+    Lynx.World.spawn w ~node:1 ~name:"client" (fun p ->
+        client p (Sync.Ivar.read link_for_client))
   in
   ignore
     (Engine.spawn eng ~name:"driver" (fun () ->
-         let client_end, _server_end = W.link_between w client server in
+         let client_end, _ = Lynx.World.link_between w c s in
          Sync.Ivar.fill link_for_client client_end));
-  Engine.run eng;
+  Engine.run eng
+
+let run ?(nodes = 4) ?(iters = 30) ?(warmup = 5) ?(seed = 42)
+    (backend : backend) ~payload () =
+  let eng = Engine.create ~seed ~log_capacity:0 () in
+  let w = backend.create eng ~nodes in
+  let sts = Lynx.World.stats w in
+  let series = Stats.Series.create () in
+  let counters = ref [] in
+  run_pair eng w
+    ~server:(fun p ->
+      let rec loop () =
+        let inc = Lynx.Process.await_request p () in
+        inc.Lynx.Process.in_reply inc.Lynx.Process.in_args;
+        loop ()
+      in
+      try loop () with Lynx.Excn.Link_destroyed | Lynx.Excn.Process_terminated -> ())
+    ~client:(fun p lnk ->
+      let args = [ Lynx.Value.Str (String.make payload 'x') ] in
+      for _ = 1 to warmup do
+        ignore (Lynx.Process.call p lnk ~op:"echo" args)
+      done;
+      let before = Stats.snapshot sts in
+      for _ = 1 to iters do
+        let t0 = Engine.now eng in
+        ignore (Lynx.Process.call p lnk ~op:"echo" args);
+        Stats.Series.add series (Time.sub (Engine.now eng) t0)
+      done;
+      counters := Stats.diff ~before ~after:(Stats.snapshot sts));
+  (* A message past the backend's capacity can stall the client instead
+     of failing it (Charlotte truncates it at the receiver). *)
+  if Stats.Series.count series < iters then
+    invalid_arg
+      (Printf.sprintf "%s: the %d B echo never completed" backend.name payload);
   {
-    r_backend = W.name;
+    r_backend = backend.name;
     r_payload = payload;
     r_iters = iters;
     r_mean = Stats.Series.mean series;
@@ -75,45 +85,35 @@ let run ?(nodes = 4) ?(iters = 30) ?(warmup = 5) ?(seed = 42)
     calls per simulated second.  (An analysis beyond the paper's own
     tables.) *)
 let throughput ?(nodes = 4) ?(coroutines = 4) ?(calls = 40) ?(seed = 42)
-    (module W : WORLD) ~payload () =
+    (backend : backend) ~payload () =
   let eng = Engine.create ~seed ~log_capacity:0 () in
-  let w = W.create eng ~nodes in
-  let link_for_client = Sync.Ivar.create eng in
+  let w = backend.create eng ~nodes in
   let t_start = ref Time.zero and t_end = ref Time.zero in
   let completed = ref 0 in
-  let server =
-    W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
-        Lynx.Process.on_new_link p (fun l ->
-            Lynx.Process.serve p l ~op:"echo" (fun vs -> vs));
-        List.iter
-          (fun l -> Lynx.Process.serve p l ~op:"echo" (fun vs -> vs))
-          (Lynx.Process.live_links p);
-        Lynx.Process.park p)
-  in
-  let client =
-    W.spawn w ~node:1 ~name:"client" (fun p ->
-        let lnk = Sync.Ivar.read link_for_client in
-        let args = [ Lynx.Value.Str (String.make payload 'x') ] in
-        let fin = Sync.Ivar.create eng in
-        let live = ref coroutines in
-        t_start := Engine.now eng;
-        for _ = 1 to coroutines do
-          Lynx.Process.spawn_thread p (fun () ->
-              for _ = 1 to calls do
-                ignore (Lynx.Process.call p lnk ~op:"echo" args);
-                incr completed
-              done;
-              decr live;
-              if !live = 0 then Sync.Ivar.fill fin ())
-        done;
-        Sync.Ivar.read fin;
-        t_end := Engine.now eng)
-  in
-  ignore
-    (Engine.spawn eng ~name:"driver" (fun () ->
-         let client_end, _ = W.link_between w client server in
-         Sync.Ivar.fill link_for_client client_end));
-  Engine.run eng;
+  run_pair eng w
+    ~server:(fun p ->
+      Lynx.Process.on_new_link p (fun l ->
+          Lynx.Process.serve p l ~op:"echo" (fun vs -> vs));
+      List.iter
+        (fun l -> Lynx.Process.serve p l ~op:"echo" (fun vs -> vs))
+        (Lynx.Process.live_links p);
+      Lynx.Process.park p)
+    ~client:(fun p lnk ->
+      let args = [ Lynx.Value.Str (String.make payload 'x') ] in
+      let fin = Sync.Ivar.create eng in
+      let live = ref coroutines in
+      t_start := Engine.now eng;
+      for _ = 1 to coroutines do
+        Lynx.Process.spawn_thread p (fun () ->
+            for _ = 1 to calls do
+              ignore (Lynx.Process.call p lnk ~op:"echo" args);
+              incr completed
+            done;
+            decr live;
+            if !live = 0 then Sync.Ivar.fill fin ())
+      done;
+      Sync.Ivar.read fin;
+      t_end := Engine.now eng);
   let dt = Time.to_sec (Time.sub !t_end !t_start) in
   if dt <= 0. then 0. else float_of_int !completed /. dt
 
@@ -264,14 +264,5 @@ let sweep ?(jobs = 1) ?(backends = Backend_world.all) ?iters ?seed ~payloads ()
       (fun (payload, b) -> run ?iters ?seed b ~payload ())
       grid
   in
-  let per_backend = List.length backends in
-  let rec rows = function
-    | [] -> []
-    | rest ->
-      let row, rest =
-        ( List.filteri (fun i _ -> i < per_backend) rest,
-          List.filteri (fun i _ -> i >= per_backend) rest )
-      in
-      row :: rows rest
-  in
-  rows results
+  let per_row = List.length backends in
+  List.mapi (fun i _ -> List.filteri (fun j _ -> j / per_row = i) results) payloads

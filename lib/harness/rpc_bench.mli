@@ -25,7 +25,7 @@ val run :
   ?iters:int ->
   ?warmup:int ->
   ?seed:int ->
-  (module WORLD) ->
+  backend ->
   payload:int ->
   unit ->
   result
@@ -39,7 +39,7 @@ val throughput :
   ?coroutines:int ->
   ?calls:int ->
   ?seed:int ->
-  (module WORLD) ->
+  backend ->
   payload:int ->
   unit ->
   float
@@ -61,7 +61,7 @@ val raw_soda :
 
 val sweep :
   ?jobs:int ->
-  ?backends:(module WORLD) list ->
+  ?backends:backend list ->
   ?iters:int ->
   ?seed:int ->
   payloads:int list ->

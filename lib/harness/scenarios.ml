@@ -46,10 +46,10 @@ let link l = Lynx.Value.Link l
     them {e simultaneously} — A gives its end to B, D gives its end to
     C.  What used to connect A to D must now connect B to C, proven by a
     B->C call over the moved link. *)
-let simultaneous_move ?(seed = 42) ?policy (module W : WORLD) : outcome =
+let simultaneous_move ?(seed = 42) ?policy (backend : backend) : outcome =
   let eng = Engine.create ~seed ?policy () in
-  let w = W.create eng ~nodes:6 in
-  let sts = W.stats w in
+  let w = backend.create eng ~nodes:6 in
+  let sts = Lynx.World.stats w in
   let result = ref "not finished" in
   let finished = Sync.Ivar.create eng in
   (* Links: 1 connects A-B, 2 connects C-D, 3 connects A-D. *)
@@ -57,7 +57,7 @@ let simultaneous_move ?(seed = 42) ?policy (module W : WORLD) : outcome =
   let l_cd = Sync.Ivar.create eng and l_dc = Sync.Ivar.create eng in
   let l_ad = Sync.Ivar.create eng and l_da = Sync.Ivar.create eng in
   let a =
-    W.spawn w ~node:0 ~name:"A" (fun p ->
+    Lynx.World.spawn w ~node:0 ~name:"A" (fun p ->
         let ab = Sync.Ivar.read l_ab and ad = Sync.Ivar.read l_ad in
         (* Move our end of link 3 to B. *)
         ignore (P.call p ab ~op:"take" [ link ad ]);
@@ -66,7 +66,7 @@ let simultaneous_move ?(seed = 42) ?policy (module W : WORLD) : outcome =
         P.sleep p (Time.ms 100))
   in
   let b =
-    W.spawn w ~daemon:true ~node:1 ~name:"B" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:1 ~name:"B" (fun p ->
         let _ba = Sync.Ivar.read l_ba in
         let inc = P.await_request p () in
         match inc.P.in_args with
@@ -87,7 +87,7 @@ let simultaneous_move ?(seed = 42) ?policy (module W : WORLD) : outcome =
           Sync.Ivar.fill finished false)
   in
   let c =
-    W.spawn w ~daemon:true ~node:2 ~name:"C" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:2 ~name:"C" (fun p ->
         let _dc = Sync.Ivar.read l_dc in
         let inc = P.await_request p () in
         match inc.P.in_args with
@@ -100,7 +100,7 @@ let simultaneous_move ?(seed = 42) ?policy (module W : WORLD) : outcome =
           Sync.Ivar.fill finished false)
   in
   let d =
-    W.spawn w ~node:3 ~name:"D" (fun p ->
+    Lynx.World.spawn w ~node:3 ~name:"D" (fun p ->
         let dc = Sync.Ivar.read l_cd and da = Sync.Ivar.read l_da in
         (* Simultaneously with A's move: give our end of link 3 to C. *)
         ignore (P.call p dc ~op:"take" [ link da ]);
@@ -110,9 +110,9 @@ let simultaneous_move ?(seed = 42) ?policy (module W : WORLD) : outcome =
   let before = ref [] in
   ignore
     (Engine.spawn eng ~name:"driver" (fun () ->
-         let ab, ba = W.link_between w a b in
-         let cd, dc = W.link_between w d c in
-         let ad, da = W.link_between w a d in
+         let ab, ba = Lynx.World.link_between w a b in
+         let cd, dc = Lynx.World.link_between w d c in
+         let ad, da = Lynx.World.link_between w a d in
          before := Stats.snapshot sts;
          t0 := Engine.now eng;
          Sync.Ivar.fill l_ab ab;
@@ -130,22 +130,22 @@ let simultaneous_move ?(seed = 42) ?policy (module W : WORLD) : outcome =
     Charlotte the kernel-message count grows with the enclosure count
     (first packet, goahead, enc packets); under SODA and Chrysalis it
     does not. *)
-let enclosure_protocol ?(seed = 42) ?policy ~n_encl (module W : WORLD) :
+let enclosure_protocol ?(seed = 42) ?policy ~n_encl (backend : backend) :
     outcome =
   let eng = Engine.create ~seed ?policy () in
-  let w = W.create eng ~nodes:4 in
-  let sts = W.stats w in
+  let w = backend.create eng ~nodes:4 in
+  let sts = Lynx.World.stats w in
   let ok = ref false in
   let client_link = Sync.Ivar.create eng in
   let received = ref 0 in
   let server =
-    W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
         let inc = P.await_request p () in
         received := List.length (Lynx.Value.links_of_list inc.P.in_args);
         inc.P.in_reply [])
   in
   let client =
-    W.spawn w ~node:1 ~name:"client" (fun p ->
+    Lynx.World.spawn w ~node:1 ~name:"client" (fun p ->
         let lnk = Sync.Ivar.read client_link in
         (* Fresh links whose far ends we keep; we move the near ends. *)
         let ends =
@@ -161,7 +161,7 @@ let enclosure_protocol ?(seed = 42) ?policy ~n_encl (module W : WORLD) :
   let before = ref [] in
   ignore
     (Engine.spawn eng ~name:"driver" (fun () ->
-         let ce, _se = W.link_between w client server in
+         let ce, _se = Lynx.World.link_between w client server in
          before := Stats.snapshot sts;
          t0 := Engine.now eng;
          Sync.Ivar.fill client_link ce));
@@ -177,14 +177,14 @@ let enclosure_protocol ?(seed = 42) ?policy ~n_encl (module W : WORLD) :
     request unintentionally and must bounce it with [Forbid] (it cannot
     stop receiving — it still wants the reply), then [Allow] it once it
     is willing.  On SODA and Chrysalis nothing is ever bounced. *)
-let cross_request ?(seed = 42) ?policy (module W : WORLD) : outcome =
+let cross_request ?(seed = 42) ?policy (backend : backend) : outcome =
   let eng = Engine.create ~seed ?policy () in
-  let w = W.create eng ~nodes:4 in
-  let sts = W.stats w in
+  let w = backend.create eng ~nodes:4 in
+  let sts = Lynx.World.stats w in
   let a_done = ref false and b_done = ref false in
   let link_a = Sync.Ivar.create eng in
   let a =
-    W.spawn w ~daemon:true ~node:0 ~name:"A" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"A" (fun p ->
         let l = Sync.Ivar.read link_a in
         (* Request queue closed: we only expect the reply. *)
         let r = P.call p l ~op:"fwd" [ str "from A" ] in
@@ -195,7 +195,7 @@ let cross_request ?(seed = 42) ?policy (module W : WORLD) : outcome =
         a_done := true)
   in
   let b =
-    W.spawn w ~daemon:true ~node:1 ~name:"B" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:1 ~name:"B" (fun p ->
         let inc = P.await_request p () in
         let l = inc.P.in_link in
         let rev_finished = Sync.Ivar.create eng in
@@ -218,7 +218,7 @@ let cross_request ?(seed = 42) ?policy (module W : WORLD) : outcome =
   let before = ref [] in
   ignore
     (Engine.spawn eng ~name:"driver" (fun () ->
-         let la, _lb = W.link_between w a b in
+         let la, _lb = Lynx.World.link_between w a b in
          before := Stats.snapshot sts;
          t0 := Engine.now eng;
          Sync.Ivar.fill link_a la));
@@ -232,14 +232,14 @@ let cross_request ?(seed = 42) ?policy (module W : WORLD) : outcome =
     again before reaching a block point; B requests in the window.  The
     cancel fails, A receives the unwanted request and returns it with
     [Retry]; the kernel delays B's retransmission until A reopens. *)
-let open_close_race ?(seed = 42) ?policy (module W : WORLD) : outcome =
+let open_close_race ?(seed = 42) ?policy (backend : backend) : outcome =
   let eng = Engine.create ~seed ?policy () in
-  let w = W.create eng ~nodes:4 in
-  let sts = W.stats w in
+  let w = backend.create eng ~nodes:4 in
+  let sts = Lynx.World.stats w in
   let served = ref false and b_done = ref false in
   let link_a = Sync.Ivar.create eng and link_b = Sync.Ivar.create eng in
   let a =
-    W.spawn w ~daemon:true ~node:0 ~name:"A" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"A" (fun p ->
         let l = Sync.Ivar.read link_a in
         P.open_queue p l;
         (* Stay away from block points long enough for B's request to
@@ -253,7 +253,7 @@ let open_close_race ?(seed = 42) ?policy (module W : WORLD) : outcome =
         inc.P.in_reply [ str "served" ])
   in
   let b =
-    W.spawn w ~daemon:true ~node:1 ~name:"B" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:1 ~name:"B" (fun p ->
         let l = Sync.Ivar.read link_b in
         (* Timed so that under Charlotte the message is still in flight
            when A tries to cancel its receive: the cancel fails (the
@@ -268,7 +268,7 @@ let open_close_race ?(seed = 42) ?policy (module W : WORLD) : outcome =
   let before = ref [] in
   ignore
     (Engine.spawn eng ~name:"driver" (fun () ->
-         let la, lb = W.link_between w a b in
+         let la, lb = Lynx.World.link_between w a b in
          before := Stats.snapshot sts;
          t0 := Engine.now eng;
          Sync.Ivar.fill link_a la;
@@ -288,16 +288,16 @@ let open_close_race ?(seed = 42) ?policy (module W : WORLD) : outcome =
     Chrysalis B never receives the unwanted message, so the enclosure
     survives ([far_end_died] stays false and the failed send recovers
     the end). *)
-let lost_enclosure ?(seed = 42) ?policy (module W : WORLD) : outcome =
+let lost_enclosure ?(seed = 42) ?policy (backend : backend) : outcome =
   let eng = Engine.create ~seed ?policy () in
-  let w = W.create eng ~nodes:4 in
-  let sts = W.stats w in
+  let w = backend.create eng ~nodes:4 in
+  let sts = Lynx.World.stats w in
   let far_end_died = ref false
   and send_failed = ref false
   and enclosure_recovered = ref false in
   let link_a = Sync.Ivar.create eng and link_b = Sync.Ivar.create eng in
   let a =
-    W.spawn w ~daemon:true ~node:0 ~name:"A" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"A" (fun p ->
         let l = Sync.Ivar.read link_a in
         let near, far = P.new_link p in
         (* Watch the far end of the link whose near end we enclose. *)
@@ -324,7 +324,7 @@ let lost_enclosure ?(seed = 42) ?policy (module W : WORLD) : outcome =
         P.sleep p (Time.ms 800))
   in
   let b =
-    W.spawn w ~node:1 ~name:"B" (fun p ->
+    Lynx.World.spawn w ~node:1 ~name:"B" (fun p ->
         let l = Sync.Ivar.read link_b in
         (* Expect a reply — nothing else — then die mid-protocol. *)
         P.spawn_thread p (fun () ->
@@ -335,7 +335,7 @@ let lost_enclosure ?(seed = 42) ?policy (module W : WORLD) : outcome =
   let before = ref [] in
   ignore
     (Engine.spawn eng ~name:"driver" (fun () ->
-         let la, lb = W.link_between w a b in
+         let la, lb = Lynx.World.link_between w a b in
          before := Stats.snapshot sts;
          t0 := Engine.now eng;
          Sync.Ivar.fill link_a la;
@@ -361,12 +361,12 @@ let soda_hint_repair ?(seed = 42) ?policy ?(broadcast_loss = 0.05) () : outcome 
       ~kernel_costs:{ Soda.Costs.default with Soda.Costs.broadcast_loss }
       eng ~nodes:8
   in
-  let sts = Lynx_soda.World.stats w in
+  let sts = Lynx.World.stats w in
   let ok = ref false in
   let l_da = Sync.Ivar.create eng and l_ab = Sync.Ivar.create eng in
   let repair_duration = ref Time.zero in
   let d =
-    Lynx_soda.World.spawn w ~daemon:true ~node:0 ~name:"D" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"D" (fun p ->
         let fixed = Sync.Ivar.read l_da in
         P.sleep p (Time.ms 500);
         let t0 = Engine.now eng in
@@ -377,7 +377,7 @@ let soda_hint_repair ?(seed = 42) ?policy ?(broadcast_loss = 0.05) () : outcome 
         repair_duration := Time.sub (Engine.now eng) t0)
   in
   let a =
-    Lynx_soda.World.spawn w ~daemon:true ~node:1 ~name:"A" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:1 ~name:"A" (fun p ->
         let ab = Sync.Ivar.read l_ab in
         let rec find_moving () =
           match
@@ -396,7 +396,7 @@ let soda_hint_repair ?(seed = 42) ?policy ?(broadcast_loss = 0.05) () : outcome 
         P.sleep p (Time.ms 50))
   in
   let b =
-    Lynx_soda.World.spawn w ~daemon:true ~node:2 ~name:"B" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:2 ~name:"B" (fun p ->
         let inc = P.await_request p () in
         match inc.P.in_args with
         | [ Lynx.Value.Link m ] ->
@@ -411,8 +411,8 @@ let soda_hint_repair ?(seed = 42) ?policy ?(broadcast_loss = 0.05) () : outcome 
   let t0 = ref Time.zero in
   ignore
     (Engine.spawn eng ~name:"driver" (fun () ->
-         let da, _ = Lynx_soda.World.link_between w d a in
-         let ab, _ = Lynx_soda.World.link_between w a b in
+         let da, _ = Lynx.World.link_between w d a in
+         let ab, _ = Lynx.World.link_between w a b in
          before := Stats.snapshot sts;
          t0 := Engine.now eng;
          Sync.Ivar.fill l_da da;
@@ -428,14 +428,14 @@ let soda_hint_repair ?(seed = 42) ?policy ?(broadcast_loss = 0.05) () : outcome 
     bounce (retry or forbid) must return the enclosure to the sender,
     which retransmits; the end must arrive intact once the receiver
     becomes willing.  Under SODA/Chrysalis the message simply waits. *)
-let bounced_enclosure ?(seed = 42) ?policy (module W : WORLD) : outcome =
+let bounced_enclosure ?(seed = 42) ?policy (backend : backend) : outcome =
   let eng = Engine.create ~seed ?policy () in
-  let w = W.create eng ~nodes:4 in
-  let sts = W.stats w in
+  let w = backend.create eng ~nodes:4 in
+  let sts = Lynx.World.stats w in
   let delivered = ref false and pong = ref false in
   let link_a = Sync.Ivar.create eng and link_b = Sync.Ivar.create eng in
   let a =
-    W.spawn w ~daemon:true ~node:0 ~name:"A" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"A" (fun p ->
         let l = Sync.Ivar.read link_a in
         let near, far = P.new_link p in
         (* B is not willing yet: under Charlotte this request is
@@ -449,7 +449,7 @@ let bounced_enclosure ?(seed = 42) ?policy (module W : WORLD) : outcome =
         P.sleep p (Time.ms 200))
   in
   let b =
-    W.spawn w ~daemon:true ~node:1 ~name:"B" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:1 ~name:"B" (fun p ->
         let l = Sync.Ivar.read link_b in
         (* Fire our own call first so a reply receive is posted and the
            unwanted request cannot simply wait at the kernel. *)
@@ -471,7 +471,7 @@ let bounced_enclosure ?(seed = 42) ?policy (module W : WORLD) : outcome =
   let t0 = ref Time.zero in
   ignore
     (Engine.spawn eng ~name:"driver" (fun () ->
-         let la, lb = W.link_between w a b in
+         let la, lb = Lynx.World.link_between w a b in
          before := Stats.snapshot sts;
          t0 := Engine.now eng;
          Sync.Ivar.fill link_a la;
@@ -493,10 +493,10 @@ let soda_pair_pressure ?(seed = 42) ?policy ?(budget = true) ?(n_links = 6)
     ?(deadline = Time.sec 2) () : outcome =
   let eng = Engine.create ~seed ?policy () in
   let w = Lynx_soda.World.create ~signal_budget:budget eng ~nodes:4 in
-  let sts = Lynx_soda.World.stats w in
+  let sts = Lynx.World.stats w in
   let completed = ref 0 in
   let server =
-    Lynx_soda.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
         P.on_new_link p (fun l ->
             P.serve p l ~op:"hit" (fun _ -> [ Lynx.Value.Int 1 ]));
         List.iter
@@ -505,7 +505,7 @@ let soda_pair_pressure ?(seed = 42) ?policy ?(budget = true) ?(n_links = 6)
         P.park p)
   in
   let client =
-    Lynx_soda.World.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
         let rec wait_links () =
           let ls = P.live_links p in
           if List.length ls >= n_links then ls
@@ -535,7 +535,7 @@ let soda_pair_pressure ?(seed = 42) ?policy ?(budget = true) ?(n_links = 6)
     (Engine.spawn eng ~name:"driver" (fun () ->
          before := Stats.snapshot sts;
          for _ = 1 to n_links do
-           ignore (Lynx_soda.World.link_between w client server)
+           ignore (Lynx.World.link_between w client server)
          done));
   (* The unbudgeted variant livelocks: cut it off at the deadline. *)
   Engine.run_until eng deadline;
@@ -575,7 +575,7 @@ let every_backend (_ : backend) = true
 
 (* SODA-specific scenarios exercise kernel machinery (hints, discover,
    the pair budget) the other kernels do not have. *)
-let soda_only (module W : WORLD) = String.equal W.name "soda"
+let soda_only (backend : backend) = String.equal backend.name "soda"
 
 let entry ?(applies_to = every_backend) ?(parameterised = false) ?deadline
     name run =

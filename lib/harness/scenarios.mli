@@ -27,7 +27,7 @@ val counter : outcome -> string -> int
 val simultaneous_move :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  (module WORLD) ->
+  backend ->
   outcome
 (** Figure 1: A and D hold the two ends of one link and move them at the
     same instant (A's end to B, D's end to C); a B->C call over the
@@ -37,7 +37,7 @@ val enclosure_protocol :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
   n_encl:int ->
-  (module WORLD) ->
+  backend ->
   outcome
 (** Figure 2: one request moving [n_encl] ends, answered by an empty
     reply.  Under Charlotte the kernel-message count grows with
@@ -46,7 +46,7 @@ val enclosure_protocol :
 val cross_request :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  (module WORLD) ->
+  backend ->
   outcome
 (** §3.2.1, first case: B requests an operation in the reverse direction
     before replying, while A's request queue is closed.  Charlotte must
@@ -55,7 +55,7 @@ val cross_request :
 val open_close_race :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  (module WORLD) ->
+  backend ->
   outcome
 (** §3.2.1, second case: A opens and closes its request queue before a
     block point while B's request is in flight; the failed [Cancel]
@@ -64,7 +64,7 @@ val open_close_race :
 val lost_enclosure :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  (module WORLD) ->
+  backend ->
   outcome
 (** §3.2.2: B receives a request (enclosing an end) it never wanted and
     dies before bouncing it.  Under Charlotte the end is lost; under
@@ -73,7 +73,7 @@ val lost_enclosure :
 val bounced_enclosure :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
-  (module WORLD) ->
+  backend ->
   outcome
 (** An unwanted request carrying a link end: under Charlotte the bounce
     returns the enclosure and the retransmission delivers it once the

@@ -21,10 +21,10 @@ open Backend_world
 
 (* (lookahead, per-byte) from the backend's kernel cost table.  The
    ablation variants price like their base kernel. *)
-let cost_model (module W : WORLD) =
-  if String.starts_with ~prefix:"soda" W.name then
+let cost_model (backend : backend) =
+  if String.starts_with ~prefix:"soda" backend.name then
     (Soda.Costs.lookahead Soda.Costs.default, Soda.Costs.default.Soda.Costs.per_byte)
-  else if String.starts_with ~prefix:"chrysalis" W.name then
+  else if String.starts_with ~prefix:"chrysalis" backend.name then
     ( Chrysalis.Costs.lookahead Chrysalis.Costs.default,
       Chrysalis.Costs.default.Chrysalis.Costs.copy_remote_byte )
   else
@@ -63,8 +63,8 @@ end
 
 let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
     ?(pairs = 4) ?(rounds = 3) ?(max_payload = 1024) ?(spin = 1) ?pool
-    (module W : WORLD) : result =
-  let lookahead, per_byte = cost_model (module W) in
+    (backend : backend) : result =
+  let lookahead, per_byte = cost_model backend in
   let t = Shard.create ~shards ~seed ~policy ?pool ~lookahead () in
   let verified = Array.make pairs 0 in
   (* Nodes 0..pairs-1 are clients, pairs..2*pairs-1 their servers:

@@ -96,10 +96,10 @@ end
 
 let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
     ?(max_payload = 512) ?(spin = 1) ?pool ~topology ~load ~population
-    (module W : WORLD) : result =
+    (backend : backend) : result =
   if population < 1 || population > max_population then
     invalid_arg "Workload.run: population out of range";
-  let lookahead, per_byte = Shard_rpc.cost_model (module W) in
+  let lookahead, per_byte = Shard_rpc.cost_model backend in
   let t = Shard.create ~shards ~seed ~policy ?pool ~lookahead () in
   let xfer size = Time.add lookahead (Time.scale per_byte size) in
   let rounds = match load with Closed { rounds; _ } -> rounds | Open _ -> 1 in

@@ -13,7 +13,7 @@
 
     The name server itself is an ordinary LYNX process: run {!body} as a
     process body and hand each participant a link to it (e.g. with
-    [World.link_between]). *)
+    {!World.link_between}). *)
 
 val body : Process.t -> unit
 (** The server loop: serves [register], [lookup] and [list] on every

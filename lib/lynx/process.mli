@@ -10,9 +10,9 @@
     reply is expected.  A blocked process receives from a fair choice
     among its open non-empty queues.
 
-    Processes are created by a backend's [World] module (see
-    {!Lynx_charlotte}, {!Lynx_soda}, {!Lynx_chrysalis}); this module is
-    backend-agnostic. *)
+    Processes are created by {!World.spawn} on a kernel that a backend's
+    [World.create] supplies (see {!Lynx_charlotte}, {!Lynx_soda},
+    {!Lynx_chrysalis}); this module is backend-agnostic. *)
 
 type t
 
@@ -71,8 +71,8 @@ val new_link : t -> Link.t * Link.t
 
 val adopt_link : t -> int -> Link.t
 (** Registers a backend handle as a link end of this process.  Used by
-    backend [World] modules to bootstrap initial links between
-    processes; applications never call it. *)
+    {!World.link_between} to bootstrap initial links between processes;
+    applications never call it. *)
 
 val destroy_link : t -> Link.t -> unit
 

@@ -720,7 +720,7 @@ let shutdown t () =
     List.iter (fun h -> destroy t ~link:h) all
   end
 
-(* Bootstrap for [World.link_between]. *)
+(* Bootstrap for [Lynx.World.link_between]. *)
 let adopt_end t (e : CT.link_end) = (register t e).h
 
 let make ?(reply_acks = false) kernel pid ~stats =

@@ -32,4 +32,4 @@ val make :
 
 val adopt_end : t -> Charlotte.Types.link_end -> int
 (** Registers a kernel end this process already owns (bootstrap links
-    from {!World.link_between}); returns the backend handle. *)
+    from {!Lynx.World.link_between}); returns the backend handle. *)

@@ -1,11 +1,5 @@
-(** LYNX processes on a simulated Crystal/Charlotte machine. *)
-
-type t
-(** A machine: one Charlotte kernel plus shared stats and cost models. *)
-
-type member
-(** A spawned LYNX process; its handles fill once the process has
-    initialised inside its fiber. *)
+(** LYNX processes on a simulated Crystal/Charlotte machine: the
+    Charlotte half of {!Lynx.World}. *)
 
 val create :
   ?costs:Lynx.Costs.t ->
@@ -14,30 +8,8 @@ val create :
   ?stats:Sim.Stats.t ->
   Sim.Engine.t ->
   nodes:int ->
-  t
+  Lynx.World.t
 (** [create engine ~nodes] builds a Crystal machine with [nodes]
     stations.  [kernel_costs] overrides the Charlotte cost model (used
     by the hint-based-move ablation); [reply_acks] enables the §3.2.2
     reply-acknowledgment ablation. *)
-
-val kernel : t -> Charlotte.Kernel.t
-val stats : t -> Sim.Stats.t
-val engine : t -> Sim.Engine.t
-
-val spawn :
-  t ->
-  ?daemon:bool ->
-  node:int ->
-  name:string ->
-  (Lynx.Process.t -> unit) ->
-  member
-(** Starts a LYNX process on [node]; the body runs as its main thread
-    and the process terminates (destroying its links) when it returns. *)
-
-val link_between : t -> member -> member -> Lynx.Link.t * Lynx.Link.t
-(** Creates a link with one end in each process — the bootstrap a parent
-    process would normally provide.  Must be called from a fiber; blocks
-    until both processes are initialised. *)
-
-val process : member -> Lynx.Process.t
-(** The member's process handle (blocks until initialised). *)

@@ -506,7 +506,7 @@ let shutdown t () =
   end
 
 (* Bootstrap: create a link whose ends start in two different processes.
-   Used only by [World.link_between] to model links inherited from a
+   Used only by [Lynx.World.link_between] to model links inherited from a
    parent or a name server; ordinary ends move by enclosure. *)
 let bootstrap_pair (a : t) (b : t) =
   let obj = K.make_object a.kernel a.pid ~size:Layout.object_size in

@@ -1,29 +1,6 @@
-(** LYNX processes on a simulated BBN Butterfly. *)
-
-type t
-type member
+(** LYNX processes on a simulated BBN Butterfly: the Chrysalis half of
+    {!Lynx.World}. *)
 
 val create :
-  ?costs:Lynx.Costs.t ->
-  ?stats:Sim.Stats.t ->
-  Sim.Engine.t ->
-  nodes:int ->
-  t
+  ?costs:Lynx.Costs.t -> ?stats:Sim.Stats.t -> Sim.Engine.t -> nodes:int -> Lynx.World.t
 (** [create engine ~nodes] builds a Butterfly with [nodes] processors. *)
-
-val kernel : t -> Chrysalis.Kernel.t
-val stats : t -> Sim.Stats.t
-val engine : t -> Sim.Engine.t
-
-val spawn :
-  t ->
-  ?daemon:bool ->
-  node:int ->
-  name:string ->
-  (Lynx.Process.t -> unit) ->
-  member
-
-val link_between : t -> member -> member -> Lynx.Link.t * Lynx.Link.t
-(** Bootstrap link with one end in each process; call from a fiber. *)
-
-val process : member -> Lynx.Process.t

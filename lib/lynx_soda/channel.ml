@@ -754,7 +754,7 @@ let make ?(signal_budget = true) kernel pid ~stats =
   in
   (t, ops)
 
-(* Bootstrap for [World.link_between]: create the name pair locally in
+(* Bootstrap for [Lynx.World.link_between]: create the name pair locally in
    process A, and adopt the far name in process B. *)
 let bootstrap_pair (a : t) (b : t) =
   let n0 = S.new_name a.kernel a.pid and n1 = S.new_name a.kernel a.pid in

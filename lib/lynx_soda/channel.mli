@@ -28,4 +28,4 @@ val make :
 
 val bootstrap_pair : t -> t -> int * int
 (** Creates a link whose ends start in two different processes (for
-    {!World.link_between}); returns the two backend handles. *)
+    {!Lynx.World.link_between}); returns the two backend handles. *)

@@ -1,7 +1,5 @@
-(** LYNX processes on a simulated SODA network. *)
-
-type t
-type member
+(** LYNX processes on a simulated SODA network: the SODA half of
+    {!Lynx.World}. *)
 
 val create :
   ?costs:Lynx.Costs.t ->
@@ -10,24 +8,7 @@ val create :
   ?stats:Sim.Stats.t ->
   Sim.Engine.t ->
   nodes:int ->
-  t
+  Lynx.World.t
 (** [create engine ~nodes] builds a SODA network.  [kernel_costs]
     overrides the kernel cost model — notably [broadcast_loss], used by
     the hint-repair ablation.  SODA allows one process per node. *)
-
-val kernel : t -> Soda.Kernel.t
-val stats : t -> Sim.Stats.t
-val engine : t -> Sim.Engine.t
-
-val spawn :
-  t ->
-  ?daemon:bool ->
-  node:int ->
-  name:string ->
-  (Lynx.Process.t -> unit) ->
-  member
-
-val link_between : t -> member -> member -> Lynx.Link.t * Lynx.Link.t
-(** Bootstrap link with one end in each process; call from a fiber. *)
-
-val process : member -> Lynx.Process.t

@@ -329,9 +329,9 @@ let race_synth_tests =
 
 let races_clean_tests =
   List.map
-    (fun (module W : Harness.Backend_world.WORLD) ->
+    (fun (backend : Harness.Backend_world.backend) ->
       Alcotest.test_case
-        (Printf.sprintf "shipped scenarios race-clean [%s]" W.name)
+        (Printf.sprintf "shipped scenarios race-clean [%s]" backend.name)
         `Quick
         (fun () ->
           List.iter
@@ -340,12 +340,12 @@ let races_clean_tests =
                 (fun seed ->
                   match
                     Run.execute
-                      (Run.Spec.v ~scenario:sc ~backend:W.name seed)
+                      (Run.Spec.v ~scenario:sc ~backend:backend.name seed)
                   with
                   | None -> ()
                   | Some a ->
                     checki
-                      (Printf.sprintf "%s/%s/%d races" sc W.name seed)
+                      (Printf.sprintf "%s/%s/%d races" sc backend.name seed)
                       0
                       (List.length a.Run.Artifact.races))
                 [ 1; 2; 3; 4; 5 ])
@@ -356,12 +356,12 @@ let races_clean_tests =
 
 let event_log_tests =
   List.map
-    (fun (module W : Harness.Backend_world.WORLD) ->
+    (fun (backend : Harness.Backend_world.backend) ->
       Alcotest.test_case
-        (Printf.sprintf "spawn events match the fiber table [%s]" W.name)
+        (Printf.sprintf "spawn events match the fiber table [%s]" backend.name)
         `Quick
         (fun () ->
-          let o = S.simultaneous_move ~seed:7 (module W) in
+          let o = S.simultaneous_move ~seed:7 backend in
           let v = o.S.o_view in
           checki "no dropped events" 0 v.Engine.v_events_dropped;
           let spawns =

@@ -221,19 +221,19 @@ module V = Lynx.Value
 let hint_chain_test =
   Alcotest.test_case "stale hints repaired via redirect cache" `Quick
     (fun () ->
-      let (module W : Harness.Backend_world.WORLD) =
+      let (backend : Harness.Backend_world.backend) =
         Harness.Backend_world.soda
       in
       let e = Engine.create () in
-      let w = W.create e ~nodes:8 in
-      let sts = W.stats w in
+      let w = backend.create e ~nodes:8 in
+      let sts = Lynx.World.stats w in
       let ok = ref false in
       let l_da = Sync.Ivar.create e
       and l_ab = Sync.Ivar.create e
       and l_bc = Sync.Ivar.create e in
       (* D holds the fixed end and calls late. *)
       let d =
-        W.spawn w ~daemon:true ~node:0 ~name:"D" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:0 ~name:"D" (fun p ->
             let fixed = Sync.Ivar.read l_da in
             P.sleep p (Time.ms 300);
             match P.call p fixed ~op:"ping" [] with
@@ -241,7 +241,7 @@ let hint_chain_test =
             | _ -> ())
       in
       let a =
-        W.spawn w ~daemon:true ~node:1 ~name:"A" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:1 ~name:"A" (fun p ->
             let ab = Sync.Ivar.read l_ab in
             (* A owns the moving end (other end of D's link): pass to B. *)
             let rec find_moving () =
@@ -259,7 +259,7 @@ let hint_chain_test =
             P.sleep p (Time.sec 2))
       in
       let b =
-        W.spawn w ~daemon:true ~node:2 ~name:"B" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:2 ~name:"B" (fun p ->
             let bc = Sync.Ivar.read l_bc in
             let inc = P.await_request p () in
             (match inc.P.in_args with
@@ -270,7 +270,7 @@ let hint_chain_test =
             P.sleep p (Time.sec 2))
       in
       let c =
-        W.spawn w ~daemon:true ~node:3 ~name:"C" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:3 ~name:"C" (fun p ->
             let inc = P.await_request p () in
             match inc.P.in_args with
             | [ V.Link m ] ->
@@ -285,9 +285,9 @@ let hint_chain_test =
       in
       ignore
         (Engine.spawn e ~name:"driver" (fun () ->
-             let da, ad = W.link_between w d a in
-             let ab, _ = W.link_between w a b in
-             let bc, _ = W.link_between w b c in
+             let da, ad = Lynx.World.link_between w d a in
+             let ab, _ = Lynx.World.link_between w a b in
+             let bc, _ = Lynx.World.link_between w b c in
              ignore ad;
              Sync.Ivar.fill l_da da;
              Sync.Ivar.fill l_ab ab;
@@ -303,16 +303,16 @@ let hint_chain_test =
 let discover_repair_test =
   Alcotest.test_case "dead cache holder repaired via discover/freeze" `Quick
     (fun () ->
-      let (module W : Harness.Backend_world.WORLD) =
+      let (backend : Harness.Backend_world.backend) =
         Harness.Backend_world.soda
       in
       let e = Engine.create () in
-      let w = W.create e ~nodes:8 in
-      let sts = W.stats w in
+      let w = backend.create e ~nodes:8 in
+      let sts = Lynx.World.stats w in
       let ok = ref false in
       let l_da = Sync.Ivar.create e and l_ab = Sync.Ivar.create e in
       let d =
-        W.spawn w ~daemon:true ~node:0 ~name:"D" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:0 ~name:"D" (fun p ->
             let fixed = Sync.Ivar.read l_da in
             (* Wait until A (the cache holder) is long dead. *)
             P.sleep p (Time.ms 500);
@@ -321,7 +321,7 @@ let discover_repair_test =
             | _ -> ())
       in
       let a =
-        W.spawn w ~daemon:true ~node:1 ~name:"A" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:1 ~name:"A" (fun p ->
             let ab = Sync.Ivar.read l_ab in
             let rec find_moving () =
               match
@@ -339,7 +339,7 @@ let discover_repair_test =
             P.sleep p (Time.ms 50))
       in
       let b =
-        W.spawn w ~daemon:true ~node:2 ~name:"B" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:2 ~name:"B" (fun p ->
             let inc = P.await_request p () in
             match inc.P.in_args with
             | [ V.Link m ] ->
@@ -353,8 +353,8 @@ let discover_repair_test =
       in
       ignore
         (Engine.spawn e ~name:"driver" (fun () ->
-             let da, ad = W.link_between w d a in
-             let ab, _ = W.link_between w a b in
+             let da, ad = Lynx.World.link_between w d a in
+             let ab, _ = Lynx.World.link_between w a b in
              ignore ad;
              Sync.Ivar.fill l_da da;
              Sync.Ivar.fill l_ab ab));

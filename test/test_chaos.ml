@@ -13,12 +13,7 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let str s = V.Str s
 
-let on_all name speed f =
-  List.map
-    (fun (module W : Harness.Backend_world.WORLD) ->
-      Alcotest.test_case (Printf.sprintf "%s [%s]" name W.name) speed (fun () ->
-          f (module W : Harness.Backend_world.WORLD)))
-    Harness.Backend_world.all
+let on_all = Each_backend.on_all
 
 let wait_first_link p =
   let rec go () =
@@ -81,16 +76,16 @@ let plan_validate () =
 let dup_heavy =
   { Faults.Plan.none with label = "dup-heavy"; dup = 0.9 }
 
-let at_most_once ~seed (module W : Harness.Backend_world.WORLD) =
+let at_most_once ~seed (backend : Harness.Backend_world.backend) =
   Faults.with_plan dup_heavy (fun () ->
       let e = Engine.create ~seed () in
-      let w = W.create e ~nodes:4 in
-      let sts = W.stats w in
+      let w = backend.create e ~nodes:4 in
+      let sts = Lynx.World.stats w in
       let calls = 5 in
       let handled = ref 0 in
       let replies = ref [] in
       let server =
-        W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
             let rec loop () =
               let inc = P.await_request p () in
               incr handled;
@@ -102,7 +97,7 @@ let at_most_once ~seed (module W : Harness.Backend_world.WORLD) =
             loop ())
       in
       let client =
-        W.spawn w ~node:1 ~name:"client" (fun p ->
+        Lynx.World.spawn w ~node:1 ~name:"client" (fun p ->
             let l = wait_first_link p in
             for i = 1 to calls do
               let tag = Printf.sprintf "c%d" i in
@@ -113,7 +108,7 @@ let at_most_once ~seed (module W : Harness.Backend_world.WORLD) =
       in
       ignore
         (Engine.spawn e ~name:"driver" (fun () ->
-             ignore (W.link_between w client server)));
+             ignore (Lynx.World.link_between w client server)));
       Engine.run e;
       (* Duplicates really were injected... *)
       let injected =
@@ -135,14 +130,14 @@ let at_most_once ~seed (module W : Harness.Backend_world.WORLD) =
 (* A server that accepts requests but never replies: the client's
    screened call must time out, retry with backoff, and surface
    [Excn.Timeout] when the budget runs out — never hang. *)
-let budget_exhaustion ~seed (module W : Harness.Backend_world.WORLD) =
+let budget_exhaustion ~seed (backend : Harness.Backend_world.backend) =
   Faults.with_plan Faults.Plan.none (fun () ->
       let e = Engine.create ~seed () in
-      let w = W.create e ~nodes:4 in
-      let sts = W.stats w in
+      let w = backend.create e ~nodes:4 in
+      let sts = Lynx.World.stats w in
       let timed_out = ref false in
       let server =
-        W.spawn w ~daemon:true ~node:0 ~name:"blackhole" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:0 ~name:"blackhole" (fun p ->
             let rec loop () =
               ignore (P.await_request p ());
               loop ()
@@ -150,7 +145,7 @@ let budget_exhaustion ~seed (module W : Harness.Backend_world.WORLD) =
             loop ())
       in
       let client =
-        W.spawn w ~node:1 ~name:"client" (fun p ->
+        Lynx.World.spawn w ~node:1 ~name:"client" (fun p ->
             let l = wait_first_link p in
             match P.call p l ~op:"void" [ str "hello" ] with
             | _ -> ()
@@ -158,7 +153,7 @@ let budget_exhaustion ~seed (module W : Harness.Backend_world.WORLD) =
       in
       ignore
         (Engine.spawn e ~name:"driver" (fun () ->
-             ignore (W.link_between w client server)));
+             ignore (Lynx.World.link_between w client server)));
       Engine.run e;
       checkb "call raised Excn.Timeout instead of hanging" true !timed_out;
       let b = Faults.Plan.default_screening.Faults.Plan.s_budget in

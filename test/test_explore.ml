@@ -228,7 +228,7 @@ let test_repro_dump () =
 (* ---- cross-backend differential checks ------------------------------ *)
 
 let cross_scenarios :
-    (string * (seed:int -> (module BW.WORLD) -> S.outcome)) list =
+    (string * (seed:int -> BW.backend -> S.outcome)) list =
   [
     ("move", fun ~seed w -> S.simultaneous_move ~seed w);
     ("enclosures", fun ~seed w -> S.enclosure_protocol ~seed ~n_encl:3 w);
@@ -267,8 +267,8 @@ let test_differential_verdicts () =
         (fun seed ->
           let outs =
             List.map
-              (fun (module W : BW.WORLD) ->
-                (W.name, run ~seed (module W : BW.WORLD)))
+              (fun (backend : BW.backend) ->
+                (backend.name, run ~seed backend))
               BW.all
           in
           let _, first = List.hd outs in
@@ -286,7 +286,7 @@ let test_differential_core_counters () =
     (fun (name, run) ->
       let outs =
         List.map
-          (fun (module W : BW.WORLD) -> (W.name, run ~seed:2 (module W : BW.WORLD)))
+          (fun (backend : BW.backend) -> (backend.name, run ~seed:2 backend))
           BW.all
       in
       List.iter
@@ -308,8 +308,8 @@ let test_differential_full_counters () =
       if List.mem name fully_deterministic then
         let outs =
           List.map
-            (fun (module W : BW.WORLD) ->
-              (W.name, run ~seed:5 (module W : BW.WORLD)))
+            (fun (backend : BW.backend) ->
+              (backend.name, run ~seed:5 backend))
             BW.all
         in
         let _, first = List.hd outs in

@@ -10,12 +10,7 @@ module NS = Lynx.Nameserver
 
 let checkb = Alcotest.check Alcotest.bool
 
-let on_all name speed f =
-  List.map
-    (fun (module W : Harness.Backend_world.WORLD) ->
-      Alcotest.test_case (Printf.sprintf "%s [%s]" name W.name) speed (fun () ->
-          f (module W : Harness.Backend_world.WORLD)))
-    Harness.Backend_world.all
+let on_all = Each_backend.on_all
 
 let wait_first_link p =
   let rec go () =
@@ -29,13 +24,13 @@ let wait_first_link p =
 
 (* Clients with random lifetimes die mid-conversation; the server and
    the long-lived client must be unaffected. *)
-let random_kill ~seed (module W : Harness.Backend_world.WORLD) =
+let random_kill ~seed (backend : Harness.Backend_world.backend) =
   let e = Engine.create ~seed () in
-  let w = W.create e ~nodes:8 in
+  let w = backend.create e ~nodes:8 in
   let survivor_ok = ref false in
   let served = ref 0 in
   let server =
-    W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
         P.on_new_link p (fun l ->
             P.serve p l ~op:"ping" (fun _ ->
                 incr served;
@@ -53,7 +48,7 @@ let random_kill ~seed (module W : Harness.Backend_world.WORLD) =
   let mortals =
     List.init 3 (fun i ->
         let lifetime = Time.ms (20 + Rng.int rng 150) in
-        W.spawn w ~daemon:true ~node:(1 + i) ~name:(Printf.sprintf "mortal%d" i)
+        Lynx.World.spawn w ~daemon:true ~node:(1 + i) ~name:(Printf.sprintf "mortal%d" i)
           (fun p ->
             let lnk = wait_first_link p in
             P.spawn_thread p (fun () ->
@@ -64,7 +59,7 @@ let random_kill ~seed (module W : Harness.Backend_world.WORLD) =
             P.sleep p lifetime))
   in
   let survivor =
-    W.spawn w ~daemon:true ~node:5 ~name:"survivor" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:5 ~name:"survivor" (fun p ->
         let lnk = wait_first_link p in
         P.sleep p (Time.ms 400) (* after every mortal is gone *);
         match P.call p lnk ~op:"ping" [] with
@@ -73,40 +68,40 @@ let random_kill ~seed (module W : Harness.Backend_world.WORLD) =
   in
   ignore
     (Engine.spawn e ~name:"driver" (fun () ->
-         List.iter (fun m -> ignore (W.link_between w m server)) mortals;
-         ignore (W.link_between w survivor server)));
+         List.iter (fun m -> ignore (Lynx.World.link_between w m server)) mortals;
+         ignore (Lynx.World.link_between w survivor server)));
   Engine.run e;
   (!survivor_ok, !served)
 
 let kill_tests =
-  on_all "server survives clients dying mid-burst" `Quick (fun (module W) ->
-      let ok, served = random_kill ~seed:42 (module W) in
+  on_all "server survives clients dying mid-burst" `Quick (fun backend ->
+      let ok, served = random_kill ~seed:42 backend in
       checkb "survivor served" true ok;
       checkb "some mortal calls served before death" true (served > 1))
   @ List.map
-      (fun (module W : Harness.Backend_world.WORLD) ->
+      (fun (backend : Harness.Backend_world.backend) ->
         QCheck_alcotest.to_alcotest
           (QCheck.Test.make
              ~name:
                (Printf.sprintf "survivor served for any kill timing [%s]"
-                  W.name)
+                  backend.name)
              ~count:6
              QCheck.(int_bound 10_000)
-             (fun seed -> fst (random_kill ~seed (module W)))))
+             (fun seed -> fst (random_kill ~seed backend))))
       Harness.Backend_world.all
 
 (* The name server forgets providers that die: lookups turn to None
    instead of hanging or crashing. *)
 let ns_fault_tests =
-  on_all "nameserver survives provider death" `Quick (fun (module W) ->
+  on_all "nameserver survives provider death" `Quick (fun backend ->
       let e = Engine.create () in
-      let w = W.create e ~nodes:6 in
+      let w = backend.create e ~nodes:6 in
       let before = ref None and after = ref (Some ()) in
       let ns_member =
-        W.spawn w ~daemon:true ~node:0 ~name:"nameserver" NS.body
+        Lynx.World.spawn w ~daemon:true ~node:0 ~name:"nameserver" NS.body
       in
       let provider =
-        W.spawn w ~daemon:true ~node:1 ~name:"provider" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:1 ~name:"provider" (fun p ->
             let ns = wait_first_link p in
             NS.serve_clones p ~ns ~on_client:(fun mine ->
                 L.serve p mine (L.defop ~name:"id" ~req:L.int ~resp:L.int)
@@ -116,7 +111,7 @@ let ns_fault_tests =
             P.sleep p (Time.ms 300))
       in
       let client =
-        W.spawn w ~daemon:true ~node:2 ~name:"client" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:2 ~name:"client" (fun p ->
             let ns = wait_first_link p in
             P.sleep p (Time.ms 150);
             (* While alive: the service resolves and works. *)
@@ -133,20 +128,20 @@ let ns_fault_tests =
       in
       ignore
         (Engine.spawn e ~name:"driver" (fun () ->
-             ignore (W.link_between w provider ns_member);
-             ignore (W.link_between w client ns_member)));
+             ignore (Lynx.World.link_between w provider ns_member);
+             ignore (Lynx.World.link_between w client ns_member)));
       Engine.run e;
       checkb "worked while alive" true (!before = Some 5);
       checkb "cleanly gone after death" true (!after = None))
 
 (* A call racing with the peer's destroy either completes or raises
    Link_destroyed — never hangs, never returns garbage. *)
-let race_outcome ~delay_ms (module W : Harness.Backend_world.WORLD) =
+let race_outcome ~delay_ms (backend : Harness.Backend_world.backend) =
   let e = Engine.create () in
-  let w = W.create e ~nodes:4 in
+  let w = backend.create e ~nodes:4 in
   let outcome = ref `Hung in
   let server =
-    W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
         P.on_new_link p (fun l ->
             P.serve p l ~op:"ping" (fun _ -> [ V.Int 1 ]));
         List.iter
@@ -160,7 +155,7 @@ let race_outcome ~delay_ms (module W : Harness.Backend_world.WORLD) =
         P.park p)
   in
   let client =
-    W.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
         let lnk = wait_first_link p in
         P.sleep p (Time.ms 10);
         match P.call p lnk ~op:"ping" [] with
@@ -173,16 +168,16 @@ let race_outcome ~delay_ms (module W : Harness.Backend_world.WORLD) =
   in
   ignore
     (Engine.spawn e ~name:"driver" (fun () ->
-         ignore (W.link_between w client server)));
+         ignore (Lynx.World.link_between w client server)));
   Engine.run e;
   !outcome
 
 let race_tests =
   on_all "call racing a destroy completes or raises cleanly" `Quick
-    (fun (module W) ->
+    (fun backend ->
       let outcomes =
         List.map
-          (fun d -> race_outcome ~delay_ms:d (module W))
+          (fun d -> race_outcome ~delay_ms:d backend)
           [ 5; 11; 25; 40; 70; 120 ]
       in
       checkb "no hangs or garbage" true

@@ -10,23 +10,18 @@ module V = Lynx.Value
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
-let on_all name speed f =
-  List.map
-    (fun (module W : Harness.Backend_world.WORLD) ->
-      Alcotest.test_case (Printf.sprintf "%s [%s]" name W.name) speed (fun () ->
-          f (module W : Harness.Backend_world.WORLD)))
-    Harness.Backend_world.all
+let on_all = Each_backend.on_all
 
 (* The server understands three operations; each client call carries a
    random operation and operand, and checks the arithmetic on return. *)
-let storm ?(seed = 42) ~clients ~calls (module W : Harness.Backend_world.WORLD)
+let storm ?(seed = 42) ~clients ~calls (backend : Harness.Backend_world.backend)
     =
   let e = Engine.create ~seed () in
-  let w = W.create e ~nodes:(clients + 2) in
+  let w = backend.create e ~nodes:(clients + 2) in
   let correct = ref 0 and wrong = ref 0 in
   let last_done = ref 0 in
   let server =
-    W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
         let rec wait_links () =
           let ls = P.live_links p in
           if List.length ls >= clients then ls
@@ -53,7 +48,7 @@ let storm ?(seed = 42) ~clients ~calls (module W : Harness.Backend_world.WORLD)
   in
   let members =
     List.init clients (fun i ->
-        W.spawn w ~daemon:true ~node:(i + 1) ~name:(Printf.sprintf "c%d" i)
+        Lynx.World.spawn w ~daemon:true ~node:(i + 1) ~name:(Printf.sprintf "c%d" i)
           (fun p ->
             let rec wait_link () =
               match P.live_links p with
@@ -91,33 +86,33 @@ let storm ?(seed = 42) ~clients ~calls (module W : Harness.Backend_world.WORLD)
   in
   ignore
     (Engine.spawn e ~name:"driver" (fun () ->
-         List.iter (fun m -> ignore (W.link_between w m server)) members));
+         List.iter (fun m -> ignore (Lynx.World.link_between w m server)) members));
   Engine.run e;
   (!correct, !wrong, !last_done)
 
 let storm_tests =
   on_all "randomized RPC storm: 3 clients x 15 calls" `Quick
-    (fun (module W) ->
-      let correct, wrong, _ = storm ~clients:3 ~calls:15 (module W) in
+    (fun backend ->
+      let correct, wrong, _ = storm ~clients:3 ~calls:15 backend in
       checki "all correct" 45 correct;
       checki "none wrong" 0 wrong)
-  @ on_all "storm is deterministic per seed" `Quick (fun (module W) ->
-        let _, _, t1 = storm ~seed:9 ~clients:2 ~calls:5 (module W) in
-        let _, _, t2 = storm ~seed:9 ~clients:2 ~calls:5 (module W) in
-        let _, _, t3 = storm ~seed:10 ~clients:2 ~calls:5 (module W) in
+  @ on_all "storm is deterministic per seed" `Quick (fun backend ->
+        let _, _, t1 = storm ~seed:9 ~clients:2 ~calls:5 backend in
+        let _, _, t2 = storm ~seed:9 ~clients:2 ~calls:5 backend in
+        let _, _, t3 = storm ~seed:10 ~clients:2 ~calls:5 backend in
         checkb "same seed, same final time" true (t1 = t2);
         (* Different seeds draw different payload sizes, so the virtual
            end time differs. *)
         checkb "different seed, different time" true (t1 <> t3))
 
 (* A link end relayed through a chain of processes, then used. *)
-let relay_chain ~hops (module W : Harness.Backend_world.WORLD) =
+let relay_chain ~hops (backend : Harness.Backend_world.backend) =
   let e = Engine.create () in
-  let w = W.create e ~nodes:(hops + 3) in
+  let w = backend.create e ~nodes:(hops + 3) in
   let ok = ref false in
   let origin_link = Sync.Ivar.create e in
   let origin =
-    W.spawn w ~daemon:true ~node:0 ~name:"origin" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"origin" (fun p ->
         let first = Sync.Ivar.read origin_link in
         let near, far = P.new_link p in
         ignore (P.call p first ~op:"relay" [ V.Link near ]);
@@ -126,7 +121,7 @@ let relay_chain ~hops (module W : Harness.Backend_world.WORLD) =
   in
   let relays =
     List.init hops (fun i ->
-        W.spawn w ~daemon:true ~node:(i + 1) ~name:(Printf.sprintf "hop%d" i)
+        Lynx.World.spawn w ~daemon:true ~node:(i + 1) ~name:(Printf.sprintf "hop%d" i)
           (fun p ->
             let inc = P.await_request p () in
             match inc.P.in_args with
@@ -152,7 +147,7 @@ let relay_chain ~hops (module W : Harness.Backend_world.WORLD) =
             | _ -> inc.P.in_reply []))
   in
   let final =
-    W.spawn w ~daemon:true ~node:(hops + 1) ~name:"final" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:(hops + 1) ~name:"final" (fun p ->
         let inc = P.await_request p () in
         match inc.P.in_args with
         | [ V.Link moved ] ->
@@ -169,12 +164,12 @@ let relay_chain ~hops (module W : Harness.Backend_world.WORLD) =
          let rec wire prev = function
            | [] -> ()
            | m :: rest ->
-             ignore (W.link_between w prev m);
+             ignore (Lynx.World.link_between w prev m);
              wire m rest
          in
          (match stations with
          | first :: _ ->
-           let l, _ = W.link_between w origin first in
+           let l, _ = Lynx.World.link_between w origin first in
            Sync.Ivar.fill origin_link l
          | [] -> ());
          wire (List.hd stations) (List.tl stations)));
@@ -183,21 +178,21 @@ let relay_chain ~hops (module W : Harness.Backend_world.WORLD) =
 
 let relay_tests =
   on_all "link end relayed through 4 hops still connects" `Quick
-    (fun (module W) -> checkb "connected" true (relay_chain ~hops:4 (module W)))
+    (fun backend -> checkb "connected" true (relay_chain ~hops:4 backend))
   @ on_all "link end relayed through 1 hop still connects" `Quick
-      (fun (module W) ->
-        checkb "connected" true (relay_chain ~hops:1 (module W)))
+      (fun backend ->
+        checkb "connected" true (relay_chain ~hops:1 backend))
 
 (* Client generations: processes are born, make calls, and die; the
    server must shrug off the churn ("long-lived system servers"). *)
 let churn_tests =
   on_all "server survives generations of dying clients" `Quick
-    (fun (module W) ->
+    (fun backend ->
       let e = Engine.create () in
-      let w = W.create e ~nodes:4 in
+      let w = backend.create e ~nodes:4 in
       let served = ref 0 in
       let server =
-        W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
             let rec serve () =
               (match P.await_request p () with
               | inc ->
@@ -213,7 +208,7 @@ let churn_tests =
         (Engine.spawn e ~name:"driver" (fun () ->
              for g = 1 to 5 do
                let client =
-                 W.spawn w ~daemon:true ~node:1
+                 Lynx.World.spawn w ~daemon:true ~node:1
                    ~name:(Printf.sprintf "gen%d" g) (fun p ->
                      let rec wait_link () =
                        match P.live_links p with
@@ -226,7 +221,7 @@ let churn_tests =
                      ignore (P.call p lnk ~op:"hit" [])
                      (* dies here: the link dies with it *))
                in
-               ignore (W.link_between w client server);
+               ignore (Lynx.World.link_between w client server);
                (* Wait out this generation before starting the next
                   (SODA allows one process per node). *)
                Engine.sleep e (Time.ms 400)
@@ -237,14 +232,14 @@ let churn_tests =
 (* Nested RPC: stage i calls stage i+1 before replying — a call chain
    [depth] processes deep, exercising reentrant dispatch. *)
 let nested_tests =
-  on_all "nested RPC five processes deep" `Quick (fun (module W) ->
+  on_all "nested RPC five processes deep" `Quick (fun backend ->
       let depth = 5 in
       let e = Engine.create () in
-      let w = W.create e ~nodes:(depth + 2) in
+      let w = backend.create e ~nodes:(depth + 2) in
       let result = ref 0 in
       let stages =
         List.init depth (fun i ->
-            W.spawn w ~daemon:true ~node:(i + 1)
+            Lynx.World.spawn w ~daemon:true ~node:(i + 1)
               ~name:(Printf.sprintf "stage%d" i) (fun p ->
                 let inc = P.await_request p () in
                 match inc.P.in_args with
@@ -267,7 +262,7 @@ let nested_tests =
                 | _ -> inc.P.in_reply []))
       in
       let source =
-        W.spawn w ~node:0 ~name:"source" (fun p ->
+        Lynx.World.spawn w ~node:0 ~name:"source" (fun p ->
             let rec wait_link () =
               match P.live_links p with
               | l :: _ -> l
@@ -284,10 +279,10 @@ let nested_tests =
              let rec wire prev = function
                | [] -> ()
                | m :: rest ->
-                 ignore (W.link_between w prev m);
+                 ignore (Lynx.World.link_between w prev m);
                  wire m rest
              in
-             ignore (W.link_between w source (List.hd stages));
+             ignore (Lynx.World.link_between w source (List.hd stages));
              wire (List.hd stages) (List.tl stages)));
       Engine.run e;
       checki "x incremented at every stage" depth !result)
@@ -297,13 +292,13 @@ let nested_tests =
    per-link queue independence. *)
 let multilink_tests =
   on_all "six links between one pair all work concurrently" `Quick
-    (fun (module W) ->
+    (fun backend ->
       let n_links = 6 in
       let e = Engine.create () in
-      let w = W.create e ~nodes:4 in
+      let w = backend.create e ~nodes:4 in
       let answers = ref [] in
       let server =
-        W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
             let rec wait_links () =
               let ls = P.live_links p in
               if List.length ls >= n_links then ls
@@ -320,7 +315,7 @@ let multilink_tests =
             P.sleep p (Time.sec 60))
       in
       let client =
-        W.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
             let rec wait_links () =
               let ls = P.live_links p in
               if List.length ls >= n_links then ls
@@ -346,20 +341,20 @@ let multilink_tests =
       ignore
         (Engine.spawn e ~name:"driver" (fun () ->
              for _ = 1 to n_links do
-               ignore (W.link_between w client server)
+               ignore (Lynx.World.link_between w client server)
              done));
       Engine.run e;
       checki "all links answered" n_links (List.length !answers))
 
 (* qcheck: for random seeds, a two-client storm completes with every
    answer correct on every backend. *)
-let storm_property (module W : Harness.Backend_world.WORLD) =
+let storm_property (backend : Harness.Backend_world.backend) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "storm correct for any seed [%s]" W.name)
+    ~name:(Printf.sprintf "storm correct for any seed [%s]" backend.name)
     ~count:8
     QCheck.(int_bound 10_000)
     (fun seed ->
-      let correct, wrong, _ = storm ~seed ~clients:2 ~calls:6 (module W) in
+      let correct, wrong, _ = storm ~seed ~clients:2 ~calls:6 backend in
       correct = 12 && wrong = 0)
 
 let () =

@@ -15,8 +15,8 @@ let check_band name ~pct ~paper measured =
     true
     (within ~pct ~paper measured)
 
-let lynx_mean (module W : Harness.Backend_world.WORLD) payload =
-  Harness.Rpc_bench.mean_ms (Harness.Rpc_bench.run (module W) ~payload ())
+let lynx_mean backend payload =
+  Harness.Rpc_bench.mean_ms (Harness.Rpc_bench.run backend ~payload ())
 
 let tests =
   [
@@ -99,19 +99,23 @@ let tests =
 
 (* Rpc_bench returns only a summary, so its engines retain no events.
    The fingerprints are those of the fully retained runs: retention
-   never moves them. *)
+   never moves them.  The ablation variants are pinned too, since each
+   builds its world differently.  A 0 B echo moves no link, so the
+   hint-based move leaves Charlotte's fingerprint as it is. *)
 let pinned_hashes =
   [
     ("charlotte", 0xd6b85e2b70dc4cddL);
     ("soda", 0xf64949c00c186becL);
     ("chrysalis", 0x16cb570a2d07939cL);
+    ("charlotte+acks", 0x0f393a64cacf8d8eL);
+    ("charlotte+hints", 0xd6b85e2b70dc4cddL);
+    ("chrysalis+tuned", 0xd5b0c8325c4f40dcL);
   ]
 
 let retention_tests =
   List.map
-    (fun b ->
-      let module W = (val b : Harness.Backend_world.WORLD) in
-      Alcotest.test_case (W.name ^ " echo retains no events") `Quick (fun () ->
+    (fun (b : Harness.Backend_world.backend) ->
+      Alcotest.test_case (b.name ^ " echo retains no events") `Quick (fun () ->
           let engines = ref [] in
           ignore
             (Sim.Engine.with_observer
@@ -125,10 +129,10 @@ let retention_tests =
               (Sim.Engine.events_total e > 0
               && Sim.Engine.events_dropped e = Sim.Engine.events_total e);
             Alcotest.(check string) "events hash"
-              (Printf.sprintf "%016Lx" (List.assoc W.name pinned_hashes))
+              (Printf.sprintf "%016Lx" (List.assoc b.name pinned_hashes))
               (Printf.sprintf "%016Lx" (Sim.Engine.events_hash e))
           | es -> Alcotest.failf "expected one engine, got %d" (List.length es)))
-    Harness.Backend_world.all
+    Harness.Backend_world.variants
 
 (* Steady-state minor words per 0 B echo call.  Rpc_bench engines are
    unobserved (no event records, vector clocks or stamps; see the
@@ -139,11 +143,10 @@ let words_per_call ?(iters = 100) b =
 
 let allocation_tests =
   List.map
-    (fun b ->
-      let module W = (val b : Harness.Backend_world.WORLD) in
-      Alcotest.test_case (W.name ^ " words per echo call") `Quick (fun () ->
+    (fun (b : Harness.Backend_world.backend) ->
+      Alcotest.test_case (b.name ^ " words per echo call") `Quick (fun () ->
           Budgets.gate "echo call"
-            ~budget:(List.assoc W.name Budgets.echo_call)
+            ~budget:(List.assoc b.name Budgets.echo_call)
             (words_per_call b)))
     Harness.Backend_world.all
   @ [
@@ -183,12 +186,11 @@ let bench_run ~observed b payload =
 
 let causality_tests =
   List.concat_map
-    (fun b ->
-      let module W = (val b : Harness.Backend_world.WORLD) in
+    (fun (b : Harness.Backend_world.backend) ->
       List.map
         (fun payload ->
           Alcotest.test_case
-            (Printf.sprintf "%s %d B: observed = unobserved" W.name payload)
+            (Printf.sprintf "%s %d B: observed = unobserved" b.name payload)
             `Quick (fun () ->
               let r, hash, total = bench_run ~observed:false b payload in
               let r', hash', total' = bench_run ~observed:true b payload in

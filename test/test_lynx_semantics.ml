@@ -18,44 +18,39 @@ type duo = {
   d_stats : Stats.t;
 }
 
-let duo (module W : Harness.Backend_world.WORLD) ~server ~client =
+let duo (backend : Harness.Backend_world.backend) ~server ~client =
   let e = Engine.create () in
-  let w = W.create e ~nodes:4 in
+  let w = backend.create e ~nodes:4 in
   let ls = Sync.Ivar.create e and lc = Sync.Ivar.create e in
   let ms =
-    W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
         server p (Sync.Ivar.read ls))
   in
   let mc =
-    W.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
         client p (Sync.Ivar.read lc))
   in
   ignore
     (Engine.spawn e ~name:"driver" (fun () ->
-         let c_end, s_end = W.link_between w mc ms in
+         let c_end, s_end = Lynx.World.link_between w mc ms in
          Sync.Ivar.fill ls s_end;
          Sync.Ivar.fill lc c_end));
   Engine.run e;
-  { d_engine = e; d_stats = W.stats w }
+  { d_engine = e; d_stats = Lynx.World.stats w }
 
 (* Serve [op] forever with [fn]. *)
 let echo_server ?sg op fn p lnk =
   P.serve p lnk ~op ?sg fn;
   P.sleep p (Time.sec 30)
 
-let on_all name speed f =
-  List.map
-    (fun (module W : Harness.Backend_world.WORLD) ->
-      Alcotest.test_case (Printf.sprintf "%s [%s]" name W.name) speed (fun () ->
-          f (module W : Harness.Backend_world.WORLD)))
-    Harness.Backend_world.all
+let on_all = Each_backend.on_all
 
 let call_tests =
-  on_all "call returns handler result" `Quick (fun (module W) ->
+  on_all "call returns handler result" `Quick (fun backend ->
       let result = ref [] in
       ignore
         (duo
-           (module W)
+           backend
            ~server:
              (echo_server "double"
                 ~sg:(T.signature [ T.Int ] ~results:[ T.Int ])
@@ -63,11 +58,11 @@ let call_tests =
            ~client:(fun p lnk ->
              result := P.call p lnk ~op:"double" [ V.Int 21 ]));
       checkb "42" true (V.equal (V.List !result) (V.List [ V.Int 42 ])))
-  @ on_all "sequential calls complete in order" `Quick (fun (module W) ->
+  @ on_all "sequential calls complete in order" `Quick (fun backend ->
         let results = ref [] in
         ignore
           (duo
-             (module W)
+             backend
              ~server:
                (echo_server "inc" (function
                  | [ V.Int x ] -> [ V.Int (x + 1) ]
@@ -81,11 +76,11 @@ let call_tests =
         Alcotest.check
           Alcotest.(list int)
           "order" [ 2; 3; 4; 5; 6 ] (List.rev !results))
-  @ on_all "concurrent coroutine calls all complete" `Quick (fun (module W) ->
+  @ on_all "concurrent coroutine calls all complete" `Quick (fun backend ->
         let done_count = ref 0 in
         ignore
           (duo
-             (module W)
+             backend
              ~server:
                (echo_server "id" (function [ v ] -> [ v ] | _ -> []))
              ~client:(fun p lnk ->
@@ -103,25 +98,25 @@ let call_tests =
                Sync.Ivar.read fin));
         checki "all four" 4 !done_count)
   @ on_all "sending blocks the calling coroutine (stop-and-wait)" `Quick
-      (fun (module W) ->
+      (fun backend ->
         (* The reply takes at least one network round trip; the call must
            not return before simulated time has advanced. *)
         let elapsed = ref Time.zero in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(echo_server "id" (fun vs -> vs))
              ~client:(fun p lnk ->
                let t0 = Engine.now (P.engine p) in
                ignore (P.call p lnk ~op:"id" [ V.Int 0 ]);
                elapsed := Time.sub (Engine.now (P.engine p)) t0));
         checkb "time advanced" true Time.(!elapsed > Time.ms 1))
-  @ on_all "payload survives round trip" `Quick (fun (module W) ->
+  @ on_all "payload survives round trip" `Quick (fun backend ->
         let ok = ref false in
         let big = String.init 1200 (fun i -> Char.chr (i mod 256)) in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(echo_server "echo" (fun vs -> vs))
              ~client:(fun p lnk ->
                match P.call p lnk ~op:"echo" [ V.Str big; V.Int 5 ] with
@@ -145,11 +140,11 @@ let remote_error_of p lnk ~op args =
 
 let signature_matrix_tests =
   let mismatch name ~sg ~handler ~args ~expect_mention =
-    on_all name `Quick (fun (module W) ->
+    on_all name `Quick (fun backend ->
         let got = ref None in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(echo_server "typed" ~sg handler)
              ~client:(fun p lnk -> got := remote_error_of p lnk ~op:"typed" args));
         match !got with
@@ -176,11 +171,11 @@ let signature_matrix_tests =
       ~sg:(T.signature [ T.Link ] ~results:[])
       ~handler:(fun _ -> [])
       ~args:[ V.Int 9 ] ~expect_mention:"arguments"
-  @ on_all "link where non-link expected" `Quick (fun (module W) ->
+  @ on_all "link where non-link expected" `Quick (fun backend ->
         let got = ref None in
         ignore
           (duo
-             (module W)
+             backend
              ~server:
                (echo_server "typed"
                   ~sg:(T.signature [ T.Int ] ~results:[])
@@ -193,11 +188,11 @@ let signature_matrix_tests =
         | Some m ->
           checkb "mentions arguments" true
             (contains m "type error" && contains m "arguments"))
-  @ on_all "reply arity mismatch with ~expect" `Quick (fun (module W) ->
+  @ on_all "reply arity mismatch with ~expect" `Quick (fun backend ->
         let raised = ref false in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(echo_server "pair" (fun _ -> [ V.Int 1; V.Int 2 ]))
              ~client:(fun p lnk ->
                match P.call p lnk ~op:"pair" ~expect:[ T.Int ] [] with
@@ -206,11 +201,11 @@ let signature_matrix_tests =
         checkb "raised" true !raised)
 
 let error_tests =
-  on_all "handler exception becomes Remote_error" `Quick (fun (module W) ->
+  on_all "handler exception becomes Remote_error" `Quick (fun backend ->
       let got = ref "" in
       ignore
         (duo
-           (module W)
+           backend
            ~server:(echo_server "boom" (fun _ -> failwith "handler exploded"))
            ~client:(fun p lnk ->
              match P.call p lnk ~op:"boom" [] with
@@ -218,11 +213,11 @@ let error_tests =
              | exception Lynx.Excn.Remote_error m -> got := m));
       checkb "mentions failure" true
         (String.length !got > 0 && !got <> "no exception"))
-  @ on_all "argument type mismatch rejected" `Quick (fun (module W) ->
+  @ on_all "argument type mismatch rejected" `Quick (fun backend ->
         let rejected = ref false in
         ignore
           (duo
-             (module W)
+             backend
              ~server:
                (echo_server "typed"
                   ~sg:(T.signature [ T.Int ] ~results:[ T.Int ])
@@ -232,33 +227,33 @@ let error_tests =
                | _ -> ()
                | exception Lynx.Excn.Remote_error _ -> rejected := true));
         checkb "rejected" true !rejected)
-  @ on_all "unknown operation rejected" `Quick (fun (module W) ->
+  @ on_all "unknown operation rejected" `Quick (fun backend ->
         let rejected = ref false in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(echo_server "known" (fun vs -> vs))
              ~client:(fun p lnk ->
                match P.call p lnk ~op:"unknown" [] with
                | _ -> ()
                | exception Lynx.Excn.Remote_error _ -> rejected := true));
         checkb "rejected" true !rejected)
-  @ on_all "reply type check with ~expect" `Quick (fun (module W) ->
+  @ on_all "reply type check with ~expect" `Quick (fun backend ->
         let raised = ref false in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(echo_server "lie" (fun _ -> [ V.Str "not an int" ]))
              ~client:(fun p lnk ->
                match P.call p lnk ~op:"lie" ~expect:[ T.Int ] [] with
                | _ -> ()
                | exception Lynx.Excn.Type_error _ -> raised := true));
         checkb "raised" true !raised)
-  @ on_all "call on destroyed link raises" `Quick (fun (module W) ->
+  @ on_all "call on destroyed link raises" `Quick (fun backend ->
         let raised = ref false in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(fun p _lnk -> P.sleep p (Time.sec 30))
              ~client:(fun p lnk ->
                P.destroy_link p lnk;
@@ -266,11 +261,11 @@ let error_tests =
                | _ -> ()
                | exception Lynx.Excn.Link_destroyed -> raised := true));
         checkb "raised" true !raised)
-  @ on_all "peer termination wakes blocked caller" `Quick (fun (module W) ->
+  @ on_all "peer termination wakes blocked caller" `Quick (fun backend ->
         let raised = ref false in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(fun p _lnk ->
                (* Never serve; die after a while holding the link. *)
                P.sleep p (Time.ms 200))
@@ -283,11 +278,11 @@ let error_tests =
         checkb "raised" true !raised)
 
 let move_tests =
-  on_all "enclosed end is usable by the receiver" `Quick (fun (module W) ->
+  on_all "enclosed end is usable by the receiver" `Quick (fun backend ->
       let ok = ref false in
       ignore
         (duo
-           (module W)
+           backend
            ~server:(fun p lnk ->
              let inc = P.await_request p ~links:[ lnk ] () in
              match inc.P.in_args with
@@ -305,11 +300,11 @@ let move_tests =
              | [ V.Str "pong" ] -> ok := true
              | _ -> ()));
       checkb "pong over moved link" true !ok)
-  @ on_all "moved-away handle becomes invalid" `Quick (fun (module W) ->
+  @ on_all "moved-away handle becomes invalid" `Quick (fun backend ->
         let raised = ref false in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(fun p lnk ->
                let inc = P.await_request p ~links:[ lnk ] () in
                inc.P.in_reply [];
@@ -322,22 +317,22 @@ let move_tests =
                | exception Lynx.Excn.Invalid_link -> raised := true));
         checkb "invalid" true !raised)
   @ on_all "cannot enclose the end used for sending" `Quick
-      (fun (module W) ->
+      (fun backend ->
         let raised = ref false in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(fun p _ -> P.sleep p (Time.ms 100))
              ~client:(fun p lnk ->
                match P.call p lnk ~op:"x" [ V.Link lnk ] with
                | _ -> ()
                | exception Lynx.Excn.Move_violation _ -> raised := true));
         checkb "raised" true !raised)
-  @ on_all "cannot move an end that owes a reply" `Quick (fun (module W) ->
+  @ on_all "cannot move an end that owes a reply" `Quick (fun backend ->
         let raised = ref false in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(fun p lnk ->
                let inc = P.await_request p ~links:[ lnk ] () in
                (* Before replying, try to ship the same end away. *)
@@ -351,11 +346,11 @@ let move_tests =
                inc.P.in_reply [])
              ~client:(fun p lnk -> ignore (P.call p lnk ~op:"first" [])));
         checkb "raised" true !raised)
-  @ on_all "reply may carry link ends" `Quick (fun (module W) ->
+  @ on_all "reply may carry link ends" `Quick (fun backend ->
         let ok = ref false in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(fun p lnk ->
                let inc = P.await_request p ~links:[ lnk ] () in
                let near, far = P.new_link p in
@@ -371,18 +366,18 @@ let move_tests =
                  | _ -> ())
                | _ -> ()));
         checkb "granted link works" true !ok)
-  @ on_all "three-hop relay of one end" `Quick (fun (module W) ->
+  @ on_all "three-hop relay of one end" `Quick (fun backend ->
         (* client -> server passes through an intermediary: the end hops
            twice and still connects back to the client. *)
         let ok = ref false in
         let e = Engine.create () in
-        let w = W.create e ~nodes:6 in
+        let w = backend.create e ~nodes:6 in
         let l_ab = Sync.Ivar.create e
         and l_ba = Sync.Ivar.create e
         and l_bc = Sync.Ivar.create e
         and l_cb = Sync.Ivar.create e in
         let a =
-          W.spawn w ~daemon:true ~node:0 ~name:"a" (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node:0 ~name:"a" (fun p ->
               let ab = Sync.Ivar.read l_ab in
               let near, far = P.new_link p in
               ignore (P.call p ab ~op:"relay" [ V.Link near ]);
@@ -391,7 +386,7 @@ let move_tests =
               ping.P.in_reply [ V.Str "hi from a" ])
         in
         let b =
-          W.spawn w ~daemon:true ~node:1 ~name:"b" (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node:1 ~name:"b" (fun p ->
               let ba = Sync.Ivar.read l_ba and bc = Sync.Ivar.read l_bc in
               ignore ba;
               let inc = P.await_request p () in
@@ -402,7 +397,7 @@ let move_tests =
               | _ -> inc.P.in_reply [])
         in
         let c =
-          W.spawn w ~daemon:true ~node:2 ~name:"c" (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node:2 ~name:"c" (fun p ->
               let cb = Sync.Ivar.read l_cb in
               ignore cb;
               let inc = P.await_request p () in
@@ -416,8 +411,8 @@ let move_tests =
         in
         ignore
           (Engine.spawn e ~name:"driver" (fun () ->
-               let ab, ba = W.link_between w a b in
-               let bc, cb = W.link_between w b c in
+               let ab, ba = Lynx.World.link_between w a b in
+               let bc, cb = Lynx.World.link_between w b c in
                Sync.Ivar.fill l_ab ab;
                Sync.Ivar.fill l_ba ba;
                Sync.Ivar.fill l_bc bc;
@@ -426,11 +421,11 @@ let move_tests =
         checkb "relayed end still connects" true !ok)
 
 let queue_tests =
-  on_all "requests on one link served FIFO" `Quick (fun (module W) ->
+  on_all "requests on one link served FIFO" `Quick (fun backend ->
       let order = ref [] in
       ignore
         (duo
-           (module W)
+           backend
            ~server:(fun p lnk ->
              (* Persistent willingness: an idiomatic serve loop keeps its
                 request queue open between block points. *)
@@ -457,11 +452,11 @@ let queue_tests =
              Sync.Ivar.read fin));
       Alcotest.check Alcotest.(list int) "fifo" [ 1; 2; 3; 4 ] (List.rev !order))
   @ on_all "closed queue defers receipt until reopened" `Quick
-      (fun (module W) ->
+      (fun backend ->
         let served_at = ref Time.zero in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(fun p lnk ->
                (* Not willing for the first 50 ms. *)
                P.sleep p (Time.ms 50);
@@ -470,14 +465,14 @@ let queue_tests =
                inc.P.in_reply [])
              ~client:(fun p lnk -> ignore (P.call p lnk ~op:"x" [])));
         checkb "not before 50ms" true Time.(!served_at >= Time.ms 50))
-  @ on_all "fairness: neither queue is starved" `Quick (fun (module W) ->
+  @ on_all "fairness: neither queue is starved" `Quick (fun backend ->
         (* Two clients hammer one server over two links; the server takes
            whatever is ready.  Both clients must make progress. *)
         let served = Array.make 2 0 in
         let e = Engine.create () in
-        let w = W.create e ~nodes:6 in
+        let w = backend.create e ~nodes:6 in
         let server =
-          W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
               (* Keep both request queues open for the whole serve loop
                  (otherwise Charlotte's bounce machinery lets whichever
                  client wins the first race monopolize the server). *)
@@ -498,7 +493,7 @@ let queue_tests =
               done)
         in
         let mk_client who node =
-          W.spawn w ~daemon:true ~node ~name:(Printf.sprintf "c%d" who)
+          Lynx.World.spawn w ~daemon:true ~node ~name:(Printf.sprintf "c%d" who)
             (fun p ->
               let rec wait_link () =
                 match P.live_links p with
@@ -517,16 +512,16 @@ let queue_tests =
         let c0 = mk_client 0 1 and c1 = mk_client 1 2 in
         ignore
           (Engine.spawn e ~name:"driver" (fun () ->
-               ignore (W.link_between w c0 server);
-               ignore (W.link_between w c1 server)));
+               ignore (Lynx.World.link_between w c0 server);
+               ignore (Lynx.World.link_between w c1 server)));
         Engine.run e;
         checkb "both served" true (served.(0) >= 3 && served.(1) >= 3))
-  @ on_all "await_request filters by link" `Quick (fun (module W) ->
+  @ on_all "await_request filters by link" `Quick (fun backend ->
         let first_op = ref "" in
         let e = Engine.create () in
-        let w = W.create e ~nodes:6 in
+        let w = backend.create e ~nodes:6 in
         let server =
-          W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
               let rec wait_two () =
                 match P.live_links p with
                 | a :: b :: _ -> (a, b)
@@ -546,7 +541,7 @@ let queue_tests =
               inc2.P.in_reply [])
         in
         let mk name node op delay =
-          W.spawn w ~daemon:true ~node ~name (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node ~name (fun p ->
               let rec wait_link () =
                 match P.live_links p with
                 | l :: _ -> l
@@ -562,18 +557,18 @@ let queue_tests =
         let c2 = mk "c2" 2 "from-second" (Time.ms 40) in
         ignore
           (Engine.spawn e ~name:"driver" (fun () ->
-               ignore (W.link_between w c1 server);
-               ignore (W.link_between w c2 server)));
+               ignore (Lynx.World.link_between w c1 server);
+               ignore (Lynx.World.link_between w c2 server)));
         Engine.run e;
         Alcotest.check Alcotest.string "second link first" "from-second"
           !first_op)
 
 let lifecycle_tests =
-  on_all "finish releases blocked threads" `Quick (fun (module W) ->
+  on_all "finish releases blocked threads" `Quick (fun backend ->
       let released = ref false in
       ignore
         (duo
-           (module W)
+           backend
            ~server:(fun p lnk ->
              ignore lnk;
              P.sleep p (Time.sec 30))
@@ -586,11 +581,11 @@ let lifecycle_tests =
                 blocked in its call. *)
              P.sleep p (Time.ms 30)));
       checkb "released" true !released)
-  @ on_all "thread failures are recorded, not fatal" `Quick (fun (module W) ->
+  @ on_all "thread failures are recorded, not fatal" `Quick (fun backend ->
         let failures = ref 0 in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(fun p _ -> P.sleep p (Time.ms 50))
              ~client:(fun p _lnk ->
                P.spawn_thread p (fun () -> failwith "thread oops");
@@ -598,11 +593,11 @@ let lifecycle_tests =
                failures := List.length (P.failures p)));
         checki "one failure" 1 !failures)
   @ on_all "destroying one end notifies the other process" `Quick
-      (fun (module W) ->
+      (fun backend ->
         let notified = ref false in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(fun p lnk ->
                match P.await_request p ~links:[ lnk ] () with
                | _ -> ()
@@ -612,11 +607,11 @@ let lifecycle_tests =
                P.destroy_link p lnk;
                P.sleep p (Time.ms 300)));
         checkb "notified" true !notified)
-  @ on_all "live_links reflects gains and losses" `Quick (fun (module W) ->
+  @ on_all "live_links reflects gains and losses" `Quick (fun backend ->
         let counts = ref [] in
         ignore
           (duo
-             (module W)
+             backend
              ~server:(fun p _ -> P.sleep p (Time.sec 30))
              ~client:(fun p lnk ->
                counts := List.length (P.live_links p) :: !counts;
@@ -639,16 +634,16 @@ let variant_tests =
     ]
   in
   List.concat_map
-    (fun (module W : Harness.Backend_world.WORLD) ->
+    (fun (backend : Harness.Backend_world.backend) ->
       [
         Alcotest.test_case
-          (Printf.sprintf "call/serve round trip [%s]" W.name)
+          (Printf.sprintf "call/serve round trip [%s]" backend.name)
           `Quick
           (fun () ->
             let result = ref [] in
             ignore
               (duo
-                 (module W)
+                 backend
                  ~server:
                    (echo_server "double" (function
                      | [ V.Int x ] -> [ V.Int (2 * x) ]
@@ -657,13 +652,13 @@ let variant_tests =
                    result := P.call p lnk ~op:"double" [ V.Int 21 ]));
             checkb "42" true (V.equal (V.List !result) (V.List [ V.Int 42 ])));
         Alcotest.test_case
-          (Printf.sprintf "concurrent calls all complete [%s]" W.name)
+          (Printf.sprintf "concurrent calls all complete [%s]" backend.name)
           `Quick
           (fun () ->
             let done_count = ref 0 in
             ignore
               (duo
-                 (module W)
+                 backend
                  ~server:(echo_server "id" (function [ v ] -> [ v ] | _ -> []))
                  ~client:(fun p lnk ->
                    let eng = P.engine p in
@@ -680,13 +675,13 @@ let variant_tests =
                    Sync.Ivar.read fin));
             checki "all four" 4 !done_count);
         Alcotest.test_case
-          (Printf.sprintf "moved end still works [%s]" W.name)
+          (Printf.sprintf "moved end still works [%s]" backend.name)
           `Quick
           (fun () ->
             let ok = ref false in
             ignore
               (duo
-                 (module W)
+                 backend
                  ~server:(fun p lnk ->
                    let inc = P.await_request p ~links:[ lnk ] () in
                    (match inc.P.in_args with

@@ -213,10 +213,16 @@ let test_registry () =
     (applies "pair-pressure" "chrysalis");
   (* Variant backends resolve by name too, so repro handles from
      ablation runs work. *)
-  (match BW.find "charlotte+acks" with
-  | Some (module W : BW.WORLD) ->
-    Alcotest.(check string) "variant lookup" "charlotte+acks" W.name
-  | None -> Alcotest.fail "charlotte+acks not found");
+  Alcotest.(check (list string))
+    "variant names"
+    [ "charlotte"; "soda"; "chrysalis"; "charlotte+acks"; "charlotte+hints";
+      "chrysalis+tuned" ]
+    (List.map BW.name BW.variants);
+  List.iter
+    (fun (b : BW.backend) ->
+      Alcotest.(check bool) (b.name ^ " round-trips") true
+        (match BW.find b.name with Some b' -> b' == b | None -> false))
+    BW.variants;
   Alcotest.(check bool) "unknown backend" true (BW.find "hydra" = None);
   Alcotest.(check bool)
     "inapplicable spec refuses to run" true
@@ -372,7 +378,7 @@ let test_execute_many_order () =
       (fun sc ->
         List.map
           (fun b -> Spec.v ~scenario:sc ~backend:b 1)
-          BW.(List.map (fun (module W : WORLD) -> W.name) all))
+          BW.names)
       [ "move"; "open-close"; "hint-repair" ]
   in
   let seq = R.execute_many ~jobs:1 specs in

@@ -12,16 +12,11 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-let on_all name speed f =
-  List.map
-    (fun (module W : Harness.Backend_world.WORLD) ->
-      Alcotest.test_case (Printf.sprintf "%s [%s]" name W.name) speed (fun () ->
-          f (module W : Harness.Backend_world.WORLD)))
-    Harness.Backend_world.all
+let on_all = Each_backend.on_all
 
 let fig1_tests =
-  on_all "figure 1: simultaneous move succeeds" `Quick (fun (module W) ->
-      let o = S.simultaneous_move (module W) in
+  on_all "figure 1: simultaneous move succeeds" `Quick (fun backend ->
+      let o = S.simultaneous_move backend in
       checkb o.S.o_detail true o.S.o_ok)
   @ [
       Alcotest.test_case "figure 1: charlotte pays the kernel move protocol"
@@ -109,15 +104,15 @@ let unwanted_tests =
           (S.counter o "lynx_charlotte.cancel_failed" >= 1));
   ]
   @ on_all "§3.2.1 cross request completes everywhere" `Quick
-      (fun (module W) ->
-        let o = S.cross_request (module W) in
+      (fun backend ->
+        let o = S.cross_request backend in
         checkb o.S.o_detail true o.S.o_ok;
-        if W.name <> "charlotte" then
+        if backend.name <> "charlotte" then
           checki "no bounces (lesson two)" 0
             (S.counter o "lynx_charlotte.unwanted_received"))
   @ on_all "§3.2.1 open/close race completes everywhere" `Quick
-      (fun (module W) ->
-        let o = S.open_close_race (module W) in
+      (fun backend ->
+        let o = S.open_close_race backend in
         checkb o.S.o_detail true o.S.o_ok)
 
 let lost_enclosure_tests =
@@ -140,8 +135,8 @@ let lost_enclosure_tests =
   ]
 
 let bounced_tests =
-  on_all "unwanted enclosure survives the bounce" `Quick (fun (module W) ->
-      let o = S.bounced_enclosure (module W) in
+  on_all "unwanted enclosure survives the bounce" `Quick (fun backend ->
+      let o = S.bounced_enclosure backend in
       checkb o.S.o_detail true o.S.o_ok)
   @ [
       Alcotest.test_case "charlotte actually bounced it" `Quick (fun () ->
@@ -220,18 +215,18 @@ let protocol_coverage_tests =
       (fun () ->
         (* A reply carrying 3 ends: rep_first + 2 enc packets and no
            goahead, since "a reply is always wanted". *)
-        let (module W : Harness.Backend_world.WORLD) =
+        let (backend : Harness.Backend_world.backend) =
           Harness.Backend_world.charlotte
         in
         let open Sim in
         let module P = Lynx.Process in
         let e = Engine.create () in
-        let w = W.create e ~nodes:4 in
-        let sts = W.stats w in
+        let w = backend.create e ~nodes:4 in
+        let sts = Lynx.World.stats w in
         let got = ref 0 in
         let lc = Sync.Ivar.create e in
         let server =
-          W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
               let inc = P.await_request p () in
               let ends =
                 List.init 3 (fun _ ->
@@ -242,7 +237,7 @@ let protocol_coverage_tests =
               P.sleep p (Time.ms 300))
         in
         let client =
-          W.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
               let lnk = Sync.Ivar.read lc in
               match P.call p lnk ~op:"gimme" [] with
               | vs -> got := List.length (Lynx.Value.links_of_list vs)
@@ -250,7 +245,7 @@ let protocol_coverage_tests =
         in
         ignore
           (Engine.spawn e ~name:"driver" (fun () ->
-               let c, _ = W.link_between w client server in
+               let c, _ = Lynx.World.link_between w client server in
                Sync.Ivar.fill lc c));
         Engine.run e;
         checki "three ends arrived" 3 !got;
@@ -260,23 +255,23 @@ let protocol_coverage_tests =
           (Sim.Stats.get sts "lynx_charlotte.pkt_sent.enc"));
   ]
   @ on_all "destroying a moved end notifies its new peer" `Quick
-      (fun (module W) ->
+      (fun backend ->
         (* A gives its end of link L to B; later A's original peer C
            destroys its fixed end; B (the new owner) must hear. *)
         let open Sim in
         let module P = Lynx.Process in
         let e = Engine.create () in
-        let w = W.create e ~nodes:6 in
+        let w = backend.create e ~nodes:6 in
         let notified = ref false in
         let l_ab = Sync.Ivar.create e and l_ac = Sync.Ivar.create e in
         let a =
-          W.spawn w ~daemon:true ~node:0 ~name:"A" (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node:0 ~name:"A" (fun p ->
               let ab = Sync.Ivar.read l_ab and ac = Sync.Ivar.read l_ac in
               ignore (P.call p ab ~op:"take" [ Lynx.Value.Link ac ]);
               P.sleep p (Time.ms 500))
         in
         let b =
-          W.spawn w ~daemon:true ~node:1 ~name:"B" (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node:1 ~name:"B" (fun p ->
               let inc = P.await_request p () in
               match inc.P.in_args with
               | [ Lynx.Value.Link moved ] -> (
@@ -288,7 +283,7 @@ let protocol_coverage_tests =
               | _ -> inc.P.in_reply [])
         in
         let c =
-          W.spawn w ~daemon:true ~node:2 ~name:"C" (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node:2 ~name:"C" (fun p ->
               let rec wait () =
                 match P.live_links p with
                 | l :: _ -> l
@@ -303,25 +298,25 @@ let protocol_coverage_tests =
         in
         ignore
           (Engine.spawn e ~name:"driver" (fun () ->
-               let ab, _ = W.link_between w a b in
-               let ac, _ = W.link_between w a c in
+               let ab, _ = Lynx.World.link_between w a b in
+               let ac, _ = Lynx.World.link_between w a c in
                Sync.Ivar.fill l_ab ab;
                Sync.Ivar.fill l_ac ac));
         Engine.run e;
         checkb "new owner notified of destruction" true !notified)
   @ on_all "peer death during a multi-enclosure transfer fails the send"
-      `Quick (fun (module W) ->
+      `Quick (fun backend ->
         (* The receiver dies mid-protocol (between goahead and the enc
            packets under Charlotte); the sender's call must fail, not
            hang. *)
         let open Sim in
         let module P = Lynx.Process in
         let e = Engine.create () in
-        let w = W.create e ~nodes:4 in
+        let w = backend.create e ~nodes:4 in
         let failed = ref false and completed = ref false in
         let lc = Sync.Ivar.create e in
         let victim =
-          W.spawn w ~daemon:true ~node:0 ~name:"victim" (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node:0 ~name:"victim" (fun p ->
               (* Open the queue so the transfer begins, then die before
                  it can complete. *)
               List.iter (P.open_queue p) (P.live_links p);
@@ -329,7 +324,7 @@ let protocol_coverage_tests =
               P.sleep p (Time.ms 45))
         in
         let sender =
-          W.spawn w ~daemon:true ~node:1 ~name:"sender" (fun p ->
+          Lynx.World.spawn w ~daemon:true ~node:1 ~name:"sender" (fun p ->
               let lnk = Sync.Ivar.read lc in
               let ends =
                 List.init 4 (fun _ ->
@@ -346,15 +341,15 @@ let protocol_coverage_tests =
         in
         ignore
           (Engine.spawn e ~name:"driver" (fun () ->
-               let c, _ = W.link_between w sender victim in
+               let c, _ = Lynx.World.link_between w sender victim in
                Sync.Ivar.fill lc c));
         Engine.run e;
         checkb "failed or completed, never hung" true (!failed || !completed))
 
 let determinism_tests =
-  on_all "scenarios are deterministic per seed" `Quick (fun (module W) ->
-      let a = S.simultaneous_move ~seed:7 (module W) in
-      let b = S.simultaneous_move ~seed:7 (module W) in
+  on_all "scenarios are deterministic per seed" `Quick (fun backend ->
+      let a = S.simultaneous_move ~seed:7 backend in
+      let b = S.simultaneous_move ~seed:7 backend in
       checkb "same outcome" true (a.S.o_ok = b.S.o_ok);
       checki "same duration" (Sim.Time.to_ns a.S.o_duration)
         (Sim.Time.to_ns b.S.o_duration);

@@ -8,28 +8,23 @@ module NS = Lynx.Nameserver
 
 let checkb = Alcotest.check Alcotest.bool
 
-let on_all name speed f =
-  List.map
-    (fun (module W : Harness.Backend_world.WORLD) ->
-      Alcotest.test_case (Printf.sprintf "%s [%s]" name W.name) speed (fun () ->
-          f (module W : Harness.Backend_world.WORLD)))
-    Harness.Backend_world.all
+let on_all = Each_backend.on_all
 
 (* ---- Lang codecs (pure) -------------------------------------------------- *)
 
 let codec_tests =
   let roundtrip (type a) (arg : a L.arg) (op_eq : a -> a -> bool) (x : a) =
     (* Exercise a codec through a full typed RPC on chrysalis. *)
-    let (module W : Harness.Backend_world.WORLD) =
+    let (backend : Harness.Backend_world.backend) =
       Harness.Backend_world.chrysalis
     in
     let e = Engine.create () in
-    let w = W.create e ~nodes:4 in
+    let w = backend.create e ~nodes:4 in
     let op = L.defop ~name:"echo" ~req:arg ~resp:arg in
     let got = ref None in
     let lc = Sync.Ivar.create e in
     let server =
-      W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+      Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
           let rec wait () =
             match P.live_links p with
             | l :: _ -> l
@@ -41,13 +36,13 @@ let codec_tests =
           P.sleep p (Time.sec 10))
     in
     let client =
-      W.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
+      Lynx.World.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
           let lnk = Sync.Ivar.read lc in
           got := Some (L.call p lnk op x))
     in
     ignore
       (Engine.spawn e ~name:"driver" (fun () ->
-           let c, _ = W.link_between w client server in
+           let c, _ = Lynx.World.link_between w client server in
            Sync.Ivar.fill lc c));
     Engine.run e;
     match !got with Some y -> op_eq x y | None -> false
@@ -74,15 +69,15 @@ let codec_tests =
   ]
 
 let typed_mismatch_tests =
-  on_all "mismatched defops are caught at run time" `Quick (fun (module W) ->
+  on_all "mismatched defops are caught at run time" `Quick (fun backend ->
       (* Server serves (int -> int); client calls with a string request
          under the same operation name — the LYNX dynamic check fires. *)
       let e = Engine.create () in
-      let w = W.create e ~nodes:4 in
+      let w = backend.create e ~nodes:4 in
       let rejected = ref false in
       let lc = Sync.Ivar.create e in
       let server =
-        W.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
             let rec wait () =
               match P.live_links p with
               | l :: _ -> l
@@ -96,7 +91,7 @@ let typed_mismatch_tests =
             P.sleep p (Time.sec 10))
       in
       let client =
-        W.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
+        Lynx.World.spawn w ~daemon:true ~node:1 ~name:"client" (fun p ->
             let lnk = Sync.Ivar.read lc in
             match
               L.call p lnk (L.defop ~name:"op" ~req:L.str ~resp:L.str) "oops"
@@ -107,7 +102,7 @@ let typed_mismatch_tests =
       in
       ignore
         (Engine.spawn e ~name:"driver" (fun () ->
-             let c, _ = W.link_between w client server in
+             let c, _ = Lynx.World.link_between w client server in
              Sync.Ivar.fill lc c));
       Engine.run e;
       checkb "rejected" true !rejected)
@@ -115,14 +110,14 @@ let typed_mismatch_tests =
 (* ---- Name server ----------------------------------------------------------- *)
 
 (* A world with one name server, one provider ("square"), two clients. *)
-let ns_world (module W : Harness.Backend_world.WORLD) ~client_body =
+let ns_world (backend : Harness.Backend_world.backend) ~client_body =
   let e = Engine.create () in
-  let w = W.create e ~nodes:6 in
+  let w = backend.create e ~nodes:6 in
   let ns_member =
-    W.spawn w ~daemon:true ~node:0 ~name:"nameserver" (fun p -> NS.body p)
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"nameserver" (fun p -> NS.body p)
   in
   let provider =
-    W.spawn w ~daemon:true ~node:1 ~name:"provider" (fun p ->
+    Lynx.World.spawn w ~daemon:true ~node:1 ~name:"provider" (fun p ->
         let rec wait () =
           match P.live_links p with
           | l :: _ -> l
@@ -140,7 +135,7 @@ let ns_world (module W : Harness.Backend_world.WORLD) ~client_body =
   in
   let clients =
     List.init 2 (fun i ->
-        W.spawn w ~daemon:true ~node:(2 + i) ~name:(Printf.sprintf "c%d" i)
+        Lynx.World.spawn w ~daemon:true ~node:(2 + i) ~name:(Printf.sprintf "c%d" i)
           (fun p ->
             let rec wait () =
               match P.live_links p with
@@ -156,18 +151,18 @@ let ns_world (module W : Harness.Backend_world.WORLD) ~client_body =
   in
   ignore
     (Engine.spawn e ~name:"driver" (fun () ->
-         ignore (W.link_between w provider ns_member);
-         List.iter (fun c -> ignore (W.link_between w c ns_member)) clients));
+         ignore (Lynx.World.link_between w provider ns_member);
+         List.iter (fun c -> ignore (Lynx.World.link_between w c ns_member)) clients));
   Engine.run e;
   e
 
 let ns_tests =
   on_all "lookup hands each client a private working link" `Quick
-    (fun (module W) ->
+    (fun backend ->
       let results = ref [] in
       ignore
         (ns_world
-           (module W)
+           backend
            ~client_body:(fun p ~ns ~who ->
              match NS.lookup p ~ns ~name:"squarer" with
              | Some service ->
@@ -182,21 +177,21 @@ let ns_tests =
         Alcotest.(list (pair int int))
         "both clients served" [ (0, 9); (1, 16) ]
         (List.sort compare !results))
-  @ on_all "unknown names resolve to None" `Quick (fun (module W) ->
+  @ on_all "unknown names resolve to None" `Quick (fun backend ->
         let got = ref (Some ()) in
         ignore
           (ns_world
-             (module W)
+             backend
              ~client_body:(fun p ~ns ~who:_ ->
                match NS.lookup p ~ns ~name:"no-such-service" with
                | None -> got := None
                | Some _ -> ()));
         checkb "none" true (!got = None))
-  @ on_all "list_names reports registrations" `Quick (fun (module W) ->
+  @ on_all "list_names reports registrations" `Quick (fun backend ->
         let names = ref [] in
         ignore
           (ns_world
-             (module W)
+             backend
              ~client_body:(fun p ~ns ~who ->
                if who = 0 then names := NS.list_names p ~ns));
         Alcotest.check
@@ -205,18 +200,18 @@ let ns_tests =
   @ [
       Alcotest.test_case "duplicate registration refused [chrysalis]" `Quick
         (fun () ->
-          let (module W : Harness.Backend_world.WORLD) =
+          let (backend : Harness.Backend_world.backend) =
             Harness.Backend_world.chrysalis
           in
           let refused = ref false in
           let e = Engine.create () in
-          let w = W.create e ~nodes:4 in
+          let w = backend.create e ~nodes:4 in
           let ns_member =
-            W.spawn w ~daemon:true ~node:0 ~name:"nameserver" (fun p ->
+            Lynx.World.spawn w ~daemon:true ~node:0 ~name:"nameserver" (fun p ->
                 NS.body p)
           in
           let provider =
-            W.spawn w ~daemon:true ~node:1 ~name:"provider" (fun p ->
+            Lynx.World.spawn w ~daemon:true ~node:1 ~name:"provider" (fun p ->
                 let rec wait () =
                   match P.live_links p with
                   | l :: _ -> l
@@ -234,7 +229,7 @@ let ns_tests =
           in
           ignore
             (Engine.spawn e ~name:"driver" (fun () ->
-                 ignore (W.link_between w provider ns_member)));
+                 ignore (Lynx.World.link_between w provider ns_member)));
           Engine.run e;
           checkb "refused" true !refused);
     ]

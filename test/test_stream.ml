@@ -466,31 +466,82 @@ let test_matrix_jobs4 () =
 
 (* ---- bounded retention ------------------------------------------------ *)
 
+(* Each input runs unbounded and ring-bounded: the judged artifact and
+   fingerprint must not notice the ring, and drops are counted exactly.
+   The faulted cross-request run is long enough to wrap a 16-event ring
+   many times over. *)
 let test_bounded_retention () =
-  let spec = Spec.v ~scenario:"move" ~backend:"charlotte" 1 in
-  let view_of cap =
-    match Run.execute_full ?log_capacity:cap spec with
-    | Some (Some o, a) -> (o.S.o_view, a)
-    | _ -> Alcotest.fail "spec did not run"
-  in
-  let v_u, a_u = view_of None in
-  let v_b, a_b = view_of (Some 5) in
-  let total_u =
-    Array.length v_u.Engine.v_events + v_u.Engine.v_events_dropped
-  in
-  Alcotest.(check int)
-    "retained bounded by capacity" 5
-    (Array.length v_b.Engine.v_events);
-  Alcotest.(check int)
-    "drop accounting exact"
-    (total_u - 5)
-    v_b.Engine.v_events_dropped;
-  Alcotest.(check string)
-    "artifact independent of retention" (show_artifact a_u)
-    (show_artifact a_b);
-  Alcotest.(check bool)
-    "fingerprint exact under ring" true
-    (Int64.equal v_u.Engine.v_events_hash v_b.Engine.v_events_hash)
+  List.iter
+    (fun (spec, cap) ->
+      let spec = Result.get_ok (Spec.of_string spec) in
+      let view_of cap =
+        match Run.execute_full ?log_capacity:cap spec with
+        | Some (Some o, a) -> (o.S.o_view, a)
+        | _ -> Alcotest.fail "spec did not run"
+      in
+      let v_u, a_u = view_of None in
+      let v_b, a_b = view_of (Some cap) in
+      let total_u = Array.length v_u.Engine.v_events in
+      Alcotest.(check int) "unbounded run drops nothing" 0 v_u.Engine.v_events_dropped;
+      Alcotest.(check bool) "stream long enough to wrap" true (total_u > 2 * cap);
+      Alcotest.(check int)
+        "retained bounded by capacity" cap
+        (Array.length v_b.Engine.v_events);
+      Alcotest.(check int) "drop accounting exact" (total_u - cap) v_b.Engine.v_events_dropped;
+      Alcotest.(check string)
+        "artifact independent of retention" (show_artifact a_u)
+        (show_artifact a_b);
+      Alcotest.(check bool)
+        "fingerprint exact under ring" true
+        (Int64.equal v_u.Engine.v_events_hash v_b.Engine.v_events_hash);
+      Alcotest.(check bool)
+        "streamed races match post-hoc" true
+        (R.analyze v_u.Engine.v_events = a_u.Run.Artifact.races))
+    [ ("move/charlotte/1/fifo", 5); ("cross-request/charlotte/2/fifo@mix", 16) ]
+
+(* A 300-call echo on each primary backend, observed by hand at two
+   retention capacities: the stream wraps a 64-event ring many times,
+   yet totals, fingerprint and streamed race findings are those of the
+   unbounded run, and the streamed findings equal the post-hoc analysis
+   of the full log. *)
+let test_long_echo_wraps_ring () =
+  let cap = 64 in
+  List.iter
+    (fun (backend : Harness.Backend_world.backend) ->
+      let observe log_capacity =
+        let stream = ref (Stream.init ()) in
+        let captured = ref None in
+        let attach e =
+          captured := Some e;
+          Engine.add_consumer e (fun ev -> stream := Stream.feed ev !stream)
+        in
+        ignore
+          (Engine.with_observer ?log_capacity ~attach (fun () ->
+               Harness.Rpc_bench.run backend ~iters:300 ~payload:0 ()));
+        match !captured with
+        | Some e -> (Engine.view e, Stream.finish !stream, Engine.events_total e)
+        | None -> Alcotest.fail "the benchmark created no engine"
+      in
+      let v_u, sum_u, total_u = observe None in
+      let v_b, sum_b, total_b = observe (Some cap) in
+      let n_b = Array.length v_b.Engine.v_events in
+      let check what = Alcotest.(check bool) (backend.name ^ ": " ^ what) true in
+      check "stream long enough to wrap" (total_u > 2 * cap);
+      check "peak retained <= capacity" (n_b <= cap);
+      check "totals equal"
+        (total_u = total_b
+        && sum_u.Stream.s_events = total_u
+        && sum_b.Stream.s_events = total_b);
+      check "drop accounting exact" (v_b.Engine.v_events_dropped = total_b - n_b);
+      check "events hash exact under ring"
+        (Int64.equal v_u.Engine.v_events_hash v_b.Engine.v_events_hash);
+      check "streamed races equal at both capacities"
+        (sum_u.Stream.s_races = sum_b.Stream.s_races);
+      check "streamed races match post-hoc on the full log"
+        (R.analyze v_u.Engine.v_events = sum_u.Stream.s_races);
+      check "stream monotone"
+        (sum_u.Stream.s_backwards = None && sum_b.Stream.s_backwards = None))
+    Harness.Backend_world.all
 
 (* ---- Stream.of_events == streaming feed -------------------------------- *)
 
@@ -577,6 +628,8 @@ let () =
           Alcotest.test_case "matrix under -j 4" `Slow test_matrix_jobs4;
           Alcotest.test_case "bounded retention" `Quick
             test_bounded_retention;
+          Alcotest.test_case "long echo wraps the ring" `Quick
+            test_long_echo_wraps_ring;
           Alcotest.test_case "of_events matches live feed" `Quick
             test_of_events_matches_live;
         ] );
