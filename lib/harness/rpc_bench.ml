@@ -248,6 +248,62 @@ let raw_soda ?(iters = 30) ?(warmup = 5) ?(seed = 42) ~payload () =
   Engine.run eng;
   Stats.Series.mean series
 
+(** Raw dual-queue echo on the Chrysalis kernel: the client writes the
+    payload into a shared object and enqueues its own dual-queue name on
+    the server's queue; the server reads the payload, writes it back and
+    enqueues on the client's queue.  No LYNX link object, flags or
+    notices — the kernel calls a message costs at the least. *)
+let raw_chrysalis ?(iters = 30) ?(warmup = 5) ?(seed = 42) ~payload () =
+  let module K = Chrysalis.Kernel in
+  let eng = Engine.create ~seed ~log_capacity:0 () in
+  let k = K.create eng ~processors:2 () in
+  let series = Stats.Series.create () in
+  let server = Sync.Ivar.create eng in
+  let wait_dq pid q ev =
+    match K.dq_dequeue k pid q ~ev with
+    | Some d -> d
+    | None -> K.event_wait k pid ev
+  in
+  let _server =
+    K.spawn_process k ~daemon:true ~node:0 ~name:"raw-server" (fun pid ->
+        let q = K.make_dualq k pid ~capacity:8 in
+        let ev = K.make_event k pid in
+        let buf = K.make_object k pid ~size:(max payload 1) in
+        Sync.Ivar.fill server (q, buf);
+        let rec serve () =
+          let client_q = wait_dq pid q ev in
+          K.write_bytes k pid buf ~off:0
+            (K.read_bytes k pid buf ~off:0 ~len:payload);
+          K.dq_enqueue k pid client_q 0;
+          serve ()
+        in
+        try serve () with K.Process_exit -> ())
+  in
+  let _client =
+    K.spawn_process k ~node:1 ~name:"raw-client" (fun pid ->
+        let server_q, buf = Sync.Ivar.read server in
+        K.map_object k pid buf;
+        let q = K.make_dualq k pid ~capacity:8 in
+        let ev = K.make_event k pid in
+        let data = Bytes.make payload 'x' in
+        let once () =
+          K.write_bytes k pid buf ~off:0 data;
+          K.dq_enqueue k pid server_q q;
+          ignore (wait_dq pid q ev);
+          ignore (K.read_bytes k pid buf ~off:0 ~len:payload)
+        in
+        for _ = 1 to warmup do
+          once ()
+        done;
+        for _ = 1 to iters do
+          let t0 = Engine.now eng in
+          once ();
+          Stats.Series.add series (Time.sub (Engine.now eng) t0)
+        done)
+  in
+  Engine.run eng;
+  Stats.Series.mean series
+
 (** The latency-vs-payload sweep, as a plan-builder over the domain
     pool: one measurement job per (payload, backend) pair, mapped with
     [Parallel.Pool] (each job owns a private engine), results regrouped

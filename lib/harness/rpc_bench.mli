@@ -59,6 +59,11 @@ val raw_soda :
 (** Raw request/accept round trip on the SODA kernel (the measurements
     behind §4.3 footnote 2). *)
 
+val raw_chrysalis :
+  ?iters:int -> ?warmup:int -> ?seed:int -> payload:int -> unit -> Sim.Time.t
+(** Raw dual-queue echo on the Chrysalis kernel: one enqueue and one
+    event wait each way, the payload copied through a shared object. *)
+
 val sweep :
   ?jobs:int ->
   ?backends:backend list ->

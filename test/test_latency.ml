@@ -141,6 +141,19 @@ let words_per_call ?(iters = 100) b =
   Budgets.words_per_iter ~warm:30 ~iters (fun iters ->
       ignore (Harness.Rpc_bench.run b ~payload:0 ~iters ()))
 
+(* Steady-state minor words per 0 B raw-kernel echo: the same exchange
+   made directly against each backend's kernel, with no LYNX above it. *)
+let raw_words_per_call ?(iters = 100) name =
+  let raw =
+    match name with
+    | "charlotte" -> Harness.Rpc_bench.raw_charlotte
+    | "soda" -> Harness.Rpc_bench.raw_soda
+    | "chrysalis" -> Harness.Rpc_bench.raw_chrysalis
+    | n -> Alcotest.failf "no raw echo for %s" n
+  in
+  Budgets.words_per_iter ~warm:30 ~iters (fun iters ->
+      ignore (raw ~payload:0 ~iters ()))
+
 let allocation_tests =
   List.map
     (fun (b : Harness.Backend_world.backend) ->
@@ -149,6 +162,19 @@ let allocation_tests =
             ~budget:(List.assoc b.name Budgets.echo_call)
             (words_per_call b)))
     Harness.Backend_world.all
+  @ List.map
+      (fun (b : Harness.Backend_world.backend) ->
+        (* What the LYNX layers add to a kernel echo, to the word: the
+           run-time package's own allocation, with the kernel's netted
+           out.  Over 128 calls both sides are exact binary fractions. *)
+        Alcotest.test_case (b.name ^ " LYNX premium per echo call") `Quick
+          (fun () ->
+            Budgets.exact
+              (Printf.sprintf "%s LYNX premium" b.name)
+              ~budget:(List.assoc b.name Budgets.lynx_premium)
+              (words_per_call ~iters:128 b
+              -. raw_words_per_call ~iters:128 b.name)))
+      Harness.Backend_world.all
   @ [
       (* A zero-probability plan: no fault ever fires, but the injector
          hooks, the per-call screening timers and the server's dedup
