@@ -18,9 +18,14 @@ open Sim
 
 let rx_outage_held = Stats.key "faults.rx_outage_held"
 
+let rec pending_has link kind = function
+  | [] -> false
+  | ((l, k, _) : int * Backend.kind * Backend.rx) :: rest ->
+    (l = link && k = kind) || pending_has link kind rest
+
 let wrap eng ~stats inj ?victim (ops : Backend.ops) : Backend.ops =
   (* Withheld/duplicated frames park here until their release time,
-     then reappear via [b_readable]/[b_take] and a doorbell ring. *)
+     then reappear via [b_ready]/[b_take] and a doorbell ring. *)
   let pending : (int * Backend.kind * Backend.rx) list ref = ref [] in
   let shut = ref false in
   (* Event-object names, built once per link rather than per frame. *)
@@ -49,9 +54,8 @@ let wrap eng ~stats inj ?victim (ops : Backend.ops) : Backend.ops =
     in
     split [] !pending
   in
-  let b_readable () =
-    ops.Backend.b_readable ()
-    @ List.map (fun (l, k, _) -> (l, k)) !pending
+  let b_ready ~link ~kind =
+    ops.Backend.b_ready ~link ~kind || pending_has link kind !pending
   in
   let b_take ~link ~kind =
     match take_pending ~link ~kind with
@@ -94,4 +98,4 @@ let wrap eng ~stats inj ?victim (ops : Backend.ops) : Backend.ops =
     pending := [];
     ops.Backend.b_shutdown ()
   in
-  { ops with Backend.b_readable; b_take; b_shutdown }
+  { ops with Backend.b_ready; b_take; b_shutdown }
