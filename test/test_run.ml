@@ -725,7 +725,9 @@ let golden_clock_digest =
    quorum/chrysalis/2/fifo@partition-minority     5956 f918c61a024f7f9a680a86b6698b041f clean\n\
    quorum/chrysalis/2/fifo@partition-majority     5956 f918c61a024f7f9a680a86b6698b041f clean\n"
 
-let clock_digest_row spec =
+(* The event count, MD5 of every retained [Event.describe] line and
+   race findings of one fully retained run, and its artifact. *)
+let clock_digest spec =
   let name = Spec.to_string spec in
   match R.execute_full spec with
   | Some (Some o, a) ->
@@ -745,11 +747,22 @@ let clock_digest_row spec =
         String.concat "; "
           (List.map (Format.asprintf "%a" Analysis.Races.pp_finding) fs)
     in
-    Printf.sprintf "%-44s %6d %s %s\n" name
-      (Array.length v.Sim.Engine.v_events)
-      (Digest.to_hex (Digest.string (Buffer.contents b)))
-      races
+    ( Printf.sprintf "%6d %s %s"
+        (Array.length v.Sim.Engine.v_events)
+        (Digest.to_hex (Digest.string (Buffer.contents b)))
+        races,
+      a )
   | _ -> Alcotest.failf "%s: no engine view" name
+
+let clock_digest_row spec =
+  Printf.sprintf "%-44s %s\n" (Spec.to_string spec) (fst (clock_digest spec))
+
+(* MD5 of an artifact's counters rendered as [name=value] lines. *)
+let counters_md5 (a : A.t) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map (fun (k, v) -> Printf.sprintf "%s=%d\n" k v) a.A.counters)))
 
 let test_golden_clock_digest () =
   let specs =
@@ -766,6 +779,68 @@ let test_golden_clock_digest () =
   Alcotest.(check string)
     "clock and race digest unchanged" golden_clock_digest
     (String.concat "" (List.map clock_digest_row specs))
+
+(* The same digest for every scenario built on [Sim.Shard], with the
+   events hash and the counter MD5 beside it: the node programs are the
+   only code these runs share with no other golden, and their vector
+   clocks are pinned nowhere else.  The [~s4] rows must equal the [~s1]
+   ones. *)
+let golden_shard_clock_digest =
+  "wl-farm/charlotte/1/fifo~n1K         e8cc66870f30ce06  15125 83788a00851bbcb43b70f3913f8b79d0 clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-farm/charlotte/2/fifo~n1K         0db92a679394809b  15125 8f4d9ef51db7b934ad2b5a95d838cdc8 clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-farm/soda/1/fifo~n1K              e4a1211474874351  15125 f8c88e13149747d8a182e3ffc5749a49 clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-farm/soda/2/fifo~n1K              00937b19752be465  15125 b67cc6fd2e7a4a94991ad7dca9a42e58 clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-farm/chrysalis/1/fifo~n1K         0f253cd1e5790357  15125 a1075579fb1f57af4938104c2c70fefa clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-farm/chrysalis/2/fifo~n1K         e8969e21378fdceb  15125 279ed7b9cbcec74582942e29fedeaac6 clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-farm-open/charlotte/1/fifo~n1K    f19320794f151f8d   8125 3040627345bff92930ef60368ff759a7 clean 892f0134e37869ac315c9dd20b7a8128\n\
+   wl-farm-open/charlotte/2/fifo~n1K    290a58427671701a   8125 03446475c707e07758aebce6716795a3 clean 892f0134e37869ac315c9dd20b7a8128\n\
+   wl-farm-open/soda/1/fifo~n1K         295679f5d5cbde2f   8125 8ec04f64b7839857b204ff7b4e01b8be clean 892f0134e37869ac315c9dd20b7a8128\n\
+   wl-farm-open/soda/2/fifo~n1K         d50b79c33f4db511   8125 d546fc956d16789df69ed64e29f0ae41 clean 892f0134e37869ac315c9dd20b7a8128\n\
+   wl-farm-open/chrysalis/1/fifo~n1K    06311397582d3cf5   8125 409639e88aa9e07707ad67b765878b05 clean 892f0134e37869ac315c9dd20b7a8128\n\
+   wl-farm-open/chrysalis/2/fifo~n1K    269a30cdf0558aa4   8125 78a3189f6f136443f991eee7e1bcf4d0 clean 892f0134e37869ac315c9dd20b7a8128\n\
+   wl-ring/charlotte/1/fifo~n1K         0150f7f09e81d161  27500 517f53e4b55ce66e071f013e168ee725 clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-ring/charlotte/2/fifo~n1K         ccef44e3f660f45c  27500 5a2e3f97b6b5f70ab6bea35b5be87821 clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-ring/soda/1/fifo~n1K              d21bbbf4dbe7906c  27500 9cf7502271d6b851476ff9e42471129d clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-ring/soda/2/fifo~n1K              c8372ba2eff94181  27500 7bc22fed2d26d68ce99bc42ee41a6d49 clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-ring/chrysalis/1/fifo~n1K         0bf8779ecaaa41bf  27500 3fa842a27e48082fac50dd8c6d2a44cb clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-ring/chrysalis/2/fifo~n1K         d04aed54b6d29182  27500 033d263fcc647c55e1df429c883c06be clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-tree/charlotte/1/fifo~n1K         2a18965732617354  57625 76b48c4d06d045c19eaf25db4a2ed8b1 clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-tree/charlotte/2/fifo~n1K         15a9bb51703e66b6  57625 8ddd565ee848561a263e1b188de292e4 clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-tree/soda/1/fifo~n1K              35a5260339fb7e39  57625 d816cbdab13bc0817c788deeea787dbf clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-tree/soda/2/fifo~n1K              31d255a8a9419502  57625 1cb354ca6b7ea09921749a89b1f16f4a clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-tree/chrysalis/1/fifo~n1K         37e22b666261bf14  57625 bb2075f6be0b4c3c76d0ef6dfadab47f clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   wl-tree/chrysalis/2/fifo~n1K         f3d2d0dbf38c842e  57625 22f45dccea6bffd12fef5ebf07e9ce49 clean 5b96e094f9000ae80d75294ef05aabe0\n\
+   shard-rpc/charlotte/1/fifo           f05b73b39e49079f     80 2c8077eb7e781035757c29cc532eb254 clean 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/charlotte/2/fifo           dff4ab58652df5af     80 e5d5a59cc82ede07545f7f69ed9cf296 clean b1ac739c208261e212f8c6fdd46fd7ed\n\
+   shard-rpc/soda/1/fifo                33ec47649b0755e9     80 134471e1ea01e85a0fe1cfe172292f16 clean 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/soda/2/fifo                db3cc18c037b4f8b     80 11f6f3478d04ece8cb10359abe827bf5 clean b1ac739c208261e212f8c6fdd46fd7ed\n\
+   shard-rpc/chrysalis/1/fifo           c0b14da5fde08f23     80 87e52fb98c397f3c17d7f16a6a2999ae clean 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/chrysalis/2/fifo           d5fab22d93add649     80 16fe23382ea017bccacf449da2a2495d clean b1ac739c208261e212f8c6fdd46fd7ed\n\
+   shard-rpc/charlotte/1/fifo~s4        f05b73b39e49079f     80 2c8077eb7e781035757c29cc532eb254 clean 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/charlotte/2/fifo~s4        dff4ab58652df5af     80 e5d5a59cc82ede07545f7f69ed9cf296 clean b1ac739c208261e212f8c6fdd46fd7ed\n\
+   shard-rpc/soda/1/fifo~s4             33ec47649b0755e9     80 134471e1ea01e85a0fe1cfe172292f16 clean 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/soda/2/fifo~s4             db3cc18c037b4f8b     80 11f6f3478d04ece8cb10359abe827bf5 clean b1ac739c208261e212f8c6fdd46fd7ed\n\
+   shard-rpc/chrysalis/1/fifo~s4        c0b14da5fde08f23     80 87e52fb98c397f3c17d7f16a6a2999ae clean 72f091518f85e1f78326e72a9c01524e\n\
+   shard-rpc/chrysalis/2/fifo~s4        d5fab22d93add649     80 16fe23382ea017bccacf449da2a2495d clean b1ac739c208261e212f8c6fdd46fd7ed\n"
+
+let test_golden_shard_clock_digest () =
+  let specs =
+    Spec.product
+      ~scenarios:[ "wl-farm"; "wl-farm-open"; "wl-ring"; "wl-tree" ]
+      ~seeds:[ 1; 2 ] ~population:1000 ()
+    @ List.concat_map
+        (fun shards ->
+          Spec.product ~scenarios:[ "shard-rpc" ] ~seeds:[ 1; 2 ] ~shards ())
+        [ 1; 4 ]
+  in
+  let row spec =
+    let digest, a = clock_digest spec in
+    Printf.sprintf "%-36s %016Lx %s %s\n" (Spec.to_string spec)
+      a.A.events_hash digest (counters_md5 a)
+  in
+  Alcotest.(check string)
+    "shard clock and race digest unchanged" golden_shard_clock_digest
+    (String.concat "" (Parallel.Pool.map_list ~jobs:2 row specs))
 
 (* [events_hash] folds no counters either.  This golden pins them: one
    row per run, an MD5 of the artifact's [counters] list rendered as
@@ -945,11 +1020,8 @@ let counter_digest_row spec a =
   match a with
   | None -> Printf.sprintf "%-44s n/a\n" name
   | Some a ->
-    let lines =
-      List.map (fun (k, v) -> Printf.sprintf "%s=%d\n" k v) a.A.counters
-    in
     Printf.sprintf "%-44s %3d %s\n" name (List.length a.A.counters)
-      (Digest.to_hex (Digest.string (String.concat "" lines)))
+      (counters_md5 a)
 
 let test_golden_counter_digest () =
   let specs = counter_digest_specs in
@@ -998,6 +1070,8 @@ let () =
           Alcotest.test_case "races report" `Slow test_golden_races;
           Alcotest.test_case "clock and race digest" `Slow
             test_golden_clock_digest;
+          Alcotest.test_case "shard clock and race digest" `Slow
+            test_golden_shard_clock_digest;
           Alcotest.test_case "counter digest" `Slow
             test_golden_counter_digest;
         ] );
