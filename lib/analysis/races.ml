@@ -47,12 +47,13 @@ type obj_state = {
   mutable os_first : (int * int * string * int * string) option;
       (* earlier send index, its fiber and op, later fiber and op *)
   (* R-SIG live suffixes. *)
-  os_sigs : (int * int * int * Vclock.t) Queue.t;
+  mutable os_sigs : (int * int * int * Vclock.t) Queue.t;
       (* signal index, stream position, fiber, clock *)
   mutable os_n_sigs : int;
   mutable os_n_seens : int;
-  os_seens : (int * Vclock.t) Queue.t;  (* stream position, clock *)
-  os_waits : (int * int * Vclock.t) Queue.t;  (* wait index, fiber, clock *)
+  mutable os_seens : (int * Vclock.t) Queue.t;  (* stream position, clock *)
+  mutable os_waits : (int * int * Vclock.t) Queue.t;
+      (* wait index, fiber, clock *)
   mutable os_n_waits : int;
   mutable os_n_wakes : int;  (* woke=true signals *)
   (* R-MOVE. *)
@@ -66,6 +67,13 @@ type state = {
 
 let init () = { st_pos = 0; st_tbl = Hashtbl.create 64 }
 
+(* Shared empty queues, never added to: most objects are message
+   queues that never signal or wait (a population run has hundreds of
+   thousands), so an object gets its own queue on first use. *)
+let no_sigs = Queue.create ()
+let no_seens = Queue.create ()
+let no_waits = Queue.create ()
+
 let fresh () =
   {
     os_sends = [];
@@ -73,11 +81,11 @@ let fresh () =
     os_n_recvs = 0;
     os_pairs = 0;
     os_first = None;
-    os_sigs = Queue.create ();
+    os_sigs = no_sigs;
     os_n_sigs = 0;
     os_n_seens = 0;
-    os_seens = Queue.create ();
-    os_waits = Queue.create ();
+    os_seens = no_seens;
+    os_waits = no_waits;
     os_n_waits = 0;
     os_n_wakes = 0;
     os_moves = [];
@@ -132,7 +140,10 @@ let feed st (ev : Event.t) =
     s.os_n_sigs <- idx + 1;
     (* Positionally consumed already?  Then it can never be part of the
        surviving suffix the rules look at. *)
-    if idx >= s.os_n_seens then Queue.add (idx, pos, fid, clk) s.os_sigs
+    if idx >= s.os_n_seens then begin
+      if s.os_sigs == no_sigs then s.os_sigs <- Queue.create ();
+      Queue.add (idx, pos, fid, clk) s.os_sigs
+    end
   | Event.Signal { obj; woke = true } ->
     let s = slot st obj in
     s.os_n_wakes <- s.os_n_wakes + 1;
@@ -158,12 +169,18 @@ let feed st (ev : Event.t) =
     (* Retain the seen only while an unserved signal precedes it: any
        signal arriving later has a larger stream position, so the
        latched-interrupt clause [npos > spos] could never match it. *)
-    if not (Queue.is_empty s.os_sigs) then Queue.add (pos, clk) s.os_seens
+    if not (Queue.is_empty s.os_sigs) then begin
+      if s.os_seens == no_seens then s.os_seens <- Queue.create ();
+      Queue.add (pos, clk) s.os_seens
+    end
   | Event.Wait { obj } ->
     let s = slot st obj in
     let idx = s.os_n_waits in
     s.os_n_waits <- idx + 1;
-    if idx >= s.os_n_wakes then Queue.add (idx, fid, clk) s.os_waits
+    if idx >= s.os_n_wakes then begin
+      if s.os_waits == no_waits then s.os_waits <- Queue.create ();
+      Queue.add (idx, fid, clk) s.os_waits
+    end
   | Event.Link_move { obj } ->
     let s = slot st obj in
     s.os_moves <- (fid, clk) :: s.os_moves

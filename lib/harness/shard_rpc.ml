@@ -75,32 +75,41 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
     ignore
       (Shard.add_node t ~name:(Printf.sprintf "client%d" i) (fun ctx ->
            let rng = Shard.rng ctx in
-           for round = 1 to rounds do
-             let size = 64 + Rng.int rng max_payload in
-             let key = Rng.int rng 0x3FFFFFFF in
-             Shard.send ctx ~dst:(pairs + i) ~latency:(xfer size) ~op:"rpc"
-               (Req { round; size; key });
-             Shard.incr ctx Key.rpcs 1;
-             Shard.incr ctx Key.bytes size;
-             match Shard.recv ctx with
-             | Rep { round = r; check }
-               when r = round && check = checksum ~key ~size ~spin ->
-               verified.(i) <- verified.(i) + 1
-             | _ -> Shard.note ctx (Printf.sprintf "client%d bad reply" i)
-           done))
+           let rec call round =
+             if round <= rounds then begin
+               let size = 64 + Rng.int rng max_payload in
+               let key = Rng.int rng 0x3FFFFFFF in
+               Shard.send ctx ~dst:(pairs + i) ~latency:(xfer size) ~op:"rpc"
+                 (Req { round; size; key });
+               Shard.incr ctx Key.rpcs 1;
+               Shard.incr ctx Key.bytes size;
+               Shard.recv ctx (fun msg ->
+                   (match msg with
+                   | Rep { round = r; check }
+                     when r = round && check = checksum ~key ~size ~spin ->
+                     verified.(i) <- verified.(i) + 1
+                   | _ -> Shard.note ctx (Printf.sprintf "client%d bad reply" i));
+                   call (round + 1))
+             end
+           in
+           call 1))
   done;
   for i = 0 to pairs - 1 do
     ignore
       (Shard.add_node t ~name:(Printf.sprintf "server%d" i) (fun ctx ->
-           for _ = 1 to rounds do
-             match Shard.recv ctx with
-             | Req { round; size; key } ->
-               let check = checksum ~key ~size ~spin in
-               Shard.incr ctx Key.served 1;
-               Shard.send ctx ~dst:i ~latency:(xfer 8) ~op:"reply"
-                 (Rep { round; check })
-             | Rep _ -> Shard.note ctx "server got a stray reply"
-           done))
+           let rec serve left =
+             if left > 0 then
+               Shard.recv ctx (fun msg ->
+                   (match msg with
+                   | Req { round; size; key } ->
+                     let check = checksum ~key ~size ~spin in
+                     Shard.incr ctx Key.served 1;
+                     Shard.send ctx ~dst:i ~latency:(xfer 8) ~op:"reply"
+                       (Rep { round; check })
+                   | Rep _ -> Shard.note ctx "server got a stray reply");
+                   serve (left - 1))
+           in
+           serve rounds))
   done;
   Shard.run t ~expect_quiescent:true;
   let done_all = Array.for_all (fun v -> v = rounds) verified in

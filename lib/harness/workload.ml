@@ -106,34 +106,49 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
   let hists = Array.init shards (fun _ -> Stats.Histogram.create ()) in
   let record ctx lat = Stats.Histogram.add hists.(Shard.home ctx) lat in
   let checksum key size = Shard_rpc.checksum ~key ~size ~spin in
-  (* The client body shared by every topology: wait (think time or
+  (* The client program shared by every topology: wait (think time or
      open-loop arrival), fire one priced request at [server], verify the
      reply checksum against [expect] and record the reply latency. *)
   let client_body ~server ~ttl ~expect ctx =
     let rng = Shard.rng ctx in
     let me = Shard.self ctx in
-    let once () =
+    let once next =
       let size = 64 + Rng.int rng max_payload in
       let key = Rng.int rng 0x3FFFFFFF in
       let t0 = Shard.now ctx in
       Shard.send ctx ~dst:server ~latency:(xfer size) ~op:"wl.req"
         (Req { t0; key; size; ttl; client = me });
       Shard.incr ctx Key.requests 1;
-      match Shard.recv ctx with
-      | Rep { check; _ } when check = expect key size ->
-        record ctx (Time.sub (Shard.now ctx) t0);
-        Shard.incr ctx Key.replies 1
-      | _ -> Shard.incr ctx Key.errors 1
+      Shard.recv ctx (fun msg ->
+          (match msg with
+          | Rep { check; _ } when check = expect key size ->
+            record ctx (Time.sub (Shard.now ctx) t0);
+            Shard.incr ctx Key.replies 1
+          | _ -> Shard.incr ctx Key.errors 1);
+          next ())
     in
     match load with
     | Closed { think; _ } ->
-      for _ = 1 to rounds do
-        Shard.sleep ctx (exp_draw rng think);
-        once ()
-      done
+      let rec round i =
+        if i <= rounds then
+          Shard.sleep ctx (exp_draw rng think) (fun () ->
+              once (fun () -> round (i + 1)))
+      in
+      round 1
     | Open { window } ->
-      Shard.sleep ctx (Time.ns (Rng.int rng (Stdlib.max 1 (Time.to_ns window))));
-      once ()
+      Shard.sleep ctx
+        (Time.ns (Rng.int rng (Stdlib.max 1 (Time.to_ns window))))
+        (fun () -> once ignore)
+  in
+  (* A node that handles [n] messages, one [handle] each. *)
+  let serve n handle ctx =
+    let rec loop left =
+      if left > 0 then
+        Shard.recv ctx (fun msg ->
+            handle ctx msg;
+            loop (left - 1))
+    in
+    loop n
   in
   (* Build the population cell by cell; node ids are assigned
      sequentially by [add_node], so each cell computes its members' ids
@@ -155,21 +170,16 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
     | Farm ->
       let server = !next_id in
       next_id := !next_id + 1 + nc;
-      add
-        (Printf.sprintf "srv%d" cell)
-        (fun ctx ->
-          for _ = 1 to reqs do
-            match Shard.recv ctx with
-            | Req { t0; key; size; client; _ } ->
-              let check = checksum key size in
-              Shard.incr ctx Key.served 1;
-              Shard.send ctx ~dst:client ~latency:(xfer 16) ~op:"wl.rep"
-                (Rep { t0; check })
-            | _ -> Shard.incr ctx Key.errors 1
-          done);
+      add (Label.int "srv" cell)
+        (serve reqs (fun ctx -> function
+           | Req { t0; key; size; client; _ } ->
+             let check = checksum key size in
+             Shard.incr ctx Key.served 1;
+             Shard.send ctx ~dst:client ~latency:(xfer 16) ~op:"wl.rep"
+               (Rep { t0; check })
+           | _ -> Shard.incr ctx Key.errors 1));
       for j = 0 to nc - 1 do
-        add
-          (Printf.sprintf "cli%d.%d" cell j)
+        add (Label.pair "cli" cell "." j)
           (client_body ~server ~ttl:0 ~expect:checksum)
       done
     | Ring ->
@@ -188,29 +198,23 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
       done;
       for r = 0 to ring_relays - 1 do
         let next_relay = base + ((r + 1) mod ring_relays) in
-        let expected = visits.(r) in
-        add
-          (Printf.sprintf "rly%d.%d" cell r)
-          (fun ctx ->
-            for _ = 1 to expected do
-              match Shard.recv ctx with
-              | Req { t0; key; size; ttl; client } ->
-                if ttl > 0 then
-                  Shard.send ctx ~dst:next_relay ~latency:(xfer size)
-                    ~op:"wl.fwd"
-                    (Req { t0; key; size; ttl = ttl - 1; client })
-                else begin
-                  let check = checksum key size in
-                  Shard.incr ctx Key.served 1;
-                  Shard.send ctx ~dst:client ~latency:(xfer 16) ~op:"wl.rep"
-                    (Rep { t0; check })
-                end
-              | _ -> Shard.incr ctx Key.errors 1
-            done)
+        add (Label.pair "rly" cell "." r)
+          (serve visits.(r) (fun ctx -> function
+             | Req { t0; key; size; ttl; client } ->
+               if ttl > 0 then
+                 Shard.send ctx ~dst:next_relay ~latency:(xfer size)
+                   ~op:"wl.fwd"
+                   (Req { t0; key; size; ttl = ttl - 1; client })
+               else begin
+                 let check = checksum key size in
+                 Shard.incr ctx Key.served 1;
+                 Shard.send ctx ~dst:client ~latency:(xfer 16) ~op:"wl.rep"
+                   (Rep { t0; check })
+               end
+             | _ -> Shard.incr ctx Key.errors 1))
       done;
       for j = 0 to nc - 1 do
-        add
-          (Printf.sprintf "cli%d.%d" cell j)
+        add (Label.pair "cli" cell "." j)
           (client_body
              ~server:(base + (j mod ring_relays))
              ~ttl:ring_hops ~expect:checksum)
@@ -222,8 +226,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
       (* Scatter-gather: the root fans each request out to every leaf
          and sums their checksums; concurrent client requests queue in a
          local backlog so one gather is in flight at a time. *)
-      add
-        (Printf.sprintf "root%d" cell)
+      add (Label.int "root" cell)
         (fun ctx ->
           let backlog = Queue.create () in
           let current = ref None in
@@ -236,8 +239,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
                   (Sub { key = key + li; size; client }))
               leaves
           in
-          while !served < reqs do
-            match Shard.recv ctx with
+          let handle = function
             | Req { t0; key; size; client; _ } -> begin
               match !current with
               | None -> start (t0, key, size, client)
@@ -260,19 +262,22 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
               | _ -> Shard.incr ctx Key.errors 1
             end
             | _ -> Shard.incr ctx Key.errors 1
-          done);
+          in
+          let rec loop () =
+            if !served < reqs then
+              Shard.recv ctx (fun msg ->
+                  handle msg;
+                  loop ())
+          in
+          loop ());
       Array.iteri
         (fun li _leaf_id ->
-          add
-            (Printf.sprintf "leaf%d.%d" cell li)
-            (fun ctx ->
-              for _ = 1 to reqs do
-                match Shard.recv ctx with
-                | Sub { key; size; client } ->
-                  Shard.send ctx ~dst:root ~latency:(xfer 16) ~op:"wl.subrep"
-                    (Sub_rep { check = checksum key size; client })
-                | _ -> Shard.incr ctx Key.errors 1
-              done))
+          add (Label.pair "leaf" cell "." li)
+            (serve reqs (fun ctx -> function
+               | Sub { key; size; client } ->
+                 Shard.send ctx ~dst:root ~latency:(xfer 16) ~op:"wl.subrep"
+                   (Sub_rep { check = checksum key size; client })
+               | _ -> Shard.incr ctx Key.errors 1)))
         leaves;
       let expect key size =
         let acc = ref 0 in
@@ -282,7 +287,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
         !acc
       in
       for j = 0 to nc - 1 do
-        add (Printf.sprintf "cli%d.%d" cell j) (client_body ~server:root ~ttl:0 ~expect)
+        add (Label.pair "cli" cell "." j) (client_body ~server:root ~ttl:0 ~expect)
       done
   done;
   assert (!spawned = !next_id);

@@ -334,6 +334,23 @@ let decode_reply t ~op ?expect (rx : Backend.rx) =
               (Ty.list_to_string tys)))
     | _ -> results)
 
+(* Attempt [n] of a screened call, retried with a growing timeout.  A
+   top-level function, so a call allocates no retry closure. *)
+let rec screened_attempt t l ~op ~corr vs sp n timeout =
+  match call_attempt t l ~op ~corr ~retx:(n > 1) ~timeout vs with
+  | rx -> rx
+  | exception Excn.Timeout _ ->
+    if n >= sp.Faults.Plan.s_budget then begin
+      Stats.incr t.sts Key.call_budget_exhausted;
+      raise
+        (Excn.Timeout (Printf.sprintf "%s: no reply after %d attempts" op n))
+    end;
+    Stats.incr t.sts Key.call_retries;
+    screened_attempt t l ~op ~corr vs sp (n + 1)
+      (Time.min
+         (Time.scale timeout sp.Faults.Plan.s_backoff)
+         sp.Faults.Plan.s_timeout_cap)
+
 let call t (l : Link.t) ~op ?expect vs =
   usable_or_raise l;
   Stats.incr t.sts Key.calls;
@@ -348,26 +365,7 @@ let call t (l : Link.t) ~op ?expect vs =
          rather than a hang. *)
       if Value.links_of_list vs <> [] then
         call_attempt t l ~op ~corr ~timeout:sp.Faults.Plan.s_timeout_cap vs
-      else begin
-        let rec attempt n ~timeout =
-          match call_attempt t l ~op ~corr ~retx:(n > 1) ~timeout vs with
-          | rx -> rx
-          | exception Excn.Timeout _ ->
-            if n >= sp.Faults.Plan.s_budget then begin
-              Stats.incr t.sts Key.call_budget_exhausted;
-              raise
-                (Excn.Timeout
-                   (Printf.sprintf "%s: no reply after %d attempts" op n))
-            end;
-            Stats.incr t.sts Key.call_retries;
-            attempt (n + 1)
-              ~timeout:
-                (Time.min
-                   (Time.scale timeout sp.Faults.Plan.s_backoff)
-                   sp.Faults.Plan.s_timeout_cap)
-        in
-        attempt 1 ~timeout:sp.Faults.Plan.s_timeout
-      end
+      else screened_attempt t l ~op ~corr vs sp 1 sp.Faults.Plan.s_timeout
   in
   decode_reply t ~op ?expect rx
 

@@ -78,13 +78,16 @@ type t = {
       (* the optional top-level reply acknowledgments of §3.2.2: +50%
          message traffic, but reply senders learn their fate *)
   chans : chan Lynx.Handle_table.t;  (* by handle *)
-  by_end : (int * int, chan) Hashtbl.t;  (* (link_id, side) *)
+  by_end : (int, chan) Hashtbl.t;  (* by [end_key] of the link end *)
   doorbell : unit Sync.Mailbox.t;
   dead : int Queue.t;
   mutable next_handle : int;
   mutable next_seq : int;
   mutable closing : bool;
 }
+
+(* One int per end, so a lookup builds no tuple. *)
+let end_key (e : CT.link_end) = (2 * e.CT.link_id) + e.CT.side
 
 let kind_index = function Lynx.Backend.Request -> 0 | Lynx.Backend.Reply -> 1
 let kind_label = function Lynx.Backend.Request -> "req" | Lynx.Backend.Reply -> "rep"
@@ -146,11 +149,11 @@ let register t (ce : CT.link_end) =
     }
   in
   Lynx.Handle_table.replace t.chans h c;
-  Hashtbl.replace t.by_end (ce.CT.link_id, ce.CT.side) c;
+  Hashtbl.replace t.by_end (end_key ce) c;
   c
 
 let chan_of_end t (e : CT.link_end) =
-  Hashtbl.find_opt t.by_end (e.CT.link_id, e.CT.side)
+  Hashtbl.find_opt t.by_end (end_key e)
 
 module Key = struct
   let bounce_unknown_seq = Stats.key "lynx_charlotte.bounce_unknown_seq"
@@ -190,7 +193,7 @@ let fail_frame t (c : chan) (fr : frame) =
       List.filter
         (fun h ->
           match Lynx.Handle_table.find_opt t.chans h with
-          | Some ec -> Hashtbl.mem t.by_end (ec.ce.CT.link_id, ec.ce.CT.side)
+          | Some ec -> Hashtbl.mem t.by_end (end_key ec.ce)
           | None -> false)
         fr.fr_encl
     in
@@ -207,7 +210,7 @@ let fail_frame t (c : chan) (fr : frame) =
 let on_dead t (c : chan) =
   if c.live then begin
     c.live <- false;
-    Hashtbl.remove t.by_end (c.ce.CT.link_id, c.ce.CT.side);
+    Hashtbl.remove t.by_end (end_key c.ce);
     Hashtbl.iter (fun _ fr -> fail_frame t c fr) c.frames;
     Queue.iter
       (fun pk -> match pk.pk_frame with Some fr -> fail_frame t c fr | None -> ())
@@ -343,7 +346,7 @@ let finalize_moved t h =
   match Lynx.Handle_table.find_opt t.chans h with
   | Some ec ->
     ec.live <- false;
-    Hashtbl.remove t.by_end (ec.ce.CT.link_id, ec.ce.CT.side)
+    Hashtbl.remove t.by_end (end_key ec.ce)
   | None -> ()
 
 let complete_frame t (c : chan) (fr : frame) =
@@ -452,7 +455,7 @@ let revive_frame t (c : chan) seq ~resend =
         | Some ec ->
           ec.live <- true;
           ec.moving_out <- false;
-          Hashtbl.replace t.by_end (ec.ce.CT.link_id, ec.ce.CT.side) ec
+          Hashtbl.replace t.by_end (end_key ec.ce) ec
         | None -> ())
       | [] -> ());
       if resend then enqueue_first_packet t c fr

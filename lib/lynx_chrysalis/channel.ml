@@ -50,12 +50,15 @@ type t = {
   my_dq : Chrysalis.Types.dualq_name;
   my_ev : Chrysalis.Types.event_name;
   chans : chan Lynx.Handle_table.t;  (* by handle *)
-  by_end : (int * int, chan) Hashtbl.t;  (* by (object name, side) *)
+  by_end : (int, chan) Hashtbl.t;  (* by [end_key obj side] *)
   doorbell : unit Sync.Mailbox.t;
   dead : int Queue.t;
   mutable next_handle : int;
   mutable closing : bool;
 }
+
+(* One int per end, so a lookup builds no tuple. *)
+let end_key obj side = (2 * obj) + side
 
 let notice_shutdown = 14
 
@@ -136,7 +139,7 @@ let register t ~obj ~side ~handle =
     }
   in
   Lynx.Handle_table.replace t.chans handle c;
-  Hashtbl.replace t.by_end (obj, side) c;
+  Hashtbl.replace t.by_end (end_key obj side) c;
   c
 
 (* Adopt an end that just moved to us: map the object, claim our side's
@@ -257,7 +260,7 @@ let on_slot_freed t (c : chan) kind =
         | Some ec ->
           ec.live <- false;
           Lynx.Handle_table.remove t.chans h;
-          Hashtbl.remove t.by_end (ec.obj, ec.side);
+          Hashtbl.remove t.by_end (end_key ec.obj ec.side);
           (try K.unmap_object t.kernel t.pid ec.obj
            with Chrysalis.Types.Memory_fault _ -> ())
         | None -> ())
@@ -368,7 +371,7 @@ let fail_all_sends (c : chan) =
 let release t (c : chan) =
   c.live <- false;
   Lynx.Handle_table.remove t.chans c.h;
-  Hashtbl.remove t.by_end (c.obj, c.side);
+  Hashtbl.remove t.by_end (end_key c.obj c.side);
   fail_all_sends c;
   (try K.unmap_object t.kernel t.pid c.obj
    with Chrysalis.Types.Memory_fault _ -> ());
@@ -404,7 +407,7 @@ let handle_notice t datum =
     (* Destruction hint: believe it only if the flag agrees, for every
        end of the object we still own. *)
     let check side =
-      match Hashtbl.find_opt t.by_end (obj, side) with
+      match Hashtbl.find_opt t.by_end (end_key obj side) with
       | Some c when c.live ->
         if read_flags t c land Layout.destroyed_bit <> 0 then on_destroyed t c
         else discard ()
@@ -421,11 +424,11 @@ let handle_notice t datum =
        end) or "your slot was freed" (we own the sending end); validate
        each possibility against the flags (§5.2: every notice is a
        hint). *)
-    match Hashtbl.find_opt t.by_end (obj, 1 - sender_side) with
+    match Hashtbl.find_opt t.by_end (end_key obj (1 - sender_side)) with
     | Some c when c.live && read_flags t c land Layout.present_bit slot <> 0 ->
       on_incoming t c kind
     | _ -> (
-      match Hashtbl.find_opt t.by_end (obj, sender_side) with
+      match Hashtbl.find_opt t.by_end (end_key obj sender_side) with
       | Some c when c.live ->
         let flags = read_flags t c in
         if flags land Layout.present_bit slot = 0 && c.inflight.(kind_index kind) <> None

@@ -4,8 +4,12 @@ type fiber = {
   fid : int;
   name : string;
   daemon : bool;
+  stackless : bool;
   mutable state : fiber_state;
   mutable clock : Vclock.t;
+  (* [Some] of this very record, built once: making the fiber current
+     on every resume would otherwise allocate the option each time. *)
+  self : fiber option;
 }
 
 type policy =
@@ -74,11 +78,6 @@ type 'a waker = ('a, exn) result -> unit
 
 type _ Effect.t += Suspend_with : string * ((('a, exn) result -> unit) -> unit) -> 'a Effect.t
 
-(* Sleeping is by far the most common suspension, and the generic waker
-   path costs it a second queue round-trip (the timer task enqueues the
-   continuation).  [Sleep_for] resumes the fiber directly in the timer
-   task: same timestamp, same Block event, same causality (the entry
-   carries the fiber's own clock back), half the queue traffic. *)
 type _ Effect.t += Sleep_for : Time.t -> unit Effect.t
 
 (* Ambient observer, delivered through domain-local storage exactly like
@@ -373,53 +372,80 @@ let handle_crash t fiber exn =
 
 let unread_block = Event.Block { reason = "" }
 
+(* The one block/resume path, shared by both kinds of fiber.  [fiber]
+   is running and blocks here; once woken, [resume] runs [go t fiber x
+   v] as that fiber.  Effect fibers pass [Effect.Deep.continue] (or
+   [discontinue]) with their continuation as [x]; stackless fibers pass
+   their step runner with the step's callback.  [go] and [x] travel
+   separately so that no resumption closure is built per block.  A
+   crashed fiber is never resumed: a stackless step that raises after
+   blocking leaves its wakeup behind. *)
+let resume t fiber go x v =
+  match fiber.state with
+  | Crashed -> ()
+  | _ ->
+    let prev = t.current in
+    t.current <- fiber.self;
+    fiber.state <- Runnable;
+    (* The waker's cause happens before everything the fiber does from
+       here on. *)
+    if t.observed then fiber.clock <- Vclock.merge fiber.clock t.amb_clock;
+    go t fiber x v;
+    t.current <- prev
+
+(* A running fiber is [Runnable] until it blocks.  An effect fiber
+   cannot block twice without being resumed in between; a stackless
+   step that tries raises here, which is its crash. *)
+let start_block fiber reason =
+  match fiber.state with
+  | Runnable -> fiber.state <- reason
+  | _ -> invalid_arg "Engine: a stackless step may block only once"
+
+let block t fiber reason register go x =
+  start_block fiber (Blocked reason);
+  (* Unobserved, only the tag is read: skip building the record. *)
+  emit t (if t.observed then Event.Block { reason } else unread_block);
+  let fired = ref false in
+  register (fun r ->
+      if not !fired then begin
+        fired := true;
+        enqueue t t.now (fun () -> resume t fiber go x r)
+      end)
+
+(* Sleeping is by far the most common suspension, and the waker path
+   would cost it a second queue round-trip.  The timer task resumes the
+   fiber directly: same timestamp, same Block event, same causality
+   (the entry carries the fiber's own clock back). *)
+let block_sleep t fiber d go x =
+  start_block fiber (Blocked "sleep");
+  emit t (Event.Block { reason = "sleep" });
+  schedule_after t d (fun () -> resume t fiber go x ())
+
+(* ---- Effect fibers ---------------------------------------------------- *)
+
+let continue_effect _ _ k v = Effect.Deep.continue k v
+
+let resume_effect _ _ k = function
+  | Ok v -> Effect.Deep.continue k v
+  | Error e -> Effect.Deep.discontinue k e
+
 let effc : type b. t -> fiber -> b Effect.t -> ((b, unit) Effect.Deep.continuation -> unit) option =
  fun t fiber eff ->
   match eff with
   | Suspend_with (reason, register) ->
     Some
       (fun (k : (b, unit) Effect.Deep.continuation) ->
-        fiber.state <- Blocked reason;
-        (* Unobserved, only the tag is read: skip building the record. *)
-        emit t (if t.observed then Event.Block { reason } else unread_block);
-        let fired = ref false in
-        let waker (r : (b, exn) result) =
-          if not !fired then begin
-            fired := true;
-            enqueue t t.now (fun () ->
-                let prev = t.current in
-                t.current <- Some fiber;
-                fiber.state <- Runnable;
-                (* The waker's cause happens before everything the fiber
-                   does from here on. *)
-                if t.observed then
-                  fiber.clock <- Vclock.merge fiber.clock t.amb_clock;
-                (match r with
-                | Ok v -> Effect.Deep.continue k v
-                | Error e -> Effect.Deep.discontinue k e);
-                t.current <- prev)
-          end
-        in
-        register waker)
+        block t fiber reason register resume_effect k)
   | Sleep_for d ->
     Some
       (fun (k : (b, unit) Effect.Deep.continuation) ->
-        fiber.state <- Blocked "sleep";
-        emit t (Event.Block { reason = "sleep" });
-        schedule_after t d (fun () ->
-            let prev = t.current in
-            t.current <- Some fiber;
-            fiber.state <- Runnable;
-            if t.observed then
-              fiber.clock <- Vclock.merge fiber.clock t.amb_clock;
-            Effect.Deep.continue k ();
-            t.current <- prev))
+        block_sleep t fiber d continue_effect k)
   | _ -> None
 
 (* [?fid] pins the fiber id explicitly.  Sharded runs need ids that are
    stable across partitionings — fiber N is node N on every shard
    count — so the per-engine [next_fid] counter cannot assign them. *)
-let spawn t ?fid ?(name = "fiber") ?(daemon = false) f =
+let new_fiber t ?fid ?(name = "fiber") ?(daemon = false) ~stackless () =
   let fid =
     match fid with
     | Some fid ->
@@ -439,11 +465,17 @@ let spawn t ?fid ?(name = "fiber") ?(daemon = false) f =
   let clock =
     if t.observed then Vclock.tick (current_clock t) fid else current_clock t
   in
-  let fiber = { fid; name; daemon; state = Runnable; clock } in
+  let rec fiber =
+    { fid; name; daemon; stackless; state = Runnable; clock; self = Some fiber }
+  in
   t.fibers <- fiber :: t.fibers;
+  fiber
+
+let spawn t ?fid ?name ?daemon f =
+  let fiber = new_fiber t ?fid ?name ?daemon ~stackless:false () in
   enqueue t t.now (fun () ->
       let prev = t.current in
-      t.current <- Some fiber;
+      t.current <- fiber.self;
       let handler =
         {
           Effect.Deep.retc =
@@ -456,19 +488,61 @@ let spawn t ?fid ?(name = "fiber") ?(daemon = false) f =
       t.current <- prev);
   fiber
 
-let suspend t ?(reason = "wait") register =
+let in_effect_fiber t who =
   match t.current with
-  | None -> invalid_arg "Engine.suspend: not inside a fiber"
-  | Some _ -> Effect.perform (Suspend_with (reason, register))
+  | Some f when not f.stackless -> ()
+  | Some _ -> invalid_arg (who ^ ": inside a stackless fiber")
+  | None -> invalid_arg (who ^ ": not inside a fiber")
+
+let suspend t ?(reason = "wait") register =
+  in_effect_fiber t "Engine.suspend";
+  Effect.perform (Suspend_with (reason, register))
 
 let sleep t d =
-  match t.current with
-  | None -> invalid_arg "Engine.sleep: not inside a fiber"
-  | Some _ -> Effect.perform (Sleep_for d)
+  in_effect_fiber t "Engine.sleep";
+  Effect.perform (Sleep_for d)
 
 let yield t =
   suspend t ~reason:"yield" (fun waker ->
       enqueue t t.now (fun () -> waker (Ok ())))
+
+(* ---- Stackless fibers ------------------------------------------------- *)
+
+(* One step: an exception is the fiber's crash, and a step that returns
+   without having blocked ends the fiber. *)
+let end_step fiber =
+  match fiber.state with Runnable -> fiber.state <- Finished | _ -> ()
+
+let run_step t fiber k v =
+  (try k v with e -> handle_crash t fiber e);
+  end_step fiber
+
+let run_step_result t fiber k r =
+  (try match r with Ok v -> k v | Error e -> raise e
+   with e -> handle_crash t fiber e);
+  end_step fiber
+
+let spawn_stackless t ?fid ?name ?daemon step =
+  let fiber = new_fiber t ?fid ?name ?daemon ~stackless:true () in
+  enqueue t t.now (fun () ->
+      let prev = t.current in
+      t.current <- fiber.self;
+      run_step t fiber step ();
+      t.current <- prev);
+  fiber
+
+let stackless_current t who =
+  match t.current with
+  | Some f when f.stackless -> f
+  | _ -> invalid_arg (who ^ ": not inside a stackless fiber")
+
+let sleep_then t d k =
+  block_sleep t (stackless_current t "Engine.sleep_then") d run_step k
+
+let suspend_then t ?(reason = "wait") register k =
+  block t
+    (stackless_current t "Engine.suspend_then")
+    reason register run_step_result k
 
 let blocked_fibers t =
   List.filter_map

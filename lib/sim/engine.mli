@@ -1,11 +1,23 @@
 (** Deterministic discrete-event simulation engine.
 
     The engine advances a virtual clock and executes tasks from a priority
-    queue.  Simulated processes are {e fibers}: ordinary OCaml functions
-    that suspend via effect handlers whenever they wait for a simulated
-    event.  Execution is single-domain and cooperative, so fibers
-    interleave only at suspension points and a run is a pure function of
-    the seed and the program. *)
+    queue.  Simulated processes are {e fibers}, of two kinds that share
+    one block/resume path:
+
+    - {e effect fibers} ({!spawn}) are ordinary direct-style OCaml
+      functions that suspend via effect handlers ({!sleep}, {!suspend})
+      whenever they wait for a simulated event.  Each keeps its own
+      stack while parked.
+    - {e stackless fibers} ({!spawn_stackless}) are chains of steps.  A
+      step is a plain function that ends by registering its successor
+      with a callback op ({!sleep_then}, {!suspend_then}); parked, the
+      fiber is that callback and nothing else.  Population runs use
+      them: a parked effect fiber holds about 930 B more than a finished
+      one, which is most of what a hundred thousand idle clients cost.
+
+    Execution is single-domain and cooperative, so fibers interleave
+    only at suspension points and a run is a pure function of the seed
+    and the program. *)
 
 type t
 
@@ -294,14 +306,59 @@ type 'a waker = ('a, exn) result -> unit
     a cancellation are safe. *)
 
 val suspend : t -> ?reason:string -> ('a waker -> unit) -> 'a
-(** [suspend t register] suspends the current fiber and calls [register]
-    with a waker.  The fiber resumes when the waker is invoked. *)
+(** [suspend t register] suspends the current effect fiber and calls
+    [register] with a waker.  The fiber resumes when the waker is
+    invoked.  Raises [Invalid_argument] outside an effect fiber. *)
 
 val sleep : t -> Time.t -> unit
-(** Advances the fiber's virtual time by the given duration. *)
+(** Advances the effect fiber's virtual time by the given duration.
+    Raises [Invalid_argument] outside an effect fiber. *)
 
 val yield : t -> unit
 (** Re-queues the fiber at the current time, letting same-time tasks run. *)
+
+(** {1 Stackless fibers}
+
+    A stackless fiber runs as a chain of steps.  Its first step is the
+    function given to {!spawn_stackless}; every later step is the
+    callback that the previous step handed to {!sleep_then} or
+    {!suspend_then}.  Each step runs with the fiber current, exactly
+    like an effect fiber between two suspensions, so events, clocks,
+    task order and fingerprints are those of the direct-style program
+    the steps spell out.
+
+    {b Step contract.}
+    - A callback op is the {e last} action of a step: it registers the
+      successor and returns at once, and the step must return right
+      after it.
+    - A step blocks at most once: a second callback op in the same step
+      raises [Invalid_argument].
+    - An exception escaping a step is the fiber's crash (recorded, or
+      raised by {!run}, per [on_crash]), and a crashed fiber is never
+      resumed.
+    - A step that returns without blocking ends the fiber.
+    - Library code may call a callback at once, on the main stack, when
+      no wait is needed ([Shard.recv] with a message queued).  The stack
+      then grows with the number of such calls in a row (for
+      [Shard.recv], the inbox length), never with the length of the
+      run. *)
+
+val spawn_stackless :
+  t -> ?fid:int -> ?name:string -> ?daemon:bool -> (unit -> unit) -> fiber
+(** Like {!spawn}, with the same ids, events and options, but the
+    function is the fiber's first step. *)
+
+val sleep_then : t -> Time.t -> (unit -> unit) -> unit
+(** [sleep_then t d k] blocks the current stackless fiber for [d] and
+    then runs [k ()] as its next step: the stackless {!sleep}.  Raises
+    [Invalid_argument] outside a stackless fiber. *)
+
+val suspend_then :
+  t -> ?reason:string -> ('a waker -> unit) -> ('a -> unit) -> unit
+(** [suspend_then t register k] blocks the current stackless fiber,
+    calls [register] with a waker, and once the waker fires runs [k v]
+    as the next step ([Error e] raises [e] in that step): the stackless
+    {!suspend}.  Raises [Invalid_argument] outside a stackless fiber. *)
 
 val current_fiber_name : t -> string
 (** Name of the running fiber, or ["<scheduler>"] outside any fiber. *)

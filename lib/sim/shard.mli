@@ -3,7 +3,8 @@
 
     A [Shard.t] owns [K] ordinary {!Engine.t}s, one per shard, each
     pinned to one domain of a resident {!Parallel.Pool.Persistent}
-    pool.  Nodes — sequential actor fibers — are assigned to shards
+    pool.  Nodes — sequential actors, each a stackless fiber
+    ({!Engine.spawn_stackless}) — are assigned to shards
     round-robin by global id; a shard drains its own task queue freely
     within a virtual-time window of length [lookahead] (the minimum
     cross-node message latency, derived from the backend's kernel cost
@@ -47,7 +48,7 @@ type 'msg t
 
 type 'msg ctx
 (** A node's handle to its own shard-local engine; valid only inside
-    that node's fiber. *)
+    that node's steps. *)
 
 val create :
   ?shards:int ->
@@ -74,9 +75,11 @@ val lookahead : 'msg t -> Time.t
 
 val add_node : 'msg t -> ?daemon:bool -> ?name:string -> ('msg ctx -> unit) -> int
 (** Registers a node program and returns its global id (dense from 0,
-    also its fiber id).  The node's shard is [id mod shards].  Must be
-    called before {!run}; [daemon] nodes (e.g. servers parked in
-    {!recv}) are excluded from quiescence accounting. *)
+    also its fiber id, default name ["node<id>"]).  The program is the
+    node's first step (see the step contract below).  The node's shard
+    is [id mod shards].  Must be called before {!run}; [daemon] nodes
+    (e.g. servers parked in {!recv}) are excluded from quiescence
+    accounting. *)
 
 val run : ?expect_quiescent:bool -> 'msg t -> unit
 (** Drives windows until every shard is quiescent and no message is in
@@ -84,7 +87,27 @@ val run : ?expect_quiescent:bool -> 'msg t -> unit
     id); with [expect_quiescent], raises {!Engine.Deadlock} naming
     blocked non-daemon nodes.  May be called once. *)
 
-(** {1 Node operations} — callable only from inside a node's fiber. *)
+(** {1 Node operations} — callable only from inside a node's steps.
+
+    A node is stackless: it holds no stack while it waits, only the
+    callback it handed to {!recv} or {!sleep}.  A program is therefore
+    written as a chain of steps, a loop as a recursive function:
+
+    {[
+      let rec serve left =
+        if left > 0 then
+          Shard.recv ctx (fun msg -> reply ctx msg; serve (left - 1))
+      in
+      serve n
+    ]}
+
+    The rules are {!Engine}'s step contract: {!recv} and {!sleep} are
+    the last action of a step, at most one per step (a second raises
+    [Invalid_argument]); an exception escaping a step is the node's
+    crash; a step that returns without calling either ends the node.
+    When a message is already queued, {!recv} calls its callback at
+    once, on the main stack, so the stack depth of a node draining its
+    inbox is bounded by the inbox length. *)
 
 val self : 'msg ctx -> int
 val home : 'msg ctx -> int
@@ -108,12 +131,16 @@ val send : 'msg ctx -> dst:int -> ?latency:Time.t -> ?op:string -> 'msg -> unit
     correctness of the whole exchange.  Emits an {!Event.Send} on the
     per-direction object ["n<src>->n<dst>"]. *)
 
-val recv : 'msg ctx -> 'msg
-(** Blocks until a message arrives; delivery order is the canonical
-    barrier order.  Emits an {!Event.Receive} and merges the sender's
-    clock into the node's. *)
+val recv : 'msg ctx -> ('msg -> unit) -> unit
+(** [recv ctx k] takes the next message and continues with [k msg],
+    waiting (blocked, reason ["recv"]) until one arrives if the inbox is
+    empty; delivery order is the canonical barrier order.  Emits an
+    {!Event.Receive} and merges the sender's clock into the node's
+    before [k] runs. *)
 
-val sleep : 'msg ctx -> Time.t -> unit
+val sleep : 'msg ctx -> Time.t -> (unit -> unit) -> unit
+(** [sleep ctx d k] continues with [k ()] after [d] of virtual time. *)
+
 val note : 'msg ctx -> string -> unit
 val incr : 'msg ctx -> Stats.key -> int -> unit
 (** Adds to a counter (shard-local block, summed at the end), so

@@ -11,9 +11,9 @@
    - heap (exact) — test_sim: "words per heap add+pop";
    - task queue (exact) — test_sim: "words per task queue add+pop";
    - engine — test_sim: "words per sleep" and "words per waitq wait,
-     signal and sleep" (+2%), "unobserved emit of a constant kind
-     allocates nothing" and "unobserved stamp and adopt allocate
-     nothing" (exact);
+     signal and sleep" (+2%), "words per stackless sleep", "unobserved
+     emit of a constant kind allocates nothing" and "unobserved stamp
+     and adopt allocate nothing" (exact);
    - vector clocks and counters (exact) — test_sim: "an owner tick
      costs one cell at any width", "merging a dominated clock
      allocates nothing", "Stats.incr allocates nothing";
@@ -30,7 +30,8 @@
      independent of population" (+2% against the smaller farm);
    - pipeline — test_stream: "words per event through Run.execute"
      (+2%);
-   - shard run — test_shard: "words per one-shard run" (+2%). *)
+   - shard — test_shard: "words per one-shard run" (+2%) and "words
+     per recv park/wake cycle" (exact). *)
 
 let slack = 1.02
 
@@ -68,10 +69,15 @@ let taskq_pair = 7.
 (* ---- Engine (unobserved engines build no event records, clocks or
    stamps; observed ones feed a consumer) ------------------------------ *)
 
-let sleep_observed = 39.0
-let sleep_unobserved = 30.0
-let waitq_cycle_observed = 113.0
-let waitq_cycle_unobserved = 85.0
+let sleep_observed = 38.0
+let sleep_unobserved = 29.0
+let waitq_cycle_observed = 112.0
+let waitq_cycle_unobserved = 84.0
+
+(* Exact: one [sleep_then] of a stackless fiber looping on its own
+   callback, the step's closure included. *)
+let stackless_sleep_observed = 30.
+let stackless_sleep_unobserved = 21.
 
 (* Exact. *)
 let unobserved_emit = 0.
@@ -88,9 +94,9 @@ let stats_incr = 0.
 
 (* ---- One 0 B kernel primitive per backend, on an unobserved engine -- *)
 
-let charlotte_send_receive = 335.
-let soda_request_accept = 313.8
-let chrysalis_enqueue_post = 227.
+let charlotte_send_receive = 331.
+let soda_request_accept = 310.82
+let chrysalis_enqueue_post = 222.
 
 (* ---- LYNX op -------------------------------------------------------- *)
 
@@ -99,30 +105,34 @@ let codec_roundtrip = 122.
 
 (* One 0 B echo call per backend, on an unobserved engine. *)
 let echo_call =
-  [ ("charlotte", 1905.3); ("soda", 1743.0); ("chrysalis", 2691.0) ]
+  [ ("charlotte", 1880.34); ("soda", 1732.96); ("chrysalis", 2633.0) ]
 
 (* Exact: the LYNX premium, words per 0 B echo call minus words per
    0 B raw-kernel echo ([Rpc_bench.raw_charlotte], [raw_soda],
    [raw_chrysalis]) — what the run-time package adds above the kernel. *)
 let lynx_premium =
-  [ ("charlotte", 1236.640625); ("soda", 1137.); ("chrysalis", 2122.) ]
+  [ ("charlotte", 1219.640625); ("soda", 1133.); ("chrysalis", 2076.) ]
 
 (* Exact: what arming screening with a zero-probability plan adds to a
    Chrysalis echo call, over 128 calls. *)
-let screening_premium = 270.21875
+let screening_premium = 264.21875
 
 (* ---- Analysers, per event of the wl-farm-open ~n1K stream ----------- *)
 
-let stream_feed = 13.9
-let races_feed = 13.9
+let stream_feed = 10.94
+let races_feed = 10.94
 
 (* Exact: [Stream.feed] allocates nothing beyond [Races.feed]. *)
 let stream_over_races = 0.
 
 (* ---- Pipeline: Run.execute of that farm, per event ------------------ *)
 
-let pipeline_event = 138.3
+let pipeline_event = 111.46
 
 (* ---- Shard run: one default Shard_rpc run at one shard -------------- *)
 
-let shard_run = 10428.
+let shard_run = 9104.
+
+(* Exact: one message between two nodes on one shard — send, barrier
+   exchange, injection, and a [recv] parked and woken. *)
+let shard_recv_cycle = 218.

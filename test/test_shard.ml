@@ -14,25 +14,35 @@ let mesh_got = Stats.key "mesh.got"
    checksum and reply; enough cross-node traffic that a partition bug
    (lost edge, reordered delivery, shard-keyed rng) shows up in the
    fingerprint immediately. *)
+let mesh_node ~nodes:n ~rounds ~look ctx =
+  let me = Shard.self ctx in
+  let rng = Shard.rng ctx in
+  let rec round r =
+    if r <= rounds then begin
+      let dst = (me + 1 + Rng.int rng (n - 1)) mod n in
+      let lat = Time.add look (Time.us (Rng.int rng 40)) in
+      Shard.send ctx ~dst ~latency:lat ~op:"ping"
+        (Printf.sprintf "r%d from %d" r me);
+      Shard.incr ctx mesh_sent 1;
+      Shard.recv ctx (fun msg ->
+          Shard.incr ctx mesh_got (String.length msg);
+          let next () =
+            Shard.note ctx (Printf.sprintf "%d done r%d" me r);
+            round (r + 1)
+          in
+          if r mod 3 = 0 then Shard.sleep ctx (Time.us (Rng.int rng 120)) next
+          else next ())
+    end
+  in
+  round 1
+
 let mesh_workload ~nodes:n ~rounds ~shards ~seed ~policy () =
   let look = Time.us 50 in
   let t = Shard.create ~shards ~seed ~policy ~lookahead:look () in
   for i = 0 to n - 1 do
     ignore
-      (Shard.add_node t ~name:(Printf.sprintf "peer%d" i) (fun ctx ->
-           let me = Shard.self ctx in
-           let rng = Shard.rng ctx in
-           for r = 1 to rounds do
-             let dst = (me + 1 + Rng.int rng (n - 1)) mod n in
-             let lat = Time.add look (Time.us (Rng.int rng 40)) in
-             Shard.send ctx ~dst ~latency:lat ~op:"ping"
-               (Printf.sprintf "r%d from %d" r me);
-             Shard.incr ctx mesh_sent 1;
-             let msg = Shard.recv ctx in
-             Shard.incr ctx mesh_got (String.length msg);
-             if r mod 3 = 0 then Shard.sleep ctx (Time.us (Rng.int rng 120));
-             Shard.note ctx (Printf.sprintf "%d done r%d" me r)
-           done))
+      (Shard.add_node t ~name:(Printf.sprintf "peer%d" i)
+         (mesh_node ~nodes:n ~rounds ~look))
   done;
   Shard.run t;
   t
@@ -109,7 +119,8 @@ let test_boundary_delivery () =
   let t = Shard.create ~shards:2 ~lookahead:look () in
   let got = ref None in
   let _receiver =
-    Shard.add_node t ~name:"rx" (fun ctx -> got := Some (Shard.recv ctx))
+    Shard.add_node t ~name:"rx" (fun ctx ->
+        Shard.recv ctx (fun msg -> got := Some msg))
   in
   let _sender =
     Shard.add_node t ~name:"tx" (fun ctx ->
@@ -123,7 +134,7 @@ let test_boundary_delivery () =
 
 let test_sub_lookahead_rejected () =
   let t = Shard.create ~shards:2 ~lookahead:(Time.ms 1) () in
-  let _rx = Shard.add_node t ~name:"rx" (fun ctx -> ignore (Shard.recv ctx)) in
+  let _rx = Shard.add_node t ~name:"rx" (fun ctx -> Shard.recv ctx ignore) in
   let _tx =
     Shard.add_node t ~name:"tx" (fun ctx ->
         Shard.send ctx ~dst:0 ~latency:(Time.us 999) "too-fast")
@@ -136,10 +147,75 @@ let test_sub_lookahead_rejected () =
 (* Deadlock detection surfaces blocked nodes in id order. *)
 let test_deadlock_named () =
   let t = Shard.create ~shards:2 ~lookahead:(Time.ms 1) () in
-  let _a = Shard.add_node t ~name:"alpha" (fun ctx -> ignore (Shard.recv ctx)) in
-  let _b = Shard.add_node t ~name:"beta" (fun ctx -> ignore (Shard.recv ctx)) in
+  let _a = Shard.add_node t ~name:"alpha" (fun ctx -> Shard.recv ctx ignore) in
+  let _b = Shard.add_node t ~name:"beta" (fun ctx -> Shard.recv ctx ignore) in
   Alcotest.check_raises "both starved" (Engine.Deadlock "alpha (recv), beta (recv)")
     (fun () -> Shard.run t ~expect_quiescent:true)
+
+(* The step contract, through the Shard surface: a second blocking op
+   in one step is the node's crash, and so is an exception. *)
+let test_double_block () =
+  let t = Shard.create ~shards:2 ~lookahead:(Time.ms 1) () in
+  let _calm = Shard.add_node t ~name:"calm" (fun ctx -> Shard.recv ctx ignore) in
+  let _greedy =
+    Shard.add_node t ~name:"greedy" (fun ctx ->
+        Shard.sleep ctx (Time.us 5) ignore;
+        Shard.recv ctx ignore)
+  in
+  Alcotest.check_raises "second block in one step"
+    (Engine.Fiber_crash
+       ("greedy", Invalid_argument "Engine: a stackless step may block only once"))
+    (fun () -> Shard.run t)
+
+let test_step_crash () =
+  let t = Shard.create ~shards:2 ~lookahead:(Time.ms 1) () in
+  let faulty = ref (-1) in
+  let _calm =
+    Shard.add_node t ~name:"calm" (fun ctx ->
+        Shard.recv ctx (fun _ -> Shard.note ctx "calm got it"))
+  in
+  faulty :=
+    Shard.add_node t ~name:"faulty" (fun ctx ->
+        Shard.send ctx ~dst:0 "hello";
+        Shard.sleep ctx (Time.ms 2) (fun () -> failwith "boom"));
+  Alcotest.check_raises "the raising node crashed"
+    (Engine.Fiber_crash ("faulty", Failure "boom"))
+    (fun () -> Shard.run t);
+  let v = Shard.merged_view t in
+  Alcotest.(check (list (pair string string)))
+    "recorded as that node's crash" [ ("faulty", "Failure(\"boom\")") ]
+    v.Engine.v_crashes;
+  Alcotest.(check (list string))
+    "fiber states" [ "finished"; "crashed" ]
+    (List.map (fun f -> f.Engine.fi_state) v.Engine.v_fibers);
+  let crashes =
+    Array.to_list v.Engine.v_events
+    |> List.filter_map (fun ev ->
+           match ev.Event.ev_kind with
+           | Event.Crash { fid; _ } ->
+             Some (Time.to_string ev.Event.ev_time, fid)
+           | _ -> None)
+  in
+  Alcotest.(check (list (pair string int)))
+    "one Crash event, at the step's time" [ ("2.000ms", !faulty) ] crashes
+
+(* [Label] against the [Printf] formats it replaces. *)
+let qcheck_labels =
+  let top = Harness.Workload.max_population in
+  let n = QCheck.Gen.(oneof [ oneofl [ 0; 9; 10; top ]; int_bound top ]) in
+  QCheck.Test.make ~name:"Label builds what Printf.sprintf builds" ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "%d %d" a b)
+       (QCheck.Gen.pair n n))
+    (fun (a, b) ->
+      String.equal (Label.pair "n" a "->n" b) (Printf.sprintf "n%d->n%d" a b)
+      && String.equal (Label.int "srv" a) (Printf.sprintf "srv%d" a)
+      && String.equal (Label.int "root" b) (Printf.sprintf "root%d" b)
+      && String.equal (Label.int "node" a) (Printf.sprintf "node%d" a)
+      && String.equal (Label.pair "cli" a "." b) (Printf.sprintf "cli%d.%d" a b)
+      && String.equal (Label.pair "rly" a "." b) (Printf.sprintf "rly%d.%d" a b)
+      && String.equal (Label.pair "leaf" a "." b)
+           (Printf.sprintf "leaf%d.%d" a b))
 
 (* Persistent pool reuse: many runs through one pool, byte-identical to
    private-pool runs. *)
@@ -161,21 +237,8 @@ let test_pool_reuse () =
         in
         for i = 0 to 5 do
           ignore
-            (Shard.add_node t ~name:(Printf.sprintf "peer%d" i) (fun ctx ->
-                 let me = Shard.self ctx in
-                 let rng = Shard.rng ctx in
-                 for r = 1 to 4 do
-                   let dst = (me + 1 + Rng.int rng 5) mod 6 in
-                   let lat = Time.add look (Time.us (Rng.int rng 40)) in
-                   Shard.send ctx ~dst ~latency:lat ~op:"ping"
-                     (Printf.sprintf "r%d from %d" r me);
-                   Shard.incr ctx mesh_sent 1;
-                   let msg = Shard.recv ctx in
-                   Shard.incr ctx mesh_got (String.length msg);
-                   if r mod 3 = 0 then
-                     Shard.sleep ctx (Time.us (Rng.int rng 120));
-                   Shard.note ctx (Printf.sprintf "%d done r%d" me r)
-                 done))
+            (Shard.add_node t ~name:(Printf.sprintf "peer%d" i)
+               (mesh_node ~nodes:6 ~rounds:4 ~look))
         done;
         Shard.run t;
         Alcotest.(check string)
@@ -273,6 +336,33 @@ let qcheck_invariance =
       in
       String.equal (fp 1) (fp k))
 
+(* Two nodes on one shard bouncing a message [n] times: each bounce is
+   one send, one barrier exchange and injection, and one park in [recv]
+   woken by the delivery.  Nothing is retained. *)
+let bounces n =
+  let look = Time.us 1 in
+  let t = Shard.create ~log_capacity:0 ~lookahead:look () in
+  let player ctx =
+    let rec loop () =
+      Shard.recv ctx (fun left ->
+          if left > 0 then begin
+            Shard.send ctx ~dst:(1 - Shard.self ctx) (left - 1);
+            loop ()
+          end)
+    in
+    loop ()
+  in
+  ignore (Shard.add_node t ~daemon:true player);
+  ignore
+    (Shard.add_node t ~daemon:true (fun ctx ->
+         Shard.send ctx ~dst:0 n;
+         player ctx));
+  Shard.run t
+
+let test_recv_cycle_words () =
+  Budgets.exact "recv park/wake cycle" ~budget:Budgets.shard_recv_cycle
+    (Budgets.words_per_iter bounces)
+
 (* Minor words of one default Shard_rpc run at one shard on Chrysalis
    (4 pairs x 3 rounds), after one warm-up run: what a single-shard run
    pays for the partitioning machinery. *)
@@ -304,6 +394,14 @@ let () =
             test_sub_lookahead_rejected;
           Alcotest.test_case "deadlock names nodes" `Quick test_deadlock_named;
         ] );
+      ( "steps",
+        [
+          Alcotest.test_case "a step that blocks twice crashes the node"
+            `Quick test_double_block;
+          Alcotest.test_case "a raising step is that node's crash" `Quick
+            test_step_crash;
+          QCheck_alcotest.to_alcotest qcheck_labels;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "persistent pool reuse" `Quick test_pool_reuse;
@@ -314,5 +412,7 @@ let () =
         [
           Alcotest.test_case "words per one-shard run" `Quick
             test_one_shard_words;
+          Alcotest.test_case "words per recv park/wake cycle" `Quick
+            test_recv_cycle_words;
         ] );
     ]

@@ -1204,6 +1204,139 @@ let waitq_cycles ~observed n =
          done));
   Engine.run e
 
+let stackless_sleeps ~observed n =
+  let e = make_engine ~observed in
+  let rec loop i () = if i <= n then Engine.sleep_then e (Time.us 1) (loop (i + 1)) in
+  ignore (Engine.spawn_stackless e (loop 1));
+  Engine.run e
+
+(* ---- Stackless fibers ---------------------------------------------------- *)
+
+(* Every retained event with its clock, one line each. *)
+let describe_log e =
+  Array.to_list (Engine.events e) |> List.map Event.describe
+
+(* One program, written once in direct style and once as steps: two
+   workers that sleep, a waiter parked on a waker that the second worker
+   fires, and a note after each step.  Both spellings must emit the same
+   events with the same clocks. *)
+let two_ways ~stackless =
+  let e = Engine.create () in
+  let pending = ref None in
+  let fire () =
+    match !pending with
+    | Some w ->
+      pending := None;
+      w (Ok 7)
+    | None -> ()
+  in
+  let register w = pending := Some w in
+  if stackless then begin
+    ignore
+      (Engine.spawn_stackless e ~name:"waiter" (fun () ->
+           Engine.suspend_then e ~reason:"parked" register (fun v ->
+               Engine.record e (Printf.sprintf "got %d" v))));
+    ignore
+      (Engine.spawn_stackless e ~name:"worker" (fun () ->
+           Engine.sleep_then e (Time.us 3) (fun () ->
+               Engine.record e "woke";
+               fire ();
+               Engine.sleep_then e (Time.us 2) (fun () ->
+                   Engine.record e "done"))))
+  end
+  else begin
+    ignore
+      (Engine.spawn e ~name:"waiter" (fun () ->
+           let v = Engine.suspend e ~reason:"parked" register in
+           Engine.record e (Printf.sprintf "got %d" v)));
+    ignore
+      (Engine.spawn e ~name:"worker" (fun () ->
+           Engine.sleep e (Time.us 3);
+           Engine.record e "woke";
+           fire ();
+           Engine.sleep e (Time.us 2);
+           Engine.record e "done"))
+  end;
+  Engine.run e ~expect_quiescent:true;
+  e
+
+let stackless_tests =
+  [
+    Alcotest.test_case "steps emit what the direct-style program emits"
+      `Quick (fun () ->
+        let direct = two_ways ~stackless:false
+        and steps = two_ways ~stackless:true in
+        check Alcotest.(list string) "events with clocks"
+          (describe_log direct) (describe_log steps);
+        check Alcotest.int64 "events hash" (Engine.events_hash direct)
+          (Engine.events_hash steps);
+        check Alcotest.(list string) "fiber states"
+          (List.map (fun f -> f.Engine.fi_state) (Engine.view direct).Engine.v_fibers)
+          (List.map (fun f -> f.Engine.fi_state) (Engine.view steps).Engine.v_fibers));
+    Alcotest.test_case "a step that blocks twice raises Invalid_argument"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        ignore
+          (Engine.spawn_stackless e ~name:"greedy" (fun () ->
+               Engine.sleep_then e (Time.us 1) ignore;
+               Engine.sleep_then e (Time.us 2) ignore));
+        Alcotest.check_raises "second block"
+          (Engine.Fiber_crash
+             ( "greedy",
+               Invalid_argument "Engine: a stackless step may block only once" ))
+          (fun () -> Engine.run e));
+    Alcotest.test_case "a raising step is the crash; its wakeup never runs"
+      `Quick (fun () ->
+        let e = Engine.create ~on_crash:`Record () in
+        let resumed = ref false in
+        let f =
+          Engine.spawn_stackless e ~name:"faulty" (fun () ->
+              Engine.sleep_then e (Time.us 5) (fun () -> resumed := true);
+              failwith "boom")
+        in
+        Engine.run e;
+        checkb "never resumed" false !resumed;
+        checkb "dead" false (Engine.fiber_alive f);
+        check Alcotest.(list string) "crash recorded" [ "faulty" ]
+          (List.map fst (Engine.crashed e));
+        check Alcotest.(list (pair string string)) "view"
+          [ ("faulty", "Failure(\"boom\")") ]
+          (Engine.view e).Engine.v_crashes;
+        checki "the clock stops at the crash" 0 (Time.to_ns (Engine.now e) - Time.to_ns (Time.us 5)));
+    Alcotest.test_case "a step that returns ends the fiber" `Quick (fun () ->
+        let e = Engine.create () in
+        let f =
+          Engine.spawn_stackless e (fun () ->
+              Engine.sleep_then e (Time.us 1) (fun () -> Engine.record e "last"))
+        in
+        Engine.run e ~expect_quiescent:true;
+        checkb "finished" false (Engine.fiber_alive f);
+        check Alcotest.(list string) "states" [ "finished" ]
+          (List.map (fun f -> f.Engine.fi_state) (Engine.view e).Engine.v_fibers));
+    Alcotest.test_case "each kind of op refuses the other kind of fiber" `Quick
+      (fun () ->
+        let e = Engine.create ~on_crash:`Record () in
+        ignore
+          (Engine.spawn_stackless e ~name:"steps" (fun () ->
+               Engine.sleep e (Time.us 1)));
+        ignore
+          (Engine.spawn e ~name:"direct" (fun () ->
+               Engine.sleep_then e (Time.us 1) ignore));
+        Engine.run e;
+        check Alcotest.(list (pair string string)) "crashes"
+          [
+            ("steps", "Invalid_argument(\"Engine.sleep: inside a stackless fiber\")");
+            ( "direct",
+              "Invalid_argument(\"Engine.sleep_then: not inside a stackless fiber\")" );
+          ]
+          (Engine.view e).Engine.v_crashes);
+    Alcotest.test_case "words per stackless sleep" `Quick (fun () ->
+        Budgets.exact "observed" ~budget:Budgets.stackless_sleep_observed
+          (Budgets.words_per_iter (stackless_sleeps ~observed:true));
+        Budgets.exact "unobserved" ~budget:Budgets.stackless_sleep_unobserved
+          (Budgets.words_per_iter (stackless_sleeps ~observed:false)));
+  ]
+
 (* ---- Vclock -------------------------------------------------------------- *)
 
 (* The reference clock: a sorted association list keyed by fiber id, the
@@ -1476,6 +1609,7 @@ let () =
       ("sync", sync_tests);
       ("extra", extra_tests);
       ("causality", causality_tests);
+      ("stackless", stackless_tests);
       ("vclock", vclock_tests);
       ("counters", counter_tests);
     ]
