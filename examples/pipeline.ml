@@ -42,12 +42,7 @@ let () =
             let next =
               match wire.P.in_args with [ V.Link l ] -> Some l | _ -> None
             in
-            (* With top-level reply acks (charlotte+acks) the control
-               process can exit before its ack for this reply reaches
-               us: the link dies and the reply raises Link_destroyed
-               although it was delivered.  The wiring is in place
-               either way. *)
-            (try wire.P.in_reply [] with Lynx.Excn.Link_destroyed -> ());
+            wire.P.in_reply [];
             let rec serve () =
               let inc = P.await_request p () in
               (* Each item gets its own coroutine so the stage can

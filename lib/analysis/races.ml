@@ -37,27 +37,49 @@ let pp_finding ppf f = Fmt.pf ppf "%s %s: %s" f.r_rule f.r_obj f.r_detail
    - Receives, wakes and seens otherwise contribute only running
      counters.  The high-volume kinds (Block/Note/Spawn/...) are never
      retained at all. *)
-type obj_state = {
-  mutable os_sends : (int * int * string * Vclock.t * bool) list;
-      (* send index, fiber, op, clock, unordered — newest first *)
-  mutable os_n_sends : int;
-  mutable os_n_recvs : int;
+
+(* An object's sends, newest first: one block per send, with no list
+   cell and tuple around it. *)
+type sends =
+  | No_sends
+  | Send of {
+      s_idx : int;
+      s_fid : int;
+      s_op : string;
+      s_clk : Vclock.t;
+      s_unordered : bool;
+      s_older : sends;
+    }
+
+(* Per-object state that only a racing, signalling, waiting or moved
+   object ever writes.  Every object starts on the shared [no_sync]
+   record and gets its own on the first write ([sync_of]): a population
+   run's objects are hundreds of thousands of one-message queues that
+   never need it. *)
+type sync = {
   (* R-MSG aggregation, folded at send arrival. *)
-  mutable os_pairs : int;
-  mutable os_first : (int * int * string * int * string) option;
+  mutable y_pairs : int;
+  mutable y_first : (int * int * string * int * string) option;
       (* earlier send index, its fiber and op, later fiber and op *)
   (* R-SIG live suffixes. *)
-  mutable os_sigs : (int * int * int * Vclock.t) Queue.t;
+  mutable y_sigs : (int * int * int * Vclock.t) Queue.t;
       (* signal index, stream position, fiber, clock *)
-  mutable os_n_sigs : int;
-  mutable os_n_seens : int;
-  mutable os_seens : (int * Vclock.t) Queue.t;  (* stream position, clock *)
-  mutable os_waits : (int * int * Vclock.t) Queue.t;
+  mutable y_n_sigs : int;
+  mutable y_n_seens : int;
+  mutable y_seens : (int * Vclock.t) Queue.t;  (* stream position, clock *)
+  mutable y_waits : (int * int * Vclock.t) Queue.t;
       (* wait index, fiber, clock *)
-  mutable os_n_waits : int;
-  mutable os_n_wakes : int;  (* woke=true signals *)
+  mutable y_n_waits : int;
+  mutable y_n_wakes : int;  (* woke=true signals *)
   (* R-MOVE. *)
-  mutable os_moves : (int * Vclock.t) list;  (* fiber, clock — newest first *)
+  mutable y_moves : (int * Vclock.t) list;  (* fiber, clock — newest first *)
+}
+
+type obj_state = {
+  mutable os_sends : sends;
+  mutable os_n_sends : int;
+  mutable os_n_recvs : int;
+  mutable os_sync : sync;
 }
 
 type state = {
@@ -67,35 +89,40 @@ type state = {
 
 let init () = { st_pos = 0; st_tbl = Hashtbl.create 64 }
 
-(* Shared empty queues, never added to: most objects are message
-   queues that never signal or wait (a population run has hundreds of
-   thousands), so an object gets its own queue on first use. *)
+(* Shared empty queues, never added to: an object that signals but
+   never waits, or the reverse, gets its own queue on first use. *)
 let no_sigs = Queue.create ()
 let no_seens = Queue.create ()
 let no_waits = Queue.create ()
 
-let fresh () =
+let fresh_sync () =
   {
-    os_sends = [];
-    os_n_sends = 0;
-    os_n_recvs = 0;
-    os_pairs = 0;
-    os_first = None;
-    os_sigs = no_sigs;
-    os_n_sigs = 0;
-    os_n_seens = 0;
-    os_seens = no_seens;
-    os_waits = no_waits;
-    os_n_waits = 0;
-    os_n_wakes = 0;
-    os_moves = [];
+    y_pairs = 0;
+    y_first = None;
+    y_sigs = no_sigs;
+    y_n_sigs = 0;
+    y_n_seens = 0;
+    y_seens = no_seens;
+    y_waits = no_waits;
+    y_n_waits = 0;
+    y_n_wakes = 0;
+    y_moves = [];
   }
+
+(* Read-only: every field keeps its initial value. *)
+let no_sync = fresh_sync ()
+
+let sync_of s =
+  if s.os_sync == no_sync then s.os_sync <- fresh_sync ();
+  s.os_sync
 
 let slot st obj =
   match Hashtbl.find_opt st.st_tbl obj with
   | Some s -> s
   | None ->
-    let s = fresh () in
+    let s =
+      { os_sends = No_sends; os_n_sends = 0; os_n_recvs = 0; os_sync = no_sync }
+    in
     Hashtbl.add st.st_tbl obj s;
     s
 
@@ -113,77 +140,94 @@ let feed st (ev : Event.t) =
        ascending (i, j) double loop, whose first hit is exactly the
        minimal (i, j) in lexicographic order.  Unordered sends take no
        part, as either side of a pair. *)
-    let min_i = ref (-1) and min_f = ref 0 and min_op = ref "" in
-    if not unordered then
-      List.iter
-        (fun (i, fi, opi, ci, unordered_i) ->
-          if (not unordered_i) && Vclock.concurrent ci clk then begin
-            s.os_pairs <- s.os_pairs + 1;
-            if !min_i < 0 || i < !min_i then begin
-              min_i := i;
-              min_f := fi;
-              min_op := opi
+    if (not unordered) && s.os_sends != No_sends then begin
+      let pairs = ref 0 and min_i = ref (-1) and min_f = ref 0
+      and min_op = ref "" in
+      let rec scan = function
+        | No_sends -> ()
+        | Send { s_idx; s_fid; s_op; s_clk; s_unordered; s_older } ->
+          if (not s_unordered) && Vclock.concurrent s_clk clk then begin
+            incr pairs;
+            if !min_i < 0 || s_idx < !min_i then begin
+              min_i := s_idx;
+              min_f := s_fid;
+              min_op := s_op
             end
-          end)
-        s.os_sends;
-    (if !min_i >= 0 then
-       match s.os_first with
-       | Some (i0, _, _, _, _) when i0 <= !min_i -> ()
-       | _ -> s.os_first <- Some (!min_i, !min_f, !min_op, fid, op));
-    s.os_sends <- (idx, fid, op, clk, unordered) :: s.os_sends
+          end;
+          scan s_older
+      in
+      scan s.os_sends;
+      if !pairs > 0 then begin
+        let y = sync_of s in
+        y.y_pairs <- y.y_pairs + !pairs;
+        match y.y_first with
+        | Some (i0, _, _, _, _) when i0 <= !min_i -> ()
+        | _ -> y.y_first <- Some (!min_i, !min_f, !min_op, fid, op)
+      end
+    end;
+    s.os_sends <-
+      Send
+        {
+          s_idx = idx;
+          s_fid = fid;
+          s_op = op;
+          s_clk = clk;
+          s_unordered = unordered;
+          s_older = s.os_sends;
+        }
   | Event.Receive { obj; _ } ->
     let s = slot st obj in
     s.os_n_recvs <- s.os_n_recvs + 1
   | Event.Signal { obj; woke = false } ->
-    let s = slot st obj in
-    let idx = s.os_n_sigs in
-    s.os_n_sigs <- idx + 1;
+    let y = sync_of (slot st obj) in
+    let idx = y.y_n_sigs in
+    y.y_n_sigs <- idx + 1;
     (* Positionally consumed already?  Then it can never be part of the
        surviving suffix the rules look at. *)
-    if idx >= s.os_n_seens then begin
-      if s.os_sigs == no_sigs then s.os_sigs <- Queue.create ();
-      Queue.add (idx, pos, fid, clk) s.os_sigs
+    if idx >= y.y_n_seens then begin
+      if y.y_sigs == no_sigs then y.y_sigs <- Queue.create ();
+      Queue.add (idx, pos, fid, clk) y.y_sigs
     end
   | Event.Signal { obj; woke = true } ->
-    let s = slot st obj in
-    s.os_n_wakes <- s.os_n_wakes + 1;
+    let y = sync_of (slot st obj) in
+    y.y_n_wakes <- y.y_n_wakes + 1;
     while
-      (not (Queue.is_empty s.os_waits))
+      (not (Queue.is_empty y.y_waits))
       &&
-      let i, _, _ = Queue.peek s.os_waits in
-      i < s.os_n_wakes
+      let i, _, _ = Queue.peek y.y_waits in
+      i < y.y_n_wakes
     do
-      ignore (Queue.pop s.os_waits)
+      ignore (Queue.pop y.y_waits)
     done
   | Event.Signal_seen { obj } ->
-    let s = slot st obj in
-    s.os_n_seens <- s.os_n_seens + 1;
+    let y = sync_of (slot st obj) in
+    y.y_n_seens <- y.y_n_seens + 1;
     while
-      (not (Queue.is_empty s.os_sigs))
+      (not (Queue.is_empty y.y_sigs))
       &&
-      let i, _, _, _ = Queue.peek s.os_sigs in
-      i < s.os_n_seens
+      let i, _, _, _ = Queue.peek y.y_sigs in
+      i < y.y_n_seens
     do
-      ignore (Queue.pop s.os_sigs)
+      ignore (Queue.pop y.y_sigs)
     done;
     (* Retain the seen only while an unserved signal precedes it: any
        signal arriving later has a larger stream position, so the
        latched-interrupt clause [npos > spos] could never match it. *)
-    if not (Queue.is_empty s.os_sigs) then begin
-      if s.os_seens == no_seens then s.os_seens <- Queue.create ();
-      Queue.add (pos, clk) s.os_seens
+    if not (Queue.is_empty y.y_sigs) then begin
+      if y.y_seens == no_seens then y.y_seens <- Queue.create ();
+      Queue.add (pos, clk) y.y_seens
     end
   | Event.Wait { obj } ->
-    let s = slot st obj in
-    let idx = s.os_n_waits in
-    s.os_n_waits <- idx + 1;
-    if idx >= s.os_n_wakes then begin
-      if s.os_waits == no_waits then s.os_waits <- Queue.create ();
-      Queue.add (idx, fid, clk) s.os_waits
+    let y = sync_of (slot st obj) in
+    let idx = y.y_n_waits in
+    y.y_n_waits <- idx + 1;
+    if idx >= y.y_n_wakes then begin
+      if y.y_waits == no_waits then y.y_waits <- Queue.create ();
+      Queue.add (idx, fid, clk) y.y_waits
     end
   | Event.Link_move { obj } ->
-    let s = slot st obj in
-    s.os_moves <- (fid, clk) :: s.os_moves
+    let y = sync_of (slot st obj) in
+    y.y_moves <- (fid, clk) :: y.y_moves
   | Event.Spawn _ | Event.Crash _ | Event.Note _ | Event.Block _
   | Event.Drop _ | Event.Fault _ ->
     ()
@@ -217,8 +261,8 @@ let queue_to_list q = List.rev (Queue.fold (fun acc x -> x :: acc) [] q)
 let message_races tbl objs =
   List.filter_map
     (fun obj ->
-      let s = Hashtbl.find tbl obj in
-      match s.os_first with
+      let y = (Hashtbl.find tbl obj).os_sync in
+      match y.y_first with
       | None -> None
       | Some (_, fi, opi, fj, opj) ->
         Some
@@ -229,8 +273,8 @@ let message_races tbl objs =
               Printf.sprintf
                 "sends %S (fiber #%d) and %S (fiber #%d) are concurrent: \
                  arrival order is a scheduler accident (%d pair%s)"
-                opi fi opj fj s.os_pairs
-                (if s.os_pairs = 1 then "" else "s");
+                opi fi opj fj y.y_pairs
+                (if y.y_pairs = 1 then "" else "s");
           })
     (Array.to_list objs)
 
@@ -255,10 +299,10 @@ let message_races tbl objs =
 let signal_races tbl objs =
   List.filter_map
     (fun obj ->
-      let s = Hashtbl.find tbl obj in
-      let sigs = queue_to_list s.os_sigs in
+      let y = (Hashtbl.find tbl obj).os_sync in
+      let sigs = queue_to_list y.y_sigs in
       let blocked_miss =
-        let waits = queue_to_list s.os_waits in
+        let waits = queue_to_list y.y_waits in
         List.find_map
           (fun (_, _, sfid, sclk) ->
             List.find_map
@@ -269,9 +313,9 @@ let signal_races tbl objs =
           sigs
       in
       let latched_miss =
-        if s.os_n_waits > 0 then None
+        if y.y_n_waits > 0 then None
         else
-          let seens = queue_to_list s.os_seens in
+          let seens = queue_to_list y.y_seens in
           List.find_map
             (fun (_, spos, sfid, sclk) ->
               List.find_map
@@ -308,6 +352,14 @@ let signal_races tbl objs =
       | None, None -> None)
     (Array.to_list objs)
 
+let oldest_first sends =
+  let rec go acc = function
+    | No_sends -> acc
+    | Send { s_idx; s_fid; s_op; s_clk; s_older; _ } ->
+      go ((s_idx, s_fid, s_op, s_clk) :: acc) s_older
+  in
+  go [] sends
+
 (* R-MOVE: a send into one of a moved end's queues, concurrent with the
    move and never consumed by a receive on that queue.  The moved end's
    queues all share the ["<end>."] name prefix, so they occupy a
@@ -317,7 +369,7 @@ let move_races tbl objs =
   List.filter_map
     (fun mobj ->
       let ms = Hashtbl.find tbl mobj in
-      match ms.os_moves with
+      match ms.os_sync.y_moves with
       | [] -> None
       | rev_moves -> (
         let moves = List.rev rev_moves in
@@ -331,7 +383,7 @@ let move_races tbl objs =
             let qs = Hashtbl.find tbl qobj in
             let rec scan_sends = function
               | [] -> None
-              | (si, sfid, op, sclk, _retx) :: rest ->
+              | (si, sfid, op, sclk) :: rest ->
                 if si < qs.os_n_recvs then scan_sends rest
                   (* consumed: delivery won *)
                 else (
@@ -345,7 +397,7 @@ let move_races tbl objs =
                   | Some mfid -> Some (qobj, op, sfid, mfid)
                   | None -> scan_sends rest)
             in
-            (match scan_sends (List.rev qs.os_sends) with
+            (match scan_sends (oldest_first qs.os_sends) with
             | Some _ as hit -> hit
             | None -> scan_queues (i + 1))
         in

@@ -27,6 +27,9 @@ type frame = {
   fr_completion : Lynx.Backend.send_result -> unit;
   mutable fr_encl_sent : int;  (* [Enc] packets delivered so far *)
   mutable fr_awaiting_goahead : bool;
+  (* Reply delivered by the kernel, waiting only for its top-level
+     [Ack] (reply_acks mode): the link's death cannot undo it. *)
+  mutable fr_awaiting_ack : bool;
   mutable fr_completed : bool;
   mutable fr_failed : bool;
 }
@@ -181,7 +184,23 @@ let received_counters = pkt_counters "received"
 let count_pkt t counters (h : Packet.header) =
   Stats.incr t.sts counters.(Packet.label_index h)
 
-(* ---- Frame failure ----------------------------------------------------- *)
+(* ---- Frame completion and failure ------------------------------------ *)
+
+(* A moved end has definitively left us. *)
+let finalize_moved t h =
+  match Lynx.Handle_table.find_opt t.chans h with
+  | Some ec ->
+    ec.live <- false;
+    Hashtbl.remove t.by_end (end_key ec.ce)
+  | None -> ()
+
+let complete_frame t (c : chan) (fr : frame) =
+  if not (fr.fr_completed || fr.fr_failed) then begin
+    fr.fr_completed <- true;
+    List.iter (finalize_moved t) fr.fr_encl;
+    ignore c;
+    fr.fr_completion (Ok ())
+  end
 
 let fail_frame t (c : chan) (fr : frame) =
   if not (fr.fr_completed || fr.fr_failed) then begin
@@ -211,7 +230,10 @@ let on_dead t (c : chan) =
   if c.live then begin
     c.live <- false;
     Hashtbl.remove t.by_end (end_key c.ce);
-    Hashtbl.iter (fun _ fr -> fail_frame t c fr) c.frames;
+    Hashtbl.iter
+      (fun _ fr ->
+        if fr.fr_awaiting_ack then complete_frame t c fr else fail_frame t c fr)
+      c.frames;
     Queue.iter
       (fun pk -> match pk.pk_frame with Some fr -> fail_frame t c fr | None -> ())
       c.out_q;
@@ -340,22 +362,6 @@ let enqueue_first_packet t (c : chan) (fr : frame) =
     match fr.fr_encl with [] -> None | h :: _ -> Some (Handle h)
   in
   enqueue_pkt t c { pk_header = first_packet fr; pk_carry = carry; pk_frame = Some fr }
-
-(* A moved end has definitively left us. *)
-let finalize_moved t h =
-  match Lynx.Handle_table.find_opt t.chans h with
-  | Some ec ->
-    ec.live <- false;
-    Hashtbl.remove t.by_end (end_key ec.ce)
-  | None -> ()
-
-let complete_frame t (c : chan) (fr : frame) =
-  if not (fr.fr_completed || fr.fr_failed) then begin
-    fr.fr_completed <- true;
-    List.iter (finalize_moved t) fr.fr_encl;
-    ignore c;
-    fr.fr_completion (Ok ())
-  end
 
 (* ---- Receive management -------------------------------------------------- *)
 
@@ -544,6 +550,11 @@ let handle_received t (c : chan) (comp : CT.completion) =
       drain ());
     ensure_recv t c
 
+let await_ack t (c : chan) (fr : frame) =
+  fr.fr_awaiting_ack <- true;
+  c.awaiting_acks <- c.awaiting_acks + 1;
+  ensure_recv t c
+
 let handle_sent t (c : chan) (comp : CT.completion) =
   match c.send_outstanding with
   | None -> Stats.incr t.sts Key.orphan_sent
@@ -564,18 +575,14 @@ let handle_sent t (c : chan) (comp : CT.completion) =
              ensure_recv t c
            end
            else enqueue_enc_packets t c fr
-         else if t.reply_acks && fr.fr_kind = Lynx.Backend.Reply then begin
-           c.awaiting_acks <- c.awaiting_acks + 1;
-           ensure_recv t c
-         end
+         else if t.reply_acks && fr.fr_kind = Lynx.Backend.Reply then
+           await_ack t c fr
          else complete_frame t c fr
        | Packet.Enc _, Some fr ->
          fr.fr_encl_sent <- fr.fr_encl_sent + 1;
          if fr.fr_encl_sent = List.length fr.fr_encl - 1 then begin
-           if t.reply_acks && fr.fr_kind = Lynx.Backend.Reply then begin
-             c.awaiting_acks <- c.awaiting_acks + 1;
-             ensure_recv t c
-           end
+           if t.reply_acks && fr.fr_kind = Lynx.Backend.Reply then
+             await_ack t c fr
            else complete_frame t c fr
          end
        | _ -> ());
@@ -629,6 +636,7 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion
         fr_completion = completion;
         fr_encl_sent = 0;
         fr_awaiting_goahead = false;
+        fr_awaiting_ack = false;
         fr_completed = false;
         fr_failed = false;
       }

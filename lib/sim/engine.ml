@@ -10,6 +10,10 @@ type fiber = {
   (* [Some] of this very record, built once: making the fiber current
      on every resume would otherwise allocate the option each time. *)
   self : fiber option;
+  (* Links of the engine's list of unfinished fibers (see [t.live]).  A
+     fiber that finishes unlinks itself and points both at itself. *)
+  mutable next : fiber;
+  mutable prev : fiber;
 }
 
 type policy =
@@ -28,11 +32,19 @@ type t = {
   mutable seq : int;
   mutable next_fid : int;
   tasks : Taskq.t;
-  mutable fibers : fiber list;
-  (* Fiber ids ever assigned, for the explicit-[?fid] duplicate check:
-     population runs spawn hundreds of thousands of pinned-id fibers,
-     and a list scan per spawn would make setup quadratic. *)
-  fids : (int, unit) Hashtbl.t;
+  (* Unfinished fibers — running, blocked or crashed — in spawn order: a
+     circular doubly linked list through [next]/[prev], with [live] as
+     its sentinel.  A finished fiber unlinks itself, so nothing keeps it
+     once no task or waker can reach it; a population run's finished
+     clients would otherwise stay resident until the engine dies.
+     [finished] counts them. *)
+  live : fiber;
+  mutable finished : int;
+  (* Fiber ids ever assigned, one bit each, for the explicit-[?fid]
+     duplicate check: population runs spawn hundreds of thousands of
+     pinned-id fibers, and a list scan per spawn would make setup
+     quadratic. *)
+  mutable fids : Bytes.t;
   mutable current : fiber option;
   mutable stopped : bool;
   mutable crashes : (string * exn) list;
@@ -89,6 +101,22 @@ type observer = { ob_log_capacity : int option; ob_attach : t -> unit }
 let ambient_observer : observer option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
+let sentinel () =
+  let rec s =
+    {
+      fid = -1;
+      name = "";
+      daemon = true;
+      stackless = true;
+      state = Finished;
+      clock = Vclock.empty;
+      self = None;
+      next = s;
+      prev = s;
+    }
+  in
+  s
+
 let create ?(seed = 42) ?(policy = Fifo) ?(event_capacity = 200_000)
     ?log_capacity ?(on_crash = `Raise) () =
   let sched_seed =
@@ -110,8 +138,9 @@ let create ?(seed = 42) ?(policy = Fifo) ?(event_capacity = 200_000)
       seq = 0;
       next_fid = 0;
       tasks = Taskq.create ();
-      fibers = [];
-      fids = Hashtbl.create 64;
+      live = sentinel ();
+      finished = 0;
+      fids = Bytes.empty;
       current = None;
       stopped = false;
       crashes = [];
@@ -363,6 +392,17 @@ let fiber_alive f = match f.state with Finished | Crashed -> false | _ -> true
 let current_fiber_name t =
   match t.current with None -> "<scheduler>" | Some f -> f.name
 
+(* The one way a fiber ends without crashing.  Unlinking drops the
+   engine's last reference: what the fiber's closures hold is collected
+   once its tasks and wakers are gone too. *)
+let finish t fiber =
+  fiber.state <- Finished;
+  fiber.prev.next <- fiber.next;
+  fiber.next.prev <- fiber.prev;
+  fiber.next <- fiber;
+  fiber.prev <- fiber;
+  t.finished <- t.finished + 1
+
 let handle_crash t fiber exn =
   fiber.state <- Crashed;
   t.crashes <- (fiber.name, exn) :: t.crashes;
@@ -442,6 +482,20 @@ let effc : type b. t -> fiber -> b Effect.t -> ((b, unit) Effect.Deep.continuati
         block_sleep t fiber d continue_effect k)
   | _ -> None
 
+let fid_used t fid =
+  fid lsr 3 < Bytes.length t.fids
+  && Bytes.get_uint8 t.fids (fid lsr 3) land (1 lsl (fid land 7)) <> 0
+
+let mark_fid t fid =
+  let i = fid lsr 3 in
+  let n = Bytes.length t.fids in
+  if i >= n then begin
+    let b = Bytes.make (max (i + 1) (max 64 (2 * n))) '\000' in
+    Bytes.blit t.fids 0 b 0 n;
+    t.fids <- b
+  end;
+  Bytes.set_uint8 t.fids i (Bytes.get_uint8 t.fids i lor (1 lsl (fid land 7)))
+
 (* [?fid] pins the fiber id explicitly.  Sharded runs need ids that are
    stable across partitionings — fiber N is node N on every shard
    count — so the per-engine [next_fid] counter cannot assign them. *)
@@ -450,7 +504,7 @@ let new_fiber t ?fid ?(name = "fiber") ?(daemon = false) ~stackless () =
     match fid with
     | Some fid ->
       if fid < 0 then invalid_arg "Engine.spawn: negative fid";
-      if Hashtbl.mem t.fids fid then
+      if fid_used t fid then
         invalid_arg (Printf.sprintf "Engine.spawn: fid %d already used" fid);
       t.next_fid <- max t.next_fid (fid + 1);
       fid
@@ -459,16 +513,28 @@ let new_fiber t ?fid ?(name = "fiber") ?(daemon = false) ~stackless () =
       t.next_fid <- fid + 1;
       fid
   in
-  Hashtbl.replace t.fids fid ();
+  mark_fid t fid;
   emit t (Event.Spawn { fid; name });
   (* The child starts causally after the spawn event in its parent. *)
   let clock =
     if t.observed then Vclock.tick (current_clock t) fid else current_clock t
   in
+  let last = t.live.prev in
   let rec fiber =
-    { fid; name; daemon; stackless; state = Runnable; clock; self = Some fiber }
+    {
+      fid;
+      name;
+      daemon;
+      stackless;
+      state = Runnable;
+      clock;
+      self = Some fiber;
+      next = t.live;
+      prev = last;
+    }
   in
-  t.fibers <- fiber :: t.fibers;
+  last.next <- fiber;
+  t.live.prev <- fiber;
   fiber
 
 let spawn t ?fid ?name ?daemon f =
@@ -479,7 +545,7 @@ let spawn t ?fid ?name ?daemon f =
       let handler =
         {
           Effect.Deep.retc =
-            (fun () -> if fiber.state <> Crashed then fiber.state <- Finished);
+            (fun () -> if fiber.state <> Crashed then finish t fiber);
           exnc = (fun exn -> handle_crash t fiber exn);
           effc = (fun eff -> effc t fiber eff);
         }
@@ -510,17 +576,17 @@ let yield t =
 
 (* One step: an exception is the fiber's crash, and a step that returns
    without having blocked ends the fiber. *)
-let end_step fiber =
-  match fiber.state with Runnable -> fiber.state <- Finished | _ -> ()
+let end_step t fiber =
+  match fiber.state with Runnable -> finish t fiber | _ -> ()
 
 let run_step t fiber k v =
   (try k v with e -> handle_crash t fiber e);
-  end_step fiber
+  end_step t fiber
 
 let run_step_result t fiber k r =
   (try match r with Ok v -> k v | Error e -> raise e
    with e -> handle_crash t fiber e);
-  end_step fiber
+  end_step t fiber
 
 let spawn_stackless t ?fid ?name ?daemon step =
   let fiber = new_fiber t ?fid ?name ?daemon ~stackless:true () in
@@ -544,13 +610,19 @@ let suspend_then t ?(reason = "wait") register k =
     (stackless_current t "Engine.suspend_then")
     reason register run_step_result k
 
+(* Newest first, as the names have always been listed: a walk from the
+   oldest that conses onto the front. *)
 let blocked_fibers t =
-  List.filter_map
-    (fun f ->
-      match (f.daemon, f.state) with
-      | false, Blocked reason -> Some (Printf.sprintf "%s (%s)" f.name reason)
-      | _ -> None)
-    t.fibers
+  let rec go f acc =
+    if f == t.live then acc
+    else
+      go f.next
+        (match (f.daemon, f.state) with
+        | false, Blocked reason ->
+          Printf.sprintf "%s (%s)" f.name reason :: acc
+        | _ -> acc)
+  in
+  go t.live.next []
 
 let crashed t = List.rev t.crashes
 
@@ -572,28 +644,36 @@ type view = {
   v_now : Time.t;
   v_pending : int;  (** tasks still queued *)
   v_blocked : string list;  (** non-daemon fibers stuck at a suspension *)
-  v_fibers : fiber_info list;  (** every fiber ever spawned, by id *)
+  v_fibers : fiber_info list;  (** unfinished fibers, in spawn order *)
+  v_finished : int;  (** fibers that returned, and so left [v_fibers] *)
   v_crashes : (string * string) list;
   v_events : Event.t array;  (** structured event log, oldest first *)
   v_events_hash : int64;  (** incremental fingerprint of the full stream *)
   v_events_dropped : int;  (** events lost to the capacity cap *)
 }
 
+let live_infos t =
+  let rec go f acc =
+    if f == t.live then acc
+    else
+      go f.prev
+        ({
+           fi_id = f.fid;
+           fi_name = f.name;
+           fi_daemon = f.daemon;
+           fi_state = fiber_state_name f;
+         }
+        :: acc)
+  in
+  go t.live.prev []
+
 let view t =
   {
     v_now = t.now;
     v_pending = Taskq.length t.tasks;
     v_blocked = blocked_fibers t;
-    v_fibers =
-      List.rev_map
-        (fun f ->
-          {
-            fi_id = f.fid;
-            fi_name = f.name;
-            fi_daemon = f.daemon;
-            fi_state = fiber_state_name f;
-          })
-        t.fibers;
+    v_fibers = live_infos t;
+    v_finished = t.finished;
     v_crashes =
       List.rev_map (fun (n, e) -> (n, Printexc.to_string e)) t.crashes;
     v_events = events t;
@@ -601,21 +681,19 @@ let view t =
     v_events_dropped = t.events_total - t.ev_len;
   }
 
+(* Allocates nothing per task: the queue's head is read in place and
+   taken without an option. *)
 let drain t ~limit =
-  let continue = ref true in
-  while !continue && not t.stopped do
-    match Taskq.peek_time t.tasks with
-    | None -> continue := false
-    | Some time_ns ->
-      (match limit with
-      | Some l when time_ns > Time.to_ns l -> continue := false
-      | _ -> (
-        match Taskq.pop t.tasks with
-        | None -> continue := false
-        | Some e ->
-          t.now <- Time.ns e.Taskq.time;
-          t.amb_clock <- e.Taskq.clk;
-          e.Taskq.fn ()))
+  let limit_ns = match limit with Some l -> Time.to_ns l | None -> max_int in
+  while
+    (not t.stopped)
+    && Taskq.length t.tasks > 0
+    && Taskq.min_time t.tasks <= limit_ns
+  do
+    let e = Taskq.take t.tasks in
+    t.now <- Time.ns e.Taskq.time;
+    t.amb_clock <- e.Taskq.clk;
+    e.Taskq.fn ()
   done
 
 let check_crashes t =

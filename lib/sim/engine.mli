@@ -17,7 +17,15 @@
 
     Execution is single-domain and cooperative, so fibers interleave
     only at suspension points and a run is a pure function of the seed
-    and the program. *)
+    and the program.
+
+    {b Fiber lifetime.}  The engine keeps a fiber only while it is
+    unfinished: runnable, blocked or crashed.  A fiber whose function
+    (or last step) returns is counted in [v_finished] and dropped from
+    the engine's fiber list at once, so it costs nothing resident once
+    no queued task or outstanding waker refers to it; a population run
+    does not keep its finished clients until the engine dies.  A
+    crashed fiber stays listed, with its exception. *)
 
 type t
 
@@ -243,7 +251,8 @@ val spawn : t -> ?fid:int -> ?name:string -> ?daemon:bool -> (unit -> unit) -> f
     explicitly (raising [Invalid_argument] on a negative or already-used
     id, and bumping the internal counter past it): sharded runs assign
     fiber ids globally — fiber [n] is node [n] at every shard count — so
-    the per-engine counter cannot be the allocator. *)
+    the per-engine counter cannot be the allocator.  Used ids are kept
+    one bit each, up to the largest. *)
 
 val fiber_name : fiber -> string
 
@@ -271,7 +280,8 @@ val crashed : t -> (string * exn) list
 (** Fibers that died with an uncaught exception (when [~on_crash:`Record]). *)
 
 val blocked_fibers : t -> string list
-(** Names of non-daemon fibers currently suspended. *)
+(** Non-daemon fibers currently suspended, as ["name (reason)"], newest
+    first. *)
 
 (** {1 Diagnostics} *)
 
@@ -286,7 +296,12 @@ type view = {
   v_now : Time.t;
   v_pending : int;  (** tasks still queued *)
   v_blocked : string list;  (** non-daemon fibers stuck at a suspension *)
-  v_fibers : fiber_info list;  (** every fiber ever spawned, by id *)
+  v_fibers : fiber_info list;
+      (** unfinished fibers (runnable, blocked or crashed), in spawn
+          order; a fiber that returned is not listed *)
+  v_finished : int;
+      (** fibers that returned: together with [v_fibers], every fiber
+          ever spawned *)
   v_crashes : (string * string) list;
   v_events : Event.t array;  (** structured event log, oldest first *)
   v_events_hash : int64;  (** incremental fingerprint of the full stream *)

@@ -40,8 +40,11 @@ let pop h =
   else begin
     let top = h.arr.(0) in
     h.len <- h.len - 1;
+    h.arr.(0) <- h.arr.(h.len);
+    (* Clear the vacated slot: a stale entry would keep its payload
+       reachable until a later add reused the slot. *)
+    h.arr.(h.len) <- Obj.magic placeholder;
     if h.len > 0 then begin
-      h.arr.(0) <- h.arr.(h.len);
       (* Sift down. *)
       let i = ref 0 in
       let continue = ref true in

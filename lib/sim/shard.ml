@@ -70,7 +70,7 @@ type 'msg t = {
   mutable tie : int;
   coord_rng : Rng.t;
   node_rngs : Rng.t;  (* derive-only base: never advanced *)
-  mutable nodes : 'msg node list;  (* reversed; arrayed at run *)
+  mutable nodes : 'msg node list;  (* reversed; arrayed, then dropped, at run *)
   mutable n_count : int;
   mutable node_arr : 'msg node array;
   pool_ext : Pool.Persistent.t option;
@@ -338,6 +338,10 @@ let merge_window t =
       (fun b ->
         Array.blit b.eb_arr 0 all !off b.eb_len;
         off := !off + b.eb_len;
+        (* The buffer is reused next window; clearing the drained prefix
+           keeps it from holding this window's events (and their
+           clocks) past the merge. *)
+        Array.fill b.eb_arr 0 b.eb_len Event.placeholder;
         b.eb_len <- 0)
       t.buffers;
     Array.stable_sort cmp_event all;
@@ -399,6 +403,7 @@ let run ?(expect_quiescent = false) t =
   if t.ran then invalid_arg "Shard.run: the simulation already ran";
   t.ran <- true;
   t.node_arr <- Array.of_list (List.rev t.nodes);
+  t.nodes <- [];
   let private_pool, pool =
     if t.k = 1 then (None, None)
     else
@@ -477,5 +482,7 @@ let merged_view t =
     v_pending = pending;
     v_blocked = blocked_nodes t;
     v_fibers = fibers;
+    v_finished =
+      Array.fold_left (fun a v -> a + v.Engine.v_finished) 0 views;
     v_crashes = crashes;
   }

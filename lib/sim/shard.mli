@@ -85,7 +85,12 @@ val run : ?expect_quiescent:bool -> 'msg t -> unit
 (** Drives windows until every shard is quiescent and no message is in
     flight.  Node crashes re-raise {!Engine.Fiber_crash} (first by node
     id); with [expect_quiescent], raises {!Engine.Deadlock} naming
-    blocked non-daemon nodes.  May be called once. *)
+    blocked non-daemon nodes.  May be called once.
+
+    The coordinator keeps only what a later window or result can read:
+    a node that finishes is released by its engine, and each window's
+    events leave the per-shard buffers once the sink has absorbed them
+    (the sink retains them only per its [log_capacity]). *)
 
 (** {1 Node operations} — callable only from inside a node's steps.
 
@@ -152,8 +157,11 @@ val incr : 'msg ctx -> Stats.key -> int -> unit
 val merged_view : 'msg t -> Engine.view
 (** The canonical merged run: the sink engine's view with fibers,
     blocked names, crashes and pending counts aggregated across shards
-    in node order.  [v_events]/[v_events_hash] are the canonical merged
-    stream and its fingerprint — byte-identical at every shard count. *)
+    in node order.  As on one engine, [v_fibers] lists only the nodes
+    that did not finish (blocked, runnable or crashed) and
+    [v_finished] counts the rest.  [v_events]/[v_events_hash] are the
+    canonical merged stream and its fingerprint — byte-identical at
+    every shard count. *)
 
 val counters : 'msg t -> (string * int) list
 (** All shard counter blocks summed, sorted by name. *)

@@ -44,13 +44,17 @@ let add q ~time ~seq ~clk fn =
     i := p
   done
 
-let pop q =
-  if q.len = 0 then None
+(* The vacated last slot is overwritten with [placeholder]: left as it
+   was, it would keep the moved entry's closure — and whatever world
+   that closure captures — reachable until a later add reuses it. *)
+let take q =
+  if q.len = 0 then invalid_arg "Taskq.take: empty queue"
   else begin
     let top = q.arr.(0) in
     q.len <- q.len - 1;
+    q.arr.(0) <- q.arr.(q.len);
+    q.arr.(q.len) <- placeholder;
     if q.len > 0 then begin
-      q.arr.(0) <- q.arr.(q.len);
       let i = ref 0 in
       let continue = ref true in
       while !continue do
@@ -67,7 +71,11 @@ let pop q =
         end
       done
     end;
-    Some top
+    top
   end
+
+let min_time q =
+  if q.len = 0 then invalid_arg "Taskq.min_time: empty queue"
+  else q.arr.(0).time
 
 let peek_time q = if q.len = 0 then None else Some q.arr.(0).time

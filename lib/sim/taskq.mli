@@ -19,7 +19,14 @@ val create : unit -> t
 val length : t -> int
 val add : t -> time:int -> seq:int -> clk:Vclock.t -> (unit -> unit) -> unit
 
-val pop : t -> entry option
-(** Removes and returns the entry with the smallest (time, seq) key. *)
+val take : t -> entry
+(** Removes and returns the entry with the smallest (time, seq) key,
+    without allocating: the engine's drain loop calls it once per task.
+    The vacated slot is cleared, so a taken entry is not kept reachable
+    by the queue.  Raises [Invalid_argument] on an empty queue. *)
+
+val min_time : t -> int
+(** Key time of the smallest entry, without allocating.  Raises
+    [Invalid_argument] on an empty queue. *)
 
 val peek_time : t -> int option

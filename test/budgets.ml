@@ -64,20 +64,20 @@ let words_per_event feed events =
 (* ---- Heap and task queue: one add+pop pair (exact) ------------------ *)
 
 let heap_pair = 10.
-let taskq_pair = 7.
+let taskq_pair = 5.
 
 (* ---- Engine (unobserved engines build no event records, clocks or
    stamps; observed ones feed a consumer) ------------------------------ *)
 
-let sleep_observed = 38.0
-let sleep_unobserved = 29.0
-let waitq_cycle_observed = 112.0
-let waitq_cycle_unobserved = 84.0
+let sleep_observed = 34.0
+let sleep_unobserved = 25.0
+let waitq_cycle_observed = 104.0
+let waitq_cycle_unobserved = 76.0
 
 (* Exact: one [sleep_then] of a stackless fiber looping on its own
    callback, the step's closure included. *)
-let stackless_sleep_observed = 30.
-let stackless_sleep_unobserved = 21.
+let stackless_sleep_observed = 26.
+let stackless_sleep_unobserved = 17.
 
 (* Exact. *)
 let unobserved_emit = 0.
@@ -94,9 +94,9 @@ let stats_incr = 0.
 
 (* ---- One 0 B kernel primitive per backend, on an unobserved engine -- *)
 
-let charlotte_send_receive = 331.
-let soda_request_accept = 310.82
-let chrysalis_enqueue_post = 222.
+let charlotte_send_receive = 303.
+let soda_request_accept = 282.82
+let chrysalis_enqueue_post = 198.
 
 (* ---- LYNX op -------------------------------------------------------- *)
 
@@ -105,34 +105,43 @@ let codec_roundtrip = 122.
 
 (* One 0 B echo call per backend, on an unobserved engine. *)
 let echo_call =
-  [ ("charlotte", 1880.34); ("soda", 1732.96); ("chrysalis", 2633.0) ]
+  [ ("charlotte", 1758.34); ("soda", 1616.96); ("chrysalis", 2413.0) ]
 
 (* Exact: the LYNX premium, words per 0 B echo call minus words per
    0 B raw-kernel echo ([Rpc_bench.raw_charlotte], [raw_soda],
    [raw_chrysalis]) — what the run-time package adds above the kernel. *)
 let lynx_premium =
-  [ ("charlotte", 1219.640625); ("soda", 1133.); ("chrysalis", 2076.) ]
+  [ ("charlotte", 1153.640625); ("soda", 1069.); ("chrysalis", 1912.) ]
 
 (* Exact: what arming screening with a zero-probability plan adds to a
-   Chrysalis echo call, over 128 calls. *)
-let screening_premium = 264.21875
+   Chrysalis echo call, over 128 calls.  A difference of two echo
+   costs: a screened call drains 52 engine tasks, an unscreened one 55,
+   so when a drained task became 4 words cheaper (2,897.2 → 2,689.2
+   screened, 2,633 → 2,413 unscreened) this difference grew by 12
+   words with no new allocation on the screened path. *)
+let screening_premium = 276.21875
 
 (* ---- Analysers, per event of the wl-farm-open ~n1K stream ----------- *)
 
-let stream_feed = 10.94
-let races_feed = 10.94
+let stream_feed = 4.54
+let races_feed = 4.54
 
 (* Exact: [Stream.feed] allocates nothing beyond [Races.feed]. *)
 let stream_over_races = 0.
 
+(* Exact: words the analysers' state keeps reachable once the stream
+   is over, per client (Obj.reachable_words); the ~n4K farm must keep
+   the same (+2%). *)
+let races_resident = 58.184
+
 (* ---- Pipeline: Run.execute of that farm, per event ------------------ *)
 
-let pipeline_event = 111.46
+let pipeline_event = 95.19
 
 (* ---- Shard run: one default Shard_rpc run at one shard -------------- *)
 
-let shard_run = 9104.
+let shard_run = 8610.
 
 (* Exact: one message between two nodes on one shard — send, barrier
    exchange, injection, and a [recv] parked and woken. *)
-let shard_recv_cycle = 218.
+let shard_recv_cycle = 210.

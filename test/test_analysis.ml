@@ -371,8 +371,16 @@ let event_log_tests =
                    | Event.Spawn { fid; name } -> Some (fid, name)
                    | _ -> None)
           in
-          checkb "one spawn per fiber, in id order" true
-            (spawns
+          checki "one spawn per fiber"
+            (List.length v.Engine.v_fibers + v.Engine.v_finished)
+            (List.length spawns);
+          checkb "unfinished fibers in spawn order" true
+            (List.filter
+               (fun s ->
+                 List.exists
+                   (fun f -> (f.Engine.fi_id, f.Engine.fi_name) = s)
+                   v.Engine.v_fibers)
+               spawns
             = List.map
                 (fun f -> (f.Engine.fi_id, f.Engine.fi_name))
                 v.Engine.v_fibers)))

@@ -366,6 +366,36 @@ let discover_repair_test =
 
 let soda_repair = [ hint_chain_test; discover_repair_test ]
 
+(* With top-level reply acks, a reply the kernel delivered completes
+   even when the link dies before its [Ack] arrives: here the client
+   exits as soon as its call returns. *)
+let reply_ack_test =
+  Alcotest.test_case "a delivered reply survives the caller's exit" `Quick
+    (fun () ->
+      let e = Engine.create () in
+      let w = Harness.Backend_world.charlotte_acks.create e ~nodes:2 in
+      let link = Sync.Ivar.create e in
+      let outcome = ref "not replied" and answer = ref [] in
+      let server =
+        Lynx.World.spawn w ~node:0 ~name:"server" (fun p ->
+            let inc = P.await_request p () in
+            (match inc.P.in_reply [ V.Int 7 ] with
+            | () -> outcome := "completed"
+            | exception exn -> outcome := Printexc.to_string exn);
+            P.sleep p (Time.ms 50))
+      in
+      let client =
+        Lynx.World.spawn w ~node:1 ~name:"client" (fun p ->
+            answer := P.call p (Sync.Ivar.read link) ~op:"get" [])
+      in
+      ignore
+        (Engine.spawn e ~name:"driver" (fun () ->
+             let _, cs = Lynx.World.link_between w server client in
+             Sync.Ivar.fill link cs));
+      Engine.run e;
+      checkb "the call returned the reply" true (!answer = [ V.Int 7 ]);
+      Alcotest.(check string) "the server's reply" "completed" !outcome)
+
 (* Fuzz: feeding arbitrary bytes to the wire decoders must produce a
    value or the codec's own Malformed error — never a crash. *)
 let fuzz_tests =
@@ -409,5 +439,6 @@ let () =
       ("soda_wire", soda_wire);
       ("chrysalis_layout", chrysalis_layout);
       ("soda_repair", soda_repair);
+      ("charlotte_acks", [ reply_ack_test ]);
       ("fuzz", fuzz_tests);
     ]

@@ -137,6 +137,7 @@ let broken_outcome =
           { Engine.fi_id = 0; fi_name = "server"; fi_daemon = false; fi_state = "blocked:receive" };
           { Engine.fi_id = 1; fi_name = "client"; fi_daemon = false; fi_state = "runnable" };
         ];
+      v_finished = 0;
       v_crashes = [];
       v_events =
         Array.map

@@ -107,7 +107,7 @@ let pinned_hashes =
     ("charlotte", 0xd6b85e2b70dc4cddL);
     ("soda", 0xf64949c00c186becL);
     ("chrysalis", 0x16cb570a2d07939cL);
-    ("charlotte+acks", 0x0f393a64cacf8d8eL);
+    ("charlotte+acks", 0xd82f3283fd54e470L);
     ("charlotte+hints", 0xd6b85e2b70dc4cddL);
     ("chrysalis+tuned", 0xd5b0c8325c4f40dcL);
   ]

@@ -165,6 +165,75 @@ let heap_clear_tests =
         checkb "payload collected after clear" true (Weak.check w 0 = false))
   ]
 
+(* ---- retention: what a run can no longer read is collectable -------- *)
+
+(* [collected w] after a full major collection: whether the value the
+   weak pointer watched is gone.  The values are made in separate
+   non-inlined functions, so no stack slot of the test keeps them. *)
+let collected w =
+  Gc.full_major ();
+  not (Weak.check w 0)
+
+let watch v =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some v);
+  w
+
+let[@inline never] finished_fiber ~stackless e =
+  let captured = ref 0 in
+  let body () = captured := !captured + 1 in
+  let f =
+    if stackless then
+      Engine.spawn_stackless e ~name:"short" (fun () ->
+          Engine.sleep_then e (Time.us 1) body)
+    else
+      Engine.spawn e ~name:"short" (fun () ->
+          Engine.sleep e (Time.us 1);
+          body ())
+  in
+  (watch f, watch captured)
+
+let[@inline never] taken_task q =
+  let captured = ref 0 in
+  Taskq.add q ~time:1 ~seq:0 ~clk:Vclock.empty (fun () -> incr captured);
+  (Taskq.take q).Taskq.fn ();
+  watch captured
+
+let[@inline never] popped_payload h =
+  let payload = ref 0 in
+  Heap.add h ~time:1 ~seq:0 payload;
+  ignore (Sys.opaque_identity (Heap.pop h));
+  watch payload
+
+let retention_tests =
+  List.map
+    (fun stackless ->
+      Alcotest.test_case
+        (Printf.sprintf "a finished %s fiber is released"
+           (if stackless then "stackless" else "effect"))
+        `Quick (fun () ->
+          let e = Engine.create () in
+          let fiber, captured = finished_fiber ~stackless e in
+          Engine.run e;
+          checkb "fiber collected" true (collected fiber);
+          checkb "captured value collected" true (collected captured);
+          checki "counted" 1 (Engine.view e).Engine.v_finished))
+    [ false; true ]
+  @ [
+      Alcotest.test_case "a taken task is released by the queue" `Quick
+        (fun () ->
+          let q = Taskq.create () in
+          let captured = taken_task q in
+          checkb "collected" true (collected captured);
+          checki "empty" 0 (Taskq.length (Sys.opaque_identity q)));
+      Alcotest.test_case "a popped payload is released by the heap" `Quick
+        (fun () ->
+          let h = Heap.create () in
+          let payload = popped_payload h in
+          checkb "collected" true (collected payload);
+          checkb "empty" true (Heap.is_empty (Sys.opaque_identity h)));
+    ]
+
 (* Add+pop pairs on a queue that holds 100 entries throughout, so its
    backing array (128 slots) never grows: what one scheduled event
    costs the queue. *)
@@ -192,7 +261,7 @@ let queue_rung_tests =
           (words_per_pair
              ~add:(fun ~time ~seq ->
                Taskq.add q ~time ~seq ~clk:Vclock.empty ignore)
-             ~pop:(fun () -> Taskq.pop q)));
+             ~pop:(fun () -> Taskq.take q)));
   ]
 
 (* ---- structured event log: array representation ----------------------- *)
@@ -796,14 +865,31 @@ let engine_tests =
         let v = Engine.view e in
         checki "no pending tasks" 0 v.Engine.v_pending;
         checki "one blocked" 1 (List.length v.Engine.v_blocked);
-        checki "two fibers" 2 (List.length v.Engine.v_fibers);
+        checki "one unfinished fiber" 1 (List.length v.Engine.v_fibers);
+        checki "one finished fiber" 1 v.Engine.v_finished;
         match v.Engine.v_fibers with
-        | [ f0; f1 ] ->
-          checki "ids in order" 0 f0.Engine.fi_id;
-          checki "ids in order" 1 f1.Engine.fi_id;
-          check Alcotest.string "state" "blocked:forever" f0.Engine.fi_state;
-          check Alcotest.string "state" "finished" f1.Engine.fi_state
-        | _ -> Alcotest.fail "expected two fiber infos");
+        | [ f0 ] ->
+          checki "id" 0 f0.Engine.fi_id;
+          check Alcotest.string "state" "blocked:forever" f0.Engine.fi_state
+        | _ -> Alcotest.fail "expected one fiber info");
+    Alcotest.test_case "a pinned fid is used once" `Quick (fun () ->
+        let e = Engine.create () in
+        let spawn fid = ignore (Engine.spawn e ~fid (fun () -> ())) in
+        let auto = Engine.fiber_id (Engine.spawn e (fun () -> ())) in
+        spawn 5_000;
+        spawn 7;
+        List.iter
+          (fun fid ->
+            Alcotest.check_raises (Printf.sprintf "fid %d again" fid)
+              (Invalid_argument
+                 (Printf.sprintf "Engine.spawn: fid %d already used" fid))
+              (fun () -> spawn fid))
+          [ auto; 7; 5_000 ];
+        Alcotest.check_raises "negative"
+          (Invalid_argument "Engine.spawn: negative fid") (fun () ->
+            spawn (-1));
+        checki "the counter moved past the largest" 5_001
+          (Engine.fiber_id (Engine.spawn e (fun () -> ()))));
     Alcotest.test_case "blocked_fibers reports reason" `Quick (fun () ->
         let e = Engine.create () in
         ignore
@@ -1272,7 +1358,9 @@ let stackless_tests =
           (Engine.events_hash steps);
         check Alcotest.(list string) "fiber states"
           (List.map (fun f -> f.Engine.fi_state) (Engine.view direct).Engine.v_fibers)
-          (List.map (fun f -> f.Engine.fi_state) (Engine.view steps).Engine.v_fibers));
+          (List.map (fun f -> f.Engine.fi_state) (Engine.view steps).Engine.v_fibers);
+        checki "finished fibers" (Engine.view direct).Engine.v_finished
+          (Engine.view steps).Engine.v_finished);
     Alcotest.test_case "a step that blocks twice raises Invalid_argument"
       `Quick (fun () ->
         let e = Engine.create () in
@@ -1311,8 +1399,9 @@ let stackless_tests =
         in
         Engine.run e ~expect_quiescent:true;
         checkb "finished" false (Engine.fiber_alive f);
-        check Alcotest.(list string) "states" [ "finished" ]
-          (List.map (fun f -> f.Engine.fi_state) (Engine.view e).Engine.v_fibers));
+        check Alcotest.(list string) "states" []
+          (List.map (fun f -> f.Engine.fi_state) (Engine.view e).Engine.v_fibers);
+        checki "counted as finished" 1 (Engine.view e).Engine.v_finished);
     Alcotest.test_case "each kind of op refuses the other kind of fiber" `Quick
       (fun () ->
         let e = Engine.create ~on_crash:`Record () in
@@ -1612,4 +1701,5 @@ let () =
       ("stackless", stackless_tests);
       ("vclock", vclock_tests);
       ("counters", counter_tests);
+      ("retention", retention_tests);
     ]

@@ -598,6 +598,23 @@ let test_population_independent () =
     ~budget:(stream_words (Lazy.force farm_1k))
     (stream_words (recorded (farm "4K")))
 
+(* What the analysers keep once the stream is over: every object's
+   race-detector state, per client of the population.  Words reachable
+   from the state are deterministic, so the rung is exact; a farm four
+   times the size must keep the same per client. *)
+let resident_words_per_client ~clients events =
+  let t = Array.fold_left (fun t ev -> Stream.feed ev t) (Stream.init ()) events in
+  float (Obj.reachable_words (Obj.repr t)) /. float clients
+
+let test_resident_words () =
+  let n1k =
+    resident_words_per_client ~clients:1_000 (Lazy.force farm_1k)
+  in
+  Budgets.exact "resident words per client" ~budget:Budgets.races_resident
+    n1k;
+  Budgets.gate "resident n4K against n1K" ~budget:n1k
+    (resident_words_per_client ~clients:4_000 (recorded (farm "4K")))
+
 (* The whole observed pipeline on the same farm — engine, streaming
    analyser and judge, nothing retained — per event of its stream: a
    consumer that does work, added anywhere on the emit path, shows up
@@ -641,5 +658,7 @@ let () =
             `Quick test_population_independent;
           Alcotest.test_case "words per event through Run.execute" `Quick
             test_pipeline_words;
+          Alcotest.test_case "race-detector resident words per client"
+            `Quick test_resident_words;
         ] );
     ]
