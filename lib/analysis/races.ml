@@ -232,11 +232,11 @@ let feed st (ev : Event.t) =
   | Event.Drop _ | Event.Fault _ ->
     ()
 
-(* Sorted object-name array: rule output order, and the substrate for
-   the R-MOVE prefix range search. *)
+(* Every object name, sorted: the substrate for the R-MOVE prefix range
+   search, which must see the queues that never needed a sync record. *)
 let sorted_objs tbl =
   let objs = Array.of_seq (Hashtbl.to_seq_keys tbl) in
-  Array.sort compare objs;
+  Array.sort String.compare objs;
   objs
 
 let starts_with ~prefix s =
@@ -258,10 +258,10 @@ let queue_to_list q = List.rev (Queue.fold (fun acc x -> x :: acc) [] q)
 
 (* R-MSG: concurrent sends into the same queue — already folded, just
    read the conclusion. *)
-let message_races tbl objs =
+let message_races synced =
   List.filter_map
-    (fun obj ->
-      let y = (Hashtbl.find tbl obj).os_sync in
+    (fun (obj, s) ->
+      let y = s.os_sync in
       match y.y_first with
       | None -> None
       | Some (_, fi, opi, fj, opj) ->
@@ -276,7 +276,7 @@ let message_races tbl objs =
                 opi fi opj fj y.y_pairs
                 (if y.y_pairs = 1 then "" else "s");
           })
-    (Array.to_list objs)
+    synced
 
 (* R-SIG: a lost-signal window.  Two shapes:
 
@@ -296,10 +296,10 @@ let message_races tbl objs =
    pruned consumed prefixes as the counts grew, so the queues here hold
    exactly the surviving suffixes the old frozen-array version indexed
    into. *)
-let signal_races tbl objs =
+let signal_races synced =
   List.filter_map
-    (fun obj ->
-      let y = (Hashtbl.find tbl obj).os_sync in
+    (fun (obj, s) ->
+      let y = s.os_sync in
       let sigs = queue_to_list y.y_sigs in
       let blocked_miss =
         let waits = queue_to_list y.y_waits in
@@ -350,7 +350,7 @@ let signal_races tbl objs =
                 sfid;
           }
       | None, None -> None)
-    (Array.to_list objs)
+    synced
 
 let oldest_first sends =
   let rec go acc = function
@@ -365,10 +365,9 @@ let oldest_first sends =
    queues all share the ["<end>."] name prefix, so they occupy a
    contiguous range of the sorted object array — a binary search plus a
    bounded scan replaces a full-table prefix test per moved object. *)
-let move_races tbl objs =
+let move_races tbl objs synced =
   List.filter_map
-    (fun mobj ->
-      let ms = Hashtbl.find tbl mobj in
+    (fun (mobj, ms) ->
       match ms.os_sync.y_moves with
       | [] -> None
       | rev_moves -> (
@@ -414,13 +413,26 @@ let move_races tbl objs =
                    fiber #%d on %s: the message was never received"
                   mfid op sfid qobj;
             }))
-    (Array.to_list objs)
+    synced
 
+(* Rule output is in object-name order.  An object still on the shared
+   [no_sync] record can yield no finding: R-MSG and R-SIG read only its
+   (empty) sync state, and R-MOVE needs it to have moved.  So only the
+   objects with their own record are collected and sorted — none at
+   all in a population run of one-message queues — and the full sorted
+   name array is built only when some object moved, for R-MOVE's scan
+   of the moved end's queues, which may have no sync record. *)
 let findings st =
-  let objs = sorted_objs st.st_tbl in
-  message_races st.st_tbl objs
-  @ signal_races st.st_tbl objs
-  @ move_races st.st_tbl objs
+  let synced =
+    Hashtbl.fold
+      (fun obj s acc -> if s.os_sync == no_sync then acc else (obj, s) :: acc)
+      st.st_tbl []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let moved = List.exists (fun (_, s) -> s.os_sync.y_moves <> []) synced in
+  message_races synced
+  @ signal_races synced
+  @ (if moved then move_races st.st_tbl (sorted_objs st.st_tbl) synced else [])
 
 let analyze events =
   let st = init () in

@@ -1,4 +1,9 @@
-type fiber_state = Runnable | Blocked of string | Finished | Crashed
+(* A fiber is [Blocked] at a suspension or sleep until its waker or
+   timer resumes it, and [Parked] by {!park} until a {!wake}, which
+   leaves it [Woken] until the queued resumption runs.  The reason a
+   blocked fiber waits rides in [reason], so blocking allocates no
+   state. *)
+type fiber_state = Runnable | Blocked | Parked | Woken | Finished | Crashed
 
 type fiber = {
   fid : int;
@@ -6,6 +11,7 @@ type fiber = {
   daemon : bool;
   stackless : bool;
   mutable state : fiber_state;
+  mutable reason : string;
   mutable clock : Vclock.t;
   (* [Some] of this very record, built once: making the fiber current
      on every resume would otherwise allocate the option each time. *)
@@ -109,6 +115,7 @@ let sentinel () =
       daemon = true;
       stackless = true;
       state = Finished;
+      reason = "";
       clock = Vclock.empty;
       self = None;
       next = s;
@@ -383,7 +390,8 @@ let inject t ~time ~clk task =
   t.seq <- seq + 1;
   Taskq.add t.tasks ~time:(Time.to_ns time) ~seq ~clk task
 
-let next_task_time t = Option.map Time.ns (Taskq.peek_time t.tasks)
+let next_task_ns t =
+  if Taskq.length t.tasks = 0 then max_int else Taskq.min_time t.tasks
 
 let fiber_name f = f.name
 let fiber_id f = f.fid
@@ -436,13 +444,15 @@ let resume t fiber go x v =
 (* A running fiber is [Runnable] until it blocks.  An effect fiber
    cannot block twice without being resumed in between; a stackless
    step that tries raises here, which is its crash. *)
-let start_block fiber reason =
+let start_block fiber state reason =
   match fiber.state with
-  | Runnable -> fiber.state <- reason
+  | Runnable ->
+    fiber.state <- state;
+    fiber.reason <- reason
   | _ -> invalid_arg "Engine: a stackless step may block only once"
 
 let block t fiber reason register go x =
-  start_block fiber (Blocked reason);
+  start_block fiber Blocked reason;
   (* Unobserved, only the tag is read: skip building the record. *)
   emit t (if t.observed then Event.Block { reason } else unread_block);
   let fired = ref false in
@@ -457,7 +467,7 @@ let block t fiber reason register go x =
    fiber directly: same timestamp, same Block event, same causality
    (the entry carries the fiber's own clock back). *)
 let block_sleep t fiber d go x =
-  start_block fiber (Blocked "sleep");
+  start_block fiber Blocked "sleep";
   emit t (Event.Block { reason = "sleep" });
   schedule_after t d (fun () -> resume t fiber go x ())
 
@@ -527,6 +537,7 @@ let new_fiber t ?fid ?(name = "fiber") ?(daemon = false) ~stackless () =
       daemon;
       stackless;
       state = Runnable;
+      reason = "";
       clock;
       self = Some fiber;
       next = t.live;
@@ -583,11 +594,6 @@ let run_step t fiber k v =
   (try k v with e -> handle_crash t fiber e);
   end_step t fiber
 
-let run_step_result t fiber k r =
-  (try match r with Ok v -> k v | Error e -> raise e
-   with e -> handle_crash t fiber e);
-  end_step t fiber
-
 let spawn_stackless t ?fid ?name ?daemon step =
   let fiber = new_fiber t ?fid ?name ?daemon ~stackless:true () in
   enqueue t t.now (fun () ->
@@ -605,10 +611,22 @@ let stackless_current t who =
 let sleep_then t d k =
   block_sleep t (stackless_current t "Engine.sleep_then") d run_step k
 
-let suspend_then t ?(reason = "wait") register k =
-  block t
-    (stackless_current t "Engine.suspend_then")
-    reason register run_step_result k
+(* Park and wake: the waker-free block of a stackless fiber.  Whoever
+   parks the fiber keeps it and the step to resume it with, so a
+   park/wake pair allocates only the resumption task. *)
+let park t ~reason =
+  let fiber = stackless_current t "Engine.park" in
+  start_block fiber Parked reason;
+  emit t (if t.observed then Event.Block { reason } else unread_block);
+  fiber
+
+let wake t fiber k v =
+  match fiber.state with
+  | Parked ->
+    fiber.state <- Woken;
+    enqueue t t.now (fun () -> resume t fiber run_step k v)
+  | Crashed -> ()
+  | _ -> invalid_arg "Engine.wake: the fiber is not parked"
 
 (* Newest first, as the names have always been listed: a walk from the
    oldest that conses onto the front. *)
@@ -618,8 +636,8 @@ let blocked_fibers t =
     else
       go f.next
         (match (f.daemon, f.state) with
-        | false, Blocked reason ->
-          Printf.sprintf "%s (%s)" f.name reason :: acc
+        | false, (Blocked | Parked | Woken) ->
+          Printf.sprintf "%s (%s)" f.name f.reason :: acc
         | _ -> acc)
   in
   go t.live.next []
@@ -629,7 +647,7 @@ let crashed t = List.rev t.crashes
 let fiber_state_name f =
   match f.state with
   | Runnable -> "runnable"
-  | Blocked reason -> "blocked:" ^ reason
+  | Blocked | Parked | Woken -> "blocked:" ^ f.reason
   | Finished -> "finished"
   | Crashed -> "crashed"
 

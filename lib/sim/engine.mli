@@ -9,9 +9,10 @@
       whenever they wait for a simulated event.  Each keeps its own
       stack while parked.
     - {e stackless fibers} ({!spawn_stackless}) are chains of steps.  A
-      step is a plain function that ends by registering its successor
-      with a callback op ({!sleep_then}, {!suspend_then}); parked, the
-      fiber is that callback and nothing else.  Population runs use
+      step is a plain function that ends with a blocking op: a
+      {!sleep_then} that names its successor, or a {!park} whose
+      caller keeps the successor for the {!wake}; blocked, the fiber is
+      that successor and nothing else.  Population runs use
       them: a parked effect fiber holds about 930 B more than a finished
       one, which is most of what a hundred thousand idle clients cost.
 
@@ -239,9 +240,10 @@ val inject : t -> time:Time.t -> clk:Vclock.t -> (unit -> unit) -> unit
     engines; ordering among simultaneous deliveries is the
     coordinator's responsibility (it injects in canonical order). *)
 
-val next_task_time : t -> Time.t option
-(** Timestamp of the earliest queued task, if any — what the shard
-    coordinator uses to skip empty lookahead windows. *)
+val next_task_ns : t -> int
+(** Timestamp, in ns, of the earliest queued task, or [max_int] when
+    none is queued — what the shard coordinator uses to skip empty
+    lookahead windows, once per window and without an option. *)
 
 val spawn : t -> ?fid:int -> ?name:string -> ?daemon:bool -> (unit -> unit) -> fiber
 (** Starts a fiber at the current virtual time.  [daemon] fibers (default
@@ -336,17 +338,17 @@ val yield : t -> unit
 
     A stackless fiber runs as a chain of steps.  Its first step is the
     function given to {!spawn_stackless}; every later step is the
-    callback that the previous step handed to {!sleep_then} or
-    {!suspend_then}.  Each step runs with the fiber current, exactly
+    callback that the previous step handed to {!sleep_then}, or the
+    one a {!wake} names after the previous step {!park}ed.  Each step runs with the fiber current, exactly
     like an effect fiber between two suspensions, so events, clocks,
     task order and fingerprints are those of the direct-style program
     the steps spell out.
 
     {b Step contract.}
-    - A callback op is the {e last} action of a step: it registers the
-      successor and returns at once, and the step must return right
-      after it.
-    - A step blocks at most once: a second callback op in the same step
+    - A blocking op ({!sleep_then}, {!park}) is the {e last} action of
+      a step: it returns at once, and the step must return right after
+      it.
+    - A step blocks at most once: a second blocking op in the same step
       raises [Invalid_argument].
     - An exception escaping a step is the fiber's crash (recorded, or
       raised by {!run}, per [on_crash]), and a crashed fiber is never
@@ -368,12 +370,24 @@ val sleep_then : t -> Time.t -> (unit -> unit) -> unit
     then runs [k ()] as its next step: the stackless {!sleep}.  Raises
     [Invalid_argument] outside a stackless fiber. *)
 
-val suspend_then :
-  t -> ?reason:string -> ('a waker -> unit) -> ('a -> unit) -> unit
-(** [suspend_then t register k] blocks the current stackless fiber,
-    calls [register] with a waker, and once the waker fires runs [k v]
-    as the next step ([Error e] raises [e] in that step): the stackless
-    {!suspend}.  Raises [Invalid_argument] outside a stackless fiber. *)
+val park : t -> reason:string -> fiber
+(** [park t ~reason] blocks the current stackless fiber until a {!wake}
+    and returns it: the stackless {!suspend}, without a waker.  It emits
+    the same {!Event.Block} a suspension does, and the fiber is listed
+    by {!blocked_fibers} as ["name (reason)"] while parked.  The caller
+    keeps the fiber, and the step to resume it with, wherever the
+    wake-up will come from.  Raises [Invalid_argument] outside a
+    stackless fiber. *)
+
+val wake : t -> fiber -> ('a -> unit) -> 'a -> unit
+(** [wake t fiber k v] enqueues one task at the current time that
+    resumes the parked [fiber] with [k v] as its next step.  Like a
+    waker, the task carries the waking context's clock, which the
+    resumption merges into the fiber's.  A fiber is woken at most once
+    per park: [wake] raises [Invalid_argument] on a fiber that is not
+    parked (running, finished, asleep, suspended, or already woken).
+    Waking a fiber that crashed does nothing: a crashed fiber is never
+    resumed.  Allocates the task and nothing else. *)
 
 val current_fiber_name : t -> string
 (** Name of the running fiber, or ["<scheduler>"] outside any fiber. *)

@@ -6,7 +6,7 @@ let create () = { arr = [||]; len = 0 }
 let length h = h.len
 let is_empty h = h.len = 0
 
-let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let[@inline] lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 (* Fill value for fresh backing arrays; never read past [len], so its
    payload's type does not matter.  Filling a major-heap-sized array
@@ -20,50 +20,58 @@ let grow h =
   Array.blit h.arr 0 narr 0 h.len;
   h.arr <- narr
 
+(* Both sifts move a hole instead of swapping, as [Taskq]'s do: one
+   write per level, and the same final slots as a swapping sift. *)
 let add h ~time ~seq payload =
   let e = { time; seq; payload } in
   if h.len = Array.length h.arr then grow h;
-  h.arr.(h.len) <- e;
+  let arr = h.arr in
+  let i = ref h.len in
   h.len <- h.len + 1;
-  (* Sift up. *)
-  let i = ref (h.len - 1) in
-  while !i > 0 && lt h.arr.(!i) h.arr.((!i - 1) / 2) do
+  while !i > 0 && lt e arr.((!i - 1) / 2) do
     let p = (!i - 1) / 2 in
-    let tmp = h.arr.(p) in
-    h.arr.(p) <- h.arr.(!i);
-    h.arr.(!i) <- tmp;
+    arr.(!i) <- arr.(p);
     i := p
-  done
+  done;
+  arr.(!i) <- e
+
+(* The vacated last slot is cleared: a stale entry would keep its
+   payload reachable until a later add reused the slot. *)
+let take_entry h =
+  let arr = h.arr in
+  let top = arr.(0) in
+  let n = h.len - 1 in
+  h.len <- n;
+  let last = arr.(n) in
+  arr.(n) <- Obj.magic placeholder;
+  if n > 0 then begin
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < n && lt arr.(l + 1) arr.(l) then l + 1 else l in
+      if c < n && lt arr.(c) last then begin
+        arr.(!i) <- arr.(c);
+        i := c
+      end
+      else continue := false
+    done;
+    arr.(!i) <- last
+  end;
+  top
 
 let pop h =
   if h.len = 0 then None
-  else begin
-    let top = h.arr.(0) in
-    h.len <- h.len - 1;
-    h.arr.(0) <- h.arr.(h.len);
-    (* Clear the vacated slot: a stale entry would keep its payload
-       reachable until a later add reused the slot. *)
-    h.arr.(h.len) <- Obj.magic placeholder;
-    if h.len > 0 then begin
-      (* Sift down. *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && lt h.arr.(l) h.arr.(!smallest) then smallest := l;
-        if r < h.len && lt h.arr.(r) h.arr.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = h.arr.(!smallest) in
-          h.arr.(!smallest) <- h.arr.(!i);
-          h.arr.(!i) <- tmp;
-          i := !smallest
-        end
-      done
-    end;
+  else
+    let top = take_entry h in
     Some (top.time, top.seq, top.payload)
-  end
+
+let take h =
+  if h.len = 0 then invalid_arg "Heap.take: empty heap"
+  else (take_entry h).payload
+
+let min_time h =
+  if h.len = 0 then invalid_arg "Heap.min_time: empty heap"
+  else h.arr.(0).time
 
 let peek_time h = if h.len = 0 then None else Some h.arr.(0).time
 

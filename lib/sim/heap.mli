@@ -18,6 +18,15 @@ val pop : 'a t -> (int * int * 'a) option
 val peek_time : 'a t -> int option
 (** Key time of the minimum entry, without removing it. *)
 
+val take : 'a t -> 'a
+(** Removes the entry with the smallest [(time, seq)] key and returns
+    its payload, allocating nothing: read {!min_time} first for its
+    time.  Raises [Invalid_argument] on an empty heap. *)
+
+val min_time : 'a t -> int
+(** Key time of the minimum entry, allocating nothing.  Raises
+    [Invalid_argument] on an empty heap. *)
+
 val clear : 'a t -> unit
 (** Empties the heap and releases the backing storage, so payloads
     (frequently closures pinning large object graphs) become

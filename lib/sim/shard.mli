@@ -90,7 +90,13 @@ val run : ?expect_quiescent:bool -> 'msg t -> unit
     The coordinator keeps only what a later window or result can read:
     a node that finishes is released by its engine, and each window's
     events leave the per-shard buffers once the sink has absorbed them
-    (the sink retains them only per its [log_capacity]). *)
+    (the sink retains them only per its [log_capacity]).
+
+    A barrier allocates nothing per message or event: outboxes and
+    event buffers are per-shard growable arrays reused window after
+    window, the canonical orders are sorted in place through reusable
+    scratch arrays (a buffer already in order is only checked), and
+    every vacated slot is cleared. *)
 
 (** {1 Node operations} — callable only from inside a node's steps.
 
@@ -141,7 +147,10 @@ val recv : 'msg ctx -> ('msg -> unit) -> unit
     waiting (blocked, reason ["recv"]) until one arrives if the inbox is
     empty; delivery order is the canonical barrier order.  Emits an
     {!Event.Receive} and merges the sender's clock into the node's
-    before [k] runs. *)
+    before [k] runs.  A waiting [recv] parks the node's fiber
+    ({!Engine.park}); the node keeps [k], and the delivery wakes the
+    fiber ({!Engine.wake}), so a parked receive allocates nothing
+    beyond the wake's task. *)
 
 val sleep : 'msg ctx -> Time.t -> (unit -> unit) -> unit
 (** [sleep ctx d k] continues with [k ()] after [d] of virtual time. *)

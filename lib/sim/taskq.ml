@@ -17,7 +17,7 @@ type t = { mutable arr : entry array; mutable len : int }
 let create () = { arr = [||]; len = 0 }
 let length q = q.len
 
-let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let[@inline] lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 (* Fill value for fresh backing arrays; never read past [len].  Filling
    a major-heap-sized array with a young entry would make [Array.make]
@@ -30,19 +30,22 @@ let grow q =
   Array.blit q.arr 0 narr 0 q.len;
   q.arr <- narr
 
+(* Both sifts move a hole instead of swapping: each level writes one
+   slot, and the moving entry is written once, where it settles.  The
+   slots end up exactly as a swapping sift leaves them, so the order of
+   equal keys is unchanged too. *)
 let add q ~time ~seq ~clk fn =
   let e = { time; seq; clk; fn } in
   if q.len = Array.length q.arr then grow q;
-  q.arr.(q.len) <- e;
+  let arr = q.arr in
+  let i = ref q.len in
   q.len <- q.len + 1;
-  let i = ref (q.len - 1) in
-  while !i > 0 && lt q.arr.(!i) q.arr.((!i - 1) / 2) do
+  while !i > 0 && lt e arr.((!i - 1) / 2) do
     let p = (!i - 1) / 2 in
-    let tmp = q.arr.(p) in
-    q.arr.(p) <- q.arr.(!i);
-    q.arr.(!i) <- tmp;
+    arr.(!i) <- arr.(p);
     i := p
-  done
+  done;
+  arr.(!i) <- e
 
 (* The vacated last slot is overwritten with [placeholder]: left as it
    was, it would keep the moved entry's closure — and whatever world
@@ -50,26 +53,24 @@ let add q ~time ~seq ~clk fn =
 let take q =
   if q.len = 0 then invalid_arg "Taskq.take: empty queue"
   else begin
-    let top = q.arr.(0) in
-    q.len <- q.len - 1;
-    q.arr.(0) <- q.arr.(q.len);
-    q.arr.(q.len) <- placeholder;
-    if q.len > 0 then begin
-      let i = ref 0 in
-      let continue = ref true in
+    let arr = q.arr in
+    let top = arr.(0) in
+    let n = q.len - 1 in
+    q.len <- n;
+    let last = arr.(n) in
+    arr.(n) <- placeholder;
+    if n > 0 then begin
+      let i = ref 0 and continue = ref true in
       while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < q.len && lt q.arr.(l) q.arr.(!smallest) then smallest := l;
-        if r < q.len && lt q.arr.(r) q.arr.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = q.arr.(!smallest) in
-          q.arr.(!smallest) <- q.arr.(!i);
-          q.arr.(!i) <- tmp;
-          i := !smallest
+        let l = (2 * !i) + 1 in
+        let c = if l + 1 < n && lt arr.(l + 1) arr.(l) then l + 1 else l in
+        if c < n && lt arr.(c) last then begin
+          arr.(!i) <- arr.(c);
+          i := c
         end
-      done
+        else continue := false
+      done;
+      arr.(!i) <- last
     end;
     top
   end
@@ -77,5 +78,3 @@ let take q =
 let min_time q =
   if q.len = 0 then invalid_arg "Taskq.min_time: empty queue"
   else q.arr.(0).time
-
-let peek_time q = if q.len = 0 then None else Some q.arr.(0).time

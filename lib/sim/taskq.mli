@@ -28,5 +28,3 @@ val take : t -> entry
 val min_time : t -> int
 (** Key time of the smallest entry, without allocating.  Raises
     [Invalid_argument] on an empty queue. *)
-
-val peek_time : t -> int option

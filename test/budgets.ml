@@ -12,8 +12,8 @@
    - task queue (exact) — test_sim: "words per task queue add+pop";
    - engine — test_sim: "words per sleep" and "words per waitq wait,
      signal and sleep" (+2%), "words per stackless sleep", "unobserved
-     emit of a constant kind allocates nothing" and "unobserved stamp
-     and adopt allocate nothing" (exact);
+     emit of a constant kind allocates nothing", "unobserved stamp
+     and adopt allocate nothing" and "words per park/wake" (exact);
    - vector clocks and counters (exact) — test_sim: "an owner tick
      costs one cell at any width", "merging a dominated clock
      allocates nothing", "Stats.incr allocates nothing";
@@ -27,7 +27,8 @@
      premium per echo call" (exact);
    - analysers — test_stream: "words per event fed to the analysers"
      (+2%, and exact for what Stream adds to Races), "words per event
-     independent of population" (+2% against the smaller farm);
+     independent of population" (+2% against the smaller farm), "words
+     of Stream.finish per client" (exact, and +2% for the larger farm);
    - pipeline — test_stream: "words per event through Run.execute"
      (+2%);
    - shard — test_shard: "words per one-shard run" (+2%) and "words
@@ -71,13 +72,18 @@ let taskq_pair = 5.
 
 let sleep_observed = 34.0
 let sleep_unobserved = 25.0
-let waitq_cycle_observed = 104.0
-let waitq_cycle_unobserved = 76.0
+let waitq_cycle_observed = 102.0
+let waitq_cycle_unobserved = 74.0
 
 (* Exact: one [sleep_then] of a stackless fiber looping on its own
    callback, the step's closure included. *)
 let stackless_sleep_observed = 26.
 let stackless_sleep_unobserved = 17.
+
+(* Exact: one [park] and [wake] of a stackless fiber on an unobserved
+   engine — the wake's task (its closure and queue entry) and nothing
+   else. *)
+let park_wake_unobserved = 12.
 
 (* Exact. *)
 let unobserved_emit = 0.
@@ -94,9 +100,9 @@ let stats_incr = 0.
 
 (* ---- One 0 B kernel primitive per backend, on an unobserved engine -- *)
 
-let charlotte_send_receive = 303.
-let soda_request_accept = 282.82
-let chrysalis_enqueue_post = 198.
+let charlotte_send_receive = 299.
+let soda_request_accept = 278.82
+let chrysalis_enqueue_post = 196.
 
 (* ---- LYNX op -------------------------------------------------------- *)
 
@@ -105,13 +111,13 @@ let codec_roundtrip = 122.
 
 (* One 0 B echo call per backend, on an unobserved engine. *)
 let echo_call =
-  [ ("charlotte", 1758.34); ("soda", 1616.96); ("chrysalis", 2413.0) ]
+  [ ("charlotte", 1730.34); ("soda", 1590.96); ("chrysalis", 2387.0) ]
 
 (* Exact: the LYNX premium, words per 0 B echo call minus words per
    0 B raw-kernel echo ([Rpc_bench.raw_charlotte], [raw_soda],
    [raw_chrysalis]) — what the run-time package adds above the kernel. *)
 let lynx_premium =
-  [ ("charlotte", 1153.640625); ("soda", 1069.); ("chrysalis", 1912.) ]
+  [ ("charlotte", 1133.640625); ("soda", 1049.); ("chrysalis", 1890.) ]
 
 (* Exact: what arming screening with a zero-probability plan adds to a
    Chrysalis echo call, over 128 calls.  A difference of two echo
@@ -134,14 +140,18 @@ let stream_over_races = 0.
    the same (+2%). *)
 let races_resident = 58.184
 
+(* Exact: words of [Stream.finish] on that farm's fed state, per
+   client; the ~n4K farm must cost no more (+2%). *)
+let stream_finish = 0.093
+
 (* ---- Pipeline: Run.execute of that farm, per event ------------------ *)
 
-let pipeline_event = 95.19
+let pipeline_event = 58.91
 
 (* ---- Shard run: one default Shard_rpc run at one shard -------------- *)
 
-let shard_run = 8610.
+let shard_run = 6674.
 
 (* Exact: one message between two nodes on one shard — send, barrier
    exchange, injection, and a [recv] parked and woken. *)
-let shard_recv_cycle = 210.
+let shard_recv_cycle = 92.

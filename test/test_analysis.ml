@@ -352,6 +352,412 @@ let races_clean_tests =
             S.names))
     Harness.Backend_world.all
 
+(* ---- Race detector: the conclusion against a reference ------------- *)
+
+(* The detector as it was before [findings] learned to skip objects with
+   no sync state: the same incremental feed, and a conclusion that sorts
+   every object name and runs every rule over every object.  Kept as
+   the reference the current conclusion must equal, list and order. *)
+module Reference = struct
+  type finding = R.finding = {
+    r_rule : string;
+    r_obj : string;
+    r_detail : string;
+  }
+
+  type sends =
+    | No_sends
+    | Send of {
+        s_idx : int;
+        s_fid : int;
+        s_op : string;
+        s_clk : Vclock.t;
+        s_unordered : bool;
+        s_older : sends;
+      }
+
+  type sync = {
+    mutable y_pairs : int;
+    mutable y_first : (int * int * string * int * string) option;
+    mutable y_sigs : (int * int * int * Vclock.t) Queue.t;
+    mutable y_n_sigs : int;
+    mutable y_n_seens : int;
+    mutable y_seens : (int * Vclock.t) Queue.t;
+    mutable y_waits : (int * int * Vclock.t) Queue.t;
+    mutable y_n_waits : int;
+    mutable y_n_wakes : int;
+    mutable y_moves : (int * Vclock.t) list;
+  }
+
+  type obj_state = {
+    mutable os_sends : sends;
+    mutable os_n_sends : int;
+    mutable os_n_recvs : int;
+    mutable os_sync : sync;
+  }
+
+  type state = {
+    mutable st_pos : int;
+    st_tbl : (string, obj_state) Hashtbl.t;
+  }
+
+  let init () = { st_pos = 0; st_tbl = Hashtbl.create 64 }
+
+  let no_sigs = Queue.create ()
+  let no_seens = Queue.create ()
+  let no_waits = Queue.create ()
+
+  let fresh_sync () =
+    {
+      y_pairs = 0;
+      y_first = None;
+      y_sigs = no_sigs;
+      y_n_sigs = 0;
+      y_n_seens = 0;
+      y_seens = no_seens;
+      y_waits = no_waits;
+      y_n_waits = 0;
+      y_n_wakes = 0;
+      y_moves = [];
+    }
+
+  let no_sync = fresh_sync ()
+
+  let sync_of s =
+    if s.os_sync == no_sync then s.os_sync <- fresh_sync ();
+    s.os_sync
+
+  let slot st obj =
+    match Hashtbl.find_opt st.st_tbl obj with
+    | Some s -> s
+    | None ->
+      let s =
+        { os_sends = No_sends; os_n_sends = 0; os_n_recvs = 0; os_sync = no_sync }
+      in
+      Hashtbl.add st.st_tbl obj s;
+      s
+
+  let feed st (ev : Event.t) =
+    let pos = st.st_pos in
+    st.st_pos <- pos + 1;
+    let fid = ev.Event.ev_fiber and clk = ev.Event.ev_clock in
+    match ev.Event.ev_kind with
+    | Event.Send { obj; op; unordered } ->
+      let s = slot st obj in
+      let idx = s.os_n_sends in
+      s.os_n_sends <- idx + 1;
+      if (not unordered) && s.os_sends != No_sends then begin
+        let pairs = ref 0 and min_i = ref (-1) and min_f = ref 0
+        and min_op = ref "" in
+        let rec scan = function
+          | No_sends -> ()
+          | Send { s_idx; s_fid; s_op; s_clk; s_unordered; s_older } ->
+            if (not s_unordered) && Vclock.concurrent s_clk clk then begin
+              incr pairs;
+              if !min_i < 0 || s_idx < !min_i then begin
+                min_i := s_idx;
+                min_f := s_fid;
+                min_op := s_op
+              end
+            end;
+            scan s_older
+        in
+        scan s.os_sends;
+        if !pairs > 0 then begin
+          let y = sync_of s in
+          y.y_pairs <- y.y_pairs + !pairs;
+          match y.y_first with
+          | Some (i0, _, _, _, _) when i0 <= !min_i -> ()
+          | _ -> y.y_first <- Some (!min_i, !min_f, !min_op, fid, op)
+        end
+      end;
+      s.os_sends <-
+        Send
+          {
+            s_idx = idx;
+            s_fid = fid;
+            s_op = op;
+            s_clk = clk;
+            s_unordered = unordered;
+            s_older = s.os_sends;
+          }
+    | Event.Receive { obj; _ } ->
+      let s = slot st obj in
+      s.os_n_recvs <- s.os_n_recvs + 1
+    | Event.Signal { obj; woke = false } ->
+      let y = sync_of (slot st obj) in
+      let idx = y.y_n_sigs in
+      y.y_n_sigs <- idx + 1;
+      if idx >= y.y_n_seens then begin
+        if y.y_sigs == no_sigs then y.y_sigs <- Queue.create ();
+        Queue.add (idx, pos, fid, clk) y.y_sigs
+      end
+    | Event.Signal { obj; woke = true } ->
+      let y = sync_of (slot st obj) in
+      y.y_n_wakes <- y.y_n_wakes + 1;
+      while
+        (not (Queue.is_empty y.y_waits))
+        &&
+        let i, _, _ = Queue.peek y.y_waits in
+        i < y.y_n_wakes
+      do
+        ignore (Queue.pop y.y_waits)
+      done
+    | Event.Signal_seen { obj } ->
+      let y = sync_of (slot st obj) in
+      y.y_n_seens <- y.y_n_seens + 1;
+      while
+        (not (Queue.is_empty y.y_sigs))
+        &&
+        let i, _, _, _ = Queue.peek y.y_sigs in
+        i < y.y_n_seens
+      do
+        ignore (Queue.pop y.y_sigs)
+      done;
+      if not (Queue.is_empty y.y_sigs) then begin
+        if y.y_seens == no_seens then y.y_seens <- Queue.create ();
+        Queue.add (pos, clk) y.y_seens
+      end
+    | Event.Wait { obj } ->
+      let y = sync_of (slot st obj) in
+      let idx = y.y_n_waits in
+      y.y_n_waits <- idx + 1;
+      if idx >= y.y_n_wakes then begin
+        if y.y_waits == no_waits then y.y_waits <- Queue.create ();
+        Queue.add (idx, fid, clk) y.y_waits
+      end
+    | Event.Link_move { obj } ->
+      let y = sync_of (slot st obj) in
+      y.y_moves <- (fid, clk) :: y.y_moves
+    | Event.Spawn _ | Event.Crash _ | Event.Note _ | Event.Block _
+    | Event.Drop _ | Event.Fault _ ->
+      ()
+
+  let sorted_objs tbl =
+    let objs = Array.of_seq (Hashtbl.to_seq_keys tbl) in
+    Array.sort compare objs;
+    objs
+
+  let starts_with ~prefix s =
+    String.length s > String.length prefix
+    && String.sub s 0 (String.length prefix) = prefix
+
+  let lower_bound (objs : string array) key =
+    let lo = ref 0 and hi = ref (Array.length objs) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if String.compare objs.(mid) key < 0 then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let queue_to_list q = List.rev (Queue.fold (fun acc x -> x :: acc) [] q)
+
+  let message_races tbl objs =
+    List.filter_map
+      (fun obj ->
+        let y = (Hashtbl.find tbl obj).os_sync in
+        match y.y_first with
+        | None -> None
+        | Some (_, fi, opi, fj, opj) ->
+          Some
+            {
+              r_rule = "R-MSG";
+              r_obj = obj;
+              r_detail =
+                Printf.sprintf
+                  "sends %S (fiber #%d) and %S (fiber #%d) are concurrent: \
+                   arrival order is a scheduler accident (%d pair%s)"
+                  opi fi opj fj y.y_pairs
+                  (if y.y_pairs = 1 then "" else "s");
+            })
+      (Array.to_list objs)
+
+  let signal_races tbl objs =
+    List.filter_map
+      (fun obj ->
+        let y = (Hashtbl.find tbl obj).os_sync in
+        let sigs = queue_to_list y.y_sigs in
+        let blocked_miss =
+          let waits = queue_to_list y.y_waits in
+          List.find_map
+            (fun (_, _, sfid, sclk) ->
+              List.find_map
+                (fun (_, wfid, wclk) ->
+                  if Vclock.concurrent sclk wclk then Some (sfid, wfid)
+                  else None)
+                waits)
+            sigs
+        in
+        let latched_miss =
+          if y.y_n_waits > 0 then None
+          else
+            let seens = queue_to_list y.y_seens in
+            List.find_map
+              (fun (_, spos, sfid, sclk) ->
+                List.find_map
+                  (fun (npos, nclk) ->
+                    if npos > spos && Vclock.concurrent sclk nclk then Some sfid
+                    else None)
+                  seens)
+              sigs
+        in
+        match (blocked_miss, latched_miss) with
+        | Some (sfid, wfid), _ ->
+          Some
+            {
+              r_rule = "R-SIG";
+              r_obj = obj;
+              r_detail =
+                Printf.sprintf
+                  "signal queued by fiber #%d was never consumed while fiber \
+                   #%d blocked concurrently and was never woken: lost-signal \
+                   window"
+                  sfid wfid;
+            }
+        | None, Some sfid ->
+          Some
+            {
+              r_rule = "R-SIG";
+              r_obj = obj;
+              r_detail =
+                Printf.sprintf
+                  "signal latched by fiber #%d was skipped by a concurrent \
+                   drain and never seen: lost interrupt"
+                  sfid;
+            }
+        | None, None -> None)
+      (Array.to_list objs)
+
+  let oldest_first sends =
+    let rec go acc = function
+      | No_sends -> acc
+      | Send { s_idx; s_fid; s_op; s_clk; s_older; _ } ->
+        go ((s_idx, s_fid, s_op, s_clk) :: acc) s_older
+    in
+    go [] sends
+
+  let move_races tbl objs =
+    List.filter_map
+      (fun mobj ->
+        let ms = Hashtbl.find tbl mobj in
+        match ms.os_sync.y_moves with
+        | [] -> None
+        | rev_moves -> (
+          let moves = List.rev rev_moves in
+          let prefix = mobj ^ "." in
+          let start = lower_bound objs prefix in
+          let n = Array.length objs in
+          let rec scan_queues i =
+            if i >= n || not (starts_with ~prefix objs.(i)) then None
+            else
+              let qobj = objs.(i) in
+              let qs = Hashtbl.find tbl qobj in
+              let rec scan_sends = function
+                | [] -> None
+                | (si, sfid, op, sclk) :: rest ->
+                  if si < qs.os_n_recvs then scan_sends rest
+                  else (
+                    match
+                      List.find_map
+                        (fun (mfid, mclk) ->
+                          if Vclock.concurrent sclk mclk then Some mfid
+                          else None)
+                        moves
+                    with
+                    | Some mfid -> Some (qobj, op, sfid, mfid)
+                    | None -> scan_sends rest)
+              in
+              (match scan_sends (oldest_first qs.os_sends) with
+              | Some _ as hit -> hit
+              | None -> scan_queues (i + 1))
+          in
+          match scan_queues start with
+          | None -> None
+          | Some (qobj, op, sfid, mfid) ->
+            Some
+              {
+                r_rule = "R-MOVE";
+                r_obj = mobj;
+                r_detail =
+                  Printf.sprintf
+                    "link-end transfer (fiber #%d) races in-flight %S from \
+                     fiber #%d on %s: the message was never received"
+                    mfid op sfid qobj;
+              }))
+      (Array.to_list objs)
+
+  let findings st =
+    let objs = sorted_objs st.st_tbl in
+    message_races st.st_tbl objs
+    @ signal_races st.st_tbl objs
+    @ move_races st.st_tbl objs
+
+  let analyze events =
+    let st = init () in
+    Array.iter (feed st) events;
+    findings st
+end
+
+(* Random streams over prefix-related names: ["e1"] is a moved end whose
+   queues are ["e1.req"] and ["e1.rep"], and ["e10"] shares its first two
+   characters without being one of them.  Several fibers whose clocks
+   occasionally merge give every rule both ordered and concurrent
+   pairs, and most queues see only sends and receives, so they never
+   get sync state of their own. *)
+let oracle_objs = [| "e1"; "e1.req"; "e1.rep"; "e10"; "e10.req"; "e2"; "e2.req" |]
+
+let oracle_events (nfibers, steps) =
+  let clocks = Array.init nfibers clock_of in
+  Array.of_list
+    (List.map
+       (fun (f, o, k) ->
+         if k mod 5 = 0 then
+           clocks.(f) <- Vclock.merge clocks.(f) clocks.((f + 1) mod nfibers);
+         clocks.(f) <- Vclock.tick clocks.(f) f;
+         let obj = oracle_objs.(o) in
+         let kind =
+           match k mod 9 with
+           | 0 | 1 -> Event.Send { obj; op = "op" ^ string_of_int (k mod 2); unordered = k mod 7 = 0 }
+           | 2 -> Event.Receive { obj; op = "op" }
+           | 3 -> Event.Signal { obj; woke = false }
+           | 4 -> Event.Signal { obj; woke = true }
+           | 5 -> Event.Signal_seen { obj }
+           | 6 -> Event.Wait { obj }
+           | _ -> Event.Link_move { obj }
+         in
+         ev ~fid:f ~clock:(Some clocks.(f)) kind)
+       steps)
+
+let oracle_arb =
+  let open QCheck in
+  let gen =
+    Gen.(
+      int_range 2 4 >>= fun nfibers ->
+      int_range 1 80 >>= fun n ->
+      list_repeat n
+        (triple (int_bound (nfibers - 1))
+           (int_bound (Array.length oracle_objs - 1))
+           (int_bound 62))
+      >|= fun steps -> (nfibers, steps))
+  in
+  make
+    ~print:(fun s ->
+      String.concat "\n"
+        (Array.to_list (Array.map Event.describe (oracle_events s))))
+    gen
+
+let render (f : R.finding) =
+  Printf.sprintf "%s %s: %s" f.R.r_rule f.R.r_obj f.R.r_detail
+
+let prop_conclusion_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"findings equal the every-object reference, list and order"
+    oracle_arb
+    (fun s ->
+      let events = oracle_events s in
+      List.map render (R.analyze events)
+      = List.map render (Reference.analyze events))
+
 (* ---- Structured trace: spawn records and hashing ---------------------- *)
 
 let event_log_tests =
@@ -401,6 +807,8 @@ let () =
       ("lint", lint_tests);
       ("protocol", protocol_tests);
       ("races-synthetic", race_synth_tests);
+      ( "races-conclusion",
+        [ QCheck_alcotest.to_alcotest prop_conclusion_matches_reference ] );
       ("races-clean", races_clean_tests);
       ("event-log", event_log_tests);
     ]

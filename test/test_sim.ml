@@ -1303,25 +1303,40 @@ let describe_log e =
   Array.to_list (Engine.events e) |> List.map Event.describe
 
 (* One program, written once in direct style and once as steps: two
-   workers that sleep, a waiter parked on a waker that the second worker
-   fires, and a note after each step.  Both spellings must emit the same
-   events with the same clocks. *)
+   workers that sleep, a waiter suspended on a waker (parked, as
+   steps) that the second worker fires (wakes), and a note after each
+   step.  Both spellings must emit the same events with the same
+   clocks. *)
 let two_ways ~stackless =
   let e = Engine.create () in
-  let pending = ref None in
-  let fire () =
-    match !pending with
-    | Some w ->
-      pending := None;
-      w (Ok 7)
-    | None -> ()
+  let got v = Engine.record e (Printf.sprintf "got %d" v) in
+  let fire =
+    if stackless then begin
+      let parked = ref None in
+      ignore
+        (Engine.spawn_stackless e ~name:"waiter" (fun () ->
+             parked := Some (Engine.park e ~reason:"parked")));
+      fun () ->
+        match !parked with
+        | Some f ->
+          parked := None;
+          Engine.wake e f got 7
+        | None -> ()
+    end
+    else begin
+      let pending = ref None in
+      ignore
+        (Engine.spawn e ~name:"waiter" (fun () ->
+             got (Engine.suspend e ~reason:"parked" (fun w -> pending := Some w))));
+      fun () ->
+        match !pending with
+        | Some w ->
+          pending := None;
+          w (Ok 7)
+        | None -> ()
+    end
   in
-  let register w = pending := Some w in
-  if stackless then begin
-    ignore
-      (Engine.spawn_stackless e ~name:"waiter" (fun () ->
-           Engine.suspend_then e ~reason:"parked" register (fun v ->
-               Engine.record e (Printf.sprintf "got %d" v))));
+  if stackless then
     ignore
       (Engine.spawn_stackless e ~name:"worker" (fun () ->
            Engine.sleep_then e (Time.us 3) (fun () ->
@@ -1329,22 +1344,30 @@ let two_ways ~stackless =
                fire ();
                Engine.sleep_then e (Time.us 2) (fun () ->
                    Engine.record e "done"))))
-  end
-  else begin
-    ignore
-      (Engine.spawn e ~name:"waiter" (fun () ->
-           let v = Engine.suspend e ~reason:"parked" register in
-           Engine.record e (Printf.sprintf "got %d" v)));
+  else
     ignore
       (Engine.spawn e ~name:"worker" (fun () ->
            Engine.sleep e (Time.us 3);
            Engine.record e "woke";
            fire ();
            Engine.sleep e (Time.us 2);
-           Engine.record e "done"))
-  end;
+           Engine.record e "done"));
   Engine.run e ~expect_quiescent:true;
   e
+
+(* A fiber that parks [n] times, each time waking itself from its own
+   step: a park/wake cycle with nothing else in it. *)
+let park_wakes ~observed n =
+  let e = make_engine ~observed in
+  let left = ref n in
+  let rec step () =
+    if !left > 0 then begin
+      decr left;
+      Engine.wake e (Engine.park e ~reason:"p") step ()
+    end
+  in
+  ignore (Engine.spawn_stackless e step);
+  Engine.run e
 
 let stackless_tests =
   [
@@ -1419,6 +1442,64 @@ let stackless_tests =
               "Invalid_argument(\"Engine.sleep_then: not inside a stackless fiber\")" );
           ]
           (Engine.view e).Engine.v_crashes);
+    Alcotest.test_case "wake raises on a fiber that is not parked" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        let sleeper =
+          Engine.spawn_stackless e ~name:"sleeper" (fun () ->
+              Engine.sleep_then e (Time.us 5) ignore)
+        in
+        let parked = ref None in
+        ignore
+          (Engine.spawn_stackless e ~name:"parked" (fun () ->
+               parked := Some (Engine.park e ~reason:"p")));
+        let not_parked = Invalid_argument "Engine.wake: the fiber is not parked" in
+        Alcotest.check_raises "runnable, not yet started" not_parked (fun () ->
+            Engine.wake e sleeper ignore ());
+        Engine.run_until e (Time.us 1);
+        Alcotest.check_raises "asleep" not_parked (fun () ->
+            Engine.wake e sleeper ignore ());
+        let f = Option.get !parked in
+        Engine.wake e f ignore ();
+        Alcotest.check_raises "already woken" not_parked (fun () ->
+            Engine.wake e f ignore ());
+        Engine.run e ~expect_quiescent:true;
+        checkb "the woken fiber finished" false (Engine.fiber_alive f);
+        Alcotest.check_raises "finished" not_parked (fun () ->
+            Engine.wake e f ignore ()));
+    Alcotest.test_case "a parked fiber that crashed is never resumed" `Quick
+      (fun () ->
+        let e = Engine.create ~on_crash:`Record () in
+        let parked = ref None and resumed = ref false in
+        ignore
+          (Engine.spawn_stackless e ~name:"faulty" (fun () ->
+               parked := Some (Engine.park e ~reason:"p");
+               failwith "boom"));
+        ignore
+          (Engine.spawn_stackless e ~name:"waker" (fun () ->
+               Engine.sleep_then e (Time.us 2) (fun () ->
+                   Engine.wake e (Option.get !parked)
+                     (fun () -> resumed := true)
+                     ())));
+        Engine.run e;
+        checkb "never resumed" false !resumed;
+        check Alcotest.(list (pair string string)) "crash recorded"
+          [ ("faulty", "Failure(\"boom\")") ]
+          (Engine.view e).Engine.v_crashes;
+        checki "nothing left queued" 0 (Engine.view e).Engine.v_pending);
+    Alcotest.test_case "a parked fiber is listed as blocked" `Quick (fun () ->
+        let e = Engine.create () in
+        ignore
+          (Engine.spawn_stackless e ~name:"idle" (fun () ->
+               ignore (Engine.park e ~reason:"recv")));
+        Alcotest.check_raises "deadlock names it"
+          (Engine.Deadlock "idle (recv)")
+          (fun () -> Engine.run e ~expect_quiescent:true);
+        check Alcotest.(list string) "state" [ "blocked:recv" ]
+          (List.map (fun f -> f.Engine.fi_state) (Engine.view e).Engine.v_fibers));
+    Alcotest.test_case "words per park/wake" `Quick (fun () ->
+        Budgets.exact "unobserved" ~budget:Budgets.park_wake_unobserved
+          (Budgets.words_per_iter (park_wakes ~observed:false)));
     Alcotest.test_case "words per stackless sleep" `Quick (fun () ->
         Budgets.exact "observed" ~budget:Budgets.stackless_sleep_observed
           (Budgets.words_per_iter (stackless_sleeps ~observed:true));
