@@ -15,7 +15,7 @@ type event_block = {
   ev_name : event_name;
   ev_owner : pid;
   mutable ev_state : [ `Clear | `Posted of int ];
-  mutable ev_waiter : int Engine.waker option;
+  mutable ev_waiter : int Engine.handle option;
 }
 
 type dual_queue = {
@@ -255,9 +255,9 @@ let event_post_now t name datum =
   Stats.incr t.sts Key.event_posts;
   let ev = event t name in
   match ev.ev_waiter with
-  | Some waker ->
+  | Some h ->
     ev.ev_waiter <- None;
-    waker (Ok datum)
+    Engine.resume t.eng h datum
   | None -> ev.ev_state <- `Posted datum
 
 let event_post t _pid name datum =
@@ -274,8 +274,9 @@ let event_wait t pid name =
     datum
   | `Clear ->
     if ev.ev_waiter <> None then raise (Memory_fault Not_owner);
-    Engine.suspend t.eng ~reason:"chrysalis.event_wait" (fun waker ->
-        ev.ev_waiter <- Some waker)
+    let h = Engine.block t.eng ~reason:"chrysalis.event_wait" in
+    ev.ev_waiter <- Some h;
+    Engine.await t.eng h
 
 (* ---- Dual queues ------------------------------------------------------- *)
 

@@ -580,7 +580,8 @@ let on_new_link t hook = t.link_hooks <- hook :: t.link_hooks
 
 let park t =
   if t.terminated then raise Excn.Process_terminated;
-  Engine.suspend t.eng ~reason:"park" (fun _waker -> ())
+  (* Blocked on a handle nobody keeps: never woken. *)
+  Engine.await t.eng (Engine.block t.eng ~reason:"park")
 
 let destroy_link t (l : Link.t) =
   usable_or_raise l;

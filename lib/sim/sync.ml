@@ -1,28 +1,34 @@
+(* Every blocking op here is [Engine.block], storing the handle where
+   the wake will come from, then [Engine.await].  The reason is
+   ["waitq"] for all of them. *)
+
 module Waitq = struct
-  type 'a t = { engine : Engine.t; q : 'a Engine.waker Queue.t }
+  type 'a t = { engine : Engine.t; q : 'a Engine.handle Queue.t }
 
   let create engine = { engine; q = Queue.create () }
 
   let wait t =
-    Engine.suspend t.engine ~reason:"waitq" (fun waker -> Queue.add waker t.q)
+    let h = Engine.block t.engine ~reason:"waitq" in
+    Queue.add h t.q;
+    Engine.await t.engine h
 
   let signal t v =
-    match Queue.take_opt t.q with
-    | None -> false
-    | Some waker ->
-      waker (Ok v);
+    if Queue.is_empty t.q then false
+    else begin
+      Engine.resume t.engine (Queue.take t.q) v;
       true
+    end
 
   let signal_error t exn =
-    match Queue.take_opt t.q with
-    | None -> false
-    | Some waker ->
-      waker (Error exn);
+    if Queue.is_empty t.q then false
+    else begin
+      Engine.resume_error t.engine (Queue.take t.q) exn;
       true
+    end
 
   let broadcast_error t exn =
     let n = Queue.length t.q in
-    Queue.iter (fun waker -> waker (Error exn)) t.q;
+    Queue.iter (fun h -> Engine.resume_error t.engine h exn) t.q;
     Queue.clear t.q;
     n
 
@@ -32,24 +38,46 @@ end
 module Ivar = struct
   type 'a state = Empty | Full of 'a | Failed of exn
 
-  type 'a t = { mutable state : 'a state; waiters : 'a Waitq.t }
+  (* The readers waiting for the fill, newest first: most ivars never
+     have one, so an empty list costs nothing. *)
+  type 'a t = {
+    engine : Engine.t;
+    mutable state : 'a state;
+    mutable readers : 'a Engine.handle list;
+  }
 
-  let create engine = { state = Empty; waiters = Waitq.create engine }
+  let create engine = { engine; state = Empty; readers = [] }
+
+  (* Oldest reader first, as they blocked. *)
+  let rec resume_all e v = function
+    | [] -> ()
+    | h :: older ->
+      resume_all e v older;
+      Engine.resume e h v
+
+  let rec fail_all e exn = function
+    | [] -> ()
+    | h :: older ->
+      fail_all e exn older;
+      Engine.resume_error e h exn
+
+  let take_readers t =
+    let rs = t.readers in
+    t.readers <- [];
+    rs
 
   let fill t v =
     match t.state with
     | Empty ->
       t.state <- Full v;
-      while Waitq.signal t.waiters v do
-        ()
-      done
+      resume_all t.engine v (take_readers t)
     | Full _ | Failed _ -> invalid_arg "Ivar.fill: already filled"
 
   let fill_error t exn =
     match t.state with
     | Empty ->
       t.state <- Failed exn;
-      ignore (Waitq.broadcast_error t.waiters exn)
+      fail_all t.engine exn (take_readers t)
     | Full _ | Failed _ -> invalid_arg "Ivar.fill_error: already filled"
 
   let try_fill t v =
@@ -63,7 +91,10 @@ module Ivar = struct
     match t.state with
     | Full v -> v
     | Failed exn -> raise exn
-    | Empty -> Waitq.wait t.waiters
+    | Empty ->
+      let h = Engine.block t.engine ~reason:"waitq" in
+      t.readers <- h :: t.readers;
+      Engine.await t.engine h
 
   let is_filled t = match t.state with Empty -> false | _ -> true
   let peek t = match t.state with Full v -> Some v | _ -> None

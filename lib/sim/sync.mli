@@ -1,8 +1,9 @@
 (** Blocking synchronization primitives for fibers.
 
     Each structure captures its engine at creation time.  All [take]/
-    [read]/[acquire] operations suspend the calling fiber; all producers
-    are non-blocking and may be called from scheduler context (e.g. from a
+    [read]/[acquire] operations block the calling effect fiber
+    ({!Engine.block}, with reason ["waitq"]); all producers are
+    non-blocking and may be called from scheduler context (e.g. from a
     [schedule_at] task or an interrupt handler). *)
 
 module Ivar : sig
@@ -53,13 +54,14 @@ module Semaphore : sig
 end
 
 module Waitq : sig
-  (** A bare queue of suspended fibers — building block for conditions. *)
+  (** A bare queue of blocked fibers' handles — building block for
+      conditions. *)
 
   type 'a t
 
   val create : Engine.t -> 'a t
   val wait : 'a t -> 'a
-  (** Suspends until signalled. *)
+  (** Blocks until signalled. *)
 
   val signal : 'a t -> 'a -> bool
   (** Wakes the oldest waiter; false if none was waiting. *)

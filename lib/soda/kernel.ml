@@ -320,27 +320,30 @@ let discover t pid name_ =
               ~duration ~on_delivered:(fun () ->
                 Sync.Mailbox.put responses cand.p_id))
         t.procs);
-  (* Wait for the first response or the timeout. *)
-  Engine.suspend t.eng ~reason:"soda.discover" (fun waker ->
-      let decided = ref false in
-      Engine.schedule_after t.eng t.cst.Costs.discover_timeout (fun () ->
-          if not !decided then begin
-            decided := true;
-            waker (Ok None)
-          end);
-      (* Poll the mailbox via a scheduler-side taker. *)
-      let rec poll () =
-        match Sync.Mailbox.take_opt responses with
-        | Some r ->
-          if not !decided then begin
-            decided := true;
-            waker (Ok (Some r))
-          end
-        | None ->
-          if not !decided then
-            Engine.schedule_after t.eng (Time.us 500) (fun () -> poll ())
-      in
-      poll ())
+  (* Wait for the first response or the timeout.  Both race to wake
+     the fiber, and [decided] lets only the first one: a second wake
+     would raise. *)
+  let h = Engine.block t.eng ~reason:"soda.discover" in
+  let decided = ref false in
+  Engine.schedule_after t.eng t.cst.Costs.discover_timeout (fun () ->
+      if not !decided then begin
+        decided := true;
+        Engine.resume t.eng h None
+      end);
+  (* Poll the mailbox via a scheduler-side taker. *)
+  let rec poll () =
+    match Sync.Mailbox.take_opt responses with
+    | Some r ->
+      if not !decided then begin
+        decided := true;
+        Engine.resume t.eng h (Some r)
+      end
+    | None ->
+      if not !decided then
+        Engine.schedule_after t.eng (Time.us 500) (fun () -> poll ())
+  in
+  poll ();
+  Engine.await t.eng h
 
 (* ---- Interrupt management --------------------------------------------- *)
 

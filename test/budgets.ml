@@ -13,7 +13,8 @@
    - engine — test_sim: "words per sleep" and "words per waitq wait,
      signal and sleep" (+2%), "words per stackless sleep", "unobserved
      emit of a constant kind allocates nothing", "unobserved stamp
-     and adopt allocate nothing" and "words per park/wake" (exact);
+     and adopt allocate nothing", "words per park/wake" and "words per
+     effect park/wake" (exact);
    - vector clocks and counters (exact) — test_sim: "an owner tick
      costs one cell at any width", "merging a dominated clock
      allocates nothing", "Stats.incr allocates nothing";
@@ -70,20 +71,25 @@ let taskq_pair = 5.
 (* ---- Engine (unobserved engines build no event records, clocks or
    stamps; observed ones feed a consumer) ------------------------------ *)
 
-let sleep_observed = 34.0
-let sleep_unobserved = 25.0
-let waitq_cycle_observed = 102.0
-let waitq_cycle_unobserved = 74.0
+let sleep_observed = 16.0
+let sleep_unobserved = 7.0
+let waitq_cycle_observed = 50.0
+let waitq_cycle_unobserved = 22.0
 
 (* Exact: one [sleep_then] of a stackless fiber looping on its own
    callback, the step's closure included. *)
-let stackless_sleep_observed = 26.
-let stackless_sleep_unobserved = 17.
+let stackless_sleep_observed = 25.
+let stackless_sleep_unobserved = 16.
 
 (* Exact: one [park] and [wake] of a stackless fiber on an unobserved
    engine — the wake's task (its closure and queue entry) and nothing
    else. *)
 let park_wake_unobserved = 12.
+
+(* Exact: one [block], [resume] and [await] of an effect fiber on an
+   unobserved engine — the handle, the outcome, the continuation and
+   the resumption's queue entry. *)
+let effect_park_wake_unobserved = 12.
 
 (* Exact. *)
 let unobserved_emit = 0.
@@ -100,9 +106,9 @@ let stats_incr = 0.
 
 (* ---- One 0 B kernel primitive per backend, on an unobserved engine -- *)
 
-let charlotte_send_receive = 299.
-let soda_request_accept = 278.82
-let chrysalis_enqueue_post = 196.
+let charlotte_send_receive = 159.
+let soda_request_accept = 156.82
+let chrysalis_enqueue_post = 74.
 
 (* ---- LYNX op -------------------------------------------------------- *)
 
@@ -111,21 +117,25 @@ let codec_roundtrip = 122.
 
 (* One 0 B echo call per backend, on an unobserved engine. *)
 let echo_call =
-  [ ("charlotte", 1730.34); ("soda", 1590.96); ("chrysalis", 2387.0) ]
+  [ ("charlotte", 1002.34); ("soda", 950.96); ("chrysalis", 1215.0) ]
 
 (* Exact: the LYNX premium, words per 0 B echo call minus words per
    0 B raw-kernel echo ([Rpc_bench.raw_charlotte], [raw_soda],
    [raw_chrysalis]) — what the run-time package adds above the kernel. *)
 let lynx_premium =
-  [ ("charlotte", 1133.640625); ("soda", 1049.); ("chrysalis", 1890.) ]
+  [ ("charlotte", 685.640625); ("soda", 619.); ("chrysalis", 998.) ]
 
 (* Exact: what arming screening with a zero-probability plan adds to a
    Chrysalis echo call, over 128 calls.  A difference of two echo
    costs: a screened call drains 52 engine tasks, an unscreened one 55,
    so when a drained task became 4 words cheaper (2,897.2 → 2,689.2
    screened, 2,633 → 2,413 unscreened) this difference grew by 12
-   words with no new allocation on the screened path. *)
-let screening_premium = 276.21875
+   words with no new allocation on the screened path.  Likewise a
+   screened call sleeps 36 times and an unscreened one 40 (both block
+   13 times otherwise), so when an effect fiber's sleep fell from 25
+   words to 7 (2,663.2 → 1,563.2 screened, 2,387 → 1,215 unscreened)
+   it grew by 4 × 18 = 72. *)
+let screening_premium = 348.21875
 
 (* ---- Analysers, per event of the wl-farm-open ~n1K stream ----------- *)
 
