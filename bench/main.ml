@@ -3,9 +3,10 @@
    Run with:    dune exec bench/main.exe            (all experiments)
                 dune exec bench/main.exe -- e1 f2   (a subset)
 
-   Each experiment prints the paper's number next to the measured one and
-   flags mismatches.  Absolute times are simulated virtual time from the
-   calibrated cost models; the protocol message counts are exact. *)
+   Each experiment prints the rows of its paper claims (Metrics.Claims,
+   where every paper figure is stated once) and its descriptive tables,
+   and flags mismatches.  Absolute times are simulated virtual time from
+   the calibrated cost models; the protocol message counts are exact. *)
 
 module R = Metrics.Report
 module BW = Harness.Backend_world
@@ -16,8 +17,13 @@ module S = Harness.Scenarios
 let all_ok = Atomic.make true
 let fail () = Atomic.set all_ok false
 
-let check ~label ~pct ~paper measured =
-  if not (R.check_line ~label ~pct ~paper ~measured) then fail ()
+(* The registered paper claims whose ids start with [prefix], one row
+   each; a failed claim fails the bench. *)
+let claims prefix =
+  let module C = Metrics.Claims in
+  let rs = List.map C.check (List.filter (fun c -> String.starts_with ~prefix c.C.id) C.all) in
+  R.table ~header:C.header (List.map C.cells rs);
+  if not (List.for_all (fun r -> r.C.ok) rs) then fail ()
 
 let lynx_mean b payload = Harness.Rpc_bench.mean_ms (Harness.Rpc_bench.run b ~payload ())
 
@@ -25,22 +31,7 @@ let lynx_mean b payload = Harness.Rpc_bench.mean_ms (Harness.Rpc_bench.run b ~pa
 
 let e1 () =
   R.section "E1 (§3.3): simple remote operation, Charlotte / Crystal";
-  let raw0 = Sim.Time.to_ms (Harness.Rpc_bench.raw_charlotte ~payload:0 ()) in
-  let raw1000 = Sim.Time.to_ms (Harness.Rpc_bench.raw_charlotte ~payload:1000 ()) in
-  let lynx0 = lynx_mean BW.charlotte 0 in
-  let lynx1000 = lynx_mean BW.charlotte 1000 in
-  R.table
-    ~header:[ "program"; "payload"; "measured"; "paper" ]
-    [
-      [ "LYNX remote op"; "0 B"; R.ms lynx0; "57 ms" ];
-      [ "LYNX remote op"; "1000 B each way"; R.ms lynx1000; "65 ms" ];
-      [ "raw kernel calls (C)"; "0 B"; R.ms raw0; "55 ms" ];
-      [ "raw kernel calls (C)"; "1000 B each way"; R.ms raw1000; "60 ms" ];
-    ];
-  check ~label:"LYNX 0B" ~pct:5. ~paper:57. lynx0;
-  check ~label:"LYNX 1000B" ~pct:5. ~paper:65. lynx1000;
-  check ~label:"raw 0B" ~pct:5. ~paper:55. raw0;
-  check ~label:"raw 1000B" ~pct:5. ~paper:60. raw1000
+  claims "E1."
 
 (* ---- E2: §3.3 vs §5.3 — run-time package size --------------------------- *)
 
@@ -81,63 +72,20 @@ let e2 () =
 
 let e3 () =
   R.section "E3 (§4.3): SODA vs Charlotte — 3x for small messages, crossover";
-  let raw_c = Sim.Time.to_ms (Harness.Rpc_bench.raw_charlotte ~payload:0 ()) in
-  let raw_s = Sim.Time.to_ms (Harness.Rpc_bench.raw_soda ~payload:0 ()) in
-  R.printf "  raw kernels, small messages: charlotte %s, soda %s -> %s\n"
-    (R.ms raw_c) (R.ms raw_s)
-    (R.ratio (raw_c /. raw_s));
-  check ~label:"speedup (paper: 3x)" ~pct:10. ~paper:3.0 (raw_c /. raw_s);
-  let payloads = [ 0; 500; 1000; 1250; 1500; 1750; 2000; 2500 ] in
-  let rows =
-    List.map
-      (fun p ->
-        let c = lynx_mean BW.charlotte p and s = lynx_mean BW.soda p in
-        (p, c, s))
-      payloads
-  in
+  claims "E3.";
   R.table
     ~header:[ "payload (B each way)"; "charlotte"; "soda"; "winner" ]
     (List.map
-       (fun (p, c, s) ->
+       (fun p ->
+         let c = lynx_mean BW.charlotte p and s = lynx_mean BW.soda p in
          [ string_of_int p; R.ms c; R.ms s; (if s < c then "soda" else "charlotte") ])
-       rows);
-  let crossover =
-    let rec find = function
-      | (p1, c1, s1) :: ((p2, c2, s2) :: _ as rest) ->
-        if s1 < c1 && s2 >= c2 then Some (p1, p2) else find rest
-      | _ -> None
-    in
-    find rows
-  in
-  (match crossover with
-  | Some (lo, hi) ->
-    R.printf "  crossover between %d and %d bytes (paper: 1K-2K) %s\n" lo
-      hi
-      (if lo >= 1000 && hi <= 2000 then "[ok]" else "[MISMATCH]");
-    if not (lo >= 1000 && hi <= 2000) then fail ()
-  | None ->
-    R.print_endline "  no crossover found [MISMATCH]";
-    fail ())
+       [ 0; 500; 1000; 1250; 1500; 1750; 2000; 2500 ])
 
 (* ---- E4: §5.3 — Chrysalis latency ----------------------------------------- *)
 
 let e4 () =
   R.section "E4 (§5.3): simple remote operation, Chrysalis / Butterfly";
-  let b0 = lynx_mean BW.chrysalis 0 in
-  let b1000 = lynx_mean BW.chrysalis 1000 in
-  let c0 = lynx_mean BW.charlotte 0 in
-  R.table
-    ~header:[ "payload"; "measured"; "paper" ]
-    [
-      [ "0 B"; R.ms b0; "2.4 ms" ];
-      [ "1000 B each way"; R.ms b1000; "4.6 ms" ];
-    ];
-  check ~label:"chrysalis 0B" ~pct:5. ~paper:2.4 b0;
-  check ~label:"chrysalis 1000B" ~pct:5. ~paper:4.6 b1000;
-  R.printf "  vs Charlotte: %s faster (paper: 'more than an order of magnitude') %s\n"
-    (R.ratio (c0 /. b0))
-    (if c0 /. b0 > 10. then "[ok]" else "[MISMATCH]");
-  if c0 /. b0 <= 10. then fail ()
+  claims "E4."
 
 (* ---- F1: figure 1 — simultaneous move -------------------------------------- *)
 
@@ -305,8 +253,7 @@ let a1 () =
       [ "charlotte (paper)"; R.ms (Harness.Rpc_bench.mean_ms plain); string_of_int (msgs plain) ];
       [ "charlotte + reply acks"; R.ms (Harness.Rpc_bench.mean_ms acks); string_of_int (msgs acks) ];
     ];
-  let ratio = float_of_int (msgs acks) /. float_of_int (msgs plain) in
-  check ~label:"traffic increase (paper: +50%)" ~pct:5. ~paper:1.5 ratio
+  claims "A1."
 
 (* §6 lesson one: "the Charlotte kernel itself would be simplified
    considerably by using hints when moving links."  A kernel variant
@@ -365,22 +312,7 @@ let a3 () =
    40%".  A runtime with 35%-cheaper fixed costs, measured. *)
 let a4 () =
   R.section "A4 (ablation, §5.3): the predicted Butterfly code tuning";
-  let base0 = lynx_mean BW.chrysalis 0 in
-  let base1000 = lynx_mean BW.chrysalis 1000 in
-  let tuned0 = lynx_mean BW.chrysalis_tuned 0 in
-  let tuned1000 = lynx_mean BW.chrysalis_tuned 1000 in
-  R.table
-    ~header:[ "variant"; "0 B"; "1000 B each way" ]
-    [
-      [ "chrysalis (measured in paper)"; R.ms base0; R.ms base1000 ];
-      [ "after predicted tuning"; R.ms tuned0; R.ms tuned1000 ];
-    ];
-  let improvement = (base0 -. tuned0) /. base0 *. 100. in
-  R.printf
-    "  0-byte figure improves by %.0f%% (paper predicts 30-40%%) %s\n"
-    improvement
-    (if improvement >= 30. && improvement <= 40. then "[ok]" else "[MISMATCH]");
-  if not (improvement >= 30. && improvement <= 40.) then fail ()
+  claims "A4."
 
 (* §4.2.1: "too small a limit on outstanding requests would leave the
    possibility of deadlock when many links connect the same pair of
@@ -388,25 +320,7 @@ let a4 () =
    run-time package's signal budgeting versus the naive layer. *)
 let a5 () =
   R.section "A5 (ablation, §4.2.1): per-pair request budget vs deadlock";
-  let budgeted = S.soda_pair_pressure ~budget:true () in
-  let naive = S.soda_pair_pressure ~budget:false () in
-  R.table
-    ~header:[ "channel layer"; "calls completed (6 links, 2s)"; "data puts issued" ]
-    [
-      [
-        "signal budget (ours)";
-        budgeted.S.o_detail;
-        string_of_int (S.counter budgeted "lynx_soda.data_puts");
-      ];
-      [
-        "naive (paper's hazard)";
-        naive.S.o_detail;
-        string_of_int (S.counter naive "lynx_soda.data_puts");
-      ];
-    ];
-  if not budgeted.S.o_ok then fail ();
-  if naive.S.o_ok then fail ()
-  (* the naive layer *must* starve for the hazard to be demonstrated *)
+  claims "A5."
 
 (* Beyond the paper: how far do concurrent coroutines pipeline against
    each kernel's buffering?  LYNX is stop-and-wait per coroutine; the

@@ -1,10 +1,8 @@
 (* lynx_sim — command-line front end for the LYNX reproduction.
 
    Subcommands:
-     rpc       measure a simple remote operation on one backend
+     claims    measure the paper's figures and check each one
      scenario  run one of the paper's qualitative scenarios
-     sweep     latency vs payload across the backends (crossover hunting)
-     repair    SODA hint-repair / pair-pressure demonstrations
      explore   scenario x backend x seed x policy sweep with invariants
      chaos     the same sweep under fault plans
      lint      static protocol linter
@@ -54,8 +52,8 @@ let seed_arg =
 
 let json_arg =
   let doc =
-    "Emit the judged run artifacts as JSON (the subset \
-     bench/compare.exe parses) instead of the human tables."
+    "Emit the judged run artifacts (or the checked claims) as JSON, in \
+     the subset bench/compare.exe parses, instead of the human tables."
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 
@@ -95,23 +93,8 @@ let reject fmt =
 (* The one range check behind every numeric flag, so an out-of-range
    value fails like a bad spec or population instead of crashing or
    running as if it were valid. *)
-let in_range ~lo ?hi flag show v =
-  if v < lo || Option.fold ~none:false ~some:(fun hi -> v > hi) hi then
-    reject "bad %s %s (must be %s)" flag (show v)
-      (match hi with
-      | None -> "at least " ^ show lo
-      | Some hi -> Printf.sprintf "within %s..%s" (show lo) (show hi))
-
-let at_least lo flag = in_range ~lo flag string_of_int
-
-(* A value past what a backend's messages can carry (a payload or an
-   enclosure count) fails inside the simulation; report it like any
-   other out-of-range flag. *)
-let within_capacity flag v f =
-  try f () with
-  | Invalid_argument msg -> reject "bad %s %d (%s)" flag v msg
-  | Sim.Engine.Fiber_crash (who, e) ->
-    reject "bad %s %d (%s failed: %s)" flag v who (Printexc.to_string e)
+let at_least lo flag v =
+  if v < lo then reject "bad %s %d (must be at least %d)" flag v lo
 
 let resolve_filter what filter have =
   List.iter
@@ -121,46 +104,42 @@ let resolve_filter what filter have =
     filter;
   if filter = [] then have else filter
 
-(* ---- rpc ------------------------------------------------------------- *)
+(* Protocols by name: the shipped scenarios' and the [fixtures]; no
+   name means every shipped one. *)
+let protocols ~fixtures names =
+  let have = Analysis.Catalog.all @ fixtures in
+  if names = [] then Analysis.Catalog.all
+  else
+    List.map
+      (fun n ->
+        match List.assoc_opt n have with
+        | Some p -> (n, p)
+        | None ->
+          reject "unknown protocol %S (have: %s)" n
+            (String.concat ", " (List.map fst have)))
+      names
 
-let rpc_cmd =
-  let payload =
-    Arg.(
-      value & opt int 0
-      & info [ "p"; "payload" ] ~docv:"BYTES" ~doc:"Payload bytes each way.")
+(* ---- claims: the paper's figures, measured and checked ------------------ *)
+
+let claims_cmd =
+  let ids =
+    let doc = "Claim to check, e.g. E1.lynx-0B; repeatable.  Default: all." in
+    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
-  let iters =
-    Arg.(
-      value & opt int 30
-      & info [ "n"; "iters" ] ~docv:"N" ~doc:"Measured iterations.")
-  in
-  let verbose =
-    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print counter activity.")
-  in
-  let run (backend : BW.backend) payload iters seed verbose =
-    at_least 1 "--iters" iters;
-    at_least 0 "--payload" payload;
-    let r =
-      within_capacity "--payload" payload (fun () ->
-          Harness.Rpc_bench.run backend ~payload ~iters ~seed ())
-    in
-    Printf.printf
-      "%s: simple remote operation, %d bytes each way, %d iterations\n" backend.name
-      payload iters;
-    Printf.printf "  mean %.3f ms   min %.3f ms   max %.3f ms\n"
-      (Sim.Time.to_ms r.Harness.Rpc_bench.r_mean)
-      (Sim.Time.to_ms r.Harness.Rpc_bench.r_min)
-      (Sim.Time.to_ms r.Harness.Rpc_bench.r_max);
-    if verbose then begin
-      print_endline "  counters during the measured phase:";
-      List.iter
-        (fun (k, v) -> Printf.printf "    %-44s %d\n" k v)
-        r.Harness.Rpc_bench.r_counters
-    end
+  let run ids json =
+    let module C = Metrics.Claims in
+    let ids = resolve_filter "claim" ids C.ids in
+    let results = List.map C.check (List.filter (fun c -> List.mem c.C.id ids) C.all) in
+    print_string (if json then C.to_json results else C.markdown results);
+    if not (List.for_all (fun r -> r.C.ok) results) then exit 1
   in
   Cmd.v
-    (Cmd.info "rpc" ~doc:"Measure a simple remote operation (paper §3.3/§5.3).")
-    Term.(const run $ backend_arg $ payload $ iters $ seed_arg $ verbose)
+    (Cmd.info "claims"
+       ~doc:
+         "Measure every figure the paper is judged by (§3.3, §4.3, §5.3 \
+          and the ablations' predictions) and check it against the \
+          paper; exit 1 if any claim fails.")
+    Term.(const run $ ids $ json_arg)
 
 (* ---- scenario --------------------------------------------------------- *)
 
@@ -205,8 +184,13 @@ let scenario_cmd =
          keeps its -k knob by calling the scenario directly. *)
       if name = "enclosures" then begin
         at_least 0 "--enclosures" encl;
-        within_capacity "--enclosures" encl (fun () ->
-            S.enclosure_protocol ~seed ~n_encl:encl backend)
+        (* A count past what the backend's messages carry fails inside
+           the simulation; report it like any other out-of-range flag. *)
+        try S.enclosure_protocol ~seed ~n_encl:encl backend with
+        | Invalid_argument msg -> reject "bad --enclosures %d (%s)" encl msg
+        | Sim.Engine.Fiber_crash (who, e) ->
+          reject "bad --enclosures %d (%s failed: %s)" encl who
+            (Printexc.to_string e)
       end
       else
         sc.S.sc_run
@@ -226,66 +210,6 @@ let scenario_cmd =
   Cmd.v
     (Cmd.info "scenario" ~doc:"Run one of the paper's qualitative scenarios.")
     Term.(const run $ backend_arg $ scenario_name $ encl $ shards $ seed_arg)
-
-(* ---- sweep ------------------------------------------------------------- *)
-
-let sweep_cmd =
-  let lo = Arg.(value & opt int 0 & info [ "from" ] ~docv:"BYTES" ~doc:"Start payload.") in
-  let hi = Arg.(value & opt int 2000 & info [ "to" ] ~docv:"BYTES" ~doc:"End payload.") in
-  let step = Arg.(value & opt int 250 & info [ "step" ] ~docv:"BYTES" ~doc:"Step.") in
-  let run lo hi step seed jobs =
-    at_least 1 "--step" step;
-    at_least 0 "--from" lo;
-    if lo > hi then reject "empty sweep: --from %d is past --to %d" lo hi;
-    let rec payloads p = if p > hi then [] else p :: payloads (p + step) in
-    let rows =
-      within_capacity "--to" hi (fun () ->
-          Harness.Rpc_bench.sweep ~jobs ~seed ~payloads:(payloads lo) ())
-    in
-    Metrics.Report.table
-      ~header:("payload" :: BW.names)
-      (List.map
-         (fun row ->
-           match row with
-           | [] -> []
-           | first :: _ ->
-             string_of_int first.Harness.Rpc_bench.r_payload
-             :: List.map
-                  (fun r ->
-                    Metrics.Report.ms (Harness.Rpc_bench.mean_ms r))
-                  row)
-         rows)
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Latency vs payload on all three backends.")
-    Term.(const run $ lo $ hi $ step $ seed_arg $ jobs_arg)
-
-(* ---- repair: SODA hint-repair / pair-pressure demonstrations ------------- *)
-
-let repair_cmd =
-  let loss =
-    Arg.(
-      value & opt float 0.05
-      & info [ "loss" ] ~docv:"P" ~doc:"Broadcast loss probability (0..1).")
-  in
-  let run loss seed =
-    in_range ~lo:0. ~hi:1. "--loss" (Printf.sprintf "%g") loss;
-    let o = S.soda_hint_repair ~seed ~broadcast_loss:loss () in
-    Printf.printf "hint repair at %.0f%% loss: %s\n" (loss *. 100.)
-      o.S.o_detail;
-    Printf.printf "  discover attempts: %d   freeze searches: %d\n"
-      (S.counter o "lynx_soda.discover_attempts")
-      (S.counter o "lynx_soda.freeze_searches");
-    let budgeted = S.soda_pair_pressure ~seed ~budget:true () in
-    let naive = S.soda_pair_pressure ~seed ~budget:false () in
-    Printf.printf "pair pressure (6 links): %s  vs naive: %s\n"
-      budgeted.S.o_detail naive.S.o_detail;
-    if not o.S.o_ok then exit 1
-  in
-  Cmd.v
-    (Cmd.info "repair"
-       ~doc:"SODA hint repair under broadcast loss, and the §4.2.1 budget.")
-    Term.(const run $ loss $ seed_arg)
 
 (* ---- the sweep path ------------------------------------------------------ *)
 
@@ -430,19 +354,7 @@ let lint_cmd =
   in
   let run names =
     let targets =
-      match names with
-      | [] -> Analysis.Catalog.all
-      | names ->
-        List.map
-          (fun n ->
-            if n = "broken" then (n, Analysis.Catalog.broken)
-            else
-              match Analysis.Catalog.find n with
-              | Some p -> (n, p)
-              | None ->
-                reject "unknown protocol %S (have: %s, broken)" n
-                  (String.concat ", " (List.map fst Analysis.Catalog.all)))
-          names
+      protocols ~fixtures:[ ("broken", Analysis.Catalog.broken) ] names
     in
     let total = ref 0 in
     List.iter
@@ -491,27 +403,10 @@ let static_cmd =
   let run names sweep seeds jobs json =
     let module St = Analysis.Static in
     let escape = Run.Artifact.escape and indexed = Run.Artifact.indexed_obj in
-    let lookup name =
-      if name = "broken" then Some Analysis.Catalog.broken
-      else
-        match List.assoc_opt name Analysis.Catalog.broken_static with
-        | Some p -> Some p
-        | None -> Analysis.Catalog.find name
-    in
     let targets =
-      match names with
-      | [] -> Analysis.Catalog.all
-      | names ->
-        List.map
-          (fun name ->
-            match lookup name with
-            | Some p -> (name, p)
-            | None ->
-              reject "unknown protocol %S (have: %s, broken, %s)" name
-                (String.concat ", " (List.map fst Analysis.Catalog.all))
-                (String.concat ", "
-                   (List.map fst Analysis.Catalog.broken_static)))
-          names
+      protocols
+        ~fixtures:(("broken", Analysis.Catalog.broken) :: Analysis.Catalog.broken_static)
+        names
     in
     let analysed = List.map (fun (name, p) -> (name, St.predict p)) targets in
     let alarms =
@@ -869,10 +764,8 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "lynx_sim" ~version:"1.0.0" ~doc)
           [
-            rpc_cmd;
+            claims_cmd;
             scenario_cmd;
-            sweep_cmd;
-            repair_cmd;
             explore_cmd;
             chaos_cmd;
             lint_cmd;

@@ -303,22 +303,3 @@ let raw_chrysalis ?(iters = 30) ?(warmup = 5) ?(seed = 42) ~payload () =
   in
   Engine.run eng;
   Stats.Series.mean series
-
-(** The latency-vs-payload sweep, as a plan-builder over the domain
-    pool: one measurement job per (payload, backend) pair, mapped with
-    [Parallel.Pool] (each job owns a private engine), results regrouped
-    into payload-ordered rows.  The CLI [sweep] command and crossover
-    hunts render these rows directly; output order is independent of
-    [jobs]. *)
-let sweep ?(jobs = 1) ?(backends = Backend_world.all) ?iters ?seed ~payloads ()
-    =
-  let grid =
-    List.concat_map (fun p -> List.map (fun b -> (p, b)) backends) payloads
-  in
-  let results =
-    Parallel.Pool.map_list ~jobs
-      (fun (payload, b) -> run ?iters ?seed b ~payload ())
-      grid
-  in
-  let per_row = List.length backends in
-  List.mapi (fun i _ -> List.filteri (fun j _ -> j / per_row = i) results) payloads

@@ -63,18 +63,3 @@ val raw_chrysalis :
   ?iters:int -> ?warmup:int -> ?seed:int -> payload:int -> unit -> Sim.Time.t
 (** Raw dual-queue echo on the Chrysalis kernel: one enqueue and one
     event wait each way, the payload copied through a shared object. *)
-
-val sweep :
-  ?jobs:int ->
-  ?backends:backend list ->
-  ?iters:int ->
-  ?seed:int ->
-  payloads:int list ->
-  unit ->
-  result list list
-(** The latency-vs-payload sweep: one {!run} per (payload, backend)
-    pair, mapped over the {!Parallel.Pool} domain pool, returned as one
-    row per payload with one {!result} per backend (in [backends]
-    order, default {!Backend_world.all}).  Every job owns a private
-    engine and the pool preserves order, so the rows are identical at
-    every [jobs] count. *)

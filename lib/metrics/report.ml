@@ -1,5 +1,4 @@
-(** Table formatting and paper-vs-measured comparison helpers for the
-    bench harness and EXPERIMENTS.md. *)
+(** Table formatting helpers for the bench harness and the CLI. *)
 
 type cell = string
 
@@ -65,23 +64,5 @@ let table ~header rows =
 
 let ms v = Printf.sprintf "%.2f ms" v
 let ratio v = Printf.sprintf "%.2fx" v
-
-(** "57.00 ms (paper: 57 ms, +0.4%)" *)
-let vs_paper ~paper ~measured =
-  let pct =
-    if paper = 0. then 0. else (measured -. paper) /. paper *. 100.
-  in
-  Printf.sprintf "%.2f (paper %.1f, %+.1f%%)" measured paper pct
-
-(** Whether [measured] is within [pct] percent of [paper]. *)
-let within ~pct ~paper ~measured =
-  if paper = 0. then measured = 0.
-  else Float.abs ((measured -. paper) /. paper) *. 100. <= pct
-
-let check_line ~label ~pct ~paper ~measured =
-  let ok = within ~pct ~paper ~measured in
-  printf "  %-44s %s  %s\n" label (vs_paper ~paper ~measured)
-    (if ok then "[ok]" else "[MISMATCH]");
-  ok
 
 let section title = printf "\n=== %s ===\n" title

@@ -1,5 +1,4 @@
-(** Table formatting and paper-vs-measured comparison helpers for the
-    bench harness. *)
+(** Table formatting helpers for the bench harness and the CLI. *)
 
 type cell = string
 
@@ -25,15 +24,6 @@ val ms : float -> string
 
 val ratio : float -> string
 (** ["3.02x"]. *)
-
-val vs_paper : paper:float -> measured:float -> string
-(** ["57.27 (paper 57.0, +0.5%)"]. *)
-
-val within : pct:float -> paper:float -> measured:float -> bool
-(** Whether [measured] deviates from [paper] by at most [pct] percent. *)
-
-val check_line : label:string -> pct:float -> paper:float -> measured:float -> bool
-(** Prints one "[ok]"/"[MISMATCH]" comparison line; returns the verdict. *)
 
 val section : string -> unit
 (** Prints a section banner. *)

@@ -1,5 +1,6 @@
-(* Tests for the metrics library: source-size accounting and report
-   helpers. *)
+(* Tests for the metrics library: source-size accounting, report
+   helpers, and the paper-claims registry and the documents that quote
+   its output. *)
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -100,27 +101,63 @@ let source_tests =
 
 let report_tests =
   [
-    Alcotest.test_case "within tolerance" `Quick (fun () ->
-        checkb "inside" true (Metrics.Report.within ~pct:10. ~paper:100. ~measured:105.);
-        checkb "outside" false
-          (Metrics.Report.within ~pct:10. ~paper:100. ~measured:120.);
-        checkb "zero paper zero measured" true
-          (Metrics.Report.within ~pct:10. ~paper:0. ~measured:0.));
-    Alcotest.test_case "vs_paper formats deviation" `Quick (fun () ->
-        let s = Metrics.Report.vs_paper ~paper:50. ~measured:55. in
-        checkb "has +10%" true
-          (String.length s > 0
-          &&
-          let rec contains i =
-            i + 3 <= String.length s
-            && (String.sub s i 3 = "+10" || contains (i + 1))
-          in
-          contains 0));
     Alcotest.test_case "ms and ratio format" `Quick (fun () ->
         Alcotest.check Alcotest.string "ms" "57.24 ms" (Metrics.Report.ms 57.239);
         Alcotest.check Alcotest.string "ratio" "3.02x" (Metrics.Report.ratio 3.021));
   ]
 
+module C = Metrics.Claims
+
+(* The registry rendered once; both documents are compared with it. *)
+let rendered = lazy (C.markdown (List.map C.check C.all))
+
+(* The text between a document's claims markers: `lynx_sim claims`'
+   output, pasted verbatim. *)
+let claims_block file =
+  match Metrics.Source_size.find_repo_root () with
+  | None -> Alcotest.fail "repo root not found"
+  | Some root ->
+    let s = In_channel.with_open_bin (Filename.concat root file) In_channel.input_all in
+    let first = "<!-- claims:begin -->\n" in
+    let start = Str.search_forward (Str.regexp_string first) s 0 + String.length first in
+    String.sub s start (Str.search_forward (Str.regexp_string "<!-- claims:end -->") s start - start)
+
+let claims_tests =
+  [
+    Alcotest.test_case "the registry holds the paper's 13 claims" `Quick (fun () ->
+        Alcotest.(check (list string))
+          "ids"
+          [
+            "E1.lynx-0B"; "E1.lynx-1000B"; "E1.raw-0B"; "E1.raw-1000B";
+            "E3.soda-speedup"; "E3.crossover";
+            "E4.lynx-0B"; "E4.lynx-1000B"; "E4.vs-charlotte";
+            "A1.ack-traffic"; "A4.tuning"; "A5.budget"; "A5.naive-starves";
+          ]
+          C.ids);
+    Alcotest.test_case "a band holds within its tolerance" `Quick (fun () ->
+        checkb "inside" true (C.holds (C.Within (100., 10.)) (C.Value 105.));
+        checkb "outside" false (C.holds (C.Within (100., 10.)) (C.Value 120.));
+        checkb "zero paper zero measured" true (C.holds (C.Within (0., 10.)) (C.Value 0.)));
+    Alcotest.test_case "claim ids are unique" `Quick (fun () ->
+        checki "distinct ids" (List.length C.ids)
+          (List.length (List.sort_uniq String.compare C.ids)));
+    Alcotest.test_case "a band claim's row shows its deviation" `Quick (fun () ->
+        let c =
+          { (List.hd C.all) with expect = C.Within (50., 10.); measure = (fun () -> C.Value 54.) }
+        in
+        Alcotest.(check (list string)) "cells"
+          [ c.id; "3.3"; c.what; "50 ms +/-10%"; "54.00 ms (+8.0%)"; "ok" ]
+          (C.cells (C.check c)));
+  ]
+  @ List.map
+      (fun file ->
+        Alcotest.test_case (file ^ " claims block is the registry's output") `Quick
+          (fun () ->
+            Alcotest.(check string)
+              (file ^ " (regenerate with: dune exec bin/lynx_sim.exe -- claims)")
+              (Lazy.force rendered) (claims_block file)))
+      [ "EXPERIMENTS.md"; "README.md" ]
+
 let () =
   Alcotest.run "metrics"
-    [ ("source_size", source_tests); ("report", report_tests) ]
+    [ ("source_size", source_tests); ("report", report_tests); ("claims", claims_tests) ]
