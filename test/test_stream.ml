@@ -648,6 +648,58 @@ let test_pipeline_words () =
          done)
     /. events)
 
+(* What observation alone costs a judged sweep run: the engine's event
+   records, clocks and stamps, fed to a consumer that reads nothing and
+   retained nowhere, over the same run unobserved.  The specs cover the
+   sweep's seven scenarios, its three backends and its fault plans. *)
+let premium_specs =
+  [
+    "move/charlotte/11/fifo@drop";
+    "move/soda/12/fifo@mix";
+    "enclosures/chrysalis/13/fifo@duplicate";
+    "enclosures/charlotte/14/fifo@crash-restart";
+    "cross-request/soda/15/fifo@drop";
+    "open-close/chrysalis/16/fifo@mix";
+    "open-close/charlotte/17/fifo@duplicate";
+    "bounced-enclosure/soda/18/fifo@crash-restart";
+    "ring-election/chrysalis/19/fifo@leader-crash";
+    "ring-election/soda/20/fifo@drop";
+    "quorum/charlotte/21/fifo@partition-minority";
+    "quorum/chrysalis/11/fifo@partition-majority";
+  ]
+
+(* Minor words and events of one run of [spec]. *)
+let run_words ~observed spec =
+  let attach e = if observed then Engine.add_consumer e ignore in
+  let before = Gc.minor_words () in
+  let o =
+    Engine.with_observer ~log_capacity:0 ~attach (fun () ->
+        Run.run_outcome spec)
+  in
+  let words = Gc.minor_words () -. before in
+  match o with
+  | Some o -> (words, o.S.o_view.Engine.v_events_dropped)
+  | None -> Alcotest.failf "%s did not run" (Spec.to_string spec)
+
+let test_observation_premium () =
+  let specs = List.map Spec.of_string_exn premium_specs in
+  let total ~observed =
+    List.fold_left
+      (fun (w, n) spec ->
+        let w', n' = run_words ~observed spec in
+        (w +. w', n + n'))
+      (0., 0) specs
+  in
+  (* A first pass warms every lazily built table. *)
+  ignore (total ~observed:true);
+  ignore (total ~observed:false);
+  let observed, events = total ~observed:true in
+  let unobserved, events' = total ~observed:false in
+  Alcotest.(check int) "same events" events events';
+  Budgets.exact "observation premium per event"
+    ~budget:Budgets.observation_premium
+    ((observed -. unobserved) /. float events)
+
 let () =
   Alcotest.run "stream"
     [
@@ -677,6 +729,8 @@ let () =
             `Quick test_population_independent;
           Alcotest.test_case "words per event through Run.execute" `Quick
             test_pipeline_words;
+          Alcotest.test_case "observation premium per event" `Quick
+            test_observation_premium;
           Alcotest.test_case "race-detector resident words per client"
             `Quick test_resident_words;
           Alcotest.test_case "words of Stream.finish per client" `Quick
