@@ -9,7 +9,6 @@ open Backend_world
 
 type result = {
   r_backend : string;
-  r_payload : int;
   r_iters : int;
   r_mean : Time.t;
   r_min : Time.t;
@@ -69,7 +68,6 @@ let run ?(nodes = 4) ?(iters = 30) ?(warmup = 5) ?(seed = 42)
       (Printf.sprintf "%s: the %d B echo never completed" backend.name payload);
   {
     r_backend = backend.name;
-    r_payload = payload;
     r_iters = iters;
     r_mean = Stats.Series.mean series;
     r_min = Stats.Series.min series;

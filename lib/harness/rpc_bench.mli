@@ -9,7 +9,6 @@ open Backend_world
 (** Result of one measurement run. *)
 type result = {
   r_backend : string;
-  r_payload : int;  (** bytes carried in each direction *)
   r_iters : int;
   r_mean : Sim.Time.t;
   r_min : Sim.Time.t;

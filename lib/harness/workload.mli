@@ -33,9 +33,6 @@ type load =
           uniformly over [window]; offered load is
           population / window *)
 
-val topology_name : topology -> string
-val load_name : load -> string
-
 val default_population : int
 (** Population used when a spec carries no [~nN] axis — small enough
     that the default explore/chaos sweeps stay fast. *)

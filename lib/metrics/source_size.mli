@@ -12,10 +12,6 @@ type count = {
 val zero : count
 val add : count -> count -> count
 
-val count_file : string -> count
-(** Classifies the lines of one OCaml source file (tracks comment
-    nesting across lines). *)
-
 val count_dir : string -> count
 (** Recursively counts every [.ml]/[.mli] under a directory; zero if the
     directory does not exist. *)
