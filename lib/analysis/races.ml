@@ -11,11 +11,12 @@ let pp_finding ppf f = Fmt.pf ppf "%s %s: %s" f.r_rule f.r_obj f.r_detail
 
    What must be carried forward, and why it stays small:
 
-   - Sends are retained in full (index, fiber, op, clock).  R-MSG is
-     pairwise over sends, so every send's clock can still race a future
-     send; the pair count and the earliest racing pair are folded at
-     arrival, so concluding the rule is O(1).  R-MOVE reads the same
-     list.  Unordered sends — retransmissions under an already-used
+   - An object's sends are retained (index, fiber, op, clock) for as
+     long as it lives.  R-MSG is pairwise over sends, so every send's
+     clock can still race a future send; the pair count and the
+     earliest racing pair are folded at arrival, so concluding the rule
+     is O(1).  R-MOVE reads the same list, but only the sends never
+     received.  Unordered sends — retransmissions under an already-used
      correlation id (a screened caller's retry, the dedup cache
      re-answering a duplicate) and reply sends, whose delivery is
      routed by correlation id rather than arrival order — are retained
@@ -36,7 +37,17 @@ let pp_finding ppf f = Fmt.pf ppf "%s %s: %s" f.r_rule f.r_obj f.r_detail
      with it under the [npos > spos] clause.
    - Receives, wakes and seens otherwise contribute only running
      counters.  The high-volume kinds (Block/Note/Spawn/...) are never
-     retained at all. *)
+     retained at all.
+   - An object lives until nothing about it can change a finding.  A
+     [Final] send promises that the object takes no further send, so
+     once its receives have caught up with its sends, no later send can
+     pair with the retained ones and R-MOVE would skip every one of
+     them as consumed.  An object in that state that never needed a
+     sync record (no pairs, signals, waits or moves) is dropped from
+     the table whole: a population run's one-message queues live only
+     while their message is in flight.  An object with sync state is
+     kept, since its sync state can still yield a finding.  A send to
+     a retired object still in flight is a broken promise and raises. *)
 
 (* An object's sends, newest first: one block per send, with no list
    cell and tuple around it. *)
@@ -112,14 +123,20 @@ let fresh_sync () =
 (* Read-only: every field keeps its initial value. *)
 let no_sync = fresh_sync ()
 
+(* Read-only as well: the record of an object whose [Final] send is in
+   while it had no sync state of its own.  It marks the object for
+   dropping once drained, and a send to it as a broken promise. *)
+let retired = fresh_sync ()
+
 let sync_of s =
-  if s.os_sync == no_sync then s.os_sync <- fresh_sync ();
+  if s.os_sync == no_sync || s.os_sync == retired then
+    s.os_sync <- fresh_sync ();
   s.os_sync
 
 let slot st obj =
-  match Hashtbl.find_opt st.st_tbl obj with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find st.st_tbl obj with
+  | s -> s
+  | exception Not_found ->
     let s =
       { os_sends = No_sends; os_n_sends = 0; os_n_recvs = 0; os_sync = no_sync }
     in
@@ -131,8 +148,14 @@ let feed st (ev : Event.t) =
   st.st_pos <- pos + 1;
   let fid = ev.Event.ev_fiber and clk = ev.Event.ev_clock in
   match ev.Event.ev_kind with
-  | Event.Send { obj; op; unordered } ->
+  | Event.Send { obj; op; mode } ->
     let s = slot st obj in
+    if s.os_sync == retired then
+      invalid_arg
+        (Printf.sprintf "Races.feed: send %S to %s after its final send" op obj);
+    let unordered =
+      match mode with Event.Unordered -> true | Event.Ordered | Event.Final -> false
+    in
     let idx = s.os_n_sends in
     s.os_n_sends <- idx + 1;
     (* Fold R-MSG at arrival: count concurrent predecessors, and track
@@ -174,10 +197,16 @@ let feed st (ev : Event.t) =
           s_clk = clk;
           s_unordered = unordered;
           s_older = s.os_sends;
-        }
+        };
+    if mode == Event.Final && s.os_sync == no_sync then s.os_sync <- retired
   | Event.Receive { obj; _ } ->
     let s = slot st obj in
-    s.os_n_recvs <- s.os_n_recvs + 1
+    s.os_n_recvs <- s.os_n_recvs + 1;
+    (* A drained retired object can change no finding: R-MSG folded its
+       pairs as each send arrived, it has no signal or move state, and
+       R-MOVE reads only sends never received. *)
+    if s.os_sync == retired && s.os_n_recvs >= s.os_n_sends then
+      Hashtbl.remove st.st_tbl obj
   | Event.Signal { obj; woke = false } ->
     let y = sync_of (slot st obj) in
     let idx = y.y_n_sigs in
@@ -415,17 +444,20 @@ let move_races tbl objs synced =
             }))
     synced
 
-(* Rule output is in object-name order.  An object still on the shared
-   [no_sync] record can yield no finding: R-MSG and R-SIG read only its
-   (empty) sync state, and R-MOVE needs it to have moved.  So only the
-   objects with their own record are collected and sorted — none at
-   all in a population run of one-message queues — and the full sorted
-   name array is built only when some object moved, for R-MOVE's scan
-   of the moved end's queues, which may have no sync record. *)
+(* Rule output is in object-name order.  An object still on a shared
+   [no_sync] or [retired] record can yield no finding: R-MSG and R-SIG
+   read only its (empty) sync state, and R-MOVE needs it to have moved.
+   So only the objects with their own record are collected and sorted
+   — none at all in a population run of one-message queues — and the
+   full sorted name array is built only when some object moved, for
+   R-MOVE's scan of the moved end's queues, which may have no sync
+   record. *)
 let findings st =
   let synced =
     Hashtbl.fold
-      (fun obj s acc -> if s.os_sync == no_sync then acc else (obj, s) :: acc)
+      (fun obj s acc ->
+        if s.os_sync == no_sync || s.os_sync == retired then acc
+        else (obj, s) :: acc)
       st.st_tbl []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in

@@ -44,12 +44,21 @@ type state
     records (R-MSG is pairwise over them), unserved signal/wait
     suffixes (consumed prefixes are pruned as the matching seen/wake
     counts grow), and running counters.  The bulky event kinds
-    (Block/Note/Spawn/...) are never retained. *)
+    (Block/Note/Spawn/...) are never retained.
+
+    Objects have lifetimes: an object whose {!Sim.Event.Final} send is
+    in, with no pair, signal, wait or move state, is dropped whole once
+    its receives catch up with its sends.  Dropping is exact — such an
+    object can change no finding — so a stream's findings equal those
+    of the same stream with every [Final] read as [Ordered]. *)
 
 val init : unit -> state
 
 val feed : state -> Sim.Event.t -> unit
-(** Feed the next event, in stream order.  Mutates the state. *)
+(** Feed the next event, in stream order.  Mutates the state.  Raises
+    [Invalid_argument] (one line) on a send to a retired object — one
+    whose [Final] send is in while a message on it is still in flight:
+    the stream broke the promise [Final] made. *)
 
 val findings : state -> finding list
 (** Conclude the rules over the accumulated state.  The state remains

@@ -11,13 +11,21 @@
    The population is partitioned into small independent *cells* (a few
    clients plus their own servers/relays), and the server side scales
    horizontally with the population.  Cells bound every node's causal
-   neighborhood, which matters twice: vector clocks stay a few entries
-   wide however large the run (the engine's inline vclocks grow with the
-   number of distinct causal ancestors), and the race detector's
-   per-object state stays O(cell).  All message objects are
-   single-sender directed pairs, so workloads are race-free by
-   construction — the interesting output is the load curve, not the
-   interleaving.
+   neighborhood, so vector clocks stay a few entries wide however large
+   the run (a clock grows with the number of distinct causal
+   ancestors).  All message objects are single-sender directed pairs,
+   so workloads are race-free by construction — the interesting output
+   is the load curve, not the interleaving.
+
+   The race detector keeps a message object's state only while the
+   object may still take a send.  A send marked final ([Shard.send
+   ~final]) promises that its edge carries nothing more, and the
+   detector forgets the object once that send is received.  The marks
+   sit where the program knows it: a client's last-round request (its
+   only one under open load) and, under open load, each reply.  Relay
+   forwards and tree sub-requests are never final, and neither are
+   closed-load replies, because a server does not know a request's
+   round; those objects stay to the end of the run, O(cells) of them.
 
    Reply latencies land in one bounded {!Stats.Histogram} per shard
    (a node's fiber only runs on its home shard's domain — {!Shard.home})
@@ -71,6 +79,11 @@ type msg =
   | Sub_rep of { check : int; client : int }
   | Rep of { t0 : Time.t; check : int }
 
+(* The continuation of a client's last round.  A client compares its
+   continuation with it physically to know that it is making its last
+   request, so no per-client flag is captured. *)
+let last_round () = ()
+
 type result = {
   r_ok : bool;
   r_duration : Time.t;
@@ -116,7 +129,10 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
       let size = 64 + Rng.int rng max_payload in
       let key = Rng.int rng 0x3FFFFFFF in
       let t0 = Shard.now ctx in
+      (* The last round's request is the client's last send to
+         [server]; the constant options allocate nothing. *)
       Shard.send ctx ~dst:server ~latency:(xfer size) ~op:"wl.req"
+        ?final:(if next == last_round then Some true else None)
         (Req { t0; key; size; ttl; client = me });
       Shard.incr ctx Key.requests 1;
       Shard.recv ctx (fun msg ->
@@ -132,13 +148,23 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
       let rec round i =
         if i <= rounds then
           Shard.sleep ctx (exp_draw rng think) (fun () ->
-              once (fun () -> round (i + 1)))
+              once (if i = rounds then last_round else fun () -> round (i + 1)))
       in
       round 1
     | Open { window } ->
       Shard.sleep ctx
         (Time.ns (Rng.int rng (Stdlib.max 1 (Time.to_ns window))))
-        (fun () -> once ignore)
+        (fun () -> once last_round)
+  in
+  (* A server's reply to [client], on the server's own edge to it.
+     Under open load that edge carries one reply, so the reply is
+     final; under closed load the server does not know a request's
+     round.  Both options are built once per run. *)
+  let reply =
+    let latency = Some (xfer 16) in
+    let final = match load with Open _ -> Some true | Closed _ -> None in
+    fun ctx ~client rep ->
+      Shard.send ctx ~dst:client ?latency ~op:"wl.rep" ?final rep
   in
   (* A node that handles [n] messages, one [handle] each. *)
   let serve n handle ctx =
@@ -175,8 +201,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
            | Req { t0; key; size; client; _ } ->
              let check = checksum key size in
              Shard.incr ctx Key.served 1;
-             Shard.send ctx ~dst:client ~latency:(xfer 16) ~op:"wl.rep"
-               (Rep { t0; check })
+             reply ctx ~client (Rep { t0; check })
            | _ -> Shard.incr ctx Key.errors 1));
       for j = 0 to nc - 1 do
         add (Label.pair "cli" cell "." j)
@@ -208,8 +233,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
                else begin
                  let check = checksum key size in
                  Shard.incr ctx Key.served 1;
-                 Shard.send ctx ~dst:client ~latency:(xfer 16) ~op:"wl.rep"
-                   (Rep { t0; check })
+                 reply ctx ~client (Rep { t0; check })
                end
              | _ -> Shard.incr ctx Key.errors 1))
       done;
@@ -252,8 +276,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
                 decr remaining;
                 if !remaining = 0 then begin
                   Shard.incr ctx Key.served 1;
-                  Shard.send ctx ~dst:client ~latency:(xfer 16) ~op:"wl.rep"
-                    (Rep { t0; check = !acc });
+                  reply ctx ~client (Rep { t0; check = !acc });
                   incr served;
                   current := None;
                   if not (Queue.is_empty backlog) then

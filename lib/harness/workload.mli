@@ -10,9 +10,15 @@
     The population is partitioned into small independent cells (a few
     clients plus their own servers/relays, so the server side scales
     horizontally).  Cells bound every node's causal neighborhood:
-    vector clocks and the race detector's per-object state stay O(cell)
-    however large the run, and all message objects are single-sender
-    directed pairs, so workloads are race-free by construction.
+    vector clocks stay O(cell) wide however large the run, and all
+    message objects are single-sender directed pairs, so workloads are
+    race-free by construction.
+
+    A client's last-round request (its only one under open load) and,
+    under open load, every reply are final sends ({!Sim.Shard.send}
+    [~final]), so the race detector forgets those objects once their
+    message is received: an open-load run leaves it no per-client
+    state.
 
     Reply latencies are recorded into one bounded {!Sim.Stats.Histogram}
     per shard and merged after the run; merge commutes, so the reported

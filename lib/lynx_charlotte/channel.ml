@@ -647,7 +647,9 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion
       Engine.emit eng
         (Event.Send
            { obj = c.tx_objs.(kind_index kind); op;
-             unordered = retx || kind = Lynx.Backend.Reply });
+             mode =
+               (if retx || kind = Lynx.Backend.Reply then Event.Unordered
+                else Event.Ordered) });
       Engine.stamp eng (stamp_key c.ce ~side:(1 - c.ce.CT.side) kind ~seq:fr.fr_seq);
       List.iter
         (fun h ->

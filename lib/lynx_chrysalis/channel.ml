@@ -230,7 +230,9 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion
            {
              obj = c.slot_objs.(slot);
              op;
-             unordered = retx || kind = Lynx.Backend.Reply;
+             mode =
+               (if retx || kind = Lynx.Backend.Reply then Event.Unordered
+                else Event.Ordered);
            });
       Engine.stamp eng (slot_stamp_key c.obj slot corr);
       List.iter

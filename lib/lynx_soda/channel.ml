@@ -596,7 +596,9 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion
          {
            obj = c.tx_objs.(kind_index kind);
            op;
-           unordered = retx || kind = Lynx.Backend.Reply;
+           mode =
+             (if retx || kind = Lynx.Backend.Reply then Event.Unordered
+              else Event.Ordered);
          });
     List.iter
       (fun ec -> Engine.emit (engine t) (Event.Link_move { obj = ec.end_obj }))

@@ -378,9 +378,9 @@ let stamp t key =
 
 let adopt t key =
   if t.observed then
-    match Hashtbl.find_opt t.stamps key with
-    | None -> ()
-    | Some c -> (
+    match Hashtbl.find t.stamps key with
+    | exception Not_found -> ()
+    | c -> (
       Hashtbl.remove t.stamps key;
       match t.current with
       | Some f -> f.clock <- Vclock.merge f.clock c

@@ -1,9 +1,11 @@
+type send_mode = Ordered | Unordered | Final
+
 type kind =
   | Spawn of { fid : int; name : string }
   | Crash of { fid : int; name : string; error : string }
   | Note of string
   | Block of { reason : string }
-  | Send of { obj : string; op : string; unordered : bool }
+  | Send of { obj : string; op : string; mode : send_mode }
   | Receive of { obj : string; op : string }
   | Signal of { obj : string; woke : bool }
   | Signal_seen of { obj : string }
@@ -59,8 +61,9 @@ let kind_to_string = function
     Printf.sprintf "crash #%d %s: %s" fid name error
   | Note msg -> Printf.sprintf "note %s" msg
   | Block { reason } -> Printf.sprintf "block %s" reason
-  | Send { obj; op; unordered } ->
-    Printf.sprintf "send %s op=%s%s" obj op (if unordered then " unordered" else "")
+  | Send { obj; op; mode } ->
+    Printf.sprintf "send %s op=%s%s" obj op
+      (match mode with Unordered -> " unordered" | Ordered | Final -> "")
   | Receive { obj; op } -> Printf.sprintf "receive %s op=%s" obj op
   | Signal { obj; woke } ->
     Printf.sprintf "signal %s %s" obj (if woke then "woke" else "latched")

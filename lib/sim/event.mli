@@ -9,13 +9,35 @@
     {!describe}) are produced on demand — e.g. for a repro dump's
     trace tail. *)
 
+(** How a send takes part in the race rules, and what it promises about
+    its object's lifetime. *)
+type send_mode =
+  | Ordered
+      (** an application send: its arrival order is part of the
+          program, so two concurrent ones race *)
+  | Unordered
+      (** a retransmission under an already-used correlation id, or a
+          reply routed by correlation id: excluded from message-race
+          pairs on both sides *)
+  | Final
+      (** an [Ordered] send that is also the last one its object takes:
+          the sender promises that no further send enters [obj], so
+          once every message on it has been received the object can
+          change no finding and a consumer may forget it
+          (the race detector does).  A send after a [Final] one breaks
+          the promise. *)
+
 type kind =
   | Spawn of { fid : int; name : string }
   | Crash of { fid : int; name : string; error : string }
   | Note of string  (** free-form note ({!Engine.record}) *)
   | Block of { reason : string }  (** a fiber suspended *)
-  | Send of { obj : string; op : string; unordered : bool }
-      (** a message entered the queue named [obj] *)
+  | Send of { obj : string; op : string; mode : send_mode }
+      (** a message entered the queue named [obj].  [mode] is an
+          immediate, so a send costs the same words whatever its mode;
+          {!kind_tag} ignores it and {!kind_to_string} marks only
+          [Unordered] sends, so a [Final] mark moves no fingerprint and
+          no trace line *)
   | Receive of { obj : string; op : string }
       (** a message left the queue named [obj] *)
   | Signal of { obj : string; woke : bool }

@@ -320,14 +320,15 @@ let sleep node d k = Engine.sleep_then node.n_eng d k
 
 let incr node key by = Stats.incr ~by node.n_t.stats.(node.n_shard) key
 
-let send src ~dst ?latency ?(op = "msg") msg =
+let send src ~dst ?latency ?(op = "msg") ?(final = false) msg =
   let t = src.n_t in
   let lat = match latency with Some l -> l | None -> t.look in
   if Time.(lat < t.look) then
     invalid_arg "Shard.send: latency below the lookahead";
   if dst < 0 || dst >= t.n_count then invalid_arg "Shard.send: unknown node";
   let obj = Label.pair "n" src.n_id "->n" dst in
-  Engine.emit src.n_eng (Event.Send { obj; op; unordered = false });
+  Engine.emit src.n_eng
+    (Event.Send { obj; op; mode = (if final then Event.Final else Event.Ordered) });
   (* The clock is captured after the Send tick, so the Receive on the
      other shard inherits an edge that covers the send itself. *)
   let clk = Engine.clock src.n_eng in

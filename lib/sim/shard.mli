@@ -135,12 +135,20 @@ val rng : 'msg ctx -> Rng.t
 (** The node's private stream, keyed by [(seed, node id)] — identical
     at every shard count. *)
 
-val send : 'msg ctx -> dst:int -> ?latency:Time.t -> ?op:string -> 'msg -> unit
+val send :
+  'msg ctx -> dst:int -> ?latency:Time.t -> ?op:string -> ?final:bool -> 'msg -> unit
 (** Sends to node [dst] (self-sends allowed), arriving [latency]
     (default: the lookahead) after now.  Raises [Invalid_argument] if
     [latency] is below the lookahead — the conservative bound is the
     correctness of the whole exchange.  Emits an {!Event.Send} on the
-    per-direction object ["n<src>->n<dst>"]. *)
+    per-direction object ["n<src>->n<dst>"].
+
+    [final] (default [false]) marks the send {!Event.Final}: the caller
+    promises this node sends nothing more to [dst], so once [dst] has
+    received it a streaming consumer may forget the object.  Pass
+    [~final:true], a constant, or an option chosen between the constants
+    [Some true] and [None]: a [Some] built per call would cost a block
+    per send. *)
 
 val recv : 'msg ctx -> ('msg -> unit) -> unit
 (** [recv ctx k] takes the next message and continues with [k msg],

@@ -239,8 +239,8 @@ let race_synth_tests =
       (fun () ->
         let events =
           [
-            ev ~fid:1 (Event.Send { obj = "q"; op = "a"; unordered = false });
-            ev ~fid:2 (Event.Send { obj = "q"; op = "b"; unordered = false });
+            ev ~fid:1 (Event.Send { obj = "q"; op = "a"; mode = Event.Ordered });
+            ev ~fid:2 (Event.Send { obj = "q"; op = "b"; mode = Event.Ordered });
           ]
         in
         (* Sanity: the clocks really are incomparable. *)
@@ -254,8 +254,8 @@ let race_synth_tests =
         let c2 = Vclock.tick c1 2 in
         let events =
           [
-            ev ~fid:1 ~clock:(Some c1) (Event.Send { obj = "q"; op = "a"; unordered = false });
-            ev ~fid:2 ~clock:(Some c2) (Event.Send { obj = "q"; op = "b"; unordered = false });
+            ev ~fid:1 ~clock:(Some c1) (Event.Send { obj = "q"; op = "a"; mode = Event.Ordered });
+            ev ~fid:2 ~clock:(Some c2) (Event.Send { obj = "q"; op = "b"; mode = Event.Ordered });
           ]
         in
         checki "findings" 0 (List.length (analyze events)));
@@ -306,7 +306,7 @@ let race_synth_tests =
       (fun () ->
         let events =
           [
-            ev ~fid:1 (Event.Send { obj = "cha.L9.s0.req"; op = "ping"; unordered = false });
+            ev ~fid:1 (Event.Send { obj = "cha.L9.s0.req"; op = "ping"; mode = Event.Ordered });
             ev ~fid:2 (Event.Link_move { obj = "cha.L9.s0" });
           ]
         in
@@ -317,12 +317,31 @@ let race_synth_tests =
       (fun () ->
         let events =
           [
-            ev ~fid:1 (Event.Send { obj = "cha.L9.s0.req"; op = "ping"; unordered = false });
+            ev ~fid:1 (Event.Send { obj = "cha.L9.s0.req"; op = "ping"; mode = Event.Ordered });
             ev ~fid:2 (Event.Link_move { obj = "cha.L9.s0" });
             ev ~fid:3 (Event.Receive { obj = "cha.L9.s0.req"; op = "ping" });
           ]
         in
         checki "findings" 0 (List.length (analyze events)));
+    Alcotest.test_case "a send after a final one in flight raises one line"
+      `Quick (fun () ->
+        let send mode = Event.Send { obj = "q"; op = "a"; mode } in
+        match
+          analyze
+            [
+              ev ~fid:1 (send Event.Ordered);
+              ev ~fid:1 ~clock:(Some (Vclock.tick (clock_of 1) 1))
+                (send Event.Final);
+              ev ~fid:2 (Event.Receive { obj = "q"; op = "a" });
+              ev ~fid:1 ~clock:(Some (Vclock.tick (clock_of 1) 1))
+                (send Event.Ordered);
+            ]
+        with
+        | _ -> Alcotest.fail "no exception"
+        | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            "one line naming the send and the object"
+            "Races.feed: send \"a\" to q after its final send" msg);
   ]
 
 (* ---- Race detector: shipped scenarios stay clean ----------------------- *)
@@ -355,9 +374,11 @@ let races_clean_tests =
 (* ---- Race detector: the conclusion against a reference ------------- *)
 
 (* The detector as it was before [findings] learned to skip objects with
-   no sync state: the same incremental feed, and a conclusion that sorts
-   every object name and runs every rule over every object.  Kept as
-   the reference the current conclusion must equal, list and order. *)
+   no sync state and before objects had lifetimes: the same incremental
+   feed, keeping every object to the end of the stream (a [Final] send
+   reads as an [Ordered] one), and a conclusion that sorts every object
+   name and runs every rule over every object.  Kept as the reference
+   the current conclusion must equal, list and order. *)
 module Reference = struct
   type finding = R.finding = {
     r_rule : string;
@@ -442,8 +463,9 @@ module Reference = struct
     st.st_pos <- pos + 1;
     let fid = ev.Event.ev_fiber and clk = ev.Event.ev_clock in
     match ev.Event.ev_kind with
-    | Event.Send { obj; op; unordered } ->
+    | Event.Send { obj; op; mode } ->
       let s = slot st obj in
+      let unordered = mode = Event.Unordered in
       let idx = s.os_n_sends in
       s.os_n_sends <- idx + 1;
       if (not unordered) && s.os_sends != No_sends then begin
@@ -703,11 +725,15 @@ end
    characters without being one of them.  Several fibers whose clocks
    occasionally merge give every rule both ordered and concurrent
    pairs, and most queues see only sends and receives, so they never
-   get sync state of their own. *)
+   get sync state of their own.  Some sends are [Final], and the
+   streams keep that promise: a send drawn for an object whose [Final]
+   send is in becomes a receive, so retired objects drain, are dropped,
+   and may then see receives, signals, waits and moves. *)
 let oracle_objs = [| "e1"; "e1.req"; "e1.rep"; "e10"; "e10.req"; "e2"; "e2.req" |]
 
 let oracle_events (nfibers, steps) =
   let clocks = Array.init nfibers clock_of in
+  let finalized = Hashtbl.create 8 in
   Array.of_list
     (List.map
        (fun (f, o, k) ->
@@ -717,7 +743,16 @@ let oracle_events (nfibers, steps) =
          let obj = oracle_objs.(o) in
          let kind =
            match k mod 9 with
-           | 0 | 1 -> Event.Send { obj; op = "op" ^ string_of_int (k mod 2); unordered = k mod 7 = 0 }
+           | (0 | 1) when Hashtbl.mem finalized obj ->
+             Event.Receive { obj; op = "op" }
+           | 0 | 1 ->
+             let mode =
+               if k mod 7 = 0 then Event.Unordered
+               else if k mod 4 = 3 then Event.Final
+               else Event.Ordered
+             in
+             if mode = Event.Final then Hashtbl.replace finalized obj ();
+             Event.Send { obj; op = "op" ^ string_of_int (k mod 2); mode }
            | 2 -> Event.Receive { obj; op = "op" }
            | 3 -> Event.Signal { obj; woke = false }
            | 4 -> Event.Signal { obj; woke = true }

@@ -301,6 +301,92 @@ let test_open_loop_deterministic () =
     Alcotest.(check int) "count" 96 a.H.h_count
   | _ -> Alcotest.fail "open-loop run produced no latency summary"
 
+(* ---- object lifetimes: the promise each Final send makes -------------- *)
+
+(* A consumer that checks, over the whole stream, the promise a [Final]
+   send makes: its object takes no later send, and every message on it
+   has been received by the end of the run.  It keeps every object, so
+   it guards the marks where the race detector has already dropped an
+   object's state and could no longer see a broken promise. *)
+let promise_checker () =
+  let sends = Hashtbl.create 1024 and recvs = Hashtbl.create 1024 in
+  let finals = Hashtbl.create 1024 in
+  let broken = ref [] in
+  let bump tbl obj =
+    Hashtbl.replace tbl obj (1 + Option.value ~default:0 (Hashtbl.find_opt tbl obj))
+  in
+  let consume (ev : Event.t) =
+    match ev.Event.ev_kind with
+    | Event.Send { obj; op; mode } ->
+      if Hashtbl.mem finals obj then
+        broken := Printf.sprintf "send %s to %s after its final send" op obj :: !broken;
+      bump sends obj;
+      if mode = Event.Final then Hashtbl.replace finals obj ()
+    | Event.Receive { obj; _ } -> bump recvs obj
+    | _ -> ()
+  in
+  let verdict () =
+    let count tbl obj = Option.value ~default:0 (Hashtbl.find_opt tbl obj) in
+    let undrained =
+      Hashtbl.fold
+        (fun obj () acc ->
+          if count recvs obj < count sends obj then
+            Printf.sprintf "%s still holds %d message(s) at the end" obj
+              (count sends obj - count recvs obj)
+            :: acc
+          else acc)
+        finals []
+    in
+    (Hashtbl.length finals, List.rev !broken @ List.sort compare undrained)
+  in
+  (consume, verdict)
+
+(* Runs [f] with a promise checker on every engine it creates (the shard
+   coordinator's sink carries it), and checks the verdict: no broken
+   promise, and [finals] objects with a final send. *)
+let check_promises name ~finals f =
+  let consume, verdict = promise_checker () in
+  ignore
+    (Engine.with_observer ~log_capacity:0
+       ~attach:(fun e -> Engine.add_consumer e consume)
+       f);
+  let n, broken = verdict () in
+  Alcotest.(check (list string)) (name ^ " keeps its promises") [] broken;
+  Alcotest.(check int) (name ^ " final sends") finals n
+
+let test_registered_promises () =
+  let population = 1_000 in
+  List.iter
+    (fun (scenario, finals) ->
+      List.iter
+        (fun backend ->
+          check_promises
+            (Printf.sprintf "%s/%s~n1K" scenario backend)
+            ~finals
+            (fun () ->
+              Run.run_outcome (Spec.v ~population ~scenario ~backend 3)))
+        [ "charlotte"; "soda"; "chrysalis" ])
+    (* Under closed load a client's last-round request is final; under
+       open load its one request and the reply to it are. *)
+    [ ("wl-farm", population); ("wl-farm-open", 2 * population);
+      ("wl-ring", population); ("wl-tree", population) ]
+
+let test_open_promises () =
+  let population = 1_000 in
+  List.iter
+    (fun (name, topology) ->
+      List.iter
+        (fun (backend : Harness.Backend_world.backend) ->
+          check_promises
+            (Printf.sprintf "%s/open/%s" name backend.Harness.Backend_world.name)
+            ~finals:(2 * population)
+            (fun () ->
+              Harness.Workload.run ~seed:5 ~topology
+                ~load:(Harness.Workload.Open { window = Time.ms 20 })
+                ~population backend))
+        Harness.Backend_world.all)
+    [ ("ring", Harness.Workload.Ring); ("tree", Harness.Workload.Tree) ]
+
 let () =
   Alcotest.run "workload"
     [
@@ -332,5 +418,12 @@ let () =
         [
           Alcotest.test_case "all topologies on all backends" `Quick
             test_workload_outcomes;
+        ] );
+      ( "lifetimes",
+        [
+          Alcotest.test_case "registered workloads keep their final sends"
+            `Quick test_registered_promises;
+          Alcotest.test_case "open ring and tree keep their final sends"
+            `Quick test_open_promises;
         ] );
     ]
