@@ -73,16 +73,17 @@ let retention_tests =
           | es -> Alcotest.failf "expected one engine, got %d" (List.length es)))
     Harness.Backend_world.variants
 
-(* Steady-state minor words per 0 B echo call.  Rpc_bench engines are
-   unobserved (no event records, vector clocks or stamps; see the
-   causality tests below). *)
-let words_per_call ?(iters = 100) b =
-  Budgets.words_per_iter ~warm:30 ~iters (fun iters ->
-      ignore (Harness.Rpc_bench.run b ~payload:0 ~iters ()))
+(* Steady-state words per echo call of [payload] bytes (default 0):
+   minor words, or [count] ones.  Rpc_bench engines are unobserved (no
+   event records, vector clocks or stamps; see the causality tests
+   below). *)
+let words_per_call ?count ?(iters = 100) ?(payload = 0) b =
+  Budgets.words_per_iter ?count ~warm:30 ~iters (fun iters ->
+      ignore (Harness.Rpc_bench.run b ~payload ~iters ()))
 
-(* Steady-state minor words per 0 B raw-kernel echo: the same exchange
-   made directly against each backend's kernel, with no LYNX above it. *)
-let raw_words_per_call ?(iters = 100) name =
+(* Steady-state words per raw-kernel echo: the same exchange made
+   directly against each backend's kernel, with no LYNX above it. *)
+let raw_words_per_call ?count ?(iters = 100) ?(payload = 0) name =
   let raw =
     match name with
     | "charlotte" -> Harness.Rpc_bench.raw_charlotte
@@ -90,8 +91,17 @@ let raw_words_per_call ?(iters = 100) name =
     | "chrysalis" -> Harness.Rpc_bench.raw_chrysalis
     | n -> Alcotest.failf "no raw echo for %s" n
   in
-  Budgets.words_per_iter ~warm:30 ~iters (fun iters ->
-      ignore (raw ~payload:0 ~iters ()))
+  Budgets.words_per_iter ?count ~warm:30 ~iters (fun iters ->
+      ignore (raw ~payload ~iters ()))
+
+(* A 1000 B echo's frames are big enough that a buffer grown past 256
+   words would be allocated in the major heap, so its rungs count all
+   words ([Budgets.all_words]), not just minor ones. *)
+let kb_words_per_call ?iters b =
+  words_per_call ~count:Budgets.all_words ?iters ~payload:1000 b
+
+let kb_raw_words_per_call ?iters name =
+  raw_words_per_call ~count:Budgets.all_words ?iters ~payload:1000 name
 
 let allocation_tests =
   List.map
@@ -113,6 +123,25 @@ let allocation_tests =
               ~budget:(List.assoc b.name Budgets.lynx_premium)
               (words_per_call ~iters:128 b
               -. raw_words_per_call ~iters:128 b.name)))
+      Harness.Backend_world.all
+  @ List.map
+      (fun (b : Harness.Backend_world.backend) ->
+        Alcotest.test_case (b.name ^ " words per 1000 B echo call") `Quick
+          (fun () ->
+            Budgets.exact
+              (Printf.sprintf "%s 1000 B echo call" b.name)
+              ~budget:(List.assoc b.name Budgets.kb_echo_call)
+              (kb_words_per_call ~iters:128 b)))
+      Harness.Backend_world.all
+  @ List.map
+      (fun (b : Harness.Backend_world.backend) ->
+        Alcotest.test_case (b.name ^ " LYNX premium per 1000 B echo call")
+          `Quick (fun () ->
+            Budgets.exact
+              (Printf.sprintf "%s 1000 B LYNX premium" b.name)
+              ~budget:(List.assoc b.name Budgets.kb_lynx_premium)
+              (kb_words_per_call ~iters:128 b
+              -. kb_raw_words_per_call ~iters:128 b.name)))
       Harness.Backend_world.all
   @ [
       (* A zero-probability plan: no fault ever fires, but the injector
