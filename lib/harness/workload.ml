@@ -159,12 +159,12 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
   (* A server's reply to [client], on the server's own edge to it.
      Under open load that edge carries one reply, so the reply is
      final; under closed load the server does not know a request's
-     round.  Both options are built once per run. *)
+     round.  Its latency and [final] option are built once per run. *)
   let reply =
-    let latency = Some (xfer 16) in
+    let latency = xfer 16 in
     let final = match load with Open _ -> Some true | Closed _ -> None in
     fun ctx ~client rep ->
-      Shard.send ctx ~dst:client ?latency ~op:"wl.rep" ?final rep
+      Shard.send ctx ~dst:client ~latency ~op:"wl.rep" ?final rep
   in
   (* A node that handles [n] messages, one [handle] each. *)
   let serve n handle ctx =

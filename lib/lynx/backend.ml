@@ -21,7 +21,14 @@ type kind = Request | Reply
 let kind_to_string = function Request -> "request" | Reply -> "reply"
 
 (** A received message: payload plus freshly registered handles for any
-    link ends that moved with it. *)
+    link ends that moved with it.
+
+    The payload is a slice — the [rx_len] bytes of [rx_payload] from
+    [rx_off] — of the frame the channel received, decoded in place
+    rather than copied out.  A slice stays valid for ever: no channel
+    reuses or writes into a receive-side buffer, because an [rx] may be
+    held and delivered again long after it was taken
+    ({!Fault_ops} withholds and duplicates them). *)
 type rx = {
   rx_kind : kind;
   rx_corr : int;
@@ -31,6 +38,8 @@ type rx = {
   rx_op : string;
   rx_exn : string option;  (** a reply carrying a remote exception *)
   rx_payload : bytes;
+  rx_off : int;
+  rx_len : int;
   rx_enclosures : int list;  (** backend handle ids, already owned by us *)
 }
 

@@ -82,13 +82,13 @@ let encode (vs : Value.t list) : bytes * Link.t list =
 
 type reader = {
   payload : bytes;
-  len : int;
+  stop : int;
   mutable rpos : int;
   enclosures : Link.t array;
 }
 
 let byte r =
-  if r.rpos >= r.len then raise (Malformed "truncated payload");
+  if r.rpos >= r.stop then raise (Malformed "truncated payload");
   let c = Char.code (Bytes.get r.payload r.rpos) in
   r.rpos <- r.rpos + 1;
   c
@@ -114,7 +114,7 @@ let rec dec r : Value.t =
   end
   else if tag = tag_str then begin
     let n = u32 r in
-    if r.rpos + n > r.len then raise (Malformed "truncated string");
+    if r.rpos + n > r.stop then raise (Malformed "truncated string");
     let s = Bytes.sub_string r.payload r.rpos n in
     r.rpos <- r.rpos + n;
     Str s
@@ -142,7 +142,12 @@ and dec_items r k acc =
     dec_items r (k - 1) (v :: acc)
 
 let rec dec_all r acc =
-  if r.rpos >= r.len then List.rev acc else dec_all r (dec r :: acc)
+  if r.rpos >= r.stop then List.rev acc else dec_all r (dec r :: acc)
 
-let decode (payload : bytes) ~(enclosures : Link.t array) : Value.t list =
-  dec_all { payload; len = Bytes.length payload; rpos = 0; enclosures } []
+(** Decodes the [len] bytes of [payload] from [off] in place. *)
+let decode_sub (payload : bytes) ~off ~len ~(enclosures : Link.t array) :
+    Value.t list =
+  dec_all { payload; stop = off + len; rpos = off; enclosures } []
+
+let decode payload ~enclosures =
+  decode_sub payload ~off:0 ~len:(Bytes.length payload) ~enclosures

@@ -322,7 +322,8 @@ let decode_reply t ~op ?expect (rx : Backend.rx) =
   | None -> (
     let results =
       try
-        Codec.decode rx.Backend.rx_payload
+        Codec.decode_sub rx.Backend.rx_payload ~off:rx.Backend.rx_off
+          ~len:rx.Backend.rx_len
           ~enclosures:(adopt_enclosures t rx.Backend.rx_enclosures)
       with Codec.Malformed m -> raise (Excn.Type_error ("malformed reply: " ^ m))
     in
@@ -397,7 +398,8 @@ let send_reply t (l : Link.t) (rx : Backend.rx) replied results =
 let make_incoming t (l : Link.t) (rx : Backend.rx) =
   let args =
     try
-      Codec.decode rx.Backend.rx_payload
+      Codec.decode_sub rx.Backend.rx_payload ~off:rx.Backend.rx_off
+        ~len:rx.Backend.rx_len
         ~enclosures:(adopt_enclosures t rx.Backend.rx_enclosures)
     with Codec.Malformed m -> raise (Excn.Type_error ("malformed request: " ^ m))
   in
@@ -543,7 +545,7 @@ let dispatcher_step t =
       Engine.sleep t.eng
         (Time.add t.costs.Costs.dispatch
            (Costs.message_cpu t.costs
-              ~bytes:(Bytes.length rx.Backend.rx_payload)
+              ~bytes:rx.Backend.rx_len
               ~side:`Recv));
       Stats.incr t.sts Key.messages_received;
       (match kind with

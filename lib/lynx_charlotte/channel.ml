@@ -351,6 +351,8 @@ let first_packet (fr : frame) : Packet.header =
       d_exn = fr.fr_exn;
       d_n_encl = List.length fr.fr_encl;
       d_payload = fr.fr_payload;
+      d_off = 0;
+      d_len = Bytes.length fr.fr_payload;
     }
   in
   match fr.fr_kind with
@@ -418,6 +420,8 @@ let finalize_incoming t (c : chan) kind (d : Packet.data_header)
       rx_op = d.Packet.d_op;
       rx_exn = d.Packet.d_exn;
       rx_payload = d.Packet.d_payload;
+      rx_off = d.Packet.d_off;
+      rx_len = d.Packet.d_len;
       rx_enclosures = handles;
     }
   in

@@ -97,6 +97,7 @@ module Key = struct
   let discarded_notices = Stats.key "lynx_chrysalis.discarded_notices"
   let ends_adopted = Stats.key "lynx_chrysalis.ends_adopted"
   let links_made = Stats.key "lynx_chrysalis.links_made"
+  let malformed = Stats.key "lynx_chrysalis.malformed"
   let msgs_taken = Stats.key "lynx_chrysalis.msgs_taken"
   let msgs_written = Stats.key "lynx_chrysalis.msgs_written"
   let spurious_free_notices = Stats.key "lynx_chrysalis.spurious_free_notices"
@@ -177,21 +178,12 @@ let transmit t (c : chan) (fr : frame) =
       fr.f_encl
   in
   let slot = Layout.slot ~side:c.side ~kind:fr.f_kind in
-  let encoded =
+  (* Length-prefixed, so the receiver copies only what was written. *)
+  let frame =
     Layout.encode_slot ~corr:fr.f_corr ~op:fr.f_op ~exn_msg:fr.f_exn
       ~enclosures:encl_words ~payload:fr.f_payload
   in
-  (* Length-prefix the slot so the receiver copies only what was written. *)
-  let n = Bytes.length encoded in
-  let body = Bytes.create (4 + n) in
-  Bytes.set body 0 (Char.chr (n land 0xff));
-  Bytes.set body 1 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set body 2 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set body 3 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.blit encoded 0 body 4 n;
-  if Bytes.length body > Layout.slot_size then
-    invalid_arg "lynx_chrysalis: message exceeds link buffer";
-  K.write_bytes t.kernel t.pid c.obj ~off:(Layout.slot_off slot) body;
+  K.write_bytes t.kernel t.pid c.obj ~off:(Layout.slot_off slot) frame;
   set_flag t c (Layout.present_bit slot);
   Stats.incr t.sts Key.msgs_written;
   notify_peer t c (Layout.notice_msg ~obj:c.obj ~slot)
@@ -283,6 +275,13 @@ let on_incoming t (c : chan) kind =
     ring t
   end
 
+(* Marks the slot's message taken: clears its present bit and tells the
+   sender, whose [transmit] then completes. *)
+let consume_slot t (c : chan) ~ki ~slot =
+  c.in_present.(ki) <- false;
+  clear_flag t c (Layout.present_bit slot);
+  notify_peer t c (Layout.notice_msg ~obj:c.obj ~slot)
+
 let take t ~link ~kind =
   match Lynx.Handle_table.find_opt t.chans link with
   | None -> None
@@ -302,43 +301,43 @@ let take t ~link ~kind =
         let hdr =
           K.read_bytes t.kernel t.pid c.obj ~off:(Layout.slot_off slot) ~len:4
         in
-        let n =
-          Char.code (Bytes.get hdr 0)
-          lor (Char.code (Bytes.get hdr 1) lsl 8)
-          lor (Char.code (Bytes.get hdr 2) lsl 16)
-          lor (Char.code (Bytes.get hdr 3) lsl 24)
-        in
         let raw =
           K.read_bytes t.kernel t.pid c.obj
             ~off:(Layout.slot_off slot + 4)
-            ~len:n
+            ~len:(Layout.decode_length hdr)
         in
-        let d = Layout.decode_slot raw in
-        let eng = K.engine t.kernel in
-        Engine.adopt eng (slot_stamp_key c.obj slot d.Layout.d_corr);
-        Engine.emit eng
-          (Event.Receive { obj = c.slot_objs.(slot); op = d.Layout.d_op });
-        c.in_present.(ki) <- false;
-        clear_flag t c bit;
-        notify_peer t c (Layout.notice_msg ~obj:c.obj ~slot);
-        Stats.incr t.sts Key.msgs_taken;
-        (* Adopt any moved ends. *)
-        let encl_handles =
-          List.map
-            (fun word ->
-              let obj = word lsr 1 and side = word land 1 in
-              (adopt t ~obj ~side).h)
-            d.Layout.d_enclosures
-        in
-        Some
-          {
-            Lynx.Backend.rx_kind = kind;
-            rx_corr = d.Layout.d_corr;
-            rx_op = d.Layout.d_op;
-            rx_exn = d.Layout.d_exn;
-            rx_payload = d.Layout.d_payload;
-            rx_enclosures = encl_handles;
-          }
+        match Layout.decode_slot raw with
+        | exception Layout.Malformed ->
+          (* Taken and dropped, as the other channels drop theirs. *)
+          Stats.incr t.sts Key.malformed;
+          consume_slot t c ~ki ~slot;
+          None
+        | d ->
+          let eng = K.engine t.kernel in
+          Engine.adopt eng (slot_stamp_key c.obj slot d.Layout.d_corr);
+          Engine.emit eng
+            (Event.Receive { obj = c.slot_objs.(slot); op = d.Layout.d_op });
+          consume_slot t c ~ki ~slot;
+          Stats.incr t.sts Key.msgs_taken;
+          (* Adopt any moved ends. *)
+          let encl_handles =
+            List.map
+              (fun word ->
+                let obj = word lsr 1 and side = word land 1 in
+                (adopt t ~obj ~side).h)
+              d.Layout.d_enclosures
+          in
+          Some
+            {
+              Lynx.Backend.rx_kind = kind;
+              rx_corr = d.Layout.d_corr;
+              rx_op = d.Layout.d_op;
+              rx_exn = d.Layout.d_exn;
+              rx_payload = d.Layout.d_payload;
+              rx_off = d.Layout.d_off;
+              rx_len = d.Layout.d_len;
+              rx_enclosures = encl_handles;
+            }
       end
     end
 

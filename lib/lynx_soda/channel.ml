@@ -578,6 +578,8 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion
           b_exn = exn_msg;
           b_encl = encl_desc;
           b_payload = payload;
+          b_off = 0;
+          b_len = Bytes.length payload;
         }
     in
     let m =
@@ -667,6 +669,8 @@ let take t ~link ~kind =
               rx_op = body.Wire.b_op;
               rx_exn = body.Wire.b_exn;
               rx_payload = body.Wire.b_payload;
+              rx_off = body.Wire.b_off;
+              rx_len = body.Wire.b_len;
               rx_enclosures = handles;
             })))
 

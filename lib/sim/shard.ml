@@ -320,9 +320,8 @@ let sleep node d k = Engine.sleep_then node.n_eng d k
 
 let incr node key by = Stats.incr ~by node.n_t.stats.(node.n_shard) key
 
-let send src ~dst ?latency ?(op = "msg") ?(final = false) msg =
+let send src ~dst ~latency:lat ?(op = "msg") ?(final = false) msg =
   let t = src.n_t in
-  let lat = match latency with Some l -> l | None -> t.look in
   if Time.(lat < t.look) then
     invalid_arg "Shard.send: latency below the lookahead";
   if dst < 0 || dst >= t.n_count then invalid_arg "Shard.send: unknown node";

@@ -136,11 +136,13 @@ val rng : 'msg ctx -> Rng.t
     at every shard count. *)
 
 val send :
-  'msg ctx -> dst:int -> ?latency:Time.t -> ?op:string -> ?final:bool -> 'msg -> unit
-(** Sends to node [dst] (self-sends allowed), arriving [latency]
-    (default: the lookahead) after now.  Raises [Invalid_argument] if
-    [latency] is below the lookahead — the conservative bound is the
-    correctness of the whole exchange.  Emits an {!Event.Send} on the
+  'msg ctx -> dst:int -> latency:Time.t -> ?op:string -> ?final:bool -> 'msg -> unit
+(** Sends to node [dst] (self-sends allowed), arriving [latency] after
+    now; pass the lookahead for the earliest delivery.  Raises
+    [Invalid_argument] if [latency] is below the lookahead — the
+    conservative bound is the correctness of the whole exchange.  The
+    latency is a plain argument, not an option, so a send builds no
+    [Some] for it.  Emits an {!Event.Send} on the
     per-direction object ["n<src>->n<dst>"].
 
     [final] (default [false]) marks the send {!Event.Final}: the caller

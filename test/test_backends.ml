@@ -17,6 +17,8 @@ let charlotte_packets =
       d_exn = exn;
       d_n_encl = n;
       d_payload = Bytes.of_string payload;
+      d_off = 0;
+      d_len = String.length payload;
     }
   in
   [
@@ -30,7 +32,7 @@ let charlotte_packets =
           Alcotest.check Alcotest.string "op" "op-name" d.d_op;
           checki "n_encl" 3 d.d_n_encl;
           Alcotest.check Alcotest.string "payload" "payload bytes"
-            (Bytes.to_string d.d_payload)
+            (Bytes.sub_string d.d_payload d.d_off d.d_len)
         | _ -> Alcotest.fail "wrong header");
     Alcotest.test_case "exception replies round trip" `Quick (fun () ->
         let open Lynx_charlotte.Packet in
@@ -81,12 +83,14 @@ let charlotte_packets =
                  d_exn = None;
                  d_n_encl = n_encl land 0xff;
                  d_payload = Bytes.of_string payload;
+                 d_off = 0;
+                 d_len = String.length payload;
                }
            in
            match decode (encode h) with
            | Req_first d ->
              d.d_op = op
-             && Bytes.to_string d.d_payload = payload
+             && Bytes.sub_string d.d_payload d.d_off d.d_len = payload
              && d.d_corr = corr
              && d.d_n_encl = n_encl land 0xff
            | _ -> false));
@@ -109,10 +113,17 @@ let soda_wire =
                 { e_my_name = 20; e_far_name = 21; e_hint = 4 };
               ];
             b_payload = Bytes.of_string "data";
+            b_off = 0;
+            b_len = 4;
           }
         in
         let back = decode_body (encode_body body) in
-        checkb "equal" true (back = body));
+        checkb "equal" true
+          ({ back with
+             b_payload = Bytes.sub back.b_payload back.b_off back.b_len;
+             b_off = 0;
+           }
+          = body));
     Alcotest.test_case "oob tags round trip" `Quick (fun () ->
         let open Lynx_soda.Wire in
         List.iter
@@ -149,9 +160,13 @@ let soda_wire =
                b_exn = exn;
                b_encl = [];
                b_payload = Bytes.of_string payload;
+               b_off = 0;
+               b_len = String.length payload;
              }
            in
-           decode_body (encode_body body) = body));
+           let back = decode_body (encode_body body) in
+           back.b_corr = corr && back.b_op = op && back.b_exn = exn
+           && Bytes.sub_string back.b_payload back.b_off back.b_len = payload));
   ]
 
 (* ---- Chrysalis slot codec -------------------------------------------------- *)
@@ -164,13 +179,13 @@ let chrysalis_layout =
           encode_slot ~corr:9 ~op:"work" ~exn_msg:None ~enclosures:[ 100; 200 ]
             ~payload:(Bytes.of_string "xyz")
         in
-        let d = decode_slot b in
+        let d = decode_slot (Bytes.sub b 4 (decode_length b)) in
         checki "corr" 9 d.d_corr;
         Alcotest.check Alcotest.string "op" "work" d.d_op;
         Alcotest.check (Alcotest.list Alcotest.int) "encl" [ 100; 200 ]
           d.d_enclosures;
         Alcotest.check Alcotest.string "payload" "xyz"
-          (Bytes.to_string d.d_payload));
+          (Bytes.sub_string d.d_payload d.d_off d.d_len));
     Alcotest.test_case "slot indices partition by side and kind" `Quick
       (fun () ->
         let open Lynx_chrysalis.Layout in
@@ -415,6 +430,14 @@ let fuzz_tests =
            match Lynx_soda.Wire.decode_body (Bytes.of_string junk) with
            | _ -> true
            | exception Lynx_soda.Wire.Malformed -> true));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"chrysalis slot decoder total on garbage"
+         ~count:500
+         QCheck.(string_of_size (QCheck.Gen.int_bound 64))
+         (fun junk ->
+           match Lynx_chrysalis.Layout.decode_slot (Bytes.of_string junk) with
+           | _ -> true
+           | exception Lynx_chrysalis.Layout.Malformed -> true));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"lynx codec decoder total on garbage" ~count:500
          QCheck.(string_of_size (QCheck.Gen.int_bound 64))

@@ -176,7 +176,7 @@ let test_step_crash () =
   in
   faulty :=
     Shard.add_node t ~name:"faulty" (fun ctx ->
-        Shard.send ctx ~dst:0 "hello";
+        Shard.send ctx ~dst:0 ~latency:(Time.ms 1) "hello";
         Shard.sleep ctx (Time.ms 2) (fun () -> failwith "boom"));
   Alcotest.check_raises "the raising node crashed"
     (Engine.Fiber_crash ("faulty", Failure "boom"))
@@ -340,14 +340,16 @@ let qcheck_invariance =
 (* Two nodes on one shard bouncing a message [n] times: each bounce is
    one send, one barrier exchange and injection, and one park in [recv]
    woken by the delivery.  Nothing is retained. *)
+let bounce_look = Time.us 1
+
 let bounces n =
-  let look = Time.us 1 in
-  let t = Shard.create ~log_capacity:0 ~lookahead:look () in
+  let t = Shard.create ~log_capacity:0 ~lookahead:bounce_look () in
   let player ctx =
     let rec loop () =
       Shard.recv ctx (fun left ->
           if left > 0 then begin
-            Shard.send ctx ~dst:(1 - Shard.self ctx) (left - 1);
+            Shard.send ctx ~dst:(1 - Shard.self ctx) ~latency:bounce_look
+              (left - 1);
             loop ()
           end)
     in
@@ -356,7 +358,7 @@ let bounces n =
   ignore (Shard.add_node t ~daemon:true player);
   ignore
     (Shard.add_node t ~daemon:true (fun ctx ->
-         Shard.send ctx ~dst:0 n;
+         Shard.send ctx ~dst:0 ~latency:bounce_look n;
          player ctx));
   Shard.run t
 
