@@ -57,16 +57,6 @@ let json_arg =
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 
-let jobs_arg =
-  let doc =
-    "Worker domains for the sweep (default: the machine's recommended \
-     domain count).  Results are identical at every job count."
-  in
-  Arg.(
-    value
-    & opt int (Parallel.Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 (* [-n N] as the seed list 1..N. *)
 let seeds_arg ~default doc =
   Term.(
@@ -95,6 +85,32 @@ let reject fmt =
    running as if it were valid. *)
 let at_least lo flag v =
   if v < lo then reject "bad %s %d (must be at least %d)" flag v lo
+
+(* OCaml 5.1 runs at most 128 domains at once. *)
+let max_jobs = 128
+
+(* Checked while cmdliner evaluates the flags, so a bad count is
+   refused before any sweep builds its pool. *)
+let jobs_arg =
+  let doc =
+    Printf.sprintf
+      "Worker domains for the sweep, 1 to %d (default: the machine's \
+       recommended domain count).  Results are identical at every job \
+       count."
+      max_jobs
+  in
+  let check jobs =
+    at_least 1 "--jobs" jobs;
+    if jobs > max_jobs then
+      reject "bad --jobs %d (must be at most %d)" jobs max_jobs;
+    jobs
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value
+        & opt int (min max_jobs (Parallel.Pool.default_jobs ()))
+        & info [ "j"; "jobs" ] ~docv:"N" ~doc))
 
 let resolve_filter what filter have =
   List.iter
@@ -756,22 +772,40 @@ let backends_cmd =
     (Cmd.info "backends" ~doc:"List available backends.")
     Term.(const run $ all)
 
+(* cmdliner reports a bad flag with a usage paragraph and exit 124;
+   like every other bad input here it gets one stderr line and exit 2.
+   The report is captured, and its first line kept. *)
 let () =
   let doc =
     "Simulators for the three LYNX implementations (Scott, ICPP 1986)."
   in
-  exit
-    (Cmd.eval
-       (Cmd.group (Cmd.info "lynx_sim" ~version:"1.0.0" ~doc)
-          [
-            claims_cmd;
-            scenario_cmd;
-            explore_cmd;
-            chaos_cmd;
-            lint_cmd;
-            static_cmd;
-            races_cmd;
-            workload_cmd;
-            repro_cmd;
-            backends_cmd;
-          ]))
+  let buf = Buffer.create 256 in
+  let err = Format.formatter_of_buffer buf in
+  let cmd =
+    Cmd.group (Cmd.info "lynx_sim" ~version:"1.0.0" ~doc)
+      [
+        claims_cmd;
+        scenario_cmd;
+        explore_cmd;
+        chaos_cmd;
+        lint_cmd;
+        static_cmd;
+        races_cmd;
+        workload_cmd;
+        repro_cmd;
+        backends_cmd;
+      ]
+  in
+  match Cmd.eval_value ~err cmd with
+  | Ok _ -> exit 0
+  | Error (`Parse | `Term) ->
+    Format.pp_print_flush err ();
+    let report = Buffer.contents buf in
+    reject "%s"
+      (match String.index_opt report '\n' with
+      | Some i -> String.sub report 0 i
+      | None -> report)
+  | Error `Exn ->
+    Format.pp_print_flush err ();
+    prerr_string (Buffer.contents buf);
+    exit Cmd.Exit.internal_error

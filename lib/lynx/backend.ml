@@ -62,16 +62,24 @@ type ops = {
     op:string ->
     retx:bool ->
     exn_msg:string option ->
-    payload:bytes ->
+    values:Value.t list ->
     enclosures:int list ->
-    completion:(send_result -> unit) ->
+    sent:send_result Sim.Engine.handle ->
     unit;
-      (** starts a send; [completion] fires (possibly much later) when
-          the message has been received or has failed.  [retx] marks a
-          retransmission under an already-used correlation id (a
-          screened caller's retry, or the dedup cache re-answering a
-          duplicate): the same logical message again, which transports
-          and detectors must not treat as a fresh application send *)
+      (** starts a send.  The channel builds the message's frame once,
+          here: its frame codec writes the header into one exact-size
+          {!Frame.writer} and {!Codec.write} the [values] behind it, and
+          a retransmission sends those same bytes again.  [enclosures]
+          are the handles of the ends the values enclose, in
+          {!Value.links_of_list} order.  [sent] is the sender's
+          {!Sim.Engine.prepare}d handle: the channel resumes it once,
+          with the outcome, when the message has been received or has
+          failed — possibly much later, possibly before [b_send]
+          returns.  [retx] marks a retransmission under an already-used
+          correlation id (a screened caller's retry, or the dedup cache
+          re-answering a duplicate): the same logical message again,
+          which transports and detectors must not treat as a fresh
+          application send *)
   b_set_interest : link:int -> requests:bool -> replies:bool -> unit;
   b_ready : link:int -> kind:kind -> bool;
       (** whether [b_take ~link ~kind] would find a buffered message.  The
@@ -86,6 +94,10 @@ type ops = {
   b_shutdown : unit -> unit;  (** process termination: destroy everything *)
   b_stats : Sim.Stats.t;
 }
+
+(** Resumes [sent] with a failure that returned [recovered] to us. *)
+let fail_send eng sent exn ~recovered =
+  Sim.Engine.resume eng sent (Error { se_exn = exn; se_recovered = recovered })
 
 (** A [b_take_dead] for a backend that queues the handles of links it
     has seen die: drains [dead], oldest first. *)

@@ -3,9 +3,10 @@
     Link ends never travel inside the payload: each [Link] node is
     replaced by the index of the corresponding enclosure, and the ends
     themselves move out of band through the backend's enclosure
-    mechanism.  [encode] therefore returns both the payload bytes and the
-    ordered list of enclosed ends; [decode] reverses this given the fresh
-    handles the backend produced on receipt. *)
+    mechanism.  [write] puts the values into a channel's frame and
+    [encode] into a buffer of their own, returned with the ordered list
+    of enclosed ends; [decode] reverses this given the fresh handles the
+    backend produced on receipt. *)
 
 exception Malformed of string
 
@@ -18,67 +19,59 @@ let tag_link = 5
 let tag_pair = 6
 let tag_list = 7
 
-(* The payload is written straight into a buffer of its exact size,
-   {!Value.size_list} — the same size that prices the transfer.  Both
-   directions keep their position in a cursor record, so the walkers
-   below are top-level functions: a message builds no closures. *)
-type writer = {
-  buf : bytes;
-  mutable pos : int;
-  mutable encl : Link.t list;  (* enclosed ends, reversed *)
-  mutable n_encl : int;
-}
-
-let add_u8 w n =
-  Bytes.set w.buf w.pos (Char.unsafe_chr (n land 0xff));
-  w.pos <- w.pos + 1
-
-let add_u32 w n =
-  for shift = 0 to 3 do
-    add_u8 w (n lsr (shift * 8))
-  done
-
-let rec enc w (v : Value.t) =
+(* The values are written straight into the frame that carries them,
+   behind the header the channel's frame codec wrote: no payload is
+   built on its own and copied in.  The walkers are top-level
+   functions that thread the next enclosure index through, so a
+   message builds no closures and no cursor of its own. *)
+let rec enc w n (v : Value.t) =
   match v with
-  | Unit -> add_u8 w tag_unit
-  | Bool false -> add_u8 w tag_false
-  | Bool true -> add_u8 w tag_true
+  | Unit ->
+    Frame.u8 w tag_unit;
+    n
+  | Bool false ->
+    Frame.u8 w tag_false;
+    n
+  | Bool true ->
+    Frame.u8 w tag_true;
+    n
   | Int i ->
-    add_u8 w tag_int;
+    Frame.u8 w tag_int;
     for shift = 0 to 7 do
-      add_u8 w (i lsr (shift * 8))
-    done
+      Frame.u8 w (i lsr (shift * 8))
+    done;
+    n
   | Str s ->
-    add_u8 w tag_str;
-    add_u32 w (String.length s);
-    Bytes.blit_string s 0 w.buf w.pos (String.length s);
-    w.pos <- w.pos + String.length s
-  | Link l ->
-    add_u8 w tag_link;
-    add_u32 w w.n_encl;
-    w.n_encl <- w.n_encl + 1;
-    w.encl <- l :: w.encl
+    Frame.u8 w tag_str;
+    Frame.u32 w (String.length s);
+    Frame.string w s;
+    n
+  | Link _ ->
+    Frame.u8 w tag_link;
+    Frame.u32 w n;
+    n + 1
   | Pair (a, b) ->
-    add_u8 w tag_pair;
-    enc w a;
-    enc w b
+    Frame.u8 w tag_pair;
+    enc w (enc w n a) b
   | List items ->
-    add_u8 w tag_list;
-    add_u32 w (List.length items);
-    enc_list w items
+    Frame.u8 w tag_list;
+    Frame.u32 w (List.length items);
+    enc_list w n items
 
-and enc_list w = function
-  | [] -> ()
-  | v :: rest ->
-    enc w v;
-    enc_list w rest
+and enc_list w n = function
+  | [] -> n
+  | v :: rest -> enc_list w (enc w n v) rest
 
+(** Writes [vs] at the cursor of [w]: {!Value.size_list} bytes.  Each
+    [Link] becomes the index of its end in {!Value.links_of_list}, the
+    order the ends move in. *)
+let write w (vs : Value.t list) = ignore (enc_list w 0 vs)
+
+(** [vs] on its own, at its exact size, with the ends it encloses. *)
 let encode (vs : Value.t list) : bytes * Link.t list =
-  let w =
-    { buf = Bytes.create (Value.size_list vs); pos = 0; encl = []; n_encl = 0 }
-  in
-  enc_list w vs;
-  (w.buf, List.rev w.encl)
+  let w = Frame.writer (Value.size_list vs) in
+  write w vs;
+  (Frame.finish w, Value.links_of_list vs)
 
 type reader = {
   payload : bytes;

@@ -3,10 +3,12 @@
     and payload slices.
 
     A frame is written once, into a buffer of its exact size, and read
-    in place from the received bytes.  Each cursor is a record and the
-    field functions are top-level, so a frame costs its bytes and one
-    cursor: no closures, no [Buffer], no copy of the payload on the way
-    in.  Every read is bounds-checked against the cursor's end; a frame
+    in place from the received bytes.  A LYNX message's frame is built
+    by two writers in turn on one cursor: the channel's frame codec
+    writes the header and {!Codec.write} the values after it.  Each
+    cursor is a record and the field functions are top-level, so a
+    frame costs its bytes and one cursor: no closures, no [Buffer], no
+    copy of the payload on either side.  Every read is bounds-checked against the cursor's end; a frame
     too short for what its fields declare raises {!Malformed}. *)
 
 exception Malformed
@@ -28,14 +30,18 @@ let u32 w n =
   u16 w n;
   u16 w (n lsr 16)
 
+(* The bytes of [s], with no length. *)
+let string w s =
+  let n = String.length s in
+  Bytes.blit_string s 0 w.buf w.wpos n;
+  w.wpos <- w.wpos + n
+
 (* A string behind its 16-bit length. *)
 let str_size s = 2 + String.length s
 
 let str w s =
-  let n = String.length s in
-  u16 w n;
-  Bytes.blit_string s 0 w.buf w.wpos n;
-  w.wpos <- w.wpos + n
+  u16 w (String.length s);
+  string w s
 
 let sub w src ~off ~len =
   Bytes.blit src off w.buf w.wpos len;

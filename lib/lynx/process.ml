@@ -161,7 +161,7 @@ let mark_dead t lid =
       Stats.incr t.sts Key.links_dead;
       s.Slot.seen <- None;
       (* Threads waiting for replies on this link feel the exception. *)
-      Slot.fail_replies s Excn.Link_destroyed;
+      Slot.fail_replies t.eng s Excn.Link_destroyed;
       prune_req_waiters t
     end
 
@@ -181,7 +181,7 @@ let finish t =
         s.seen <- None;
         if Link.is_usable s.link then begin
           s.link.Link.l_state <- Link.Dead;
-          Slot.fail_replies s Excn.Process_terminated
+          Slot.fail_replies t.eng s Excn.Process_terminated
         end)
       t.slots;
     List.iter
@@ -239,24 +239,28 @@ let check_enclosure (l : Link.t) (e : Link.t) =
 
 (* Send one message and block the calling thread until it has been
    received at the far end (LYNX is stop-and-wait above the kernel:
-   "each message blocks the sending coroutine"). *)
+   "each message blocks the sending coroutine").  The values are
+   marshalled once, by the backend, into the frame that carries them;
+   the thread waits on its own prepared handle, and does not block at
+   all when the backend settled the send before returning. *)
 let send_message t (l : Link.t) ~kind ~corr ~op ?(retx = false) ?exn_msg
     (vs : Value.t list) =
   usable_or_raise l;
-  let payload, encls = Codec.encode vs in
+  let encls = Value.links_of_list vs in
   (* Move rules, checked before anything is handed to the backend. *)
   if encls <> [] then List.iter (check_enclosure l) encls;
   (* Charge the run-time package's gather cost. *)
   Engine.sleep t.eng
-    (Costs.message_cpu t.costs ~bytes:(Bytes.length payload) ~side:`Send);
+    (Costs.message_cpu t.costs ~bytes:(Value.size_list vs) ~side:`Send);
   List.iter (fun (e : Link.t) -> e.Link.l_state <- Link.Moving) encls;
   l.Link.unreceived_sends <- l.Link.unreceived_sends + 1;
   Stats.incr t.sts Key.messages_sent;
-  let done_ivar = Sync.Ivar.create t.eng in
-  t.ops.Backend.b_send ~link:l.Link.lid ~kind ~corr ~op ~retx ~exn_msg ~payload
+  let sent = Engine.prepare t.eng in
+  t.ops.Backend.b_send ~link:l.Link.lid ~kind ~corr ~op ~retx ~exn_msg
+    ~values:vs
     ~enclosures:(List.map (fun (e : Link.t) -> e.Link.lid) encls)
-    ~completion:(fun r -> Sync.Ivar.fill done_ivar r);
-  let result = Sync.Ivar.read done_ivar in
+    ~sent;
+  let result = Engine.await_prepared t.eng ~reason:"waitq" sent in
   l.Link.unreceived_sends <- max 0 (l.Link.unreceived_sends - 1);
   match result with
   | Ok () ->
@@ -278,19 +282,19 @@ let send_message t (l : Link.t) ~kind ~corr ~op ?(retx = false) ?exn_msg
 (* ---- Client side: call ------------------------------------------------- *)
 
 (* One request/reply exchange.  The reply queue opens as soon as the
-   request is sent (§3.2.1); the waiter is registered first so the
-   dispatcher can never see a reply without a consumer.  With [timeout],
-   a timer error-fills the waiter if no reply landed in time — the
-   screened caller retries under the {e same} correlation id, so the
-   server's dedup cache recognises the retransmission. *)
+   request is sent (§3.2.1); the caller's prepared handle is registered
+   first so the dispatcher can never see a reply without a consumer.
+   With [timeout], a timer fails the handle if no reply landed in time
+   — the screened caller retries under the {e same} correlation id, so
+   the server's dedup cache recognises the retransmission. *)
 let unexpect t (l : Link.t) ~corr =
   l.Link.replies_expected <- max 0 (l.Link.replies_expected - 1);
   Slot.forget_reply (slot t l.Link.lid) corr;
   if Link.is_usable l then refresh_interest t l
 
 let call_attempt t (l : Link.t) ~op ~corr ?(retx = false) ?timeout vs =
-  let ivar = Sync.Ivar.create t.eng in
-  Slot.expect_reply (slot t l.Link.lid) corr ivar;
+  let reply = Engine.prepare t.eng in
+  Slot.expect_reply (slot t l.Link.lid) corr reply;
   l.Link.replies_expected <- l.Link.replies_expected + 1;
   refresh_interest t l;
   (try send_message t l ~kind:Backend.Request ~corr ~op ~retx vs
@@ -303,12 +307,12 @@ let call_attempt t (l : Link.t) ~op ~corr ?(retx = false) ?timeout vs =
   | None -> ()
   | Some d ->
     Engine.schedule_after t.eng d (fun () ->
-        if not (Sync.Ivar.is_filled ivar) then begin
+        if not (Engine.woken reply) then begin
           Stats.incr t.sts Key.call_timeouts;
-          Sync.Ivar.fill_error ivar (Excn.Timeout op)
+          Engine.resume_error t.eng reply (Excn.Timeout op)
         end));
   let rx =
-    try Sync.Ivar.read ivar
+    try Engine.await_prepared t.eng ~reason:"waitq" reply
     with e ->
       unexpect t l ~corr;
       raise e
@@ -452,7 +456,7 @@ let run_handler t (l : Link.t) (h : Slot.handler) ~corr (inc : incoming) =
 
 let dispatch_reply t (s : Slot.t) (rx : Backend.rx) =
   match Slot.take_reply s rx.Backend.rx_corr with
-  | ivar -> Sync.Ivar.fill ivar rx
+  | caller -> Engine.resume t.eng caller rx
   | exception Not_found -> Stats.incr t.sts Key.orphan_replies
 
 (* Answer a duplicate of an already-served request from the dedup cache:

@@ -7,6 +7,7 @@
     no hashing, no tuple keys, and nothing allocated to find the next
     queue to service (see {!pick}). *)
 
+module Engine = Sim.Engine
 module Sync = Sim.Sync
 
 (* What we answered a screened request with, for at-most-once dedup: a
@@ -39,9 +40,10 @@ type t = {
   link : Link.t;
   mutable handlers : handler list;  (** one per op *)
   (* Callers waiting for a reply on this link, in registration order:
-     [corrs.(i)] is answered by filling [ivars.(i)], for [i < waiting]. *)
+     [corrs.(i)] is answered by resuming [callers.(i)], each a caller's
+     prepared handle, for [i < waiting]. *)
   mutable corrs : int array;
-  mutable ivars : Backend.rx Sync.Ivar.t array;
+  mutable callers : Backend.rx Engine.handle array;
   mutable waiting : int;
   mutable peak : int;  (** most callers ever waiting at once *)
   mutable seen : (int, seen_state) Hashtbl.t option;
@@ -53,7 +55,7 @@ let make link =
     link;
     handlers = [];
     corrs = [||];
-    ivars = [||];
+    callers = [||];
     waiting = 0;
     peak = 0;
     seen = None;
@@ -83,25 +85,25 @@ let rec index_of_corr s corr i =
 
 (** Registers the caller waiting for reply [corr]; a call withdraws
     its corr (see {!forget_reply}) before it is ever registered again. *)
-let expect_reply s corr ivar =
+let expect_reply s corr caller =
   let n = s.waiting in
   if n = Array.length s.corrs then begin
     let cap = max 2 (2 * n) in
-    let corrs = Array.make cap 0 and ivars = Array.make cap ivar in
+    let corrs = Array.make cap 0 and callers = Array.make cap caller in
     Array.blit s.corrs 0 corrs 0 n;
-    Array.blit s.ivars 0 ivars 0 n;
+    Array.blit s.callers 0 callers 0 n;
     s.corrs <- corrs;
-    s.ivars <- ivars
+    s.callers <- callers
   end;
   s.corrs.(n) <- corr;
-  s.ivars.(n) <- ivar;
+  s.callers.(n) <- caller;
   s.waiting <- n + 1;
   if s.waiting > s.peak then s.peak <- s.waiting
 
 let remove_at s i =
   let last = s.waiting - 1 in
   Array.blit s.corrs (i + 1) s.corrs i (last - i);
-  Array.blit s.ivars (i + 1) s.ivars i (last - i);
+  Array.blit s.callers (i + 1) s.callers i (last - i);
   s.waiting <- last
 
 let forget_reply s corr =
@@ -113,12 +115,12 @@ let take_reply s corr =
   match index_of_corr s corr 0 with
   | -1 -> raise Not_found
   | i ->
-    let ivar = s.ivars.(i) in
+    let caller = s.callers.(i) in
     remove_at s i;
-    ivar
+    caller
 
-let fail_ivar exn ivar =
-  if not (Sync.Ivar.is_filled ivar) then Sync.Ivar.fill_error ivar exn
+let fail_caller eng exn caller =
+  if not (Engine.woken caller) then Engine.resume_error eng caller exn
 
 (** Error-fills every waiting caller with [exn].  They wake in the order
     a corr-keyed [Hashtbl] holding them would iterate, which the
@@ -126,17 +128,17 @@ let fail_ivar exn ivar =
     registration order into a table with the bucket count such a table
     would have grown to reproduces it: a bucket lists its keys newest
     first, and growth keeps that order. *)
-let fail_replies s exn =
+let fail_replies eng s exn =
   (match s.waiting with
   | 0 -> ()
-  | 1 -> fail_ivar exn s.ivars.(0)
+  | 1 -> fail_caller eng exn s.callers.(0)
   | n ->
     let rec buckets b = if s.peak > 2 * b then buckets (2 * b) else b in
     let tbl = Hashtbl.create (buckets 16) in
     for i = 0 to n - 1 do
-      Hashtbl.replace tbl s.corrs.(i) s.ivars.(i)
+      Hashtbl.replace tbl s.corrs.(i) s.callers.(i)
     done;
-    Hashtbl.iter (fun _ ivar -> fail_ivar exn ivar) tbl);
+    Hashtbl.iter (fun _ caller -> fail_caller eng exn caller) tbl);
   s.waiting <- 0;
   s.peak <- 0
 

@@ -19,12 +19,9 @@ module CT = Charlotte.Types
 type frame = {
   fr_seq : int;
   fr_kind : Lynx.Backend.kind;
-  fr_corr : int;
-  fr_op : string;
-  fr_exn : string option;
-  fr_payload : bytes;
+  fr_data : bytes;  (* the first packet, built once by [send] *)
   fr_encl : int list;  (* handle ids, first one rides the first packet *)
-  fr_completion : Lynx.Backend.send_result -> unit;
+  fr_sent : Lynx.Backend.send_result Engine.handle;  (* the sender's *)
   mutable fr_encl_sent : int;  (* [Enc] packets delivered so far *)
   mutable fr_awaiting_goahead : bool;
   (* Reply delivered by the kernel, waiting only for its top-level
@@ -37,7 +34,8 @@ type frame = {
 type carried = Handle of int | Raw of CT.link_end
 
 type outpkt = {
-  pk_header : Packet.header;
+  pk_label : int;  (* the packet's type, as an index in [Packet.labels] *)
+  pk_data : bytes;  (* the encoded packet *)
   pk_carry : carried option;  (* the kernel enclosure, if any *)
   pk_frame : frame option;
 }
@@ -184,6 +182,15 @@ let received_counters = pkt_counters "received"
 let count_pkt t counters (h : Packet.header) =
   Stats.incr t.sts counters.(Packet.label_index h)
 
+(* A control packet, encoded when it is queued. *)
+let control ?carry ?frame (h : Packet.header) =
+  {
+    pk_label = Packet.label_index h;
+    pk_data = Packet.encode h;
+    pk_carry = carry;
+    pk_frame = frame;
+  }
+
 (* ---- Frame completion and failure ------------------------------------ *)
 
 (* A moved end has definitively left us. *)
@@ -199,7 +206,7 @@ let complete_frame t (c : chan) (fr : frame) =
     fr.fr_completed <- true;
     List.iter (finalize_moved t) fr.fr_encl;
     ignore c;
-    fr.fr_completion (Ok ())
+    Engine.resume (K.engine t.kernel) fr.fr_sent (Ok ())
   end
 
 let fail_frame t (c : chan) (fr : frame) =
@@ -222,8 +229,8 @@ let fail_frame t (c : chan) (fr : frame) =
           Stats.incr t.sts Key.enclosures_lost)
       fr.fr_encl;
     ignore c;
-    fr.fr_completion
-      (Error { Lynx.Backend.se_exn = Lynx.Excn.Link_destroyed; se_recovered = recovered })
+    Lynx.Backend.fail_send (K.engine t.kernel) fr.fr_sent
+      Lynx.Excn.Link_destroyed ~recovered
   end
 
 let on_dead t (c : chan) =
@@ -304,9 +311,8 @@ let rec kick t (c : chan) =
               Some ec.ce
             | None -> None)
         in
-        let data = Packet.encode pk.pk_header in
-        count_pkt t sent_counters pk.pk_header;
-        let status = K.send t.kernel t.pid c.ce ?enclosure data in
+        Stats.incr t.sts sent_counters.(pk.pk_label);
+        let status = K.send t.kernel t.pid c.ce ?enclosure pk.pk_data in
         c.kicking <- false;
         match status with
         | CT.Ok_done -> ()
@@ -334,36 +340,21 @@ let enqueue_enc_packets t (c : chan) (fr : frame) =
     (fun i h ->
       if i > 0 then
         enqueue_pkt t c
-          {
-            pk_header =
-              Packet.Enc { e_seq = fr.fr_seq; e_kind = fr.fr_kind; e_index = i };
-            pk_carry = Some (Handle h);
-            pk_frame = Some fr;
-          })
+          (control ~carry:(Handle h) ~frame:fr
+             (Packet.Enc { e_seq = fr.fr_seq; e_kind = fr.fr_kind; e_index = i })))
     fr.fr_encl
-
-let first_packet (fr : frame) : Packet.header =
-  let d =
-    {
-      Packet.d_seq = fr.fr_seq;
-      d_corr = fr.fr_corr;
-      d_op = fr.fr_op;
-      d_exn = fr.fr_exn;
-      d_n_encl = List.length fr.fr_encl;
-      d_payload = fr.fr_payload;
-      d_off = 0;
-      d_len = Bytes.length fr.fr_payload;
-    }
-  in
-  match fr.fr_kind with
-  | Lynx.Backend.Request -> Packet.Req_first d
-  | Lynx.Backend.Reply -> Packet.Rep_first d
 
 let enqueue_first_packet t (c : chan) (fr : frame) =
   let carry =
     match fr.fr_encl with [] -> None | h :: _ -> Some (Handle h)
   in
-  enqueue_pkt t c { pk_header = first_packet fr; pk_carry = carry; pk_frame = Some fr }
+  enqueue_pkt t c
+    {
+      pk_label = Packet.data_label fr.fr_kind;
+      pk_data = fr.fr_data;
+      pk_carry = carry;
+      pk_frame = Some fr;
+    }
 
 (* ---- Receive management -------------------------------------------------- *)
 
@@ -383,7 +374,7 @@ let rec ensure_recv t (c : chan) =
        outstanding" (§3.2.1). *)
     if c.forbid_sent && (c.want_requests || not desired) then begin
       c.forbid_sent <- false;
-      enqueue_pkt t c { pk_header = Packet.Allow; pk_carry = None; pk_frame = None }
+      enqueue_pkt t c (control Packet.Allow)
     end;
     if desired && not c.recv_posted then begin
       match K.receive t.kernel t.pid c.ce ~max_len:65536 with
@@ -430,10 +421,7 @@ let finalize_incoming t (c : chan) kind (d : Packet.data_header)
   | Lynx.Backend.Reply ->
     Queue.add rx c.in_replies;
     if t.reply_acks then
-      enqueue_pkt t c
-        { pk_header = Packet.Ack { k_seq = d.Packet.d_seq };
-          pk_carry = None;
-          pk_frame = None });
+      enqueue_pkt t c (control (Packet.Ack { k_seq = d.Packet.d_seq })));
   ring t
 
 (* An unwanted request must be returned to its sender (§3.2.1): with
@@ -444,12 +432,9 @@ let bounce_request t (c : chan) (d : Packet.data_header) enclosure =
   let carry = Option.map (fun e -> Raw e) enclosure in
   if c.want_replies then begin
     c.forbid_sent <- true;
-    enqueue_pkt t c
-      { pk_header = Packet.Forbid { f_seq = d.Packet.d_seq }; pk_carry = carry; pk_frame = None }
+    enqueue_pkt t c (control ?carry (Packet.Forbid { f_seq = d.Packet.d_seq }))
   end
-  else
-    enqueue_pkt t c
-      { pk_header = Packet.Retry { r_seq = d.Packet.d_seq }; pk_carry = carry; pk_frame = None }
+  else enqueue_pkt t c (control ?carry (Packet.Retry { r_seq = d.Packet.d_seq }))
 
 (* The peer returned one of our requests.  The enclosure (if any) came
    back with the bounce and is ours again; requeue the frame. *)
@@ -490,8 +475,7 @@ let handle_data_packet t (c : chan) kind (d : Packet.data_header) enclosure =
     (* For requests the sender holds the remaining ends until we say
        the message is wanted (figure 2); replies need no goahead. *)
     if kind = Lynx.Backend.Request then
-      enqueue_pkt t c
-        { pk_header = Packet.Goahead { g_seq = d.Packet.d_seq }; pk_carry = None; pk_frame = None }
+      enqueue_pkt t c (control (Packet.Goahead { g_seq = d.Packet.d_seq }))
   end
   else
     finalize_incoming t c kind d
@@ -569,8 +553,8 @@ let handle_sent t (c : chan) (comp : CT.completion) =
        | Some fr -> fail_frame t c fr
        | None -> ())
      else
-       match (pk.pk_header, pk.pk_frame) with
-       | (Packet.Req_first _ | Packet.Rep_first _), Some fr ->
+       match pk.pk_frame with
+       | Some fr when pk.pk_label <> Packet.enc_label ->
          let n = List.length fr.fr_encl in
          if n >= 2 then
            if fr.fr_kind = Lynx.Backend.Request then begin
@@ -582,14 +566,14 @@ let handle_sent t (c : chan) (comp : CT.completion) =
          else if t.reply_acks && fr.fr_kind = Lynx.Backend.Reply then
            await_ack t c fr
          else complete_frame t c fr
-       | Packet.Enc _, Some fr ->
+       | Some fr ->
          fr.fr_encl_sent <- fr.fr_encl_sent + 1;
          if fr.fr_encl_sent = List.length fr.fr_encl - 1 then begin
            if t.reply_acks && fr.fr_kind = Lynx.Backend.Reply then
              await_ack t c fr
            else complete_frame t c fr
          end
-       | _ -> ());
+       | None -> ());
     kick t c
 
 let handle_completion t (comp : CT.completion) =
@@ -617,27 +601,27 @@ let pump t () =
 
 (* ---- Backend operations ---------------------------------------------------- *)
 
-let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion =
+let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~values ~enclosures ~sent =
   match Lynx.Handle_table.find_opt t.chans link with
   | None ->
     (* The link died and was released before the core processed the
-       death notice; surface the failure through the completion. *)
-    ignore (kind, op, exn_msg, payload);
-    completion
-      (Error
-         { Lynx.Backend.se_exn = Lynx.Excn.Link_destroyed;
-            se_recovered = enclosures })
+       death notice; surface the failure through the handle. *)
+    Lynx.Backend.fail_send (K.engine t.kernel) sent Lynx.Excn.Link_destroyed
+      ~recovered:enclosures
   | Some c ->
+    let seq = fresh_seq t in
+    let w =
+      Packet.data_writer ~kind ~seq ~corr ~op ~exn_msg
+        ~n_encl:(List.length enclosures) ~len:(Lynx.Value.size_list values)
+    in
+    Lynx.Codec.write w values;
     let fr =
       {
-        fr_seq = fresh_seq t;
+        fr_seq = seq;
         fr_kind = kind;
-        fr_corr = corr;
-        fr_op = op;
-        fr_exn = exn_msg;
-        fr_payload = payload;
+        fr_data = Lynx.Frame.finish w;
         fr_encl = enclosures;
-        fr_completion = completion;
+        fr_sent = sent;
         fr_encl_sent = 0;
         fr_awaiting_goahead = false;
         fr_awaiting_ack = false;
@@ -752,9 +736,8 @@ let make ?(reply_acks = false) kernel pid ~stats =
     {
       Lynx.Backend.b_new_link = new_link t;
       b_send =
-        (fun ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion ->
-          send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures
-            ~completion);
+        (fun ~link ~kind ~corr ~op ~retx ~exn_msg ~values ~enclosures ~sent ->
+          send t ~link ~kind ~corr ~op ~retx ~exn_msg ~values ~enclosures ~sent);
       b_set_interest =
         (fun ~link ~requests ~replies -> set_interest t ~link ~requests ~replies);
       b_ready = (fun ~link ~kind -> ready t ~link ~kind);

@@ -41,14 +41,17 @@ and data_header = {
   d_off : int;
   d_len : int;
       (** the payload is the [d_len] bytes of [d_payload] from [d_off]:
-          a whole buffer when sending, a slice of the received packet
-          after {!decode} *)
+          after {!decode}, a slice of the received packet *)
 }
 
 let kind_code = function Lynx.Backend.Request -> 0 | Lynx.Backend.Reply -> 1
 let kind_of_code = function 0 -> Lynx.Backend.Request | _ -> Lynx.Backend.Reply
 
 let labels = [| "request"; "reply"; "enc"; "goahead"; "retry"; "forbid"; "allow"; "ack" |]
+
+(* Index in [labels] of a data packet of [kind], and of an [Enc]. *)
+let data_label kind = kind_code kind
+let enc_label = 2
 
 (* Index of the packet's type in [labels]. *)
 let label_index = function
@@ -63,57 +66,71 @@ let label_index = function
 
 let label h = labels.(label_index h)
 
-(* Encoded size: a type byte, then the fields. *)
-let size = function
-  | Req_first d | Rep_first d ->
-    let open Lynx.Frame in
-    1 + 4 + 4 + str_size d.d_op
-    + (match d.d_exn with None -> 1 | Some e -> 1 + str_size e)
-    + 1 + 4 + d.d_len
-  | Enc _ -> 7
-  | Goahead _ | Retry _ | Forbid _ | Ack _ -> 5
-  | Allow -> 1
-
-let put_data w code d =
+(** The writer of a data packet — the first packet of a LYNX message —
+    at its exact size: its header written, and the cursor at the [len]
+    payload bytes still to write ({!Lynx.Codec.write} on the sending
+    side).  The packet is built once: a retransmission sends the same
+    bytes again. *)
+let data_writer ~kind ~seq ~corr ~op ~exn_msg ~n_encl ~len =
   let open Lynx.Frame in
-  u8 w code;
-  u32 w d.d_seq;
-  u32 w d.d_corr;
-  str w d.d_op;
-  (match d.d_exn with
+  let w =
+    writer
+      (1 + 4 + 4 + str_size op
+      + (match exn_msg with None -> 1 | Some e -> 1 + str_size e)
+      + 1 + 4 + len)
+  in
+  u8 w (1 + kind_code kind);
+  u32 w seq;
+  u32 w corr;
+  str w op;
+  (match exn_msg with
   | None -> u8 w 0
   | Some e ->
     u8 w 1;
     str w e);
-  u8 w d.d_n_encl;
-  u32 w d.d_len;
-  sub w d.d_payload ~off:d.d_off ~len:d.d_len
+  u8 w n_encl;
+  u32 w len;
+  w
 
+let put_data kind d =
+  let w =
+    data_writer ~kind ~seq:d.d_seq ~corr:d.d_corr ~op:d.d_op ~exn_msg:d.d_exn
+      ~n_encl:d.d_n_encl ~len:d.d_len
+  in
+  Lynx.Frame.sub w d.d_payload ~off:d.d_off ~len:d.d_len;
+  Lynx.Frame.finish w
+
+(* A control packet of one 32-bit field. *)
+let tagged code n =
+  let open Lynx.Frame in
+  let w = writer 5 in
+  u8 w code;
+  u32 w n;
+  finish w
+
+(** Encodes any packet: {!decode}'s inverse.  The channel sends only
+    control packets through it; it writes each data packet once, with
+    {!data_writer}. *)
 let encode (h : header) : bytes =
   let open Lynx.Frame in
-  let w = writer (size h) in
-  (match h with
-  | Req_first d -> put_data w 1 d
-  | Rep_first d -> put_data w 2 d
+  match h with
+  | Req_first d -> put_data Lynx.Backend.Request d
+  | Rep_first d -> put_data Lynx.Backend.Reply d
   | Enc { e_seq; e_kind; e_index } ->
+    let w = writer 7 in
     u8 w 3;
     u32 w e_seq;
     u8 w (kind_code e_kind);
-    u8 w e_index
-  | Goahead { g_seq } ->
-    u8 w 4;
-    u32 w g_seq
-  | Retry { r_seq } ->
-    u8 w 5;
-    u32 w r_seq
-  | Forbid { f_seq } ->
-    u8 w 6;
-    u32 w f_seq
-  | Allow -> u8 w 7
-  | Ack { k_seq } ->
-    u8 w 8;
-    u32 w k_seq);
-  finish w
+    u8 w e_index;
+    finish w
+  | Goahead { g_seq } -> tagged 4 g_seq
+  | Retry { r_seq } -> tagged 5 r_seq
+  | Forbid { f_seq } -> tagged 6 f_seq
+  | Allow ->
+    let w = writer 1 in
+    u8 w 7;
+    finish w
+  | Ack { k_seq } -> tagged 8 k_seq
 
 exception Malformed = Lynx.Frame.Malformed
 

@@ -17,12 +17,9 @@ module K = Chrysalis.Kernel
 
 type frame = {
   f_kind : Lynx.Backend.kind;
-  f_corr : int;
-  f_op : string;
-  f_exn : string option;
-  f_payload : bytes;
+  f_data : bytes;  (* the slot's frame, length prefix included *)
   f_encl : int list;  (* handle ids *)
-  f_completion : Lynx.Backend.send_result -> unit;
+  f_sent : Lynx.Backend.send_result Engine.handle;  (* the sender's *)
 }
 
 type chan = {
@@ -170,74 +167,63 @@ let adopt t ~obj ~side =
 let transmit t (c : chan) (fr : frame) =
   let ki = kind_index fr.f_kind in
   c.inflight.(ki) <- Some fr;
-  let encl_words =
-    List.map
-      (fun h ->
-        let ec = Lynx.Handle_table.find t.chans h in
-        (ec.obj lsl 1) lor ec.side)
-      fr.f_encl
-  in
   let slot = Layout.slot ~side:c.side ~kind:fr.f_kind in
-  (* Length-prefixed, so the receiver copies only what was written. *)
-  let frame =
-    Layout.encode_slot ~corr:fr.f_corr ~op:fr.f_op ~exn_msg:fr.f_exn
-      ~enclosures:encl_words ~payload:fr.f_payload
-  in
-  K.write_bytes t.kernel t.pid c.obj ~off:(Layout.slot_off slot) frame;
+  K.write_bytes t.kernel t.pid c.obj ~off:(Layout.slot_off slot) fr.f_data;
   set_flag t c (Layout.present_bit slot);
   Stats.incr t.sts Key.msgs_written;
   notify_peer t c (Layout.notice_msg ~obj:c.obj ~slot)
 
-let fail_frame (fr : frame) exn =
-  fr.f_completion (Error { Lynx.Backend.se_exn = exn; se_recovered = fr.f_encl })
+let fail_frame t (fr : frame) exn =
+  Lynx.Backend.fail_send (K.engine t.kernel) fr.f_sent exn ~recovered:fr.f_encl
 
-let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion =
+(* The frame of a message, built once: length-prefixed, so the receiver
+   copies only what was written.  The enclosures travel as the encoded
+   names of their link objects. *)
+let build_frame t ~kind ~corr ~op ~exn_msg ~values ~enclosures ~sent =
+  let w =
+    Layout.slot_writer ~corr ~op ~exn_msg
+      ~enclosures:
+        (List.map
+           (fun h ->
+             let ec = Lynx.Handle_table.find t.chans h in
+             (ec.obj lsl 1) lor ec.side)
+           enclosures)
+      ~len:(Lynx.Value.size_list values)
+  in
+  Lynx.Codec.write w values;
+  { f_kind = kind; f_data = Lynx.Frame.finish w; f_encl = enclosures; f_sent = sent }
+
+let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~values ~enclosures ~sent =
   match Lynx.Handle_table.find_opt t.chans link with
-  | None ->
-    (* The link died and was released before the core processed the
-       death notice; surface the failure through the completion. *)
-    ignore (kind, op, exn_msg, payload);
-    completion
-      (Error
-         { Lynx.Backend.se_exn = Lynx.Excn.Link_destroyed;
-            se_recovered = enclosures })
-  | Some c ->
-    let fr =
-      {
-        f_kind = kind;
-        f_corr = corr;
-        f_op = op;
-        f_exn = exn_msg;
-        f_payload = payload;
-        f_encl = enclosures;
-        f_completion = completion;
-      }
-    in
-    if not c.live then fail_frame fr Lynx.Excn.Link_destroyed
-    else begin
-      let eng = K.engine t.kernel in
-      let slot = Layout.slot ~side:c.side ~kind in
-      Engine.emit eng
-        (Event.Send
-           {
-             obj = c.slot_objs.(slot);
-             op;
-             mode =
-               (if retx || kind = Lynx.Backend.Reply then Event.Unordered
-                else Event.Ordered);
-           });
-      Engine.stamp eng (slot_stamp_key c.obj slot corr);
-      List.iter
-        (fun h ->
-          match Lynx.Handle_table.find_opt t.chans h with
-          | Some ec ->
-            Engine.emit eng (Event.Link_move { obj = ec.end_obj })
-          | None -> ())
-        enclosures;
-      let ki = kind_index kind in
-      if c.inflight.(ki) = None then transmit t c fr
-      else Queue.add fr c.out_q.(ki)
-    end
+  | Some c when c.live ->
+    let eng = K.engine t.kernel in
+    let slot = Layout.slot ~side:c.side ~kind in
+    Engine.emit eng
+      (Event.Send
+         {
+           obj = c.slot_objs.(slot);
+           op;
+           mode =
+             (if retx || kind = Lynx.Backend.Reply then Event.Unordered
+              else Event.Ordered);
+         });
+    Engine.stamp eng (slot_stamp_key c.obj slot corr);
+    List.iter
+      (fun h ->
+        match Lynx.Handle_table.find_opt t.chans h with
+        | Some ec -> Engine.emit eng (Event.Link_move { obj = ec.end_obj })
+        | None -> ())
+      enclosures;
+    let fr = build_frame t ~kind ~corr ~op ~exn_msg ~values ~enclosures ~sent in
+    let ki = kind_index kind in
+    if c.inflight.(ki) = None then transmit t c fr
+    else Queue.add fr c.out_q.(ki)
+  | _ ->
+    (* The link died, or died and was released before the core
+       processed the death notice; surface the failure through the
+       handle. *)
+    Lynx.Backend.fail_send (K.engine t.kernel) sent Lynx.Excn.Link_destroyed
+      ~recovered:enclosures
 
 (* The peer consumed our slot: complete the send, release moved ends,
    start the next queued frame. *)
@@ -259,9 +245,9 @@ let on_slot_freed t (c : chan) kind =
            with Chrysalis.Types.Memory_fault _ -> ())
         | None -> ())
       fr.f_encl;
-    fr.f_completion (Ok ());
+    Engine.resume (K.engine t.kernel) fr.f_sent (Ok ());
     (match Queue.take_opt c.out_q.(ki) with
-    | Some next -> if c.live then transmit t c next else fail_frame next Lynx.Excn.Link_destroyed
+    | Some next -> if c.live then transmit t c next else fail_frame t next Lynx.Excn.Link_destroyed
     | None -> ())
 
 (* ---- Receiving ----------------------------------------------------------- *)
@@ -354,18 +340,18 @@ let ready t ~link ~kind =
 
 (* ---- Destruction ---------------------------------------------------------- *)
 
-let fail_all_sends (c : chan) =
+let fail_all_sends t (c : chan) =
   Array.iteri
     (fun ki fr ->
       match fr with
       | Some fr ->
         c.inflight.(ki) <- None;
-        fail_frame fr Lynx.Excn.Link_destroyed
+        fail_frame t fr Lynx.Excn.Link_destroyed
       | None -> ())
     c.inflight;
   Array.iter
     (fun q ->
-      Queue.iter (fun fr -> fail_frame fr Lynx.Excn.Link_destroyed) q;
+      Queue.iter (fun fr -> fail_frame t fr Lynx.Excn.Link_destroyed) q;
       Queue.clear q)
     c.out_q
 
@@ -373,7 +359,7 @@ let release t (c : chan) =
   c.live <- false;
   Lynx.Handle_table.remove t.chans c.h;
   Hashtbl.remove t.by_end (end_key c.obj c.side);
-  fail_all_sends c;
+  fail_all_sends t c;
   (try K.unmap_object t.kernel t.pid c.obj
    with Chrysalis.Types.Memory_fault _ -> ());
   try K.mark_for_deletion t.kernel t.pid c.obj
@@ -535,9 +521,8 @@ let make kernel pid ~stats =
     {
       Lynx.Backend.b_new_link = new_link t;
       b_send =
-        (fun ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion ->
-          send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures
-            ~completion);
+        (fun ~link ~kind ~corr ~op ~retx ~exn_msg ~values ~enclosures ~sent ->
+          send t ~link ~kind ~corr ~op ~retx ~exn_msg ~values ~enclosures ~sent);
       b_set_interest =
         (fun ~link ~requests ~replies -> set_interest t ~link ~requests ~replies);
       b_ready = (fun ~link ~kind -> ready t ~link ~kind);

@@ -62,28 +62,36 @@ let encoded_size ~op ~exn_msg ~n_enclosures ~payload_len =
   + String.length (Option.value exn_msg ~default:"")
   + 2 + 2 + (4 * n_enclosures) + payload_len
 
-(** The frame [transmit] writes at the slot offset, length prefix
-    included, at its exact size.  Raises [Invalid_argument] if it does
-    not fit the slot. *)
-let encode_slot ~corr ~op ~exn_msg ~(enclosures : int list) ~(payload : bytes) =
+(** The writer of the frame [transmit] writes at the slot offset,
+    length prefix included, at its exact size: everything but the
+    payload written, and the cursor at the [len] payload bytes still to
+    write ({!Lynx.Codec.write} on the sending side).  Raises
+    [Invalid_argument] if the frame does not fit the slot. *)
+let slot_writer ~corr ~op ~exn_msg ~(enclosures : int list) ~len =
   let open Lynx.Frame in
   let n_enclosures = List.length enclosures in
-  let size =
-    encoded_size ~op ~exn_msg ~n_enclosures ~payload_len:(Bytes.length payload)
-  in
+  let size = encoded_size ~op ~exn_msg ~n_enclosures ~payload_len:len in
   if size > slot_size then
     invalid_arg "lynx_chrysalis: message exceeds link buffer";
   let w = writer size in
   u32 w (size - 4);
   u32 w corr;
-  u32 w (Bytes.length payload);
+  u32 w len;
   str w op;
   str w (Option.value exn_msg ~default:"");
   u16 w (if exn_msg = None then 0 else 1);
   u16 w n_enclosures;
   List.iter (u32 w) enclosures;
-  sub w payload ~off:0 ~len:(Bytes.length payload);
-  finish w
+  w
+
+(** The whole frame for a [payload] already encoded: {!decode_slot}'s
+    inverse, behind the length prefix.  The channel writes its frames
+    with {!slot_writer} instead. *)
+let encode_slot ~corr ~op ~exn_msg ~enclosures ~(payload : bytes) =
+  let len = Bytes.length payload in
+  let w = slot_writer ~corr ~op ~exn_msg ~enclosures ~len in
+  Lynx.Frame.sub w payload ~off:0 ~len;
+  Lynx.Frame.finish w
 
 (** The message length a slot's 4-byte prefix declares. *)
 let decode_length (prefix : bytes) =

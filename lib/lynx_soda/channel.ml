@@ -40,9 +40,9 @@ type chan = {
 type out_msg = {
   o_chan : chan;
   o_kind : Lynx.Backend.kind;
-  o_body : bytes;
+  o_body : bytes;  (* built once by [send], put again on a redirect *)
   o_encl : int list;  (* handle ids *)
-  o_completion : Lynx.Backend.send_result -> unit;
+  o_sent : Lynx.Backend.send_result Engine.handle;  (* the sender's *)
   mutable o_dst : ST.pid;
   mutable o_done : bool;
 }
@@ -125,11 +125,10 @@ let register t ~my_name ~far_name ~hint =
 
 (* ---- Outgoing data puts -------------------------------------------------- *)
 
-let fail_msg (m : out_msg) exn =
+let fail_msg t (m : out_msg) exn =
   if not m.o_done then begin
     m.o_done <- true;
-    m.o_completion
-      (Error { Lynx.Backend.se_exn = exn; se_recovered = m.o_encl })
+    Lynx.Backend.fail_send (engine t) m.o_sent exn ~recovered:m.o_encl
   end
 
 let sigs_at t dst =
@@ -174,7 +173,7 @@ let on_dead t (c : chan) ~by_peer =
         match entry with
         | O_msg m when m.o_chan == c ->
           ignore (S.withdraw t.kernel t.pid req);
-          fail_msg m Lynx.Excn.Link_destroyed
+          fail_msg t m Lynx.Excn.Link_destroyed
         | O_sig sc when sc == c -> ignore (S.withdraw t.kernel t.pid req)
         | _ -> ())
       t.out_by_req;
@@ -211,7 +210,7 @@ end
 
 let rec post_msg t (m : out_msg) =
   if not m.o_done then
-    if not m.o_chan.live then fail_msg m Lynx.Excn.Link_destroyed
+    if not m.o_chan.live then fail_msg t m Lynx.Excn.Link_destroyed
     else if t.frozen then Queue.add m t.frozen_q
     else begin
       m.o_dst <- m.o_chan.hint;
@@ -455,16 +454,16 @@ let handle_completed t (comp : ST.completion) =
         if not m.o_done then begin
           m.o_done <- true;
           finish_move t m;
-          m.o_completion (Ok ())
+          Engine.resume (engine t) m.o_sent (Ok ())
         end
       | Some Wire.Destroyed ->
         on_dead t m.o_chan ~by_peer:true;
-        fail_msg m Lynx.Excn.Link_destroyed
+        fail_msg t m Lynx.Excn.Link_destroyed
       | Some (Wire.Moved pid) ->
         Stats.incr t.sts Key.moved_redirects;
         m.o_chan.hint <- pid;
         post_msg t m
-      | _ -> fail_msg m (Lynx.Excn.Remote_error "bad accept oob"))
+      | _ -> fail_msg t m (Lynx.Excn.Remote_error "bad accept oob"))
     | O_sig c -> (
       (match c.sig_out with
       | Some (_, dst) -> sig_slot_release t dst
@@ -494,7 +493,7 @@ let handle_aborted t a_id (reason : ST.abort_reason) =
         Stats.incr t.sts Key.stale_hints;
         repair_and_retry t m.o_chan
           ~retry:(fun () -> post_msg t m)
-          ~give_up:(fun () -> fail_msg m Lynx.Excn.Link_destroyed)
+          ~give_up:(fun () -> fail_msg t m Lynx.Excn.Link_destroyed)
       | ST.Request_withdrawn -> ())
     | O_sig c -> (
       (match c.sig_out with
@@ -543,16 +542,13 @@ let new_link t () =
   Stats.incr t.sts Key.links_made;
   (c0.h, c1.h)
 
-let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion =
+let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~values ~enclosures ~sent =
   match Lynx.Handle_table.find_opt t.chans link with
   | None ->
     (* The link died and was released before the core processed the
-       death notice; surface the failure through the completion. *)
-    ignore (kind, op, exn_msg, payload);
-    completion
-      (Error
-         { Lynx.Backend.se_exn = Lynx.Excn.Link_destroyed;
-            se_recovered = enclosures })
+       death notice; surface the failure through the handle. *)
+    Lynx.Backend.fail_send (engine t) sent Lynx.Excn.Link_destroyed
+      ~recovered:enclosures
   | Some c ->
     let encl_chans =
       List.map
@@ -564,31 +560,23 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion
           | None -> invalid_arg "lynx_soda.send: unknown enclosure")
         enclosures
     in
-    let encl_desc =
+    let encl =
       List.map
         (fun ec ->
           { Wire.e_my_name = ec.my_name; e_far_name = ec.far_name; e_hint = ec.hint })
         encl_chans
     in
-    let body =
-      Wire.encode_body
-        {
-          Wire.b_corr = corr;
-          b_op = op;
-          b_exn = exn_msg;
-          b_encl = encl_desc;
-          b_payload = payload;
-          b_off = 0;
-          b_len = Bytes.length payload;
-        }
+    let w =
+      Wire.body_writer ~corr ~op ~exn_msg ~encl ~len:(Lynx.Value.size_list values)
     in
+    Lynx.Codec.write w values;
     let m =
       {
         o_chan = c;
         o_kind = kind;
-        o_body = body;
+        o_body = Lynx.Frame.finish w;
         o_encl = enclosures;
-        o_completion = completion;
+        o_sent = sent;
         o_dst = c.hint;
         o_done = false;
       }
@@ -728,9 +716,8 @@ let make ?(signal_budget = true) kernel pid ~stats =
     {
       Lynx.Backend.b_new_link = new_link t;
       b_send =
-        (fun ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures ~completion ->
-          send t ~link ~kind ~corr ~op ~retx ~exn_msg ~payload ~enclosures
-            ~completion);
+        (fun ~link ~kind ~corr ~op ~retx ~exn_msg ~values ~enclosures ~sent ->
+          send t ~link ~kind ~corr ~op ~retx ~exn_msg ~values ~enclosures ~sent);
       b_set_interest =
         (fun ~link ~requests ~replies -> set_interest t ~link ~requests ~replies);
       b_ready = (fun ~link ~kind -> ready t ~link ~kind);

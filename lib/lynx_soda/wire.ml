@@ -101,8 +101,7 @@ type body = {
   b_off : int;
   b_len : int;
       (** the payload is the [b_len] bytes of [b_payload] from [b_off]:
-          a whole buffer when sending, a slice of the accepted body
-          after {!decode_body} *)
+          after {!decode_body}, a slice of the accepted body *)
 }
 
 let rec put_encls w = function
@@ -113,25 +112,37 @@ let rec put_encls w = function
     Lynx.Frame.u32 w e.e_hint;
     put_encls w rest
 
-let encode_body (b : body) : bytes =
+(** The writer of a message body at its exact size: everything but the
+    payload written, and the cursor at the [len] payload bytes still to
+    write ({!Lynx.Codec.write} on the sending side). *)
+let body_writer ~corr ~op ~exn_msg ~encl ~len =
   let open Lynx.Frame in
-  let n_encl = List.length b.b_encl in
+  let n_encl = List.length encl in
   let w =
     writer
-      (4 + str_size b.b_op
-      + (match b.b_exn with None -> 2 | Some e -> str_size e)
-      + 2 + (12 * n_encl) + 4 + b.b_len)
+      (4 + str_size op
+      + (match exn_msg with None -> 2 | Some e -> str_size e)
+      + 2 + (12 * n_encl) + 4 + len)
   in
-  u32 w b.b_corr;
-  str w b.b_op;
-  (match b.b_exn with
+  u32 w corr;
+  str w op;
+  (match exn_msg with
   | None -> u16 w 0xffff
   | Some e -> str w e);
   u16 w n_encl;
-  put_encls w b.b_encl;
-  u32 w b.b_len;
-  sub w b.b_payload ~off:b.b_off ~len:b.b_len;
-  finish w
+  put_encls w encl;
+  u32 w len;
+  w
+
+(** Encodes any body: {!decode_body}'s inverse.  The channel writes its
+    bodies with {!body_writer} instead. *)
+let encode_body (b : body) : bytes =
+  let w =
+    body_writer ~corr:b.b_corr ~op:b.b_op ~exn_msg:b.b_exn ~encl:b.b_encl
+      ~len:b.b_len
+  in
+  Lynx.Frame.sub w b.b_payload ~off:b.b_off ~len:b.b_len;
+  Lynx.Frame.finish w
 
 exception Malformed = Lynx.Frame.Malformed
 

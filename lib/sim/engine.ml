@@ -37,8 +37,10 @@ and direct = {
 
 (* An effect fiber blocked by {!block}, and what its wake delivers:
    [Waiting] until the wake, then the value or the exception the
-   fiber's {!await} returns or raises. *)
-type 'a outcome = Waiting | Value of 'a | Raised of exn
+   fiber's {!await} returns or raises.  A handle from {!prepare} is
+   [Prepared] until its fiber awaits it or a wake stores an outcome,
+   whichever comes first. *)
+type 'a outcome = Prepared | Waiting | Value of 'a | Raised of exn
 type 'a handle = { h_direct : direct; mutable h_out : 'a outcome }
 
 type policy =
@@ -630,25 +632,51 @@ let block t ~reason =
   park_as t d.d_fiber reason direct_twice;
   { h_direct = d; h_out = Waiting }
 
-let await t h =
-  let d = h.h_direct in
-  (match t.current with
-  | Some f when f == d.d_fiber -> ()
-  | _ -> invalid_arg "Engine.await: not the fiber that blocked");
-  (match d.d_fiber.state with
-  | Parked | Woken -> Effect.perform Park
-  | _ -> invalid_arg "Engine.await: the fiber is not blocked");
+let await_outcome h =
   match h.h_out with
   | Value v -> v
   | Raised e -> raise e
-  | Waiting -> invalid_arg "Engine.await: resumed without a wake"
+  | Prepared | Waiting -> invalid_arg "Engine.await: resumed without a wake"
+
+let check_owner t h who =
+  match t.current with
+  | Some f when f == h.h_direct.d_fiber -> ()
+  | _ -> invalid_arg (who ^ ": not the fiber that blocked")
+
+let await t h =
+  let d = h.h_direct in
+  check_owner t h "Engine.await";
+  (match d.d_fiber.state with
+  | Parked | Woken -> Effect.perform Park
+  | _ -> invalid_arg "Engine.await: the fiber is not blocked");
+  await_outcome h
+
+(* A handle for a wait that may end before it begins: the fiber keeps
+   running, and {!await_prepared} blocks only if no wake came first. *)
+let prepare t = { h_direct = direct_current t "Engine.prepare"; h_out = Prepared }
+
+let await_prepared t ~reason h =
+  check_owner t h "Engine.await_prepared";
+  (match h.h_out with
+  | Prepared ->
+    park_as t h.h_direct.d_fiber reason direct_twice;
+    h.h_out <- Waiting;
+    Effect.perform Park
+  | Waiting -> invalid_arg "Engine.await_prepared: already awaited"
+  | Value _ | Raised _ -> ());
+  await_outcome h
+
+let woken h = match h.h_out with Value _ | Raised _ -> true | _ -> false
 
 (* The wake of an effect fiber: what [await] will return or raise goes
-   into the handle, and the fiber's own resumption task is queued. *)
+   into the handle.  A fiber waiting on the handle gets its resumption
+   task queued; a prepared handle not yet awaited only keeps the
+   outcome, whatever its fiber is doing meanwhile. *)
 let wake_handle t h out =
   let d = h.h_direct in
   match (d.d_fiber.state, h.h_out) with
   | Crashed, _ -> ()
+  | _, Prepared -> h.h_out <- out
   | Parked, Waiting ->
     h.h_out <- out;
     d.d_fiber.state <- Woken;

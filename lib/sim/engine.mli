@@ -319,7 +319,9 @@ val view : t -> view
 
     An effect fiber blocks in one of two ways: {!sleep}, whose timer
     resumes it, or {!block} followed by {!await}, which waits for a
-    {!resume} or {!resume_error} on the handle.  Either way the fiber's
+    {!resume} or {!resume_error} on the handle.  {!prepare} and
+    {!await_prepared} are the second way for a wait whose wake may come
+    first: then the fiber does not block at all.  Either way the fiber's
     continuation stays with the engine and one task resumes it; the
     stackless {!park}/{!wake} pair below is the same path with a step
     in place of the continuation. *)
@@ -349,13 +351,36 @@ val resume : t -> 'a handle -> 'a -> unit
     carries the waking context's clock, which the resumption merges into
     the fiber's.  A fiber is woken at most once per block: [resume]
     raises [Invalid_argument] unless the fiber is parked on [h] and not
-    yet woken.  Waking a fiber that crashed does nothing.  Allocates the
-    outcome and the task's queue entry, and no closure. *)
+    yet woken, or [h] is a {!prepare}d handle not yet woken.  Waking a
+    fiber that crashed does nothing.  Allocates the outcome and the
+    task's queue entry, and no closure. *)
 
 val resume_error : t -> 'a handle -> exn -> unit
 (** Like {!resume}, but the fiber's {!await} raises [exn]: how a failed
     [Sync.Ivar], a poisoned mailbox or a destroyed link reaches a
     waiter. *)
+
+val prepare : t -> 'a handle
+(** [prepare t] returns a handle for the running effect fiber without
+    blocking it: the fiber keeps running, stores the handle where its
+    wake will come from, and calls {!await_prepared} once it has
+    nothing left to do but wait.  A {!resume} or {!resume_error} that
+    comes first — from code the fiber itself calls, or while it sleeps
+    — only keeps the outcome in the handle: it queues no task and
+    merges no clock.  A handle is as big as one from {!block}.  Raises
+    [Invalid_argument] outside an effect fiber. *)
+
+val await_prepared : t -> reason:string -> 'a handle -> 'a
+(** [await_prepared t ~reason h] returns the value of [h]'s wake, or
+    raises its exception, at once if the wake already came, with no
+    event.  Otherwise it blocks the fiber as {!block} does — the same
+    {!Event.Block} with [reason] — until the wake.  Raises
+    [Invalid_argument] when called by another fiber than the one that
+    prepared [h], or twice on a handle still waiting. *)
+
+val woken : 'a handle -> bool
+(** Whether [h] has had its wake: the guard of a caller that races two
+    wake-ups of one handle (a reply and a timeout). *)
 
 val sleep : t -> Time.t -> unit
 (** Advances the effect fiber's virtual time by the given duration.

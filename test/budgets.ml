@@ -129,25 +129,25 @@ let chrysalis_enqueue_post = 74.
 (* ---- LYNX op -------------------------------------------------------- *)
 
 (* Exact: encode+decode of the 280 B value list. *)
-let codec_roundtrip = 122.
+let codec_roundtrip = 120.
 
 (* One 0 B echo call per backend, on an unobserved engine. *)
 let echo_call =
-  [ ("charlotte", 898.34); ("soda", 854.96); ("chrysalis", 1151.0) ]
+  [ ("charlotte", 817.34); ("soda", 783.96); ("chrysalis", 1090.0) ]
 
 (* Exact: the LYNX premium, words per 0 B echo call minus words per
    0 B raw-kernel echo ([Rpc_bench.raw_charlotte], [raw_soda],
    [raw_chrysalis]) — what the run-time package adds above the kernel. *)
 let lynx_premium =
-  [ ("charlotte", 581.640625); ("soda", 523.); ("chrysalis", 934.) ]
+  [ ("charlotte", 500.640625); ("soda", 452.); ("chrysalis", 873.) ]
 
 (* Exact: all words ([all_words]) per 1000 B echo call, and that minus
    the 1000 B raw-kernel echo — the LYNX premium at 1000 B. *)
 let kb_echo_call =
-  [ ("charlotte", 1652.640625); ("soda", 1853.21875); ("chrysalis", 2151.) ]
+  [ ("charlotte", 1321.640625); ("soda", 1532.21875); ("chrysalis", 1840.) ]
 
 let kb_lynx_premium =
-  [ ("charlotte", 1331.640625); ("soda", 1273.); ("chrysalis", 1684.) ]
+  [ ("charlotte", 1000.640625); ("soda", 952.); ("chrysalis", 1373.) ]
 
 (* Exact: what arming screening with a zero-probability plan adds to a
    Chrysalis echo call, over 128 calls.  A difference of two echo

@@ -411,6 +411,68 @@ let reply_ack_test =
       checkb "the call returned the reply" true (!answer = [ V.Int 7 ]);
       Alcotest.(check string) "the server's reply" "completed" !outcome)
 
+(* A send on a link whose channel died before [b_send]: the backend
+   settles the send inside [b_send], so the caller never blocks, gets
+   [Link_destroyed] and its enclosure back.  The runtime here is blind
+   to deaths below it (its backend's dead-link reports are dropped), so
+   the link still looks live when the send starts.  The events, and so
+   the fingerprint, are pinned: a send that fails synchronously emits
+   what it always has. *)
+let dead_before_send_test (name, make_ops, events_hash) =
+  Alcotest.test_case
+    (Printf.sprintf "a send on a link dead before b_send fails at once [%s]" name)
+    `Quick (fun () ->
+      let e = Engine.create () in
+      let stats = Stats.create () in
+      let outcome = ref "" and recovered = ref false in
+      make_ops e stats (fun (ops : Lynx.Backend.ops) ->
+          let p =
+            P.make e ~name:"A" ~costs:Lynx.Costs.vax ~stats
+              { ops with Lynx.Backend.b_take_dead = (fun () -> []) }
+          in
+          let a, _ = P.new_link p in
+          let c, _ = P.new_link p in
+          ops.Lynx.Backend.b_destroy ~link:a.Lynx.Link.lid;
+          (outcome :=
+             match P.call p a ~op:"ping" [ V.Int 1; V.Link c ] with
+             | _ -> "replied"
+             | exception exn -> Printexc.to_string exn);
+          recovered := c.Lynx.Link.l_state = Lynx.Link.Live;
+          P.finish p);
+      Engine.run e;
+      Alcotest.(check string) "the call failed" "Lynx.Excn.Link_destroyed" !outcome;
+      checkb "the enclosure came back" true !recovered;
+      checki "the send reached the backend" 1 (Stats.get stats "lynx.messages_sent");
+      checki "and was not delivered" 0 (Stats.get stats "lynx.messages_delivered");
+      Alcotest.(check string) "events hash" events_hash
+        (Printf.sprintf "%016Lx" (Engine.events_hash e)))
+
+let dead_before_send =
+  List.map dead_before_send_test
+    [
+      ( "charlotte",
+        (fun e stats k ->
+          let kernel = Charlotte.Kernel.create e ~stats ~nodes:1 () in
+          ignore
+            (Charlotte.Kernel.spawn_process kernel ~node:0 ~name:"A" (fun pid ->
+                 k (snd (Lynx_charlotte.Channel.make kernel pid ~stats))))),
+        "ef4f532df9c9aa95" );
+      ( "soda",
+        (fun e stats k ->
+          let kernel = Soda.Kernel.create e ~stats ~nodes:1 () in
+          ignore
+            (Soda.Kernel.spawn_process kernel ~node:0 ~name:"A" (fun pid ->
+                 k (snd (Lynx_soda.Channel.make kernel pid ~stats))))),
+        "39063fd8d3839718" );
+      ( "chrysalis",
+        (fun e stats k ->
+          let kernel = Chrysalis.Kernel.create e ~stats ~processors:1 () in
+          ignore
+            (Chrysalis.Kernel.spawn_process kernel ~node:0 ~name:"A" (fun pid ->
+                 k (snd (Lynx_chrysalis.Channel.make kernel pid ~stats))))),
+        "f792f94ceaa73024" );
+    ]
+
 (* Fuzz: feeding arbitrary bytes to the wire decoders must produce a
    value or the codec's own Malformed error — never a crash. *)
 let fuzz_tests =
@@ -463,5 +525,6 @@ let () =
       ("chrysalis_layout", chrysalis_layout);
       ("soda_repair", soda_repair);
       ("charlotte_acks", [ reply_ack_test ]);
+      ("dead before send", dead_before_send);
       ("fuzz", fuzz_tests);
     ]

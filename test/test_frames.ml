@@ -1,9 +1,11 @@
 (* The three channels' frame codecs, pinned: the MD5 of every encoded
    frame (Charlotte packets, SODA bodies and out-of-band values, the
-   length-prefixed Chrysalis slots written into a link object), and a
-   round trip over random headers for each decoder.  The wire length
-   prices every transfer, so a frame that moves by one byte moves the
-   paper's figures. *)
+   length-prefixed Chrysalis slots written into a link object), a round
+   trip over random headers for each decoder, and the channels' one-pass
+   frames — the header writer, then [Lynx.Codec.write] — against the
+   header and the separately encoded payload.  The wire length prices
+   every transfer, so a frame that moves by one byte moves the paper's
+   figures. *)
 
 module Packet = Lynx_charlotte.Packet
 module Wire = Lynx_soda.Wire
@@ -18,6 +20,12 @@ let soda_frame = Wire.encode_body
    the slot. *)
 let chrysalis_frame = Layout.encode_slot
 
+(* A frame from its header writer, with raw payload bytes after the
+   header. *)
+let with_payload w payload =
+  Lynx.Frame.sub w payload ~off:0 ~len:(Bytes.length payload);
+  Lynx.Frame.finish w
+
 (* Deterministic payload bytes. *)
 let payload n = Bytes.init n (fun i -> Char.chr (((i * 7) + 3) land 0xff))
 
@@ -28,9 +36,10 @@ let exns = [ None; Some "remote failure" ]
 let slot_limit ~exn_msg ~n_encl =
   Layout.slot_size - 4
   - Bytes.length
-      (chrysalis_frame ~corr:0 ~op ~exn_msg
-         ~enclosures:(List.init n_encl Fun.id)
-         ~payload:Bytes.empty)
+      (with_payload
+         (Layout.slot_writer ~corr:0 ~op ~exn_msg
+            ~enclosures:(List.init n_encl Fun.id) ~len:0)
+         Bytes.empty)
 
 (* Every (exception, enclosure count, payload size) case: 0-3 ends,
    payloads of 0, 5 and 1000 B and the slot limit. *)
@@ -53,22 +62,16 @@ let case_name (exn_msg, n_encl, size) =
 let charlotte_frames =
   List.concat_map
     (fun ((exn_msg, n_encl, size) as c) ->
-      let d =
-        {
-          Packet.d_seq = 0x12345678;
-          d_corr = 0xbeef;
-          d_op = op;
-          d_exn = exn_msg;
-          d_n_encl = n_encl;
-          d_payload = payload size;
-          d_off = 0;
-          d_len = size;
-        }
+      let data kind =
+        with_payload
+          (Packet.data_writer ~kind ~seq:0x12345678 ~corr:0xbeef ~op ~exn_msg
+             ~n_encl ~len:size)
+          (payload size)
       in
       (if exn_msg = None then
-         [ ("request " ^ case_name c, charlotte_frame (Packet.Req_first d)) ]
+         [ ("request " ^ case_name c, data Lynx.Backend.Request) ]
        else [])
-      @ [ ("reply " ^ case_name c, charlotte_frame (Packet.Rep_first d)) ])
+      @ [ ("reply " ^ case_name c, data Lynx.Backend.Reply) ])
     cases
   @ List.map
       (fun h -> (Packet.label h, charlotte_frame h))
@@ -94,16 +97,9 @@ let soda_bodies =
             })
       in
       ( "body " ^ case_name c,
-        soda_frame
-          {
-            Wire.b_corr = 0xbeef;
-            b_op = op;
-            b_exn = exn_msg;
-            b_encl;
-            b_payload = payload size;
-            b_off = 0;
-            b_len = size;
-          } ))
+        with_payload
+          (Wire.body_writer ~corr:0xbeef ~op ~exn_msg ~encl:b_encl ~len:size)
+          (payload size) ))
     cases
 
 let soda_frames =
@@ -125,9 +121,11 @@ let chrysalis_frames =
   List.map
     (fun ((exn_msg, n_encl, size) as c) ->
       ( "slot " ^ case_name c,
-        chrysalis_frame ~corr:0xbeef ~op ~exn_msg
-          ~enclosures:(List.init n_encl (fun i -> (0x4000 + i) lsl 1 lor (i land 1)))
-          ~payload:(payload size) ))
+        with_payload
+          (Layout.slot_writer ~corr:0xbeef ~op ~exn_msg
+             ~enclosures:(List.init n_encl (fun i -> (0x4000 + i) lsl 1 lor (i land 1)))
+             ~len:size)
+          (payload size) ))
     cases
 
 let table frames =
@@ -381,6 +379,67 @@ let roundtrip_tests =
           && Bytes.sub d.d_payload d.d_off d.d_len = payload);
     ]
 
+(* ---- One pass: values written straight behind the header ------------ *)
+
+(* Messages with every kind of value, link placeholders included. *)
+let values =
+  let open G in
+  let leaf =
+    oneof
+      [
+        return Lynx.Value.Unit;
+        map (fun b -> Lynx.Value.Bool b) bool;
+        map (fun i -> Lynx.Value.Int i) int;
+        map (fun s -> Lynx.Value.Str s) (string_size (int_bound 300));
+        map (fun lid -> Lynx.Value.Link (Lynx.Link.make lid)) nat;
+      ]
+  in
+  let value =
+    fix (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (3, leaf);
+              (1, map2 (fun a b -> Lynx.Value.Pair (a, b)) (self (depth - 1)) (self (depth - 1)));
+              (1, map (fun vs -> Lynx.Value.List vs) (list_size (int_bound 3) (self (depth - 1))));
+            ])
+  in
+  list_size (int_bound 4) (value 2)
+
+(* [writer] filled by [Lynx.Codec.write], as a channel builds its
+   frame, is the header followed by [Lynx.Codec.encode]'s payload. *)
+let one_pass writer vs =
+  let payload, _ = Lynx.Codec.encode vs in
+  let w = writer (Bytes.length payload) in
+  Lynx.Codec.write w vs;
+  Bytes.equal (Lynx.Frame.finish w) (with_payload (writer (Bytes.length payload)) payload)
+
+let one_pass_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~name:"charlotte: a data packet is its header and payload"
+        ~count:300 (QCheck.make values) (fun vs ->
+          one_pass
+            (fun len ->
+              Packet.data_writer ~kind:Lynx.Backend.Request ~seq:9 ~corr:3 ~op
+                ~exn_msg:None ~n_encl:0 ~len)
+            vs);
+      QCheck.Test.make ~name:"soda: a body is its header and payload" ~count:300
+        (QCheck.make values) (fun vs ->
+          one_pass
+            (fun len -> Wire.body_writer ~corr:3 ~op ~exn_msg:(Some "e") ~encl:[] ~len)
+            vs);
+      QCheck.Test.make ~name:"chrysalis: a slot is its header and payload"
+        ~count:300 (QCheck.make values) (fun vs ->
+          (* What fits a slot behind this header. *)
+          QCheck.assume (Lynx.Value.size_list vs <= 1900);
+          one_pass
+            (fun len ->
+              Layout.slot_writer ~corr:3 ~op ~exn_msg:None ~enclosures:[ 5 ] ~len)
+            vs);
+    ]
+
 (* ---- Truncated frames ------------------------------------------------- *)
 
 (* Every strict prefix of every pinned frame is rejected with the
@@ -424,5 +483,6 @@ let () =
     [
       ("golden", golden_tests);
       ("round trip", roundtrip_tests);
+      ("one pass", one_pass_tests);
       ("truncated", truncation_tests);
     ]

@@ -596,6 +596,15 @@ let rng_tests =
 
 (* ---- Engine ----------------------------------------------------------------- *)
 
+(* Block events of reason "waitq" in a retained log. *)
+let waitq_blocks e =
+  Array.fold_left
+    (fun n (ev : Event.t) ->
+      match ev.Event.ev_kind with
+      | Event.Block { reason = "waitq" } -> n + 1
+      | _ -> n)
+    0 (Engine.events e)
+
 let engine_tests =
   [
     Alcotest.test_case "sleep advances virtual time" `Quick (fun () ->
@@ -733,6 +742,112 @@ let engine_tests =
                with Not_found -> caught := true));
         Engine.run e;
         checkb "caught" true !caught);
+    Alcotest.test_case "a prepared handle woken before its await blocks nothing"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let got = ref 0 and queued = ref true in
+        ignore
+          (Engine.spawn e (fun () ->
+               let h = Engine.prepare e in
+               Engine.resume e h 5;
+               queued := Engine.next_task_ns e <> max_int;
+               got := Engine.await_prepared e ~reason:"waitq" h));
+        Engine.run e ~expect_quiescent:true;
+        checki "the value" 5 !got;
+        checkb "no task queued" false !queued;
+        checki "no Block" 0 (waitq_blocks e));
+    Alcotest.test_case "a prepared handle woken during a sleep before its await"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let got = ref 0 and at = ref 0. in
+        ignore
+          (Engine.spawn e (fun () ->
+               let h = Engine.prepare e in
+               Engine.schedule_after e (Time.ms 1) (fun () -> Engine.resume e h 7);
+               Engine.sleep e (Time.ms 2);
+               got := Engine.await_prepared e ~reason:"waitq" h;
+               at := Time.to_ms (Engine.now e)));
+        Engine.run e ~expect_quiescent:true;
+        checki "the value" 7 !got;
+        checkb "returned when the sleep ended" true (!at = 2.);
+        checki "no Block" 0 (waitq_blocks e));
+    Alcotest.test_case "a prepared handle awaited first blocks until its wake"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let got = ref 0 and at = ref 0. in
+        ignore
+          (Engine.spawn e (fun () ->
+               let h = Engine.prepare e in
+               Engine.schedule_after e (Time.ms 1) (fun () -> Engine.resume e h 9);
+               got := Engine.await_prepared e ~reason:"waitq" h;
+               at := Time.to_ms (Engine.now e)));
+        Engine.run e ~expect_quiescent:true;
+        checki "the value" 9 !got;
+        checkb "at the wake" true (!at = 1.);
+        checki "one Block" 1 (waitq_blocks e));
+    Alcotest.test_case "resume_error before the await raises at the await"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let caught = ref false in
+        ignore
+          (Engine.spawn e (fun () ->
+               let h : int Engine.handle = Engine.prepare e in
+               Engine.resume_error e h Not_found;
+               checkb "woken" true (Engine.woken h);
+               match Engine.await_prepared e ~reason:"waitq" h with
+               | _ -> ()
+               | exception Not_found -> caught := true));
+        Engine.run e ~expect_quiescent:true;
+        checkb "caught" true !caught;
+        checki "no Block" 0 (waitq_blocks e));
+    Alcotest.test_case "a prepared handle is woken once" `Quick (fun () ->
+        let e = Engine.create () in
+        let not_parked =
+          Invalid_argument "Engine.resume: the fiber is not parked"
+        in
+        let got = ref 0 in
+        ignore
+          (Engine.spawn e (fun () ->
+               let h = Engine.prepare e in
+               checkb "not woken yet" false (Engine.woken h);
+               Engine.resume e h 1;
+               Alcotest.check_raises "a second value" not_parked (fun () ->
+                   Engine.resume e h 2);
+               Alcotest.check_raises "then an error" not_parked (fun () ->
+                   Engine.resume_error e h Exit);
+               got := Engine.await_prepared e ~reason:"waitq" h;
+               Alcotest.check_raises "after the await" not_parked (fun () ->
+                   Engine.resume e h 3)));
+        Engine.run e ~expect_quiescent:true;
+        checki "the first value" 1 !got);
+    Alcotest.test_case "only the preparing fiber may await its handle" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        let h = ref None and refused = ref false in
+        ignore (Engine.spawn e (fun () -> h := Some (Engine.prepare e)));
+        ignore
+          (Engine.spawn e (fun () ->
+               match Engine.await_prepared e ~reason:"waitq" (Option.get !h) with
+               | () -> ()
+               | exception Invalid_argument _ -> refused := true));
+        Engine.run e ~expect_quiescent:true;
+        checkb "refused" true !refused;
+        Alcotest.check_raises "outside a fiber"
+          (Invalid_argument "Engine.prepare: not inside a fiber") (fun () ->
+            ignore (Engine.prepare e)));
+    Alcotest.test_case "a prepared handle is as big as a blocked one" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        let sizes = ref [] in
+        ignore
+          (Engine.spawn e (fun () ->
+               let h = Engine.prepare e in
+               let b = Engine.block e ~reason:"b" in
+               sizes := [ Obj.size (Obj.repr h); Obj.size (Obj.repr b) ];
+               Engine.resume e b ();
+               Engine.await e b));
+        Engine.run e;
+        check Alcotest.(list int) "fields" [ 2; 2 ] !sizes);
     Alcotest.test_case "wake-with-error discontinues into the fiber" `Quick
       (fun () ->
         (* How a destroyed link reaches a LYNX thread waiting for its
