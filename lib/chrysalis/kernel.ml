@@ -274,9 +274,9 @@ let event_wait t pid name =
     datum
   | `Clear ->
     if ev.ev_waiter <> None then raise (Memory_fault Not_owner);
-    let h = Engine.block t.eng ~reason:"chrysalis.event_wait" in
+    let h = Engine.prepare t.eng in
     ev.ev_waiter <- Some h;
-    Engine.await t.eng h
+    Engine.await_prepared t.eng ~reason:"chrysalis.event_wait" h
 
 (* ---- Dual queues ------------------------------------------------------- *)
 

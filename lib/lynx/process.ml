@@ -587,7 +587,7 @@ let on_new_link t hook = t.link_hooks <- hook :: t.link_hooks
 let park t =
   if t.terminated then raise Excn.Process_terminated;
   (* Blocked on a handle nobody keeps: never woken. *)
-  Engine.await t.eng (Engine.block t.eng ~reason:"park")
+  Engine.await_prepared t.eng ~reason:"park" (Engine.prepare t.eng)
 
 let destroy_link t (l : Link.t) =
   usable_or_raise l;

@@ -1,6 +1,6 @@
 (* A fiber is [Blocked] in a sleep until its timer resumes it, and
-   [Parked] by {!park} or {!block} until a wake, which leaves it
-   [Woken] until the queued resumption runs.  The reason a blocked
+   [Parked] by {!park} or {!await_prepared} until a wake, which leaves
+   it [Woken] until the queued resumption runs.  The reason a blocked
    fiber waits rides in [reason], so blocking allocates no state. *)
 type fiber_state = Runnable | Blocked | Parked | Woken | Finished | Crashed
 
@@ -26,20 +26,19 @@ and kind = Stackless | Direct of direct
 
 (* What an effect fiber keeps for blocking, built once at spawn: the
    continuation of its pending block, and the task that resumes it.
-   Every block of an effect fiber — a sleep, a {!block} — leaves its
-   continuation in [d_k] and queues [d_wakeup], so none allocates a
-   closure of its own. *)
+   Every block of an effect fiber — a sleep, an {!await_prepared} —
+   leaves its continuation in [d_k] and queues [d_wakeup], so none
+   allocates a closure of its own. *)
 and direct = {
   d_fiber : fiber;
   mutable d_k : (unit, unit) Effect.Deep.continuation;
   d_wakeup : unit -> unit;
 }
 
-(* An effect fiber blocked by {!block}, and what its wake delivers:
-   [Waiting] until the wake, then the value or the exception the
-   fiber's {!await} returns or raises.  A handle from {!prepare} is
-   [Prepared] until its fiber awaits it or a wake stores an outcome,
-   whichever comes first. *)
+(* What the wake of a {!prepare}d handle delivers: [Prepared] until its
+   fiber awaits it or a wake stores an outcome, whichever comes first;
+   [Waiting] while the fiber is parked on it; then the value or the
+   exception {!await_prepared} returns or raises. *)
 type 'a outcome = Prepared | Waiting | Value of 'a | Raised of exn
 type 'a handle = { h_direct : direct; mutable h_out : 'a outcome }
 
@@ -492,7 +491,7 @@ let start_block fiber state reason twice =
   | _ -> invalid_arg twice
 
 let stackless_twice = "Engine: a stackless step may block only once"
-let direct_twice = "Engine.block: the fiber is already blocked"
+let direct_twice = "Engine: the effect fiber is already blocked"
 
 (* [Parked] until a wake, with the same [Block] event every wait
    emits. *)
@@ -627,36 +626,14 @@ let sleep t dur =
   schedule_after t dur d.d_wakeup;
   Effect.perform Park
 
-let block t ~reason =
-  let d = direct_current t "Engine.block" in
-  park_as t d.d_fiber reason direct_twice;
-  { h_direct = d; h_out = Waiting }
-
-let await_outcome h =
-  match h.h_out with
-  | Value v -> v
-  | Raised e -> raise e
-  | Prepared | Waiting -> invalid_arg "Engine.await: resumed without a wake"
-
-let check_owner t h who =
-  match t.current with
-  | Some f when f == h.h_direct.d_fiber -> ()
-  | _ -> invalid_arg (who ^ ": not the fiber that blocked")
-
-let await t h =
-  let d = h.h_direct in
-  check_owner t h "Engine.await";
-  (match d.d_fiber.state with
-  | Parked | Woken -> Effect.perform Park
-  | _ -> invalid_arg "Engine.await: the fiber is not blocked");
-  await_outcome h
-
 (* A handle for a wait that may end before it begins: the fiber keeps
    running, and {!await_prepared} blocks only if no wake came first. *)
 let prepare t = { h_direct = direct_current t "Engine.prepare"; h_out = Prepared }
 
 let await_prepared t ~reason h =
-  check_owner t h "Engine.await_prepared";
+  (match t.current with
+  | Some f when f == h.h_direct.d_fiber -> ()
+  | _ -> invalid_arg "Engine.await_prepared: not the fiber that prepared");
   (match h.h_out with
   | Prepared ->
     park_as t h.h_direct.d_fiber reason direct_twice;
@@ -664,14 +641,18 @@ let await_prepared t ~reason h =
     Effect.perform Park
   | Waiting -> invalid_arg "Engine.await_prepared: already awaited"
   | Value _ | Raised _ -> ());
-  await_outcome h
+  match h.h_out with
+  | Value v -> v
+  | Raised e -> raise e
+  | Prepared | Waiting ->
+    invalid_arg "Engine.await_prepared: resumed without a wake"
 
 let woken h = match h.h_out with Value _ | Raised _ -> true | _ -> false
 
-(* The wake of an effect fiber: what [await] will return or raise goes
-   into the handle.  A fiber waiting on the handle gets its resumption
-   task queued; a prepared handle not yet awaited only keeps the
-   outcome, whatever its fiber is doing meanwhile. *)
+(* The wake of an effect fiber: what [await_prepared] will return or
+   raise goes into the handle.  A fiber waiting on the handle gets its
+   resumption task queued; a prepared handle not yet awaited only keeps
+   the outcome, whatever its fiber is doing meanwhile. *)
 let wake_handle t h out =
   let d = h.h_direct in
   match (d.d_fiber.state, h.h_out) with
@@ -688,9 +669,9 @@ let resume_error t h exn = wake_handle t h (Raised exn)
 
 (* Two tasks at [now], as a wait woken from a task takes. *)
 let yield t =
-  let h = block t ~reason:"yield" in
+  let h = prepare t in
   enqueue t t.now (fun () -> resume t h ());
-  await t h
+  await_prepared t ~reason:"yield" h
 
 (* ---- Stackless fibers ------------------------------------------------- *)
 

@@ -5,9 +5,9 @@
     one block/resume path:
 
     - {e effect fibers} ({!spawn}) are ordinary direct-style OCaml
-      functions that block through one effect ({!sleep}, {!block} and
-      {!await}) whenever they wait for a simulated event.  Each keeps
-      its own stack while blocked.
+      functions that block through one effect ({!sleep} and
+      {!await_prepared}) whenever they wait for a simulated event.
+      Each keeps its own stack while blocked.
     - {e stackless fibers} ({!spawn_stackless}) are chains of steps.  A
       step is a plain function that ends with a blocking op: a
       {!sleep_then} that names its successor, or a {!park} whose
@@ -318,47 +318,31 @@ val view : t -> view
 (** {1 Fiber operations — callable only inside a fiber}
 
     An effect fiber blocks in one of two ways: {!sleep}, whose timer
-    resumes it, or {!block} followed by {!await}, which waits for a
-    {!resume} or {!resume_error} on the handle.  {!prepare} and
-    {!await_prepared} are the second way for a wait whose wake may come
-    first: then the fiber does not block at all.  Either way the fiber's
-    continuation stays with the engine and one task resumes it; the
-    stackless {!park}/{!wake} pair below is the same path with a step
-    in place of the continuation. *)
+    resumes it, or {!prepare} followed by {!await_prepared}, which
+    waits for a {!resume} or {!resume_error} on the handle unless one
+    came first.  Either way the fiber's continuation stays with the
+    engine and one task resumes it; the stackless {!park}/{!wake} pair
+    below is the same path with a step in place of the continuation. *)
 
 type 'a handle
-(** An effect fiber blocked by {!block} until a wake hands it an ['a]
-    (or an exception).  Whoever will wake the fiber keeps the handle. *)
-
-val block : t -> reason:string -> 'a handle
-(** [block t ~reason] blocks the current effect fiber and returns its
-    handle; the fiber must then store the handle wherever its wake-up
-    will come from and call {!await} on it.  It emits {!Event.Block},
-    and the fiber is listed by {!blocked_fibers} as ["name (reason)"]
-    until it resumes.  A wake may come before the [await] — even from
-    the code that stores the handle; the fiber still resumes from the
-    queued task.  Raises [Invalid_argument] outside an effect fiber. *)
-
-val await : t -> 'a handle -> 'a
-(** [await t h] suspends the fiber that blocked on [h] until [h] is
-    woken, then returns the value of {!resume} or raises the exception
-    of {!resume_error}.  Raises [Invalid_argument] when called by
-    another fiber or when the fiber is not blocked on a handle. *)
+(** A wait of one effect fiber that a wake ends with an ['a] (or an
+    exception).  Whoever will wake the fiber keeps the handle. *)
 
 val resume : t -> 'a handle -> 'a -> unit
-(** [resume t h v] enqueues one task at the current time that resumes
-    the fiber blocked on [h], whose {!await} then returns [v].  The task
-    carries the waking context's clock, which the resumption merges into
-    the fiber's.  A fiber is woken at most once per block: [resume]
+(** [resume t h v] hands [v] to the wait on [h].  If the fiber is
+    blocked on [h], it enqueues one task at the current time that
+    resumes the fiber, whose {!await_prepared} then returns [v]; the
+    task carries the waking context's clock, which the resumption
+    merges into the fiber's.  A handle is woken at most once: [resume]
     raises [Invalid_argument] unless the fiber is parked on [h] and not
-    yet woken, or [h] is a {!prepare}d handle not yet woken.  Waking a
-    fiber that crashed does nothing.  Allocates the outcome and the
-    task's queue entry, and no closure. *)
+    yet woken, or [h] is neither awaited nor woken yet.  Waking a fiber
+    that crashed does nothing.  Allocates the outcome and the task's
+    queue entry, and no closure. *)
 
 val resume_error : t -> 'a handle -> exn -> unit
-(** Like {!resume}, but the fiber's {!await} raises [exn]: how a failed
-    [Sync.Ivar], a poisoned mailbox or a destroyed link reaches a
-    waiter. *)
+(** Like {!resume}, but the fiber's {!await_prepared} raises [exn]:
+    how a failed [Sync.Ivar], a poisoned mailbox or a destroyed link
+    reaches a waiter. *)
 
 val prepare : t -> 'a handle
 (** [prepare t] returns a handle for the running effect fiber without
@@ -367,16 +351,17 @@ val prepare : t -> 'a handle
     nothing left to do but wait.  A {!resume} or {!resume_error} that
     comes first — from code the fiber itself calls, or while it sleeps
     — only keeps the outcome in the handle: it queues no task and
-    merges no clock.  A handle is as big as one from {!block}.  Raises
-    [Invalid_argument] outside an effect fiber. *)
+    merges no clock.  Raises [Invalid_argument] outside an effect
+    fiber. *)
 
 val await_prepared : t -> reason:string -> 'a handle -> 'a
 (** [await_prepared t ~reason h] returns the value of [h]'s wake, or
     raises its exception, at once if the wake already came, with no
-    event.  Otherwise it blocks the fiber as {!block} does — the same
-    {!Event.Block} with [reason] — until the wake.  Raises
-    [Invalid_argument] when called by another fiber than the one that
-    prepared [h], or twice on a handle still waiting. *)
+    event.  Otherwise it emits {!Event.Block} with [reason] and blocks
+    the fiber, listed by {!blocked_fibers} as ["name (reason)"], until
+    the wake.  Raises [Invalid_argument] when called by another fiber
+    than the one that prepared [h], or twice on a handle still
+    waiting. *)
 
 val woken : 'a handle -> bool
 (** Whether [h] has had its wake: the guard of a caller that races two
@@ -430,7 +415,7 @@ val sleep_then : t -> Time.t -> (unit -> unit) -> unit
 
 val park : t -> reason:string -> fiber
 (** [park t ~reason] blocks the current stackless fiber until a {!wake}
-    and returns it: the stackless {!block}.  It emits the same
+    and returns it: the stackless {!await_prepared}.  It emits the same
     {!Event.Block} every block does, and the fiber is listed
     by {!blocked_fibers} as ["name (reason)"] while parked.  The caller
     keeps the fiber, and the step to resume it with, wherever the

@@ -1,6 +1,6 @@
-(* Every blocking op here is [Engine.block], storing the handle where
-   the wake will come from, then [Engine.await].  The reason is
-   ["waitq"] for all of them. *)
+(* Every blocking op here calls [Engine.prepare], stores the handle
+   where the wake will come from, then calls [Engine.await_prepared].
+   The reason is ["waitq"] for all of them. *)
 
 module Waitq = struct
   type 'a t = { engine : Engine.t; q : 'a Engine.handle Queue.t }
@@ -8,9 +8,9 @@ module Waitq = struct
   let create engine = { engine; q = Queue.create () }
 
   let wait t =
-    let h = Engine.block t.engine ~reason:"waitq" in
+    let h = Engine.prepare t.engine in
     Queue.add h t.q;
-    Engine.await t.engine h
+    Engine.await_prepared t.engine ~reason:"waitq" h
 
   let signal t v =
     if Queue.is_empty t.q then false
@@ -92,9 +92,9 @@ module Ivar = struct
     | Full v -> v
     | Failed exn -> raise exn
     | Empty ->
-      let h = Engine.block t.engine ~reason:"waitq" in
+      let h = Engine.prepare t.engine in
       t.readers <- h :: t.readers;
-      Engine.await t.engine h
+      Engine.await_prepared t.engine ~reason:"waitq" h
 
   let is_filled t = match t.state with Empty -> false | _ -> true
   let peek t = match t.state with Full v -> Some v | _ -> None

@@ -2,9 +2,9 @@
 
     Each structure captures its engine at creation time.  All [take]/
     [read]/[acquire] operations block the calling effect fiber
-    ({!Engine.block}, with reason ["waitq"]); all producers are
-    non-blocking and may be called from scheduler context (e.g. from a
-    [schedule_at] task or an interrupt handler). *)
+    ({!Engine.await_prepared}, with reason ["waitq"]); all producers
+    are non-blocking and may be called from scheduler context (e.g.
+    from a [schedule_at] task or an interrupt handler). *)
 
 module Ivar : sig
   (** Write-once cell. *)

@@ -323,7 +323,7 @@ let discover t pid name_ =
   (* Wait for the first response or the timeout.  Both race to wake
      the fiber, and [decided] lets only the first one: a second wake
      would raise. *)
-  let h = Engine.block t.eng ~reason:"soda.discover" in
+  let h = Engine.prepare t.eng in
   let decided = ref false in
   Engine.schedule_after t.eng t.cst.Costs.discover_timeout (fun () ->
       if not !decided then begin
@@ -343,7 +343,7 @@ let discover t pid name_ =
         Engine.schedule_after t.eng (Time.us 500) (fun () -> poll ())
   in
   poll ();
-  Engine.await t.eng h
+  Engine.await_prepared t.eng ~reason:"soda.discover" h
 
 (* ---- Interrupt management --------------------------------------------- *)
 

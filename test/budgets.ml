@@ -1,51 +1,218 @@
-(* Committed allocation budgets: minor words per iteration, measured in
-   steady state, for every rung of the cost ladder.  Allocation is
-   deterministic, so a budget is the recorded value, not a wall-clock
-   guess.  [exact] rungs must match it to the word; [gate] rungs allow
-   [slack] (2%) over it, which one more string built per message
-   breaks.  A change may tighten a value here; only a change whose
-   title says [rebaseline] may raise one.  Host time is perfbench's.
+(* The allocation ladder: minor words per iteration, measured in steady
+   state, for every rung of the cost ladder, each stated once here.
+   Allocation is deterministic, so a budget is the recorded value, not a
+   wall-clock guess.  An [Exact] rung must match it to the word; a
+   [Slack] rung may pass it by that many percent, which one more string
+   built per message breaks.  A change may tighten a value here; only a
+   change whose title says [rebaseline] may raise one.  A rung's id
+   starts with its layer.  EXPERIMENTS.md §M is [markdown] of this list
+   under the perfbench ceilings of bench/perf_ceilings.tsv, and
+   test_metrics holds the two equal.  Host time is perfbench's. *)
 
-   The ladder, bottom up, with the test that reads each rung
-   (suite: case):
-   - heap (exact) — test_sim: "words per heap add+pop";
-   - task queue (exact) — test_sim: "words per task queue add+pop";
-   - engine — test_sim: "words per sleep" and "words per waitq wait,
-     signal and sleep" (+2%), "words per stackless sleep", "unobserved
-     emit of a constant kind allocates nothing", "unobserved stamp
-     and adopt allocate nothing", "words per park/wake" and "words per
-     effect park/wake" (exact);
-   - vector clocks and counters (exact) — test_sim: "an owner tick
-     costs one record at any width", "merging a dominated clock
-     allocates nothing", "words per non-dominated merge" (minor and
-     major words), "Stats.incr allocates nothing";
-   - one kernel primitive per backend (+2%) — test_charlotte_kernel:
-     "words per matched send+receive", test_soda_kernel: "words per
-     request+accept", test_chrysalis_kernel: "words per enqueue and
-     event post";
-   - LYNX op — test_lynx_core: "words per encode+decode of 280 B"
-     (exact); test_latency: "<backend> words per echo call" (+2%) and
-     "<backend> LYNX premium per echo call", "<backend> words per
-     1000 B echo call", "<backend> LYNX premium per 1000 B echo call"
-     and "chrysalis screening premium per echo call" (exact);
-   - analysers — test_stream: "words per event fed to the analysers"
-     (+2%, and exact for what Stream adds to Races), "words per event
-     independent of population" (+2% against the smaller farm), "words
-     of Stream.finish per client" (exact, and +2% for the larger farm);
-   - pipeline — test_stream: "words per event through Run.execute"
-     (+2%) and "observation premium per event" (exact);
-   - shard — test_shard: "words per one-shard run" (+2%) and "words
-     per recv park/wake cycle" (exact). *)
+type gate = Exact | Slack of float
 
-let slack = 1.02
+(* A rung's own recorded words, or (described for the table) the words
+   its test measured for a base, such as a smaller population. *)
+type budget = Words of float | Base of string
 
-let gate name ~budget words =
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: %.1f words vs budget %.1f (+2%%)" name words budget)
-    true
-    (words <= budget *. slack)
+type rung = {
+  id : string;
+  iteration : string;
+  budget : budget;
+  gate : gate;
+  suite : string;  (** the test executable that reads it, test/<suite>.ml *)
+  case : string;
+}
 
-let exact name ~budget words = Alcotest.(check (float 0.)) name budget words
+let plus2 = Slack 2.
+
+let rung id iteration words gate (suite, case) =
+  { id; iteration; budget = Words words; gate; suite; case }
+
+let of_n1k id iteration (suite, case) =
+  { id; iteration; budget = Base "its `~n1K` reading"; gate = plus2; suite; case }
+
+let rungs =
+  [
+    rung "heap.add-pop" "`Sim.Heap` add+pop, 100 entries held"
+      10. Exact ("test_sim", "words per heap add+pop");
+    rung "taskq.add-take" "`Sim.Taskq` add+take, 100 entries held"
+      5. Exact ("test_sim", "words per task queue add+pop");
+    (* Unobserved engines build no event records, clocks or stamps;
+       observed ones feed a consumer. *)
+    rung "engine.sleep.observed" "`Engine.sleep`, observed"
+      16. plus2 ("test_sim", "words per sleep");
+    rung "engine.sleep.unobserved" "`Engine.sleep`, unobserved"
+      7. plus2 ("test_sim", "words per sleep");
+    rung "engine.waitq.observed" "`Sync.Waitq` wait+signal+sleep, observed"
+      48. plus2 ("test_sim", "words per waitq wait, signal and sleep");
+    rung "engine.waitq.unobserved" "`Sync.Waitq` wait+signal+sleep, unobserved"
+      22. plus2 ("test_sim", "words per waitq wait, signal and sleep");
+    rung "engine.stackless-sleep.observed" "stackless `sleep_then` looping on its own callback \
+       (the step's closure included), observed" 25. Exact ("test_sim", "words per stackless sleep");
+    rung "engine.stackless-sleep.unobserved" "the same, unobserved"
+      16. Exact ("test_sim", "words per stackless sleep");
+    rung "engine.park-wake" "stackless `park`+`wake`, unobserved: the wake's task only"
+      12. Exact ("test_sim", "words per park/wake");
+    rung "engine.yield" "`Engine.yield` of an effect fiber, unobserved: the handle, the outcome, \
+       the wake task's closure and the two queue entries" 20. Exact ("test_sim", "words per yield");
+    rung "engine.emit" "unobserved emit of a constant kind"
+      0. Exact ("test_sim", "unobserved emit of a constant kind allocates nothing");
+    rung "engine.stamp-adopt" "unobserved `stamp`+`adopt`"
+      0. Exact ("test_sim", "unobserved stamp and adopt allocate nothing");
+    rung "vclock.owner-tick" "owner tick, width 1 (width 32 the same)"
+      4. Exact ("test_sim", "an owner tick costs one record at any width");
+    rung "vclock.dominated-merge" "merge of a dominated clock"
+      0. Exact ("test_sim", "merging a dominated clock allocates nothing");
+    (* The 4-word record and a tail of [width - 1] entries plus its
+       header; past 256 entries the tail is allocated in the major
+       heap. *)
+    rung "vclock.raised-merge.8" "merge raising one tail entry, width 8, all words"
+      12. Exact ("test_sim", "words per non-dominated merge");
+    rung "vclock.raised-merge.32" "the same, width 32"
+      36. Exact ("test_sim", "words per non-dominated merge");
+    rung "vclock.raised-merge.300" "the same, width 300"
+      304. Exact ("test_sim", "words per non-dominated merge");
+    rung "stats.incr" "`Stats.incr`, key registered before or after the block was created"
+      0. Exact ("test_sim", "Stats.incr allocates nothing");
+    rung "kernel.charlotte" "Charlotte matched 0 B `send`+`receive`, unobserved"
+      159. plus2 ("test_charlotte_kernel", "words per matched send+receive");
+    rung "kernel.soda" "SODA 0 B `request`+`accept` with interrupts, unobserved"
+      156.82 plus2 ("test_soda_kernel", "words per request+accept");
+    rung "kernel.chrysalis" "Chrysalis dual-queue enqueue posting a waiter's event, unobserved"
+      74. plus2 ("test_chrysalis_kernel", "words per enqueue and event post");
+    rung "lynx.codec" "encode+decode of the 280 B value list"
+      120. Exact ("test_lynx_core", "words per encode+decode of 280 B");
+    (* Echo calls run on unobserved engines.  A premium is the echo call
+       minus the raw-kernel echo ([Rpc_bench.raw_*]): what the run-time
+       package adds above the kernel.  The 1000 B rungs count all words
+       ([all_words]). *)
+    rung "lynx.echo.charlotte" "0 B echo call, Charlotte"
+      817.34 plus2 ("test_latency", "charlotte words per echo call");
+    rung "lynx.echo.soda" "0 B echo call, SODA"
+      783.96 plus2 ("test_latency", "soda words per echo call");
+    rung "lynx.echo.chrysalis" "0 B echo call, Chrysalis"
+      1090. plus2 ("test_latency", "chrysalis words per echo call");
+    rung "lynx.premium.charlotte" "LYNX premium per 0 B echo call, Charlotte"
+      500.640625 Exact ("test_latency", "charlotte LYNX premium per echo call");
+    rung "lynx.premium.soda" "LYNX premium per 0 B echo call, SODA"
+      452. Exact ("test_latency", "soda LYNX premium per echo call");
+    rung "lynx.premium.chrysalis" "LYNX premium per 0 B echo call, Chrysalis"
+      873. Exact ("test_latency", "chrysalis LYNX premium per echo call");
+    rung "lynx.echo-1000.charlotte" "1000 B echo call, Charlotte, all words"
+      1321.640625 Exact ("test_latency", "charlotte words per 1000 B echo call");
+    rung "lynx.echo-1000.soda" "1000 B echo call, SODA, all words"
+      1532.21875 Exact ("test_latency", "soda words per 1000 B echo call");
+    rung "lynx.echo-1000.chrysalis" "1000 B echo call, Chrysalis, all words"
+      1840. Exact ("test_latency", "chrysalis words per 1000 B echo call");
+    rung "lynx.premium-1000.charlotte" "LYNX premium per 1000 B echo call, Charlotte, all words"
+      1000.640625 Exact ("test_latency", "charlotte LYNX premium per 1000 B echo call");
+    rung "lynx.premium-1000.soda" "LYNX premium per 1000 B echo call, SODA, all words"
+      952. Exact ("test_latency", "soda LYNX premium per 1000 B echo call");
+    rung "lynx.premium-1000.chrysalis" "LYNX premium per 1000 B echo call, Chrysalis, all words"
+      1373. Exact ("test_latency", "chrysalis LYNX premium per 1000 B echo call");
+    (* A difference of two echo costs: a screened call drains 52 engine
+       tasks, an unscreened one 55, so when a drained task became 4
+       words cheaper (2,897.2 → 2,689.2 screened, 2,633 → 2,413
+       unscreened) this difference grew by 12 words with no new
+       allocation on the screened path.  Likewise a screened call
+       sleeps 36 times and an unscreened one 40 (both block 13 times
+       otherwise), so when an effect fiber's sleep fell from 25 words
+       to 7 (2,663.2 → 1,563.2 screened, 2,387 → 1,215 unscreened) it
+       grew by 4 × 18 = 72. *)
+    rung "lynx.screening.chrysalis" "Chrysalis screening premium: echo call under \
+       `Faults.Plan.none` minus unscreened, over 128 calls"
+      348.21875 Exact ("test_latency", "chrysalis screening premium per echo call");
+    rung "analysers.stream-feed" "`Analysis.Stream.feed` per event of \
+       `wl-farm-open/chrysalis/1/fifo~n1K`"
+      3.94 plus2 ("test_stream", "words per event fed to the analysers");
+    rung "analysers.races-feed" "`Analysis.Races.feed` per event, same stream"
+      3.94 plus2 ("test_stream", "words per event fed to the analysers");
+    rung "analysers.stream-over-races" "`Stream.feed` beyond `Races.feed`"
+      0. Exact ("test_stream", "words per event fed to the analysers");
+    of_n1k "analysers.stream-feed.n4k" "`Stream.feed` per event at `~n4K`"
+      ("test_stream", "words per event independent of population");
+    (* Every request and reply of the open farm is a [Final] send, so
+       the race detector drops each object once its message is
+       received: what stays is the emptied table. *)
+    rung "analysers.resident" "race-detector words reachable per client after the `~n1K` stream \
+       (`Obj.reachable_words`)"
+      0.09 Exact ("test_stream", "race-detector resident words per client");
+    of_n1k "analysers.resident.n4k" "the same after the `~n4K` stream"
+      ("test_stream", "race-detector resident words per client");
+    rung "analysers.finish" "`Stream.finish` per client after the `~n1K` stream"
+      0.093 Exact ("test_stream", "words of Stream.finish per client");
+    of_n1k "analysers.finish.n4k" "the same after the `~n4K` stream"
+      ("test_stream", "words of Stream.finish per client");
+    rung "pipeline.event" "`Run.execute` of the `~n1K` farm, per event of its stream"
+      56.56 plus2 ("test_stream", "words per event through Run.execute");
+    (* The event records, clocks and stamps alone: 198,866 words over
+       10,948 events. *)
+    rung "pipeline.observation-premium" "observed minus unobserved words per event of twelve sweep \
+       specs, read by a consumer that reads nothing, with nothing retained"
+      (198_866. /. 10_948.) Exact ("test_stream", "observation premium per event");
+    rung "shard.run" "one default `Harness.Shard_rpc.run ~shards:1` on Chrysalis"
+      6628. plus2 ("test_shard", "words per one-shard run");
+    rung "shard.recv-cycle" "one message between two nodes on one shard: send, barrier exchange, \
+       injection, `recv` parked and woken"
+      90. Exact ("test_shard", "words per recv park/wake cycle");
+  ]
+
+(* Checks [words] against rung [id]'s budget under its own gate; a
+   [Base] rung reads its budget from [base]. *)
+let check ?base id words =
+  let r =
+    try List.find (fun r -> r.id = id) rungs
+    with Not_found -> Alcotest.failf "no rung %S in test/budgets.ml" id
+  in
+  let budget =
+    match (r.budget, base) with
+    | Words w, None -> w
+    | Base _, Some b -> b
+    | _ -> Alcotest.failf "rung %s: ~base is given exactly when its budget is a base" id
+  in
+  match r.gate with
+  | Exact -> Alcotest.(check (float 0.)) id budget words
+  | Slack pct ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %g words vs budget %g (+%g%%)" id words budget pct)
+      true
+      (words <= budget *. (1. +. (pct /. 100.)))
+
+(* The shortest decimal that reads back as [x]. *)
+let number x =
+  let rec go p =
+    let s = Printf.sprintf "%.*f" p x in
+    if p >= 17 || float_of_string s = x then s else go (p + 1)
+  in
+  go 0
+
+(* The ladder as a Markdown table: a row per perfbench ceiling (the
+   tab-separated [ceilings] file: workload, metric, value, slack in
+   percent, under a header line), then a row per rung. *)
+let markdown ~ceilings =
+  let row cells = "| " ^ String.concat " | " cells ^ " |\n" in
+  let ceiling line =
+    match String.split_on_char '\t' line with
+    | [ workload; metric; value; slack ] ->
+      row
+        [ workload; "end to end"; Printf.sprintf "perfbench `%s`, seed 1" metric;
+          value; "+" ^ slack ^ "%"; "ci.yml, \"Benchmark output checks\"" ]
+    | _ -> Alcotest.failf "bench/perf_ceilings.tsv: bad row %S" line
+  in
+  let ladder r =
+    row
+      [ r.id; String.sub r.id 0 (String.index r.id '.'); r.iteration;
+        (match r.budget with Words w -> number w | Base d -> d);
+        (match r.gate with Exact -> "exact" | Slack p -> "+" ^ number p ^ "%");
+        Printf.sprintf "%s, \"%s\"" r.suite r.case ]
+  in
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' ceilings) in
+  String.concat ""
+    (row [ "rung"; "layer"; "one iteration"; "budget"; "gate"; "read by" ]
+    :: row [ "---"; "---"; "---"; "---:"; "---"; "---" ]
+    :: List.map ceiling (List.tl lines)
+    @ List.map ladder rungs)
 
 (* Minor words plus the words allocated straight into the major heap
    (blocks of more than 256 words), not the promoted ones.
@@ -73,127 +240,3 @@ let words_per_event feed events =
   let before = Gc.minor_words () in
   Array.iter feed events;
   (Gc.minor_words () -. before) /. float (Array.length events)
-
-(* ---- Heap and task queue: one add+pop pair (exact) ------------------ *)
-
-let heap_pair = 10.
-let taskq_pair = 5.
-
-(* ---- Engine (unobserved engines build no event records, clocks or
-   stamps; observed ones feed a consumer) ------------------------------ *)
-
-let sleep_observed = 16.0
-let sleep_unobserved = 7.0
-let waitq_cycle_observed = 48.0
-let waitq_cycle_unobserved = 22.0
-
-(* Exact: one [sleep_then] of a stackless fiber looping on its own
-   callback, the step's closure included. *)
-let stackless_sleep_observed = 25.
-let stackless_sleep_unobserved = 16.
-
-(* Exact: one [park] and [wake] of a stackless fiber on an unobserved
-   engine — the wake's task (its closure and queue entry) and nothing
-   else. *)
-let park_wake_unobserved = 12.
-
-(* Exact: one [block], [resume] and [await] of an effect fiber on an
-   unobserved engine — the handle, the outcome, the continuation and
-   the resumption's queue entry. *)
-let effect_park_wake_unobserved = 12.
-
-(* Exact. *)
-let unobserved_emit = 0.
-let unobserved_stamp_adopt = 0.
-
-(* ---- Vector clocks and counters (exact) ----------------------------- *)
-
-let owner_tick = 4.
-let dominated_merge = 0.
-
-(* A merge that raises one tail entry of a clock of each width: the
-   4-word record and a tail of [width - 1] entries plus its header.
-   Past 256 entries the tail is allocated in the major heap. *)
-let raised_merge = [ (8, 12.); (32, 36.); (300, 304.) ]
-
-(* [Stats.incr], for a key registered before the block was created and
-   for one registered after it, once the block has grown. *)
-let stats_incr = 0.
-
-(* ---- One 0 B kernel primitive per backend, on an unobserved engine -- *)
-
-let charlotte_send_receive = 159.
-let soda_request_accept = 156.82
-let chrysalis_enqueue_post = 74.
-
-(* ---- LYNX op -------------------------------------------------------- *)
-
-(* Exact: encode+decode of the 280 B value list. *)
-let codec_roundtrip = 120.
-
-(* One 0 B echo call per backend, on an unobserved engine. *)
-let echo_call =
-  [ ("charlotte", 817.34); ("soda", 783.96); ("chrysalis", 1090.0) ]
-
-(* Exact: the LYNX premium, words per 0 B echo call minus words per
-   0 B raw-kernel echo ([Rpc_bench.raw_charlotte], [raw_soda],
-   [raw_chrysalis]) — what the run-time package adds above the kernel. *)
-let lynx_premium =
-  [ ("charlotte", 500.640625); ("soda", 452.); ("chrysalis", 873.) ]
-
-(* Exact: all words ([all_words]) per 1000 B echo call, and that minus
-   the 1000 B raw-kernel echo — the LYNX premium at 1000 B. *)
-let kb_echo_call =
-  [ ("charlotte", 1321.640625); ("soda", 1532.21875); ("chrysalis", 1840.) ]
-
-let kb_lynx_premium =
-  [ ("charlotte", 1000.640625); ("soda", 952.); ("chrysalis", 1373.) ]
-
-(* Exact: what arming screening with a zero-probability plan adds to a
-   Chrysalis echo call, over 128 calls.  A difference of two echo
-   costs: a screened call drains 52 engine tasks, an unscreened one 55,
-   so when a drained task became 4 words cheaper (2,897.2 → 2,689.2
-   screened, 2,633 → 2,413 unscreened) this difference grew by 12
-   words with no new allocation on the screened path.  Likewise a
-   screened call sleeps 36 times and an unscreened one 40 (both block
-   13 times otherwise), so when an effect fiber's sleep fell from 25
-   words to 7 (2,663.2 → 1,563.2 screened, 2,387 → 1,215 unscreened)
-   it grew by 4 × 18 = 72. *)
-let screening_premium = 348.21875
-
-(* ---- Analysers, per event of the wl-farm-open ~n1K stream ----------- *)
-
-let stream_feed = 3.94
-let races_feed = 3.94
-
-(* Exact: [Stream.feed] allocates nothing beyond [Races.feed]. *)
-let stream_over_races = 0.
-
-(* Exact: words the analysers' state keeps reachable once the stream
-   is over, per client (Obj.reachable_words); the ~n4K farm must keep
-   no more (+2%).  Every request and reply of the open farm is a
-   [Final] send, so the race detector drops each object once its
-   message is received: what stays is the emptied table. *)
-let races_resident = 0.09
-
-(* Exact: words of [Stream.finish] on that farm's fed state, per
-   client; the ~n4K farm must cost no more (+2%). *)
-let stream_finish = 0.093
-
-(* ---- Pipeline: Run.execute of that farm, per event ------------------ *)
-
-let pipeline_event = 56.56
-
-(* Exact: observed minus unobserved minor words per event of twelve
-   sweep specs, observed by a consumer that reads nothing, with nothing
-   retained — the event records, clocks and stamps alone: 198,866
-   words over 10,948 events (18.16 per event). *)
-let observation_premium = 198_866. /. 10_948.
-
-(* ---- Shard run: one default Shard_rpc run at one shard -------------- *)
-
-let shard_run = 6628.
-
-(* Exact: one message between two nodes on one shard — send, barrier
-   exchange, injection, and a [recv] parked and woken. *)
-let shard_recv_cycle = 90.

@@ -441,8 +441,7 @@ let send_receives n =
 let allocation_tests =
   [
     Alcotest.test_case "words per matched send+receive" `Quick (fun () ->
-        Budgets.gate "send+receive" ~budget:Budgets.charlotte_send_receive
-          (Budgets.words_per_iter send_receives));
+        Budgets.check "kernel.charlotte" (Budgets.words_per_iter send_receives));
   ]
 
 let () =

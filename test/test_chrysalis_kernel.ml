@@ -326,8 +326,7 @@ let enqueue_posts n =
 let allocation_tests =
   [
     Alcotest.test_case "words per enqueue and event post" `Quick (fun () ->
-        Budgets.gate "enqueue+post" ~budget:Budgets.chrysalis_enqueue_post
-          (Budgets.words_per_iter enqueue_posts));
+        Budgets.check "kernel.chrysalis" (Budgets.words_per_iter enqueue_posts));
   ]
 
 let () =

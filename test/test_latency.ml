@@ -96,53 +96,38 @@ let raw_words_per_call ?count ?(iters = 100) ?(payload = 0) name =
 
 (* A 1000 B echo's frames are big enough that a buffer grown past 256
    words would be allocated in the major heap, so its rungs count all
-   words ([Budgets.all_words]), not just minor ones. *)
-let kb_words_per_call ?iters b =
-  words_per_call ~count:Budgets.all_words ?iters ~payload:1000 b
+   words ([Budgets.all_words]), not just minor ones, over 128 calls. *)
+let kb_words_per_call b = words_per_call ~count:Budgets.all_words ~iters:128 ~payload:1000 b
+let kb_raw_words_per_call n = raw_words_per_call ~count:Budgets.all_words ~iters:128 ~payload:1000 n
 
-let kb_raw_words_per_call ?iters name =
-  raw_words_per_call ~count:Budgets.all_words ?iters ~payload:1000 name
-
+(* One case per backend and row: its rungs' ids, in the order of
+   [Backend_world.all] (Charlotte, SODA, Chrysalis), and the words the
+   case reads. *)
 let allocation_tests =
-  List.map
-    (fun (b : Harness.Backend_world.backend) ->
-      Alcotest.test_case (b.name ^ " words per echo call") `Quick (fun () ->
-          Budgets.gate "echo call"
-            ~budget:(List.assoc b.name Budgets.echo_call)
-            (words_per_call b)))
-    Harness.Backend_world.all
-  @ List.map
-      (fun (b : Harness.Backend_world.backend) ->
-        (* What the LYNX layers add to a kernel echo, to the word: the
-           run-time package's own allocation, with the kernel's netted
-           out.  Over 128 calls both sides are exact binary fractions. *)
-        Alcotest.test_case (b.name ^ " LYNX premium per echo call") `Quick
-          (fun () ->
-            Budgets.exact
-              (Printf.sprintf "%s LYNX premium" b.name)
-              ~budget:(List.assoc b.name Budgets.lynx_premium)
-              (words_per_call ~iters:128 b
-              -. raw_words_per_call ~iters:128 b.name)))
-      Harness.Backend_world.all
-  @ List.map
-      (fun (b : Harness.Backend_world.backend) ->
-        Alcotest.test_case (b.name ^ " words per 1000 B echo call") `Quick
-          (fun () ->
-            Budgets.exact
-              (Printf.sprintf "%s 1000 B echo call" b.name)
-              ~budget:(List.assoc b.name Budgets.kb_echo_call)
-              (kb_words_per_call ~iters:128 b)))
-      Harness.Backend_world.all
-  @ List.map
-      (fun (b : Harness.Backend_world.backend) ->
-        Alcotest.test_case (b.name ^ " LYNX premium per 1000 B echo call")
-          `Quick (fun () ->
-            Budgets.exact
-              (Printf.sprintf "%s 1000 B LYNX premium" b.name)
-              ~budget:(List.assoc b.name Budgets.kb_lynx_premium)
-              (kb_words_per_call ~iters:128 b
-              -. kb_raw_words_per_call ~iters:128 b.name)))
-      Harness.Backend_world.all
+  List.concat_map
+    (fun (case, ids, words) ->
+      List.map2
+        (fun (b : Harness.Backend_world.backend) id ->
+          Alcotest.test_case (b.name ^ " " ^ case) `Quick (fun () ->
+              Budgets.check id (words b)))
+        Harness.Backend_world.all ids)
+    [
+      ( "words per echo call",
+        [ "lynx.echo.charlotte"; "lynx.echo.soda"; "lynx.echo.chrysalis" ],
+        fun b -> words_per_call b );
+      (* What the LYNX layers add to a kernel echo, to the word: the
+         run-time package's own allocation, with the kernel's netted
+         out.  Over 128 calls both sides are exact binary fractions. *)
+      ( "LYNX premium per echo call",
+        [ "lynx.premium.charlotte"; "lynx.premium.soda"; "lynx.premium.chrysalis" ],
+        fun b -> words_per_call ~iters:128 b -. raw_words_per_call ~iters:128 b.name );
+      ( "words per 1000 B echo call",
+        [ "lynx.echo-1000.charlotte"; "lynx.echo-1000.soda"; "lynx.echo-1000.chrysalis" ],
+        kb_words_per_call );
+      ( "LYNX premium per 1000 B echo call",
+        [ "lynx.premium-1000.charlotte"; "lynx.premium-1000.soda"; "lynx.premium-1000.chrysalis" ],
+        fun b -> kb_words_per_call b -. kb_raw_words_per_call b.name );
+    ]
   @ [
       (* A zero-probability plan: no fault ever fires, but the injector
          hooks, the per-call screening timers and the server's dedup
@@ -156,8 +141,7 @@ let allocation_tests =
             Faults.with_plan Faults.Plan.none (fun () ->
                 words_per_call ~iters:128 b)
           in
-          Budgets.exact "screening premium" ~budget:Budgets.screening_premium
-            (screened -. words_per_call ~iters:128 b));
+          Budgets.check "lynx.screening.chrysalis" (screened -. words_per_call ~iters:128 b));
     ]
 
 (* Rpc_bench engines have no consumer and retain nothing, so they run

@@ -86,8 +86,7 @@ let codec_roundtrips n =
 let codec_tests =
   [
     Alcotest.test_case "words per encode+decode of 280 B" `Quick (fun () ->
-        Budgets.exact "encode+decode" ~budget:Budgets.codec_roundtrip
-          (Budgets.words_per_iter codec_roundtrips));
+        Budgets.check "lynx.codec" (Budgets.words_per_iter codec_roundtrips));
     Alcotest.test_case "round trip without links" `Quick (fun () ->
         let vs = [ V.Int (-7); V.Str "abc"; V.Bool true; V.Unit ] in
         let payload, encl = Lynx.Codec.encode vs in

@@ -1,6 +1,6 @@
 (* Tests for the metrics library: source-size accounting, report
-   helpers, and the paper-claims registry and the documents that quote
-   its output. *)
+   helpers, the paper-claims registry and the allocation ladder
+   (test/budgets.ml), and the documents that quote their output. *)
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -111,16 +111,21 @@ module C = Metrics.Claims
 (* The registry rendered once; both documents are compared with it. *)
 let rendered = lazy (C.markdown (List.map C.check C.all))
 
-(* The text between a document's claims markers: `lynx_sim claims`'
-   output, pasted verbatim. *)
-let claims_block file =
+let read file =
   match Metrics.Source_size.find_repo_root () with
   | None -> Alcotest.fail "repo root not found"
-  | Some root ->
-    let s = In_channel.with_open_bin (Filename.concat root file) In_channel.input_all in
-    let first = "<!-- claims:begin -->\n" in
-    let start = Str.search_forward (Str.regexp_string first) s 0 + String.length first in
-    String.sub s start (Str.search_forward (Str.regexp_string "<!-- claims:end -->") s start - start)
+  | Some root -> In_channel.with_open_bin (Filename.concat root file) In_channel.input_all
+
+let contains s sub =
+  try ignore (Str.search_forward (Str.regexp_string sub) s 0); true with Not_found -> false
+
+(* The text between a document's [name] markers: a registry's output,
+   pasted verbatim. *)
+let block name file =
+  let s = read file and first = "<!-- " ^ name ^ ":begin -->\n" in
+  let start = Str.search_forward (Str.regexp_string first) s 0 + String.length first in
+  let stop = Str.search_forward (Str.regexp_string ("<!-- " ^ name ^ ":end -->")) s start in
+  String.sub s start (stop - start)
 
 let claims_tests =
   [
@@ -155,9 +160,39 @@ let claims_tests =
           (fun () ->
             Alcotest.(check string)
               (file ^ " (regenerate with: dune exec bin/lynx_sim.exe -- claims)")
-              (Lazy.force rendered) (claims_block file)))
+              (Lazy.force rendered) (block "claims" file)))
       [ "EXPERIMENTS.md"; "README.md" ]
+
+module B = Budgets
+
+let fails f = match f () with () -> false | exception _ -> true
+
+let rung_tests =
+  [
+    Alcotest.test_case "rung ids are unique and each is read by its suite" `Quick (fun () ->
+        let ids = List.map (fun r -> r.B.id) B.rungs in
+        checki "distinct ids" (List.length ids) (List.length (List.sort_uniq String.compare ids));
+        List.iter
+          (fun (r : B.rung) ->
+            checkb (r.suite ^ " reads " ^ r.id) true
+              (contains (read ("test/" ^ r.suite ^ ".ml")) ("\"" ^ r.id ^ "\"")))
+          B.rungs);
+    Alcotest.test_case "a rung applies its own gate" `Quick (fun () ->
+        B.check "analysers.finish.n4k" ~base:100. 102.;
+        checkb "past the slack" true (fails (fun () -> B.check "analysers.finish.n4k" ~base:100. 102.1));
+        checkb "exact" true (fails (fun () -> B.check "engine.emit" 1.));
+        checkb "unknown id" true (fails (fun () -> B.check "no.such.rung" 0.)));
+    Alcotest.test_case "EXPERIMENTS.md rungs block is the registry's table" `Quick
+      (fun () ->
+        let table = B.markdown ~ceilings:(read "bench/perf_ceilings.tsv") in
+        if block "rungs" "EXPERIMENTS.md" <> table then
+          Alcotest.failf
+            "EXPERIMENTS.md's rungs block differs from test/budgets.ml and \
+             bench/perf_ceilings.tsv; paste this between its markers:\n%s"
+            table);
+  ]
 
 let () =
   Alcotest.run "metrics"
-    [ ("source_size", source_tests); ("report", report_tests); ("claims", claims_tests) ]
+    [ ("source_size", source_tests); ("report", report_tests); ("claims", claims_tests);
+      ("rungs", rung_tests) ]

@@ -363,15 +363,13 @@ let bounces n =
   Shard.run t
 
 let test_recv_cycle_words () =
-  Budgets.exact "recv park/wake cycle" ~budget:Budgets.shard_recv_cycle
-    (Budgets.words_per_iter bounces)
+  Budgets.check "shard.recv-cycle" (Budgets.words_per_iter bounces)
 
 (* Minor words of one default Shard_rpc run at one shard on Chrysalis
    (4 pairs x 3 rounds), after one warm-up run: what a single-shard run
    pays for the partitioning machinery. *)
 let test_one_shard_words () =
-  Budgets.gate "shard run" ~budget:Budgets.shard_run
-    (Budgets.words_per_iter ~warm:1 ~iters:1 (fun n ->
+  Budgets.check "shard.run" (Budgets.words_per_iter ~warm:1 ~iters:1 (fun n ->
          for _ = 1 to n do
            ignore
              (Harness.Shard_rpc.run ~shards:1 Harness.Backend_world.chrysalis)

@@ -251,13 +251,13 @@ let queue_rung_tests =
   [
     Alcotest.test_case "words per heap add+pop" `Quick (fun () ->
         let h = Heap.create () in
-        Budgets.exact "heap" ~budget:Budgets.heap_pair
+        Budgets.check "heap.add-pop"
           (words_per_pair
              ~add:(fun ~time ~seq -> Heap.add h ~time ~seq seq)
              ~pop:(fun () -> Heap.pop h)));
     Alcotest.test_case "words per task queue add+pop" `Quick (fun () ->
         let q = Taskq.create () in
-        Budgets.exact "taskq" ~budget:Budgets.taskq_pair
+        Budgets.check "taskq.add-take"
           (words_per_pair
              ~add:(fun ~time ~seq ->
                Taskq.add q ~time ~seq ~clk:Vclock.empty ignore)
@@ -672,7 +672,7 @@ let engine_tests =
         let e = Engine.create () in
         ignore
           (Engine.spawn e ~name:"stuck" (fun () ->
-               ignore (Engine.await e (Engine.block e ~reason:"wait"))));
+               ignore (Engine.await_prepared e ~reason:"wait" (Engine.prepare e))));
         checkb "raises" true
           (match Engine.run e ~expect_quiescent:true with
           | () -> false
@@ -681,7 +681,7 @@ let engine_tests =
         let e = Engine.create () in
         ignore
           (Engine.spawn e ~daemon:true (fun () ->
-               ignore (Engine.await e (Engine.block e ~reason:"wait"))));
+               ignore (Engine.await_prepared e ~reason:"wait" (Engine.prepare e))));
         Engine.run e ~expect_quiescent:true);
     Alcotest.test_case "fiber crash raises by default" `Quick (fun () ->
         let e = Engine.create () in
@@ -707,7 +707,7 @@ let engine_tests =
         in
         ignore
           (Engine.spawn e (fun () ->
-               let h = Engine.block e ~reason:"wait" in
+               let h = Engine.prepare e in
                stale := Some h;
                Engine.schedule_after e (Time.ms 1) (fun () ->
                    Engine.resume e h ();
@@ -715,18 +715,18 @@ let engine_tests =
                        Engine.resume e h ());
                    Alcotest.check_raises "then an error" not_parked (fun () ->
                        Engine.resume_error e h Exit));
-               Engine.await e h;
+               Engine.await_prepared e ~reason:"wait" h;
                incr resumed;
-               (* Blocked again, on another handle: the old one stays
+               (* Waiting again, on another handle: the old one stays
                   spent. *)
-               let h' = Engine.block e ~reason:"again" in
+               let h' = Engine.prepare e in
                Alcotest.check_raises "the stale handle" not_parked (fun () ->
                    Engine.resume e h ());
                Engine.resume e h' ();
-               Engine.await e h';
+               Engine.await_prepared e ~reason:"again" h';
                incr resumed));
         Engine.run e ~expect_quiescent:true;
-        checki "once per block" 2 !resumed;
+        checki "once per handle" 2 !resumed;
         Alcotest.check_raises "after the fiber finished" not_parked (fun () ->
             Engine.resume e (Option.get !stale) ()));
     Alcotest.test_case "resume_error raises in the fiber" `Quick (fun () ->
@@ -735,10 +735,10 @@ let engine_tests =
         ignore
           (Engine.spawn e (fun () ->
                try
-                 let h = Engine.block e ~reason:"wait" in
+                 let h = Engine.prepare e in
                  Engine.schedule_after e (Time.ms 1) (fun () ->
                      Engine.resume_error e h Not_found);
-                 Engine.await e h
+                 Engine.await_prepared e ~reason:"wait" h
                with Not_found -> caught := true));
         Engine.run e;
         checkb "caught" true !caught);
@@ -835,19 +835,6 @@ let engine_tests =
         Alcotest.check_raises "outside a fiber"
           (Invalid_argument "Engine.prepare: not inside a fiber") (fun () ->
             ignore (Engine.prepare e)));
-    Alcotest.test_case "a prepared handle is as big as a blocked one" `Quick
-      (fun () ->
-        let e = Engine.create () in
-        let sizes = ref [] in
-        ignore
-          (Engine.spawn e (fun () ->
-               let h = Engine.prepare e in
-               let b = Engine.block e ~reason:"b" in
-               sizes := [ Obj.size (Obj.repr h); Obj.size (Obj.repr b) ];
-               Engine.resume e b ();
-               Engine.await e b));
-        Engine.run e;
-        check Alcotest.(list int) "fields" [ 2; 2 ] !sizes);
     Alcotest.test_case "wake-with-error discontinues into the fiber" `Quick
       (fun () ->
         (* How a destroyed link reaches a LYNX thread waiting for its
@@ -879,17 +866,17 @@ let engine_tests =
       `Quick (fun () ->
         let e = Engine.create ~on_crash:`Record () in
         let raised = ref None and failed = ref None and resumed = ref 0 in
-        (* One crashes after blocking, before its await; the other is
+        (* One crashes after preparing, before its await; the other is
            woken with an error it does not catch. *)
         ignore
           (Engine.spawn e ~name:"early" (fun () ->
-               raised := Some (Engine.block e ~reason:"r");
+               raised := Some (Engine.prepare e);
                failwith "boom"));
         ignore
           (Engine.spawn e ~name:"late" (fun () ->
-               let h = Engine.block e ~reason:"r" in
+               let h = Engine.prepare e in
                failed := Some h;
-               Engine.await e h;
+               Engine.await_prepared e ~reason:"r" h;
                incr resumed));
         ignore
           (Engine.spawn e (fun () ->
@@ -1067,7 +1054,7 @@ let engine_tests =
         let e = Engine.create () in
         ignore
           (Engine.spawn e ~name:"stuck" (fun () ->
-               ignore (Engine.await e (Engine.block e ~reason:"forever"))));
+               ignore (Engine.await_prepared e ~reason:"forever" (Engine.prepare e))));
         ignore (Engine.spawn e ~name:"done" (fun () -> ()));
         Engine.run e;
         let v = Engine.view e in
@@ -1102,7 +1089,7 @@ let engine_tests =
         let e = Engine.create () in
         ignore
           (Engine.spawn e ~name:"waiter" (fun () ->
-               ignore (Engine.await e (Engine.block e ~reason:"test-reason"))));
+               ignore (Engine.await_prepared e ~reason:"test-reason" (Engine.prepare e))));
         Engine.run e;
         match Engine.blocked_fibers e with
         | [ desc ] ->
@@ -1535,9 +1522,9 @@ let two_ways ~stackless =
       let pending = ref None in
       ignore
         (Engine.spawn e ~name:"waiter" (fun () ->
-             let h = Engine.block e ~reason:"parked" in
+             let h = Engine.prepare e in
              pending := Some h;
-             got (Engine.await e h)));
+             got (Engine.await_prepared e ~reason:"parked" h)));
       fun () ->
         match !pending with
         | Some h ->
@@ -1579,17 +1566,11 @@ let park_wakes ~observed n =
   ignore (Engine.spawn_stackless e step);
   Engine.run e
 
-(* The same for an effect fiber: each time it blocks, it wakes its own
-   handle before its await. *)
-let effect_park_wakes ~observed n =
+(* An effect fiber that yields [n] times: each a prepared wait, woken
+   by a task of its own. *)
+let yields ~observed n =
   let e = make_engine ~observed in
-  ignore
-    (Engine.spawn e (fun () ->
-         for _ = 1 to n do
-           let h = Engine.block e ~reason:"p" in
-           Engine.resume e h ();
-           Engine.await e h
-         done));
+  ignore (Engine.spawn e (fun () -> for _ = 1 to n do Engine.yield e done));
   Engine.run e
 
 let stackless_tests =
@@ -1721,15 +1702,13 @@ let stackless_tests =
         check Alcotest.(list string) "state" [ "blocked:recv" ]
           (List.map (fun f -> f.Engine.fi_state) (Engine.view e).Engine.v_fibers));
     Alcotest.test_case "words per park/wake" `Quick (fun () ->
-        Budgets.exact "unobserved" ~budget:Budgets.park_wake_unobserved
-          (Budgets.words_per_iter (park_wakes ~observed:false)));
-    Alcotest.test_case "words per effect park/wake" `Quick (fun () ->
-        Budgets.exact "unobserved" ~budget:Budgets.effect_park_wake_unobserved
-          (Budgets.words_per_iter (effect_park_wakes ~observed:false)));
+        Budgets.check "engine.park-wake" (Budgets.words_per_iter (park_wakes ~observed:false)));
+    Alcotest.test_case "words per yield" `Quick (fun () ->
+        Budgets.check "engine.yield" (Budgets.words_per_iter (yields ~observed:false)));
     Alcotest.test_case "words per stackless sleep" `Quick (fun () ->
-        Budgets.exact "observed" ~budget:Budgets.stackless_sleep_observed
+        Budgets.check "engine.stackless-sleep.observed"
           (Budgets.words_per_iter (stackless_sleeps ~observed:true));
-        Budgets.exact "unobserved" ~budget:Budgets.stackless_sleep_unobserved
+        Budgets.check "engine.stackless-sleep.unobserved"
           (Budgets.words_per_iter (stackless_sleeps ~observed:false)));
   ]
 
@@ -1987,13 +1966,12 @@ let vclock_tests =
       (fun () ->
         let w1 = Budgets.words_per_iter (owner_ticks (owned_clock 1)) in
         let w32 = Budgets.words_per_iter (owner_ticks (owned_clock 32)) in
-        Budgets.exact "width 1" ~budget:Budgets.owner_tick w1;
+        Budgets.check "vclock.owner-tick" w1;
         check (Alcotest.float 0.) "width 32 = width 1" w1 w32);
     Alcotest.test_case "merging a dominated clock allocates nothing" `Quick
       (fun () ->
         let a = owned_clock 32 in
-        Budgets.exact "merge a a" ~budget:Budgets.dominated_merge
-          (Budgets.words_per_iter (merges a a));
+        Budgets.check "vclock.dominated-merge" (Budgets.words_per_iter (merges a a));
         (* [b] is an older snapshot of the owner; [c] is another fiber's
            clock that [a] has already absorbed. *)
         let b = a in
@@ -2002,25 +1980,20 @@ let vclock_tests =
         let a = Vclock.tick (Vclock.merge a c) owner in
         checkb "a dominates b" true (Vclock.leq b a);
         checkb "a dominates c" true (Vclock.leq c a);
-        Budgets.exact "merge a b (same owner)"
-          ~budget:Budgets.dominated_merge
-          (Budgets.words_per_iter (merges a b));
-        Budgets.exact "merge a c (other owner)"
-          ~budget:Budgets.dominated_merge
-          (Budgets.words_per_iter (merges a c)));
+        Budgets.check "vclock.dominated-merge" (Budgets.words_per_iter (merges a b));
+        Budgets.check "vclock.dominated-merge" (Budgets.words_per_iter (merges a c)));
     Alcotest.test_case "words per non-dominated merge" `Quick (fun () ->
         List.iter
-          (fun (width, budget) ->
+          (fun (width, id) ->
             (* [b] is another fiber's clock of the same width, ahead of
                [a] in one entry *)
             let a = owned_clock width in
             let b = Vclock.tick (owned_clock width) 0 in
             checkb "a does not dominate b" false (Vclock.leq b a);
-            Budgets.exact
-              (Printf.sprintf "width %d (minor and major words)" width)
-              ~budget
+            Budgets.check id
               (Budgets.words_per_iter ~count:Budgets.all_words (merges a b)))
-          Budgets.raised_merge);
+          [ (8, "vclock.raised-merge.8"); (32, "vclock.raised-merge.32");
+            (300, "vclock.raised-merge.300") ]);
   ]
 
 (* ---- Counters ------------------------------------------------------------ *)
@@ -2036,16 +2009,12 @@ let counter_tests =
   [
     Alcotest.test_case "Stats.incr allocates nothing" `Quick (fun () ->
         let s = Stats.create () in
-        Budgets.exact "key registered before create"
-          ~budget:Budgets.stats_incr
-          (Budgets.words_per_iter (bumps s early));
+        Budgets.check "stats.incr" (Budgets.words_per_iter (bumps s early));
         (* Registered after [s] was created: the first bump grows the
            block, later ones are array stores. *)
         let late = Stats.key "rung.late" in
         Stats.incr s late;
-        Budgets.exact "key registered after create"
-          ~budget:Budgets.stats_incr
-          (Budgets.words_per_iter (bumps s late));
+        Budgets.check "stats.incr" (Budgets.words_per_iter (bumps s late));
         checki "late key counted" 1201 (Stats.get s "rung.late"));
   ]
 
@@ -2078,15 +2047,13 @@ let causality_tests =
         check Alcotest.string "spawn clock" "{}" (Vclock.to_string !clk));
     QCheck_alcotest.to_alcotest observed_unobserved_property;
     Alcotest.test_case "words per sleep" `Quick (fun () ->
-        Budgets.gate "observed" ~budget:Budgets.sleep_observed
-          (Budgets.words_per_iter (sleeps ~observed:true));
-        Budgets.gate "unobserved" ~budget:Budgets.sleep_unobserved
-          (Budgets.words_per_iter (sleeps ~observed:false)));
+        Budgets.check "engine.sleep.observed" (Budgets.words_per_iter (sleeps ~observed:true));
+        Budgets.check "engine.sleep.unobserved" (Budgets.words_per_iter (sleeps ~observed:false)));
     Alcotest.test_case "words per waitq wait, signal and sleep" `Quick
       (fun () ->
-        Budgets.gate "observed" ~budget:Budgets.waitq_cycle_observed
+        Budgets.check "engine.waitq.observed"
           (Budgets.words_per_iter (waitq_cycles ~observed:true));
-        Budgets.gate "unobserved" ~budget:Budgets.waitq_cycle_unobserved
+        Budgets.check "engine.waitq.unobserved"
           (Budgets.words_per_iter (waitq_cycles ~observed:false)));
     Alcotest.test_case "unobserved emit of a constant kind allocates nothing"
       `Quick (fun () ->
@@ -2098,7 +2065,7 @@ let causality_tests =
                 Engine.emit e kind
               done)
         in
-        Budgets.exact "words per emit" ~budget:Budgets.unobserved_emit w);
+        Budgets.check "engine.emit" w);
     Alcotest.test_case "unobserved stamp and adopt allocate nothing" `Quick
       (fun () ->
         let e = make_engine ~observed:false in
@@ -2110,8 +2077,7 @@ let causality_tests =
                 Engine.adopt e key
               done)
         in
-        Budgets.exact "words per stamp and adopt"
-          ~budget:Budgets.unobserved_stamp_adopt w);
+        Budgets.check "engine.stamp-adopt" w);
   ]
 
 (* ---- Golden: random Sync programs ------------------------------------- *)

@@ -391,8 +391,7 @@ let request_accepts n =
 let allocation_tests =
   [
     Alcotest.test_case "words per request+accept" `Quick (fun () ->
-        Budgets.gate "request+accept" ~budget:Budgets.soda_request_accept
-          (Budgets.words_per_iter request_accepts));
+        Budgets.check "kernel.soda" (Budgets.words_per_iter request_accepts));
   ]
 
 let () =

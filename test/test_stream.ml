@@ -599,22 +599,18 @@ let stream_words events =
   let t = Stream.init () in
   Budgets.words_per_event (fun ev -> ignore (Stream.feed ev t)) events
 
-let races_words events =
-  Budgets.words_per_event (R.feed (R.init ())) events
-
 let test_analyser_words () =
   let events = Lazy.force farm_1k in
-  let stream = stream_words events and races = races_words events in
-  Budgets.gate "Stream.feed" ~budget:Budgets.stream_feed stream;
-  Budgets.gate "Races.feed" ~budget:Budgets.races_feed races;
-  Budgets.exact "Stream.feed beyond Races.feed"
-    ~budget:Budgets.stream_over_races (stream -. races)
+  let stream = stream_words events
+  and races = Budgets.words_per_event (R.feed (R.init ())) events in
+  Budgets.check "analysers.stream-feed" stream;
+  Budgets.check "analysers.races-feed" races;
+  Budgets.check "analysers.stream-over-races" (stream -. races)
 
 (* Nothing on the per-event path may cost O(fibers): a farm four times
    the size must cost the same words per event. *)
 let test_population_independent () =
-  Budgets.gate "n4K against n1K"
-    ~budget:(stream_words (Lazy.force farm_1k))
+  Budgets.check "analysers.stream-feed.n4k" ~base:(stream_words (Lazy.force farm_1k))
     (stream_words (recorded (farm "4K")))
 
 (* What the analysers keep once the stream is over: every object's
@@ -629,9 +625,8 @@ let test_resident_words () =
   let n1k =
     resident_words_per_client ~clients:1_000 (Lazy.force farm_1k)
   in
-  Budgets.exact "resident words per client" ~budget:Budgets.races_resident
-    n1k;
-  Budgets.gate "resident n4K against n1K" ~budget:n1k
+  Budgets.check "analysers.resident" n1k;
+  Budgets.check "analysers.resident.n4k" ~base:n1k
     (resident_words_per_client ~clients:4_000 (recorded (farm "4K")))
 
 (* Concluding the rules once the stream is over, per client: the
@@ -648,9 +643,8 @@ let finish_words_per_client ~clients events =
 
 let test_finish_words () =
   let n1k = finish_words_per_client ~clients:1_000 (Lazy.force farm_1k) in
-  Budgets.exact "Stream.finish words per client" ~budget:Budgets.stream_finish
-    n1k;
-  Budgets.gate "Stream.finish n4K against n1K" ~budget:n1k
+  Budgets.check "analysers.finish" n1k;
+  Budgets.check "analysers.finish.n4k" ~base:n1k
     (finish_words_per_client ~clients:4_000 (recorded (farm "4K")))
 
 (* The whole observed pipeline on the same farm — engine, streaming
@@ -660,7 +654,7 @@ let test_finish_words () =
 let test_pipeline_words () =
   let spec = Spec.of_string_exn (farm "1K") in
   let events = float (Array.length (Lazy.force farm_1k)) in
-  Budgets.gate "Run.execute" ~budget:Budgets.pipeline_event
+  Budgets.check "pipeline.event"
     (Budgets.words_per_iter ~warm:1 ~iters:1 (fun n ->
          for _ = 1 to n do
            ignore (Run.execute spec)
@@ -715,9 +709,7 @@ let test_observation_premium () =
   let observed, events = total ~observed:true in
   let unobserved, events' = total ~observed:false in
   Alcotest.(check int) "same events" events events';
-  Budgets.exact "observation premium per event"
-    ~budget:Budgets.observation_premium
-    ((observed -. unobserved) /. float events)
+  Budgets.check "pipeline.observation-premium" ((observed -. unobserved) /. float events)
 
 let () =
   Alcotest.run "stream"
