@@ -603,10 +603,198 @@ let sweep ?scenarios ?seeds ?policies ?plans () =
     (R.execute_many ~jobs:2
        (Spec.product ?scenarios ?seeds ?policies ?plans ()))
 
+(* The summary counts runs and failures only.  This digest pins what
+   each run of the same sweep returned: one row per spec with its
+   verdict, events hash, virtual duration in ns, detail and the MD5 of
+   its counters.  It covers every registry scenario on every backend it
+   applies to, so a change to how scenarios are set up or report must
+   keep it byte-identical. *)
+let golden_explore_digest =
+  {|move/charlotte/1/fifo                true  e77d079ddb6126ce    276823000 c904a2b76742ddb8704fa9225785b8ef "ok"
+move/charlotte/1/random              true  f68b150773be0885    276823000 d18d3e3162d3bcdeb2cdc5f8bd917fa6 "ok"
+move/charlotte/2/fifo                true  e77d079ddb6126ce    276823000 c904a2b76742ddb8704fa9225785b8ef "ok"
+move/charlotte/2/random              true  e6d3e2bba6b81d26    276935750 c904a2b76742ddb8704fa9225785b8ef "ok"
+move/soda/1/fifo                     true  c5f05ef55555fe21    205826400 2e58ac34862070f485e21922d5c51e21 "ok"
+move/soda/1/random                   true  f0ea56547cb52da6    205826400 2e58ac34862070f485e21922d5c51e21 "ok"
+move/soda/2/fifo                     true  e9ca21f1d6d42201    205826400 2e58ac34862070f485e21922d5c51e21 "ok"
+move/soda/2/random                   true  ca3d466fe0f9bd41    206322400 805cb45d576bd06e6e463a947369f1be "ok"
+move/chrysalis/1/fifo                true  046247c01ff5f02b    104908400 e332dde71bd5911de25b7d37efb133ad "ok"
+move/chrysalis/1/random              true  38aceca9801022bc    104908400 e332dde71bd5911de25b7d37efb133ad "ok"
+move/chrysalis/2/fifo                true  046247c01ff5f02b    104908400 e332dde71bd5911de25b7d37efb133ad "ok"
+move/chrysalis/2/random              true  f348639c2020b9fd    104908400 e332dde71bd5911de25b7d37efb133ad "ok"
+enclosures/charlotte/1/fifo          true  1b51ce33d96f6a01    168512500 609cf162ba3b898e295f1fea664960b8 "3 enclosures arrived"
+enclosures/charlotte/1/random        true  f965f20473f8bd30    168512500 609cf162ba3b898e295f1fea664960b8 "3 enclosures arrived"
+enclosures/charlotte/2/fifo          true  1b51ce33d96f6a01    168512500 609cf162ba3b898e295f1fea664960b8 "3 enclosures arrived"
+enclosures/charlotte/2/random        true  36e64096dda52108    168512500 609cf162ba3b898e295f1fea664960b8 "3 enclosures arrived"
+enclosures/soda/1/fifo               true  089f1595d3ad23be     33119600 6c1ef4d73787f4cefa58311286a7dcb7 "3 enclosures arrived"
+enclosures/soda/1/random             true  ea12594665cb2a84     33119600 6c1ef4d73787f4cefa58311286a7dcb7 "3 enclosures arrived"
+enclosures/soda/2/fifo               true  de12db8196eadd7e     33219600 6c1ef4d73787f4cefa58311286a7dcb7 "3 enclosures arrived"
+enclosures/soda/2/random             true  c0ca0f61e5e92a73     33219600 6c1ef4d73787f4cefa58311286a7dcb7 "3 enclosures arrived"
+enclosures/chrysalis/1/fifo          true  fd2f64e4eca9a14e      8146500 f92493faff2fbfe97fa9d828706a591a "3 enclosures arrived"
+enclosures/chrysalis/1/random        true  3590f2728ccb5c72      8146500 f92493faff2fbfe97fa9d828706a591a "3 enclosures arrived"
+enclosures/chrysalis/2/fifo          true  fd2f64e4eca9a14e      8146500 f92493faff2fbfe97fa9d828706a591a "3 enclosures arrived"
+enclosures/chrysalis/2/random        true  3f855585ded1fb7b      8146500 f92493faff2fbfe97fa9d828706a591a "3 enclosures arrived"
+cross-request/charlotte/1/fifo       true  2c370c821bab3b9a    197294750 f5b47a33fb4e75795e02c788d4ba0699 "a_done=true b_done=true"
+cross-request/charlotte/1/random     true  ec69d23a06c4ebd5    197294750 8965f442fc7072167a7b7209692edf1d "a_done=true b_done=true"
+cross-request/charlotte/2/fifo       true  2c370c821bab3b9a    197294750 f5b47a33fb4e75795e02c788d4ba0699 "a_done=true b_done=true"
+cross-request/charlotte/2/random     true  3af216ce3484f28c    197294750 8965f442fc7072167a7b7209692edf1d "a_done=true b_done=true"
+cross-request/soda/1/fifo            true  2fb41b416529fba5     82618800 6443509fdf41b3ccd0522dfd014575f1 "a_done=true b_done=true"
+cross-request/soda/1/random          true  344198efa1d19520     82618800 6443509fdf41b3ccd0522dfd014575f1 "a_done=true b_done=true"
+cross-request/soda/2/fifo            true  01fb0511f9b98b85     82718800 6443509fdf41b3ccd0522dfd014575f1 "a_done=true b_done=true"
+cross-request/soda/2/random          true  f8099032afa3551c     82718800 6443509fdf41b3ccd0522dfd014575f1 "a_done=true b_done=true"
+cross-request/chrysalis/1/fifo       true  c8471136796d819d     44369100 d6d4c8ef59574dd02698b1eb9d483a23 "a_done=true b_done=true"
+cross-request/chrysalis/1/random     true  33e625bc7688df2c     44369100 a9c5d8253146e32a7c11d412e4e4e4a9 "a_done=true b_done=true"
+cross-request/chrysalis/2/fifo       true  c8471136796d819d     44369100 d6d4c8ef59574dd02698b1eb9d483a23 "a_done=true b_done=true"
+cross-request/chrysalis/2/random     true  00b69b2c87740991     44369100 d6d4c8ef59574dd02698b1eb9d483a23 "a_done=true b_done=true"
+open-close/charlotte/1/fifo          true  2fcc6f259358cd07    200169000 85fd46441a34f3748a6aff6c4fd622d6 "served=true b_done=true"
+open-close/charlotte/1/random        true  da246516f3bea9ec    200169000 85fd46441a34f3748a6aff6c4fd622d6 "served=true b_done=true"
+open-close/charlotte/2/fifo          true  2fcc6f259358cd07    200169000 85fd46441a34f3748a6aff6c4fd622d6 "served=true b_done=true"
+open-close/charlotte/2/random        true  1fd4caebd653ed5b    200169000 0f93ef6cf397c63ceef457279109b52d "served=true b_done=true"
+open-close/soda/1/fifo               true  1d8c181e5056c1eb    159098800 aade5a4dcaa954436d7dd491846b616d "served=true b_done=true"
+open-close/soda/1/random             true  d0b94f28f7956fff    159098800 aade5a4dcaa954436d7dd491846b616d "served=true b_done=true"
+open-close/soda/2/fifo               true  2640d29f847d578b    159198800 aade5a4dcaa954436d7dd491846b616d "served=true b_done=true"
+open-close/soda/2/random             true  3f4b656c75aeadb3    159198800 aade5a4dcaa954436d7dd491846b616d "served=true b_done=true"
+open-close/chrysalis/1/fifo          true  e055f20ab32b378f    141934500 289025bc8f4f2ade1b78fae6cec37183 "served=true b_done=true"
+open-close/chrysalis/1/random        true  dd41cd280e2dcd6a    141934500 30f7466bbc1d709b128bd7fe8ff44040 "served=true b_done=true"
+open-close/chrysalis/2/fifo          true  e055f20ab32b378f    141934500 289025bc8f4f2ade1b78fae6cec37183 "served=true b_done=true"
+open-close/chrysalis/2/random        true  26cb0446843b7b23    141934500 289025bc8f4f2ade1b78fae6cec37183 "served=true b_done=true"
+lost-enclosure/charlotte/1/fifo      true  cd299b2579cd7ec4    862847500 57b5534134fde100e48dcc6674542aa7 "far_end_died=true send_failed=true recovered=false"
+lost-enclosure/charlotte/1/random    true  018f15d29d9d5bf0    862847500 9dfb3cd67e64818a1e13308e8081972e "far_end_died=true send_failed=true recovered=false"
+lost-enclosure/charlotte/2/fifo      true  cd299b2579cd7ec4    862847500 57b5534134fde100e48dcc6674542aa7 "far_end_died=true send_failed=true recovered=false"
+lost-enclosure/charlotte/2/random    true  2d763e2202cbfa4d    862847500 57b5534134fde100e48dcc6674542aa7 "far_end_died=true send_failed=true recovered=false"
+lost-enclosure/soda/1/fifo           true  0cdd3bf4f6f0c4b4    869400000 a08d40bccdd9587f96a93a06916b4b42 "far_end_died=false send_failed=true recovered=true"
+lost-enclosure/soda/1/random         true  176772f1442abd44    869400000 a08d40bccdd9587f96a93a06916b4b42 "far_end_died=false send_failed=true recovered=true"
+lost-enclosure/soda/2/fifo           true  e6432da3e51fc9f4    869400000 a08d40bccdd9587f96a93a06916b4b42 "far_end_died=false send_failed=true recovered=true"
+lost-enclosure/soda/2/random         true  c791a22f5d14fbd7    869400000 a08d40bccdd9587f96a93a06916b4b42 "far_end_died=false send_failed=true recovered=true"
+lost-enclosure/chrysalis/1/fifo      true  186434f60dd71349    860530000 577b17116a7bb0649a3ba19f23fa7fb6 "far_end_died=false send_failed=true recovered=true"
+lost-enclosure/chrysalis/1/random    true  3abc21244381d546    860530000 577b17116a7bb0649a3ba19f23fa7fb6 "far_end_died=false send_failed=true recovered=true"
+lost-enclosure/chrysalis/2/fifo      true  186434f60dd71349    860530000 577b17116a7bb0649a3ba19f23fa7fb6 "far_end_died=false send_failed=true recovered=true"
+lost-enclosure/chrysalis/2/random    true  da62d713cd76b077    860530000 577b17116a7bb0649a3ba19f23fa7fb6 "far_end_died=false send_failed=true recovered=true"
+bounced-enclosure/charlotte/1/fifo   true  f178dc49fe8629ef    496770500 57a674ffa7409554040c0c212b059f92 "delivered=true pong=true"
+bounced-enclosure/charlotte/1/random true  fffb2f497ac07aec    496770500 57a674ffa7409554040c0c212b059f92 "delivered=true pong=true"
+bounced-enclosure/charlotte/2/fifo   true  f178dc49fe8629ef    496770500 57a674ffa7409554040c0c212b059f92 "delivered=true pong=true"
+bounced-enclosure/charlotte/2/random true  3e4a5a8bd905fa9d    496770500 57a674ffa7409554040c0c212b059f92 "delivered=true pong=true"
+bounced-enclosure/soda/1/fifo        true  1ddfb888ab190cbf    367132750 477dcb030cf2ed199505a31951fa73eb "delivered=true pong=true"
+bounced-enclosure/soda/1/random      true  16794a53cf947b38    367132750 477dcb030cf2ed199505a31951fa73eb "delivered=true pong=true"
+bounced-enclosure/soda/2/fifo        true  0e16a4d7f3c2397f    367132750 477dcb030cf2ed199505a31951fa73eb "delivered=true pong=true"
+bounced-enclosure/soda/2/random      true  0f1edf5bfdc05611    367132750 477dcb030cf2ed199505a31951fa73eb "delivered=true pong=true"
+bounced-enclosure/chrysalis/1/fifo   true  00c8bc6fe929ed3b    324459150 e5404af10e9e7bd7af7373e40936fe08 "delivered=true pong=true"
+bounced-enclosure/chrysalis/1/random true  c63124900330ebd9    324459150 e5404af10e9e7bd7af7373e40936fe08 "delivered=true pong=true"
+bounced-enclosure/chrysalis/2/fifo   true  00c8bc6fe929ed3b    324459150 e5404af10e9e7bd7af7373e40936fe08 "delivered=true pong=true"
+bounced-enclosure/chrysalis/2/random true  dc142949058bcc59    324459150 e5404af10e9e7bd7af7373e40936fe08 "delivered=true pong=true"
+shard-rpc/charlotte/1/fifo           true  f05b73b39e49079f    182000000 72f091518f85e1f78326e72a9c01524e "12/12 rpcs verified, 7 windows"
+shard-rpc/charlotte/1/random         true  f05b73b39e49079f    182000000 72f091518f85e1f78326e72a9c01524e "12/12 rpcs verified, 7 windows"
+shard-rpc/charlotte/2/fifo           true  dff4ab58652df5af    182000000 b1ac739c208261e212f8c6fdd46fd7ed "12/12 rpcs verified, 7 windows"
+shard-rpc/charlotte/2/random         true  dff4ab58652df5af    182000000 b1ac739c208261e212f8c6fdd46fd7ed "12/12 rpcs verified, 7 windows"
+shard-rpc/soda/1/fifo                true  33ec47649b0755e9     52800000 72f091518f85e1f78326e72a9c01524e "12/12 rpcs verified, 12 windows"
+shard-rpc/soda/1/random              true  33ec47649b0755e9     52800000 72f091518f85e1f78326e72a9c01524e "12/12 rpcs verified, 12 windows"
+shard-rpc/soda/2/fifo                true  db3cc18c037b4f8b     61600000 b1ac739c208261e212f8c6fdd46fd7ed "12/12 rpcs verified, 12 windows"
+shard-rpc/soda/2/random              true  db3cc18c037b4f8b     61600000 b1ac739c208261e212f8c6fdd46fd7ed "12/12 rpcs verified, 12 windows"
+shard-rpc/chrysalis/1/fifo           true  c0b14da5fde08f23      1160000 72f091518f85e1f78326e72a9c01524e "12/12 rpcs verified, 17 windows"
+shard-rpc/chrysalis/1/random         true  c0b14da5fde08f23      1160000 72f091518f85e1f78326e72a9c01524e "12/12 rpcs verified, 17 windows"
+shard-rpc/chrysalis/2/fifo           true  d5fab22d93add649      1440000 b1ac739c208261e212f8c6fdd46fd7ed "12/12 rpcs verified, 23 windows"
+shard-rpc/chrysalis/2/random         true  d5fab22d93add649      1440000 b1ac739c208261e212f8c6fdd46fd7ed "12/12 rpcs verified, 23 windows"
+ring-election/charlotte/1/fifo       true  3220a1b7e83f7efb    749025500 d1e8e9905cddd0342d886846d58a8902 "leader=3 epoch=1 recovered=true wc=0.000ms"
+ring-election/charlotte/1/random     true  c56f228267969a55    749025500 d1e8e9905cddd0342d886846d58a8902 "leader=3 epoch=1 recovered=true wc=0.000ms"
+ring-election/charlotte/2/fifo       true  3220a1b7e83f7efb    749025500 d1e8e9905cddd0342d886846d58a8902 "leader=3 epoch=1 recovered=true wc=0.000ms"
+ring-election/charlotte/2/random     true  127c358ba3abaa7b    749025500 d1e8e9905cddd0342d886846d58a8902 "leader=3 epoch=1 recovered=true wc=0.000ms"
+ring-election/soda/1/fifo            true  3a219cd81fc3d2d8    365170000 f99d09cc82d1ace9ae88a7f3b24ace44 "leader=3 epoch=1 recovered=true wc=0.000ms"
+ring-election/soda/1/random          true  d7b2619c14ad6fe8    365170000 f99d09cc82d1ace9ae88a7f3b24ace44 "leader=3 epoch=1 recovered=true wc=0.000ms"
+ring-election/soda/2/fifo            true  fe28d76895a4afb8    365770000 3e8e64212affe493e608d16fb8711c0b "leader=3 epoch=1 recovered=true wc=0.000ms"
+ring-election/soda/2/random          true  0707cfe26cf365b0    365770000 3e8e64212affe493e608d16fb8711c0b "leader=3 epoch=1 recovered=true wc=0.000ms"
+ring-election/chrysalis/1/fifo       true  f9efea829833948a     21718850 8d01c8de3f35305bef71c0def9ab5178 "leader=3 epoch=1 recovered=true wc=0.000ms"
+ring-election/chrysalis/1/random     true  d307be56c290369a     21718850 8d01c8de3f35305bef71c0def9ab5178 "leader=3 epoch=1 recovered=true wc=0.000ms"
+ring-election/chrysalis/2/fifo       true  f9efea829833948a     21718850 8d01c8de3f35305bef71c0def9ab5178 "leader=3 epoch=1 recovered=true wc=0.000ms"
+ring-election/chrysalis/2/random     true  046529a6e8b16906     21718850 8d01c8de3f35305bef71c0def9ab5178 "leader=3 epoch=1 recovered=true wc=0.000ms"
+quorum/charlotte/1/fifo              true  02a5be688a680ada    463081000 ba803b42e3e6fff008f45e148ee3017b "rounds=1 committed=1 unsafe=0 recovered=true wc=0.000ms"
+quorum/charlotte/1/random            true  08690cf3ea1feef4    463081000 ba803b42e3e6fff008f45e148ee3017b "rounds=1 committed=1 unsafe=0 recovered=true wc=0.000ms"
+quorum/charlotte/2/fifo              true  02a5be688a680ada    463081000 ba803b42e3e6fff008f45e148ee3017b "rounds=1 committed=1 unsafe=0 recovered=true wc=0.000ms"
+quorum/charlotte/2/random            true  fbe0a8e10828c0da    463081000 ba803b42e3e6fff008f45e148ee3017b "rounds=1 committed=1 unsafe=0 recovered=true wc=0.000ms"
+quorum/soda/1/fifo                   true  03ff8c59b1df623d    221852800 0ce6ef5fc330b49a5d6b05a57d299d52 "rounds=1 committed=1 unsafe=0 recovered=true wc=0.000ms"
+quorum/soda/1/random                 true  de2a7a0e0e82f84f    221852800 0ce6ef5fc330b49a5d6b05a57d299d52 "rounds=1 committed=1 unsafe=0 recovered=true wc=0.000ms"
+quorum/soda/2/fifo                   true  c07d23411cee77bd    221952800 0ce6ef5fc330b49a5d6b05a57d299d52 "rounds=1 committed=1 unsafe=0 recovered=true wc=0.000ms"
+quorum/soda/2/random                 true  fcadc5634ce1a25e    221952800 0ce6ef5fc330b49a5d6b05a57d299d52 "rounds=1 committed=1 unsafe=0 recovered=true wc=0.000ms"
+quorum/chrysalis/1/fifo              true  308c98676b3c099b     21415300 ece2d9e8a4f75563b27a71e3d4a7d239 "rounds=1 committed=1 unsafe=0 recovered=true wc=0.000ms"
+quorum/chrysalis/1/random            true  02897849512ca14d     21415300 ece2d9e8a4f75563b27a71e3d4a7d239 "rounds=1 committed=1 unsafe=0 recovered=true wc=0.000ms"
+quorum/chrysalis/2/fifo              true  308c98676b3c099b     21415300 ece2d9e8a4f75563b27a71e3d4a7d239 "rounds=1 committed=1 unsafe=0 recovered=true wc=0.000ms"
+quorum/chrysalis/2/random            true  ff086fa694519e90     21415300 ece2d9e8a4f75563b27a71e3d4a7d239 "rounds=1 committed=1 unsafe=0 recovered=true wc=0.000ms"
+wl-farm/charlotte/1/fifo             true  e08e3817e7d3ec2d    130000000 6c6f06996df0e915681ae93501b4d4a0 "farm/closed: 24 clients in 3 cells, 48/48 replies, p50=52.953ms p99=53.440ms"
+wl-farm/charlotte/1/random           true  e08e3817e7d3ec2d    130000000 6c6f06996df0e915681ae93501b4d4a0 "farm/closed: 24 clients in 3 cells, 48/48 replies, p50=52.953ms p99=53.440ms"
+wl-farm/charlotte/2/fifo             true  f75cf6e15d161b55    130000000 6c6f06996df0e915681ae93501b4d4a0 "farm/closed: 24 clients in 3 cells, 48/48 replies, p50=52.953ms p99=53.422ms"
+wl-farm/charlotte/2/random           true  f75cf6e15d161b55    130000000 6c6f06996df0e915681ae93501b4d4a0 "farm/closed: 24 clients in 3 cells, 48/48 replies, p50=52.953ms p99=53.422ms"
+wl-farm/soda/1/fifo                  true  292353c4bcb415cf     44000000 6c6f06996df0e915681ae93501b4d4a0 "farm/closed: 24 clients in 3 cells, 48/48 replies, p50=14.287ms p99=17.786ms"
+wl-farm/soda/1/random                true  292353c4bcb415cf     44000000 6c6f06996df0e915681ae93501b4d4a0 "farm/closed: 24 clients in 3 cells, 48/48 replies, p50=14.287ms p99=17.786ms"
+wl-farm/soda/2/fifo                  true  c9441b1ddaa2cf79     44000000 6c6f06996df0e915681ae93501b4d4a0 "farm/closed: 24 clients in 3 cells, 48/48 replies, p50=13.894ms p99=17.676ms"
+wl-farm/soda/2/random                true  c9441b1ddaa2cf79     44000000 6c6f06996df0e915681ae93501b4d4a0 "farm/closed: 24 clients in 3 cells, 48/48 replies, p50=13.894ms p99=17.676ms"
+wl-farm/chrysalis/1/fifo             true  0b7284ea95427499     13680000 6c6f06996df0e915681ae93501b4d4a0 "farm/closed: 24 clients in 3 cells, 48/48 replies, p50=0.274ms p99=0.397ms"
+wl-farm/chrysalis/1/random           true  0b7284ea95427499     13680000 6c6f06996df0e915681ae93501b4d4a0 "farm/closed: 24 clients in 3 cells, 48/48 replies, p50=0.274ms p99=0.397ms"
+wl-farm/chrysalis/2/fifo             true  d830e4132a0d17db     13080000 6c6f06996df0e915681ae93501b4d4a0 "farm/closed: 24 clients in 3 cells, 48/48 replies, p50=0.258ms p99=0.393ms"
+wl-farm/chrysalis/2/random           true  d830e4132a0d17db     13080000 6c6f06996df0e915681ae93501b4d4a0 "farm/closed: 24 clients in 3 cells, 48/48 replies, p50=0.258ms p99=0.393ms"
+wl-farm-open/charlotte/1/fifo        true  1be9dabf2aa36db3    104000000 7258c6423a7ffc4a8bb3abaa0cd2b4cc "farm/open: 24 clients in 3 cells, 24/24 replies, p50=52.953ms p99=53.435ms"
+wl-farm-open/charlotte/1/random      true  1be9dabf2aa36db3    104000000 7258c6423a7ffc4a8bb3abaa0cd2b4cc "farm/open: 24 clients in 3 cells, 24/24 replies, p50=52.953ms p99=53.435ms"
+wl-farm-open/charlotte/2/fifo        true  10188caf33381365    104000000 7258c6423a7ffc4a8bb3abaa0cd2b4cc "farm/open: 24 clients in 3 cells, 24/24 replies, p50=52.953ms p99=53.260ms"
+wl-farm-open/charlotte/2/random      true  10188caf33381365    104000000 7258c6423a7ffc4a8bb3abaa0cd2b4cc "farm/open: 24 clients in 3 cells, 24/24 replies, p50=52.953ms p99=53.260ms"
+wl-farm-open/soda/1/fifo             true  c62869b0222efdb9     61600000 7258c6423a7ffc4a8bb3abaa0cd2b4cc "farm/open: 24 clients in 3 cells, 24/24 replies, p50=14.680ms p99=17.754ms"
+wl-farm-open/soda/1/random           true  c62869b0222efdb9     61600000 7258c6423a7ffc4a8bb3abaa0cd2b4cc "farm/open: 24 clients in 3 cells, 24/24 replies, p50=14.680ms p99=17.754ms"
+wl-farm-open/soda/2/fifo             true  cca778d331c6bcef     66000000 7258c6423a7ffc4a8bb3abaa0cd2b4cc "farm/open: 24 clients in 3 cells, 24/24 replies, p50=14.025ms p99=16.662ms"
+wl-farm-open/soda/2/random           true  cca778d331c6bcef     66000000 7258c6423a7ffc4a8bb3abaa0cd2b4cc "farm/open: 24 clients in 3 cells, 24/24 replies, p50=14.025ms p99=16.662ms"
+wl-farm-open/chrysalis/1/fifo        true  e5320db1da87d4d3     46200000 7258c6423a7ffc4a8bb3abaa0cd2b4cc "farm/open: 24 clients in 3 cells, 24/24 replies, p50=0.291ms p99=0.396ms"
+wl-farm-open/chrysalis/1/random      true  e5320db1da87d4d3     46200000 7258c6423a7ffc4a8bb3abaa0cd2b4cc "farm/open: 24 clients in 3 cells, 24/24 replies, p50=0.291ms p99=0.396ms"
+wl-farm-open/chrysalis/2/fifo        true  2051abfa7565000f     48800000 7258c6423a7ffc4a8bb3abaa0cd2b4cc "farm/open: 24 clients in 3 cells, 24/24 replies, p50=0.266ms p99=0.357ms"
+wl-farm-open/chrysalis/2/random      true  2051abfa7565000f     48800000 7258c6423a7ffc4a8bb3abaa0cd2b4cc "farm/open: 24 clients in 3 cells, 24/24 replies, p50=0.266ms p99=0.357ms"
+wl-ring/charlotte/1/fifo             true  1f2ab96e7861cef9    234000000 6c6f06996df0e915681ae93501b4d4a0 "ring/closed: 24 clients in 3 cells, 48/48 replies, p50=106.955ms p99=108.240ms"
+wl-ring/charlotte/1/random           true  1f2ab96e7861cef9    234000000 6c6f06996df0e915681ae93501b4d4a0 "ring/closed: 24 clients in 3 cells, 48/48 replies, p50=106.955ms p99=108.240ms"
+wl-ring/charlotte/2/fifo             true  f7eb30416c190598    234000000 6c6f06996df0e915681ae93501b4d4a0 "ring/closed: 24 clients in 3 cells, 48/48 replies, p50=106.955ms p99=108.308ms"
+wl-ring/charlotte/2/random           true  f7eb30416c190598    234000000 6c6f06996df0e915681ae93501b4d4a0 "ring/closed: 24 clients in 3 cells, 48/48 replies, p50=106.955ms p99=108.308ms"
+wl-ring/soda/1/fifo                  true  df3cffb214340bc7     92400000 6c6f06996df0e915681ae93501b4d4a0 "ring/closed: 24 clients in 3 cells, 48/48 replies, p50=35.127ms p99=44.058ms"
+wl-ring/soda/1/random                true  df3cffb214340bc7     92400000 6c6f06996df0e915681ae93501b4d4a0 "ring/closed: 24 clients in 3 cells, 48/48 replies, p50=35.127ms p99=44.058ms"
+wl-ring/soda/2/fifo                  true  fadf1f8d6cdd5589     83600000 6c6f06996df0e915681ae93501b4d4a0 "ring/closed: 24 clients in 3 cells, 48/48 replies, p50=32.768ms p99=44.479ms"
+wl-ring/soda/2/random                true  fadf1f8d6cdd5589     83600000 6c6f06996df0e915681ae93501b4d4a0 "ring/closed: 24 clients in 3 cells, 48/48 replies, p50=32.768ms p99=44.479ms"
+wl-ring/chrysalis/1/fifo             true  fa7c22359eb74588     14480000 6c6f06996df0e915681ae93501b4d4a0 "ring/closed: 24 clients in 3 cells, 48/48 replies, p50=0.770ms p99=1.093ms"
+wl-ring/chrysalis/1/random           true  fa7c22359eb74588     14480000 6c6f06996df0e915681ae93501b4d4a0 "ring/closed: 24 clients in 3 cells, 48/48 replies, p50=0.770ms p99=1.093ms"
+wl-ring/chrysalis/2/fifo             true  f1cf17afa6084113     14000000 6c6f06996df0e915681ae93501b4d4a0 "ring/closed: 24 clients in 3 cells, 48/48 replies, p50=0.696ms p99=1.108ms"
+wl-ring/chrysalis/2/random           true  f1cf17afa6084113     14000000 6c6f06996df0e915681ae93501b4d4a0 "ring/closed: 24 clients in 3 cells, 48/48 replies, p50=0.696ms p99=1.108ms"
+wl-tree/charlotte/1/fifo             true  2aad852eaa77a822    910000000 6c6f06996df0e915681ae93501b4d4a0 "tree/closed: 24 clients in 3 cells, 48/48 replies, p50=423.625ms p99=473.412ms"
+wl-tree/charlotte/1/random           true  2aad852eaa77a822    910000000 6c6f06996df0e915681ae93501b4d4a0 "tree/closed: 24 clients in 3 cells, 48/48 replies, p50=423.625ms p99=473.412ms"
+wl-tree/charlotte/2/fifo             true  c0a33e5f0ec3de57    910000000 6c6f06996df0e915681ae93501b4d4a0 "tree/closed: 24 clients in 3 cells, 48/48 replies, p50=419.430ms p99=470.962ms"
+wl-tree/charlotte/2/random           true  c0a33e5f0ec3de57    910000000 6c6f06996df0e915681ae93501b4d4a0 "tree/closed: 24 clients in 3 cells, 48/48 replies, p50=419.430ms p99=470.962ms"
+wl-tree/soda/1/fifo                  true  cd01404645135f34    246400000 6c6f06996df0e915681ae93501b4d4a0 "tree/closed: 24 clients in 3 cells, 48/48 replies, p50=110.100ms p99=130.352ms"
+wl-tree/soda/1/random                true  cd01404645135f34    246400000 6c6f06996df0e915681ae93501b4d4a0 "tree/closed: 24 clients in 3 cells, 48/48 replies, p50=110.100ms p99=130.352ms"
+wl-tree/soda/2/fifo                  true  12b219790f53c000    242000000 6c6f06996df0e915681ae93501b4d4a0 "tree/closed: 24 clients in 3 cells, 48/48 replies, p50=106.955ms p99=121.745ms"
+wl-tree/soda/2/random                true  12b219790f53c000    242000000 6c6f06996df0e915681ae93501b4d4a0 "tree/closed: 24 clients in 3 cells, 48/48 replies, p50=106.955ms p99=121.745ms"
+wl-tree/chrysalis/1/fifo             true  e9bd8485567d1b3d     14400000 6c6f06996df0e915681ae93501b4d4a0 "tree/closed: 24 clients in 3 cells, 48/48 replies, p50=0.721ms p99=1.463ms"
+wl-tree/chrysalis/1/random           true  e9bd8485567d1b3d     14400000 6c6f06996df0e915681ae93501b4d4a0 "tree/closed: 24 clients in 3 cells, 48/48 replies, p50=0.721ms p99=1.463ms"
+wl-tree/chrysalis/2/fifo             true  e3c36590f4d4ce82     15040000 6c6f06996df0e915681ae93501b4d4a0 "tree/closed: 24 clients in 3 cells, 48/48 replies, p50=0.606ms p99=1.021ms"
+wl-tree/chrysalis/2/random           true  e3c36590f4d4ce82     15040000 6c6f06996df0e915681ae93501b4d4a0 "tree/closed: 24 clients in 3 cells, 48/48 replies, p50=0.606ms p99=1.021ms"
+hint-repair/soda/1/fifo              true  effae7b03cb45d3e    242498350 e1a11c74aeb1e6ef7d80071bf70cd91e "loss=0.05 repaired=true in 242.498ms"
+hint-repair/soda/1/random            true  f312c0c608cb860a    242498350 e1a11c74aeb1e6ef7d80071bf70cd91e "loss=0.05 repaired=true in 242.498ms"
+hint-repair/soda/2/fifo              true  1c1269c9a4052116    242398350 5100172291df0a92d7f480a876618d9e "loss=0.05 repaired=true in 242.398ms"
+hint-repair/soda/2/random            true  09f6211bd85ac3ac    242398350 5100172291df0a92d7f480a876618d9e "loss=0.05 repaired=true in 242.398ms"
+pair-pressure/soda/1/fifo            true  f7ff934f1c7877bb   2000000000 b8710bfc3f789fbffbc08bda5b89da27 "budget=true completed=6/6"
+pair-pressure/soda/1/random          true  dc7a1e9007782226   2000000000 c1adea5931011820fd230ded55a836f0 "budget=true completed=6/6"
+pair-pressure/soda/2/fifo            true  121cd0fa8a731fca   2000000000 b6d45f0049abd8683a8aa5ab0c3bcd5c "budget=true completed=6/6"
+pair-pressure/soda/2/random          true  ece5283bd3192b5c   2000000000 b6d45f0049abd8683a8aa5ab0c3bcd5c "budget=true completed=6/6"
+|}
+
+let counters_md5 (a : A.t) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map (fun (k, v) -> Printf.sprintf "%s=%d\n" k v) a.A.counters)))
+
+let explore_digest_row (a : A.t) =
+  Printf.sprintf "%-36s %-5b %016Lx %12d %s %S\n" (Spec.to_string a.A.spec)
+    a.A.ok a.A.events_hash
+    (Sim.Time.to_ns a.A.duration)
+    (counters_md5 a) a.A.detail
+
 let test_golden_explore () =
   let results = sweep ~seeds:[ 1; 2 ] ~policies:[ Spec.Fifo; Spec.Random ] () in
   Alcotest.(check string)
-    "explore summary unchanged" golden_explore_summary (A.summary results)
+    "explore summary unchanged" golden_explore_summary (A.summary results);
+  Alcotest.(check string)
+    "explore digest unchanged" golden_explore_digest
+    (String.concat "" (List.map explore_digest_row results))
 
 (* Captured from `lynx_sim races -b charlotte --seed 1` and
    `-b soda --seed 2` before the detector went streaming. *)
@@ -758,12 +946,6 @@ let clock_digest_row spec =
   Printf.sprintf "%-44s %s\n" (Spec.to_string spec) (fst (clock_digest spec))
 
 (* MD5 of an artifact's counters rendered as [name=value] lines. *)
-let counters_md5 (a : A.t) =
-  Digest.to_hex
-    (Digest.string
-       (String.concat ""
-          (List.map (fun (k, v) -> Printf.sprintf "%s=%d\n" k v) a.A.counters)))
-
 let test_golden_clock_digest () =
   let specs =
     List.concat_map
