@@ -94,7 +94,7 @@ let f1 () =
   let rows =
     List.map
       (fun (backend : BW.backend) ->
-        let o = S.simultaneous_move backend in
+        let o = S.simultaneous_move S.default backend in
         if not o.S.o_ok then fail ();
         let move_cost =
           match backend.name with
@@ -127,9 +127,9 @@ let f2 () =
   let rows =
     List.map
       (fun k ->
-        let c = S.enclosure_protocol ~n_encl:k BW.charlotte in
-        let s = S.enclosure_protocol ~n_encl:k BW.soda in
-        let h = S.enclosure_protocol ~n_encl:k BW.chrysalis in
+        let c = S.enclosure_protocol ~n_encl:k S.default BW.charlotte in
+        let s = S.enclosure_protocol ~n_encl:k S.default BW.soda in
+        let h = S.enclosure_protocol ~n_encl:k S.default BW.chrysalis in
         if not (c.S.o_ok && s.S.o_ok && h.S.o_ok) then fail ();
         let expected = if k <= 1 then 2 else k + 2 in
         let measured = S.counter c "charlotte.kernel_msgs" in
@@ -168,8 +168,8 @@ let e5 () =
   let rows =
     List.concat_map
       (fun (backend : BW.backend) ->
-        let cross = S.cross_request backend in
-        let race = S.open_close_race backend in
+        let cross = S.cross_request S.default backend in
+        let race = S.open_close_race S.default backend in
         if not (cross.S.o_ok && race.S.o_ok) then fail ();
         [
           row (backend.name ^ ": cross request") cross;
@@ -187,7 +187,7 @@ let e5 () =
   let rows =
     List.map
       (fun (backend : BW.backend) ->
-        let o = S.lost_enclosure backend in
+        let o = S.lost_enclosure S.default backend in
         if not o.S.o_ok then fail ();
         [ backend.name; o.S.o_detail ])
       BW.all
@@ -207,7 +207,7 @@ let e6 () =
       (fun (backend : BW.backend) ->
         let r0 = Harness.Rpc_bench.run backend ~payload:0 () in
         let r1000 = Harness.Rpc_bench.run backend ~payload:1000 () in
-        let cross = S.cross_request backend in
+        let cross = S.cross_request S.default backend in
         let loc =
           match sizes with
           | Some l -> (
@@ -260,8 +260,8 @@ let a1 () =
    whose moves cost nothing extra, measured on figure 1. *)
 let a2 () =
   R.section "A2 (ablation, lesson one): hint-based moves in the Charlotte kernel";
-  let plain = S.simultaneous_move BW.charlotte in
-  let hinted = S.simultaneous_move BW.charlotte_hints in
+  let plain = S.simultaneous_move S.default BW.charlotte in
+  let hinted = S.simultaneous_move S.default BW.charlotte_hints in
   if not (plain.S.o_ok && hinted.S.o_ok) then fail ();
   R.table
     ~header:[ "kernel variant"; "figure-1 duration"; "move-protocol msgs" ]
@@ -289,7 +289,7 @@ let a3 () =
   let rows =
     List.map
       (fun loss ->
-        let o = S.soda_hint_repair ~broadcast_loss:loss () in
+        let o = S.soda_hint_repair ~broadcast_loss:loss S.default BW.soda in
         if not o.S.o_ok then fail ();
         [
           Printf.sprintf "%.0f%%" (loss *. 100.);

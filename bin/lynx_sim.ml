@@ -195,6 +195,7 @@ let scenario_cmd =
     in
     if not (S.applies sc backend) then
       reject "scenario %s does not apply to backend %s" name backend.name;
+    let ctx = { S.default with seed; shards } in
     let o =
       (* The registry runner fixes n_encl at the sweep default; the CLI
          keeps its -k knob by calling the scenario directly. *)
@@ -202,16 +203,13 @@ let scenario_cmd =
         at_least 0 "--enclosures" encl;
         (* A count past what the backend's messages carry fails inside
            the simulation; report it like any other out-of-range flag. *)
-        try S.enclosure_protocol ~seed ~n_encl:encl backend with
+        try S.enclosure_protocol ~n_encl:encl ctx backend with
         | Invalid_argument msg -> reject "bad --enclosures %d (%s)" encl msg
         | Sim.Engine.Fiber_crash (who, e) ->
           reject "bad --enclosures %d (%s failed: %s)" encl who
             (Printexc.to_string e)
       end
-      else
-        sc.S.sc_run
-          { S.seed; policy = Sim.Engine.Fifo; shards; population = None }
-          backend
+      else sc.S.sc_run ctx backend
     in
     Printf.printf "%s: %s (%.2f ms simulated)\n" backend.name
       (if o.S.o_ok then "ok" else "FAILED")

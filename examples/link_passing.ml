@@ -15,7 +15,7 @@ let () =
   let backend = if Array.length Sys.argv > 1 then Sys.argv.(1) else "chrysalis" in
   Printf.printf "Figure 1 (simultaneous move of both ends) on %s\n" backend;
   let backend = Harness.Backend_world.find_exn backend in
-  let o = Harness.Scenarios.simultaneous_move backend in
+  let o = Harness.Scenarios.(simultaneous_move default backend) in
   Printf.printf "  outcome: %s  (%.2f ms of simulated time)\n" o.o_detail
     (Sim.Time.to_ms o.o_duration);
   print_endline "  interesting counters:";

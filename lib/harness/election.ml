@@ -4,16 +4,7 @@
     See the .mli for the protocol story. *)
 
 open Sim
-open Backend_world
 module P = Lynx.Process
-
-type result = {
-  r_ok : bool;
-  r_duration : Time.t;
-  r_counters : (string * int) list;
-  r_detail : string;
-  r_view : Engine.view;
-}
 
 let n_cand = 4
 
@@ -48,12 +39,11 @@ module Key = struct
   let suspicions = Stats.key "recovery.suspicions"
 end
 
-let run ?(seed = 42) ?policy (backend : backend) : result =
-  let eng = Engine.create ~seed ?policy () in
+let run ctx backend =
   (* Candidates on nodes 0..3, monitor on node 4: the high3 partition
      cut then splits the candidates 3-vs-1 and the high4 cut isolates
      the monitor from the whole ring. *)
-  let w = backend.create eng ~nodes:6 in
+  Stage.stage ctx backend ~nodes:6 @@ fun eng w ->
   let sts = Lynx.World.stats w in
   let wc =
     match Faults.ambient () with
@@ -282,30 +272,21 @@ let run ?(seed = 42) ?policy (backend : backend) : result =
           Printf.sprintf "leader=%d epoch=%d recovered=%b wc=%s" !healthy
             !epoch !recovered (Time.to_string wc))
   in
-  let t0 = ref Time.zero in
-  let before = ref [] in
-  ignore
-    (Engine.spawn eng ~name:"driver" (fun () ->
-         for i = 0 to n_cand - 1 do
-           for j = i + 1 to n_cand - 1 do
-             let ei, ej = Lynx.World.link_between w cands.(i) cands.(j) in
-             Sync.Ivar.fill cend.(i).(j) ei;
-             Sync.Ivar.fill cend.(j).(i) ej
-           done
-         done;
-         for i = 0 to n_cand - 1 do
-           let em, ec = Lynx.World.link_between w monitor cands.(i) in
-           Sync.Ivar.fill mon_end.(i) em;
-           Sync.Ivar.fill cmon.(i) ec
-         done;
-         before := Stats.snapshot sts;
-         t0 := Engine.now eng;
-         Array.iter (fun g -> Sync.Ivar.fill g ()) go));
-  Engine.run eng;
   {
-    r_ok = !ok;
-    r_duration = Time.sub (Engine.now eng) !t0;
-    r_counters = Stats.diff ~before:!before ~after:(Stats.snapshot sts);
-    r_detail = !detail;
-    r_view = Engine.view eng;
+    Stage.links =
+      (fun () ->
+        for i = 0 to n_cand - 1 do
+          for j = i + 1 to n_cand - 1 do
+            let ei, ej = Lynx.World.link_between w cands.(i) cands.(j) in
+            Sync.Ivar.fill cend.(i).(j) ei;
+            Sync.Ivar.fill cend.(j).(i) ej
+          done
+        done;
+        for i = 0 to n_cand - 1 do
+          let em, ec = Lynx.World.link_between w monitor cands.(i) in
+          Sync.Ivar.fill mon_end.(i) em;
+          Sync.Ivar.fill cmon.(i) ec
+        done;
+        Array.iter (fun g -> Sync.Ivar.fill g ()) go);
+    verdict = (fun () -> (!ok, !detail));
   }

@@ -30,20 +30,9 @@
     or a candidate minority is cut away and must reconverge after
     heal. *)
 
-type result = {
-  r_ok : bool;  (** a leader was confirmed after the fault window *)
-  r_duration : Sim.Time.t;
-  r_counters : (string * int) list;
-  r_detail : string;
-  r_view : Sim.Engine.view;
-}
-
 val deadline : Sim.Time.t
 (** Virtual-time recovery budget measured from window close (the
     registry's recovery deadline for this scenario). *)
 
-val run :
-  ?seed:int ->
-  ?policy:Sim.Engine.policy ->
-  Backend_world.backend ->
-  result
+val run : Stage.ctx -> Backend_world.backend -> Stage.outcome
+(** [o_ok]: a leader was confirmed after the fault window. *)

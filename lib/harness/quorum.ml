@@ -2,16 +2,7 @@
     for the protocol story. *)
 
 open Sim
-open Backend_world
 module P = Lynx.Process
-
-type result = {
-  r_ok : bool;
-  r_duration : Time.t;
-  r_counters : (string * int) list;
-  r_detail : string;
-  r_view : Engine.view;
-}
 
 let n_replicas = 5
 let majority = 3
@@ -35,12 +26,11 @@ module Key = struct
   let unsafe = Stats.key "recovery.unsafe"
 end
 
-let run ?(seed = 42) ?policy (backend : backend) : result =
-  let eng = Engine.create ~seed ?policy () in
+let run ctx backend =
   (* Writer on node 0, replicas on nodes 1..5: the high4 partition cut
      then isolates a 2-of-5 minority (r4, r5) and the high3 cut a
      3-of-5 majority (r3, r4, r5). *)
-  let w = backend.create eng ~nodes:6 in
+  Stage.stage ctx backend ~nodes:6 @@ fun eng w ->
   let sts = Lynx.World.stats w in
   let wc =
     match Faults.ambient () with
@@ -155,22 +145,13 @@ let run ?(seed = 42) ?policy (backend : backend) : result =
           Printf.sprintf "rounds=%d committed=%d unsafe=%d recovered=%b wc=%s"
             !round !committed !unsafe !recovered (Time.to_string wc))
   in
-  let t0 = ref Time.zero in
-  let before = ref [] in
-  ignore
-    (Engine.spawn eng ~name:"driver" (fun () ->
-         for k = 0 to n_replicas - 1 do
-           let we, re = Lynx.World.link_between w writer replicas.(k) in
-           Sync.Ivar.fill writer_end.(k) we;
-           Sync.Ivar.fill repl_end.(k) re
-         done;
-         before := Stats.snapshot sts;
-         t0 := Engine.now eng));
-  Engine.run eng;
   {
-    r_ok = !ok;
-    r_duration = Time.sub (Engine.now eng) !t0;
-    r_counters = Stats.diff ~before:!before ~after:(Stats.snapshot sts);
-    r_detail = !detail;
-    r_view = Engine.view eng;
+    Stage.links =
+      (fun () ->
+        for k = 0 to n_replicas - 1 do
+          let we, re = Lynx.World.link_between w writer replicas.(k) in
+          Sync.Ivar.fill writer_end.(k) we;
+          Sync.Ivar.fill repl_end.(k) re
+        done);
+    verdict = (fun () -> (!ok, !detail));
   }

@@ -19,20 +19,9 @@
     judge, and any violated read safety shows up as [recovery.unsafe]
     (which both fails the run and the liveness verdict). *)
 
-type result = {
-  r_ok : bool;  (** reconverged after the fault window, no unsafe read *)
-  r_duration : Sim.Time.t;
-  r_counters : (string * int) list;
-  r_detail : string;
-  r_view : Sim.Engine.view;
-}
-
 val deadline : Sim.Time.t
 (** Virtual-time recovery budget measured from window close (the
     registry's recovery deadline for this scenario). *)
 
-val run :
-  ?seed:int ->
-  ?policy:Sim.Engine.policy ->
-  Backend_world.backend ->
-  result
+val run : Stage.ctx -> Backend_world.backend -> Stage.outcome
+(** [o_ok]: reconverged after the fault window with no unsafe read. *)

@@ -5,51 +5,35 @@
 
 open Sim
 open Backend_world
+include Stage
 module P = Lynx.Process
-
-type outcome = {
-  o_ok : bool;
-  o_duration : Time.t;
-  o_counters : (string * int) list;  (** increments during the scenario *)
-  o_detail : string;
-  o_seed : int;
-  o_policy : string;  (** scheduling policy name, e.g. "fifo" *)
-  o_latency : Stats.Histogram.summary option;
-      (** reply-latency summary (workload scenarios; [None] elsewhere) *)
-  o_view : Engine.view;  (** engine state at the end, for invariant checks *)
-}
-
-let counter o name_ = try List.assoc name_ o.o_counters with Not_found -> 0
-
-(* Every scenario ends the same way: diff the counters, time the run and
-   snapshot the engine for the invariant checkers. *)
-let finish ?duration ?latency ~seed ~eng ~sts ~before ?(t0 = ref Time.zero) ~ok
-    ~detail () =
-  {
-    o_ok = ok;
-    o_duration =
-      (match duration with
-      | Some d -> d
-      | None -> Time.sub (Engine.now eng) !t0);
-    o_counters = Stats.diff ~before:!before ~after:(Stats.snapshot sts);
-    o_detail = detail;
-    o_seed = seed;
-    o_policy = Engine.policy_name (Engine.policy eng);
-    o_latency = latency;
-    o_view = Engine.view eng;
-  }
 
 let str s = Lynx.Value.Str s
 let link l = Lynx.Value.Link l
+
+(* The common driver: one link between [a] and [b], each end handed to
+   its process through an ivar. *)
+let fill_pair w a b ia ib () =
+  let la, lb = Lynx.World.link_between w a b in
+  Sync.Ivar.fill ia la;
+  Sync.Ivar.fill ib lb
+
+(* The SODA-only scenarios build their own SODA world: they set the
+   kernel's costs or the channel layer's signal budget. *)
+let soda_with ~kernel_costs ~signal_budget =
+  {
+    name = "soda";
+    create =
+      (fun ?stats e ~nodes ->
+        Lynx_soda.World.create ~kernel_costs ~signal_budget ?stats e ~nodes);
+  }
 
 (** Figure 1: processes A and D hold the two ends of link 3 and move
     them {e simultaneously} — A gives its end to B, D gives its end to
     C.  What used to connect A to D must now connect B to C, proven by a
     B->C call over the moved link. *)
-let simultaneous_move ?(seed = 42) ?policy (backend : backend) : outcome =
-  let eng = Engine.create ~seed ?policy () in
-  let w = backend.create eng ~nodes:6 in
-  let sts = Lynx.World.stats w in
+let simultaneous_move ctx backend =
+  stage ctx backend ~nodes:6 @@ fun eng w ->
   let result = ref "not finished" in
   let finished = Sync.Ivar.create eng in
   (* Links: 1 connects A-B, 2 connects C-D, 3 connects A-D. *)
@@ -106,35 +90,28 @@ let simultaneous_move ?(seed = 42) ?policy (backend : backend) : outcome =
         ignore (P.call p dc ~op:"take" [ link da ]);
         P.sleep p (Time.ms 100))
   in
-  let t0 = ref Time.zero in
-  let before = ref [] in
-  ignore
-    (Engine.spawn eng ~name:"driver" (fun () ->
-         let ab, ba = Lynx.World.link_between w a b in
-         let cd, dc = Lynx.World.link_between w d c in
-         let ad, da = Lynx.World.link_between w a d in
-         before := Stats.snapshot sts;
-         t0 := Engine.now eng;
-         Sync.Ivar.fill l_ab ab;
-         Sync.Ivar.fill l_ba ba;
-         Sync.Ivar.fill l_cd cd;
-         Sync.Ivar.fill l_dc dc;
-         Sync.Ivar.fill l_ad ad;
-         Sync.Ivar.fill l_da da));
-  Engine.run eng;
-  let ok = Sync.Ivar.peek finished = Some true in
-  finish ~seed ~eng ~sts ~before ~t0 ~ok ~detail:!result ()
+  {
+    links =
+      (fun () ->
+        let ab, ba = Lynx.World.link_between w a b in
+        let cd, dc = Lynx.World.link_between w d c in
+        let ad, da = Lynx.World.link_between w a d in
+        Sync.Ivar.fill l_ab ab;
+        Sync.Ivar.fill l_ba ba;
+        Sync.Ivar.fill l_cd cd;
+        Sync.Ivar.fill l_dc dc;
+        Sync.Ivar.fill l_ad ad;
+        Sync.Ivar.fill l_da da);
+    verdict = (fun () -> (Sync.Ivar.peek finished = Some true, !result));
+  }
 
 (** Figure 2: one LYNX request moving [n_encl] link ends, answered by an
     empty reply.  The interesting output is the counter diff: under
     Charlotte the kernel-message count grows with the enclosure count
     (first packet, goahead, enc packets); under SODA and Chrysalis it
     does not. *)
-let enclosure_protocol ?(seed = 42) ?policy ~n_encl (backend : backend) :
-    outcome =
-  let eng = Engine.create ~seed ?policy () in
-  let w = backend.create eng ~nodes:4 in
-  let sts = Lynx.World.stats w in
+let enclosure_protocol ~n_encl ctx backend =
+  stage ctx backend ~nodes:4 @@ fun eng w ->
   let ok = ref false in
   let client_link = Sync.Ivar.create eng in
   let received = ref 0 in
@@ -157,19 +134,16 @@ let enclosure_protocol ?(seed = 42) ?policy ~n_encl (backend : backend) :
         | [] -> ok := true
         | _ -> ())
   in
-  let t0 = ref Time.zero in
-  let before = ref [] in
-  ignore
-    (Engine.spawn eng ~name:"driver" (fun () ->
-         let ce, _se = Lynx.World.link_between w client server in
-         before := Stats.snapshot sts;
-         t0 := Engine.now eng;
-         Sync.Ivar.fill client_link ce));
-  Engine.run eng;
-  finish ~seed ~eng ~sts ~before ~t0
-    ~ok:(!ok && !received = n_encl)
-    ~detail:(Printf.sprintf "%d enclosures arrived" !received)
-    ()
+  {
+    links =
+      (fun () ->
+        let ce, _se = Lynx.World.link_between w client server in
+        Sync.Ivar.fill client_link ce);
+    verdict =
+      (fun () ->
+        ( !ok && !received = n_encl,
+          Printf.sprintf "%d enclosures arrived" !received ));
+  }
 
 (** §3.2.1, first scenario: A requests an operation on L and waits for
     the reply with its request queue closed; B, before replying,
@@ -177,10 +151,8 @@ let enclosure_protocol ?(seed = 42) ?policy ~n_encl (backend : backend) :
     request unintentionally and must bounce it with [Forbid] (it cannot
     stop receiving — it still wants the reply), then [Allow] it once it
     is willing.  On SODA and Chrysalis nothing is ever bounced. *)
-let cross_request ?(seed = 42) ?policy (backend : backend) : outcome =
-  let eng = Engine.create ~seed ?policy () in
-  let w = backend.create eng ~nodes:4 in
-  let sts = Lynx.World.stats w in
+let cross_request ctx backend =
+  stage ctx backend ~nodes:4 @@ fun eng w ->
   let a_done = ref false and b_done = ref false in
   let link_a = Sync.Ivar.create eng in
   let a =
@@ -214,28 +186,23 @@ let cross_request ?(seed = 42) ?policy (backend : backend) : outcome =
            call has completed. *)
         Sync.Ivar.read rev_finished)
   in
-  let t0 = ref Time.zero in
-  let before = ref [] in
-  ignore
-    (Engine.spawn eng ~name:"driver" (fun () ->
-         let la, _lb = Lynx.World.link_between w a b in
-         before := Stats.snapshot sts;
-         t0 := Engine.now eng;
-         Sync.Ivar.fill link_a la));
-  Engine.run eng;
-  finish ~seed ~eng ~sts ~before ~t0
-    ~ok:(!a_done && !b_done)
-    ~detail:(Printf.sprintf "a_done=%b b_done=%b" !a_done !b_done)
-    ()
+  {
+    links =
+      (fun () ->
+        let la, _lb = Lynx.World.link_between w a b in
+        Sync.Ivar.fill link_a la);
+    verdict =
+      (fun () ->
+        ( !a_done && !b_done,
+          Printf.sprintf "a_done=%b b_done=%b" !a_done !b_done ));
+  }
 
 (** §3.2.1, second scenario: A opens its request queue and closes it
     again before reaching a block point; B requests in the window.  The
     cancel fails, A receives the unwanted request and returns it with
     [Retry]; the kernel delays B's retransmission until A reopens. *)
-let open_close_race ?(seed = 42) ?policy (backend : backend) : outcome =
-  let eng = Engine.create ~seed ?policy () in
-  let w = backend.create eng ~nodes:4 in
-  let sts = Lynx.World.stats w in
+let open_close_race ctx backend =
+  stage ctx backend ~nodes:4 @@ fun eng w ->
   let served = ref false and b_done = ref false in
   let link_a = Sync.Ivar.create eng and link_b = Sync.Ivar.create eng in
   let a =
@@ -264,20 +231,13 @@ let open_close_race ?(seed = 42) ?policy (backend : backend) : outcome =
         | [ Lynx.Value.Str "served" ] -> b_done := true
         | _ -> ())
   in
-  let t0 = ref Time.zero in
-  let before = ref [] in
-  ignore
-    (Engine.spawn eng ~name:"driver" (fun () ->
-         let la, lb = Lynx.World.link_between w a b in
-         before := Stats.snapshot sts;
-         t0 := Engine.now eng;
-         Sync.Ivar.fill link_a la;
-         Sync.Ivar.fill link_b lb));
-  Engine.run eng;
-  finish ~seed ~eng ~sts ~before ~t0
-    ~ok:(!served && !b_done)
-    ~detail:(Printf.sprintf "served=%b b_done=%b" !served !b_done)
-    ()
+  {
+    links = fill_pair w a b link_a link_b;
+    verdict =
+      (fun () ->
+        ( !served && !b_done,
+          Printf.sprintf "served=%b b_done=%b" !served !b_done ));
+  }
 
 (** §3.2.2: the Charlotte deviation.  B calls A and waits for the reply
     — so under Charlotte B has a receive posted, wanting only replies.
@@ -288,10 +248,8 @@ let open_close_race ?(seed = 42) ?policy (backend : backend) : outcome =
     Chrysalis B never receives the unwanted message, so the enclosure
     survives ([far_end_died] stays false and the failed send recovers
     the end). *)
-let lost_enclosure ?(seed = 42) ?policy (backend : backend) : outcome =
-  let eng = Engine.create ~seed ?policy () in
-  let w = backend.create eng ~nodes:4 in
-  let sts = Lynx.World.stats w in
+let lost_enclosure ctx backend =
+  stage ctx backend ~nodes:4 @@ fun eng w ->
   let far_end_died = ref false
   and send_failed = ref false
   and enclosure_recovered = ref false in
@@ -331,40 +289,27 @@ let lost_enclosure ?(seed = 42) ?policy (backend : backend) : outcome =
             try ignore (P.call p l ~op:"slow" []) with _ -> ());
         P.sleep p (Time.ms 60))
   in
-  let t0 = ref Time.zero in
-  let before = ref [] in
-  ignore
-    (Engine.spawn eng ~name:"driver" (fun () ->
-         let la, lb = Lynx.World.link_between w a b in
-         before := Stats.snapshot sts;
-         t0 := Engine.now eng;
-         Sync.Ivar.fill link_a la;
-         Sync.Ivar.fill link_b lb));
-  Engine.run eng;
-  finish ~seed ~eng ~sts ~before ~t0 ~ok:!send_failed
-    ~detail:
-      (Printf.sprintf "far_end_died=%b send_failed=%b recovered=%b"
-         !far_end_died !send_failed !enclosure_recovered)
-    ()
+  {
+    links = fill_pair w a b link_a link_b;
+    verdict =
+      (fun () ->
+        ( !send_failed,
+          Printf.sprintf "far_end_died=%b send_failed=%b recovered=%b"
+            !far_end_died !send_failed !enclosure_recovered ));
+  }
 
 (** SODA-specific: the hint-repair machinery under a given broadcast
     loss rate.  A link end moves A -> B, then the cache holder A dies;
     the fixed end's owner D uses the link afterwards, so its hint is
     doubly stale.  With a reliable broadcast one [discover] fixes it;
     as the loss rate rises the freeze/unfreeze absolute search (§4.2)
-    takes over.  Returns the usual outcome; the counters of interest
-    are [lynx_soda.discover_attempts] and [lynx_soda.freeze_searches]. *)
-let soda_hint_repair ?(seed = 42) ?policy ?(broadcast_loss = 0.05) () : outcome =
-  let eng = Engine.create ~seed ?policy () in
-  let w =
-    Lynx_soda.World.create
-      ~kernel_costs:{ Soda.Costs.default with Soda.Costs.broadcast_loss }
-      eng ~nodes:8
-  in
-  let sts = Lynx.World.stats w in
+    takes over.  This is the scene of [soda_hint_repair], which reports
+    the repair's own time, kept in [repair_duration], as [o_duration];
+    the counters of interest are [lynx_soda.discover_attempts] and
+    [lynx_soda.freeze_searches]. *)
+let hint_repair ~broadcast_loss repair_duration eng w =
   let ok = ref false in
   let l_da = Sync.Ivar.create eng and l_ab = Sync.Ivar.create eng in
-  let repair_duration = ref Time.zero in
   let d =
     Lynx.World.spawn w ~daemon:true ~node:0 ~name:"D" (fun p ->
         let fixed = Sync.Ivar.read l_da in
@@ -407,31 +352,37 @@ let soda_hint_repair ?(seed = 42) ?policy ?(broadcast_loss = 0.05) () : outcome 
           ping.P.in_reply [ str "pong" ]
         | _ -> inc.P.in_reply [])
   in
-  let before = ref [] in
-  let t0 = ref Time.zero in
-  ignore
-    (Engine.spawn eng ~name:"driver" (fun () ->
-         let da, _ = Lynx.World.link_between w d a in
-         let ab, _ = Lynx.World.link_between w a b in
-         before := Stats.snapshot sts;
-         t0 := Engine.now eng;
-         Sync.Ivar.fill l_da da;
-         Sync.Ivar.fill l_ab ab));
-  Engine.run eng;
-  finish ~duration:!repair_duration ~seed ~eng ~sts ~before ~t0 ~ok:!ok
-    ~detail:
-      (Printf.sprintf "loss=%.2f repaired=%b in %s" broadcast_loss !ok
-         (Time.to_string !repair_duration))
-    ()
+  {
+    links =
+      (fun () ->
+        let da, _ = Lynx.World.link_between w d a in
+        let ab, _ = Lynx.World.link_between w a b in
+        Sync.Ivar.fill l_da da;
+        Sync.Ivar.fill l_ab ab);
+    verdict =
+      (fun () ->
+        ( !ok,
+          Printf.sprintf "loss=%.2f repaired=%b in %s" broadcast_loss !ok
+            (Time.to_string !repair_duration) ));
+  }
+
+let soda_hint_repair ?(broadcast_loss = 0.05) ctx (_ : backend) =
+  let repair_duration = ref Time.zero in
+  let lossy =
+    soda_with ~signal_budget:true
+      ~kernel_costs:{ Soda.Costs.default with Soda.Costs.broadcast_loss }
+  in
+  let o =
+    stage ctx lossy ~nodes:8 (hint_repair ~broadcast_loss repair_duration)
+  in
+  { o with o_duration = !repair_duration }
 
 (** An unwanted request {e carrying a link end}: under Charlotte the
     bounce (retry or forbid) must return the enclosure to the sender,
     which retransmits; the end must arrive intact once the receiver
     becomes willing.  Under SODA/Chrysalis the message simply waits. *)
-let bounced_enclosure ?(seed = 42) ?policy (backend : backend) : outcome =
-  let eng = Engine.create ~seed ?policy () in
-  let w = backend.create eng ~nodes:4 in
-  let sts = Lynx.World.stats w in
+let bounced_enclosure ctx backend =
+  stage ctx backend ~nodes:4 @@ fun eng w ->
   let delivered = ref false and pong = ref false in
   let link_a = Sync.Ivar.create eng and link_b = Sync.Ivar.create eng in
   let a =
@@ -467,20 +418,13 @@ let bounced_enclosure ?(seed = 42) ?policy (backend : backend) : outcome =
         | _ -> inc.P.in_reply []);
         P.sleep p (Time.ms 200))
   in
-  let before = ref [] in
-  let t0 = ref Time.zero in
-  ignore
-    (Engine.spawn eng ~name:"driver" (fun () ->
-         let la, lb = Lynx.World.link_between w a b in
-         before := Stats.snapshot sts;
-         t0 := Engine.now eng;
-         Sync.Ivar.fill link_a la;
-         Sync.Ivar.fill link_b lb));
-  Engine.run eng;
-  finish ~seed ~eng ~sts ~before ~t0
-    ~ok:(!delivered && !pong)
-    ~detail:(Printf.sprintf "delivered=%b pong=%b" !delivered !pong)
-    ()
+  {
+    links = fill_pair w a b link_a link_b;
+    verdict =
+      (fun () ->
+        ( !delivered && !pong,
+          Printf.sprintf "delivered=%b pong=%b" !delivered !pong ));
+  }
 
 (** SODA-specific (§4.2.1): [n_links] links between one pair of
     processes, one concurrent call on each, bounded by [deadline] of
@@ -489,11 +433,11 @@ let bounced_enclosure ?(seed = 42) ?policy (backend : backend) : outcome =
     kernel's per-pair outstanding-request limit and the data puts
     starve — the deadlock the paper warns about.  [o_ok] reports
     whether {e all} calls completed; [o_detail] has the tally. *)
-let soda_pair_pressure ?(seed = 42) ?policy ?(budget = true) ?(n_links = 6)
-    ?(deadline = Time.sec 2) () : outcome =
-  let eng = Engine.create ~seed ?policy () in
-  let w = Lynx_soda.World.create ~signal_budget:budget eng ~nodes:4 in
-  let sts = Lynx.World.stats w in
+let soda_pair_pressure ?(budget = true) ?(n_links = 6) ?(deadline = Time.sec 2)
+    ctx (_ : backend) =
+  let soda = soda_with ~kernel_costs:Soda.Costs.default ~signal_budget:budget in
+  (* The unbudgeted variant livelocks: cut it off at the deadline. *)
+  stage_until deadline ctx soda ~nodes:4 @@ fun eng w ->
   let completed = ref 0 in
   let server =
     Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
@@ -530,20 +474,17 @@ let soda_pair_pressure ?(seed = 42) ?policy ?(budget = true) ?(n_links = 6)
            variant never gets here; the deadline cuts it off). *)
         Sync.Ivar.read fin)
   in
-  let before = ref [] in
-  ignore
-    (Engine.spawn eng ~name:"driver" (fun () ->
-         before := Stats.snapshot sts;
-         for _ = 1 to n_links do
-           ignore (Lynx.World.link_between w client server)
-         done));
-  (* The unbudgeted variant livelocks: cut it off at the deadline. *)
-  Engine.run_until eng deadline;
-  finish ~duration:(Engine.now eng) ~seed ~eng ~sts ~before
-    ~ok:(!completed = n_links)
-    ~detail:
-      (Printf.sprintf "budget=%b completed=%d/%d" budget !completed n_links)
-    ()
+  {
+    links =
+      (fun () ->
+        for _ = 1 to n_links do
+          ignore (Lynx.World.link_between w client server)
+        done);
+    verdict =
+      (fun () ->
+        ( !completed = n_links,
+          Printf.sprintf "budget=%b completed=%d/%d" budget !completed n_links ));
+  }
 
 (* ---- the scenario registry ------------------------------------------- *)
 
@@ -552,13 +493,6 @@ let soda_pair_pressure ?(seed = 42) ?policy ?(budget = true) ?(n_links = 6)
    chaos, races, repro) resolves scenarios here instead of keeping its
    own name-matched list; a new scenario plugs into all of them with one
    entry. *)
-
-type ctx = {
-  seed : int;
-  policy : Engine.policy;
-  shards : int;
-  population : int option;
-}
 
 type registered = {
   sc_name : string;
@@ -587,83 +521,53 @@ let entry ?(applies_to = every_backend) ?(parameterised = false) ?deadline
     sc_recovery_deadline = deadline;
   }
 
-(* The single-engine vignettes build their own engine from the seed and
-   policy; sharding and population do not apply to them. *)
-let vignette name
-    (f : ?seed:int -> ?policy:Engine.policy -> backend -> outcome) =
-  entry name (fun c w -> f ~seed:c.seed ~policy:c.policy w)
-
-(* The layered scenarios (shard-rpc, election, quorum, workloads) report
-   through their own result records; this lifts one into an outcome. *)
-let lifted c ?latency ~ok ~duration ~counters ~detail view =
+(* Workload.run keeps its labelled signature (the benchmark drives it
+   directly); this is where a registry context meets it. *)
+let workload topology load c w =
+  let population =
+    Option.value ~default:Workload.default_population c.population
+  in
+  let r =
+    Workload.run ~seed:c.seed ~policy:c.policy ~shards:c.shards ~topology ~load
+      ~population w
+  in
   {
-    o_ok = ok;
-    o_duration = duration;
-    o_counters = counters;
-    o_detail = detail;
-    o_seed = c.seed;
-    o_policy = Engine.policy_name c.policy;
-    o_latency = latency;
-    o_view = view;
+    (report c ~ok:r.Workload.r_ok ~detail:r.Workload.r_detail
+       ~duration:r.Workload.r_duration ~counters:r.Workload.r_counters
+       r.Workload.r_view)
+    with
+    o_latency = r.Workload.r_latency;
   }
 
 let registry =
   [
-    vignette "move" simultaneous_move;
-    vignette "enclosures" (enclosure_protocol ~n_encl:3);
-    vignette "cross-request" cross_request;
-    vignette "open-close" open_close_race;
-    vignette "lost-enclosure" lost_enclosure;
-    vignette "bounced-enclosure" bounced_enclosure;
+    entry "move" simultaneous_move;
+    entry "enclosures" (enclosure_protocol ~n_encl:3);
+    entry "cross-request" cross_request;
+    entry "open-close" open_close_race;
+    entry "lost-enclosure" lost_enclosure;
+    entry "bounced-enclosure" bounced_enclosure;
     (* Priced by the backend's kernel cost table; the engine policy kind
        is reinterpreted at the shard barriers, so it passes through
        unchanged.  Only shard-rpc and the workloads fan out over
        [c.shards]. *)
-    entry "shard-rpc" (fun c w ->
-        let r = Shard_rpc.run ~seed:c.seed ~policy:c.policy ~shards:c.shards w in
-        lifted c ~ok:r.Shard_rpc.r_ok ~duration:r.Shard_rpc.r_duration
-          ~counters:r.Shard_rpc.r_counters ~detail:r.Shard_rpc.r_detail
-          r.Shard_rpc.r_view);
-    entry "ring-election" ~deadline:Election.deadline (fun c w ->
-        let r = Election.run ~seed:c.seed ~policy:c.policy w in
-        lifted c ~ok:r.Election.r_ok ~duration:r.Election.r_duration
-          ~counters:r.Election.r_counters ~detail:r.Election.r_detail
-          r.Election.r_view);
-    entry "quorum" ~deadline:Quorum.deadline (fun c w ->
-        let r = Quorum.run ~seed:c.seed ~policy:c.policy w in
-        lifted c ~ok:r.Quorum.r_ok ~duration:r.Quorum.r_duration
-          ~counters:r.Quorum.r_counters ~detail:r.Quorum.r_detail
-          r.Quorum.r_view);
-  ]
-  (* Parameterised workload scenarios: population-scale topologies over
-     the shard engine, priced by the backend cost tables.  The
-     population is the spec's ~nN axis; with no axis they run at
-     Workload.default_population so the default sweeps stay fast. *)
-  @ (let wl name topology load =
-       entry name ~parameterised:true (fun c w ->
-           let population =
-             Option.value ~default:Workload.default_population c.population
-           in
-           let r =
-             Workload.run ~seed:c.seed ~policy:c.policy ~shards:c.shards
-               ~topology ~load ~population w
-           in
-           lifted c ?latency:r.Workload.r_latency ~ok:r.Workload.r_ok
-             ~duration:r.Workload.r_duration ~counters:r.Workload.r_counters
-             ~detail:r.Workload.r_detail r.Workload.r_view)
-     in
-     [
-       wl "wl-farm" Workload.Farm (Workload.default_load Workload.Farm);
-       wl "wl-farm-open" Workload.Farm
-         (Workload.Open { window = Workload.default_window });
-       wl "wl-ring" Workload.Ring (Workload.default_load Workload.Ring);
-       wl "wl-tree" Workload.Tree (Workload.default_load Workload.Tree);
-     ])
-  @ [
-    entry "hint-repair" ~applies_to:soda_only (fun c _ ->
-        soda_hint_repair ~seed:c.seed ~policy:c.policy ());
-    entry "pair-pressure" ~applies_to:soda_only (fun c _ ->
-        soda_pair_pressure ~seed:c.seed ~policy:c.policy ());
+    entry "shard-rpc" Shard_rpc.run;
+    entry "ring-election" ~deadline:Election.deadline Election.run;
+    entry "quorum" ~deadline:Quorum.deadline Quorum.run;
+    (* Parameterised workload scenarios: population-scale topologies over
+       the shard engine, priced by the backend cost tables.  The
+       population is the spec's ~nN axis; with no axis they run at
+       Workload.default_population so the default sweeps stay fast. *)
+    entry "wl-farm" ~parameterised:true
+      (workload Workload.Farm (Workload.default_load Workload.Farm));
+    entry "wl-farm-open" ~parameterised:true
+      (workload Workload.Farm (Workload.Open { window = Workload.default_window }));
+    entry "wl-ring" ~parameterised:true
+      (workload Workload.Ring (Workload.default_load Workload.Ring));
+    entry "wl-tree" ~parameterised:true
+      (workload Workload.Tree (Workload.default_load Workload.Tree));
+    entry "hint-repair" ~applies_to:soda_only soda_hint_repair;
+    entry "pair-pressure" ~applies_to:soda_only soda_pair_pressure;
   ]
 
 let names = List.map (fun r -> r.sc_name) registry

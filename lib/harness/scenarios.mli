@@ -6,102 +6,59 @@
 
 open Backend_world
 
-type outcome = {
-  o_ok : bool;  (** did the scenario reach its expected final state *)
-  o_duration : Sim.Time.t;  (** virtual time from kickoff to quiescence *)
-  o_counters : (string * int) list;  (** counter increments during the run *)
-  o_detail : string;  (** human-readable summary of what happened *)
-  o_seed : int;  (** the seed the scenario ran under *)
-  o_policy : string;  (** scheduling policy name, e.g. "fifo" *)
-  o_latency : Sim.Stats.Histogram.summary option;
-      (** merged reply-latency summary, reported by the parameterised
-          workload scenarios; [None] for the vignettes *)
-  o_view : Sim.Engine.view;
-      (** engine state at the end of the run, for invariant checking *)
-}
+include module type of struct
+  include Stage
+end
 
-val counter : outcome -> string -> int
-(** [counter o name] is the increment of [name] during the scenario
-    (0 if absent). *)
-
-val simultaneous_move :
-  ?seed:int ->
-  ?policy:Sim.Engine.policy ->
-  backend ->
-  outcome
+val simultaneous_move : ctx -> backend -> outcome
 (** Figure 1: A and D hold the two ends of one link and move them at the
     same instant (A's end to B, D's end to C); a B->C call over the
     moved link proves it survived. *)
 
-val enclosure_protocol :
-  ?seed:int ->
-  ?policy:Sim.Engine.policy ->
-  n_encl:int ->
-  backend ->
-  outcome
+val enclosure_protocol : n_encl:int -> ctx -> backend -> outcome
 (** Figure 2: one request moving [n_encl] ends, answered by an empty
     reply.  Under Charlotte the kernel-message count grows with
     [n_encl]; under SODA and Chrysalis it does not. *)
 
-val cross_request :
-  ?seed:int ->
-  ?policy:Sim.Engine.policy ->
-  backend ->
-  outcome
+val cross_request : ctx -> backend -> outcome
 (** §3.2.1, first case: B requests an operation in the reverse direction
     before replying, while A's request queue is closed.  Charlotte must
     bounce it with [Forbid]/[Allow]. *)
 
-val open_close_race :
-  ?seed:int ->
-  ?policy:Sim.Engine.policy ->
-  backend ->
-  outcome
+val open_close_race : ctx -> backend -> outcome
 (** §3.2.1, second case: A opens and closes its request queue before a
     block point while B's request is in flight; the failed [Cancel]
     delivers an unwanted message that Charlotte returns with [Retry]. *)
 
-val lost_enclosure :
-  ?seed:int ->
-  ?policy:Sim.Engine.policy ->
-  backend ->
-  outcome
+val lost_enclosure : ctx -> backend -> outcome
 (** §3.2.2: B receives a request (enclosing an end) it never wanted and
     dies before bouncing it.  Under Charlotte the end is lost; under
     SODA and Chrysalis the failed send recovers it. *)
 
-val bounced_enclosure :
-  ?seed:int ->
-  ?policy:Sim.Engine.policy ->
-  backend ->
-  outcome
+val bounced_enclosure : ctx -> backend -> outcome
 (** An unwanted request carrying a link end: under Charlotte the bounce
     returns the enclosure and the retransmission delivers it once the
     receiver is willing; under SODA/Chrysalis the message just waits.
     Either way the end must arrive intact. *)
 
 val soda_pair_pressure :
-  ?seed:int ->
-  ?policy:Sim.Engine.policy ->
   ?budget:bool ->
   ?n_links:int ->
   ?deadline:Sim.Time.t ->
-  unit ->
+  ctx ->
+  backend ->
   outcome
 (** SODA-specific (§4.2.1): many links between one pair press on the
     kernel's outstanding-request limit.  With the channel layer's
     signal budget everything completes; with [budget:false] the data
-    puts starve — the deadlock the paper warns about. *)
+    puts starve — the deadlock the paper warns about.  It builds its
+    own SODA world: the backend argument is not read. *)
 
-val soda_hint_repair :
-  ?seed:int ->
-  ?policy:Sim.Engine.policy ->
-  ?broadcast_loss:float ->
-  unit ->
-  outcome
+val soda_hint_repair : ?broadcast_loss:float -> ctx -> backend -> outcome
 (** SODA-specific (§4.2): a doubly-stale hint (the end moved on and the
     forwarding-cache holder died) repaired by discover and, as the
-    broadcast gets lossier, by the freeze/unfreeze absolute search. *)
+    broadcast gets lossier, by the freeze/unfreeze absolute search.
+    It builds its own SODA world: the backend argument is not read. *)
 
 (** {1 The scenario registry}
 
@@ -110,20 +67,6 @@ val soda_hint_repair :
     Every sweep pipeline — explore, chaos, the races replay, repro —
     resolves scenarios here instead of keeping its own name-matched
     list, so a new scenario plugs into all of them with one entry. *)
-
-type ctx = {
-  seed : int;
-  policy : Sim.Engine.policy;
-  shards : int;
-      (** partitions the simulation across domains via {!Sim.Shard}.
-          Only shard-aware scenarios (["shard-rpc"] and the workloads)
-          fan out; the outcome is byte-identical at every value, so the
-          axis never changes a verdict. *)
-  population : int option;
-      (** sizes parameterised scenarios ([None]: the scenario default) *)
-}
-(** The run parameters a scenario receives — {!Run.Exec} builds one
-    from a spec. *)
 
 type registered = {
   sc_name : string;

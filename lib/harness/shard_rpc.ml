@@ -36,24 +36,15 @@ type msg =
   | Rep of { round : int; check : int }
 
 (* Deterministic CPU burn standing in for marshalling + handler work:
-   pure int arithmetic over [size * spin] steps, so the wall-clock cost
-   scales with the simulated payload while the result is independent of
-   the partition. *)
-let checksum ~key ~size ~spin =
+   pure int arithmetic over [size] steps, so the wall-clock cost scales
+   with the simulated payload while the result is independent of the
+   partition. *)
+let checksum ~key ~size =
   let h = ref 0x9E3779B9 in
-  for i = 0 to (size * spin) - 1 do
+  for i = 0 to size - 1 do
     h := (!h lxor (key + i)) * 0x01000193 land max_int
   done;
   !h
-
-type result = {
-  r_ok : bool;
-  r_duration : Time.t;
-  r_counters : (string * int) list;
-  r_detail : string;
-  r_windows : int;
-  r_view : Engine.view;
-}
 
 module Key = struct
   let bytes = Stats.key "shard.bytes"
@@ -61,11 +52,15 @@ module Key = struct
   let served = Stats.key "shard.served"
 end
 
-let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
-    ?(pairs = 4) ?(rounds = 3) ?(max_payload = 1024) ?(spin = 1) ?pool
-    (backend : backend) : result =
+let pairs = 4
+let rounds = 3
+let max_payload = 1024
+
+let run (c : Stage.ctx) (backend : backend) =
   let lookahead, per_byte = cost_model backend in
-  let t = Shard.create ~shards ~seed ~policy ?pool ~lookahead () in
+  let t =
+    Shard.create ~shards:c.shards ~seed:c.seed ~policy:c.policy ~lookahead ()
+  in
   let verified = Array.make pairs 0 in
   (* Nodes 0..pairs-1 are clients, pairs..2*pairs-1 their servers:
      client i talks to server pairs + i, so with round-robin placement
@@ -86,7 +81,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
                Shard.recv ctx (fun msg ->
                    (match msg with
                    | Rep { round = r; check }
-                     when r = round && check = checksum ~key ~size ~spin ->
+                     when r = round && check = checksum ~key ~size ->
                      verified.(i) <- verified.(i) + 1
                    | _ -> Shard.note ctx (Printf.sprintf "client%d bad reply" i));
                    call (round + 1))
@@ -102,7 +97,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
                Shard.recv ctx (fun msg ->
                    (match msg with
                    | Req { round; size; key } ->
-                     let check = checksum ~key ~size ~spin in
+                     let check = checksum ~key ~size in
                      Shard.incr ctx Key.served 1;
                      Shard.send ctx ~dst:i ~latency:(xfer 8) ~op:"reply"
                        (Rep { round; check })
@@ -114,14 +109,9 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
   Shard.run t ~expect_quiescent:true;
   let done_all = Array.for_all (fun v -> v = rounds) verified in
   let view = Shard.merged_view t in
-  {
-    r_ok = done_all;
-    r_duration = view.Engine.v_now;
-    r_counters = Shard.counters t;
-    r_detail =
-      Printf.sprintf "%d/%d rpcs verified, %d windows"
-        (Array.fold_left ( + ) 0 verified)
-        (pairs * rounds) (Shard.windows t);
-    r_windows = Shard.windows t;
-    r_view = view;
-  }
+  Stage.report c ~ok:done_all
+    ~detail:
+      (Printf.sprintf "%d/%d rpcs verified, %d windows"
+         (Array.fold_left ( + ) 0 verified)
+         (pairs * rounds) (Shard.windows t))
+    ~duration:view.Engine.v_now ~counters:(Shard.counters t) view

@@ -61,6 +61,9 @@ let ring_relays = 4
 let ring_hops = 2 (* forwards after the entry relay; path length 3 *)
 let tree_fanout = 4
 
+(* Payloads are 64..575 bytes. *)
+let max_payload = 512
+
 let default_population = 24
 let default_think = Time.ms 2
 let default_rounds = 2
@@ -107,18 +110,17 @@ module Key = struct
   let served = Stats.key "wl.served"
 end
 
-let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1)
-    ?(max_payload = 512) ?(spin = 1) ?pool ~topology ~load ~population
-    (backend : backend) : result =
+let run ?(seed = 42) ?(policy = Engine.Fifo) ?(shards = 1) ~topology ~load
+    ~population (backend : backend) : result =
   if population < 1 || population > max_population then
     invalid_arg "Workload.run: population out of range";
   let lookahead, per_byte = Shard_rpc.cost_model backend in
-  let t = Shard.create ~shards ~seed ~policy ?pool ~lookahead () in
+  let t = Shard.create ~shards ~seed ~policy ~lookahead () in
   let xfer size = Time.add lookahead (Time.scale per_byte size) in
   let rounds = match load with Closed { rounds; _ } -> rounds | Open _ -> 1 in
   let hists = Array.init shards (fun _ -> Stats.Histogram.create ()) in
   let record ctx lat = Stats.Histogram.add hists.(Shard.home ctx) lat in
-  let checksum key size = Shard_rpc.checksum ~key ~size ~spin in
+  let checksum key size = Shard_rpc.checksum ~key ~size in
   (* The client program shared by every topology: wait (think time or
      open-loop arrival), fire one priced request at [server], verify the
      reply checksum against [expect] and record the reply latency. *)

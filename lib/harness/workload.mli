@@ -71,9 +71,6 @@ val run :
   ?seed:int ->
   ?policy:Sim.Engine.policy ->
   ?shards:int ->
-  ?max_payload:int ->
-  ?spin:int ->
-  ?pool:Parallel.Pool.Persistent.t ->
   topology:topology ->
   load:load ->
   population:int ->
@@ -81,5 +78,6 @@ val run :
   result
 (** [population] counts client processes; servers/relays are added on
     top, one small group per cell.  Raises [Invalid_argument] unless
-    [1 <= population <= max_population].  Defaults: payloads of 64..576 bytes, [spin] 1,
-    one shard. *)
+    [1 <= population <= max_population].  Payloads are 64..575 bytes;
+    the default is one shard.  The scenario registry runs it from a
+    {!Stage.ctx}; this labelled form is what the benchmark calls. *)

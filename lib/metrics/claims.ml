@@ -90,10 +90,11 @@ let all =
         let base = lynx BW.chrysalis 0 in
         (base -. lynx BW.chrysalis_tuned 0) /. base *. 100.);
     claim "A5.budget" "4.2.1" "calls done of 6, signal budget" Calls
-      (Exactly 6.) (fun () -> completed (S.soda_pair_pressure ~budget:true ()));
+      (Exactly 6.) (fun () ->
+        completed (S.soda_pair_pressure ~budget:true S.default BW.soda));
     claim "A5.naive-starves" "4.2.1" "calls done of 6, naive layer" Calls
       (Exactly 0.) (fun () ->
-        let o = S.soda_pair_pressure ~budget:false () in
+        let o = S.soda_pair_pressure ~budget:false S.default BW.soda in
         (* The starvation must come from the kernel's per-pair limit. *)
         if S.counter o "soda.pair_limit_hits" = 0 then
           failwith "starved without hitting the pair limit";

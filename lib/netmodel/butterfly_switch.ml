@@ -3,9 +3,6 @@ open Sim
 type t = {
   engine : Engine.t;
   stats : Stats.t;
-  stage_latency : Time.t;
-  remote_byte_time : Time.t;
-  local_byte_time : Time.t;
   n_processors : int;
   n_stages : int;
 }
@@ -14,17 +11,18 @@ let log4_ceil n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (v * 4) in
   go 0 1
 
-let create engine ?stats ?stage_latency ?remote_byte_time ?local_byte_time
-    ~processors () =
+let stage_latency = Time.us 2
+
+(* Remote reference through the switch ~0.85 us/byte; local ~0.25
+   (calibrated so a LYNX byte costs ~1.1 us end to end, §5.3). *)
+let remote_byte_time = Time.ns 850
+let local_byte_time = Time.ns 250
+
+let create engine ?stats ~processors () =
   if processors <= 0 then invalid_arg "Butterfly_switch.create: processors";
   {
     engine;
     stats = (match stats with Some s -> s | None -> Stats.create ());
-    stage_latency = Option.value stage_latency ~default:(Time.us 2);
-    (* Remote reference through the switch ~0.85 us/byte; local ~0.25
-       (calibrated so a LYNX byte costs ~1.1 us end to end, §5.3). *)
-    remote_byte_time = Option.value remote_byte_time ~default:(Time.ns 850);
-    local_byte_time = Option.value local_byte_time ~default:(Time.ns 250);
     n_processors = processors;
     n_stages = max 1 (log4_ceil processors);
   }
@@ -33,11 +31,11 @@ let processors t = t.n_processors
 let stages t = t.n_stages
 
 let access_time t ~src ~dst ~bytes =
-  if src = dst then Time.scale t.local_byte_time bytes
+  if src = dst then Time.scale local_byte_time bytes
   else
     Time.add
-      (Time.scale t.stage_latency t.n_stages)
-      (Time.scale t.remote_byte_time bytes)
+      (Time.scale stage_latency t.n_stages)
+      (Time.scale remote_byte_time bytes)
 
 module Key = struct
   let bytes = Stats.key "switch.bytes"

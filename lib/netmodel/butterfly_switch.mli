@@ -11,9 +11,6 @@ type t
 val create :
   Sim.Engine.t ->
   ?stats:Sim.Stats.t ->
-  ?stage_latency:Sim.Time.t ->
-  ?remote_byte_time:Sim.Time.t ->
-  ?local_byte_time:Sim.Time.t ->
   processors:int ->
   unit ->
   t

@@ -3,10 +3,6 @@ open Sim
 type t = {
   engine : Engine.t;
   stats : Stats.t;
-  byte_time : Time.t;
-  frame_overhead : Time.t;
-  slot : Time.t;
-  max_backoff_exp : int;
   broadcast_loss : float;
   rng : Rng.t;
   n_stations : int;
@@ -14,17 +10,15 @@ type t = {
   mutable busy_until : Time.t;
 }
 
-let create engine ?stats ?byte_time ?frame_overhead ?slot ?(max_backoff_exp = 6)
-    ?(broadcast_loss = 0.05) ?faults ~rng ~stations () =
+(* Contention slot, and the cap on the backoff window's doubling. *)
+let slot = Time.us 100
+let max_backoff_exp = 6
+
+let create engine ?stats ?(broadcast_loss = 0.05) ?faults ~rng ~stations () =
   if stations <= 0 then invalid_arg "Csma_bus.create: stations";
   {
     engine;
     stats = (match stats with Some s -> s | None -> Stats.create ());
-    (* 1 Mbit/s -> 8 us per byte. *)
-    byte_time = Option.value byte_time ~default:(Time.us 8);
-    frame_overhead = Option.value frame_overhead ~default:(Time.us 400);
-    slot = Option.value slot ~default:(Time.us 100);
-    max_backoff_exp;
     broadcast_loss;
     rng;
     n_stations = stations;
@@ -33,9 +27,6 @@ let create engine ?stats ?byte_time ?frame_overhead ?slot ?(max_backoff_exp = 6)
   }
 
 let stations t = t.n_stations
-
-let frame_time t ~bytes =
-  Time.add t.frame_overhead (Time.scale t.byte_time bytes)
 
 module Key = struct
   let backoffs = Stats.key "csma.backoffs"
@@ -54,10 +45,10 @@ let acquire t ~duration =
     if Time.(candidate >= t.busy_until) then candidate
     else begin
       Stats.incr t.stats Key.backoffs;
-      let exp = min tries t.max_backoff_exp in
+      let exp = min tries max_backoff_exp in
       let window = 1 lsl exp in
       let slots = 1 + Rng.int t.rng window in
-      attempt (tries + 1) (Time.add t.busy_until (Time.scale t.slot slots))
+      attempt (tries + 1) (Time.add t.busy_until (Time.scale slot slots))
     end
   in
   let start = attempt 1 now in

@@ -12,10 +12,6 @@ type t
 val create :
   Sim.Engine.t ->
   ?stats:Sim.Stats.t ->
-  ?byte_time:Sim.Time.t ->
-  ?frame_overhead:Sim.Time.t ->
-  ?slot:Sim.Time.t ->
-  ?max_backoff_exp:int ->
   ?broadcast_loss:float ->
   ?faults:Faults.Injector.t ->
   rng:Sim.Rng.t ->
@@ -24,7 +20,6 @@ val create :
   t
 
 val stations : t -> int
-val frame_time : t -> bytes:int -> Sim.Time.t
 
 val transmit :
   t -> src:int -> dst:int -> duration:Sim.Time.t -> on_delivered:(unit -> unit) -> unit

@@ -3,30 +3,22 @@ open Sim
 type t = {
   engine : Engine.t;
   stats : Stats.t;
-  byte_time : Time.t;
-  frame_overhead : Time.t;
   token_latency : Time.t;
   n_stations : int;
   mutable busy_until : Time.t;
 }
 
-let create engine ?stats ?byte_time ?frame_overhead ?token_latency ~stations () =
+let create engine ?stats ?token_latency ~stations () =
   if stations <= 0 then invalid_arg "Token_ring.create: stations";
   {
     engine;
     stats = (match stats with Some s -> s | None -> Stats.create ());
-    (* 10 Mbit/s -> 0.8 us per byte. *)
-    byte_time = Option.value byte_time ~default:(Time.ns 800);
-    frame_overhead = Option.value frame_overhead ~default:(Time.us 120);
     token_latency = Option.value token_latency ~default:(Time.us 60);
     n_stations = stations;
     busy_until = Time.zero;
   }
 
 let stations t = t.n_stations
-
-let frame_time t ~bytes =
-  Time.add t.frame_overhead (Time.scale t.byte_time bytes)
 
 module Key = struct
   let busy_ns = Stats.key "ring.busy_ns"

@@ -15,17 +15,12 @@ type t
 val create :
   Sim.Engine.t ->
   ?stats:Sim.Stats.t ->
-  ?byte_time:Sim.Time.t ->
-  ?frame_overhead:Sim.Time.t ->
   ?token_latency:Sim.Time.t ->
   stations:int ->
   unit ->
   t
 
 val stations : t -> int
-
-val frame_time : t -> bytes:int -> Sim.Time.t
-(** Wire occupation for a frame of the given size (overhead + bytes). *)
 
 val transmit :
   t -> src:int -> dst:int -> duration:Sim.Time.t -> on_delivered:(unit -> unit) -> unit

@@ -97,8 +97,8 @@ let rec diff ~before ~after =
   | (kb, prev) :: before', (ka, v) :: after when String.equal kb ka ->
     if v = prev then diff ~before:before' ~after
     else (ka, v - prev) :: diff ~before:before' ~after
-  | _, (ka, v) :: after ->
-    if v = 0 then diff ~before ~after else (ka, v) :: diff ~before ~after
+  | _, ((_, v) as kv) :: after ->
+    if v = 0 then diff ~before ~after else kv :: diff ~before ~after
 
 let pp ppf t =
   Format.pp_open_vbox ppf 0;

@@ -151,8 +151,8 @@ let rungs =
     rung "pipeline.observation-premium" "observed minus unobserved words per event of twelve sweep \
        specs, read by a consumer that reads nothing, with nothing retained"
       (198_866. /. 10_948.) Exact ("test_stream", "observation premium per event");
-    rung "shard.run" "one default `Harness.Shard_rpc.run ~shards:1` on Chrysalis"
-      6628. plus2 ("test_shard", "words per one-shard run");
+    rung "shard.run" "one `Harness.Shard_rpc.run Scenarios.default` on Chrysalis"
+      6500. plus2 ("test_shard", "words per one-shard run");
     rung "shard.recv-cycle" "one message between two nodes on one shard: send, barrier exchange, \
        injection, `recv` parked and woken"
       90. Exact ("test_shard", "words per recv park/wake cycle");

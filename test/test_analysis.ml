@@ -802,7 +802,7 @@ let event_log_tests =
         (Printf.sprintf "spawn events match the fiber table [%s]" backend.name)
         `Quick
         (fun () ->
-          let o = S.simultaneous_move ~seed:7 backend in
+          let o = S.simultaneous_move { S.default with seed = 7 } backend in
           let v = o.S.o_view in
           checki "no dropped events" 0 v.Engine.v_events_dropped;
           let spawns =
@@ -829,7 +829,8 @@ let event_log_tests =
   @ [
       Alcotest.test_case "same seed, same events hash" `Quick (fun () ->
           let run () =
-            (S.simultaneous_move ~seed:11 Harness.Backend_world.charlotte)
+            (S.simultaneous_move { S.default with seed = 11 }
+               Harness.Backend_world.charlotte)
               .S.o_view
               .Engine.v_events_hash
           in

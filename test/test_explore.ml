@@ -228,15 +228,14 @@ let test_repro_dump () =
 
 (* ---- cross-backend differential checks ------------------------------ *)
 
-let cross_scenarios :
-    (string * (seed:int -> BW.backend -> S.outcome)) list =
+let cross_scenarios : (string * (S.ctx -> BW.backend -> S.outcome)) list =
   [
-    ("move", fun ~seed w -> S.simultaneous_move ~seed w);
-    ("enclosures", fun ~seed w -> S.enclosure_protocol ~seed ~n_encl:3 w);
-    ("cross-request", fun ~seed w -> S.cross_request ~seed w);
-    ("open-close", fun ~seed w -> S.open_close_race ~seed w);
-    ("lost-enclosure", fun ~seed w -> S.lost_enclosure ~seed w);
-    ("bounced-enclosure", fun ~seed w -> S.bounced_enclosure ~seed w);
+    ("move", S.simultaneous_move);
+    ("enclosures", S.enclosure_protocol ~n_encl:3);
+    ("cross-request", S.cross_request);
+    ("open-close", S.open_close_race);
+    ("lost-enclosure", S.lost_enclosure);
+    ("bounced-enclosure", S.bounced_enclosure);
   ]
 
 let lynx_counters o =
@@ -269,7 +268,7 @@ let test_differential_verdicts () =
           let outs =
             List.map
               (fun (backend : BW.backend) ->
-                (backend.name, run ~seed backend))
+                (backend.name, run { S.default with seed } backend))
               BW.all
           in
           let _, first = List.hd outs in
@@ -287,7 +286,8 @@ let test_differential_core_counters () =
     (fun (name, run) ->
       let outs =
         List.map
-          (fun (backend : BW.backend) -> (backend.name, run ~seed:2 backend))
+          (fun (backend : BW.backend) ->
+            (backend.name, run { S.default with seed = 2 } backend))
           BW.all
       in
       List.iter
@@ -310,7 +310,7 @@ let test_differential_full_counters () =
         let outs =
           List.map
             (fun (backend : BW.backend) ->
-              (backend.name, run ~seed:5 backend))
+              (backend.name, run { S.default with seed = 5 } backend))
             BW.all
         in
         let _, first = List.hd outs in
@@ -338,8 +338,8 @@ let test_policy_roundtrip () =
 
 let test_outcome_records_policy () =
   let o =
-    S.cross_request ~seed:9
-      ~policy:(Spec.engine_policy Spec.Random ~seed:9)
+    S.cross_request
+      { S.default with seed = 9; policy = Spec.engine_policy Spec.Random ~seed:9 }
       BW.charlotte
   in
   Alcotest.(check string) "policy recorded" "random:9" o.S.o_policy;

@@ -9,13 +9,6 @@ let ns t = Time.to_ns t
 
 let ring_tests =
   [
-    Alcotest.test_case "frame time scales with bytes" `Quick (fun () ->
-        let e = Engine.create () in
-        let r = Netmodel.Token_ring.create e ~stations:4 () in
-        let t0 = ns (Netmodel.Token_ring.frame_time r ~bytes:0) in
-        let t1000 = ns (Netmodel.Token_ring.frame_time r ~bytes:1000) in
-        (* 10 Mbit/s = 0.8 us per byte. *)
-        checki "per-byte" 800_000 (t1000 - t0));
     Alcotest.test_case "delivery after duration" `Quick (fun () ->
         let e = Engine.create () in
         let r = Netmodel.Token_ring.create e ~stations:4 () in
@@ -64,12 +57,6 @@ let ring_tests =
 
 let csma_tests =
   [
-    Alcotest.test_case "frame time is 8us per byte" `Quick (fun () ->
-        let e = Engine.create () in
-        let b = Netmodel.Csma_bus.create e ~rng:(Rng.create 1) ~stations:4 () in
-        let t0 = ns (Netmodel.Csma_bus.frame_time b ~bytes:0) in
-        let t100 = ns (Netmodel.Csma_bus.frame_time b ~bytes:100) in
-        checki "per-byte" 800_000 (t100 - t0));
     Alcotest.test_case "contention adds backoff" `Quick (fun () ->
         let e = Engine.create () in
         let sts = Stats.create () in

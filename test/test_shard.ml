@@ -372,7 +372,8 @@ let test_one_shard_words () =
   Budgets.check "shard.run" (Budgets.words_per_iter ~warm:1 ~iters:1 (fun n ->
          for _ = 1 to n do
            ignore
-             (Harness.Shard_rpc.run ~shards:1 Harness.Backend_world.chrysalis)
+             (Harness.Shard_rpc.run Harness.Scenarios.default
+                Harness.Backend_world.chrysalis)
          done))
 
 (* The window buffers hand their events to the sink at each barrier and
