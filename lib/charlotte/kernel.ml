@@ -67,25 +67,28 @@ let stats t = t.sts
 let costs t = t.cst
 let nodes t = Netmodel.Token_ring.stations t.ring
 
+(* Lookups use [Hashtbl.find]: [find_opt] would allocate its option on
+   every kernel call. *)
 let proc t pid =
-  match Hashtbl.find_opt t.procs pid with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "charlotte: unknown pid %d" pid)
+  match Hashtbl.find t.procs pid with
+  | p -> p
+  | exception Not_found -> invalid_arg (Printf.sprintf "charlotte: unknown pid %d" pid)
 
 let process_alive t pid = (proc t pid).p_alive
 let process_name t pid = (proc t pid).p_name
 let process_node t pid = (proc t pid).p_node
 
-let end_state t (e : link_end) =
-  match Hashtbl.find_opt t.links e.link_id with
-  | None -> None
-  | Some l -> Some (l, l.l_ends.(e.side))
+let owner_of t (e : link_end) =
+  match Hashtbl.find t.links e.link_id with
+  | l -> l.l_ends.(e.side).e_owner
+  | exception Not_found -> None
 
-let owner_of t e =
-  match end_state t e with None -> None | Some (_, es) -> es.e_owner
+let link_destroyed t (e : link_end) =
+  match Hashtbl.find t.links e.link_id with
+  | l -> l.l_destroyed
+  | exception Not_found -> true
 
-let link_destroyed t e =
-  match end_state t e with None -> true | Some (l, _) -> l.l_destroyed
+let owned_by es pid = match es.e_owner with Some o -> o = pid | None -> false
 
 module Key = struct
   let bytes = Stats.key "charlotte.bytes"
@@ -110,9 +113,9 @@ let charge t =
   Engine.sleep t.eng t.cst.Costs.call_cpu
 
 let deliver t pid completion =
-  match Hashtbl.find_opt t.procs pid with
-  | Some p when p.p_alive -> Sync.Mailbox.put p.p_completions completion
-  | _ -> Stats.incr t.sts Key.completions_to_dead
+  match Hashtbl.find t.procs pid with
+  | p when p.p_alive -> Sync.Mailbox.put p.p_completions completion
+  | _ | (exception Not_found) -> Stats.incr t.sts Key.completions_to_dead
 
 let remove_owned p e =
   p.p_owned <- List.filter (fun o -> o <> e) p.p_owned
@@ -122,9 +125,10 @@ let add_owned p e = p.p_owned <- e :: p.p_owned
 (* Transfer ownership of an enclosed end to [pid] (or back to a sender
    whose message failed). *)
 let assign_end t (e : link_end) pid =
-  match end_state t e with
-  | None -> ()
-  | Some (_, es) ->
+  match Hashtbl.find t.links e.link_id with
+  | exception Not_found -> ()
+  | l ->
+    let es = l.l_ends.(e.side) in
     (match es.e_owner with
     | Some old -> remove_owned (proc t old) e
     | None -> ());
@@ -295,27 +299,32 @@ let make_link t pid =
     Some (e0, e1)
   end
 
-let validate t pid e =
-  match end_state t e with
-  | None -> Error E_bad_end
-  | Some (l, es) ->
-    if l.l_destroyed then Error E_destroyed
-    else if es.e_owner <> Some pid then Error E_bad_end
-    else Ok (l, es)
+(* Why a caller may not act on an end: the status its call returns. *)
+exception Refused of status
+
+(* The link of end [e], which [pid] owns; raises [Refused] otherwise. *)
+let validate t pid (e : link_end) =
+  match Hashtbl.find t.links e.link_id with
+  | exception Not_found -> raise (Refused E_bad_end)
+  | l ->
+    if l.l_destroyed then raise (Refused E_destroyed)
+    else if not (owned_by l.l_ends.(e.side) pid) then raise (Refused E_bad_end)
+    else l
 
 let destroy t pid e =
   charge t;
   match validate t pid e with
-  | Error s -> s
-  | Ok (l, _) ->
+  | exception Refused s -> s
+  | l ->
     destroy_link t l;
     Ok_done
 
 let send t pid e ?enclosure data =
   charge t;
   match validate t pid e with
-  | Error s -> s
-  | Ok (l, es) -> (
+  | exception Refused s -> s
+  | l -> (
+    let es = l.l_ends.(e.side) in
     if es.e_send <> None then E_busy
     else
       let enc_check =
@@ -325,8 +334,9 @@ let send t pid e ?enclosure data =
           if enc.link_id = e.link_id then E_enclosure_self
           else (
             match validate t pid enc with
-            | Error s -> s
-            | Ok (_, enc_es) ->
+            | exception Refused s -> s
+            | enc_l ->
+              let enc_es = enc_l.l_ends.(enc.side) in
               if enc_es.e_send <> None || enc_es.e_recv <> None then
                 E_enclosure_busy
               else Ok_done)
@@ -336,13 +346,14 @@ let send t pid e ?enclosure data =
         (* Detach the enclosure: it is in transit until delivery. *)
         (match enclosure with
         | Some enc -> (
-          match end_state t enc with
-          | Some (_, enc_es) ->
+          match Hashtbl.find t.links enc.link_id with
+          | enc_l ->
+            let enc_es = enc_l.l_ends.(enc.side) in
             (match enc_es.e_owner with
             | Some o -> remove_owned (proc t o) enc
             | None -> ());
             enc_es.e_owner <- None
-          | None -> ())
+          | exception Not_found -> ())
         | None -> ());
         es.e_send <-
           Some { s_data = data; s_enclosure = enclosure; s_matched = false };
@@ -354,8 +365,9 @@ let send t pid e ?enclosure data =
 let receive t pid e ~max_len =
   charge t;
   match validate t pid e with
-  | Error s -> s
-  | Ok (l, es) ->
+  | exception Refused s -> s
+  | l ->
+    let es = l.l_ends.(e.side) in
     if es.e_recv <> None then E_busy
     else begin
       es.e_recv <- Some { r_max_len = max_len; r_matched = false };
@@ -368,8 +380,9 @@ let cancel t pid e dir =
   charge t;
   Stats.incr t.sts Key.cancels;
   match validate t pid e with
-  | Error s -> s
-  | Ok (_, es) -> (
+  | exception Refused s -> s
+  | l -> (
+    let es = l.l_ends.(e.side) in
     match dir with
     | Sent -> (
       match es.e_send with
@@ -425,10 +438,11 @@ let terminate t pid =
     Sync.Mailbox.poison p.p_completions Process_exit
   end
 
-let transfer_end t e ~to_ =
-  match end_state t e with
-  | None -> invalid_arg "charlotte.transfer_end: no such end"
-  | Some (l, es) ->
+let transfer_end t (e : link_end) ~to_ =
+  match Hashtbl.find t.links e.link_id with
+  | exception Not_found -> invalid_arg "charlotte.transfer_end: no such end"
+  | l ->
+    let es = l.l_ends.(e.side) in
     if l.l_destroyed then invalid_arg "charlotte.transfer_end: destroyed";
     if es.e_send <> None || es.e_recv <> None then
       invalid_arg "charlotte.transfer_end: end has activities";

@@ -18,12 +18,18 @@ type event_block = {
   mutable ev_waiter : int Engine.handle option;
 }
 
+(* The queue's event kinds never change, so they are built with it:
+   an enqueue or dequeue emits one of them and allocates none. *)
 type dual_queue = {
   dq_name : dualq_name;
   dq_obj : string;  (* event-object name, "chry.dq<name>" *)
   dq_capacity : int;
   dq_data : int Queue.t;
   dq_waiting : event_name Queue.t;  (* event names of blocked consumers *)
+  dq_woke : Event.kind;
+  dq_latched : Event.kind;
+  dq_seen : Event.kind;
+  dq_wait : Event.kind;
 }
 
 type process = {
@@ -73,10 +79,12 @@ let fresh t =
   t.next_id <- id + 1;
   id
 
+(* Lookups use [Hashtbl.find]: [find_opt] would allocate its option on
+   every kernel call. *)
 let proc t pid =
-  match Hashtbl.find_opt t.procs pid with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "chrysalis: unknown pid %d" pid)
+  match Hashtbl.find t.procs pid with
+  | p -> p
+  | exception Not_found -> invalid_arg (Printf.sprintf "chrysalis: unknown pid %d" pid)
 
 let process_alive t pid = (proc t pid).c_alive
 let process_node t pid = (proc t pid).c_node
@@ -102,14 +110,14 @@ let charge t cost =
 (* ---- Memory objects --------------------------------------------------- *)
 
 let obj t name =
-  match Hashtbl.find_opt t.objects name with
-  | Some o -> o
-  | None -> raise (Memory_fault Bad_name)
+  match Hashtbl.find t.objects name with
+  | o -> o
+  | exception Not_found -> raise (Memory_fault Bad_name)
 
-let mapped t pid name =
-  match Hashtbl.find_opt (proc t pid).c_mapped name with
-  | Some n -> n > 0
-  | None -> false
+let map_count (p : process) name =
+  match Hashtbl.find p.c_mapped name with n -> n | exception Not_found -> 0
+
+let mapped t pid name = map_count (proc t pid) name > 0
 
 let object_exists t name = Hashtbl.mem t.objects name
 let refcount t name = (obj t name).o_refcount
@@ -137,8 +145,7 @@ let map_object t pid name =
   let p = proc t pid in
   let o = obj t name in
   o.o_refcount <- o.o_refcount + 1;
-  let count = Option.value ~default:0 (Hashtbl.find_opt p.c_mapped name) in
-  Hashtbl.replace p.c_mapped name (count + 1);
+  Hashtbl.replace p.c_mapped name (map_count p name + 1);
   Stats.incr t.sts Key.maps
 
 let reclaim t (o : mem_object) =
@@ -148,16 +155,16 @@ let reclaim t (o : mem_object) =
   end
 
 let unmap_no_charge t p name =
-  match Hashtbl.find_opt p.c_mapped name with
-  | None | Some 0 -> raise (Memory_fault Unmapped_object)
-  | Some count ->
+  match map_count p name with
+  | 0 -> raise (Memory_fault Unmapped_object)
+  | count ->
     if count = 1 then Hashtbl.remove p.c_mapped name
     else Hashtbl.replace p.c_mapped name (count - 1);
-    (match Hashtbl.find_opt t.objects name with
-    | Some o ->
+    (match Hashtbl.find t.objects name with
+    | o ->
       o.o_refcount <- o.o_refcount - 1;
       reclaim t o
-    | None -> ())
+    | exception Not_found -> ())
 
 let unmap_object t pid name =
   charge t t.cst.Costs.unmap_object;
@@ -169,13 +176,13 @@ let mark_for_deletion t pid name =
   o.o_deleting <- true;
   reclaim t o
 
-let check_access t pid name ~off ~len =
-  let p = proc t pid in
-  if not (mapped t pid name) then raise (Memory_fault Unmapped_object);
+(* The object [p] may touch at [off, off + len). *)
+let check_access t (p : process) name ~off ~len =
+  if map_count p name <= 0 then raise (Memory_fault Unmapped_object);
   let o = obj t name in
   if off < 0 || len < 0 || off + len > Bytes.length o.o_data then
     raise (Memory_fault Bounds);
-  (p, o)
+  o
 
 let copy_cost t (p : process) (o : mem_object) ~bytes =
   Netmodel.Butterfly_switch.access_time t.switch ~src:p.c_node ~dst:o.o_home
@@ -183,14 +190,16 @@ let copy_cost t (p : process) (o : mem_object) ~bytes =
 
 let write_bytes t pid name ~off data =
   let len = Bytes.length data in
-  let p, o = check_access t pid name ~off ~len in
+  let p = proc t pid in
+  let o = check_access t p name ~off ~len in
   charge t (copy_cost t p o ~bytes:len);
   if p.c_node <> o.o_home then
     Stats.incr t.sts Key.remote_bytes ~by:len;
   Bytes.blit data 0 o.o_data off len
 
 let read_bytes t pid name ~off ~len =
-  let p, o = check_access t pid name ~off ~len in
+  let p = proc t pid in
+  let o = check_access t p name ~off ~len in
   charge t (copy_cost t p o ~bytes:len);
   if p.c_node <> o.o_home then
     Stats.incr t.sts Key.remote_bytes ~by:len;
@@ -202,19 +211,21 @@ let set16 o off v =
   Bytes.set o.o_data off (Char.chr (v land 0xff));
   Bytes.set o.o_data (off + 1) (Char.chr ((v lsr 8) land 0xff))
 
-let atomic_rmw16 t pid name ~off f =
-  let _, o = check_access t pid name ~off ~len:2 in
+(* [op] is a closed operator and [v] its operand, so no closure is
+   built per call. *)
+let atomic_rmw16 t pid name ~off op v =
+  let o = check_access t (proc t pid) name ~off ~len:2 in
   charge t t.cst.Costs.atomic16;
   Stats.incr t.sts Key.atomic16;
   let old = get16 o off in
-  set16 o off (f old land 0xffff);
+  set16 o off (op old v land 0xffff);
   old
 
-let atomic_or16 t pid name ~off v = atomic_rmw16 t pid name ~off (fun x -> x lor v)
-let atomic_and16 t pid name ~off v = atomic_rmw16 t pid name ~off (fun x -> x land v)
+let atomic_or16 t pid name ~off v = atomic_rmw16 t pid name ~off ( lor ) v
+let atomic_and16 t pid name ~off v = atomic_rmw16 t pid name ~off ( land ) v
 
 let read16 t pid name ~off =
-  let _, o = check_access t pid name ~off ~len:2 in
+  let o = check_access t (proc t pid) name ~off ~len:2 in
   charge t t.cst.Costs.atomic16;
   get16 o off
 
@@ -222,25 +233,26 @@ let read16 t pid name ~off =
    window between them: a concurrent reader can observe a torn value,
    exactly the hazard §5.2 describes for dual-queue names. *)
 let write32_nonatomic t pid name ~off v =
-  let _, o = check_access t pid name ~off ~len:4 in
+  let p = proc t pid in
+  let o = check_access t p name ~off ~len:4 in
   charge t t.cst.Costs.word_write;
   set16 o off (v land 0xffff);
   Engine.sleep t.eng t.cst.Costs.word_write;
   (* Re-fetch: the object may have been written concurrently. *)
-  let _, o = check_access t pid name ~off ~len:4 in
+  let o = check_access t p name ~off ~len:4 in
   set16 o (off + 2) ((v lsr 16) land 0xffff)
 
 let read32 t pid name ~off =
-  let _, o = check_access t pid name ~off ~len:4 in
+  let o = check_access t (proc t pid) name ~off ~len:4 in
   charge t t.cst.Costs.atomic16;
   get16 o off lor (get16 o (off + 2) lsl 16)
 
 (* ---- Event blocks ------------------------------------------------------ *)
 
 let event t name =
-  match Hashtbl.find_opt t.events name with
-  | Some ev -> ev
-  | None -> raise (Memory_fault Bad_name)
+  match Hashtbl.find t.events name with
+  | ev -> ev
+  | exception Not_found -> raise (Memory_fault Bad_name)
 
 let make_event t pid =
   charge t t.cst.Costs.event_make;
@@ -260,9 +272,11 @@ let event_post_now t name datum =
     Engine.resume t.eng h datum
   | None -> ev.ev_state <- `Posted datum
 
-let event_post t _pid name datum =
+let event_post_charged t name datum =
   charge t t.cst.Costs.event_post;
   event_post_now t name datum
+
+let event_post t _pid name datum = event_post_charged t name datum
 
 let event_wait t pid name =
   charge t t.cst.Costs.event_wait;
@@ -281,52 +295,59 @@ let event_wait t pid name =
 (* ---- Dual queues ------------------------------------------------------- *)
 
 let dualq t name =
-  match Hashtbl.find_opt t.dualqs name with
-  | Some q -> q
-  | None -> raise (Memory_fault Bad_name)
+  match Hashtbl.find t.dualqs name with
+  | q -> q
+  | exception Not_found -> raise (Memory_fault Bad_name)
 
 let dq_obj qname = Printf.sprintf "chry.dq%d" qname
 
 let make_dualq t _pid ~capacity =
   charge t t.cst.Costs.dq_make;
   let name = fresh t in
+  let obj = dq_obj name in
   Hashtbl.add t.dualqs name
     {
       dq_name = name;
-      dq_obj = dq_obj name;
+      dq_obj = obj;
       dq_capacity = capacity;
       dq_data = Queue.create ();
       dq_waiting = Queue.create ();
+      dq_woke = Event.Signal { obj; woke = true };
+      dq_latched = Event.Signal { obj; woke = false };
+      dq_seen = Event.Signal_seen { obj };
+      dq_wait = Event.Wait { obj };
     };
   name
 
-(* [post] is how a waiting consumer gets woken: the charged [event_post]
-   on the synchronous path, the uncharged [event_post_now] when a fault
-   replays the enqueue from a timer (scheduler context cannot sleep). *)
+(* [post] is how a waiting consumer gets woken: the charged
+   [event_post_charged] on the synchronous path, the uncharged
+   [event_post_now] when a fault replays the enqueue from a timer
+   (scheduler context cannot sleep).  Both are closed functions, so
+   passing one builds nothing. *)
 let dq_enqueue_via t qname datum ~post =
   Stats.incr t.sts Key.dq_enqueues;
   let q = dualq t qname in
-  match Queue.take_opt q.dq_waiting with
-  | Some ev_name ->
-    Engine.emit t.eng (Event.Signal { obj = q.dq_obj; woke = true });
+  if not (Queue.is_empty q.dq_waiting) then begin
+    let ev_name = Queue.take q.dq_waiting in
+    Engine.emit t.eng q.dq_woke;
     (* The queue holds event names: enqueue actually posts. *)
-    post ev_name datum
-  | None ->
-    if Queue.length q.dq_data >= q.dq_capacity then
-      raise (Memory_fault Bounds)
-    else begin
-      (* No consumer was parked: the datum sits in the queue — a hint
-         that is either noticed by a later dequeue (Signal_seen) or
-         lost. *)
-      Engine.emit t.eng (Event.Signal { obj = q.dq_obj; woke = false });
-      Queue.add datum q.dq_data
-    end
+    post t ev_name datum
+  end
+  else if Queue.length q.dq_data >= q.dq_capacity then
+    raise (Memory_fault Bounds)
+  else begin
+    (* No consumer was parked: the datum sits in the queue — a hint
+       that is either noticed by a later dequeue (Signal_seen) or
+       lost. *)
+    Engine.emit t.eng q.dq_latched;
+    Queue.add datum q.dq_data
+  end
 
-let dq_enqueue t pid qname datum =
+let dq_enqueue t _pid qname datum =
   charge t t.cst.Costs.dq_op;
   match t.inj with
-  | None -> dq_enqueue_via t qname datum ~post:(event_post t pid)
-  | Some inj ->
+  | None -> dq_enqueue_via t qname datum ~post:event_post_charged
+  | Some _ ->
     (* Dual-queue entries are hints: an injected fault may lose, delay
        or duplicate one, and the flag words (the truth, §4.3) cover the
        gap.  A deferred enqueue that finds the queue full sheds the hint
@@ -334,32 +355,33 @@ let dq_enqueue t pid qname datum =
     let obj =
       (* A stale name still draws its fault verdict, under the same
          name a live queue would carry. *)
-      match Hashtbl.find_opt t.dualqs qname with
-      | Some q -> q.dq_obj
-      | None -> dq_obj qname
+      match Hashtbl.find t.dualqs qname with
+      | q -> q.dq_obj
+      | exception Not_found -> dq_obj qname
     in
     let shed_full () =
-      try dq_enqueue_via t qname datum ~post:(event_post_now t)
+      try dq_enqueue_via t qname datum ~post:event_post_now
       with Memory_fault Bounds ->
         Stats.incr t.sts Key.dq_hints_shed;
         Engine.emit t.eng (Event.Drop { obj; op = "enqueue" })
     in
-    Faults.Injector.wrap_delivery (Some inj) ~obj ~op:"enqueue" shed_full ()
+    Faults.Injector.wrap_delivery t.inj ~obj ~op:"enqueue" shed_full ()
 
 let dq_dequeue t _pid qname ~ev =
   charge t t.cst.Costs.dq_op;
   Stats.incr t.sts Key.dq_dequeues;
   let q = dualq t qname in
-  match Queue.take_opt q.dq_data with
-  | Some datum ->
-    Engine.emit t.eng (Event.Signal_seen { obj = q.dq_obj });
-    Some datum
-  | None ->
+  if not (Queue.is_empty q.dq_data) then begin
+    Engine.emit t.eng q.dq_seen;
+    Some (Queue.take q.dq_data)
+  end
+  else begin
     (* Committing to wait: the check-then-block point of the lost-signal
        window §5.2 worries about. *)
-    Engine.emit t.eng (Event.Wait { obj = q.dq_obj });
+    Engine.emit t.eng q.dq_wait;
     Queue.add ev q.dq_waiting;
     None
+  end
 
 let dq_length t qname = Queue.length (dualq t qname).dq_data
 

@@ -426,15 +426,14 @@ let bounced_enclosure ctx backend =
           Printf.sprintf "delivered=%b pong=%b" !delivered !pong ));
   }
 
-(** SODA-specific (§4.2.1): [n_links] links between one pair of
-    processes, one concurrent call on each, bounded by [deadline] of
-    virtual time.  With the channel layer's signal budget every call
+(** SODA-specific (§4.2.1): six links between one pair of processes,
+    one concurrent call on each, bounded by 2 s of virtual time.  With the channel layer's signal budget every call
     completes; with [budget:false] the status signals exhaust the
     kernel's per-pair outstanding-request limit and the data puts
     starve — the deadlock the paper warns about.  [o_ok] reports
     whether {e all} calls completed; [o_detail] has the tally. *)
-let soda_pair_pressure ?(budget = true) ?(n_links = 6) ?(deadline = Time.sec 2)
-    ctx (_ : backend) =
+let soda_pair_pressure ?(budget = true) ctx (_ : backend) =
+  let n_links = 6 and deadline = Time.sec 2 in
   let soda = soda_with ~kernel_costs:Soda.Costs.default ~signal_budget:budget in
   (* The unbudgeted variant livelocks: cut it off at the deadline. *)
   stage_until deadline ctx soda ~nodes:4 @@ fun eng w ->

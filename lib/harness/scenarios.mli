@@ -43,13 +43,12 @@ val bounced_enclosure : ctx -> backend -> outcome
 
 val soda_pair_pressure :
   ?budget:bool ->
-  ?n_links:int ->
-  ?deadline:Sim.Time.t ->
   ctx ->
   backend ->
   outcome
-(** SODA-specific (§4.2.1): many links between one pair press on the
-    kernel's outstanding-request limit.  With the channel layer's
+(** SODA-specific (§4.2.1): six links between one pair, one call on
+    each within 2 s of virtual time, press on the kernel's
+    outstanding-request limit.  With the channel layer's
     signal budget everything completes; with [budget:false] the data
     puts starve — the deadlock the paper warns about.  It builds its
     own SODA world: the backend argument is not read. *)

@@ -68,7 +68,9 @@ type chan = {
   in_replies : Lynx.Backend.rx Queue.t;
   rx_objs : string array;  (* our receive queues' event names, by kind *)
   tx_objs : string array;  (* the far end's receive queues' names *)
-  end_obj : string;
+  rx_kinds : Event.memo;  (* the last Receive kind of each rx queue *)
+  tx_kinds : Event.memo;  (* the last Send kind of each tx queue *)
+  end_move : Event.kind;  (* the Link_move of this end *)
 }
 
 type t = {
@@ -146,7 +148,10 @@ let register t (ce : CT.link_end) =
       in_replies = Queue.create ();
       rx_objs = queue_objs ce ~side:ce.CT.side;
       tx_objs = queue_objs ce ~side:(1 - ce.CT.side);
-      end_obj = Printf.sprintf "cha.L%d.s%d" ce.CT.link_id ce.CT.side;
+      rx_kinds = Event.memo 2;
+      tx_kinds = Event.memo 2;
+      end_move =
+        Event.Link_move { obj = Printf.sprintf "cha.L%d.s%d" ce.CT.link_id ce.CT.side };
     }
   in
   Lynx.Handle_table.replace t.chans h c;
@@ -401,8 +406,8 @@ let finalize_incoming t (c : chan) kind (d : Packet.data_header)
     (ends : CT.link_end list) =
   let eng = K.engine t.kernel in
   Engine.adopt eng (stamp_key c.ce ~side:c.ce.CT.side kind ~seq:d.Packet.d_seq);
-  Engine.emit eng
-    (Event.Receive { obj = c.rx_objs.(kind_index kind); op = d.Packet.d_op });
+  let ki = kind_index kind in
+  Engine.emit eng (Event.receive_kind c.rx_kinds ki ~obj:c.rx_objs.(ki) ~op:d.Packet.d_op);
   let handles = List.map (fun e -> (register t e).h) ends in
   let rx =
     {
@@ -632,17 +637,17 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~values ~enclosures ~sent =
     if not c.live then fail_frame t c fr
     else begin
       let eng = K.engine t.kernel in
+      let ki = kind_index kind in
       Engine.emit eng
-        (Event.Send
-           { obj = c.tx_objs.(kind_index kind); op;
-             mode =
-               (if retx || kind = Lynx.Backend.Reply then Event.Unordered
-                else Event.Ordered) });
+        (Event.send_kind c.tx_kinds ki ~obj:c.tx_objs.(ki) ~op
+           ~mode:
+             (if retx || kind = Lynx.Backend.Reply then Event.Unordered
+              else Event.Ordered));
       Engine.stamp eng (stamp_key c.ce ~side:(1 - c.ce.CT.side) kind ~seq:fr.fr_seq);
       List.iter
         (fun h ->
           match Lynx.Handle_table.find_opt t.chans h with
-          | Some ec -> Engine.emit eng (Event.Link_move { obj = ec.end_obj })
+          | Some ec -> Engine.emit eng ec.end_move
           | None -> ())
         enclosures;
       Hashtbl.replace c.frames fr.fr_seq fr;

@@ -37,7 +37,8 @@ type chan = {
   mutable in_present : bool array;  (* index: 0 = request, 1 = reply *)
   in_order : Lynx.Backend.kind Queue.t;  (* arrival order of the above *)
   slot_objs : string array;  (* the link object's slot queues' event names *)
-  end_obj : string;
+  slot_kinds : Event.memo;  (* their last Send/Receive kinds, by slot *)
+  end_move : Event.kind;  (* the Link_move of this end *)
 }
 
 type t = {
@@ -133,7 +134,8 @@ let register t ~obj ~side ~handle =
       in_present = Array.make 2 false;
       in_order = Queue.create ();
       slot_objs = Array.init 4 (Printf.sprintf "chry.o%d.slot%d" obj);
-      end_obj = Printf.sprintf "chry.end.o%d.s%d" obj side;
+      slot_kinds = Event.memo 4;
+      end_move = Event.Link_move { obj = Printf.sprintf "chry.end.o%d.s%d" obj side };
     }
   in
   Lynx.Handle_table.replace t.chans handle c;
@@ -199,19 +201,15 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~values ~enclosures ~sent =
     let eng = K.engine t.kernel in
     let slot = Layout.slot ~side:c.side ~kind in
     Engine.emit eng
-      (Event.Send
-         {
-           obj = c.slot_objs.(slot);
-           op;
-           mode =
-             (if retx || kind = Lynx.Backend.Reply then Event.Unordered
-              else Event.Ordered);
-         });
+      (Event.send_kind c.slot_kinds slot ~obj:c.slot_objs.(slot) ~op
+         ~mode:
+           (if retx || kind = Lynx.Backend.Reply then Event.Unordered
+            else Event.Ordered));
     Engine.stamp eng (slot_stamp_key c.obj slot corr);
     List.iter
       (fun h ->
         match Lynx.Handle_table.find_opt t.chans h with
-        | Some ec -> Engine.emit eng (Event.Link_move { obj = ec.end_obj })
+        | Some ec -> Engine.emit eng ec.end_move
         | None -> ())
       enclosures;
     let fr = build_frame t ~kind ~corr ~op ~exn_msg ~values ~enclosures ~sent in
@@ -302,7 +300,8 @@ let take t ~link ~kind =
           let eng = K.engine t.kernel in
           Engine.adopt eng (slot_stamp_key c.obj slot d.Layout.d_corr);
           Engine.emit eng
-            (Event.Receive { obj = c.slot_objs.(slot); op = d.Layout.d_op });
+            (Event.receive_kind c.slot_kinds slot ~obj:c.slot_objs.(slot)
+               ~op:d.Layout.d_op);
           consume_slot t c ~ki ~slot;
           Stats.incr t.sts Key.msgs_taken;
           (* Adopt any moved ends. *)

@@ -34,7 +34,9 @@ type chan = {
   in_q : pend_in Queue.t array;  (* indexed by kind *)
   rx_objs : string array;  (* our receive queues' event names, by kind *)
   tx_objs : string array;  (* the far end's receive queues' names *)
-  end_obj : string;
+  rx_kinds : Event.memo;  (* the last Receive kind of each rx queue *)
+  tx_kinds : Event.memo;  (* the last Send kind of each tx queue *)
+  end_move : Event.kind;  (* the Link_move of this end *)
 }
 
 type out_msg = {
@@ -115,7 +117,9 @@ let register t ~my_name ~far_name ~hint =
       in_q = [| Queue.create (); Queue.create () |];
       rx_objs = queue_objs my_name;
       tx_objs = queue_objs far_name;
-      end_obj = Printf.sprintf "soda.n%d" my_name;
+      rx_kinds = Event.memo 2;
+      tx_kinds = Event.memo 2;
+      end_move = Event.Link_move { obj = Printf.sprintf "soda.n%d" my_name };
     }
   in
   Lynx.Handle_table.replace t.chans h c;
@@ -581,18 +585,13 @@ let send t ~link ~kind ~corr ~op ~retx ~exn_msg ~values ~enclosures ~sent =
         o_done = false;
       }
     in
+    let ki = kind_index kind in
     Engine.emit (engine t)
-      (Event.Send
-         {
-           obj = c.tx_objs.(kind_index kind);
-           op;
-           mode =
-             (if retx || kind = Lynx.Backend.Reply then Event.Unordered
-              else Event.Ordered);
-         });
-    List.iter
-      (fun ec -> Engine.emit (engine t) (Event.Link_move { obj = ec.end_obj }))
-      encl_chans;
+      (Event.send_kind c.tx_kinds ki ~obj:c.tx_objs.(ki) ~op
+         ~mode:
+           (if retx || kind = Lynx.Backend.Reply then Event.Unordered
+            else Event.Ordered));
+    List.iter (fun ec -> Engine.emit (engine t) ec.end_move) encl_chans;
     post_msg t m
 
 let set_interest t ~link ~requests ~replies =
@@ -636,9 +635,9 @@ let take t ~link ~kind =
           None
         | body ->
           Engine.adopt (engine t) (req_key p.p_req);
+          let ki = kind_index kind in
           Engine.emit (engine t)
-            (Event.Receive
-               { obj = c.rx_objs.(kind_index kind); op = body.Wire.b_op });
+            (Event.receive_kind c.rx_kinds ki ~obj:c.rx_objs.(ki) ~op:body.Wire.b_op);
           let handles =
             List.map
               (fun (e : Wire.encl) ->

@@ -3,17 +3,18 @@ open Sim
 type t = {
   engine : Engine.t;
   stats : Stats.t;
-  token_latency : Time.t;
   n_stations : int;
   mutable busy_until : Time.t;
 }
 
-let create engine ?stats ?token_latency ~stations () =
+(* The average token rotation a sender waits before it holds the wire. *)
+let token_latency = Time.us 60
+
+let create engine ?stats ~stations () =
   if stations <= 0 then invalid_arg "Token_ring.create: stations";
   {
     engine;
     stats = (match stats with Some s -> s | None -> Stats.create ());
-    token_latency = Option.value token_latency ~default:(Time.us 60);
     n_stations = stations;
     busy_until = Time.zero;
   }
@@ -38,10 +39,10 @@ let transmit t ~src ~dst ~duration ~on_delivered =
     Engine.schedule_after t.engine duration on_delivered
   end
   else begin
-    let start = Time.add (Time.max now t.busy_until) t.token_latency in
+    let start = Time.add (Time.max now t.busy_until) token_latency in
     let finish = Time.add start duration in
     let queued = Time.sub start now in
-    if not (Time.is_zero (Time.sub queued t.token_latency)) then
+    if not (Time.is_zero (Time.sub queued token_latency)) then
       Stats.incr t.stats Key.queued_frames;
     Stats.incr t.stats Key.busy_ns ~by:(Time.to_ns duration);
     t.busy_until <- finish;

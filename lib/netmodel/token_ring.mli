@@ -2,7 +2,7 @@
 
     The ring is a single shared medium: one frame is on the wire at a
     time.  A station that wants to transmit waits for the medium to be
-    free, then for the token (a fixed average rotation cost), then holds
+    free, then for the token (a fixed average rotation cost, 60 µs), then holds
     the wire for the frame time.  Delivery fires when the frame has fully
     arrived at the destination.
 
@@ -15,7 +15,6 @@ type t
 val create :
   Sim.Engine.t ->
   ?stats:Sim.Stats.t ->
-  ?token_latency:Sim.Time.t ->
   stations:int ->
   unit ->
   t

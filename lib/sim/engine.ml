@@ -25,14 +25,16 @@ type fiber = {
 and kind = Stackless | Direct of direct
 
 (* What an effect fiber keeps for blocking, built once at spawn: the
-   continuation of its pending block, and the task that resumes it.
-   Every block of an effect fiber — a sleep, an {!await_prepared} —
-   leaves its continuation in [d_k] and queues [d_wakeup], so none
-   allocates a closure of its own. *)
+   continuation of its pending block, the task that resumes it, and the
+   task that wakes it from a {!yield}.  Every block of an effect fiber —
+   a sleep, an {!await_prepared}, a yield — leaves its continuation in
+   [d_k] and queues [d_wakeup] or [d_yield], so none allocates a closure
+   of its own. *)
 and direct = {
   d_fiber : fiber;
   mutable d_k : (unit, unit) Effect.Deep.continuation;
   d_wakeup : unit -> unit;
+  d_yield : unit -> unit;
 }
 
 (* What the wake of a {!prepare}d handle delivers: [Prepared] until its
@@ -608,6 +610,10 @@ let spawn t ?fid ?name ?daemon f =
       d_fiber = fiber;
       d_k = no_k;
       d_wakeup = (fun () -> run_as t fiber continue_direct d ());
+      d_yield =
+        (fun () ->
+          fiber.state <- Woken;
+          enqueue t t.now d.d_wakeup);
     }
   in
   fiber.kind <- Direct d;
@@ -667,11 +673,14 @@ let wake_handle t h out =
 let resume t h v = wake_handle t h (Value v)
 let resume_error t h exn = wake_handle t h (Raised exn)
 
-(* Two tasks at [now], as a wait woken from a task takes. *)
+(* Two tasks at [now], as a wait woken from a task takes: [d_yield]
+   wakes the fiber and queues its resumption.  Nothing else can wake a
+   yielding fiber, so it needs no handle. *)
 let yield t =
-  let h = prepare t in
-  enqueue t t.now (fun () -> resume t h ());
-  await_prepared t ~reason:"yield" h
+  let d = direct_current t "Engine.yield" in
+  enqueue t t.now d.d_yield;
+  park_as t d.d_fiber "yield" direct_twice;
+  Effect.perform Park
 
 (* ---- Stackless fibers ------------------------------------------------- *)
 

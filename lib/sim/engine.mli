@@ -375,7 +375,9 @@ val yield : t -> unit
 (** Re-queues the fiber at the current time, letting same-time tasks
     run: it blocks with reason ["yield"] and enqueues a task that wakes
     it, and the wake enqueues its resumption — two tasks, as a wait
-    woken from a task takes. *)
+    woken from a task takes.  Both tasks are the fiber's own, built at
+    {!spawn}, and no handle is made: a yield allocates only its two
+    queue entries. *)
 
 (** {1 Stackless fibers}
 

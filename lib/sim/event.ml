@@ -24,6 +24,28 @@ type t = {
 let placeholder =
   { ev_time = Time.zero; ev_fiber = -1; ev_clock = Vclock.empty; ev_kind = Note "" }
 
+type memo = kind array
+
+let memo n = Array.make n (Note "")
+
+let send_kind memo i ~obj ~op ~mode =
+  match memo.(i) with
+  | Send { obj = o; op = p; mode = m } as k
+    when o == obj && String.equal p op && m == mode ->
+    k
+  | _ ->
+    let k = Send { obj; op; mode } in
+    memo.(i) <- k;
+    k
+
+let receive_kind memo i ~obj ~op =
+  match memo.(i) with
+  | Receive { obj = o; op = p } as k when o == obj && String.equal p op -> k
+  | _ ->
+    let k = Receive { obj; op } in
+    memo.(i) <- k;
+    k
+
 let obj t =
   match t.ev_kind with
   | Send { obj; _ }

@@ -69,6 +69,30 @@ val placeholder : t
     Seeding a major-heap-sized [Array.make] with a young event instead
     would force a minor collection first. *)
 
+(** {2 Kinds built once per queue}
+
+    A kind is an immutable value, so events may share one.  A channel
+    names each of its queues once and keeps a memo slot per queue; a
+    [Send] or [Receive] on that queue reuses the slot's kind while the
+    message's [op] (and, for a send, [mode]) stay the same, so a steady
+    stream of one operation builds its kind once, observed or not. *)
+
+type memo
+(** One slot per queue, each holding the last kind built for it. *)
+
+val memo : int -> memo
+(** [memo n]: [n] empty slots. *)
+
+val send_kind : memo -> int -> obj:string -> op:string -> mode:send_mode -> kind
+(** [send_kind m i ~obj ~op ~mode] is [Send { obj; op; mode }]: the kind
+    in slot [i] when it is a [Send] on the very same [obj] (compared
+    physically) with an equal [op] and the same [mode], else a fresh one,
+    which replaces it. *)
+
+val receive_kind : memo -> int -> obj:string -> op:string -> kind
+(** [receive_kind m i ~obj ~op] is [Receive { obj; op }], reused from
+    slot [i] on the same terms as {!send_kind}. *)
+
 val obj : t -> string option
 (** The kernel object an event is keyed by, if any. *)
 

@@ -16,11 +16,16 @@ type req = {
   mutable q_state : req_state;
 }
 
+(* The interrupt object's event kinds never change, so they are built
+   with the process: delivering or draining an interrupt allocates no
+   kind. *)
 type process = {
   p_id : pid;
   p_node : node;
   p_label : string;
-  p_intr_obj : string;  (* event-object name, "soda.int<pid>" *)
+  p_intr_woke : Event.kind;  (* on the event object "soda.int<pid>" *)
+  p_intr_latched : Event.kind;
+  p_intr_seen : Event.kind;
   mutable p_alive : bool;
   mutable p_handler : (interrupt -> unit) option;
   mutable p_masked : bool;
@@ -36,7 +41,7 @@ type t = {
   bus : Netmodel.Csma_bus.t;
   procs : (pid, process) Hashtbl.t;
   reqs : (req_id, req) Hashtbl.t;
-  pair_count : (pid * pid, int ref) Hashtbl.t;
+  pair_count : (int, int ref) Hashtbl.t;  (* by [pair_key] *)
   mutable next_pid : int;
   mutable next_name : int;
   mutable next_req : int;
@@ -70,21 +75,29 @@ let stats t = t.sts
 let costs t = t.cst
 let nodes t = Netmodel.Csma_bus.stations t.bus
 
+(* Lookups use [Hashtbl.find]: [find_opt] would allocate its option on
+   every kernel call. *)
 let proc t pid =
-  match Hashtbl.find_opt t.procs pid with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "soda: unknown pid %d" pid)
+  match Hashtbl.find t.procs pid with
+  | p -> p
+  | exception Not_found -> invalid_arg (Printf.sprintf "soda: unknown pid %d" pid)
 
 let process_alive t pid = (proc t pid).p_alive
 let process_node t pid = (proc t pid).p_node
 let pids t = Hashtbl.fold (fun pid _ acc -> pid :: acc) t.procs [] |> List.sort compare
 
+(* One int per (source, destination) pair, so a lookup builds no
+   tuple.  Pids count up from 0, and a destination read off the wire is
+   an unsigned 32-bit field. *)
+let pair_key src dst = (src lsl 32) lor dst
+
 let pair t src dst =
-  match Hashtbl.find_opt t.pair_count (src, dst) with
-  | Some r -> r
-  | None ->
+  let key = pair_key src dst in
+  match Hashtbl.find t.pair_count key with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
-    Hashtbl.add t.pair_count (src, dst) r;
+    Hashtbl.add t.pair_count key r;
     r
 
 let outstanding t ~src ~dst = !(pair t src dst)
@@ -114,14 +127,14 @@ let deliver t p intr =
     match (p.p_handler, p.p_masked, intr) with
     | Some h, false, _ ->
       Stats.incr t.sts Key.interrupts;
-      Engine.emit t.eng (Event.Signal { obj = p.p_intr_obj; woke = true });
+      Engine.emit t.eng p.p_intr_woke;
       h intr
     | _, _, (Completed _ | Aborted _ | Withdrawn _) ->
       Stats.incr t.sts Key.interrupts_queued;
       (* The software-interrupt window: the completion arrived while the
          handler was masked or unset, so it only sits in the queue — it
          is seen again (Signal_seen) when the drain runs, or never. *)
-      Engine.emit t.eng (Event.Signal { obj = p.p_intr_obj; woke = false });
+      Engine.emit t.eng p.p_intr_latched;
       Queue.add intr p.p_queued
     | _, _, Request _ ->
       (* Requests are never queued at the target while masked: the
@@ -169,9 +182,9 @@ let abort_req t (q : req) reason =
    handler is masked (the requesting kernel's periodic retry). *)
 let rec present t (q : req) =
   if q.q_state = In_flight then begin
-    match Hashtbl.find_opt t.procs q.q_dst with
-    | None -> abort_req t q Peer_crashed
-    | Some dst ->
+    match Hashtbl.find t.procs q.q_dst with
+    | exception Not_found -> abort_req t q Peer_crashed
+    | dst ->
       if not dst.p_alive then abort_req t q Peer_crashed
       else if not (Hashtbl.mem dst.p_advertised q.q_name) then
         abort_req t q Name_not_advertised
@@ -227,9 +240,9 @@ let request t pid ~dst ~name:name_ ~oob ~data ~recv_max =
       Stats.incr t.sts Key.requests;
       (* Request leg: kernel processing + a small frame on the bus. *)
       let dst_node =
-        match Hashtbl.find_opt t.procs dst with
-        | Some p -> p.p_node
-        | None -> src.p_node
+        match Hashtbl.find t.procs dst with
+        | p -> p.p_node
+        | exception Not_found -> src.p_node
       in
       let duration =
         Time.add t.cst.Costs.op_fixed
@@ -246,14 +259,14 @@ let accept t pid ~req ~oob ~data ~recv_max =
   let p = proc t pid in
   if Bytes.length oob > t.cst.Costs.oob_limit then
     invalid_arg "soda.accept: oob too big";
-  match Hashtbl.find_opt p.p_presented req with
-  | None -> Error `Unknown
-  | Some q ->
+  match Hashtbl.find p.p_presented req with
+  | exception Not_found -> Error `Unknown
+  | q ->
     Hashtbl.remove p.p_presented req;
     if q.q_state <> Presented then Error `Unknown
     else (
-      match Hashtbl.find_opt t.procs q.q_src with
-      | Some src when src.p_alive ->
+      match Hashtbl.find t.procs q.q_src with
+      | src when src.p_alive ->
         finish_req t q;
         Stats.incr t.sts Key.accepts;
         let taken = min (Bytes.length q.q_data) recv_max in
@@ -276,7 +289,7 @@ let accept t pid ~req ~oob ~data ~recv_max =
               (Completed
                  { c_id = q.q_id; c_oob = oob; c_data = back; c_taken = taken }));
         Ok (Bytes.sub q.q_data 0 taken)
-      | _ ->
+      | _ | (exception Not_found) ->
         finish_req t q;
         Error `Requester_gone)
 
@@ -349,7 +362,7 @@ let discover t pid name_ =
 
 let drain_queued t p =
   while not (Queue.is_empty p.p_queued) do
-    Engine.emit t.eng (Event.Signal_seen { obj = p.p_intr_obj });
+    Engine.emit t.eng p.p_intr_seen;
     deliver t p (Queue.take p.p_queued)
   done
 
@@ -392,12 +405,15 @@ let spawn_process t ?(daemon = false) ~node ~name:label body =
     t.procs;
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
+  let obj = Printf.sprintf "soda.int%d" pid in
   let p =
     {
       p_id = pid;
       p_node = node;
       p_label = label;
-      p_intr_obj = Printf.sprintf "soda.int%d" pid;
+      p_intr_woke = Event.Signal { obj; woke = true };
+      p_intr_latched = Event.Signal { obj; woke = false };
+      p_intr_seen = Event.Signal_seen { obj };
       p_alive = true;
       p_handler = None;
       p_masked = false;

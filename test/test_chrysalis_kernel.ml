@@ -323,10 +323,31 @@ let enqueue_posts n =
          done));
   Engine.run e
 
+(* [n] rounds of the flag-word calls a LYNX message makes on a mapped
+   object — [read16], [atomic_or16], [atomic_and16] and [read32] — on an
+   unobserved engine.  Each call's one allocation is its charge's sleep:
+   a lookup that returns an option or a tuple, or an operator passed as
+   a closure, shows up here. *)
+let memory_ops n =
+  let e = Engine.create ~log_capacity:0 () in
+  let k = K.create e ~processors:1 () in
+  ignore
+    (K.spawn_process k ~node:0 ~name:"flags" (fun pid ->
+         let o = K.make_object k pid ~size:8 in
+         for _ = 1 to n do
+           ignore (K.read16 k pid o ~off:0);
+           ignore (K.atomic_or16 k pid o ~off:0 0x5);
+           ignore (K.atomic_and16 k pid o ~off:0 0xfffe);
+           ignore (K.read32 k pid o ~off:4)
+         done));
+  Engine.run e
+
 let allocation_tests =
   [
     Alcotest.test_case "words per enqueue and event post" `Quick (fun () ->
         Budgets.check "kernel.chrysalis" (Budgets.words_per_iter enqueue_posts));
+    Alcotest.test_case "words per flag-word round" `Quick (fun () ->
+        Budgets.check "kernel.chrysalis.memory" (Budgets.words_per_iter memory_ops));
   ]
 
 let () =

@@ -20,9 +20,7 @@ let ring_tests =
     Alcotest.test_case "concurrent frames serialize on the ring" `Quick
       (fun () ->
         let e = Engine.create () in
-        let r =
-          Netmodel.Token_ring.create e ~token_latency:Time.zero ~stations:4 ()
-        in
+        let r = Netmodel.Token_ring.create e ~stations:4 () in
         let deliveries = ref [] in
         for i = 1 to 3 do
           Netmodel.Token_ring.transmit r ~src:0 ~dst:1 ~duration:(Time.ms 10)
@@ -31,9 +29,11 @@ let ring_tests =
         done;
         Engine.run e;
         let times = List.rev_map snd !deliveries in
+        (* Each frame waits for the one before it, then for the 60 us
+           token. *)
         Alcotest.check
           Alcotest.(list (float 0.01))
-          "serialized" [ 10.; 20.; 30. ] times);
+          "serialized" [ 10.06; 20.12; 30.18 ] times);
     Alcotest.test_case "loopback skips the ring" `Quick (fun () ->
         let e = Engine.create () in
         let sts = Stats.create () in

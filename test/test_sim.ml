@@ -266,6 +266,36 @@ let queue_rung_tests =
 
 (* ---- structured event log: array representation ----------------------- *)
 
+(* Random calls on a three-slot memo: each returns a kind structurally
+   equal to a freshly built record, and the very record of the slot's
+   previous call when that call had the same inputs.  Ops are rebuilt
+   per call, so they match by value only; objects are shared names, so
+   they match physically. *)
+let kind_memo_property =
+  let objs = [| "q0"; "q1"; "q2" |] and modes = [| Event.Ordered; Unordered; Final |] in
+  QCheck.Test.make ~name:"Send/Receive kind memos" ~count:300
+    QCheck.(list (quad (int_bound 2) (int_bound 2) (int_bound 2) (int_bound 3)))
+    (fun calls ->
+      let m = Event.memo 3 in
+      let last = Array.make 3 None in
+      List.for_all
+        (fun (slot, o, op, how) ->
+          let obj = objs.(o) and op = String.make 1 "abc".[op] in
+          let fresh, k =
+            if how < 3 then
+              let mode = modes.(how) in
+              (Event.Send { obj; op; mode }, Event.send_kind m slot ~obj ~op ~mode)
+            else (Event.Receive { obj; op }, Event.receive_kind m slot ~obj ~op)
+          in
+          let reused =
+            match last.(slot) with
+            | Some (inputs, prev) when inputs = (o, op, how) -> k == prev
+            | _ -> true
+          in
+          last.(slot) <- Some ((o, op, how), k);
+          k = fresh && reused)
+        calls)
+
 let event_log_tests =
   [
     Alcotest.test_case "events snapshot is shared, not re-copied" `Quick
@@ -920,6 +950,37 @@ let engine_tests =
         ignore (Engine.spawn e (fun () -> log := "b" :: !log));
         Engine.run e;
         check Alcotest.(list string) "order" [ "a1"; "b"; "a2" ] (List.rev !log));
+    Alcotest.test_case "yield resumes where a woken wait would" `Quick (fun () ->
+        (* Same-time tasks queued before the yield ("t1", "b") and after
+           its first task ("t2", "t3") run before the fiber resumes; "t4",
+           queued once the wake has queued the resumption, runs after. *)
+        let e = Engine.create () in
+        let note msg = Engine.record e msg in
+        let later msg k = Engine.schedule_after e Time.zero (fun () -> note msg; k ()) in
+        ignore
+          (Engine.spawn e ~name:"a" (fun () ->
+               note "a1";
+               later "t1" (fun () -> later "t3" (fun () -> later "t4" ignore));
+               Engine.yield e;
+               note "a2"));
+        ignore (Engine.spawn e ~name:"b" (fun () -> note "b"; later "t2" ignore));
+        Engine.run e;
+        let notes =
+          Array.to_list (Engine.events e)
+          |> List.filter_map (fun ev ->
+                 match ev.Event.ev_kind with Event.Note m -> Some m | _ -> None)
+        in
+        check Alcotest.(list string) "resumption point"
+          [ "a1"; "b"; "t1"; "t2"; "t3"; "a2"; "t4" ] notes;
+        check Alcotest.(list string) "the one block"
+          [ "yield" ]
+          (Array.to_list (Engine.events e)
+          |> List.filter_map (fun ev ->
+                 match ev.Event.ev_kind with
+                 | Event.Block { reason } -> Some reason
+                 | _ -> None));
+        (* The handle-based yield's run, pinned. *)
+        check Alcotest.int64 "events hash" 3302770132059845893L (Engine.events_hash e));
     Alcotest.test_case "stop halts the loop" `Quick (fun () ->
         let e = Engine.create () in
         let count = ref 0 in
@@ -2436,7 +2497,7 @@ let () =
           ] );
       ("rng", rng_tests @ [ QCheck_alcotest.to_alcotest rng_property ]);
       ("engine", engine_tests);
-      ("event-log", event_log_tests);
+      ("event-log", event_log_tests @ [ QCheck_alcotest.to_alcotest kind_memo_property ]);
       ("sync", sync_tests);
       ("extra", extra_tests);
       ("causality", causality_tests);
