@@ -436,6 +436,39 @@ let test_json_shape () =
          in
          go 0))
 
+(* The bytes of every [--json] rendering, pinned by MD5: a clean run, a
+   faulted one, a live one and a workload with a [latency] object, and
+   the claims of one value and one bracket (not measured: their
+   results are built here). *)
+let test_json_bytes () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let artifacts =
+    List.filter_map
+      (fun s -> R.execute (Result.get_ok (Spec.of_string s)))
+      [
+        "move/chrysalis/3/fifo";
+        "cross-request/soda/2/fifo@drop";
+        "ring-election/chrysalis/1/fifo@leader-crash";
+        "wl-farm-open/chrysalis/1/fifo";
+      ]
+  in
+  Alcotest.(check int) "four artifacts" 4 (List.length artifacts);
+  Alcotest.(check string)
+    "artifact list json" "94b0a84059a52b84ba1729cd70241363" (md5 (A.list_to_json artifacts));
+  let module C = Metrics.Claims in
+  let claim id = List.find (fun c -> c.C.id = id) C.all in
+  let results =
+    [
+      { C.claim = claim "E1.lynx-0B"; measured = Ok (C.Value 57.25); ok = true };
+      {
+        C.claim = claim "E3.crossover";
+        measured = Ok (C.Bracket (1369., 1370.));
+        ok = true;
+      };
+    ]
+  in
+  Alcotest.(check string) "claims json" "74db24d9ff485a3b9d33d955898e2dc0" (md5 (C.to_json results))
+
 (* ---- repro dump ------------------------------------------------------- *)
 
 (* The dump's trace tail: the header line and the event lines after it. *)
@@ -1233,6 +1266,7 @@ let () =
             test_faulted_execute_deterministic;
           Alcotest.test_case "pool order" `Quick test_execute_many_order;
           Alcotest.test_case "json shape" `Quick test_json_shape;
+          Alcotest.test_case "json bytes" `Quick test_json_bytes;
         ] );
       ( "dump",
         [

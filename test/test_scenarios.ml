@@ -85,6 +85,20 @@ let fig2_tests =
               checki "slot writes" 2 (S.counter o "lynx_chrysalis.msgs_written"));
         ])
       [ 3; 5 ]
+  @ [
+      (* A Chrysalis slot holds about 2 KB: 2000 enclosures do not fit,
+         and the sender fails rather than truncating the message. *)
+      Alcotest.test_case "figure 2: chrysalis refuses k=2000" `Quick (fun () ->
+          match
+            S.enclosure_protocol ~n_encl:2000 S.default
+              Harness.Backend_world.chrysalis
+          with
+          | o -> Alcotest.failf "ran: %s" o.S.o_detail
+          | exception
+              ( Invalid_argument msg
+              | Sim.Engine.Fiber_crash (_, Invalid_argument msg) ) ->
+            checkb msg true (contains msg "message exceeds link buffer"));
+    ]
 
 let unwanted_tests =
   [
