@@ -2,7 +2,6 @@
 
    Subcommands:
      claims    measure the paper's figures and check each one
-     scenario  run one of the paper's qualitative scenarios
      explore   scenario x backend x seed x policy sweep with invariants
      chaos     the same sweep under fault plans
      lint      static protocol linter
@@ -156,74 +155,6 @@ let claims_cmd =
           and the ablations' predictions) and check it against the \
           paper; exit 1 if any claim fails.")
     Term.(const run $ ids $ json_arg)
-
-(* ---- scenario --------------------------------------------------------- *)
-
-let scenario_cmd =
-  let scenario_name =
-    let doc =
-      "Scenario name, one of the registry: move (figure 1), enclosures \
-       (figure 2), cross-request (§3.2.1), open-close (§3.2.1), \
-       lost-enclosure (§3.2.2), bounced-enclosure, shard-rpc (sharded \
-       RPC pairs), hint-repair (SODA), pair-pressure (SODA)."
-    in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc)
-  in
-  let encl =
-    Arg.(
-      value & opt int 3
-      & info [ "k"; "enclosures" ] ~docv:"K"
-          ~doc:"Enclosure count for the enclosures scenario.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Partition the simulation across $(docv) domains \
-             (conservative-window PDES).  The outcome is byte-identical \
-             at every value; only wall-clock time changes.")
-  in
-  let run (backend : BW.backend) name encl shards seed =
-    at_least 1 "--shards" shards;
-    let sc =
-      match S.find name with
-      | Some sc -> sc
-      | None ->
-        reject "unknown scenario %S (have: %s)" name
-          (String.concat ", " S.names)
-    in
-    if not (S.applies sc backend) then
-      reject "scenario %s does not apply to backend %s" name backend.name;
-    let ctx = { S.default with seed; shards } in
-    let o =
-      (* The registry runner fixes n_encl at the sweep default; the CLI
-         keeps its -k knob by calling the scenario directly. *)
-      if name = "enclosures" then begin
-        at_least 0 "--enclosures" encl;
-        (* A count past what the backend's messages carry fails inside
-           the simulation; report it like any other out-of-range flag. *)
-        try S.enclosure_protocol ~n_encl:encl ctx backend with
-        | Invalid_argument msg -> reject "bad --enclosures %d (%s)" encl msg
-        | Sim.Engine.Fiber_crash (who, e) ->
-          reject "bad --enclosures %d (%s failed: %s)" encl who
-            (Printexc.to_string e)
-      end
-      else sc.S.sc_run ctx backend
-    in
-    Printf.printf "%s: %s (%.2f ms simulated)\n" backend.name
-      (if o.S.o_ok then "ok" else "FAILED")
-      (Sim.Time.to_ms o.S.o_duration);
-    Printf.printf "  detail: %s\n" o.S.o_detail;
-    print_endline "  counter activity:";
-    List.iter
-      (fun (k, v) -> if v <> 0 then Printf.printf "    %-44s %d\n" k v)
-      o.S.o_counters;
-    if not o.S.o_ok then exit 1
-  in
-  Cmd.v
-    (Cmd.info "scenario" ~doc:"Run one of the paper's qualitative scenarios.")
-    Term.(const run $ backend_arg $ scenario_name $ encl $ shards $ seed_arg)
 
 (* ---- the sweep path ------------------------------------------------------ *)
 
@@ -415,16 +346,10 @@ let static_cmd =
   in
   let seeds = seeds_arg ~default:2 "Seeds 1..N for the $(b,--sweep) product." in
   let run names sweep seeds jobs json =
-    let module St = Analysis.Static in
-    let escape = Run.Artifact.escape and indexed = Run.Artifact.indexed_obj in
     let targets =
       protocols
         ~fixtures:(("broken", Analysis.Catalog.broken) :: Analysis.Catalog.broken_static)
         names
-    in
-    let analysed = List.map (fun (name, p) -> (name, St.predict p)) targets in
-    let alarms =
-      List.concat_map (fun (_, preds) -> St.alarms preds) analysed
     in
     (* The --sweep differential runs the scenario subset of the targets
        (broken fixtures have no runnable scenario) over every backend,
@@ -441,84 +366,12 @@ let static_cmd =
         Some
           (execute_sweep ~jobs (Run.Spec.product ~scenarios ~seeds ~plans ()))
     in
-    let gaps =
-      match sweep_artifacts with
-      | None -> []
-      | Some artifacts -> Run.Soundness.check artifacts
+    let report, failures =
+      Run.Soundness.static_report ~json ~seeds:(List.length seeds) targets
+        sweep_artifacts
     in
-    if json then begin
-      let buf = Buffer.create 2048 in
-      let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-      pr "{\n  \"schema\": \"lynx-run/1\",\n";
-      pr "  \"protocols\": ";
-      (match analysed with
-      | [] -> pr "{}"
-      | analysed ->
-        pr "{\n";
-        List.iteri
-          (fun i (name, preds) ->
-            if i > 0 then pr ",\n";
-            pr "    \"%s\": {\n" (escape name);
-            pr "      \"predictions\": ";
-            indexed buf ~indent:"      "
-              (Format.asprintf "%a" St.pp_prediction)
-              preds;
-            pr ",\n      \"alarms\": %d\n    }" (List.length (St.alarms preds)))
-          analysed;
-        pr "\n  }");
-      pr ",\n  \"alarms\": %d" (List.length alarms);
-      (match sweep_artifacts with
-      | None -> ()
-      | Some artifacts ->
-        let coverage = Run.Soundness.coverage artifacts in
-        pr ",\n  \"soundness\": {\n";
-        pr "    \"runs\": %d,\n" (List.length artifacts);
-        pr "    \"gaps\": ";
-        indexed buf ~indent:"    "
-          (fun (g : Run.Soundness.gap) ->
-            Printf.sprintf "%s: %s %s — %s"
-              (Run.Spec.to_string g.Run.Soundness.g_spec)
-              g.Run.Soundness.g_race.Analysis.Races.r_rule
-              g.Run.Soundness.g_race.Analysis.Races.r_obj
-              g.Run.Soundness.g_reason)
-          gaps;
-        pr ",\n    \"coverage\": ";
-        indexed buf ~indent:"    "
-          (fun (l : Run.Soundness.coverage_line) ->
-            Printf.sprintf "%s %s"
-              (if l.Run.Soundness.c_observed then "seen" else "unseen")
-              (Format.asprintf "%a" St.pp_prediction
-                 l.Run.Soundness.c_prediction))
-          coverage;
-        pr "\n  }");
-      pr "\n}\n";
-      print_string (Buffer.contents buf)
-    end
-    else begin
-      List.iter
-        (fun (name, preds) ->
-          let n_alarm = List.length (St.alarms preds) in
-          if preds = [] then
-            Printf.printf "%-20s no concurrency predicted\n" name
-          else begin
-            Printf.printf "%-20s %d prediction(s), %d alarm(s)\n" name
-              (List.length preds) n_alarm;
-            List.iter
-              (fun p -> Format.printf "  %a@." St.pp_prediction p)
-              preds
-          end)
-        analysed;
-      match sweep_artifacts with
-      | None -> ()
-      | Some artifacts ->
-        Printf.printf "\nsoundness sweep: %d runs (all backends, seeds 1..%d, \
-                       every plan)\n"
-          (List.length artifacts) (List.length seeds);
-        print_string (Run.Soundness.report gaps);
-        print_newline ();
-        print_string (Run.Soundness.coverage_report artifacts)
-    end;
-    if alarms <> [] || gaps <> [] then exit 1
+    print_string report;
+    if failures > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "static"
@@ -783,7 +636,6 @@ let () =
     Cmd.group (Cmd.info "lynx_sim" ~version:"1.0.0" ~doc)
       [
         claims_cmd;
-        scenario_cmd;
         explore_cmd;
         chaos_cmd;
         lint_cmd;

@@ -171,23 +171,27 @@ let markdown results =
     :: List.map (fun r -> line (cells r)) results)
 
 let to_json results =
-  let buf = Buffer.create 4096 in
-  let pr fmt = Printf.bprintf buf fmt in
-  let str key s = pr "      \"%s\": \"%s\",\n" key (Run.Artifact.escape s) in
-  pr "{\n  \"schema\": \"lynx-run/1\",\n  \"claims\": {";
-  List.iteri
-    (fun i r ->
-      let c = r.claim in
-      pr "%s\n    \"%s\": {\n" (if i > 0 then "," else "") (Run.Artifact.escape c.id);
-      str "section" c.section;
-      str "measures" c.what;
-      str "paper" (paper_cell c);
-      (match r.measured with
-      | Ok (Value v) -> pr "      \"value\": %.17g,\n" v
-      | Ok (Bracket (lo, hi)) -> pr "      \"lo\": %.17g,\n      \"hi\": %.17g,\n" lo hi
-      | Error msg -> str "error" msg);
-      str "measured" (measured_cell r);
-      pr "      \"ok\": %d\n    }" (Bool.to_int r.ok))
-    results;
-  pr "\n  }\n}\n";
-  Buffer.contents buf
+  let module J = Run.Json in
+  let num v = J.Num (Printf.sprintf "%.17g" v) in
+  let claim r =
+    let c = r.claim in
+    let measured =
+      match r.measured with
+      | Ok (Value v) -> [ ("value", num v) ]
+      | Ok (Bracket (lo, hi)) -> [ ("lo", num lo); ("hi", num hi) ]
+      | Error msg -> [ ("error", J.Str msg) ]
+    in
+    ( c.id,
+      J.Obj
+        ([
+           ("section", J.Str c.section);
+           ("measures", J.Str c.what);
+           ("paper", J.Str (paper_cell c));
+         ]
+        @ measured
+        @ [
+            ("measured", J.Str (measured_cell r));
+            ("ok", J.int (Bool.to_int r.ok));
+          ]) )
+  in
+  J.to_string (J.document [ ("claims", J.Obj (List.map claim results)) ])

@@ -170,39 +170,6 @@ module Persistent = struct
       | (_, e, bt) :: _ -> Printexc.raise_with_backtrace e bt
     end
 
-  (* Same contract as the batch [run] above — atomic cursor, results by
-     index, lowest-indexed failure re-raised — but on the resident
-     domains, so a caller issuing many small batches pays no per-call
-     spawn. *)
-  let run t (fs : (unit -> 'a) array) : 'a array =
-    let n = Array.length fs in
-    if n = 0 then [||]
-    else begin
-      let results : ('a, exn * Printexc.raw_backtrace) result option array =
-        Array.make n None
-      in
-      let cursor = Atomic.make 0 in
-      round t (fun _slot ->
-          let rec loop () =
-            let i = Atomic.fetch_and_add cursor 1 in
-            if i < n then begin
-              (results.(i) <-
-                Some
-                  (match fs.(i) () with
-                  | v -> Ok v
-                  | exception e -> Error (e, Printexc.get_raw_backtrace ())));
-              loop ()
-            end
-          in
-          loop ());
-      Array.map
-        (function
-          | Some (Ok v) -> v
-          | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-          | None -> assert false)
-        results
-    end
-
   let shutdown t =
     if not t.quit then begin
       Mutex.lock t.m;

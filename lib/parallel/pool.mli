@@ -52,11 +52,6 @@ module Persistent : sig
       when every slot has finished; if any slot raised, the
       lowest-slot exception is re-raised with its backtrace. *)
 
-  val run : t -> (unit -> 'a) array -> 'a array
-  (** Batch submission with the same contract as the top-level {!run}
-      (atomic cursor, results by input index, lowest-indexed failure
-      re-raised) but on the resident domains. *)
-
   val shutdown : t -> unit
   (** Joins the resident domains.  Idempotent; further submissions
       raise [Invalid_argument]. *)

@@ -120,128 +120,66 @@ let races_report ~backend ~scenarios artifacts =
 
 (* ---- JSON rendering ------------------------------------------------- *)
 
-(* The writer stays within the subset bench/compare.exe parses: objects,
-   strings and numbers only.  No arrays, no booleans, no null. *)
+let counters_json kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) kvs)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let indexed_obj buf ~indent render = function
-  | [] -> Buffer.add_string buf "{}"
-  | items ->
-    Buffer.add_string buf "{\n";
-    List.iteri
-      (fun i item ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf
-          (Printf.sprintf "%s  \"%d\": \"%s\"" indent i (escape (render item))))
-      items;
-    Buffer.add_string buf (Printf.sprintf "\n%s}" indent)
-
-let add_body buf ~indent a =
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let field ?(last = false) k render =
-    pr "%s\"%s\": " indent k;
-    render ();
-    if not last then Buffer.add_string buf ",";
-    Buffer.add_string buf "\n"
-  in
-  field "spec" (fun () -> pr "\"%s\"" (escape (Spec.to_string a.spec)));
-  field "ok" (fun () -> pr "%d" (if a.ok then 1 else 0));
-  field "detail" (fun () -> pr "\"%s\"" (escape a.detail));
-  field "duration_ms" (fun () -> pr "%.6f" (Sim.Time.to_ms a.duration));
-  field "events_hash" (fun () -> pr "\"%016Lx\"" a.events_hash);
-  field "violations" (fun () ->
-      indexed_obj buf ~indent Invariant.to_string a.violations);
-  field "races" (fun () ->
-      indexed_obj buf ~indent
-        (Format.asprintf "%a" Analysis.Races.pp_finding)
-        a.races);
-  field "liveness" (fun () ->
-      pr "\"%s\"" (escape (Liveness.to_string a.liveness)));
+let json_body a =
+  let num fmt = Printf.ksprintf (fun s -> Json.Num s) fmt in
   (* Reply-latency summary (workload scenarios only).  Omitted when
      absent so pre-workload artifact dumps stay byte-identical. *)
-  (match a.latency with
-  | None -> ()
-  | Some s ->
-    let open Sim.Stats.Histogram in
-    let throughput =
-      if Sim.Time.to_sec a.duration > 0. then
-        float_of_int s.h_count /. Sim.Time.to_sec a.duration
-      else 0.
-    in
-    field "latency" (fun () ->
-        pr "{\n";
-        pr "%s  \"count\": %d,\n" indent s.h_count;
-        pr "%s  \"throughput_rps\": %.1f,\n" indent throughput;
-        pr "%s  \"mean_us\": %.3f,\n" indent (Sim.Time.to_us s.h_mean);
-        pr "%s  \"min_us\": %.3f,\n" indent (Sim.Time.to_us s.h_min);
-        pr "%s  \"p50_us\": %.3f,\n" indent (Sim.Time.to_us s.h_p50);
-        pr "%s  \"p99_us\": %.3f,\n" indent (Sim.Time.to_us s.h_p99);
-        pr "%s  \"p999_us\": %.3f,\n" indent (Sim.Time.to_us s.h_p999);
-        pr "%s  \"max_us\": %.3f\n" indent (Sim.Time.to_us s.h_max);
-        pr "%s}" indent));
-  field "faults" (fun () ->
+  let latency =
+    match a.latency with
+    | None -> []
+    | Some s ->
+      let open Sim.Stats.Histogram in
+      let secs = Sim.Time.to_sec a.duration in
+      let us t = num "%.3f" (Sim.Time.to_us t) in
+      [
+        ( "latency",
+          Json.Obj
+            [
+              ("count", Json.int s.h_count);
+              ( "throughput_rps",
+                num "%.1f"
+                  (if secs > 0. then float_of_int s.h_count /. secs else 0.) );
+              ("mean_us", us s.h_mean);
+              ("min_us", us s.h_min);
+              ("p50_us", us s.h_p50);
+              ("p99_us", us s.h_p99);
+              ("p999_us", us s.h_p999);
+              ("max_us", us s.h_max);
+            ] );
+      ]
+  in
+  [
+    ("spec", Json.Str (Spec.to_string a.spec));
+    ("ok", Json.int (Bool.to_int a.ok));
+    ("detail", Json.Str a.detail);
+    ("duration_ms", num "%.6f" (Sim.Time.to_ms a.duration));
+    ("events_hash", Json.Str (Printf.sprintf "%016Lx" a.events_hash));
+    ("violations", Json.indexed Invariant.to_string a.violations);
+    ( "races",
+      Json.indexed (Format.asprintf "%a" Analysis.Races.pp_finding) a.races );
+    ("liveness", Json.Str (Liveness.to_string a.liveness));
+  ]
+  @ latency
+  @ [
       (* The fault/screening/recovery counter slice, pre-filtered so CI
          scripts can diff the fault-tolerance story without knowing the
          prefix list. *)
-      match fault_counters a with
-      | [] -> pr "{}"
-      | fc ->
-        pr "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then pr ",\n";
-            pr "%s  \"%s\": %d" indent (escape k) v)
-          fc;
-        pr "\n%s}" indent);
-  field ~last:true "counters" (fun () ->
-      match a.counters with
-      | [] -> pr "{}"
-      | counters ->
-        pr "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then pr ",\n";
-            pr "%s  \"%s\": %d" indent (escape k) v)
-          counters;
-        pr "\n%s}" indent)
+      ("faults", counters_json (fault_counters a));
+      ("counters", counters_json a.counters);
+    ]
 
-let to_json a =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"lynx-run/1\",\n";
-  add_body buf ~indent:"  " a;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+let to_json a = Json.to_string (Json.document (json_body a))
 
 let list_to_json artifacts =
-  let buf = Buffer.create 4096 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "{\n  \"schema\": \"lynx-run/1\",\n";
-  pr "  \"runs\": %d,\n" (List.length artifacts);
-  pr "  \"artifacts\": ";
-  (match artifacts with
-  | [] -> pr "{}"
-  | artifacts ->
-    pr "{\n";
-    List.iteri
-      (fun i a ->
-        if i > 0 then pr ",\n";
-        pr "    \"%s\": {\n" (escape (Spec.to_string a.spec));
-        add_body buf ~indent:"      " a;
-        pr "    }")
-      artifacts;
-    pr "\n  }");
-  pr "\n}\n";
-  Buffer.contents buf
+  Json.to_string
+    (Json.document
+       [
+         ("runs", Json.int (List.length artifacts));
+         ( "artifacts",
+           Json.Obj
+             (List.map
+                (fun a -> (Spec.to_string a.spec, Json.Obj (json_body a)))
+                artifacts) );
+       ])

@@ -69,14 +69,6 @@ val races_report :
     count.  The artifacts align with [scenarios]; [None] entries render
     as ["n/a on <backend>"]. *)
 
-val escape : string -> string
-(** JSON string-body escaping. *)
-
-val indexed_obj :
-  Buffer.t -> indent:string -> ('a -> string) -> 'a list -> unit
-(** A list rendered as an index-keyed object of strings
-    ([{"0": "...", ...}]) — the parser subset has no arrays. *)
-
 val to_json : t -> string
 (** One artifact as JSON.  Stays within the objects/strings/numbers
     subset [bench/compare.exe] parses, so CI can assert the output is

@@ -56,7 +56,7 @@ val execute_full :
   (Harness.Scenarios.outcome option * Artifact.t) option
 (** [execute], also returning the raw outcome — repro dumps read the
     engine view (trace tail, fiber states) from it, so without
-    [log_capacity] it keeps the engine's default append log.  The
+    [log_capacity] it keeps the engine's default ring.  The
     outcome is [None] only when a faulted run aborted (no engine view
     exists). *)
 
@@ -73,7 +73,7 @@ val execute : ?log_capacity:int -> Spec.t -> Artifact.t option
     counters, [events_hash] — is identical at every capacity, so a
     caller that only reads the artifact has no use for a log; callers
     that read the engine view use {!execute_full}, whose default is the
-    engine's append log. *)
+    engine's default ring. *)
 
 val execute_many :
   ?jobs:int -> ?log_capacity:int -> Spec.t list -> Artifact.t option list
@@ -93,10 +93,8 @@ val dump : Harness.Scenarios.outcome option -> Artifact.t -> string
     plan, verdict, events hash, liveness, violations, races and counter
     activity, then — when the run produced an outcome — its unfinished
     fibers and a trace tail of the last {!tail_length} retained
-    structured events as time, fiber id and {!Sim.Event.kind_to_string}.
-    The tail is the end of the run only when the outcome was retained
-    in a [log_capacity] ring: the engine's default append mode keeps
-    the oldest events.  A ring shorter than {!tail_length} shortens
+    structured events as time, fiber id and {!Sim.Event.kind_to_string}:
+    the end of the run.  A ring shorter than {!tail_length} shortens
     the tail. *)
 
 val repro : Spec.t -> string

@@ -11,6 +11,7 @@
 
 module Spec = Spec
 module Artifact = Artifact
+module Json = Json
 module Invariant = Invariant
 module Liveness = Liveness
 module Soundness = Soundness

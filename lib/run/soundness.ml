@@ -73,6 +73,10 @@ let check artifacts =
   let cache = Hashtbl.create 16 in
   List.concat_map (gaps_of cache) artifacts
 
+let gap_line g =
+  Printf.sprintf "%s: %s %s — %s" (Spec.to_string g.g_spec)
+    g.g_race.Analysis.Races.r_rule g.g_race.Analysis.Races.r_obj g.g_reason
+
 let report gaps =
   let buf = Buffer.create 256 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -81,13 +85,7 @@ let report gaps =
     pr "SOUNDNESS GAP: %d dynamic race finding(s) outside the static \
        prediction set\n"
       (List.length gaps);
-    List.iter
-      (fun g ->
-        pr "  %s: %s %s — %s\n"
-          (Spec.to_string g.g_spec)
-          g.g_race.Analysis.Races.r_rule g.g_race.Analysis.Races.r_obj
-          g.g_reason)
-      gaps
+    List.iter (fun g -> pr "  %s\n" (gap_line g)) gaps
   end;
   Buffer.contents buf
 
@@ -154,3 +152,67 @@ let coverage_report artifacts =
         (Format.asprintf "%a" Analysis.Static.pp_prediction l.c_prediction))
     lines;
   Buffer.contents buf
+
+(* ---- the static report: each protocol's predictions, then the
+   soundness sweep's gaps and coverage when one ran. *)
+
+let static_report ~json ~seeds targets sweep =
+  let module St = Analysis.Static in
+  let analysed = List.map (fun (name, p) -> (name, St.predict p)) targets in
+  let alarms = List.concat_map (fun (_, preds) -> St.alarms preds) analysed in
+  let gaps = Option.fold ~none:[] ~some:check sweep in
+  let pred = Format.asprintf "%a" St.pp_prediction in
+  let rendered =
+    if json then
+      let protocol (name, preds) =
+        ( name,
+          Json.Obj
+            [
+              ("predictions", Json.indexed pred preds);
+              ("alarms", Json.int (List.length (St.alarms preds)));
+            ] )
+      in
+      let soundness artifacts =
+        let seen l =
+          (if l.c_observed then "seen " else "unseen ") ^ pred l.c_prediction
+        in
+        [
+          ( "soundness",
+            Json.Obj
+              [
+                ("runs", Json.int (List.length artifacts));
+                ("gaps", Json.indexed gap_line gaps);
+                ("coverage", Json.indexed seen (coverage artifacts));
+              ] );
+        ]
+      in
+      Json.to_string
+        (Json.document
+           ([
+              ("protocols", Json.Obj (List.map protocol analysed));
+              ("alarms", Json.int (List.length alarms));
+            ]
+           @ Option.fold ~none:[] ~some:soundness sweep))
+    else begin
+      let buf = Buffer.create 1024 in
+      let pr fmt = Printf.bprintf buf fmt in
+      List.iter
+        (fun (name, preds) ->
+          if preds = [] then pr "%-20s no concurrency predicted\n" name
+          else begin
+            pr "%-20s %d prediction(s), %d alarm(s)\n" name (List.length preds)
+              (List.length (St.alarms preds));
+            List.iter (fun p -> pr "  %s\n" (pred p)) preds
+          end)
+        analysed;
+      Option.iter
+        (fun artifacts ->
+          pr "\nsoundness sweep: %d runs (all backends, seeds 1..%d, every \
+              plan)\n"
+            (List.length artifacts) seeds;
+          pr "%s\n%s" (report gaps) (coverage_report artifacts))
+        sweep;
+      Buffer.contents buf
+    end
+  in
+  (rendered, List.length alarms + List.length gaps)

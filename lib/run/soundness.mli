@@ -48,3 +48,16 @@ val coverage : Artifact.t list -> coverage_line list
     exploration is still blind (ROADMAP item 5's seed input). *)
 
 val coverage_report : Artifact.t list -> string
+
+val static_report :
+  json:bool ->
+  seeds:int ->
+  (string * Analysis.Protocol.t) list ->
+  Artifact.t list option ->
+  string * int
+(** The [lynx_sim static] report over named protocols: each one's
+    predictions and alarm count, then, when a soundness sweep's
+    artifacts (over seeds 1..[seeds]) are given, its gaps and
+    {!coverage}.  Text, or the [lynx-run/1] JSON object under [~json].
+    The count is the alarms plus the gaps: the command fails when it is
+    not zero. *)

@@ -87,17 +87,15 @@ type t = {
      through timed hops and wakes without the sync primitives knowing
      about clocks at all. *)
   mutable amb_clock : Vclock.t;
-  (* Structured event log: a growable array, oldest first.  No per-event
-     list cell, and O(1) drop accounting once [event_cap] is reached.
-     With [log_cap = Some k] the array is a ring holding the last [k]
-     events instead ([ev_start] is the read offset of the oldest);
+  (* Structured event log: a ring holding the last [log_cap] events,
+     grown on demand up to that capacity ([ev_start] is the read offset
+     of the oldest).  No per-event list cell, and O(1) drop accounting;
      retention never affects [events_hash], [events_total] or the
      consumers, which see every emitted event. *)
   mutable ev_arr : Event.t array;
   mutable ev_len : int;
   mutable ev_start : int;
-  event_cap : int;
-  log_cap : int option;
+  log_cap : int;
   mutable events_total : int;
   mutable events_hash : int;
   mutable consumers : (Event.t -> unit) list;
@@ -163,8 +161,8 @@ let sentinel () =
   in
   s
 
-let create ?(seed = 42) ?(policy = Fifo) ?(event_capacity = 200_000)
-    ?log_capacity ?(on_crash = `Raise) () =
+let create ?(seed = 42) ?(policy = Fifo) ?log_capacity ?(on_crash = `Raise)
+    () =
   let sched_seed =
     match policy with
     | Fifo -> 0
@@ -178,6 +176,7 @@ let create ?(seed = 42) ?(policy = Fifo) ?(event_capacity = 200_000)
     | None, Some ob -> ob.ob_log_capacity
     | None, None -> None
   in
+  let log_cap = Option.value log_cap ~default:200_000 in
   let t =
     {
       now = Time.zero;
@@ -198,13 +197,12 @@ let create ?(seed = 42) ?(policy = Fifo) ?(event_capacity = 200_000)
       ev_arr = [||];
       ev_len = 0;
       ev_start = 0;
-      event_cap = event_capacity;
       log_cap;
       events_total = 0;
       events_hash = 0x0bf29ce484222325;
       consumers = [];
       stamps = Hashtbl.create 64;
-      observed = log_cap <> Some 0;
+      observed = log_cap <> 0;
       handler = None;
     }
   in
@@ -254,35 +252,25 @@ let grow_events t ~cap_limit =
 (* Retention only: which slot (if any) keeps [ev].  The fingerprint,
    total count and consumers have already seen the event regardless. *)
 let retain t ev =
-  match t.log_cap with
-  | None ->
-    if t.ev_len < t.event_cap then begin
-      if t.ev_len = Array.length t.ev_arr then
-        grow_events t ~cap_limit:t.event_cap;
-      t.ev_arr.(t.ev_len) <- ev;
-      t.ev_len <- t.ev_len + 1
-    end
-  | Some k ->
-    if k > 0 then
-      if t.ev_len < k then begin
-        (* Growth phase: behaves like the plain append mode until the
-           ring is full, so short runs pay nothing for the bound. *)
-        if t.ev_len = Array.length t.ev_arr then grow_events t ~cap_limit:k;
-        t.ev_arr.(t.ev_len) <- ev;
-        t.ev_len <- t.ev_len + 1
-      end
-      else begin
-        (* Full: overwrite the oldest slot and advance the read offset.
-           The backing array has length exactly [k] here (growth is
-           capped at [k]). *)
-        t.ev_arr.(t.ev_start) <- ev;
-        t.ev_start <- (t.ev_start + 1) mod k
-      end
+  let k = t.log_cap in
+  if t.ev_len < k then begin
+    (* Growth phase: short runs pay nothing for the bound. *)
+    if t.ev_len = Array.length t.ev_arr then grow_events t ~cap_limit:k;
+    t.ev_arr.(t.ev_len) <- ev;
+    t.ev_len <- t.ev_len + 1
+  end
+  else if k > 0 then begin
+    (* Full: overwrite the oldest slot and advance the read offset.  The
+       backing array has length exactly [k] here (growth is capped at
+       [k]). *)
+    t.ev_arr.(t.ev_start) <- ev;
+    t.ev_start <- (t.ev_start + 1) mod k
+  end
 
 (* FNV-style word fold in native ints: a byte-wise int64 fold would
    cost 24 boxed multiplications per event, which would dominate the
    emit path.  It folds every emitted event, retained or not, so it is
-   exact at any [log_capacity] and in either mode. *)
+   exact at any [log_capacity]. *)
 let fold h i = (h lxor i) * 0x100000001B3
 
 let[@inline] count_event t time fid kind =
@@ -337,24 +325,23 @@ let absorb t (ev : Event.t) =
   retain t ev;
   feed t.consumers ev
 
-(* Append mode trims to fit, then shares: the first call after a run
-   replaces the backing array with a fresh copy of the live prefix
-   ([Array.sub]) and every later call returns that same array without
-   copying.  Appending after a snapshot is safe — a later [emit] sees a
-   full array, takes the grow path, and copies into a new backing array,
-   so the snapshot the caller holds is never mutated; the next [events]
-   call then trims again and returns a different array.  Callers must
-   treat the result as read-only but never see it change underneath
-   them.  Ring mode copies unconditionally: the ring keeps rotating, so
-   sharing its storage would let later emits overwrite a returned
-   snapshot in place. *)
+(* Until the ring is full, [events] trims to fit, then shares: the
+   first call after a run replaces the backing array with a fresh copy
+   of the live prefix ([Array.sub]) and every later call returns that
+   same array without copying.  Appending after a snapshot is safe — a
+   later [emit] sees a full array, takes the grow path, and copies into
+   a new backing array, so the snapshot the caller holds is never
+   mutated; the next [events] call then trims again and returns a
+   different array.  Callers must treat the result as read-only but
+   never see it change underneath them.  A full ring copies: the next
+   emit overwrites its oldest slot in place. *)
 let events t =
-  match t.log_cap with
-  | None ->
+  if t.ev_len < t.log_cap then begin
     if Array.length t.ev_arr <> t.ev_len then
       t.ev_arr <- Array.sub t.ev_arr 0 t.ev_len;
     t.ev_arr
-  | Some _ ->
+  end
+  else
     let n = Array.length t.ev_arr in
     Array.init t.ev_len (fun i -> t.ev_arr.((t.ev_start + i) mod n))
 

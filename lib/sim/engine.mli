@@ -56,7 +56,6 @@ exception Fiber_crash of string * exn
 val create :
   ?seed:int ->
   ?policy:policy ->
-  ?event_capacity:int ->
   ?log_capacity:int ->
   ?on_crash:[ `Raise | `Record ] ->
   unit ->
@@ -67,11 +66,10 @@ val create :
     RNG stream — and therefore all model-level randomness — is identical
     across policies.
 
-    [log_capacity] bounds the {e retained} structured log: [Some k]
-    keeps only the last [k] events in a ring buffer (so a long run
-    retains O(k) memory), [Some 0] retains nothing, and [None] (the
-    default) keeps the full prefix up to [event_capacity] (default
-    200k), after which further events are dropped from retention.
+    [log_capacity] bounds the {e retained} structured log: [k] keeps
+    only the last [k] events in a ring buffer (so a long run retains
+    O(k) memory) and [0] retains nothing.  When unset the ring holds
+    200k events.
     Retention never affects {!events_hash}, {!events_total}, or what
     streaming consumers ({!add_consumer}) observe — those see every
     emitted event, so determinism fingerprints and online analyses are
@@ -81,7 +79,7 @@ val create :
     Retention costs host time (every kept event is promoted to the major
     heap), so callers that read only summaries retain nothing:
     [Run.execute], [Run.execute_many] and [Harness.Rpc_bench] pass
-    [0].  The append default serves callers that read {!events} or
+    [0].  The default ring serves callers that read {!events} or
     [v_events].
 
     {b Causality on demand.}  An engine is {e observed} when something
@@ -98,9 +96,9 @@ val create :
 val add_consumer : t -> (Event.t -> unit) -> unit
 (** Registers a streaming consumer called synchronously from {!emit}
     with every structured event, in emission order — including events
-    the log does not retain (past [event_capacity], or rotated out of a
-    [log_capacity] ring).  Consumers run in emission order of
-    registration and must not call back into the engine.
+    the log does not retain (rotated out of the ring).  Consumers run
+    in emission order of registration and must not call back into the
+    engine.
 
     Registering makes the engine observed (see {!create}), so it is
     only allowed before the first event: raises [Invalid_argument] once
@@ -174,18 +172,16 @@ val absorb : t -> Event.t -> unit
 val events : t -> Event.t array
 (** The retained structured events, oldest first.
 
-    {b Aliasing contract (append mode, the default).}  The first call
+    {b Aliasing contract.}  Until the ring is full, the first call
     after a run trims the internal buffer to the live prefix and returns
     it; later calls (and {!view} snapshots) return {e that same array}
     without copying, for as long as no new events are emitted.  Emitting
     after a snapshot never mutates the snapshot: the next {!emit} takes
     the grow path, which copies into a fresh backing array, and the next
     [events] call trims again and returns a {e different} array with the
-    old one left intact.  Treat the result as read-only.
-
-    {b Ring mode} ([create ~log_capacity]): every call returns a fresh,
-    unwrapped copy of the ring contents — the ring keeps rotating, so
-    its storage is never shared with callers. *)
+    old one left intact.  Once the ring is full every call returns a
+    fresh, unwrapped copy — the ring keeps rotating, so its storage is
+    never shared with callers.  Treat the result as read-only. *)
 
 val iter_events : t -> (Event.t -> unit) -> unit
 (** Iterates the structured log oldest-first without materialising
@@ -196,9 +192,8 @@ val events_total : t -> int
     any [log_capacity]. *)
 
 val events_dropped : t -> int
-(** Events emitted but no longer retained: past [event_capacity]
-    (default 200k) in append mode, or rotated out of the ring in
-    [log_capacity] mode.  Always [events_total - Array.length (events t)]. *)
+(** Events emitted but no longer retained: rotated out of the ring.
+    Always [events_total - Array.length (events t)]. *)
 
 val events_hash : t -> int64
 (** Incremental FNV-1a fingerprint of the full structured stream

@@ -172,7 +172,6 @@ type 'msg t = {
   mutable nodes : 'msg node list;  (* reversed; arrayed, then dropped, at run *)
   mutable n_count : int;
   mutable node_arr : 'msg node array;
-  pool_ext : Pool.Persistent.t option;
   mutable windows : int;
   mutable xshard : int;
   mutable ran : bool;
@@ -206,7 +205,7 @@ and 'msg node = {
 type 'msg ctx = 'msg node
 
 let create ?(shards = 1) ?(seed = 42) ?(policy = Engine.Fifo) ?log_capacity
-    ?pool ~lookahead () =
+    ~lookahead () =
   if shards < 1 then invalid_arg "Shard.create: shards must be at least 1";
   if Time.is_zero lookahead then
     invalid_arg "Shard.create: lookahead must be positive";
@@ -257,7 +256,6 @@ let create ?(shards = 1) ?(seed = 42) ?(policy = Engine.Fifo) ?log_capacity
     nodes = [];
     n_count = 0;
     node_arr = [||];
-    pool_ext = pool;
     windows = 0;
     xshard = 0;
     ran = false;
@@ -533,19 +531,13 @@ let run ?(expect_quiescent = false) t =
   t.ran <- true;
   t.node_arr <- Array.of_list (List.rev t.nodes);
   t.nodes <- [];
-  let private_pool, pool =
-    if t.k = 1 then (None, None)
+  let pool =
+    if t.k = 1 then None
     else
-      match t.pool_ext with
-      | Some p -> (None, Some p)
-      | None ->
-          let p =
-            Pool.Persistent.create ~workers:(min t.k (Pool.default_jobs ())) ()
-          in
-          (Some p, Some p)
+      Some (Pool.Persistent.create ~workers:(min t.k (Pool.default_jobs ())) ())
   in
   Fun.protect
-    ~finally:(fun () -> Option.iter Pool.Persistent.shutdown private_pool)
+    ~finally:(fun () -> Option.iter Pool.Persistent.shutdown pool)
     (fun () -> drain_windows t pool);
   (* Sub-engines record crashes instead of raising (which slot raises
      first would depend on the partition); re-raise the lowest node id's

@@ -55,7 +55,6 @@ val create :
   ?seed:int ->
   ?policy:Engine.policy ->
   ?log_capacity:int ->
-  ?pool:Parallel.Pool.Persistent.t ->
   lookahead:Time.t ->
   unit ->
   'msg t
@@ -64,10 +63,9 @@ val create :
     rng stream; [policy] is applied at the barriers as described above;
     [log_capacity] configures the merge sink exactly as it would a
     plain {!Engine.create} (the sink also adopts the
-    ambient {!Engine.with_observer}).  [pool] lends resident domains —
-    shard [i] runs on slot [i mod workers] — so callers issuing many
-    runs (the bench) can reuse one pool; without it, [shards > 1]
-    spawns and joins a private pool per {!run}.  Raises
+    ambient {!Engine.with_observer}).  With [shards > 1] each {!run}
+    spawns and joins a resident pool, and shard [i] always runs on its
+    slot [i mod workers].  Raises
     [Invalid_argument] if [lookahead] is zero or [shards < 1]. *)
 
 val shards : 'msg t -> int

@@ -78,7 +78,6 @@ let to_list t =
       else acc)
     r.order []
 
-let clear t = Array.fill t.counts 0 (Array.length t.counts) absent
 let snapshot = to_list
 
 let sum ts =
@@ -99,11 +98,6 @@ let rec diff ~before ~after =
     else (ka, v - prev) :: diff ~before:before' ~after
   | _, ((_, v) as kv) :: after ->
     if v = 0 then diff ~before ~after else kv :: diff ~before ~after
-
-let pp ppf t =
-  Format.pp_open_vbox ppf 0;
-  List.iter (fun (k, v) -> Format.fprintf ppf "%-40s %d@," k v) (to_list t);
-  Format.pp_close_box ppf ()
 
 (* Shared nearest-rank index: the observation reported for quantile [p]
    over [n] sorted observations.  Series and Histogram use the same

@@ -36,9 +36,6 @@ val get : t -> string -> int
 val to_list : t -> (string * int) list
 (** Every present counter, sorted by name. *)
 
-val clear : t -> unit
-(** Every counter becomes absent again. *)
-
 val sum : t array -> t
 (** A fresh block holding the per-key sums; a counter is present in it
     if it is present in any input. *)
@@ -48,8 +45,6 @@ val diff : before:(string * int) list -> after:(string * int) list -> (string * 
 (** Per-counter increase between two snapshots, both sorted by name
     (counters that did not change are omitted; counters only in
     [before] are ignored). *)
-
-val pp : Format.formatter -> t -> unit
 
 module Series : sig
   (** Accumulates every observation (virtual durations) for exact summary

@@ -130,19 +130,3 @@ module Mailbox = struct
     t.poisoned <- Some exn;
     ignore (Waitq.broadcast_error t.takers exn)
 end
-
-module Semaphore = struct
-  type t = { mutable count : int; waiters : unit Waitq.t }
-
-  let create engine count =
-    if count < 0 then invalid_arg "Semaphore.create: negative count";
-    { count; waiters = Waitq.create engine }
-
-  let acquire t =
-    if t.count > 0 then t.count <- t.count - 1 else Waitq.wait t.waiters
-
-  let release t =
-    if not (Waitq.signal t.waiters ()) then t.count <- t.count + 1
-
-  let available t = t.count
-end

@@ -1,7 +1,7 @@
 (** Blocking synchronization primitives for fibers.
 
     Each structure captures its engine at creation time.  All [take]/
-    [read]/[acquire] operations block the calling effect fiber
+    [read]/[wait] operations block the calling effect fiber
     ({!Engine.await_prepared}, with reason ["waitq"]); all producers
     are non-blocking and may be called from scheduler context (e.g.
     from a [schedule_at] task or an interrupt handler). *)
@@ -42,15 +42,6 @@ module Mailbox : sig
   val poison : 'a t -> exn -> unit
   (** Wakes all current and future takers with the exception once the
       queue has drained.  Items already queued are still delivered. *)
-end
-
-module Semaphore : sig
-  type t
-
-  val create : Engine.t -> int -> t
-  val acquire : t -> unit
-  val release : t -> unit
-  val available : t -> int
 end
 
 module Waitq : sig

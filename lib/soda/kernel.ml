@@ -161,9 +161,12 @@ let advertises t pid name_ = Hashtbl.mem (proc t pid).p_advertised name_
 
 (* ---- Requests --------------------------------------------------------- *)
 
+(* A finished request leaves the table: only [withdraw] and [terminate]
+   read it, and both skip finished requests. *)
 let finish_req t (q : req) =
   if q.q_state <> Finished then begin
     q.q_state <- Finished;
+    Hashtbl.remove t.reqs q.q_id;
     let r = pair t q.q_src q.q_dst in
     decr r
   end
@@ -390,10 +393,18 @@ let terminate t pid =
        the requester feels an interrupt", §4.1). *)
     Hashtbl.iter (fun _ q -> abort_req t q Peer_crashed) p.p_presented;
     Hashtbl.reset p.p_presented;
-    (* Our own in-flight requests die quietly with us. *)
-    Hashtbl.iter
-      (fun _ (q : req) -> if q.q_src = pid then finish_req t q)
-      t.reqs
+    (* Our own in-flight requests die quietly with us.  Finishing one
+       removes it from [t.reqs], so they are collected first. *)
+    let rec finish_all t = function
+      | [] -> ()
+      | q :: own ->
+        finish_req t q;
+        finish_all t own
+    in
+    finish_all t
+      (Hashtbl.fold
+         (fun _ (q : req) own -> if q.q_src = pid then q :: own else own)
+         t.reqs [])
   end
 
 let spawn_process t ?(daemon = false) ~node ~name:label body =

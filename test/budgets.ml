@@ -108,7 +108,7 @@ let rungs =
     rung "lynx.echo-1000.charlotte" "1000 B echo call, Charlotte, all words"
       1197.640625 Exact ("test_latency", "charlotte words per 1000 B echo call");
     rung "lynx.echo-1000.soda" "1000 B echo call, SODA, all words"
-      1446.21875 Exact ("test_latency", "soda words per 1000 B echo call");
+      1440. Exact ("test_latency", "soda words per 1000 B echo call");
     rung "lynx.echo-1000.chrysalis" "1000 B echo call, Chrysalis, all words"
       1486. Exact ("test_latency", "chrysalis words per 1000 B echo call");
     rung "lynx.premium-1000.charlotte" "LYNX premium per 1000 B echo call, Charlotte, all words"

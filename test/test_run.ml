@@ -469,6 +469,31 @@ let test_json_bytes () =
   in
   Alcotest.(check string) "claims json" "74db24d9ff485a3b9d33d955898e2dc0" (md5 (C.to_json results))
 
+(* `lynx_sim static move broken-s-msg --json`, alone and with `--sweep
+   -n 2`, pinned at the bytes the command printed before its report
+   moved into Run.Soundness. *)
+let test_static_json_bytes () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let targets =
+    [
+      ("move", Option.get (Analysis.Catalog.find "move"));
+      ("broken-s-msg", List.assoc "broken-s-msg" Analysis.Catalog.broken_static);
+    ]
+  in
+  let report sweep = R.Soundness.static_report ~json:true ~seeds:2 targets sweep in
+  let plans = None :: List.map Option.some (Spec.Screen :: Spec.all_plans) in
+  let sweep =
+    List.filter_map Fun.id
+      (R.execute_many ~jobs:2
+         (Spec.product ~scenarios:[ "move" ] ~seeds:[ 1; 2 ] ~plans ()))
+  in
+  let check name digest (json, failures) =
+    Alcotest.(check string) name digest (md5 json);
+    Alcotest.(check int) (name ^ ": one alarm, no gap") 1 failures
+  in
+  check "static json" "474b501d6ba042b780e2be2dc27f5034" (report None);
+  check "static sweep json" "3df7a7e6ea7f3565143dd360bdce1e44" (report (Some sweep))
+
 (* ---- repro dump ------------------------------------------------------- *)
 
 (* The dump's trace tail: the header line and the event lines after it. *)
@@ -1267,6 +1292,7 @@ let () =
           Alcotest.test_case "pool order" `Quick test_execute_many_order;
           Alcotest.test_case "json shape" `Quick test_json_shape;
           Alcotest.test_case "json bytes" `Quick test_json_bytes;
+          Alcotest.test_case "static json bytes" `Quick test_static_json_bytes;
         ] );
       ( "dump",
         [

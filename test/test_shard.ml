@@ -218,36 +218,6 @@ let qcheck_labels =
       && String.equal (Label.pair "leaf" a "." b)
            (Printf.sprintf "leaf%d.%d" a b))
 
-(* Persistent pool reuse: many runs through one pool, byte-identical to
-   private-pool runs. *)
-let test_pool_reuse () =
-  let pool = Parallel.Pool.Persistent.create ~workers:3 () in
-  Fun.protect
-    ~finally:(fun () -> Parallel.Pool.Persistent.shutdown pool)
-    (fun () ->
-      for seed = 1 to 4 do
-        let fresh =
-          fingerprint
-            (mesh_workload ~nodes:6 ~rounds:4 ~shards:3 ~seed
-               ~policy:Engine.Fifo ())
-        in
-        let look = Time.us 50 in
-        let t =
-          Shard.create ~shards:3 ~seed ~policy:Engine.Fifo ~lookahead:look
-            ~pool ()
-        in
-        for i = 0 to 5 do
-          ignore
-            (Shard.add_node t ~name:(Printf.sprintf "peer%d" i)
-               (mesh_node ~nodes:6 ~rounds:4 ~look))
-        done;
-        Shard.run t;
-        Alcotest.(check string)
-          (Printf.sprintf "seed %d via shared pool" seed)
-          (show_fp fresh)
-          (show_fp (fingerprint t))
-      done)
-
 (* Streaming observer parity: an ambient observer must see exactly the
    canonical merged stream (attached to the sink, not the sub-engines). *)
 let test_observer_sees_merged_stream () =
@@ -441,7 +411,6 @@ let () =
         ] );
       ( "pool",
         [
-          Alcotest.test_case "persistent pool reuse" `Quick test_pool_reuse;
           Alcotest.test_case "observer sees merged stream" `Quick
             test_observer_sees_merged_stream;
         ] );
