@@ -30,7 +30,6 @@ type link = {
 type process = {
   p_id : pid;
   p_node : node;
-  p_name : string;
   mutable p_alive : bool;
   p_completions : completion Sync.Mailbox.t;
   mutable p_owned : link_end list;
@@ -75,18 +74,12 @@ let proc t pid =
   | exception Not_found -> invalid_arg (Printf.sprintf "charlotte: unknown pid %d" pid)
 
 let process_alive t pid = (proc t pid).p_alive
-let process_name t pid = (proc t pid).p_name
 let process_node t pid = (proc t pid).p_node
 
 let owner_of t (e : link_end) =
   match Hashtbl.find t.links e.link_id with
   | l -> l.l_ends.(e.side).e_owner
   | exception Not_found -> None
-
-let link_destroyed t (e : link_end) =
-  match Hashtbl.find t.links e.link_id with
-  | l -> l.l_destroyed
-  | exception Not_found -> true
 
 let owned_by es pid = match es.e_owner with Some o -> o = pid | None -> false
 
@@ -456,7 +449,6 @@ let spawn_process t ?(daemon = false) ~node ~name body =
     {
       p_id = pid;
       p_node = node;
-      p_name = name;
       p_alive = true;
       p_completions = Sync.Mailbox.create t.eng;
       p_owned = [];

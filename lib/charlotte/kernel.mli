@@ -40,7 +40,6 @@ val spawn_process :
     process terminates and the kernel destroys every link end it owns. *)
 
 val process_alive : t -> pid -> bool
-val process_name : t -> pid -> string
 val process_node : t -> pid -> node
 
 (** {1 Kernel calls}
@@ -82,7 +81,6 @@ val terminate : t -> pid -> unit
 (** {1 Introspection (for tests; not part of the Charlotte interface)} *)
 
 val owner_of : t -> link_end -> pid option
-val link_destroyed : t -> link_end -> bool
 
 val transfer_end : t -> link_end -> to_:pid -> unit
 (** Reassigns ownership of an idle end (simulation bootstrap only: models

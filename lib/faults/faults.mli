@@ -41,13 +41,6 @@ module Plan : sig
 
   val default_screening : screening
 
-  val targeted_screening : screening
-  (** Tighter policy for the targeted plans: a two-attempt budget whose
-      horizon (30 + 40 = 70 ms on the fast backends; 2 x 110 ms on
-      Charlotte after {!floor_screening}) sits inside the targeted
-      fault windows, so callers detect a crashed or partitioned peer
-      instead of waiting out the heal. *)
-
   val floor_screening : rtt:Sim.Time.t -> screening -> screening
   (** Raise [s_timeout] and [s_timeout_cap] to at least twice [rtt] —
       the backend's nominal RPC round trip.  A reply timeout below the

@@ -32,13 +32,6 @@ val judge : Spec.t -> Harness.Scenarios.outcome -> Artifact.t
     pipeline against; it also judges synthetic views test fixtures
     build by hand. *)
 
-val judge_streamed :
-  Spec.t -> Analysis.Stream.summary -> Harness.Scenarios.outcome -> Artifact.t
-(** Judge from a streaming-analyzer summary accumulated at emission
-    time instead of the retained log — exact at any [log_capacity],
-    including zero.  Equal to {!judge} whenever the log was fully
-    retained. *)
-
 val run_streamed :
   ?log_capacity:int ->
   Spec.t ->

@@ -173,7 +173,6 @@ type 'msg t = {
   mutable n_count : int;
   mutable node_arr : 'msg node array;
   mutable windows : int;
-  mutable xshard : int;
   mutable ran : bool;
 }
 
@@ -257,14 +256,12 @@ let create ?(shards = 1) ?(seed = 42) ?(policy = Engine.Fifo) ?log_capacity
     n_count = 0;
     node_arr = [||];
     windows = 0;
-    xshard = 0;
     ran = false;
   }
 
 let shards t = t.k
 let lookahead t = t.look
 let windows t = t.windows
-let cross_shard_messages t = t.xshard
 
 let not_parked _ = ()
 
@@ -310,7 +307,6 @@ let add_node t ?(daemon = false) ?name body =
 
 let self node = node.n_id
 let home node = node.n_shard
-let node_name node = node.n_name
 let now node = Engine.now node.n_eng
 let rng node = node.n_rng
 let note node msg = Engine.emit node.n_eng (Event.Note msg)
@@ -390,8 +386,6 @@ let exchange t =
   for i = 0 to n - 1 do
     let pd = xs.arr.(i) in
     xs.arr.(i) <- vacant ();
-    (* A node's shard is its id mod [k]: no node record is read. *)
-    if pd.pd_src mod t.k <> pd.pd_dst mod t.k then t.xshard <- t.xshard + 1;
     match t.policy with
     | Engine.Fifo ->
         let k = t.tie in
@@ -558,8 +552,6 @@ let run ?(expect_quiescent = false) t =
     | names -> raise (Engine.Deadlock (String.concat ", " names))
 
 (* ---- results ---------------------------------------------------------- *)
-
-let shard_hashes t = Array.map Engine.events_hash t.engines
 
 let counters t = Stats.to_list (Stats.sum t.stats)
 

@@ -126,7 +126,6 @@ val home : 'msg ctx -> int
     cross-domain writes: a node's fiber only ever runs on its home
     shard's domain. *)
 
-val node_name : 'msg ctx -> string
 val now : 'msg ctx -> Time.t
 
 val rng : 'msg ctx -> Rng.t
@@ -186,13 +185,3 @@ val counters : 'msg t -> (string * int) list
 val windows : 'msg t -> int
 (** Barrier count — a function of the global virtual-time schedule,
     hence shard-count-invariant. *)
-
-val shard_hashes : 'msg t -> int64 array
-(** Per-shard event fingerprints, indexed by shard.  {e Not} invariant
-    across shard counts (each hashes only its own sub-stream); at a
-    fixed count they are the per-shard determinism witnesses. *)
-
-val cross_shard_messages : 'msg t -> int
-(** Diagnostic: messages whose source and destination nodes lived on
-    different shards.  Depends on the partition, so it is deliberately
-    not part of {!counters}. *)

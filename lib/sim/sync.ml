@@ -96,7 +96,6 @@ module Ivar = struct
       t.readers <- h :: t.readers;
       Engine.await_prepared t.engine ~reason:"waitq" h
 
-  let is_filled t = match t.state with Empty -> false | _ -> true
   let peek t = match t.state with Full v -> Some v | _ -> None
 end
 

@@ -20,7 +20,6 @@ module Ivar : sig
   val read : 'a t -> 'a
   (** Blocks until filled; re-raises if filled with an error. *)
 
-  val is_filled : 'a t -> bool
   val peek : 'a t -> 'a option
 end
 

@@ -39,11 +39,17 @@ let rungs =
     rung "taskq.add-take" "`Sim.Taskq` add+take, 100 entries held"
       5. Exact ("test_sim", "words per task queue add+pop");
     (* Unobserved engines build no event records, clocks or stamps;
-       observed ones feed a consumer. *)
-    rung "engine.sleep.observed" "`Engine.sleep`, observed"
+       observed ones feed a consumer.  A sleep whose wake the drain
+       would take next resumes in place: what is left is its [Block]
+       event, observed. *)
+    rung "engine.sleep.observed" "`Engine.sleep` with another task due before its wake, observed"
       16. plus2 ("test_sim", "words per sleep");
-    rung "engine.sleep.unobserved" "`Engine.sleep`, unobserved"
+    rung "engine.sleep.unobserved" "`Engine.sleep` with another task due before its wake, unobserved"
       7. plus2 ("test_sim", "words per sleep");
+    rung "engine.sleep.inline.observed" "`Engine.sleep` whose wake is the next task, observed"
+      9. Exact ("test_sim", "words per sleep resumed in place");
+    rung "engine.sleep.inline.unobserved" "`Engine.sleep` whose wake is the next task, unobserved"
+      0. Exact ("test_sim", "words per sleep resumed in place");
     rung "engine.waitq.observed" "`Sync.Waitq` wait+signal+sleep, observed"
       48. plus2 ("test_sim", "words per waitq wait, signal and sleep");
     rung "engine.waitq.unobserved" "`Sync.Waitq` wait+signal+sleep, unobserved"
@@ -81,12 +87,12 @@ let rungs =
     rung "kernel.charlotte" "Charlotte matched 0 B `send`+`receive`, unobserved"
       119. plus2 ("test_charlotte_kernel", "words per matched send+receive");
     rung "kernel.soda" "SODA 0 B `request`+`accept` with interrupts, unobserved"
-      128.82 plus2 ("test_soda_kernel", "words per request+accept");
+      107. plus2 ("test_soda_kernel", "words per request+accept");
     rung "kernel.chrysalis" "Chrysalis dual-queue enqueue posting a waiter's event, unobserved"
-      52. plus2 ("test_chrysalis_kernel", "words per enqueue and event post");
+      24. plus2 ("test_chrysalis_kernel", "words per enqueue and event post");
     rung "kernel.chrysalis.memory" "Chrysalis `read16`+`atomic_or16`+`atomic_and16`+`read32` \
-       on a mapped object, unobserved: the four charge sleeps only"
-      28. Exact ("test_chrysalis_kernel", "words per flag-word round");
+       on a mapped object, unobserved: the four charge sleeps, each resumed in place"
+      0. Exact ("test_chrysalis_kernel", "words per flag-word round");
     rung "lynx.codec" "encode+decode of the 280 B value list"
       120. Exact ("test_lynx_core", "words per encode+decode of 280 B");
     (* Echo calls run on unobserved engines.  A premium is the echo call
@@ -94,29 +100,29 @@ let rungs =
        package adds above the kernel.  The 1000 B rungs count all words
        ([all_words]). *)
     rung "lynx.echo.charlotte" "0 B echo call, Charlotte"
-      693.34 plus2 ("test_latency", "charlotte words per echo call");
+      686.34 plus2 ("test_latency", "charlotte words per echo call");
     rung "lynx.echo.soda" "0 B echo call, SODA"
-      697.96 plus2 ("test_latency", "soda words per echo call");
+      634. plus2 ("test_latency", "soda words per echo call");
     rung "lynx.echo.chrysalis" "0 B echo call, Chrysalis"
-      736. plus2 ("test_latency", "chrysalis words per echo call");
+      540. plus2 ("test_latency", "chrysalis words per echo call");
     rung "lynx.premium.charlotte" "LYNX premium per 0 B echo call, Charlotte"
-      456.640625 Exact ("test_latency", "charlotte LYNX premium per echo call");
+      449.640625 Exact ("test_latency", "charlotte LYNX premium per echo call");
     rung "lynx.premium.soda" "LYNX premium per 0 B echo call, SODA"
-      422. Exact ("test_latency", "soda LYNX premium per echo call");
+      408. Exact ("test_latency", "soda LYNX premium per echo call");
     rung "lynx.premium.chrysalis" "LYNX premium per 0 B echo call, Chrysalis"
-      607. Exact ("test_latency", "chrysalis LYNX premium per echo call");
+      439. Exact ("test_latency", "chrysalis LYNX premium per echo call");
     rung "lynx.echo-1000.charlotte" "1000 B echo call, Charlotte, all words"
-      1197.640625 Exact ("test_latency", "charlotte words per 1000 B echo call");
+      1183.640625 Exact ("test_latency", "charlotte words per 1000 B echo call");
     rung "lynx.echo-1000.soda" "1000 B echo call, SODA, all words"
-      1440. Exact ("test_latency", "soda words per 1000 B echo call");
+      1384. Exact ("test_latency", "soda words per 1000 B echo call");
     rung "lynx.echo-1000.chrysalis" "1000 B echo call, Chrysalis, all words"
-      1486. Exact ("test_latency", "chrysalis words per 1000 B echo call");
+      1276. Exact ("test_latency", "chrysalis words per 1000 B echo call");
     rung "lynx.premium-1000.charlotte" "LYNX premium per 1000 B echo call, Charlotte, all words"
-      956.640625 Exact ("test_latency", "charlotte LYNX premium per 1000 B echo call");
+      942.640625 Exact ("test_latency", "charlotte LYNX premium per 1000 B echo call");
     rung "lynx.premium-1000.soda" "LYNX premium per 1000 B echo call, SODA, all words"
-      922. Exact ("test_latency", "soda LYNX premium per 1000 B echo call");
+      908. Exact ("test_latency", "soda LYNX premium per 1000 B echo call");
     rung "lynx.premium-1000.chrysalis" "LYNX premium per 1000 B echo call, Chrysalis, all words"
-      1107. Exact ("test_latency", "chrysalis LYNX premium per 1000 B echo call");
+      953. Exact ("test_latency", "chrysalis LYNX premium per 1000 B echo call");
     (* A difference of two echo costs: a screened call drains 52 engine
        tasks, an unscreened one 55, so when a drained task became 4
        words cheaper (2,897.2 → 2,689.2 screened, 2,633 → 2,413
@@ -127,10 +133,15 @@ let rungs =
        to 7 (2,663.2 → 1,563.2 screened, 2,387 → 1,215 unscreened) it
        grew by 4 × 18 = 72.  The screened enqueue hands the kernel's
        injector option on as it is: rebuilding [Some inj] per enqueue
-       would read 344.22 here. *)
+       would read 344.22 here.  When a sleep whose wake is the next
+       task began to resume in place, 7 words cheaper, 28 of an
+       unscreened call's sleeps went in place but only 24 of a
+       screened one's, whose screening timers are often due first
+       (1,072.22 → 904.22 screened, 736 → 540 unscreened), so the
+       difference grew by 4 × 7 = 28. *)
     rung "lynx.screening.chrysalis" "Chrysalis screening premium: echo call under \
        `Faults.Plan.none` minus unscreened, over 128 calls"
-      336.21875 Exact ("test_latency", "chrysalis screening premium per echo call");
+      364.21875 Exact ("test_latency", "chrysalis screening premium per echo call");
     rung "analysers.stream-feed" "`Analysis.Stream.feed` per event of \
        `wl-farm-open/chrysalis/1/fifo~n1K`"
       3.94 plus2 ("test_stream", "words per event fed to the analysers");
