@@ -363,8 +363,13 @@ val woken : 'a handle -> bool
     wake-ups of one handle (a reply and a timeout). *)
 
 val sleep : t -> Time.t -> unit
-(** Advances the effect fiber's virtual time by the given duration.
-    Raises [Invalid_argument] outside an effect fiber. *)
+(** Advances the effect fiber's virtual time by the given duration: it
+    emits {!Event.Block} with reason ["sleep"] and queues the fiber's
+    resumption.  When the running drain would take that resumption
+    next — not stopped, the wake within its limit, every queued task
+    strictly later — the fiber resumes in place instead, with no park
+    and no queue entry, and everything observable is the same.  Raises
+    [Invalid_argument] outside an effect fiber. *)
 
 val yield : t -> unit
 (** Re-queues the fiber at the current time, letting same-time tasks
