@@ -1270,6 +1270,166 @@ let test_golden_counter_digest () =
     (String.concat ""
        (List.map2 counter_digest_row specs (R.execute_many ~jobs:2 specs)))
 
+(* Every fault plan on every primary backend, for the LYNX scenarios
+   the plans were written for, at seed 1: one row per run with its
+   verdict, events hash, virtual duration in ns, liveness and counter
+   MD5.  A faulted run draws its injectors from the engine's RNG in a
+   fixed order (world, then kernel, then the kernel's own network), so
+   this pins that order for the crash and partition plans on every
+   kernel, which the chaos table above does not reach.  The rows must
+   not depend on the pool's width. *)
+let golden_faulted_digest = {|move/charlotte/1/fifo@screen                       true  e77d079ddb6126ce    276823000 c904a2b76742ddb8704fa9225785b8ef vacuous
+move/charlotte/1/fifo@drop                         true  e0a294ebb56d38d2    277023000 73b51c90febb949798edcd0ba34172d4 vacuous
+move/charlotte/1/fifo@duplicate                    true  d42144d3b147fa90    276823000 6e3b080e19c57012eb57cbafe70163ad vacuous
+move/charlotte/1/fifo@delay                        true  288f0ab372820e1c    280129061 0aff0eadcfcb1f5d04d864b3de61e9be vacuous
+move/charlotte/1/fifo@crash-restart                true  301a766b9c7204cc    276823000 c85fd76eeda14e4f1bef999108ae474d vacuous
+move/charlotte/1/fifo@partition                    true  e77d079ddb6126ce    276823000 c904a2b76742ddb8704fa9225785b8ef vacuous
+move/charlotte/1/fifo@mix                          true  00543852b5fb7f7c    277023000 10f885ed11ff4e612cb2ccc63bdc9972 vacuous
+move/charlotte/1/fifo@leader-crash                 true  255989fc8b05fb34    305501000 2295d9e6856b1e7da1de0f4db545f75a vacuous
+move/charlotte/1/fifo@partition-minority           true  e77d079ddb6126ce    276823000 c904a2b76742ddb8704fa9225785b8ef vacuous
+move/charlotte/1/fifo@partition-majority           true  c5b6be7b09604081    480664250 8a6594d2126640281a5fbfa5cbf597fc vacuous
+move/soda/1/fifo@screen                            true  d7b43d3ba385b861    205826400 2e58ac34862070f485e21922d5c51e21 vacuous
+move/soda/1/fifo@drop                              true  32a87c57dc1981f5    205826400 3fd534f257ac33a050086b9f4c71494c vacuous
+move/soda/1/fifo@duplicate                         true  cd39a1b4d27610af    205826400 e9beda4243384ebd7f2438ab1d467956 vacuous
+move/soda/1/fifo@delay                             true  cee1a3eef5478d02    207153753 81a580bb55f175ce6205ff3e61673ebd vacuous
+move/soda/1/fifo@crash-restart                     true  3dedd38f800bb863    205826400 1aefa81f41d98e6bb4309d6b4ac818cb vacuous
+move/soda/1/fifo@partition                         true  d7b43d3ba385b861    205826400 2e58ac34862070f485e21922d5c51e21 vacuous
+move/soda/1/fifo@mix                               true  eb88146923324cc9    205826400 9f3e4e7cf8478772b20dd7c084225100 vacuous
+move/soda/1/fifo@leader-crash                      true  152d38504ec8265c    310001000 6aab74aaa437744a10dba4cc55ce8d02 vacuous
+move/soda/1/fifo@partition-minority                true  d7b43d3ba385b861    205826400 2e58ac34862070f485e21922d5c51e21 vacuous
+move/soda/1/fifo@partition-majority                true  0388f7b23ce326fc    447060000 64398651dd521161469046688378d65f vacuous
+move/chrysalis/1/fifo@screen                       true  02cbe4bd19a78fed    104548400 dbce7a9be5035ab421af3a9ac73dc544 vacuous
+move/chrysalis/1/fifo@drop                         true  ec6275a45d2b1772    105148400 435a19be28cf1dcee9547ce5fbbb3433 vacuous
+move/chrysalis/1/fifo@duplicate                    true  f68ff4bcc0fb0f2e    104548400 0c9931be551543cac1e04ee7db67887b vacuous
+move/chrysalis/1/fifo@delay                        true  e73fc4b125cab384    109178739 ce70755c7b70d5a0a4aef4457522b3b9 vacuous
+move/chrysalis/1/fifo@crash-restart                true  27afbe1cbf697f4f    104548400 f7235ff6f3f37e0e41ef7decc46785ea vacuous
+move/chrysalis/1/fifo@partition                    true  02cbe4bd19a78fed    104548400 dbce7a9be5035ab421af3a9ac73dc544 vacuous
+move/chrysalis/1/fifo@mix                          true  1bc524e6b35c14b9    106687527 811225608ccb9046286d29dcc386c8ba vacuous
+move/chrysalis/1/fifo@leader-crash                 true  c205da378346cef7    305772000 3dde29695e52b2518ae2f95839f0cffd vacuous
+move/chrysalis/1/fifo@partition-minority           true  02cbe4bd19a78fed    104548400 dbce7a9be5035ab421af3a9ac73dc544 vacuous
+move/chrysalis/1/fifo@partition-majority           true  02cbe4bd19a78fed    104548400 dbce7a9be5035ab421af3a9ac73dc544 vacuous
+cross-request/charlotte/1/fifo@screen              false 136ed92201080de1    221772500 88868381e95831b8c2a87e8222743637 vacuous
+cross-request/charlotte/1/fifo@drop                false 28494ac9eb181da3    222372500 16781b4611d7819d91e08ef3487dc5c3 vacuous
+cross-request/charlotte/1/fifo@duplicate           false 03857ceb772baf93    221772500 55e93bfd767dce6d86f8c69effb208d6 vacuous
+cross-request/charlotte/1/fifo@delay               false 0e97131de390f1a1    225470484 81167e11e3e1420d5b6cb6f7259b1665 vacuous
+cross-request/charlotte/1/fifo@crash-restart       false c8d6a18e1c5f81e1    221772500 d50c15e4ccc9986accb590c15a0ab864 vacuous
+cross-request/charlotte/1/fifo@partition           false 136ed92201080de1    221772500 88868381e95831b8c2a87e8222743637 vacuous
+cross-request/charlotte/1/fifo@mix                 false 17a289470b36407c    224082790 357a87fd8abab72ba46ae9a399b626a8 vacuous
+cross-request/charlotte/1/fifo@leader-crash        false ef6e3ea3879a79f2    307001000 8b2efbba0621299888a1012830f51cca vacuous
+cross-request/charlotte/1/fifo@partition-minority  false 136ed92201080de1    221772500 88868381e95831b8c2a87e8222743637 vacuous
+cross-request/charlotte/1/fifo@partition-majority  false 136ed92201080de1    221772500 88868381e95831b8c2a87e8222743637 vacuous
+cross-request/soda/1/fifo@screen                   false ebcc1dfd31d7c226     68182800 9f326f45b4c3f497303eb0a87e764c29 vacuous
+cross-request/soda/1/fifo@drop                     false 22eb853111ac1719     68582800 f2a672f8789ae0bbb24f7dac4903440d vacuous
+cross-request/soda/1/fifo@duplicate                false f89103a58e41b3ba     68182800 cd2d10f358d045cab40342470fe4d64d vacuous
+cross-request/soda/1/fifo@delay                    false 07defbd4d4e736fa     73075993 45e6db7a80ba20f21da337af189888b5 vacuous
+cross-request/soda/1/fifo@crash-restart            false 17722a92b895c698     68182800 ae78be335b199747e4842d0aa8cb48ba vacuous
+cross-request/soda/1/fifo@partition                false ebcc1dfd31d7c226     68182800 9f326f45b4c3f497303eb0a87e764c29 vacuous
+cross-request/soda/1/fifo@mix                      false f2bbabc5fd2598b5     70664871 b6880530cf80b72f61e82583579605e1 vacuous
+cross-request/soda/1/fifo@leader-crash             false f81237022e6fd703    309851000 20b9323d1f111aa8289ec54774a09d71 vacuous
+cross-request/soda/1/fifo@partition-minority       false ebcc1dfd31d7c226     68182800 9f326f45b4c3f497303eb0a87e764c29 vacuous
+cross-request/soda/1/fifo@partition-majority       false ebcc1dfd31d7c226     68182800 9f326f45b4c3f497303eb0a87e764c29 vacuous
+cross-request/chrysalis/1/fifo@screen              false d15ec6458799a557     42271000 02ac13cfdac822c5363bde8886be3bac vacuous
+cross-request/chrysalis/1/fifo@drop                false 10788688eaf6560c     42471000 663f73f6dc8a1562f95b2ce8a983956f vacuous
+cross-request/chrysalis/1/fifo@duplicate           false f8d662c9b5596a38     42271000 dfa67e8dd4485d3692af5acc27e82068 vacuous
+cross-request/chrysalis/1/fifo@delay               false c84b037b9643f4c3     44466164 0581d4e532e768c6a657644c2cc7f2a0 vacuous
+cross-request/chrysalis/1/fifo@crash-restart       false cecf9f044dd305e1     44980600 a49fecd082e9d55373b9b328b71ef512 vacuous
+cross-request/chrysalis/1/fifo@partition           false d15ec6458799a557     42271000 02ac13cfdac822c5363bde8886be3bac vacuous
+cross-request/chrysalis/1/fifo@mix                 false 03c7aaa5b15e9169     42271000 dd02dd262051cc816fb4dfb0fd859266 vacuous
+cross-request/chrysalis/1/fifo@leader-crash        false 25168648444b9197    308845000 a49fecd082e9d55373b9b328b71ef512 vacuous
+cross-request/chrysalis/1/fifo@partition-minority  false fa48173527becc57     42271000 02ac13cfdac822c5363bde8886be3bac vacuous
+cross-request/chrysalis/1/fifo@partition-majority  false fa48173527becc57     42271000 02ac13cfdac822c5363bde8886be3bac vacuous
+ring-election/charlotte/1/fifo@screen              true  3220a1b7e83f7efb    823477000 d1e8e9905cddd0342d886846d58a8902 vacuous
+ring-election/charlotte/1/fifo@drop                true  14507b487bee6761    823477000 13e9bd5e3c68d84861f859ab2961451c vacuous
+ring-election/charlotte/1/fifo@duplicate           true  30ecfd05ead95b06    823477000 4756343d624763abb3052b8ef14afc97 vacuous
+ring-election/charlotte/1/fifo@delay               true  df849c791e221e86    823693456 e87f9ad340337aaba0661a57deefd42e vacuous
+ring-election/charlotte/1/fifo@crash-restart       true  159c300ff0d7a8d9    823477000 d1e8e9905cddd0342d886846d58a8902 live ttr=751.525ms failovers=0 retries=0
+ring-election/charlotte/1/fifo@partition           true  3220a1b7e83f7efb    823477000 d1e8e9905cddd0342d886846d58a8902 live ttr=752.525ms failovers=0 retries=0
+ring-election/charlotte/1/fifo@mix                 true  0bfae94d8797f023    823701259 f9cfac9a1c89b9e4fd452aca07dae96a live ttr=751.749ms failovers=0 retries=0
+ring-election/charlotte/1/fifo@leader-crash        true  f006cb9c193fc8e2   1364626000 4837ac3d592f48036657a485d9109db8 live ttr=987.674ms failovers=0 retries=2
+ring-election/charlotte/1/fifo@partition-minority  true  325c5217c6490ada   1076477000 3f4f30e6080abefb1b719ec256c05246 live ttr=709.525ms failovers=0 retries=0
+ring-election/charlotte/1/fifo@partition-majority  true  010dda41e896437b    971901250 d252041bfc9b1497a01767cc53b8e288 live ttr=629.325ms failovers=0 retries=0
+ring-election/soda/1/fifo@screen                   true  dc448c25a8f1ea78    373883200 e3c18570ac73e4dc0365490a1c2f8b11 vacuous
+ring-election/soda/1/fifo@drop                     true  0d0ec33d371381b8    374083200 4fc3a93273865b4cad935af2f3e42af8 vacuous
+ring-election/soda/1/fifo@duplicate                true  f26535af4ae410c6    373883200 0a42c3ce840b045d00e08ece10bd2667 vacuous
+ring-election/soda/1/fifo@delay                    true  de3de15a09f31488    375170079 c4c12960906bbca9288be12ccdeb7924 vacuous
+ring-election/soda/1/fifo@crash-restart            true  dcb83660a90bc2d8    373883200 d4553293dd6e2c2b5cde9ccd8a69323d live ttr=338.426ms failovers=0 retries=0
+ring-election/soda/1/fifo@partition                true  dc448c25a8f1ea78    373883200 e3c18570ac73e4dc0365490a1c2f8b11 live ttr=339.426ms failovers=0 retries=0
+ring-election/soda/1/fifo@mix                      true  17892f3b5f9c5c7f    373883200 0330275107925828670f93c45926d7d3 live ttr=338.426ms failovers=0 retries=0
+ring-election/soda/1/fifo@leader-crash             true  f6b8c5725b1c9593    588240950 f99e48da06c6f4691a09c2bb7c05cf9c live ttr=247.784ms failovers=0 retries=3
+ring-election/soda/1/fifo@partition-minority       true  c9606cc803f18da4    592145200 55565e1084fb3857a692574be7ef4496 live ttr=261.588ms failovers=0 retries=0
+ring-election/soda/1/fifo@partition-majority       true  c22daf022a3997ea    560014000 9a061cbb1523a7acbbc6b909856a6cb7 live ttr=229.557ms failovers=0 retries=0
+ring-election/chrysalis/1/fifo@screen              true  3a19dc4f2ae0ecfe     26955800 3130158ff89dccef9419d30d87fd43ba vacuous
+ring-election/chrysalis/1/fifo@drop                true  cd7d9e4f9b15e38a     28555800 ee07ac4ebd829e06de995f2ff229c61c vacuous
+ring-election/chrysalis/1/fifo@duplicate           true  d44e9735d33fb1b6     26955800 e85c1176654a6013cacd944da761a332 vacuous
+ring-election/chrysalis/1/fifo@delay               true  04dadde936e2d94c     31138908 658524f1bec3900bc43df459ee342178 vacuous
+ring-election/chrysalis/1/fifo@crash-restart       true  f920d3e5eb8c7af8     26955800 3130158ff89dccef9419d30d87fd43ba live ttr=26.816ms failovers=0 retries=0
+ring-election/chrysalis/1/fifo@partition           true  3a19dc4f2ae0ecfe     26955800 3130158ff89dccef9419d30d87fd43ba live ttr=27.816ms failovers=0 retries=0
+ring-election/chrysalis/1/fifo@mix                 true  3c915e69b066110b     28703327 988d3eec9aa36eab481f921f82ae06d1 live ttr=28.763ms failovers=0 retries=0
+ring-election/chrysalis/1/fifo@leader-crash        true  d54fad51d6a569ec    332812550 643b6ed395f609f02cc04d7fd791327f live ttr=4.621ms failovers=0 retries=4
+ring-election/chrysalis/1/fifo@partition-minority  true  0387cbe69c34155b    315675700 963dac8914675a063f24927981e34151 live ttr=0.536ms failovers=0 retries=0
+ring-election/chrysalis/1/fifo@partition-majority  true  0387cbe69c34155b    315675700 963dac8914675a063f24927981e34151 live ttr=0.536ms failovers=0 retries=0
+quorum/charlotte/1/fifo@screen                     true  02a5be688a680ada    535996500 ba803b42e3e6fff008f45e148ee3017b vacuous
+quorum/charlotte/1/fifo@drop                       true  073607b1bf2b7b06    537796500 ade42c02f6b7d07833db0483e5269a64 vacuous
+quorum/charlotte/1/fifo@duplicate                  true  2fe4a39228ce6908    535996500 834d9826a10c07815cbf5f677f599dea vacuous
+quorum/charlotte/1/fifo@delay                      true  1010868684ccf8d5    546677808 ccb945e1d4fe090c94b1bb30fda8ba3a vacuous
+quorum/charlotte/1/fifo@crash-restart              true  deba326ccc3ddc88    535996500 ba803b42e3e6fff008f45e148ee3017b live ttr=289.190ms failovers=0 retries=0
+quorum/charlotte/1/fifo@partition                  true  02a5be688a680ada    535996500 ba803b42e3e6fff008f45e148ee3017b live ttr=290.190ms failovers=0 retries=0
+quorum/charlotte/1/fifo@mix                        true  3b19b7da85787b77    544893665 988bc962a6b24b495af69ba4393d2941 live ttr=295.388ms failovers=0 retries=0
+quorum/charlotte/1/fifo@leader-crash               true  2b7b3b277888af6e    751886000 c148ea03d43e42971653ebd987071e9b live ttr=200.079ms failovers=0 retries=1
+quorum/charlotte/1/fifo@partition-minority         true  2199d5f28f73c15f    627396500 3335f50d1667a55bcf7ad5e2a32b013e live ttr=85.590ms failovers=0 retries=0
+quorum/charlotte/1/fifo@partition-majority         true  2edcaeb231471e67    684596500 a858d13bd284c8ec2a98ea32c1bb6fd4 live ttr=142.790ms failovers=0 retries=0
+quorum/soda/1/fifo@screen                          true  e3ea9af2473fd27d    225425600 c2dd9187405f276e665e055cf2ae251b vacuous
+quorum/soda/1/fifo@drop                            true  eceaaf57b80623ad    226625600 4564521d862a404a34b5191f3120726e vacuous
+quorum/soda/1/fifo@duplicate                       true  2d4e18c2e8363ad6    225425600 833b724ce7f98311461aefc50cc0cbda vacuous
+quorum/soda/1/fifo@delay                           true  3761ea987d56138f    229575236 db7f721b160b8af8d303a3bf889d065f vacuous
+quorum/soda/1/fifo@crash-restart                   true  133ffdb2b13f1567    225425600 9d81cfc928c23335a7b8c57231c61def live ttr=132.788ms failovers=0 retries=0
+quorum/soda/1/fifo@partition                       true  e3ea9af2473fd27d    225425600 c2dd9187405f276e665e055cf2ae251b live ttr=133.788ms failovers=0 retries=0
+quorum/soda/1/fifo@mix                             true  1862509f490923a6    227774182 a4eb596a2f5cc92999ecd40a500a22e1 live ttr=134.412ms failovers=0 retries=0
+quorum/soda/1/fifo@leader-crash                    true  25cf0fdcd42aee5b    531272650 ce8cf09ebdfea11139f753fd77542445 live ttr=133.435ms failovers=0 retries=2
+quorum/soda/1/fifo@partition-minority              true  d6f896dc27dc11a1    422025600 12e89df99310581ccbf34ada7e926f60 live ttr=34.388ms failovers=0 retries=0
+quorum/soda/1/fifo@partition-majority              true  14f5629bc9b19812    445825600 fe4c31c20610751e2ef1a8a9f90781c6 live ttr=58.188ms failovers=0 retries=0
+quorum/chrysalis/1/fifo@screen                     true  c0eeadf271cbbee5     26601100 e7e84235e91ba33ab18df750648e7dce vacuous
+quorum/chrysalis/1/fifo@drop                       true  3b93ab9ca120446b     28601100 d8d6afe5e1c0a5926195728040ed5311 vacuous
+quorum/chrysalis/1/fifo@duplicate                  true  d907613f527c6923     26601100 9036c774a2561453276e6613168cecaa vacuous
+quorum/chrysalis/1/fifo@delay                      true  d38237f22221b7cc     35449439 561fb13a850429f1d637ef96393112bf vacuous
+quorum/chrysalis/1/fifo@crash-restart              true  377622ed5352f811     26601100 e7e84235e91ba33ab18df750648e7dce live ttr=13.223ms failovers=0 retries=0
+quorum/chrysalis/1/fifo@partition                  true  c0eeadf271cbbee5     26601100 e7e84235e91ba33ab18df750648e7dce live ttr=14.223ms failovers=0 retries=0
+quorum/chrysalis/1/fifo@mix                        true  174c7b023e659654     33612234 3730dfabb7214d0d474237e175c53c47 live ttr=17.731ms failovers=0 retries=0
+quorum/chrysalis/1/fifo@leader-crash               true  2c05e0f8448bb8e4    343014000 10cf0046e93a68f367a9fef157e16a37 live ttr=4.636ms failovers=0 retries=3
+quorum/chrysalis/1/fifo@partition-minority         true  c5800551a0c2dfb4    335255400 2be928c74f620c6cfae2d76d1339d59f live ttr=6.877ms failovers=0 retries=0
+quorum/chrysalis/1/fifo@partition-majority         true  c5800551a0c2dfb4    335255400 2be928c74f620c6cfae2d76d1339d59f live ttr=6.877ms failovers=0 retries=0
+|}
+
+let faulted_digest_specs =
+  Spec.product
+    ~scenarios:[ "move"; "cross-request"; "ring-election"; "quorum" ]
+    ~seeds:[ 1 ]
+    ~plans:
+      (List.map Option.some
+         ((Spec.Screen :: Spec.all_plans) @ Spec.targeted_plans))
+    ()
+
+let faulted_digest_row spec a =
+  let name = Spec.to_string spec in
+  match a with
+  | None -> Printf.sprintf "%-50s n/a\n" name
+  | Some (a : A.t) ->
+    Printf.sprintf "%-50s %-5b %016Lx %12d %s %s\n" name a.A.ok
+      a.A.events_hash
+      (Sim.Time.to_ns a.A.duration)
+      (counters_md5 a)
+      (Run.Liveness.to_string a.A.liveness)
+
+let test_golden_faulted_digest () =
+  let specs = faulted_digest_specs in
+  let rows jobs =
+    String.concat ""
+      (List.map2 faulted_digest_row specs (R.execute_many ~jobs specs))
+  in
+  let serial = rows 1 in
+  Alcotest.(check string) "faulted digest unchanged" golden_faulted_digest serial;
+  Alcotest.(check string) "faulted digest at -j 2 = -j 1" serial (rows 2)
+
 let () =
   Alcotest.run "run"
     [
@@ -1316,5 +1476,7 @@ let () =
             test_golden_shard_clock_digest;
           Alcotest.test_case "counter digest" `Slow
             test_golden_counter_digest;
+          Alcotest.test_case "faulted digest" `Slow
+            test_golden_faulted_digest;
         ] );
     ]
