@@ -47,14 +47,14 @@ type t = {
   mutable next_pid : int;
 }
 
-let create eng ?(costs = Costs.default) ?stats ~nodes () =
+let create eng ?(costs = Costs.default) ?stats ?faults ~nodes () =
   let sts = match stats with Some s -> s | None -> Stats.create () in
   {
     eng;
     cst = costs;
     sts;
     ring = Netmodel.Token_ring.create eng ~stats:sts ~stations:nodes ();
-    inj = Faults.Injector.of_ambient eng ~stats:sts;
+    inj = faults;
     links = Hashtbl.create 64;
     procs = Hashtbl.create 16;
     next_link = 0;

@@ -25,7 +25,11 @@ exception Process_exit
     normal exit. *)
 
 val create :
-  Sim.Engine.t -> ?costs:Costs.t -> ?stats:Sim.Stats.t -> nodes:int -> unit -> t
+  Sim.Engine.t -> ?costs:Costs.t -> ?stats:Sim.Stats.t -> ?faults:Faults.Injector.t ->
+  nodes:int -> unit -> t
+(** [faults] judges every frame the kernel puts on the token ring;
+    without it no frame is faulted.  The LYNX world makes it from the
+    run's plan ([Lynx.World.create]). *)
 
 val engine : t -> Sim.Engine.t
 val stats : t -> Sim.Stats.t

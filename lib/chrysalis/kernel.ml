@@ -54,13 +54,13 @@ type t = {
   mutable next_id : int;
 }
 
-let create eng ?(costs = Costs.default) ?stats ~processors () =
+let create eng ?(costs = Costs.default) ?stats ?faults ~processors () =
   let sts = match stats with Some s -> s | None -> Stats.create () in
   {
     eng;
     cst = costs;
     sts;
-    inj = Faults.Injector.of_ambient eng ~stats:sts;
+    inj = faults;
     switch = Netmodel.Butterfly_switch.create eng ~stats:sts ~processors ();
     objects = Hashtbl.create 64;
     events = Hashtbl.create 64;

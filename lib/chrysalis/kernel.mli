@@ -22,7 +22,11 @@ type t
 exception Process_exit
 
 val create :
-  Sim.Engine.t -> ?costs:Costs.t -> ?stats:Sim.Stats.t -> processors:int -> unit -> t
+  Sim.Engine.t -> ?costs:Costs.t -> ?stats:Sim.Stats.t -> ?faults:Faults.Injector.t ->
+  processors:int -> unit -> t
+(** [faults] judges every dual-queue enqueue; without it none is
+    faulted.  The LYNX world makes it from the run's plan
+    ([Lynx.World.create]). *)
 
 val engine : t -> Sim.Engine.t
 val stats : t -> Sim.Stats.t

@@ -97,7 +97,7 @@ module Plan = struct
      misfire: every healthy call would be retransmitted, the dedup
      cache would re-answer every retransmission, and the extra traffic
      can congest a serialised transport (Charlotte's ring) into a
-     retry storm.  Each backend world floors the ambient plan's
+     retry storm.  Each backend world floors its plan's
      screening at twice its kernel's nominal RPC round trip — the
      margin covers queueing — before arming the runtime. *)
   let floor_screening ~rtt sp =
@@ -189,19 +189,6 @@ module Plan = struct
     Buffer.contents b
 end
 
-(* The ambient plan is per-domain: sweep workers each set and clear
-   their own slot around a case, so parallel chaos sweeps cannot leak a
-   plan across cases. *)
-let ambient_key : Plan.t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let ambient () = Domain.DLS.get ambient_key
-
-let with_plan plan f =
-  let saved = Domain.DLS.get ambient_key in
-  Domain.DLS.set ambient_key (Some plan);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key saved) f
-
 let transport_loss eng sts ~counter ~obj ~op =
   Stats.incr sts counter;
   Engine.emit eng (Event.Drop { obj; op })
@@ -283,7 +270,6 @@ module Injector = struct
     | _ -> ());
     t
 
-  let of_ambient eng ~stats = Option.map (create eng ~stats) (ambient ())
   let screening t = t.plan.Plan.screening
 
   let register_victim t ~name =

@@ -22,10 +22,12 @@
     death (no recovery) is modeled separately by killing processes
     outright (see test/test_faults.ml).
 
-    Plans are handed to worlds ambiently: wrap a run in {!with_plan} and
-    every world / kernel created inside the callback picks the plan up
-    at creation time.  With no ambient plan, all hooks are inert and the
-    simulation is byte-identical to one built before this module
+    A plan is a run parameter: it travels in the run context
+    ([Harness.Stage.ctx]) to the world's [create ?plan], and
+    {!Lynx.World} builds the injectors from it, one for the LYNX ops
+    seam and one handed to the kernel.  Kernels and networks see only
+    an injector, never a plan.  With no plan, all hooks are inert and
+    the simulation is byte-identical to one built before this module
     existed. *)
 
 module Plan : sig
@@ -119,12 +121,6 @@ module Plan : sig
   val to_string : t -> string
 end
 
-val with_plan : Plan.t -> (unit -> 'a) -> 'a
-(** Runs [f] with [plan] as the ambient plan (per-domain, restored on
-    exit) — worlds created inside pick it up. *)
-
-val ambient : unit -> Plan.t option
-
 val transport_loss :
   Sim.Engine.t ->
   Sim.Stats.t ->
@@ -150,9 +146,6 @@ module Injector : sig
   (** Validates the plan, splits a private rng off the engine's root
       stream, and schedules the crash (if any).  One injector per world
       (or per shared transport). *)
-
-  val of_ambient : Sim.Engine.t -> stats:Sim.Stats.t -> t option
-  (** [create] from the ambient plan; [None] when no plan is ambient. *)
 
   val screening : t -> Plan.screening option
 

@@ -8,25 +8,26 @@
 
 type backend = {
   name : string;  (** "charlotte", "soda", "chrysalis" or an ablation variant *)
-  create : ?stats:Sim.Stats.t -> Sim.Engine.t -> nodes:int -> Lynx.World.t;
+  create : ?plan:Faults.Plan.t -> Sim.Engine.t -> nodes:int -> Lynx.World.t;
+      (** builds the world; [plan] faults it (see {!Lynx.World.create}) *)
 }
 
 let charlotte =
   {
     name = "charlotte";
-    create = (fun ?stats e ~nodes -> Lynx_charlotte.World.create ?stats e ~nodes);
+    create = (fun ?plan e ~nodes -> Lynx_charlotte.World.create ?plan e ~nodes);
   }
 
 let soda =
   {
     name = "soda";
-    create = (fun ?stats e ~nodes -> Lynx_soda.World.create ?stats e ~nodes);
+    create = (fun ?plan e ~nodes -> Lynx_soda.World.create ?plan e ~nodes);
   }
 
 let chrysalis =
   {
     name = "chrysalis";
-    create = (fun ?stats e ~nodes -> Lynx_chrysalis.World.create ?stats e ~nodes);
+    create = (fun ?plan e ~nodes -> Lynx_chrysalis.World.create ?plan e ~nodes);
   }
 
 (** Ablation variant: Charlotte with the top-level reply
@@ -37,8 +38,8 @@ let charlotte_acks =
   {
     name = "charlotte+acks";
     create =
-      (fun ?stats e ~nodes ->
-        Lynx_charlotte.World.create ~reply_acks:true ?stats e ~nodes);
+      (fun ?plan e ~nodes ->
+        Lynx_charlotte.World.create ~reply_acks:true ?plan e ~nodes);
   }
 
 (** Ablation variant: a Charlotte kernel that moves link ends with
@@ -50,7 +51,7 @@ let charlotte_hints =
   {
     name = "charlotte+hints";
     create =
-      (fun ?stats e ~nodes ->
+      (fun ?plan e ~nodes ->
         Lynx_charlotte.World.create
           ~kernel_costs:
             {
@@ -58,7 +59,7 @@ let charlotte_hints =
               Charlotte.Costs.move_extra = Sim.Time.zero;
               move_protocol_msgs = 0;
             }
-          ?stats e ~nodes);
+          ?plan e ~nodes);
   }
 
 (** Ablation variant: Chrysalis with the §5.3 "code tuning now under
@@ -67,8 +68,8 @@ let chrysalis_tuned =
   {
     name = "chrysalis+tuned";
     create =
-      (fun ?stats e ~nodes ->
-        Lynx_chrysalis.World.create ~costs:Lynx.Costs.m68000_tuned ?stats e ~nodes);
+      (fun ?plan e ~nodes ->
+        Lynx_chrysalis.World.create ~costs:Lynx.Costs.m68000_tuned ?plan e ~nodes);
   }
 
 let all = [ charlotte; soda; chrysalis ]

@@ -46,7 +46,7 @@ let run ctx backend =
   Stage.stage ctx backend ~nodes:6 @@ fun eng w ->
   let sts = Lynx.World.stats w in
   let wc =
-    match Faults.ambient () with
+    match ctx.Stage.plan with
     | Some plan -> Faults.Plan.window_close (Faults.Plan.validate plan)
     | None -> Time.zero
   in

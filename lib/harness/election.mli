@@ -21,8 +21,8 @@
     via the chord.
 
     The scenario {e recovers} when the monitor confirms a self-believing
-    leader at or after the ambient fault plan's
-    {!Faults.Plan.window_close}; it then stamps the virtual recovery
+    leader at or after the {!Faults.Plan.window_close} of the context's
+    plan ([ctx.plan]); it then stamps the virtual recovery
     time into the [recovery.recovered_at_us] counter, which the
     {!Run.Liveness} judge reads.  Under {!Faults.Plan.leader_crash} the
     incumbent (registered by name as "leader") goes silent for 160 ms

@@ -24,8 +24,8 @@ let soda_with ~kernel_costs ~signal_budget =
   {
     name = "soda";
     create =
-      (fun ?stats e ~nodes ->
-        Lynx_soda.World.create ~kernel_costs ~signal_budget ?stats e ~nodes);
+      (fun ?plan e ~nodes ->
+        Lynx_soda.World.create ~kernel_costs ~signal_budget ?plan e ~nodes);
   }
 
 (** Figure 1: processes A and D hold the two ends of link 3 and move

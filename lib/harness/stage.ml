@@ -8,9 +8,11 @@ type ctx = {
   policy : Engine.policy;
   shards : int;
   population : int option;
+  plan : Faults.Plan.t option;
 }
 
-let default = { seed = 42; policy = Engine.Fifo; shards = 1; population = None }
+let default =
+  { seed = 42; policy = Engine.Fifo; shards = 1; population = None; plan = None }
 
 type outcome = {
   o_ok : bool;
@@ -44,7 +46,7 @@ type scene = { links : unit -> unit; verdict : unit -> bool * string }
    hash, follow that spawn order.  [until] is {!stage_until}'s limit. *)
 let run_scene until ctx (backend : Backend_world.backend) ~nodes scene =
   let eng = Engine.create ~seed:ctx.seed ~policy:ctx.policy () in
-  let w = backend.create eng ~nodes in
+  let w = backend.create ?plan:ctx.plan eng ~nodes in
   let sts = Lynx.World.stats w in
   let { links; verdict } = scene eng w in
   let before = ref [] and t0 = ref Time.zero in

@@ -17,13 +17,18 @@ type ctx = {
           axis never changes a verdict. *)
   population : int option;
       (** sizes parameterised scenarios ([None]: the scenario default) *)
+  plan : Faults.Plan.t option;
+      (** faults every world {!stage} builds ([None]: a clean run, no
+          injector, no extra RNG split).  Scenarios that build no LYNX
+          world (["shard-rpc"], the workloads) run unfaulted. *)
 }
 (** The run parameters a scenario receives — {!Run.Exec} builds one
     from a spec. *)
 
 val default : ctx
-(** Seed 42, FIFO scheduling, one shard, the default population.  A
-    caller that wants another seed writes [{ default with seed }]. *)
+(** Seed 42, FIFO scheduling, one shard, the default population, no
+    fault plan.  A caller that wants another seed writes
+    [{ default with seed }]. *)
 
 type outcome = {
   o_ok : bool;  (** did the scenario reach its expected final state *)
@@ -74,11 +79,11 @@ val stage :
   (Sim.Engine.t -> Lynx.World.t -> scene) ->
   outcome
 (** [stage ctx backend ~nodes scene] creates the engine from [ctx],
-    builds the backend's world of [nodes] nodes, lets [scene] spawn the
-    processes, spawns the driver and runs the engine until the event
-    queue drains.  A scenario that needs a differently configured
-    kernel passes a backend of its own, built the way the ablation
-    variants of {!Backend_world} are. *)
+    builds the backend's world of [nodes] nodes under [ctx.plan], lets
+    [scene] spawn the processes, spawns the driver and runs the engine
+    until the event queue drains.  A scenario that needs a differently
+    configured kernel passes a backend of its own, built the way the
+    ablation variants of {!Backend_world} are. *)
 
 val stage_until :
   Sim.Time.t ->

@@ -13,7 +13,7 @@ type t = {
   costs : Costs.t;
   kernel : kernel;
   inj : Faults.Injector.t option;
-      (** end-to-end fault injection at the ops seam (ambient plan) *)
+      (** end-to-end fault injection at the ops seam, from the plan *)
 }
 
 type member = {
@@ -21,11 +21,17 @@ type member = {
   m_process : Process.t Sim.Sync.Ivar.t;
 }
 
-let create ?stats ~costs eng make =
-  let sts = match stats with Some s -> s | None -> Sim.Stats.create () in
-  (* The injector splits the engine's RNG before the kernel does. *)
-  let inj = Faults.Injector.of_ambient eng ~stats:sts in
-  { eng; sts; costs; kernel = make sts; inj }
+(* Draw order: the world's injector splits the engine's RNG (and
+   schedules its crash) first, the kernel's second, and only then is the
+   kernel built.  Every faulted events hash depends on it. *)
+let create ?plan ~costs eng make =
+  let sts = Sim.Stats.create () in
+  match plan with
+  | None -> { eng; sts; costs; kernel = make sts None; inj = None }
+  | Some plan ->
+    let inj = Faults.Injector.create eng ~stats:sts plan in
+    let kernel_inj = Faults.Injector.create eng ~stats:sts plan in
+    { eng; sts; costs; kernel = make sts (Some kernel_inj); inj = Some inj }
 
 let stats t = t.sts
 
@@ -36,7 +42,7 @@ let spawn t ?daemon ~node ~name body =
     { m_chan = Sim.Sync.Ivar.create t.eng; m_process = Sim.Sync.Ivar.create t.eng }
   in
   t.kernel.spawn ?daemon ~node ~name (fun chan ops ->
-      (* Under an ambient fault plan: decorate the ops seam, arm the
+      (* Under a fault plan: decorate the ops seam, arm the
          runtime's screening, and make this process a crash candidate.
          A screened body failing with a clean LYNX exception (timeout,
          destroyed link) ends quietly — that is the "cleanly refused"

@@ -1,11 +1,11 @@
 (** LYNX processes on a simulated machine: the one spawn path every
     backend shares.
 
-    Everything here sits above {!Backend.ops}: the ambient fault
-    injector, the screening timeout floored at the kernel's RPC round
-    trip, crash-victim registration, {!Fault_ops.wrap}, and the process
-    lifecycle.  A backend supplies only what differs below the interface
-    — a {!kernel} record built by its [World.create] (see
+    Everything here sits above {!Backend.ops}: the fault injectors built
+    from the run's plan, the screening timeout floored at the kernel's
+    RPC round trip, crash-victim registration, {!Fault_ops.wrap}, and
+    the process lifecycle.  A backend supplies only what differs below
+    the interface — a {!kernel} record built by its [World.create] (see
     {!Lynx_charlotte}, {!Lynx_soda}, {!Lynx_chrysalis}). *)
 
 type chan = ..
@@ -34,9 +34,15 @@ type member
     initialised inside its fiber. *)
 
 val create :
-  ?stats:Sim.Stats.t -> costs:Costs.t -> Sim.Engine.t -> (Sim.Stats.t -> kernel) -> t
-(** [create ~costs engine make] picks up the ambient fault plan, if any,
-    then builds the kernel with [make stats]. *)
+  ?plan:Faults.Plan.t -> costs:Costs.t -> Sim.Engine.t ->
+  (Sim.Stats.t -> Faults.Injector.t option -> kernel) -> t
+(** [create ?plan ~costs engine make] makes the world's stats and, under
+    a plan, two injectors in this order: the world's own (for the ops
+    seam) and the kernel's.  It then builds the kernel with
+    [make stats kernel_injector].  Each injector splits the engine's RNG
+    and schedules the plan's crash when it is made, so the order is
+    part of every faulted run.  With no plan both are [None] and no
+    split is made. *)
 
 val stats : t -> Sim.Stats.t
 
@@ -44,7 +50,7 @@ val spawn :
   t -> ?daemon:bool -> node:int -> name:string -> (Process.t -> unit) -> member
 (** Starts a LYNX process on [node]; the body runs as its main thread
     and the process terminates (destroying its links) when it returns.
-    Under an ambient fault plan a body that fails with a LYNX exception
+    Under a fault plan a body that fails with a LYNX exception
     ends quietly and counts in [lynx.bodies_screened]. *)
 
 val link_between : t -> member -> member -> Link.t * Link.t

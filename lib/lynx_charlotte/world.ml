@@ -1,10 +1,10 @@
 type Lynx.World.chan += Chan of Channel.t * Charlotte.Types.pid
 
-let create ?(costs = Lynx.Costs.vax) ?kernel_costs ?(reply_acks = false) ?stats
+let create ?(costs = Lynx.Costs.vax) ?kernel_costs ?(reply_acks = false) ?plan
     engine ~nodes =
-  Lynx.World.create ?stats ~costs engine (fun stats ->
+  Lynx.World.create ?plan ~costs engine (fun stats faults ->
       let kernel =
-        Charlotte.Kernel.create engine ?costs:kernel_costs ~stats ~nodes ()
+        Charlotte.Kernel.create engine ?costs:kernel_costs ~stats ?faults ~nodes ()
       in
       {
         spawn =

@@ -5,11 +5,12 @@ val create :
   ?costs:Lynx.Costs.t ->
   ?kernel_costs:Charlotte.Costs.t ->
   ?reply_acks:bool ->
-  ?stats:Sim.Stats.t ->
+  ?plan:Faults.Plan.t ->
   Sim.Engine.t ->
   nodes:int ->
   Lynx.World.t
 (** [create engine ~nodes] builds a Crystal machine with [nodes]
     stations.  [kernel_costs] overrides the Charlotte cost model (used
     by the hint-based-move ablation); [reply_acks] enables the §3.2.2
-    reply-acknowledgment ablation. *)
+    reply-acknowledgment ablation; [plan] faults the world (see
+    {!Lynx.World.create}). *)

@@ -1,8 +1,8 @@
 type Lynx.World.chan += Chan of Channel.t
 
-let create ?(costs = Lynx.Costs.m68000) ?stats engine ~nodes =
-  Lynx.World.create ?stats ~costs engine (fun stats ->
-      let kernel = Chrysalis.Kernel.create engine ~stats ~processors:nodes () in
+let create ?(costs = Lynx.Costs.m68000) ?plan engine ~nodes =
+  Lynx.World.create ?plan ~costs engine (fun stats faults ->
+      let kernel = Chrysalis.Kernel.create engine ~stats ?faults ~processors:nodes () in
       {
         spawn =
           (fun ?daemon ~node ~name k ->

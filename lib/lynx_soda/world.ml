@@ -1,9 +1,9 @@
 type Lynx.World.chan += Chan of Channel.t
 
 let create ?(costs = Lynx.Costs.vax) ?kernel_costs ?(signal_budget = true)
-    ?stats engine ~nodes =
-  Lynx.World.create ?stats ~costs engine (fun stats ->
-      let kernel = Soda.Kernel.create engine ?costs:kernel_costs ~stats ~nodes () in
+    ?plan engine ~nodes =
+  Lynx.World.create ?plan ~costs engine (fun stats faults ->
+      let kernel = Soda.Kernel.create engine ?costs:kernel_costs ~stats ?faults ~nodes () in
       {
         spawn =
           (fun ?daemon ~node ~name k ->

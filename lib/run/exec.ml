@@ -71,12 +71,10 @@ let run_outcome (spec : Spec.t) =
         policy = Spec.engine_policy spec.Spec.policy ~seed:spec.Spec.seed;
         shards = spec.Spec.shards;
         population = spec.Spec.population;
+        plan = Option.map Spec.fault_plan spec.Spec.plan;
       }
     in
-    let run () = Some (sc.S.sc_run ctx backend) in
-    match spec.Spec.plan with
-    | None -> run ()
-    | Some plan -> Faults.with_plan (Spec.fault_plan plan) run
+    Some (sc.S.sc_run ctx backend)
   end
 
 (* The invariant suite judges a faulted run exactly as it judges a clean
@@ -156,8 +154,8 @@ let aborted (spec : Spec.t) exn =
 (* The streaming pipeline: install an ambient engine observer for the
    duration of the run, so the engine the scenario creates internally
    gets the retention bound and a consumer feeding [Analysis.Stream] at
-   emission time.  The observer is domain-local, exactly like the
-   ambient fault plan, so pool workers never see each other's state. *)
+   emission time.  The observer is domain-local, so pool workers never
+   see each other's state. *)
 let run_streamed ?log_capacity (spec : Spec.t) =
   let state = ref (Analysis.Stream.init ()) in
   let attach eng =

@@ -1,12 +1,13 @@
 (** The one run pipeline behind every sweep.
 
     [execute] resolves a {!Spec.t} against the {!Harness.Scenarios}
-    registry and the {!Harness.Backend_world} registry, arms the fault
-    plan (if any) ambiently, runs the scenario on a private engine, and
-    judges the outcome into an {!Artifact.t}: invariant suite, race
-    detector, counter snapshot, fingerprint.  Every [lynx_sim] sweep
-    maps it over a {!Spec.product} with {!execute_many}; [lynx_sim
-    repro] calls {!execute_full}. *)
+    registry and the {!Harness.Backend_world} registry, builds the
+    scenario's run context from it ([Harness.Stage.ctx]: seed, policy,
+    shards, population and fault plan), runs the scenario on a private
+    engine, and judges the outcome into an {!Artifact.t}: invariant
+    suite, race detector, counter snapshot, fingerprint.  Every
+    [lynx_sim] sweep maps it over a {!Spec.product} with
+    {!execute_many}; [lynx_sim repro] calls {!execute_full}. *)
 
 val check : Spec.t -> (unit, string) result
 (** Pre-flight applicability check with a one-line reason: unknown

@@ -4,7 +4,7 @@
     the race-detector replay, the repro command — runs the same thing:
     one {!Harness.Scenarios} scenario on one {!Harness.Backend_world}
     backend under one seed, one scheduling policy and (optionally) one
-    ambient fault plan.  A [Spec.t] names that run completely, and its
+    fault plan.  A [Spec.t] names that run completely, and its
     canonical string form
 
     {v scenario/backend/seed/policy[@plan][~nN][~sK] v}
@@ -61,7 +61,9 @@ type t = {
   backend : string;
   seed : int;
   policy : policy;
-  plan : plan option;  (** [None]: clean run, no ambient plan *)
+  plan : plan option;
+      (** [None]: clean run; [Some p] reaches the scenario as
+          [ctx.plan = Some (fault_plan p)] *)
   population : int option;
       (** simulated client population for parameterised workload
           scenarios ([None]: the scenario's default size).  Printed as a

@@ -138,10 +138,10 @@ let no_k =
     };
   Option.get !got
 
-(* Ambient observer, delivered through domain-local storage exactly like
-   [Faults.with_plan]: sweep drivers want to bound retention and attach a
-   streaming consumer to engines that scenarios create internally, without
-   threading parameters through every scenario signature. *)
+(* Ambient observer, delivered through domain-local storage: sweep
+   drivers want to bound retention and attach a streaming consumer to
+   engines that scenarios create internally, without threading
+   parameters through every scenario signature. *)
 type observer = { ob_log_capacity : int option; ob_attach : t -> unit }
 
 let ambient_observer : observer option Domain.DLS.key =

@@ -109,13 +109,13 @@ val add_consumer : t -> (Event.t -> unit) -> unit
 val with_observer :
   ?log_capacity:int -> attach:(t -> unit) -> (unit -> 'a) -> 'a
 (** [with_observer ?log_capacity ~attach f] runs [f] with an ambient
-    engine observer installed (domain-local, like [Faults.with_plan]):
-    every engine created during [f] on this domain defaults its
-    [log_capacity] to the given one (an explicit [create ~log_capacity]
-    wins) and is passed to [attach] right after construction — the hook
-    drivers use to bound retention and register streaming consumers on
-    engines that scenarios create internally.  Nesting shadows; the
-    previous observer is restored on exit. *)
+    engine observer installed (domain-local): every engine created
+    during [f] on this domain defaults its [log_capacity] to the given
+    one (an explicit [create ~log_capacity] wins) and is passed to
+    [attach] right after construction — the hook drivers use to bound
+    retention and register streaming consumers on engines that
+    scenarios create internally.  Nesting shadows; the previous
+    observer is restored on exit. *)
 
 val without_observer : (unit -> 'a) -> 'a
 (** Runs [f] with no ambient observer, restoring the previous one on

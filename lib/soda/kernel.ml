@@ -47,21 +47,20 @@ type t = {
   mutable next_req : int;
 }
 
-let create eng ?(costs = Costs.default) ?stats ~nodes () =
+let create eng ?(costs = Costs.default) ?stats ?faults ~nodes () =
   let sts = match stats with Some s -> s | None -> Stats.create () in
   (* All SODA kernel traffic — request, accept, discover — crosses the
      bus, so injecting there covers every rendezvous leg.  SODA requests
      are unreliable and retransmitted below the language runtime (§3.2),
      which is exactly the drop-then-retransmit model the injector
      implements. *)
-  let inj = Faults.Injector.of_ambient eng ~stats:sts in
   {
     eng;
     cst = costs;
     sts;
     bus =
       Netmodel.Csma_bus.create eng ~stats:sts ~rng:(Rng.split (Engine.rng eng))
-        ~broadcast_loss:costs.Costs.broadcast_loss ?faults:inj ~stations:nodes ();
+        ~broadcast_loss:costs.Costs.broadcast_loss ?faults ~stations:nodes ();
     procs = Hashtbl.create 16;
     reqs = Hashtbl.create 64;
     pair_count = Hashtbl.create 32;

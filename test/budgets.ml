@@ -164,7 +164,7 @@ let rungs =
     of_n1k "analysers.finish.n4k" "the same after the `~n4K` stream"
       ("test_stream", "words of Stream.finish per client");
     rung "pipeline.event" "`Run.execute` of the `~n1K` farm, per event of its stream"
-      56.56 plus2 ("test_stream", "words per event through Run.execute");
+      56.19 plus2 ("test_stream", "words per event through Run.execute");
     (* The event records, clocks and stamps alone: 198,866 words over
        10,948 events. *)
     rung "pipeline.observation-premium" "observed minus unobserved words per event of twelve sweep \

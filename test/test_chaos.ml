@@ -77,53 +77,52 @@ let dup_heavy =
   { Faults.Plan.none with label = "dup-heavy"; dup = 0.9 }
 
 let at_most_once ~seed (backend : Harness.Backend_world.backend) =
-  Faults.with_plan dup_heavy (fun () ->
-      let e = Engine.create ~seed () in
-      let w = backend.create e ~nodes:4 in
-      let sts = Lynx.World.stats w in
-      let calls = 5 in
-      let handled = ref 0 in
-      let replies = ref [] in
-      let server =
-        Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
-            let rec loop () =
-              let inc = P.await_request p () in
-              incr handled;
-              (match inc.P.in_args with
-              | [ V.Str tag ] -> inc.P.in_reply [ str ("echo:" ^ tag) ]
-              | _ -> inc.P.in_reply [ str "?" ]);
-              loop ()
-            in
-            loop ())
-      in
-      let client =
-        Lynx.World.spawn w ~node:1 ~name:"client" (fun p ->
-            let l = wait_first_link p in
-            for i = 1 to calls do
-              let tag = Printf.sprintf "c%d" i in
-              match P.call p l ~op:"echo" [ str tag ] with
-              | [ V.Str r ] -> replies := r :: !replies
-              | _ -> ()
-            done)
-      in
-      ignore
-        (Engine.spawn e ~name:"driver" (fun () ->
-             ignore (Lynx.World.link_between w client server)));
-      Engine.run e;
-      (* Duplicates really were injected... *)
-      let injected =
-        Stats.get sts "faults.dups" + Stats.get sts "faults.rx_dups"
-      in
-      checkb "duplicates were injected" true (injected > 0);
-      (* ...and the screen absorbed them: the handler ran once per call. *)
-      checki "handler ran exactly once per request" calls !handled;
-      checkb "every reply coherent" true
-        (List.sort compare !replies
-        = List.sort compare (List.init calls (fun i -> Printf.sprintf "echo:c%d" (i + 1))));
-      checkb "dedup screen fired" true
-        (Stats.get sts "lynx.dup_requests_dropped"
-         + Stats.get sts "lynx.dup_replies_resent"
-         > 0))
+  let e = Engine.create ~seed () in
+  let w = backend.create ~plan:dup_heavy e ~nodes:4 in
+  let sts = Lynx.World.stats w in
+  let calls = 5 in
+  let handled = ref 0 in
+  let replies = ref [] in
+  let server =
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"server" (fun p ->
+        let rec loop () =
+          let inc = P.await_request p () in
+          incr handled;
+          (match inc.P.in_args with
+          | [ V.Str tag ] -> inc.P.in_reply [ str ("echo:" ^ tag) ]
+          | _ -> inc.P.in_reply [ str "?" ]);
+          loop ()
+        in
+        loop ())
+  in
+  let client =
+    Lynx.World.spawn w ~node:1 ~name:"client" (fun p ->
+        let l = wait_first_link p in
+        for i = 1 to calls do
+          let tag = Printf.sprintf "c%d" i in
+          match P.call p l ~op:"echo" [ str tag ] with
+          | [ V.Str r ] -> replies := r :: !replies
+          | _ -> ()
+        done)
+  in
+  ignore
+    (Engine.spawn e ~name:"driver" (fun () ->
+         ignore (Lynx.World.link_between w client server)));
+  Engine.run e;
+  (* Duplicates really were injected... *)
+  let injected =
+    Stats.get sts "faults.dups" + Stats.get sts "faults.rx_dups"
+  in
+  checkb "duplicates were injected" true (injected > 0);
+  (* ...and the screen absorbed them: the handler ran once per call. *)
+  checki "handler ran exactly once per request" calls !handled;
+  checkb "every reply coherent" true
+    (List.sort compare !replies
+    = List.sort compare (List.init calls (fun i -> Printf.sprintf "echo:c%d" (i + 1))));
+  checkb "dedup screen fired" true
+    (Stats.get sts "lynx.dup_requests_dropped"
+     + Stats.get sts "lynx.dup_replies_resent"
+     > 0)
 
 (* ---- retry budget exhaustion --------------------------------------------- *)
 
@@ -131,57 +130,51 @@ let at_most_once ~seed (backend : Harness.Backend_world.backend) =
    screened call must time out, retry with backoff, and surface
    [Excn.Timeout] when the budget runs out — never hang. *)
 let budget_exhaustion ~seed (backend : Harness.Backend_world.backend) =
-  Faults.with_plan Faults.Plan.none (fun () ->
-      let e = Engine.create ~seed () in
-      let w = backend.create e ~nodes:4 in
-      let sts = Lynx.World.stats w in
-      let timed_out = ref false in
-      let server =
-        Lynx.World.spawn w ~daemon:true ~node:0 ~name:"blackhole" (fun p ->
-            let rec loop () =
-              ignore (P.await_request p ());
-              loop ()
-            in
-            loop ())
-      in
-      let client =
-        Lynx.World.spawn w ~node:1 ~name:"client" (fun p ->
-            let l = wait_first_link p in
-            match P.call p l ~op:"void" [ str "hello" ] with
-            | _ -> ()
-            | exception Lynx.Excn.Timeout _ -> timed_out := true)
-      in
-      ignore
-        (Engine.spawn e ~name:"driver" (fun () ->
-             ignore (Lynx.World.link_between w client server)));
-      Engine.run e;
-      checkb "call raised Excn.Timeout instead of hanging" true !timed_out;
-      let b = Faults.Plan.default_screening.Faults.Plan.s_budget in
-      checki "one attempt per budget slot" b (Stats.get sts "lynx.call_timeouts");
-      checki "retries = budget - 1" (b - 1) (Stats.get sts "lynx.call_retries");
-      checki "budget exhausted once" 1
-        (Stats.get sts "lynx.call_budget_exhausted"))
+  let e = Engine.create ~seed () in
+  let w = backend.create ~plan:Faults.Plan.none e ~nodes:4 in
+  let sts = Lynx.World.stats w in
+  let timed_out = ref false in
+  let server =
+    Lynx.World.spawn w ~daemon:true ~node:0 ~name:"blackhole" (fun p ->
+        let rec loop () =
+          ignore (P.await_request p ());
+          loop ()
+        in
+        loop ())
+  in
+  let client =
+    Lynx.World.spawn w ~node:1 ~name:"client" (fun p ->
+        let l = wait_first_link p in
+        match P.call p l ~op:"void" [ str "hello" ] with
+        | _ -> ()
+        | exception Lynx.Excn.Timeout _ -> timed_out := true)
+  in
+  ignore
+    (Engine.spawn e ~name:"driver" (fun () ->
+         ignore (Lynx.World.link_between w client server)));
+  Engine.run e;
+  checkb "call raised Excn.Timeout instead of hanging" true !timed_out;
+  let b = Faults.Plan.default_screening.Faults.Plan.s_budget in
+  checki "one attempt per budget slot" b (Stats.get sts "lynx.call_timeouts");
+  checki "retries = budget - 1" (b - 1) (Stats.get sts "lynx.call_retries");
+  checki "budget exhausted once" 1
+    (Stats.get sts "lynx.call_budget_exhausted")
 
 (* ---- base runs are untouched --------------------------------------------- *)
 
-(* With no ambient plan the fault layer must be inert: same event-stream
-   fingerprint as a run made before lib/faults existed — which we check
-   by comparing against a run whose plan hooks are provably off. *)
+(* With no plan the fault layer must be inert: the same context gives
+   the same event-stream fingerprint every time, and only a context
+   that carries a plan moves it. *)
 let no_plan_no_change () =
-  let fingerprint () =
-    let module S = Harness.Scenarios in
-    let o =
-      S.cross_request { S.default with seed = 11 } Harness.Backend_world.soda
-    in
-    o.S.o_view.Engine.v_events_hash
+  let module S = Harness.Scenarios in
+  let fingerprint ctx =
+    (S.cross_request ctx Harness.Backend_world.soda).S.o_view.Engine.v_events_hash
   in
-  let base = fingerprint () in
-  (* A faulted run differs... *)
-  let faulted = Faults.with_plan dup_heavy fingerprint in
-  (* ...and after with_plan returns, the ambient plan is gone again. *)
-  let after = fingerprint () in
-  checkb "ambient plan restored" true (base = after);
-  checkb "faulted run actually diverged" true (base <> faulted)
+  let ctx = { S.default with seed = 11 } in
+  let base = fingerprint ctx in
+  checkb "same context, same hash" true (base = fingerprint ctx);
+  checkb "faulted run actually diverged" true
+    (base <> fingerprint { ctx with plan = Some dup_heavy })
 
 (* ---- modeled CSMA broadcast loss is a typed Drop (satellite 2) ------------ *)
 
@@ -281,7 +274,7 @@ let () =
             (budget_exhaustion ~seed:4) );
       ( "inert",
         [
-          Alcotest.test_case "no ambient plan, no change" `Quick
+          Alcotest.test_case "no plan, no change" `Quick
             no_plan_no_change;
           Alcotest.test_case "broadcast loss is a typed Drop" `Quick
             broadcast_loss_event;
