@@ -334,7 +334,7 @@ let x1 () =
       (fun k ->
         let cell b =
           Printf.sprintf "%.1f ops/s"
-            (Harness.Rpc_bench.throughput ~coroutines:k b ~payload:0 ())
+            (Harness.Rpc_bench.throughput ~coroutines:k b)
         in
         [
           string_of_int k;

@@ -66,10 +66,6 @@ val calls : t -> call array
 val entries : t -> entry array
 val moves : t -> move array
 
-val servers : t -> call -> entry list
-(** Entries that may serve the call: those on the peer endpoint whose
-    operation filter matches. *)
-
 val concurrent_sends : t -> call -> call -> bool
 (** The two calls' sends may happen in parallel. *)
 

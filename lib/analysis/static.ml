@@ -18,8 +18,6 @@
 
 type rule = S_msg | S_sig | S_move | S_dlk
 
-let rules = [ S_msg; S_sig; S_move; S_dlk ]
-
 let rule_name = function
   | S_msg -> "S-MSG"
   | S_sig -> "S-SIG"

@@ -21,9 +21,6 @@
 
 type rule = S_msg | S_sig | S_move | S_dlk
 
-val rules : rule list
-(** All rules, in reporting order. *)
-
 val rule_name : rule -> string
 (** ["S-MSG"], ["S-SIG"], ["S-MOVE"], ["S-DLK"]. *)
 

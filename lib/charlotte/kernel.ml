@@ -76,11 +76,6 @@ let proc t pid =
 let process_alive t pid = (proc t pid).p_alive
 let process_node t pid = (proc t pid).p_node
 
-let owner_of t (e : link_end) =
-  match Hashtbl.find t.links e.link_id with
-  | l -> l.l_ends.(e.side).e_owner
-  | exception Not_found -> None
-
 let owned_by es pid = match es.e_owner with Some o -> o = pid | None -> false
 
 module Key = struct
@@ -460,3 +455,10 @@ let spawn_process t ?(daemon = false) ~node ~name body =
          (try body pid with Process_exit -> ());
          terminate t pid));
   pid
+
+module For_tests = struct
+  let owner_of t (e : link_end) =
+    match Hashtbl.find t.links e.link_id with
+    | l -> l.l_ends.(e.side).e_owner
+    | exception Not_found -> None
+end

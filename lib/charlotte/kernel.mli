@@ -82,11 +82,14 @@ val terminate : t -> pid -> unit
 (** Destroys all links of [pid] and marks it dead.  Called automatically
     when a process body returns. *)
 
-(** {1 Introspection (for tests; not part of the Charlotte interface)} *)
-
-val owner_of : t -> link_end -> pid option
+(** {1 Bootstrap (not part of the Charlotte interface)} *)
 
 val transfer_end : t -> link_end -> to_:pid -> unit
 (** Reassigns ownership of an idle end (simulation bootstrap only: models
     a link inherited from a parent process; real ends move by message
     enclosure).  The end must have no outstanding activities. *)
+
+(** Introspection a test needs to check where an end lives. *)
+module For_tests : sig
+  val owner_of : t -> link_end -> pid option
+end

@@ -9,15 +9,7 @@ type node = int
     the paper's end-to-end discussion calls out). *)
 type link_end = { link_id : int; side : int (* 0 or 1 *) }
 
-let peer_side e = { e with side = 1 - e.side }
-
-let pp_end ppf e = Format.fprintf ppf "L%d.%c" e.link_id (if e.side = 0 then 'a' else 'b')
-
 type direction = Sent | Received
-
-let pp_direction ppf = function
-  | Sent -> Format.pp_print_string ppf "sent"
-  | Received -> Format.pp_print_string ppf "received"
 
 (** Status codes returned by kernel calls and completions. *)
 type status =
@@ -39,8 +31,6 @@ let status_to_string = function
   | E_no_activity -> "no-activity"
   | E_enclosure_busy -> "enclosure-busy"
   | E_enclosure_self -> "enclosure-self"
-
-let pp_status ppf s = Format.pp_print_string ppf (status_to_string s)
 
 (** Activity completion descriptor, returned by [Wait] (paper §3.1). *)
 type completion = {

@@ -117,11 +117,6 @@ let obj t name =
 let map_count (p : process) name =
   match Hashtbl.find p.c_mapped name with n -> n | exception Not_found -> 0
 
-let mapped t pid name = map_count (proc t pid) name > 0
-
-let object_exists t name = Hashtbl.mem t.objects name
-let refcount t name = (obj t name).o_refcount
-
 let make_object t pid ~size =
   charge t t.cst.Costs.make_object;
   let p = proc t pid in
@@ -383,8 +378,6 @@ let dq_dequeue t _pid qname ~ev =
     None
   end
 
-let dq_length t qname = Queue.length (dualq t qname).dq_data
-
 (* ---- Processes --------------------------------------------------------- *)
 
 let at_termination t pid f =
@@ -433,3 +426,10 @@ let spawn_process t ?(daemon = false) ~node ~name:label body =
          | Memory_fault _ -> ());
          terminate t pid));
   pid
+
+module For_tests = struct
+  let refcount t name = (obj t name).o_refcount
+  let object_exists t name = Hashtbl.mem t.objects name
+  let mapped t pid name = map_count (proc t pid) name > 0
+  let dq_length t qname = Queue.length (dualq t qname).dq_data
+end

@@ -55,10 +55,6 @@ val unmap_object : t -> pid -> obj_name -> unit
 val mark_for_deletion : t -> pid -> obj_name -> unit
 (** The object is reclaimed once its reference count reaches zero. *)
 
-val refcount : t -> obj_name -> int
-val object_exists : t -> obj_name -> bool
-val mapped : t -> pid -> obj_name -> bool
-
 val write_bytes : t -> pid -> obj_name -> off:int -> bytes -> unit
 (** Copies into the object, charging local or switch cost by locality of
     the object's home node relative to the caller. *)
@@ -105,4 +101,11 @@ val dq_dequeue : t -> pid -> dualq_name -> ev:event_name -> int option
     on the queue and returns [None]; the caller should then
     [event_wait ev] for the datum. *)
 
-val dq_length : t -> dualq_name -> int
+(** Introspection a test needs to check reference counting, mapping and
+    queue contents. *)
+module For_tests : sig
+  val refcount : t -> obj_name -> int
+  val object_exists : t -> obj_name -> bool
+  val mapped : t -> pid -> obj_name -> bool
+  val dq_length : t -> dualq_name -> int
+end

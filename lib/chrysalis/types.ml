@@ -21,9 +21,3 @@ type fault =
   | Bounds  (** out-of-range memory access *)
 
 exception Memory_fault of fault
-
-let fault_to_string = function
-  | Unmapped_object -> "unmapped-object"
-  | Bad_name -> "bad-name"
-  | Not_owner -> "not-owner"
-  | Bounds -> "bounds"

@@ -41,8 +41,6 @@ module Plan : sig
       unreliable transport (§5: screening belongs to the language
       runtime, not the kernel). *)
 
-  val default_screening : screening
-
   val floor_screening : rtt:Sim.Time.t -> screening -> screening
   (** Raise [s_timeout] and [s_timeout_cap] to at least twice [rtt] —
       the backend's nominal RPC round trip.  A reply timeout below the
@@ -92,7 +90,14 @@ module Plan : sig
   val dups : t
   val delays : t
   val crash_restart : t
+
   val partition : t
+  (** Cut odd from even nodes for \[1 ms, 4 ms).  The window closes
+      before any scenario's first cross-node frame (a Charlotte frame
+      alone costs about 26 ms), so this plan cuts nothing: every run
+      has the events hash it has under {!none}, and the chaos sweep's
+      [partition] column tests screening, not a cut. *)
+
   val mix : t
 
   val leader_crash : t

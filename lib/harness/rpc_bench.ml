@@ -34,10 +34,14 @@ let run_pair eng w ~server ~client =
          Sync.Ivar.fill link_for_client client_end));
   Engine.run eng
 
-let run ?(nodes = 4) ?(iters = 30) ?(warmup = 5) ?(seed = 42)
-    (backend : backend) ~payload () =
+(* Every echo runs [warmup] calls before it measures: enough to reach
+   the steady state, in which the LYNX link and the kernel's buffers
+   already exist. *)
+let warmup = 5
+
+let run ?(iters = 30) ?(warmup = warmup) ?(seed = 42) (backend : backend) ~payload () =
   let eng = Engine.create ~seed ~log_capacity:0 () in
-  let w = backend.create eng ~nodes in
+  let w = backend.create eng ~nodes:4 in
   let sts = Lynx.World.stats w in
   let series = Stats.Series.create () in
   let counters = ref [] in
@@ -82,10 +86,9 @@ let run ?(nodes = 4) ?(iters = 30) ?(warmup = 5) ?(seed = 42)
     Chrysalis, up to the pair budget under SODA.  Returns completed
     calls per simulated second.  (An analysis beyond the paper's own
     tables.) *)
-let throughput ?(nodes = 4) ?(coroutines = 4) ?(calls = 40) ?(seed = 42)
-    (backend : backend) ~payload () =
-  let eng = Engine.create ~seed ~log_capacity:0 () in
-  let w = backend.create eng ~nodes in
+let throughput ~coroutines (backend : backend) =
+  let eng = Engine.create ~seed:42 ~log_capacity:0 () in
+  let w = backend.create eng ~nodes:4 in
   let t_start = ref Time.zero and t_end = ref Time.zero in
   let completed = ref 0 in
   run_pair eng w
@@ -97,13 +100,13 @@ let throughput ?(nodes = 4) ?(coroutines = 4) ?(calls = 40) ?(seed = 42)
         (Lynx.Process.live_links p);
       Lynx.Process.park p)
     ~client:(fun p lnk ->
-      let args = [ Lynx.Value.Str (String.make payload 'x') ] in
+      let args = [ Lynx.Value.Str "" ] in
       let fin = Sync.Ivar.create eng in
       let live = ref coroutines in
       t_start := Engine.now eng;
       for _ = 1 to coroutines do
         Lynx.Process.spawn_thread p (fun () ->
-            for _ = 1 to calls do
+            for _ = 1 to 40 do
               ignore (Lynx.Process.call p lnk ~op:"echo" args);
               incr completed
             done;
@@ -119,7 +122,7 @@ let throughput ?(nodes = 4) ?(coroutines = 4) ?(calls = 40) ?(seed = 42)
     kernel calls" — the raw-kernel baseline of §3.3.  Only meaningful
     per backend kernel, so it is implemented directly against each
     kernel's interface. *)
-let raw_charlotte ?(iters = 30) ?(warmup = 5) ?(seed = 42) ~payload () =
+let raw_charlotte ?(iters = 30) ?(seed = 42) ~payload () =
   let open Charlotte.Types in
   let eng = Engine.create ~seed ~log_capacity:0 () in
   let k = Charlotte.Kernel.create eng ~nodes:2 () in
@@ -173,7 +176,7 @@ let raw_charlotte ?(iters = 30) ?(warmup = 5) ?(seed = 42) ~payload () =
 
 (** Raw request/accept round trip on the SODA kernel (the measurements
     behind footnote 2). *)
-let raw_soda ?(iters = 30) ?(warmup = 5) ?(seed = 42) ~payload () =
+let raw_soda ?(iters = 30) ?(seed = 42) ~payload () =
   let open Soda.Types in
   let reply_name = 1_999_999 in
   let eng = Engine.create ~seed ~log_capacity:0 () in
@@ -251,7 +254,7 @@ let raw_soda ?(iters = 30) ?(warmup = 5) ?(seed = 42) ~payload () =
     the server's queue; the server reads the payload, writes it back and
     enqueues on the client's queue.  No LYNX link object, flags or
     notices — the kernel calls a message costs at the least. *)
-let raw_chrysalis ?(iters = 30) ?(warmup = 5) ?(seed = 42) ~payload () =
+let raw_chrysalis ?(iters = 30) ?(seed = 42) ~payload () =
   let module K = Chrysalis.Kernel in
   let eng = Engine.create ~seed ~log_capacity:0 () in
   let k = K.create eng ~processors:2 () in

@@ -20,7 +20,6 @@ type result = {
 val mean_ms : result -> float
 
 val run :
-  ?nodes:int ->
   ?iters:int ->
   ?warmup:int ->
   ?seed:int ->
@@ -30,35 +29,27 @@ val run :
   result
 (** Runs [warmup] + [iters] sequential echo RPCs carrying [payload]
     bytes each way between a client and a server on separate nodes, and
-    reports the steady-state latency distribution.  Deterministic per
-    seed. *)
+    reports the steady-state latency distribution.  The world has four
+    nodes, and [warmup] is 5 by default.  Deterministic per seed. *)
 
-val throughput :
-  ?nodes:int ->
-  ?coroutines:int ->
-  ?calls:int ->
-  ?seed:int ->
-  backend ->
-  payload:int ->
-  unit ->
-  float
+val throughput : coroutines:int -> backend -> float
 (** Completed calls per simulated second with [coroutines] concurrent
-    callers sharing one link — how far each kernel's buffering lets the
+    callers sharing one link, each making 40 empty echo calls (seed 42,
+    four nodes) — how far each kernel's buffering lets the
     stop-and-wait coroutines pipeline.  An analysis beyond the paper's
     own tables. *)
 
-val raw_charlotte :
-  ?iters:int -> ?warmup:int -> ?seed:int -> payload:int -> unit -> Sim.Time.t
+val raw_charlotte : ?iters:int -> ?seed:int -> payload:int -> unit -> Sim.Time.t
 (** The §3.3 baseline: "C programs that make the same series of kernel
     calls" against the Charlotte kernel directly, bypassing the LYNX
-    run-time package.  Returns the mean round-trip time. *)
+    run-time package.  Returns the mean round-trip time of [iters]
+    echoes after 5 warm-up echoes.  The three [raw_*] share this
+    type. *)
 
-val raw_soda :
-  ?iters:int -> ?warmup:int -> ?seed:int -> payload:int -> unit -> Sim.Time.t
+val raw_soda : ?iters:int -> ?seed:int -> payload:int -> unit -> Sim.Time.t
 (** Raw request/accept round trip on the SODA kernel (the measurements
     behind §4.3 footnote 2). *)
 
-val raw_chrysalis :
-  ?iters:int -> ?warmup:int -> ?seed:int -> payload:int -> unit -> Sim.Time.t
+val raw_chrysalis : ?iters:int -> ?seed:int -> payload:int -> unit -> Sim.Time.t
 (** Raw dual-queue echo on the Chrysalis kernel: one enqueue and one
     event wait each way, the payload copied through a shared object. *)

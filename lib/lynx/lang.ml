@@ -51,17 +51,6 @@ let pair a b =
       | _ -> fail "pair");
   }
 
-let triple a b c =
-  let p = pair a (pair b c) in
-  {
-    a_ty = p.a_ty;
-    a_enc = (fun (x, y, z) -> p.a_enc (x, (y, z)));
-    a_dec =
-      (fun v ->
-        let x, (y, z) = p.a_dec v in
-        (x, y, z));
-  }
-
 let list a =
   {
     a_ty = Ty.List a.a_ty;

@@ -20,7 +20,6 @@ val link : Link.t arg
 (** The link end moves to the receiver, as always. *)
 
 val pair : 'a arg -> 'b arg -> ('a * 'b) arg
-val triple : 'a arg -> 'b arg -> 'c arg -> ('a * 'b * 'c) arg
 val list : 'a arg -> 'a list arg
 val option : 'a arg -> 'a option arg
 

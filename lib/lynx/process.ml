@@ -31,7 +31,6 @@ type t = {
 let name t = t.pname
 let engine t = t.eng
 let stats t = t.sts
-let alive t = not t.terminated
 let failures t = List.rev t.thread_failures
 
 let live_links t =

@@ -57,7 +57,6 @@ val finish : t -> unit
 val name : t -> string
 val engine : t -> Sim.Engine.t
 val stats : t -> Sim.Stats.t
-val alive : t -> bool
 val failures : t -> (string * exn) list
 (** Exceptions that aborted threads of this process. *)
 

@@ -84,14 +84,16 @@ let slot_writer ~corr ~op ~exn_msg ~(enclosures : int list) ~len =
   List.iter (u32 w) enclosures;
   w
 
-(** The whole frame for a [payload] already encoded: {!decode_slot}'s
-    inverse, behind the length prefix.  The channel writes its frames
-    with {!slot_writer} instead. *)
-let encode_slot ~corr ~op ~exn_msg ~enclosures ~(payload : bytes) =
-  let len = Bytes.length payload in
-  let w = slot_writer ~corr ~op ~exn_msg ~enclosures ~len in
-  Lynx.Frame.sub w payload ~off:0 ~len;
-  Lynx.Frame.finish w
+module For_tests = struct
+  (** The whole frame for a [payload] already encoded: {!decode_slot}'s
+      inverse, behind the length prefix, which the frame tests round-trip
+      through.  The channel writes its frames with {!slot_writer}. *)
+  let encode_slot ~corr ~op ~exn_msg ~enclosures ~(payload : bytes) =
+    let len = Bytes.length payload in
+    let w = slot_writer ~corr ~op ~exn_msg ~enclosures ~len in
+    Lynx.Frame.sub w payload ~off:0 ~len;
+    Lynx.Frame.finish w
+end
 
 (** The message length a slot's 4-byte prefix declares. *)
 let decode_length (prefix : bytes) =

@@ -134,15 +134,18 @@ let body_writer ~corr ~op ~exn_msg ~encl ~len =
   u32 w len;
   w
 
-(** Encodes any body: {!decode_body}'s inverse.  The channel writes its
-    bodies with {!body_writer} instead. *)
-let encode_body (b : body) : bytes =
-  let w =
-    body_writer ~corr:b.b_corr ~op:b.b_op ~exn_msg:b.b_exn ~encl:b.b_encl
-      ~len:b.b_len
-  in
-  Lynx.Frame.sub w b.b_payload ~off:b.b_off ~len:b.b_len;
-  Lynx.Frame.finish w
+module For_tests = struct
+  (** Encodes any body: {!decode_body}'s inverse, which the frame tests
+      round-trip through.  The channel writes its bodies with
+      {!body_writer}. *)
+  let encode_body (b : body) : bytes =
+    let w =
+      body_writer ~corr:b.b_corr ~op:b.b_op ~exn_msg:b.b_exn ~encl:b.b_encl
+        ~len:b.b_len
+    in
+    Lynx.Frame.sub w b.b_payload ~off:b.b_off ~len:b.b_len;
+    Lynx.Frame.finish w
+end
 
 exception Malformed = Lynx.Frame.Malformed
 

@@ -38,8 +38,6 @@ val all : t list
 
 val ids : string list
 
-val holds : expect -> value -> bool
-
 type result = { claim : t; measured : (value, string) Stdlib.result; ok : bool }
 (** A measurement that raises is [Error] of the exception's text, and
     fails its claim. *)

@@ -131,3 +131,8 @@ let layer_sizes () =
       @ List.map
           (fun d -> (d, count_dir (Filename.concat root d)))
           [ "bin"; "bench"; "test" ])
+
+module For_tests = struct
+  let count_dir = count_dir
+  let find_repo_root = find_repo_root
+end

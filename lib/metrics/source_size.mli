@@ -12,13 +12,6 @@ type count = {
 val zero : count
 val add : count -> count -> count
 
-val count_dir : string -> count
-(** Recursively counts every [.ml]/[.mli] under a directory; zero if the
-    directory does not exist. *)
-
-val find_repo_root : unit -> string option
-(** Walks upward from the current directory to the [dune-project]. *)
-
 val backend_sizes : unit -> (string * count) list option
 (** Sizes of [lynx_charlotte], [lynx_soda], [lynx_chrysalis] and the
     shared [lynx] core, relative to the repository root; [None] when the
@@ -28,5 +21,16 @@ val layer_sizes : unit -> (string * count) list option
 (** Our own code per layer, the way {!backend_sizes} measures the
     paper's run-time packages: one ["lib/<name>"] entry per library
     directory (sorted), then ["bin"], ["bench"] and ["test"].  The
-    [lib/*] entries sum to [count_dir "lib"].  [None] when the sources
+    [lib/*] entries sum to the count of [lib].  [None] when the sources
     are not accessible. *)
+
+(** The counter and the root finder, for tests that count planted files
+    and read the repository's own. *)
+module For_tests : sig
+  val count_dir : string -> count
+  (** Recursively counts every [.ml]/[.mli] under a directory; zero if
+      the directory does not exist. *)
+
+  val find_repo_root : unit -> string option
+  (** Walks upward from the current directory to the [dune-project]. *)
+end

@@ -101,14 +101,12 @@ let table artifacts =
 let races_report ~backend ~scenarios artifacts =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let total = ref 0 in
   List.iter2
     (fun sc a ->
       match a with
       | None -> pr "%-20s n/a on %s\n" sc backend
       | Some { races = []; _ } -> pr "%-20s clean\n" sc
       | Some { races; _ } ->
-        total := !total + List.length races;
         pr "%-20s %d race(s)\n" sc (List.length races);
         List.iter
           (fun f ->
@@ -116,7 +114,7 @@ let races_report ~backend ~scenarios artifacts =
               (Format.asprintf "  %a@." Analysis.Races.pp_finding f))
           races)
     scenarios artifacts;
-  (Buffer.contents buf, !total)
+  Buffer.contents buf
 
 (* ---- JSON rendering ------------------------------------------------- *)
 

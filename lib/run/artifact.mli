@@ -35,19 +35,10 @@ val anomalous : t -> bool
     {!Liveness.Missed} — the failure criterion for faulted runs, where
     missing the scripted finale ([ok = false]) is informational. *)
 
-val fault_counters : t -> (string * int) list
-(** The counter increments that tell the run's fault-tolerance story:
-    injected faults ([faults.*]), screening spend ([lynx.call_*],
-    [lynx.dup_*], [lynx.bodies_screened]) and recovery cost
-    ([recovery.*]). *)
-
-val strict_failed : t -> bool
-(** Violated an invariant, raced, or missed the scenario's expected
-    final state — the failure criterion for clean exploration runs. *)
-
 val failed : t -> bool
 (** The failure criterion, chosen by the spec: {!anomalous} when a
-    fault plan is armed, {!strict_failed} otherwise. *)
+    fault plan is armed; otherwise, for clean exploration runs, a
+    violated invariant, a race, or a missed expected final state. *)
 
 val faulted : t list -> bool
 (** Some artifact ran under a fault plan. *)
@@ -62,12 +53,10 @@ val table : t list -> string
     cell and verdict — the byte-comparable determinism witness of a
     sweep. *)
 
-val races_report :
-  backend:string -> scenarios:string list -> t option list -> string * int
+val races_report : backend:string -> scenarios:string list -> t option list -> string
 (** The [lynx_sim races] report for one backend: per-scenario
-    clean/n-races lines with finding details, plus the total race
-    count.  The artifacts align with [scenarios]; [None] entries render
-    as ["n/a on <backend>"]. *)
+    clean/n-races lines with finding details.  The artifacts align with
+    [scenarios]; [None] entries render as ["n/a on <backend>"]. *)
 
 val to_json : t -> string
 (** One artifact as JSON.  Stays within the objects/strings/numbers

@@ -33,17 +33,6 @@ val judge : Spec.t -> Harness.Scenarios.outcome -> Artifact.t
     pipeline against; it also judges synthetic views test fixtures
     build by hand. *)
 
-val run_streamed :
-  ?log_capacity:int ->
-  Spec.t ->
-  Harness.Scenarios.outcome option * Analysis.Stream.t
-(** {!run_outcome} with the streaming analyzer attached: installs an
-    ambient {!Sim.Engine.with_observer} for the duration of the run, so
-    the scenario's private engine bounds its retained log to
-    [log_capacity] (if given) and feeds every emitted event to an
-    {!Analysis.Stream} analyzer.  Returns the outcome and the analyzer
-    state ([finish] it to judge). *)
-
 val execute_full :
   ?log_capacity:int ->
   Spec.t ->

@@ -67,8 +67,6 @@ let gaps_of cache (a : Artifact.t) =
                    scenario)))
       races
 
-let unpredicted a = gaps_of (Hashtbl.create 4) a
-
 let check artifacts =
   let cache = Hashtbl.create 16 in
   List.concat_map (gaps_of cache) artifacts

@@ -21,33 +21,12 @@ type gap = {
   g_reason : string;
 }
 
-val unpredicted : Artifact.t -> gap list
-(** Gaps of a single artifact; empty when its races are all predicted
-    (in particular when it has none). *)
-
 val check : Artifact.t list -> gap list
 (** Gaps across a whole sweep, in artifact order.  Predictions are
     computed once per scenario. *)
 
 val report : gap list -> string
 (** One line per gap, or a single all-clear line. *)
-
-type coverage_line = {
-  c_scenario : string;
-  c_prediction : Analysis.Static.prediction;
-  c_observed : bool;
-      (** some artifact in the sweep dynamically reported this rule in
-          this scenario *)
-}
-
-val coverage : Artifact.t list -> coverage_line list
-(** Every static prediction for every scenario the sweep touched (in
-    first-appearance order), marked observed/unobserved.  Unobserved
-    predictions are not failures — the static pass promises
-    containment, not exactness — but they map where schedule
-    exploration is still blind (ROADMAP item 5's seed input). *)
-
-val coverage_report : Artifact.t list -> string
 
 val static_report :
   json:bool ->
@@ -57,7 +36,11 @@ val static_report :
   string * int
 (** The [lynx_sim static] report over named protocols: each one's
     predictions and alarm count, then, when a soundness sweep's
-    artifacts (over seeds 1..[seeds]) are given, its gaps and
-    {!coverage}.  Text, or the [lynx-run/1] JSON object under [~json].
-    The count is the alarms plus the gaps: the command fails when it is
-    not zero. *)
+    artifacts (over seeds 1..[seeds]) are given, its gaps and its
+    coverage: every static prediction for every scenario the sweep
+    touched (in first-appearance order), marked seen or unseen.  An
+    unseen prediction is not a failure — the static pass promises
+    containment, not exactness — but it maps where schedule
+    exploration is still blind.  Text, or the [lynx-run/1] JSON object
+    under [~json].  The count is the alarms plus the gaps: the command
+    fails when it is not zero. *)

@@ -40,11 +40,6 @@ type plan =
 
 let all_plans = [ Drop; Duplicate; Delay; Crash_restart; Partition; Mix ]
 
-(* The targeted plans aim at specific protocol topologies (named
-   victims, replica-group cuts), so they are opt-in per case rather
-   than part of the default chaos product. *)
-let targeted_plans = [ Leader_crash; Partition_minority; Partition_majority ]
-
 let plan_name = function
   | Screen -> "screen"
   | Drop -> "drop"

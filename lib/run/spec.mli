@@ -44,13 +44,10 @@ type plan =
 
 val all_plans : plan list
 (** The generic fault-injecting plans, in sweep order ([Screen]
-    excluded: it injects nothing and is opt-in by name). *)
-
-val targeted_plans : plan list
-(** The targeted plans ([Leader_crash], [Partition_minority],
-    [Partition_majority]): they aim at specific protocol topologies, so
-    they are opt-in per case ([--plan leader-crash]) rather than part of
-    the default chaos product. *)
+    excluded: it injects nothing and is opt-in by name).  The three
+    targeted plans aim at specific protocol topologies (named victims,
+    replica-group cuts), so they are opt-in per case ([--plan
+    leader-crash]) rather than part of the default chaos product. *)
 
 val plan_name : plan -> string
 val plan_of_string : string -> plan option

@@ -349,15 +349,7 @@ let events t =
     let n = Array.length t.ev_arr in
     Array.init t.ev_len (fun i -> t.ev_arr.((t.ev_start + i) mod n))
 
-let iter_events t f =
-  let arr = t.ev_arr in
-  let n = Array.length arr in
-  for i = 0 to t.ev_len - 1 do
-    f arr.((t.ev_start + i) mod n)
-  done
-
 let events_total t = t.events_total
-let events_dropped t = t.events_total - t.ev_len
 let events_hash t = Int64.of_int t.events_hash
 
 (* Packs a layer tag (2 bits), an object id and a per-object sequence
@@ -445,13 +437,6 @@ let inject t ~time ~clk task =
 
 let next_task_ns t =
   if Taskq.length t.tasks = 0 then max_int else Taskq.min_time t.tasks
-
-let fiber_name f = f.name
-let fiber_id f = f.fid
-let fiber_alive f = match f.state with Finished | Crashed -> false | _ -> true
-
-let current_fiber_name t =
-  match t.current with None -> "<scheduler>" | Some f -> f.name
 
 (* The one way a fiber ends without crashing.  Unlinking drops the
    engine's last reference: what the fiber's closures hold is collected
@@ -616,8 +601,8 @@ let direct_handler t =
     t.handler <- Some h;
     h
 
-let spawn t ?fid ?name ?daemon f =
-  let fiber = new_fiber t ?fid ?name ?daemon () in
+let spawn t ?name ?daemon f =
+  let fiber = new_fiber t ?name ?daemon () in
   let rec d =
     {
       d_fiber = fiber;
@@ -860,3 +845,9 @@ let run_until t limit =
   check_crashes t
 
 let stop t = t.stopped <- true
+
+module For_tests = struct
+  let fiber_name f = f.name
+  let fiber_id f = f.fid
+  let fiber_alive f = match f.state with Finished | Crashed -> false | _ -> true
+end

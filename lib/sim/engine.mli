@@ -183,17 +183,9 @@ val events : t -> Event.t array
     fresh, unwrapped copy — the ring keeps rotating, so its storage is
     never shared with callers.  Treat the result as read-only. *)
 
-val iter_events : t -> (Event.t -> unit) -> unit
-(** Iterates the structured log oldest-first without materialising
-    anything. *)
-
 val events_total : t -> int
 (** Total number of events emitted so far, retained or not.  Exact at
     any [log_capacity]. *)
-
-val events_dropped : t -> int
-(** Events emitted but no longer retained: rotated out of the ring.
-    Always [events_total - Array.length (events t)]. *)
 
 val events_hash : t -> int64
 (** Incremental FNV-1a fingerprint of the full structured stream
@@ -240,24 +232,13 @@ val next_task_ns : t -> int
     none is queued — what the shard coordinator uses to skip empty
     lookahead windows, once per window and without an option. *)
 
-val spawn : t -> ?fid:int -> ?name:string -> ?daemon:bool -> (unit -> unit) -> fiber
+val spawn : t -> ?name:string -> ?daemon:bool -> (unit -> unit) -> fiber
 (** Starts a fiber at the current virtual time.  [daemon] fibers (default
     false) are expected to outlive the simulation and are excluded from
-    quiescence accounting.  Each spawn is assigned the next fiber id and
-    logged as an {!Event.Spawn} event.  [?fid] pins the id
-    explicitly (raising [Invalid_argument] on a negative or already-used
-    id, and bumping the internal counter past it): sharded runs assign
-    fiber ids globally — fiber [n] is node [n] at every shard count — so
-    the per-engine counter cannot be the allocator.  Used ids are kept
-    one bit each, up to the largest. *)
-
-val fiber_name : fiber -> string
-
-val fiber_id : fiber -> int
-(** Monotonically increasing per engine, starting at 0: two runs of the
-    same program with the same seed assign identical ids. *)
-
-val fiber_alive : fiber -> bool
+    quiescence accounting.  Each spawn is assigned the next fiber id
+    (monotonically increasing per engine, starting at 0, so two runs of
+    the same program with the same seed assign identical ids) and
+    logged as an {!Event.Spawn} event. *)
 
 (** {1 Running} *)
 
@@ -407,8 +388,13 @@ val yield : t -> unit
 
 val spawn_stackless :
   t -> ?fid:int -> ?name:string -> ?daemon:bool -> (unit -> unit) -> fiber
-(** Like {!spawn}, with the same ids, events and options, but the
-    function is the fiber's first step. *)
+(** Like {!spawn}, with the same events and options, but the function
+    is the fiber's first step.  [?fid] pins the id explicitly (raising
+    [Invalid_argument] on a negative or already-used id, and bumping the
+    internal counter past it): sharded runs assign fiber ids globally —
+    fiber [n] is node [n] at every shard count — so the per-engine
+    counter cannot be the allocator.  Used ids are kept one bit each, up
+    to the largest. *)
 
 val sleep_then : t -> Time.t -> (unit -> unit) -> unit
 (** [sleep_then t d k] blocks the current stackless fiber for [d] and
@@ -435,5 +421,9 @@ val wake : t -> fiber -> ('a -> unit) -> 'a -> unit
     Waking a fiber that crashed does nothing: a crashed fiber is never
     resumed.  Allocates the task and nothing else. *)
 
-val current_fiber_name : t -> string
-(** Name of the running fiber, or ["<scheduler>"] outside any fiber. *)
+(** Probes a test needs to check a fiber's identity and lifetime. *)
+module For_tests : sig
+  val fiber_name : fiber -> string
+  val fiber_id : fiber -> int
+  val fiber_alive : fiber -> bool
+end

@@ -95,7 +95,9 @@ let kind_to_string = function
   | Drop { obj; op } -> Printf.sprintf "drop %s op=%s" obj op
   | Fault { what; obj } -> Printf.sprintf "fault %s %s" what obj
 
-let describe t =
-  Printf.sprintf "[%.3fms #%d %s] %s" (Time.to_ms t.ev_time) t.ev_fiber
-    (Vclock.to_string t.ev_clock)
-    (kind_to_string t.ev_kind)
+module For_tests = struct
+  let describe t =
+    Printf.sprintf "[%.3fms #%d %s] %s" (Time.to_ms t.ev_time) t.ev_fiber
+      (Vclock.to_string t.ev_clock)
+      (kind_to_string t.ev_kind)
+end

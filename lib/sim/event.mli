@@ -5,9 +5,8 @@
     touched, and carries a {!Vclock} snapshot that captures its causal
     past.  Nothing is rendered to text while a run executes: consumers
     read the typed kinds, the engine folds {!kind_tag} into its
-    fingerprint, and human-readable forms ({!kind_to_string},
-    {!describe}) are produced on demand — e.g. for a repro dump's
-    trace tail. *)
+    fingerprint, and a human-readable form ({!kind_to_string}) is
+    produced on demand — e.g. for a repro dump's trace tail. *)
 
 (** How a send takes part in the race rules, and what it promises about
     its object's lifetime. *)
@@ -106,5 +105,8 @@ val kind_to_string : kind -> string
     ["send ep.req req"] — the label streaming analyzers use when citing
     an event they did not retain. *)
 
-val describe : t -> string
-(** Full human-readable form, including the vector clock. *)
+(** The rendering the tests' event-stream MD5 goldens are taken over. *)
+module For_tests : sig
+  val describe : t -> string
+  (** Full human-readable form, including the vector clock. *)
+end

@@ -73,8 +73,6 @@ let min_time h =
   if h.len = 0 then invalid_arg "Heap.min_time: empty heap"
   else h.arr.(0).time
 
-let peek_time h = if h.len = 0 then None else Some h.arr.(0).time
-
 (* Dropping the backing array (not just the length) matters: entries
    past [len] would otherwise keep their payloads — often closures
    capturing whole simulation worlds — reachable until overwritten. *)

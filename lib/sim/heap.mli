@@ -15,9 +15,6 @@ val add : 'a t -> time:int -> seq:int -> 'a -> unit
 val pop : 'a t -> (int * int * 'a) option
 (** Removes and returns the entry with the smallest [(time, seq)] key. *)
 
-val peek_time : 'a t -> int option
-(** Key time of the minimum entry, without removing it. *)
-
 val take : 'a t -> 'a
 (** Removes the entry with the smallest [(time, seq)] key and returns
     its payload, allocating nothing: read {!min_time} first for its

@@ -44,12 +44,3 @@ let float t =
   r /. 9007199254740992.0 (* 2^53 *)
 
 let bool t p = float t < p
-
-let shuffle t arr =
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

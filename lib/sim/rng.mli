@@ -20,7 +20,6 @@ val derive : t -> int -> t
     sharded run, where the number of [split] calls per shard would
     depend on the shard count. *)
 
-val next_int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)] — exactly uniform, via
     rejection sampling, not merely modulo-reduced.  Raises
@@ -31,5 +30,3 @@ val float : t -> float
 
 val bool : t -> float -> bool
 (** [bool t p] is true with probability [p]. *)
-
-val shuffle : t -> 'a array -> unit

@@ -102,13 +102,10 @@ module Histogram : sig
   val min : h -> Time.t
   val max : h -> Time.t
 
-  val quantile : h -> float -> Time.t
-  (** Nearest-rank over bucket counts, reported as the bucket's upper
-      bound (clamped to the exact max).  Raises [Invalid_argument] when
-      empty, like {!Series.percentile}. *)
-
   val summary : h -> summary option
-  (** [None] when empty. *)
+  (** [None] when empty.  Each quantile is the nearest rank over bucket
+      counts, reported as the bucket's upper bound (clamped to the exact
+      max). *)
 
   val pp : Format.formatter -> h -> unit
 end

@@ -129,3 +129,9 @@ module Mailbox = struct
     t.poisoned <- Some exn;
     ignore (Waitq.broadcast_error t.takers exn)
 end
+
+module For_tests = struct
+  module Waitq = Waitq
+
+  let try_fill = Ivar.try_fill
+end

@@ -16,7 +16,6 @@ module Ivar : sig
   (** Raises [Invalid_argument] if already filled. *)
 
   val fill_error : 'a t -> exn -> unit
-  val try_fill : 'a t -> 'a -> bool
   val read : 'a t -> 'a
   (** Blocks until filled; re-raises if filled with an error. *)
 
@@ -43,20 +42,25 @@ module Mailbox : sig
       queue has drained.  Items already queued are still delivered. *)
 end
 
-module Waitq : sig
-  (** A bare queue of blocked fibers' handles — building block for
-      conditions. *)
+(** The wait queue behind {!Mailbox}, and a fill that reports whether
+    it happened: the operations the Sync-program golden drives. *)
+module For_tests : sig
+  module Waitq : sig
+    (** A bare queue of blocked fibers' handles. *)
 
-  type 'a t
+    type 'a t
 
-  val create : Engine.t -> 'a t
-  val wait : 'a t -> 'a
-  (** Blocks until signalled. *)
+    val create : Engine.t -> 'a t
+    val wait : 'a t -> 'a
+    (** Blocks until signalled. *)
 
-  val signal : 'a t -> 'a -> bool
-  (** Wakes the oldest waiter; false if none was waiting. *)
+    val signal : 'a t -> 'a -> bool
+    (** Wakes the oldest waiter; false if none was waiting. *)
 
-  val signal_error : 'a t -> exn -> bool
-  val broadcast_error : 'a t -> exn -> int
-  val waiters : 'a t -> int
+    val signal_error : 'a t -> exn -> bool
+    val broadcast_error : 'a t -> exn -> int
+    val waiters : 'a t -> int
+  end
+
+  val try_fill : 'a Ivar.t -> 'a -> bool
 end

@@ -181,18 +181,18 @@ let merge a b =
   else if a.tail == b.tail && a.id = b.id then if a.n >= b.n then a else b
   else merge_slow a b
 
-(* Bit 1 when some component of [a] exceeds [b]'s, bit 2 when some
-   component of [b] exceeds [a]'s; stops once every bit of [stop] is
-   set.  The owners are compared first — each side's owner is usually
-   ahead of what the other side knows of it, which settles a race
-   without a walk — and then one walk over both tails compares the
-   rest, skipping the owners' entries.  Counters of one fid compare
+(* Neither clock is [<=] the other.  Bit 1 of [r] is set when some
+   component of [a] exceeds [b]'s, bit 2 when some component of [b]
+   exceeds [a]'s; the walk stops once both are.  The owners are
+   compared first — each side's owner is usually ahead of what the
+   other side knows of it, which settles a race without a walk — and
+   then one walk over both tails compares the rest, skipping the
+   owners' entries.  Counters of one fid compare
    without a branch: [(y - x) lsr 62] is 1 exactly when [x > y], as
    both are below [2^62]. *)
-let order a b stop =
+let concurrent a b =
   let ai = a.id and bi = b.id in
-  if a.tail == b.tail && ai = bi then
-    if a.n > b.n then 1 else if a.n < b.n then 2 else 0
+  if a.tail == b.tail && ai = bi then false
   else begin
     let at = a.tail and bt = b.tail in
     let b_ai = if bi = ai then b.n else search bt ai in
@@ -201,7 +201,7 @@ let order a b stop =
     let r = if a_bi > b.n then r lor 1 else if a_bi < b.n then r lor 2 else r in
     let la = Array.length at and lb = Array.length bt in
     let r = ref r and ia = ref 0 and ib = ref 0 in
-    while !r land stop <> stop && !ia < la && !ib < lb do
+    while !r <> 3 && !ia < la && !ib < lb do
       let x = Array.unsafe_get at !ia and y = Array.unsafe_get bt !ib in
       if (x lxor y) lsr bits = 0 then begin
         r := !r lor ((y - x) lsr 62) lor (((x - y) lsr 62) lsl 1);
@@ -220,27 +220,16 @@ let order a b stop =
     (* One tail is spent: each entry left in the other exceeds the
        spent side's zero, but for the spent side's owner, compared
        above. *)
-    while stop land 1 <> 0 && !r land 1 = 0 && !ia < la do
+    while !r land 1 = 0 && !ia < la do
       if fid (Array.unsafe_get at !ia) <> bi then r := !r lor 1;
       incr ia
     done;
-    while stop land 2 <> 0 && !r land 2 = 0 && !ib < lb do
+    while !r land 2 = 0 && !ib < lb do
       if fid (Array.unsafe_get bt !ib) <> ai then r := !r lor 2;
       incr ib
     done;
-    !r
+    !r = 3
   end
-
-let leq a b = order a b 1 land 1 = 0
-
-let compare_causal a b =
-  match order a b 3 with
-  | 0 -> `Equal
-  | 1 -> `After
-  | 2 -> `Before
-  | _ -> `Concurrent
-
-let concurrent a b = order a b 3 = 3
 
 let of_list entries =
   List.fold_left
@@ -263,3 +252,8 @@ let to_string t =
   ^ String.concat " "
       (List.map (fun e -> Printf.sprintf "%d:%d" (fid e) (count e)) entries)
   ^ "}"
+
+module For_tests = struct
+  let max_id = max_id
+  let max_count = max_count
+end

@@ -2,7 +2,8 @@
 
     A clock maps fiber ids to event counters; absent entries are zero.
     Clocks order the structured trace events causally: an event [a]
-    happened before [b] iff [leq a.clock b.clock] and the clocks differ,
+    happened before [b] iff every component of [a.clock] is at most
+    [b.clock]'s and the clocks differ,
     and two events {e race} when their clocks are incomparable
     ({!concurrent}).
 
@@ -12,8 +13,7 @@
     fiber id in the high bits, the counter in the low 31 — in
     ascending id order.  An entry thus costs one word, not a cons cell.
     The owner is an implementation detail: clocks with the
-    same entries compare {!Equal} and print the same whatever their
-    owners.
+    same entries order and print the same whatever their owners.
 
     {b Immutability.}  Values are never mutated: a tail, once built, is
     shared by every clock that keeps it.  An event, a stamp or a queued
@@ -31,54 +31,49 @@
       a per-domain buffer and copied out once.  A tail of more than 256
       entries is allocated in the major heap.  Two snapshots of one
       owner that share their tail merge without a walk.
-    - [leq], [compare_causal] and [concurrent] allocate nothing.  Each
-      looks up both owners' entries on the other side by bisection,
+    - [concurrent] allocates nothing.  It looks up both owners' entries on the other side by bisection,
       which settles most races, and otherwise walks both tails once;
       two snapshots of one owner that share their tail need neither.
     - [get] bisects the tail.
 
-    {b Limits.}  Fiber ids fit in 0..{!max_id} and counters in
-    1..{!max_count}; an operation that would leave them raises
+    {b Limits.}  Fiber ids fit in 0..[2^31 - 2] and counters in
+    1..[2^31 - 1]; an operation that would leave them raises
     [Invalid_argument] instead of wrapping. *)
 
 type t
 
 val empty : t
 
-val max_id : int
-(** The largest fiber id a clock holds: [2^31 - 2]. *)
-
-val max_count : int
-(** The largest counter a clock holds: [2^31 - 1]. *)
-
 val get : t -> int -> int
 (** Counter for one fiber id (0 when absent). *)
 
 val tick : t -> int -> t
 (** Increment one fiber's component; that fiber becomes the owner.
-    Raises [Invalid_argument] when the id is outside 0..{!max_id} or
-    the counter would pass {!max_count}. *)
+    Raises [Invalid_argument] when the id or the counter would leave
+    its limit. *)
 
 val merge : t -> t -> t
 (** Pointwise maximum — the receive/join operation.  The result keeps
     the first argument's owner, and is the first argument itself when
     it already dominates the second. *)
 
-val leq : t -> t -> bool
-(** Pointwise [<=]: [leq a b] means every component of [a] is at most
-    the corresponding component of [b]. *)
-
-val compare_causal : t -> t -> [ `Equal | `Before | `After | `Concurrent ]
-(** Causal relation between the events carrying these clocks. *)
-
 val concurrent : t -> t -> bool
-(** Neither [leq a b] nor [leq b a]: the events race.  Stops at the
-    first of the two that holds. *)
+(** Neither clock is pointwise [<=] the other: the events race.  Stops
+    as soon as each is seen to exceed the other somewhere. *)
 
 val of_list : (int * int) list -> t
 (** The clock with these (fiber id, counter) entries; the first one's
     fiber is its owner.  Raises [Invalid_argument] on a repeated id, an
-    id outside 0..{!max_id} or a counter outside 1..{!max_count}. *)
+    id or a counter outside its limit. *)
 
 val to_string : t -> string
 (** ["{0:3 2:1}"] — fiber id : counter pairs, ascending by id. *)
+
+(** The limits, for tests that check an operation at them. *)
+module For_tests : sig
+  val max_id : int
+  (** The largest fiber id a clock holds: [2^31 - 2]. *)
+
+  val max_count : int
+  (** The largest counter a clock holds: [2^31 - 1]. *)
+end

@@ -99,8 +99,6 @@ let pair t src dst =
     Hashtbl.add t.pair_count key r;
     r
 
-let outstanding t ~src ~dst = !(pair t src dst)
-
 (* Client-processor cost of issuing a kernel call or fielding an
    interrupt; the kernel processor runs concurrently, so this is small. *)
 let charge t = Engine.sleep t.eng t.cst.Costs.interrupt_cpu
@@ -155,8 +153,6 @@ let advertise t pid name_ =
 let unadvertise t pid name_ =
   let p = proc t pid in
   Hashtbl.remove p.p_advertised name_
-
-let advertises t pid name_ = Hashtbl.mem (proc t pid).p_advertised name_
 
 (* ---- Requests --------------------------------------------------------- *)
 
@@ -373,13 +369,6 @@ let set_handler t pid h =
   p.p_handler <- Some h;
   if not p.p_masked then drain_queued t p
 
-let mask t pid = (proc t pid).p_masked <- true
-
-let unmask t pid =
-  let p = proc t pid in
-  p.p_masked <- false;
-  if p.p_handler <> None then drain_queued t p
-
 (* ---- Lifecycle -------------------------------------------------------- *)
 
 let terminate t pid =
@@ -438,3 +427,14 @@ let spawn_process t ?(daemon = false) ~node ~name:label body =
          (try body pid with Process_exit -> ());
          terminate t pid));
   pid
+
+module For_tests = struct
+  let mask t pid = (proc t pid).p_masked <- true
+
+  let unmask t pid =
+    let p = proc t pid in
+    p.p_masked <- false;
+    if p.p_handler <> None then drain_queued t p
+
+  let outstanding t ~src ~dst = !(pair t src dst)
+end

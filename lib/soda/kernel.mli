@@ -54,7 +54,6 @@ val new_name : t -> pid -> name
 
 val advertise : t -> pid -> name -> unit
 val unadvertise : t -> pid -> name -> unit
-val advertises : t -> pid -> name -> bool
 
 val discover : t -> pid -> name -> pid option
 (** Unreliable broadcast search for a process advertising [name].
@@ -64,8 +63,6 @@ val discover : t -> pid -> name -> pid option
 (** {1 Interrupts} *)
 
 val set_handler : t -> pid -> (interrupt -> unit) -> unit
-val mask : t -> pid -> unit
-val unmask : t -> pid -> unit
 
 (** {1 Requests} *)
 
@@ -102,5 +99,11 @@ val withdraw : t -> pid -> req_id -> bool
     [Withdrawn] interrupt if it had already been presented.  False if
     the request was already accepted or finished. *)
 
-val outstanding : t -> src:pid -> dst:pid -> int
-(** Current outstanding request count for the pair (for tests). *)
+(** Interrupt masking, which no LYNX channel uses, and the per-pair
+    request count: what a test needs to check the kernel's queueing,
+    retries and pair limit. *)
+module For_tests : sig
+  val mask : t -> pid -> unit
+  val unmask : t -> pid -> unit
+  val outstanding : t -> src:pid -> dst:pid -> int
+end

@@ -14,26 +14,10 @@ type oob = bytes
 
 type req_id = int
 
-(** What a request asks for, derived from its buffer sizes: both zero is
-    a [signal], send-only a [put], receive-only a [get], both an
-    [exchange]. *)
-type req_kind = Put | Get | Signal | Exchange
-
-let kind_of_sizes ~send_len ~recv_max =
-  match (send_len > 0, recv_max > 0) with
-  | true, false -> Put
-  | false, true -> Get
-  | false, false -> Signal
-  | true, true -> Exchange
-
-let kind_to_string = function
-  | Put -> "put"
-  | Get -> "get"
-  | Signal -> "signal"
-  | Exchange -> "exchange"
-
 (** A request made of this process by some other process, as presented to
-    the software-interrupt handler. *)
+    the software-interrupt handler.  Its buffer sizes say what it asks
+    for: both zero is a [signal], send-only a [put], receive-only a
+    [get], both an [exchange]. *)
 type incoming = {
   i_id : req_id;  (** identifies the request for a later [accept] *)
   i_from : pid;
@@ -52,11 +36,6 @@ type completion = {
 }
 
 type abort_reason = Peer_crashed | Name_not_advertised | Request_withdrawn
-
-let abort_reason_to_string = function
-  | Peer_crashed -> "peer-crashed"
-  | Name_not_advertised -> "name-not-advertised"
-  | Request_withdrawn -> "request-withdrawn"
 
 (** Software interrupts delivered to a process's handler. *)
 type interrupt =

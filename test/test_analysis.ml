@@ -778,7 +778,7 @@ let oracle_arb =
   make
     ~print:(fun s ->
       String.concat "\n"
-        (Array.to_list (Array.map Event.describe (oracle_events s))))
+        (Array.to_list (Array.map Event.For_tests.describe (oracle_events s))))
     gen
 
 let render (f : R.finding) =

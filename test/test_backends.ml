@@ -117,7 +117,7 @@ let soda_wire =
             b_len = 4;
           }
         in
-        let back = decode_body (encode_body body) in
+        let back = decode_body (For_tests.encode_body body) in
         checkb "equal" true
           ({ back with
              b_payload = Bytes.sub back.b_payload back.b_off back.b_len;
@@ -164,7 +164,7 @@ let soda_wire =
                b_len = String.length payload;
              }
            in
-           let back = decode_body (encode_body body) in
+           let back = decode_body (For_tests.encode_body body) in
            back.b_corr = corr && back.b_op = op && back.b_exn = exn
            && Bytes.sub_string back.b_payload back.b_off back.b_len = payload));
   ]
@@ -176,7 +176,7 @@ let chrysalis_layout =
     Alcotest.test_case "slot round trip" `Quick (fun () ->
         let open Lynx_chrysalis.Layout in
         let b =
-          encode_slot ~corr:9 ~op:"work" ~exn_msg:None ~enclosures:[ 100; 200 ]
+          For_tests.encode_slot ~corr:9 ~op:"work" ~exn_msg:None ~enclosures:[ 100; 200 ]
             ~payload:(Bytes.of_string "xyz")
         in
         let d = decode_slot (Bytes.sub b 4 (decode_length b)) in
@@ -210,7 +210,7 @@ let chrysalis_layout =
         let open Lynx_chrysalis.Layout in
         checkb "rejected" true
           (match
-             encode_slot ~corr:0 ~op:"x" ~exn_msg:None ~enclosures:[]
+             For_tests.encode_slot ~corr:0 ~op:"x" ~exn_msg:None ~enclosures:[]
                ~payload:(Bytes.make (slot_size + 1) 'x')
            with
           | _ -> false

@@ -38,18 +38,18 @@ let rng_split_independent () =
   let child' = Rng.split b in
   ignore (Rng.int b 1000);
   ignore (Rng.int b 1000);
-  let c1 = List.init 16 (fun _ -> Rng.next_int64 child) in
-  let c2 = List.init 16 (fun _ -> Rng.next_int64 child') in
+  let c1 = List.init 16 (fun _ -> Rng.float child) in
+  let c2 = List.init 16 (fun _ -> Rng.float child') in
   checkb "child stream is a function of the split point only" true (c1 = c2);
   (* Splitting advanced the parent exactly once: both parents have now
      consumed split + 2 ints vs split + 0 — resync by drawing. *)
   ignore (Rng.int a 1000);
   ignore (Rng.int a 1000);
   checkb "parents resynchronise" true
-    (Rng.next_int64 a = Rng.next_int64 b);
+    (Rng.float a = Rng.float b);
   (* Child and parent streams differ. *)
-  let p = List.init 16 (fun _ -> Rng.next_int64 a) in
-  let c = List.init 16 (fun _ -> Rng.next_int64 child) in
+  let p = List.init 16 (fun _ -> Rng.float a) in
+  let c = List.init 16 (fun _ -> Rng.float child) in
   checkb "child differs from parent" true (p <> c)
 
 (* ---- plan validation ----------------------------------------------------- *)
@@ -154,7 +154,7 @@ let budget_exhaustion ~seed (backend : Harness.Backend_world.backend) =
          ignore (Lynx.World.link_between w client server)));
   Engine.run e;
   checkb "call raised Excn.Timeout instead of hanging" true !timed_out;
-  let b = Faults.Plan.default_screening.Faults.Plan.s_budget in
+  let b = (Option.get Faults.Plan.none.Faults.Plan.screening).Faults.Plan.s_budget in
   checki "one attempt per budget slot" b (Stats.get sts "lynx.call_timeouts");
   checki "retries = budget - 1" (b - 1) (Stats.get sts "lynx.call_retries");
   checki "budget exhausted once" 1
@@ -240,7 +240,7 @@ let chaos_faults_fire () =
   let sum results key =
     List.fold_left
       (fun acc a ->
-        acc + (try List.assoc key (A.fault_counters a) with Not_found -> 0))
+        acc + (try List.assoc key a.A.counters with Not_found -> 0))
       0 results
   in
   let sweep plan = chaos_sweep ~jobs:2 ~seeds:[ 1; 2 ] [ plan ] in

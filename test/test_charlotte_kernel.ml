@@ -50,7 +50,7 @@ let tests =
                  checki "same link" e0.link_id e1.link_id;
                  checkb "sides differ" true (e0.side <> e1.side);
                  checkb "owned" true
-                   (K.owner_of k e0 = Some pid && K.owner_of k e1 = Some pid)
+                   (K.For_tests.owner_of k e0 = Some pid && K.For_tests.owner_of k e1 = Some pid)
                | None -> Alcotest.fail "no link"));
         Engine.run e);
     Alcotest.test_case "send matches receive and transfers data" `Quick
@@ -143,9 +143,9 @@ let tests =
                let e0, _ = l1 in
                check_status "send" Ok_done
                  (K.send k pid e0 ~enclosure:enc (payload 1));
-               checkb "enclosure in transit" true (K.owner_of k enc = None);
+               checkb "enclosure in transit" true (K.For_tests.owner_of k enc = None);
                check_status "cancel" Ok_done (K.cancel k pid e0 Sent);
-               checkb "enclosure back" true (K.owner_of k enc = Some pid)));
+               checkb "enclosure back" true (K.For_tests.owner_of k enc = Some pid)));
         Engine.run e);
     Alcotest.test_case "enclosure moves ownership on delivery" `Quick
       (fun () ->
@@ -166,7 +166,7 @@ let tests =
                ignore (K.receive k pid e1 ~max_len:10);
                let c = K.wait k pid in
                (match c.c_enclosure with
-               | Some enc -> owner_after := K.owner_of k enc
+               | Some enc -> owner_after := K.For_tests.owner_of k enc
                | None -> Alcotest.fail "no enclosure");
                checkb "receiver owns it" true (!owner_after = Some pid))));
     Alcotest.test_case "cannot enclose an end of the carrying link" `Quick
@@ -198,7 +198,7 @@ let tests =
                ignore (K.wait k pid))
              (fun k pid e1 ->
                (* Use the peer's end, which we do not own. *)
-               let foreign = peer_side e1 in
+               let foreign = { e1 with side = 1 - e1.side } in
                check_status "bad end" E_bad_end
                  (K.send k pid foreign (payload 1));
                ignore (K.receive k pid e1 ~max_len:10);
@@ -245,7 +245,7 @@ let tests =
                let c = K.wait k pid in
                check_status "send aborted" E_destroyed c.c_status;
                checkb "enclosure back" true (c.c_enclosure = Some enc);
-               checkb "owned again" true (K.owner_of k enc = Some pid))
+               checkb "owned again" true (K.For_tests.owner_of k enc = Some pid))
              (fun k _pid _e1 ->
                (* B lingers: its death would destroy the link first. *)
                Engine.sleep (K.engine k) (Time.ms 100))));

@@ -20,24 +20,24 @@ let tests_objects =
         ignore
           (in_proc (fun _e k pid ->
                let o = K.make_object k pid ~size:64 in
-               checkb "mapped" true (K.mapped k pid o);
-               checki "refcount" 1 (K.refcount k o))));
+               checkb "mapped" true (K.For_tests.mapped k pid o);
+               checki "refcount" 1 (K.For_tests.refcount k o))));
     Alcotest.test_case "map/unmap adjust refcount" `Quick (fun () ->
         ignore
           (in_proc (fun _e k pid ->
                let o = K.make_object k pid ~size:64 in
                K.map_object k pid o;
-               checki "2" 2 (K.refcount k o);
+               checki "2" 2 (K.For_tests.refcount k o);
                K.unmap_object k pid o;
-               checki "1" 1 (K.refcount k o))));
+               checki "1" 1 (K.For_tests.refcount k o))));
     Alcotest.test_case "object reclaimed at zero when marked" `Quick (fun () ->
         ignore
           (in_proc (fun _e k pid ->
                let o = K.make_object k pid ~size:64 in
                K.mark_for_deletion k pid o;
-               checkb "still there" true (K.object_exists k o);
+               checkb "still there" true (K.For_tests.object_exists k o);
                K.unmap_object k pid o;
-               checkb "reclaimed" false (K.object_exists k o))));
+               checkb "reclaimed" false (K.For_tests.object_exists k o))));
     Alcotest.test_case "read/write bytes round trip" `Quick (fun () ->
         ignore
           (in_proc (fun _e k pid ->
@@ -200,7 +200,7 @@ let tests_dualq =
                (* Enqueue now posts the event instead of queueing data. *)
                K.dq_enqueue k pid q 42;
                checki "datum via event" 42 (K.event_wait k pid ev);
-               checki "queue still empty" 0 (K.dq_length k q))));
+               checki "queue still empty" 0 (K.For_tests.dq_length k q))));
     Alcotest.test_case "waiting consumers served FIFO" `Quick (fun () ->
         let e = Engine.create () in
         let k = K.create e ~processors:4 () in
@@ -259,7 +259,7 @@ let tests_lifecycle =
         Engine.run e;
         checkb "cleanup ran" true !cleaned;
         checkb "object reclaimed" false
-          (K.object_exists k (Option.get !obj_ref)));
+          (K.For_tests.object_exists k (Option.get !obj_ref)));
     Alcotest.test_case "cleanup runs even when the body faults" `Quick
       (fun () ->
         let e = Engine.create () in

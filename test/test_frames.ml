@@ -14,11 +14,11 @@ module Layout = Lynx_chrysalis.Layout
 (* ---- The frames ------------------------------------------------------- *)
 
 let charlotte_frame = Packet.encode
-let soda_frame = Wire.encode_body
+let soda_frame = Wire.For_tests.encode_body
 
 (* What [transmit] writes at the slot offset: the slot's length, then
    the slot. *)
-let chrysalis_frame = Layout.encode_slot
+let chrysalis_frame = Layout.For_tests.encode_slot
 
 (* A frame from its header writer, with raw payload bytes after the
    header. *)

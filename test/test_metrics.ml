@@ -32,7 +32,7 @@ let source_tests =
         with_temp_dir (fun dir ->
             write_file dir "a.ml"
               "(* a comment *)\nlet x = 1\n\nlet y = 2 (* trailing *)\n";
-            let c = Metrics.Source_size.count_dir dir in
+            let c = Metrics.Source_size.For_tests.count_dir dir in
             checki "files" 1 c.Metrics.Source_size.files;
             checki "total" 4 c.Metrics.Source_size.total_lines;
             (* Two code lines; the blank line counts as neither. *)
@@ -41,24 +41,24 @@ let source_tests =
       (fun () ->
         with_temp_dir (fun dir ->
             write_file dir "b.ml" "(* line one\n   line two\n   line three *)\nlet z = 3\n";
-            let c = Metrics.Source_size.count_dir dir in
+            let c = Metrics.Source_size.For_tests.count_dir dir in
             checki "code" 1 c.Metrics.Source_size.code_lines;
             checki "comments" 3 c.Metrics.Source_size.comment_lines));
     Alcotest.test_case "non-OCaml files ignored" `Quick (fun () ->
         with_temp_dir (fun dir ->
             write_file dir "c.ml" "let a = 1\n";
             write_file dir "README.md" "lots\nof\nlines\n";
-            let c = Metrics.Source_size.count_dir dir in
+            let c = Metrics.Source_size.For_tests.count_dir dir in
             checki "files" 1 c.Metrics.Source_size.files));
     Alcotest.test_case "recurses into subdirectories" `Quick (fun () ->
         with_temp_dir (fun dir ->
             Unix.mkdir (Filename.concat dir "sub") 0o755;
             write_file dir "top.ml" "let a = 1\n";
             write_file (Filename.concat dir "sub") "deep.ml" "let b = 2\n";
-            let c = Metrics.Source_size.count_dir dir in
+            let c = Metrics.Source_size.For_tests.count_dir dir in
             checki "files" 2 c.Metrics.Source_size.files));
     Alcotest.test_case "missing directory is zero" `Quick (fun () ->
-        let c = Metrics.Source_size.count_dir "/nonexistent/path/xyz" in
+        let c = Metrics.Source_size.For_tests.count_dir "/nonexistent/path/xyz" in
         checki "files" 0 c.Metrics.Source_size.files);
     Alcotest.test_case "backend_sizes finds this repository" `Quick (fun () ->
         match Metrics.Source_size.backend_sizes () with
@@ -80,7 +80,7 @@ let source_tests =
             && get "lynx_charlotte" > get "lynx_chrysalis"));
     Alcotest.test_case "layer_sizes partitions lib" `Quick (fun () ->
         match
-          (Metrics.Source_size.layer_sizes (), Metrics.Source_size.find_repo_root ())
+          (Metrics.Source_size.layer_sizes (), Metrics.Source_size.For_tests.find_repo_root ())
         with
         | Some layers, Some root ->
           let module SS = Metrics.Source_size in
@@ -95,8 +95,58 @@ let source_tests =
             = [ "bin"; "bench"; "test" ]);
           let sum = List.fold_left (fun a (_, c) -> SS.add a c) SS.zero libs in
           checkb "lib layers sum to count_dir lib" true
-            (sum = SS.count_dir (Filename.concat root "lib"))
+            (sum = SS.For_tests.count_dir (Filename.concat root "lib"))
         | _ -> Alcotest.fail "repo root not found");
+  ]
+
+(* A planted tree: lib/a has an interface with every kind of offender
+   and one good export; lib/b has no interface and one dead top-level.
+   Only the planted offenders may be reported. *)
+let plant root =
+  let dir path = Unix.mkdir (Filename.concat root path) 0o755 in
+  List.iter dir [ "lib"; "lib/a"; "lib/b"; "bin"; "test" ];
+  write_file root "lib/a/a.mli"
+    "val unread : int\nval own_only : int\nval in_comment : int\nval in_string : int\n\
+     val used : int\n\
+     module For_tests : sig\n  val hook : int\n  val unhooked : int\n  val leaked : int\nend\n";
+  write_file root "lib/a/a.ml" "let own_only = 1\nlet x = own_only\n";
+  write_file root "lib/b/b.ml"
+    "let dead = 1\nlet live = 2\nlet user = live\n\
+     type t = A\nand u = B\n\
+     module For_tests = struct\n  let probe = 3\nend\n";
+  write_file root "bin/main.ml"
+    "(* in_comment (* nested *) *)\nlet s = \"in_string\" ^ {|used|}\n\
+     let () = ignore (A.used, B.user, A.For_tests.leaked)\n";
+  write_file root "test/t.ml"
+    "let () = ignore (A.For_tests.hook, A.For_tests.leaked, B.For_tests.probe)\n"
+
+let reader_tests =
+  [
+    Alcotest.test_case "every export has a reader" `Quick (fun () ->
+        match Metrics.Source_size.For_tests.find_repo_root () with
+        | None -> Alcotest.fail "repo root not found"
+        | Some root -> (
+          match Readers.offenders root with
+          | [] -> ()
+          | names ->
+            Alcotest.failf "%d exports have no reader:\n%s" (List.length names)
+              (String.concat "\n" names)));
+    Alcotest.test_case "the reader check reports exactly the planted offenders" `Quick
+      (fun () ->
+        with_temp_dir (fun root ->
+            plant root;
+            Alcotest.(check (list string))
+              "offenders"
+              [
+                "lib/a/a.mli in_comment";
+                "lib/a/a.mli in_string";
+                "lib/a/a.mli leaked";
+                "lib/a/a.mli own_only";
+                "lib/a/a.mli unhooked";
+                "lib/a/a.mli unread";
+                "lib/b/b.ml dead";
+              ]
+              (Readers.offenders root)));
   ]
 
 let report_tests =
@@ -112,7 +162,7 @@ module C = Metrics.Claims
 let rendered = lazy (C.markdown (List.map C.check C.all))
 
 let read file =
-  match Metrics.Source_size.find_repo_root () with
+  match Metrics.Source_size.For_tests.find_repo_root () with
   | None -> Alcotest.fail "repo root not found"
   | Some root -> In_channel.with_open_bin (Filename.concat root file) In_channel.input_all
 
@@ -140,9 +190,13 @@ let claims_tests =
           ]
           C.ids);
     Alcotest.test_case "a band holds within its tolerance" `Quick (fun () ->
-        checkb "inside" true (C.holds (C.Within (100., 10.)) (C.Value 105.));
-        checkb "outside" false (C.holds (C.Within (100., 10.)) (C.Value 120.));
-        checkb "zero paper zero measured" true (C.holds (C.Within (0., 10.)) (C.Value 0.)));
+        let holds paper v =
+          let c = { (List.hd C.all) with expect = C.Within (paper, 10.); measure = (fun () -> C.Value v) } in
+          (C.check c).C.ok
+        in
+        checkb "inside" true (holds 100. 105.);
+        checkb "outside" false (holds 100. 120.);
+        checkb "zero paper zero measured" true (holds 0. 0.));
     Alcotest.test_case "claim ids are unique" `Quick (fun () ->
         checki "distinct ids" (List.length C.ids)
           (List.length (List.sort_uniq String.compare C.ids)));
@@ -194,5 +248,6 @@ let rung_tests =
 
 let () =
   Alcotest.run "metrics"
-    [ ("source_size", source_tests); ("report", report_tests); ("claims", claims_tests);
+    [ ("source_size", source_tests); ("readers", reader_tests); ("report", report_tests);
+      ("claims", claims_tests);
       ("rungs", rung_tests) ]

@@ -330,7 +330,7 @@ let events_arb =
   make
     ~print:(fun (nfibers, steps) ->
       String.concat "\n"
-        (List.map Event.describe (build_events nfibers steps)))
+        (List.map Event.For_tests.describe (build_events nfibers steps)))
     gen
 
 let render (f : R.finding) =
@@ -566,9 +566,10 @@ let test_long_echo_wraps_ring () =
 
 let test_of_events_matches_live () =
   let spec = Spec.v ~scenario:"cross-request" ~backend:"soda" 3 in
-  let o, state = Run.run_streamed spec in
-  let o = Option.get o in
-  let live = Stream.finish state in
+  let state = ref (Stream.init ()) in
+  let attach eng = Engine.add_consumer eng (fun ev -> state := Stream.feed ev !state) in
+  let o = Option.get (Engine.with_observer ~attach (fun () -> Run.run_outcome spec)) in
+  let live = Stream.finish !state in
   let replay = Stream.of_events o.S.o_view.Engine.v_events in
   Alcotest.(check int)
     "event count" live.Stream.s_events replay.Stream.s_events;
