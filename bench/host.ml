@@ -41,13 +41,15 @@ let queue_pairs ~add ~pop =
 
 let engine () = Engine.create ~log_capacity:0 ()
 
+let p_reason = Engine.reason "p"
+
 let park_wakes n =
   let e = engine () in
   let left = ref n in
   let rec step () =
     if !left > 0 then begin
       decr left;
-      Engine.wake e (Engine.park e ~reason:"p") step ()
+      Engine.wake e (Engine.park e ~reason:p_reason) step ()
     end
   in
   ignore (Engine.spawn_stackless e step);

@@ -143,11 +143,10 @@ let slot st obj =
     Hashtbl.add st.st_tbl obj s;
     s
 
-let feed st (ev : Event.t) =
+let feed st _time fid clk kind =
   let pos = st.st_pos in
   st.st_pos <- pos + 1;
-  let fid = ev.Event.ev_fiber and clk = ev.Event.ev_clock in
-  match ev.Event.ev_kind with
+  match kind with
   | Event.Send { obj; op; mode } ->
     let s = slot st obj in
     if s.os_sync == retired then
@@ -162,11 +161,13 @@ let feed st (ev : Event.t) =
        the pair with the lowest earlier-send index — replaying the old
        ascending (i, j) double loop, whose first hit is exactly the
        minimal (i, j) in lexicographic order.  Unordered sends take no
-       part, as either side of a pair. *)
+       part, as either side of a pair.  A plain loop over local refs,
+       which no closure captures, so the scan allocates nothing. *)
     if (not unordered) && s.os_sends != No_sends then begin
       let pairs = ref 0 and min_i = ref (-1) and min_f = ref 0
-      and min_op = ref "" in
-      let rec scan = function
+      and min_op = ref "" and rest = ref s.os_sends in
+      while !rest != No_sends do
+        match !rest with
         | No_sends -> ()
         | Send { s_idx; s_fid; s_op; s_clk; s_unordered; s_older } ->
           if (not s_unordered) && Vclock.concurrent s_clk clk then begin
@@ -177,9 +178,8 @@ let feed st (ev : Event.t) =
               min_op := s_op
             end
           end;
-          scan s_older
-      in
-      scan s.os_sends;
+          rest := s_older
+      done;
       if !pairs > 0 then begin
         let y = sync_of s in
         y.y_pairs <- y.y_pairs + !pairs;
@@ -468,5 +468,5 @@ let findings st =
 
 let analyze events =
   let st = init () in
-  Array.iter (feed st) events;
+  Array.iter (Event.apply (feed st)) events;
   findings st

@@ -54,8 +54,10 @@ type state
 
 val init : unit -> state
 
-val feed : state -> Sim.Event.t -> unit
-(** Feed the next event, in stream order.  Mutates the state.  Raises
+val feed : state -> Sim.Engine.consumer
+(** [feed st time fiber clock kind] feeds the next event's parts, in
+    stream order: [feed st] is an engine consumer.  Mutates the state;
+    keeps a send's clock and nothing of the other kinds.  Raises
     [Invalid_argument] (one line) on a send to a retired object — one
     whose [Final] send is in while a message on it is still in flight:
     the stream broke the promise [Final] made. *)
@@ -67,7 +69,7 @@ val findings : state -> finding list
 val analyze : Sim.Event.t array -> finding list
 (** Events oldest-first, as {!Sim.Engine.events} returns them.
     Equivalent to [init]/[feed]/[findings] by construction — it {e is}
-    that fold — so post-hoc analysis of a retained log and online
+    that fold, through {!Sim.Event.apply} — so post-hoc analysis of a retained log and online
     analysis of the same stream agree exactly. *)
 
 val pp_finding : Format.formatter -> finding -> unit

@@ -10,11 +10,12 @@ open Sim
    last timestamp, first monotonicity regression) and the causal
    frontier of the stream.
 
-   [feed] runs synchronously inside [Engine.emit], so it allocates
-   nothing on the per-event path beyond what [Races.feed] retains: the
-   last-event fields are plain mutable slots (the kind is a pointer
-   into the event itself) and labels are rendered only at [finish] or
-   when the first regression is recorded.
+   [feed] is an engine consumer: it runs synchronously inside
+   [Engine.emit] with the event's parts, and allocates nothing on the
+   per-event path beyond what [Races.feed] retains: the last-event
+   fields are plain mutable slots (the kind is the emitter's own value)
+   and labels are rendered only at [finish] or when the first
+   regression is recorded.
 
    Nothing here may cost O(fibers) per event: a population run streams
    millions of events from hundreds of thousands of fibers, and any
@@ -55,21 +56,18 @@ let init () =
     backwards = None;
   }
 
-let feed (ev : Event.t) t =
-  Races.feed t.races ev;
-  (match ev.Event.ev_kind with
+let feed t time fid clock kind =
+  Races.feed t.races time fid clock kind;
+  (match kind with
   | Event.Send _ -> t.n_sends <- t.n_sends + 1
   | Event.Receive _ -> t.n_receives <- t.n_receives + 1
   | Event.Drop _ -> t.n_drops <- t.n_drops + 1
   | _ -> ());
-  let time = ev.Event.ev_time in
   if t.n_events > 0 && t.backwards = None && Time.(time < t.last_time) then
-    t.backwards <-
-      Some (time, Event.kind_to_string ev.Event.ev_kind, t.last_time);
+    t.backwards <- Some (time, Event.kind_to_string kind, t.last_time);
   t.n_events <- t.n_events + 1;
   t.last_time <- time;
-  t.last_kind <- ev.Event.ev_kind;
-  t
+  t.last_kind <- kind
 
 let finish t =
   {
@@ -85,4 +83,6 @@ let finish t =
   }
 
 let of_events events =
-  finish (Array.fold_left (fun t ev -> feed ev t) (init ()) events)
+  let t = init () in
+  Array.iter (Event.apply (feed t)) events;
+  finish t

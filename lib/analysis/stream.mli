@@ -21,7 +21,7 @@
     every scenario, backend, seed and fault plan it samples. *)
 
 type t
-(** Analyzer state.  Mutable; [feed] returns its argument. *)
+(** Analyzer state.  Mutable. *)
 
 type summary = {
   s_events : int;  (** events fed, retained or not *)
@@ -37,15 +37,17 @@ type summary = {
 
 val init : unit -> t
 
-val feed : Sim.Event.t -> t -> t
-(** Feed the next event, in stream order.  Allocation-free on the
-    per-event path apart from what the race detector retains. *)
+val feed : t -> Sim.Engine.consumer
+(** [feed t time fiber clock kind] feeds the next event's parts, in
+    stream order: [feed t] is the consumer a run registers with
+    {!Sim.Engine.add_consumer}.  Allocation-free on the per-event path
+    apart from what the race detector retains. *)
 
 val finish : t -> summary
 (** Conclude the analyses.  The state remains usable: feeding further
     events and finishing again is permitted. *)
 
 val of_events : Sim.Event.t array -> summary
-(** [finish] of [feed] folded over a retained log, oldest first — the
-    post-hoc entry point, equal by construction to streaming the same
-    events. *)
+(** [finish] of [feed] folded over a retained log, oldest first, each
+    record through {!Sim.Event.apply} — the post-hoc entry point, equal
+    by construction to streaming the same events. *)

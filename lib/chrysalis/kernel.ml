@@ -273,6 +273,8 @@ let event_post_charged t name datum =
 
 let event_post t _pid name datum = event_post_charged t name datum
 
+let event_wait_block = Engine.reason "chrysalis.event_wait"
+
 let event_wait t pid name =
   charge t t.cst.Costs.event_wait;
   let ev = event t name in
@@ -285,7 +287,7 @@ let event_wait t pid name =
     if ev.ev_waiter <> None then raise (Memory_fault Not_owner);
     let h = Engine.prepare t.eng in
     ev.ev_waiter <- Some h;
-    Engine.await_prepared t.eng ~reason:"chrysalis.event_wait" h
+    Engine.await_prepared t.eng ~reason:event_wait_block h
 
 (* ---- Dual queues ------------------------------------------------------- *)
 

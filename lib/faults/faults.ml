@@ -299,20 +299,25 @@ module Injector = struct
 
   let spike t = Time.mul_float t.plan.Plan.delay_bound (Rng.float t.rng)
 
+  (* A frame that no partition can stall shares this kind; never
+     emitted. *)
+  let no_stall = Event.Note ""
+
   (* One delivery decision.  Runs in scheduler context (transport
-     completion callbacks), where [Engine.emit] stamps fiber -1. *)
-  let rec deliver t ?src ?dst ~obj ~op k =
+     completion callbacks), where [Engine.emit] stamps fiber -1.
+     [retry] is the frame's own wrapped delivery, rescheduled as it is
+     on a stall or a drop, and [stall] the frame's partition kind, so a
+     stall allocates only its queue entry. *)
+  let deliver t src dst obj op stall k retry =
     if partitioned t ~src ~dst then begin
       Stats.incr t.sts Key.partition_stalls;
-      Engine.emit t.eng (Event.Fault { what = "partition"; obj });
-      Engine.schedule_after t.eng t.plan.Plan.retransmit (fun () ->
-          deliver t ?src ?dst ~obj ~op k)
+      Engine.emit t.eng stall;
+      Engine.schedule_after t.eng t.plan.Plan.retransmit retry
     end
     else if Rng.bool t.rng t.plan.Plan.drop then begin
       Stats.incr t.sts Key.drops;
       Engine.emit t.eng (Event.Drop { obj; op });
-      Engine.schedule_after t.eng t.plan.Plan.retransmit (fun () ->
-          deliver t ?src ?dst ~obj ~op k)
+      Engine.schedule_after t.eng t.plan.Plan.retransmit retry
     end
     else if Rng.bool t.rng t.plan.Plan.dup then begin
       Stats.incr t.sts Key.dups;
@@ -327,10 +332,22 @@ module Injector = struct
     end
     else k ()
 
+  (* One closure per frame, which is also its retry.  Only a frame
+     between two nodes, under a plan with a partition window, can
+     stall: it builds its stall kind here, once.  Any other frame's
+     closure keeps neither the kind nor the nodes. *)
   let wrap_delivery inj ?src ?dst ~obj ~op k =
     match inj with
     | None -> k
-    | Some t -> fun () -> deliver t ?src ?dst ~obj ~op k
+    | Some t -> (
+      match (t.plan.Plan.partition_at, src, dst) with
+      | Some _, Some _, Some _ ->
+        let stall = Event.Fault { what = "partition"; obj } in
+        let rec retry () = deliver t src dst obj op stall k retry in
+        retry
+      | _ ->
+        let rec retry () = deliver t None None obj op no_stall k retry in
+        retry)
 
   let rx_verdict t ~obj ~op =
     if Rng.bool t.rng t.plan.Plan.drop then begin

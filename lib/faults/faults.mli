@@ -165,9 +165,11 @@ module Injector : sig
     unit
   (** Decorates a transport delivery callback (kernel message paths):
       each invocation draws a fault and either runs the callback, delays
-      it, or also schedules a second run.  [src]/[dst] are node numbers
-      for the partition check.  [None] is the identity — the unfaulted
-      path stays byte-identical. *)
+      it, or also schedules a second run.  A stalled or dropped frame is
+      retried by rescheduling the decorated closure itself, so a frame
+      builds one closure however often it is retried.  [src]/[dst] are
+      node numbers for the partition check.  [None] is the identity —
+      the unfaulted path stays byte-identical. *)
 
   val rx_verdict : t -> obj:string -> op:string -> verdict
   (** Judges one received LYNX frame at the backend boundary (the

@@ -236,6 +236,10 @@ let check_enclosure (l : Link.t) (e : Link.t) =
   | Some why -> raise (Excn.Move_violation why)
   | None -> ()
 
+(* The reasons this runtime blocks for, each kind built once. *)
+let waitq_block = Engine.reason "waitq"
+let park_block = Engine.reason "park"
+
 (* Send one message and block the calling thread until it has been
    received at the far end (LYNX is stop-and-wait above the kernel:
    "each message blocks the sending coroutine").  The values are
@@ -259,7 +263,7 @@ let send_message t (l : Link.t) ~kind ~corr ~op ?(retx = false) ?exn_msg
     ~values:vs
     ~enclosures:(List.map (fun (e : Link.t) -> e.Link.lid) encls)
     ~sent;
-  let result = Engine.await_prepared t.eng ~reason:"waitq" sent in
+  let result = Engine.await_prepared t.eng ~reason:waitq_block sent in
   l.Link.unreceived_sends <- max 0 (l.Link.unreceived_sends - 1);
   match result with
   | Ok () ->
@@ -311,7 +315,7 @@ let call_attempt t (l : Link.t) ~op ~corr ?(retx = false) ?timeout vs =
           Engine.resume_error t.eng reply (Excn.Timeout op)
         end));
   let rx =
-    try Engine.await_prepared t.eng ~reason:"waitq" reply
+    try Engine.await_prepared t.eng ~reason:waitq_block reply
     with e ->
       unexpect t l ~corr;
       raise e
@@ -586,7 +590,7 @@ let on_new_link t hook = t.link_hooks <- hook :: t.link_hooks
 let park t =
   if t.terminated then raise Excn.Process_terminated;
   (* Blocked on a handle nobody keeps: never woken. *)
-  Engine.await_prepared t.eng ~reason:"park" (Engine.prepare t.eng)
+  Engine.await_prepared t.eng ~reason:park_block (Engine.prepare t.eng)
 
 let destroy_link t (l : Link.t) =
   usable_or_raise l;

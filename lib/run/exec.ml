@@ -157,16 +157,13 @@ let aborted (spec : Spec.t) exn =
    emission time.  The observer is domain-local, so pool workers never
    see each other's state. *)
 let run_streamed ?log_capacity (spec : Spec.t) =
-  let state = ref (Analysis.Stream.init ()) in
-  let attach eng =
-    Sim.Engine.add_consumer eng (fun ev ->
-        state := Analysis.Stream.feed ev !state)
-  in
+  let state = Analysis.Stream.init () in
+  let attach eng = Sim.Engine.add_consumer eng (Analysis.Stream.feed state) in
   let o =
     Sim.Engine.with_observer ?log_capacity ~attach (fun () ->
         run_outcome spec)
   in
-  (o, !state)
+  (o, state)
 
 let execute_full ?log_capacity (spec : Spec.t) =
   match run_streamed ?log_capacity spec with

@@ -1,7 +1,16 @@
+(* A [Block] kind, built once per reason: [reason] below. *)
+type reason = Event.kind
+
+let reason r = Event.Block { reason = r }
+let no_reason = reason ""
+
+let reason_name = function Event.Block { reason } -> reason | _ -> ""
+
 (* A fiber is [Blocked] in a sleep until its timer resumes it, and
    [Parked] by {!park} or {!await_prepared} until a wake, which leaves
-   it [Woken] until the queued resumption runs.  The reason a blocked
-   fiber waits rides in [reason], so blocking allocates no state. *)
+   it [Woken] until the queued resumption runs.  Why a blocked fiber
+   waits rides in [reason], the [Block] kind its block emitted, built
+   once by its caller, so blocking allocates no state. *)
 type fiber_state = Runnable | Blocked | Parked | Woken | Finished | Crashed
 
 type fiber = {
@@ -11,7 +20,7 @@ type fiber = {
   (* Set once, by {!spawn}, before the fiber first runs. *)
   mutable kind : kind;
   mutable state : fiber_state;
-  mutable reason : string;
+  mutable reason : reason;
   mutable clock : Vclock.t;
   (* [Some] of this very record, built once: making the fiber current
      on every resume would otherwise allocate the option each time. *)
@@ -43,6 +52,8 @@ and direct = {
    exception {!await_prepared} returns or raises. *)
 type 'a outcome = Prepared | Waiting | Value of 'a | Raised of exn
 type 'a handle = { h_direct : direct; mutable h_out : 'a outcome }
+
+type consumer = Time.t -> int -> Vclock.t -> Event.kind -> unit
 
 type policy =
   | Fifo
@@ -94,14 +105,16 @@ type t = {
      grown on demand up to that capacity ([ev_start] is the read offset
      of the oldest).  No per-event list cell, and O(1) drop accounting;
      retention never affects [events_hash], [events_total] or the
-     consumers, which see every emitted event. *)
+     consumers, which see every emitted event.  The ring is the only
+     place an emitted event becomes an [Event.t]: consumers are handed
+     its fields, so with nothing retained no record is built. *)
   mutable ev_arr : Event.t array;
   mutable ev_len : int;
   mutable ev_start : int;
   log_cap : int;
   mutable events_total : int;
   mutable events_hash : int;
-  mutable consumers : (Event.t -> unit) list;
+  mutable consumers : consumer list;
   stamps : (int, Vclock.t) Hashtbl.t;
   (* Causality on demand: an engine is observed iff something can read
      an [Event.t] — a consumer, or a log that retains.  An unobserved
@@ -155,7 +168,7 @@ let sentinel () =
       daemon = true;
       kind = Stackless;
       state = Finished;
-      reason = "";
+      reason = no_reason;
       clock = Vclock.empty;
       self = None;
       next = s;
@@ -282,14 +295,14 @@ let[@inline] count_event t time fid kind =
   t.events_hash <-
     fold (fold (fold t.events_hash (Time.to_ns time)) fid) (Event.kind_tag kind)
 
-(* A direct walk: [List.iter (fun f -> f ev)] would allocate its closure
-   once per observed event. *)
-let rec feed consumers ev =
+(* A direct walk: [List.iter (fun f -> f ...)] would allocate its
+   closure once per observed event. *)
+let rec feed consumers time fid clock kind =
   match consumers with
   | [] -> ()
   | f :: rest ->
-    f ev;
-    feed rest ev
+    f time fid clock kind;
+    feed rest time fid clock kind
 
 (* Events emitted by a fiber tick its component so successive events are
    strictly ordered.  Scheduler-context events only snapshot the ambient
@@ -306,11 +319,10 @@ let emit t kind =
         f.clock
       | None -> t.amb_clock
     in
-    let ev =
-      { Event.ev_time = t.now; ev_fiber = fid; ev_clock = clock; ev_kind = kind }
-    in
-    retain t ev;
-    feed t.consumers ev
+    if t.log_cap > 0 then
+      retain t
+        { Event.ev_time = t.now; ev_fiber = fid; ev_clock = clock; ev_kind = kind };
+    feed t.consumers t.now fid clock kind
   end
 
 let record t msg = emit t (Event.Note msg)
@@ -324,10 +336,11 @@ let record t msg = emit t (Event.Note msg)
    [events]/[events_hash]/consumer surface is exactly that of a
    single-engine run emitting the same sequence. *)
 let absorb t (ev : Event.t) =
-  if Time.(ev.Event.ev_time > t.now) then t.now <- ev.Event.ev_time;
-  count_event t ev.Event.ev_time ev.Event.ev_fiber ev.Event.ev_kind;
+  let { Event.ev_time; ev_fiber; ev_clock; ev_kind } = ev in
+  if Time.(ev_time > t.now) then t.now <- ev_time;
+  count_event t ev_time ev_fiber ev_kind;
   retain t ev;
-  feed t.consumers ev
+  feed t.consumers ev_time ev_fiber ev_clock ev_kind
 
 (* Until the ring is full, [events] trims to fit, then shares: the
    first call after a run replaces the backing array with a fresh copy
@@ -456,8 +469,8 @@ let handle_crash t fiber exn =
     (Event.Crash
        { fid = fiber.fid; name = fiber.name; error = Printexc.to_string exn })
 
-let unread_block = Event.Block { reason = "" }
-let sleep_block = Event.Block { reason = "sleep" }
+let sleep_block = reason "sleep"
+let yield_block = reason "yield"
 
 (* The one block/resume path, shared by both kinds of fiber.  [fiber]
    is running and blocks here; once woken, [run_as] runs [go t fiber x
@@ -497,8 +510,7 @@ let direct_twice = "Engine: the effect fiber is already blocked"
    emits. *)
 let park_as t fiber reason twice =
   start_block fiber Parked reason twice;
-  (* Unobserved, only the tag is read: skip building the record. *)
-  emit t (if t.observed then Event.Block { reason } else unread_block)
+  emit t reason
 
 (* ---- Effect fibers ---------------------------------------------------- *)
 
@@ -553,7 +565,7 @@ let new_fiber t ?fid ?(name = "fiber") ?(daemon = false) () =
       daemon;
       kind = Stackless;
       state = Runnable;
-      reason = "";
+      reason = no_reason;
       clock;
       self = Some fiber;
       next = t.live;
@@ -631,7 +643,7 @@ let spawn t ?name ?daemon f =
 let sleep t dur =
   let d = direct_current t "Engine.sleep" in
   let fiber = d.d_fiber in
-  start_block fiber Blocked "sleep" direct_twice;
+  start_block fiber Blocked sleep_block direct_twice;
   emit t sleep_block;
   if place t (Time.add t.now dur) ~inline:true d.d_wakeup then
     fiber.state <- Runnable
@@ -684,7 +696,7 @@ let resume_error t h exn = wake_handle t h (Raised exn)
 let yield t =
   let d = direct_current t "Engine.yield" in
   enqueue t t.now d.d_yield;
-  park_as t d.d_fiber "yield" direct_twice;
+  park_as t d.d_fiber yield_block direct_twice;
   Effect.perform Park
 
 (* ---- Stackless fibers ------------------------------------------------- *)
@@ -717,7 +729,7 @@ let stackless_current t who =
    fiber's own clock back). *)
 let sleep_then t d k =
   let fiber = stackless_current t "Engine.sleep_then" in
-  start_block fiber Blocked "sleep" stackless_twice;
+  start_block fiber Blocked sleep_block stackless_twice;
   emit t sleep_block;
   schedule_after t d (fun () -> run_as t fiber run_step k ())
 
@@ -746,7 +758,7 @@ let blocked_fibers t =
       go f.next
         (match (f.daemon, f.state) with
         | false, (Blocked | Parked | Woken) ->
-          Printf.sprintf "%s (%s)" f.name f.reason :: acc
+          Printf.sprintf "%s (%s)" f.name (reason_name f.reason) :: acc
         | _ -> acc)
   in
   go t.live.next []
@@ -756,7 +768,7 @@ let crashed t = List.rev t.crashes
 let fiber_state_name f =
   match f.state with
   | Runnable -> "runnable"
-  | Blocked | Parked | Woken -> "blocked:" ^ f.reason
+  | Blocked | Parked | Woken -> "blocked:" ^ reason_name f.reason
   | Finished -> "finished"
   | Crashed -> "crashed"
 

@@ -93,12 +93,22 @@ val create :
     [Run.execute]/[Run.execute_many] always attach a consumer and run
     observed, as does a default [create ()]. *)
 
-val add_consumer : t -> (Event.t -> unit) -> unit
+type consumer = Time.t -> int -> Vclock.t -> Event.kind -> unit
+(** A streaming consumer is called as [f time fiber clock kind] with the
+    parts of one event: its time, the emitting fiber's id ([-1] in
+    scheduler context), its vector clock and its kind — the fields of
+    the {!Event.t} the retaining ring would hold.  No record is built
+    for it: a consumer that keeps an event keeps the parts it needs
+    (the race detector keeps clocks, the stream analyzer a kind), and
+    the engine builds an {!Event.t} only when its ring retains one.
+    [Event.apply f] feeds a retained record to the same function. *)
+
+val add_consumer : t -> consumer -> unit
 (** Registers a streaming consumer called synchronously from {!emit}
-    with every structured event, in emission order — including events
-    the log does not retain (rotated out of the ring).  Consumers run
-    in emission order of registration and must not call back into the
-    engine.
+    and {!absorb} with every structured event, in emission order —
+    including events the log does not retain (rotated out of the ring).
+    Consumers run in order of registration and must not call back into
+    the engine.
 
     Registering makes the engine observed (see {!create}), so it is
     only allowed before the first event: raises [Invalid_argument] once
@@ -156,15 +166,18 @@ val record : t -> string -> unit
 val emit : t -> Event.kind -> unit
 (** Appends a structured event stamped with the current time and clock.
     Inside a fiber this ticks the fiber's clock first; in scheduler
-    context the ambient clock is snapshotted unticked.  On an unobserved
-    engine it only bumps {!events_total} and folds {!events_hash}. *)
+    context the ambient clock is snapshotted unticked.  The consumers
+    get the event's parts, and an {!Event.t} is built only when the
+    ring retains it, so an observed emit with nothing retained
+    allocates only the fiber's tick.  On an unobserved engine it only
+    bumps {!events_total} and folds {!events_hash}. *)
 
 val absorb : t -> Event.t -> unit
 (** Re-admits an event emitted by {e another} engine, verbatim: folds
     {!events_hash} with the event's own time, fiber id and kind tag
-    (the same fold {!emit} applies), feeds the consumers, retains per
-    the capacity policy, and advances {!now} to the event's timestamp.  The
-    shard coordinator absorbs the canonically merged per-shard streams
+    (the same fold {!emit} applies), feeds its fields to the consumers,
+    retains the record itself per the capacity policy, and advances
+    {!now} to the event's timestamp.  The shard coordinator absorbs the canonically merged per-shard streams
     into a sink engine at each window barrier, so the sink's event
     surface is byte-identical to a single-engine run emitting the same
     sequence. *)
@@ -304,6 +317,15 @@ type 'a handle
 (** A wait of one effect fiber that a wake ends with an ['a] (or an
     exception).  Whoever will wake the fiber keeps the handle. *)
 
+type reason
+(** Why a fiber blocks: the {!Event.Block} kind its block emits. *)
+
+val reason : string -> reason
+(** [reason r] builds the kind [Block { reason = r }] once; a caller
+    keeps it (a top-level value) and passes it to every
+    {!await_prepared} or {!park} it makes for that reason, so a block
+    builds no kind of its own. *)
+
 val resume : t -> 'a handle -> 'a -> unit
 (** [resume t h v] hands [v] to the wait on [h].  If the fiber is
     blocked on [h], it enqueues one task at the current time that
@@ -330,11 +352,11 @@ val prepare : t -> 'a handle
     merges no clock.  Raises [Invalid_argument] outside an effect
     fiber. *)
 
-val await_prepared : t -> reason:string -> 'a handle -> 'a
+val await_prepared : t -> reason:reason -> 'a handle -> 'a
 (** [await_prepared t ~reason h] returns the value of [h]'s wake, or
     raises its exception, at once if the wake already came, with no
-    event.  Otherwise it emits {!Event.Block} with [reason] and blocks
-    the fiber, listed by {!blocked_fibers} as ["name (reason)"], until
+    event.  Otherwise it emits [reason] and blocks the fiber, listed by
+    {!blocked_fibers} as ["name (r)"] for [reason = reason r], until
     the wake.  Raises [Invalid_argument] when called by another fiber
     than the one that prepared [h], or twice on a handle still
     waiting. *)
@@ -401,11 +423,11 @@ val sleep_then : t -> Time.t -> (unit -> unit) -> unit
     then runs [k ()] as its next step: the stackless {!sleep}.  Raises
     [Invalid_argument] outside a stackless fiber. *)
 
-val park : t -> reason:string -> fiber
+val park : t -> reason:reason -> fiber
 (** [park t ~reason] blocks the current stackless fiber until a {!wake}
-    and returns it: the stackless {!await_prepared}.  It emits the same
-    {!Event.Block} every block does, and the fiber is listed
-    by {!blocked_fibers} as ["name (reason)"] while parked.  The caller
+    and returns it: the stackless {!await_prepared}.  It emits [reason]
+    as every block does, and the fiber is listed by {!blocked_fibers}
+    as ["name (r)"] while parked.  The caller
     keeps the fiber, and the step to resume it with, wherever the
     wake-up will come from.  Raises [Invalid_argument] outside a
     stackless fiber. *)

@@ -21,6 +21,8 @@ type t = {
   ev_kind : kind;
 }
 
+let apply f ev = f ev.ev_time ev.ev_fiber ev.ev_clock ev.ev_kind
+
 let placeholder =
   { ev_time = Time.zero; ev_fiber = -1; ev_clock = Vclock.empty; ev_kind = Note "" }
 

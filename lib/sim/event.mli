@@ -63,6 +63,11 @@ type t = {
   ev_kind : kind;
 }
 
+val apply : (Time.t -> int -> Vclock.t -> kind -> 'a) -> t -> 'a
+(** [apply f ev] is [f ev.ev_time ev.ev_fiber ev.ev_clock ev.ev_kind]:
+    how a retained record is fed to a consumer that takes an event's
+    parts ({!Engine.consumer}). *)
+
 val placeholder : t
 (** A fill value for fresh event arrays, allocated once; never emitted.
     Seeding a major-heap-sized [Array.make] with a young event instead

@@ -59,10 +59,12 @@ let push fill b x =
   b.len <- b.len + 1
 
 (* Per-shard window buffer of emitted events, appended by the shard's
-   engine consumer (on the shard's own domain), drained by the
-   coordinator at the barrier (after the pool round's join — the mutex
-   hand-off orders the accesses).  Outboxes are the same, for sends. *)
-let evbuf_push b ev = push Event.placeholder b ev
+   engine consumer (on the shard's own domain), which builds the one
+   record each event gets, and drained by the coordinator at the
+   barrier (after the pool round's join — the mutex hand-off orders the
+   accesses).  Outboxes are the same, for sends. *)
+let evbuf_push b ev_time ev_fiber ev_clock ev_kind =
+  push Event.placeholder b { Event.ev_time; ev_fiber; ev_clock; ev_kind }
 
 (* Stable sort of [a.(0 .. n-1)] by [cmp], allocating nothing.  Events
    and sends are appended in time order, so a barrier's buffer is often
@@ -342,12 +344,14 @@ let send src ~dst ~latency:lat ?(op = "msg") ?(final = false) msg =
   in
   push (vacant ()) t.outboxes.(src.n_shard) pd
 
+let recv_block = Engine.reason "recv"
+
 let recv node k =
   if Queue.is_empty node.n_inbox then begin
     (* The parked path needs no stamp: [Engine.inject] restores the
        sender's clock as ambient, the wake's task captures it, and the
        resume merges it into the node's. *)
-    ignore (Engine.park node.n_eng ~reason:"recv");
+    ignore (Engine.park node.n_eng ~reason:recv_block);
     node.n_k <- k;
     node.n_parked <- true
   end
@@ -599,3 +603,12 @@ let merged_view t =
       Array.fold_left (fun a v -> a + v.Engine.v_finished) 0 views;
     v_crashes = crashes;
   }
+
+module For_tests = struct
+  (* Slots of the window buffers that still hold an event record. *)
+  let buffered t =
+    let held b =
+      Array.fold_left (fun n ev -> if ev == Event.placeholder then n else n + 1) 0 b.arr
+    in
+    Array.fold_left (fun n b -> n + held b) (held t.merged + held t.merged_tmp) t.buffers
+end

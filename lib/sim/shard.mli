@@ -185,3 +185,11 @@ val counters : 'msg t -> (string * int) list
 val windows : 'msg t -> int
 (** Barrier count — a function of the global virtual-time schedule,
     hence shard-count-invariant. *)
+
+(** Probes a test needs to check what the coordinator keeps. *)
+module For_tests : sig
+  val buffered : 'msg t -> int
+  (** Event records still held by the window buffers: [0] once a run
+      is over, since each barrier hands its events to the sink and
+      clears their slots. *)
+end

@@ -1,6 +1,8 @@
 (* Every blocking op here calls [Engine.prepare], stores the handle
    where the wake will come from, then calls [Engine.await_prepared].
-   The reason is ["waitq"] for all of them. *)
+   The reason is ["waitq"] for all of them, built once. *)
+
+let waitq = Engine.reason "waitq"
 
 module Waitq = struct
   type 'a t = { engine : Engine.t; q : 'a Engine.handle Queue.t }
@@ -10,7 +12,7 @@ module Waitq = struct
   let wait t =
     let h = Engine.prepare t.engine in
     Queue.add h t.q;
-    Engine.await_prepared t.engine ~reason:"waitq" h
+    Engine.await_prepared t.engine ~reason:waitq h
 
   let signal t v =
     if Queue.is_empty t.q then false
@@ -94,7 +96,7 @@ module Ivar = struct
     | Empty ->
       let h = Engine.prepare t.engine in
       t.readers <- h :: t.readers;
-      Engine.await_prepared t.engine ~reason:"waitq" h
+      Engine.await_prepared t.engine ~reason:waitq h
 
   let peek t = match t.state with Full v -> Some v | _ -> None
 end

@@ -25,7 +25,7 @@ type t = {
   op_fixed : Sim.Time.t;  (** kernel-processor cost per request or accept leg *)
   per_byte : Sim.Time.t;  (** wire + copy cost per transferred byte *)
   interrupt_cpu : Sim.Time.t;  (** client-processor cost per interrupt/call *)
-  retry_interval : Sim.Time.t;  (** kernel retry period for masked handlers *)
+  retry_interval : Sim.Time.t;  (** kernel retry period for a target with no handler yet *)
   discover_timeout : Sim.Time.t;  (** wait for broadcast responses *)
   oob_limit : int;  (** bytes of out-of-band data (paper: ~48 bits) *)
   pair_limit : int;  (** outstanding requests between a pair of processes *)

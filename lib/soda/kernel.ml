@@ -28,8 +28,7 @@ type process = {
   p_intr_seen : Event.kind;
   mutable p_alive : bool;
   mutable p_handler : (interrupt -> unit) option;
-  mutable p_masked : bool;
-  p_queued : interrupt Queue.t;  (* completions queued while masked *)
+  p_queued : interrupt Queue.t;  (* completions queued while no handler is set *)
   p_advertised : (name, unit) Hashtbl.t;
   p_presented : (req_id, req) Hashtbl.t;  (* requests awaiting our accept *)
 }
@@ -121,21 +120,21 @@ end
    fibers), mirroring SODA's interrupt discipline. *)
 let deliver t p intr =
   if p.p_alive then begin
-    match (p.p_handler, p.p_masked, intr) with
-    | Some h, false, _ ->
+    match (p.p_handler, intr) with
+    | Some h, _ ->
       Stats.incr t.sts Key.interrupts;
       Engine.emit t.eng p.p_intr_woke;
       h intr
-    | _, _, (Completed _ | Aborted _ | Withdrawn _) ->
+    | None, (Completed _ | Aborted _ | Withdrawn _) ->
       Stats.incr t.sts Key.interrupts_queued;
-      (* The software-interrupt window: the completion arrived while the
-         handler was masked or unset, so it only sits in the queue — it
-         is seen again (Signal_seen) when the drain runs, or never. *)
+      (* The software-interrupt window: the completion arrived before
+         the handler was set, so it only sits in the queue — it is seen
+         again (Signal_seen) when the drain runs, or never. *)
       Engine.emit t.eng p.p_intr_latched;
       Queue.add intr p.p_queued
-    | _, _, Request _ ->
-      (* Requests are never queued at the target while masked: the
-         requesting kernel retries them (handled in [present]). *)
+    | None, Request _ ->
+      (* Requests are never queued at the target without a handler:
+         the requesting kernel retries them (handled in [present]). *)
       assert false
   end
 
@@ -177,7 +176,7 @@ let abort_req t (q : req) reason =
   end
 
 (* Present a request at its destination, retrying while the destination
-   handler is masked (the requesting kernel's periodic retry). *)
+   has no handler yet (the requesting kernel's periodic retry). *)
 let rec present t (q : req) =
   if q.q_state = In_flight then begin
     match Hashtbl.find t.procs q.q_dst with
@@ -186,7 +185,7 @@ let rec present t (q : req) =
       if not dst.p_alive then abort_req t q Peer_crashed
       else if not (Hashtbl.mem dst.p_advertised q.q_name) then
         abort_req t q Name_not_advertised
-      else if dst.p_masked || dst.p_handler = None then begin
+      else if dst.p_handler = None then begin
         Stats.incr t.sts Key.request_retries;
         Engine.schedule_after t.eng t.cst.Costs.retry_interval (fun () ->
             present t q)
@@ -312,6 +311,8 @@ let withdraw t pid req_id =
 
 (* ---- Discover --------------------------------------------------------- *)
 
+let discover_block = Engine.reason "soda.discover"
+
 let discover t pid name_ =
   charge t;
   Stats.incr t.sts Key.discovers;
@@ -354,7 +355,7 @@ let discover t pid name_ =
         Engine.schedule_after t.eng (Time.us 500) (fun () -> poll ())
   in
   poll ();
-  Engine.await_prepared t.eng ~reason:"soda.discover" h
+  Engine.await_prepared t.eng ~reason:discover_block h
 
 (* ---- Interrupt management --------------------------------------------- *)
 
@@ -367,7 +368,7 @@ let drain_queued t p =
 let set_handler t pid h =
   let p = proc t pid in
   p.p_handler <- Some h;
-  if not p.p_masked then drain_queued t p
+  drain_queued t p
 
 (* ---- Lifecycle -------------------------------------------------------- *)
 
@@ -415,7 +416,6 @@ let spawn_process t ?(daemon = false) ~node ~name:label body =
       p_intr_seen = Event.Signal_seen { obj };
       p_alive = true;
       p_handler = None;
-      p_masked = false;
       p_queued = Queue.create ();
       p_advertised = Hashtbl.create 8;
       p_presented = Hashtbl.create 8;
@@ -429,12 +429,5 @@ let spawn_process t ?(daemon = false) ~node ~name:label body =
   pid
 
 module For_tests = struct
-  let mask t pid = (proc t pid).p_masked <- true
-
-  let unmask t pid =
-    let p = proc t pid in
-    p.p_masked <- false;
-    if p.p_handler <> None then drain_queued t p
-
   let outstanding t ~src ~dst = !(pair t src dst)
 end

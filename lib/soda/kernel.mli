@@ -8,9 +8,9 @@
     events are delivered as software interrupts to a per-process handler.
 
     The handler runs in scheduler context and must not block; this
-    mirrors SODA's interrupt discipline.  While a process is {e masked}
-    (handler closed), completions queue and requests are retried
-    periodically by the requesting kernel. *)
+    mirrors SODA's interrupt discipline.  Until a process sets its
+    handler, completions queue (and are delivered when it is set) and
+    requests to it are retried periodically by the requesting kernel. *)
 
 open Types
 
@@ -99,11 +99,8 @@ val withdraw : t -> pid -> req_id -> bool
     [Withdrawn] interrupt if it had already been presented.  False if
     the request was already accepted or finished. *)
 
-(** Interrupt masking, which no LYNX channel uses, and the per-pair
-    request count: what a test needs to check the kernel's queueing,
-    retries and pair limit. *)
+(** The per-pair request count: what a test needs to check the
+    kernel's pair limit. *)
 module For_tests : sig
-  val mask : t -> pid -> unit
-  val unmask : t -> pid -> unit
   val outstanding : t -> src:pid -> dst:pid -> int
 end

@@ -36,6 +36,8 @@ let rungs =
   [
     rung "heap.add-pop" "`Sim.Heap` add+pop, 100 entries held"
       10. Exact ("test_sim", "words per heap add+pop");
+    rung "rng.bool-int" "one `Sim.Rng.bool` and one `Sim.Rng.int` draw"
+      0. Exact ("test_sim", "a bool and an int draw allocate nothing");
     rung "taskq.add-take" "`Sim.Taskq` add+take, 100 entries held"
       5. Exact ("test_sim", "words per task queue add+pop");
     (* Unobserved engines build no event records, clocks or stamps;
@@ -43,19 +45,19 @@ let rungs =
        would take next resumes in place: what is left is its [Block]
        event, observed. *)
     rung "engine.sleep.observed" "`Engine.sleep` with another task due before its wake, observed"
-      16. plus2 ("test_sim", "words per sleep");
+      11. plus2 ("test_sim", "words per sleep");
     rung "engine.sleep.unobserved" "`Engine.sleep` with another task due before its wake, unobserved"
       7. plus2 ("test_sim", "words per sleep");
     rung "engine.sleep.inline.observed" "`Engine.sleep` whose wake is the next task, observed"
-      9. Exact ("test_sim", "words per sleep resumed in place");
+      4. Exact ("test_sim", "words per sleep resumed in place");
     rung "engine.sleep.inline.unobserved" "`Engine.sleep` whose wake is the next task, unobserved"
       0. Exact ("test_sim", "words per sleep resumed in place");
     rung "engine.waitq.observed" "`Sync.Waitq` wait+signal+sleep, observed"
-      48. plus2 ("test_sim", "words per waitq wait, signal and sleep");
+      36. plus2 ("test_sim", "words per waitq wait, signal and sleep");
     rung "engine.waitq.unobserved" "`Sync.Waitq` wait+signal+sleep, unobserved"
       22. plus2 ("test_sim", "words per waitq wait, signal and sleep");
     rung "engine.stackless-sleep.observed" "stackless `sleep_then` looping on its own callback \
-       (the step's closure included), observed" 25. Exact ("test_sim", "words per stackless sleep");
+       (the step's closure included), observed" 20. Exact ("test_sim", "words per stackless sleep");
     rung "engine.stackless-sleep.unobserved" "the same, unobserved"
       16. Exact ("test_sim", "words per stackless sleep");
     rung "engine.park-wake" "stackless `park`+`wake`, unobserved: the wake's task only"
@@ -64,6 +66,12 @@ let rungs =
        and the continuation" 12. Exact ("test_sim", "words per yield");
     rung "engine.emit" "unobserved emit of a constant kind"
       0. Exact ("test_sim", "unobserved emit of a constant kind allocates nothing");
+    (* Consumers are handed an event's parts: only the retaining ring
+       builds an [Event.t]. *)
+    rung "engine.emit.observed" "observed emit of a constant kind in scheduler context, \
+       nothing retained" 0. Exact ("test_sim", "observed emit with no log builds no record");
+    rung "engine.emit.observed.fiber" "the same in a fiber: the owner tick"
+      4. Exact ("test_sim", "observed emit with no log builds no record");
     rung "engine.stamp-adopt" "unobserved `stamp`+`adopt`"
       0. Exact ("test_sim", "unobserved stamp and adopt allocate nothing");
     rung "vclock.owner-tick" "owner tick, width 1 (width 32 the same)"
@@ -102,7 +110,7 @@ let rungs =
     rung "lynx.echo.charlotte" "0 B echo call, Charlotte"
       686.34 plus2 ("test_latency", "charlotte words per echo call");
     rung "lynx.echo.soda" "0 B echo call, SODA"
-      634. plus2 ("test_latency", "soda words per echo call");
+      610. plus2 ("test_latency", "soda words per echo call");
     rung "lynx.echo.chrysalis" "0 B echo call, Chrysalis"
       540. plus2 ("test_latency", "chrysalis words per echo call");
     rung "lynx.premium.charlotte" "LYNX premium per 0 B echo call, Charlotte"
@@ -114,7 +122,7 @@ let rungs =
     rung "lynx.echo-1000.charlotte" "1000 B echo call, Charlotte, all words"
       1183.640625 Exact ("test_latency", "charlotte words per 1000 B echo call");
     rung "lynx.echo-1000.soda" "1000 B echo call, SODA, all words"
-      1384. Exact ("test_latency", "soda words per 1000 B echo call");
+      1360. Exact ("test_latency", "soda words per 1000 B echo call");
     rung "lynx.echo-1000.chrysalis" "1000 B echo call, Chrysalis, all words"
       1276. Exact ("test_latency", "chrysalis words per 1000 B echo call");
     rung "lynx.premium-1000.charlotte" "LYNX premium per 1000 B echo call, Charlotte, all words"
@@ -138,10 +146,15 @@ let rungs =
        unscreened call's sleeps went in place but only 24 of a
        screened one's, whose screening timers are often due first
        (1,072.22 → 904.22 screened, 736 → 540 unscreened), so the
-       difference grew by 4 × 7 = 28. *)
+       difference grew by 4 × 7 = 28.  It fell by 152 (364.22 → 212.22)
+       when injector draws stopped boxing the generator's state and a
+       frame's wrapped delivery stopped keeping the nodes a plan with no
+       partition never reads. *)
     rung "lynx.screening.chrysalis" "Chrysalis screening premium: echo call under \
        `Faults.Plan.none` minus unscreened, over 128 calls"
-      364.21875 Exact ("test_latency", "chrysalis screening premium per echo call");
+      212.21875 Exact ("test_latency", "chrysalis screening premium per echo call");
+    rung "faults.partition-stall" "a frame stalled by a partition, unobserved: its retry's \
+       task-queue entry" 5. Exact ("test_faults", "words per partition stall");
     rung "analysers.stream-feed" "`Analysis.Stream.feed` per event of \
        `wl-farm-open/chrysalis/1/fifo~n1K`"
       3.94 plus2 ("test_stream", "words per event fed to the analysers");
@@ -164,17 +177,17 @@ let rungs =
     of_n1k "analysers.finish.n4k" "the same after the `~n4K` stream"
       ("test_stream", "words of Stream.finish per client");
     rung "pipeline.event" "`Run.execute` of the `~n1K` farm, per event of its stream"
-      56.19 plus2 ("test_stream", "words per event through Run.execute");
-    (* The event records, clocks and stamps alone: 198,866 words over
-       10,948 events. *)
+      50.99 plus2 ("test_stream", "words per event through Run.execute");
+    (* The clocks and stamps alone, since a consumer is handed an
+       event's parts and no record: 139,518 words over 10,948 events. *)
     rung "pipeline.observation-premium" "observed minus unobserved words per event of twelve sweep \
        specs, read by a consumer that reads nothing, with nothing retained"
-      (198_866. /. 10_948.) Exact ("test_stream", "observation premium per event");
+      (139_518. /. 10_948.) Exact ("test_stream", "observation premium per event");
     rung "shard.run" "one `Harness.Shard_rpc.run Scenarios.default` on Chrysalis"
-      6500. plus2 ("test_shard", "words per one-shard run");
+      6128. plus2 ("test_shard", "words per one-shard run");
     rung "shard.recv-cycle" "one message between two nodes on one shard: send, barrier exchange, \
        injection, `recv` parked and woken"
-      90. Exact ("test_shard", "words per recv park/wake cycle");
+      88. Exact ("test_shard", "words per recv park/wake cycle");
   ]
 
 (* Checks [words] against rung [id]'s budget under its own gate; a

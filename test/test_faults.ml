@@ -222,6 +222,25 @@ let test_targeted_plan_strings () =
     "windowless plans have no window" true
     (Time.is_zero (close Faults.Plan.drops))
 
+(* A frame a partition stalls is retried by rescheduling the closure
+   it already is, with the stall kind it built once: on an unobserved
+   engine each stall allocates its task-queue entry and nothing else.
+   [stalls n] runs one frame across a minority cut through [n + 1]
+   stalls, a retransmit interval apart. *)
+let stalls n =
+  let e = Engine.create ~log_capacity:0 () in
+  let inj =
+    Faults.Injector.create e ~stats:(Stats.create ()) Faults.Plan.partition_minority
+  in
+  let start = Time.ms 10 in
+  Engine.schedule_at e start
+    (Faults.Injector.wrap_delivery (Some inj) ~src:0 ~dst:5 ~obj:"q" ~op:"frame"
+       (fun () -> Alcotest.fail "delivered across the cut"));
+  Engine.run_until e (Time.add start (Time.us (200 * n)))
+
+let test_stall_words () =
+  Budgets.check "faults.partition-stall" (Budgets.words_per_iter stalls)
+
 let () =
   Alcotest.run "faults"
     [
@@ -233,4 +252,6 @@ let () =
           Alcotest.test_case "targeted plan strings" `Quick
             test_targeted_plan_strings;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "words per partition stall" `Quick test_stall_words ] );
     ]

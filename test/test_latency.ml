@@ -152,7 +152,7 @@ let allocation_tests =
 let bench_run ~observed b payload =
   let engines = ref [] in
   let attach e =
-    if observed then Sim.Engine.add_consumer e ignore;
+    if observed then Sim.Engine.add_consumer e (fun _ _ _ _ -> ());
     engines := e :: !engines
   in
   let r =

@@ -139,73 +139,6 @@ let tests =
                       checki "two rejected" 2 rejected;
                       checki "outstanding" limit
                         (K.For_tests.outstanding k ~src:pid ~dst))))));
-    Alcotest.test_case "masked handler queues completions" `Quick (fun () ->
-        let delivered_while_masked = ref 0 in
-        let delivered_after = ref 0 in
-        ignore
-          (with_kernel (fun e k ->
-               let server_mb, server_pid, server_body =
-                 spawn_with_mailbox e k ~node:0 ~name:"server"
-               in
-               let name = ref (-1) in
-               Sync.Ivar.fill server_body (fun pid ->
-                   let n = K.new_name k pid in
-                   name := n;
-                   K.advertise k pid n;
-                   match Sync.Mailbox.take server_mb with
-                   | Request inc ->
-                     ignore
-                       (K.accept k pid ~req:inc.i_id ~oob:Bytes.empty
-                          ~data:Bytes.empty ~recv_max:0)
-                   | _ -> ());
-               ignore
-                 (K.spawn_process k ~daemon:true ~node:1 ~name:"client"
-                    (fun pid ->
-                      let got = ref 0 in
-                      K.set_handler k pid (fun _ -> incr got);
-                      let dst = Sync.Ivar.read server_pid in
-                      Engine.sleep e (Time.ms 5);
-                      K.For_tests.mask k pid;
-                      ignore
-                        (K.request k pid ~dst ~name:!name ~oob:Bytes.empty
-                           ~data:Bytes.empty ~recv_max:0);
-                      Engine.sleep e (Time.ms 100);
-                      delivered_while_masked := !got;
-                      K.For_tests.unmask k pid;
-                      Engine.sleep e (Time.ms 5);
-                      delivered_after := !got))));
-        checki "none while masked" 0 !delivered_while_masked;
-        checki "delivered after unmask" 1 !delivered_after);
-    Alcotest.test_case "requests retried while target masked" `Quick (fun () ->
-        ignore
-          (with_kernel (fun e k ->
-               let sts = K.stats k in
-               let _server_mb, server_pid, server_body =
-                 spawn_with_mailbox e k ~node:0 ~name:"server"
-               in
-               let name = ref (-1) in
-               Sync.Ivar.fill server_body (fun pid ->
-                   let n = K.new_name k pid in
-                   name := n;
-                   K.advertise k pid n;
-                   K.For_tests.mask k pid;
-                   Engine.sleep e (Time.ms 100);
-                   K.For_tests.unmask k pid;
-                   Engine.sleep e (Time.ms 200);
-                   checkb "retries happened" true
-                     (Stats.get sts "soda.request_retries" > 0));
-               ignore
-                 (K.spawn_process k ~daemon:true ~node:1 ~name:"client"
-                    (fun pid ->
-                      K.set_handler k pid (fun _ -> ());
-                      let dst = Sync.Ivar.read server_pid in
-                      Engine.sleep e (Time.ms 10);
-                      ignore
-                        (K.request k pid ~dst ~name:!name ~oob:Bytes.empty
-                           ~data:Bytes.empty ~recv_max:0);
-                      (* Stay alive: a terminated requester's in-flight
-                         requests die with it. *)
-                      Engine.sleep e (Time.ms 400))))));
     Alcotest.test_case "crash of target aborts requester" `Quick (fun () ->
         let reason = ref None in
         ignore

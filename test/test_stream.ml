@@ -370,7 +370,7 @@ let prop_incremental_refeed =
       let st = R.init () in
       Array.iteri
         (fun i ev ->
-          R.feed st ev;
+          Event.apply (R.feed st) ev;
           if i mod 17 = 0 then ignore (R.findings st))
         events;
       List.map render (R.findings st)
@@ -528,17 +528,17 @@ let test_long_echo_wraps_ring () =
   List.iter
     (fun (backend : Harness.Backend_world.backend) ->
       let observe log_capacity =
-        let stream = ref (Stream.init ()) in
+        let stream = Stream.init () in
         let captured = ref None in
         let attach e =
           captured := Some e;
-          Engine.add_consumer e (fun ev -> stream := Stream.feed ev !stream)
+          Engine.add_consumer e (Stream.feed stream)
         in
         ignore
           (Engine.with_observer ?log_capacity ~attach (fun () ->
                Harness.Rpc_bench.run backend ~iters:300 ~payload:0 ()));
         match !captured with
-        | Some e -> (Engine.view e, Stream.finish !stream, Engine.events_total e)
+        | Some e -> (Engine.view e, Stream.finish stream, Engine.events_total e)
         | None -> Alcotest.fail "the benchmark created no engine"
       in
       let v_u, sum_u, total_u = observe None in
@@ -566,10 +566,10 @@ let test_long_echo_wraps_ring () =
 
 let test_of_events_matches_live () =
   let spec = Spec.v ~scenario:"cross-request" ~backend:"soda" 3 in
-  let state = ref (Stream.init ()) in
-  let attach eng = Engine.add_consumer eng (fun ev -> state := Stream.feed ev !state) in
+  let state = Stream.init () in
+  let attach eng = Engine.add_consumer eng (Stream.feed state) in
   let o = Option.get (Engine.with_observer ~attach (fun () -> Run.run_outcome spec)) in
-  let live = Stream.finish !state in
+  let live = Stream.finish state in
   let replay = Stream.of_events o.S.o_view.Engine.v_events in
   Alcotest.(check int)
     "event count" live.Stream.s_events replay.Stream.s_events;
@@ -598,12 +598,12 @@ let farm_1k = lazy (recorded (farm "1K"))
 
 let stream_words events =
   let t = Stream.init () in
-  Budgets.words_per_event (fun ev -> ignore (Stream.feed ev t)) events
+  Budgets.words_per_event (Event.apply (Stream.feed t)) events
 
 let test_analyser_words () =
   let events = Lazy.force farm_1k in
   let stream = stream_words events
-  and races = Budgets.words_per_event (R.feed (R.init ())) events in
+  and races = Budgets.words_per_event (Event.apply (R.feed (R.init ()))) events in
   Budgets.check "analysers.stream-feed" stream;
   Budgets.check "analysers.races-feed" races;
   Budgets.check "analysers.stream-over-races" (stream -. races)
@@ -619,7 +619,8 @@ let test_population_independent () =
    from the state are deterministic, so the rung is exact; a farm four
    times the size must keep the same per client. *)
 let resident_words_per_client ~clients events =
-  let t = Array.fold_left (fun t ev -> Stream.feed ev t) (Stream.init ()) events in
+  let t = Stream.init () in
+  Array.iter (Event.apply (Stream.feed t)) events;
   float (Obj.reachable_words (Obj.repr t)) /. float clients
 
 let test_resident_words () =
@@ -637,7 +638,8 @@ let test_resident_words () =
    instead of 0.093; a farm four times the size must cost no more per
    client (+2%). *)
 let finish_words_per_client ~clients events =
-  let t = Array.fold_left (fun t ev -> Stream.feed ev t) (Stream.init ()) events in
+  let t = Stream.init () in
+  Array.iter (Event.apply (Stream.feed t)) events;
   let before = Gc.minor_words () in
   ignore (Sys.opaque_identity (Stream.finish t));
   (Gc.minor_words () -. before) /. float clients
@@ -684,7 +686,7 @@ let premium_specs =
 
 (* Minor words and events of one run of [spec]. *)
 let run_words ~observed spec =
-  let attach e = if observed then Engine.add_consumer e ignore in
+  let attach e = if observed then Engine.add_consumer e (fun _ _ _ _ -> ()) in
   let before = Gc.minor_words () in
   let o =
     Engine.with_observer ~log_capacity:0 ~attach (fun () ->

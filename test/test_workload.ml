@@ -316,8 +316,8 @@ let promise_checker () =
   let bump tbl obj =
     Hashtbl.replace tbl obj (1 + Option.value ~default:0 (Hashtbl.find_opt tbl obj))
   in
-  let consume (ev : Event.t) =
-    match ev.Event.ev_kind with
+  let consume _ _ _ kind =
+    match kind with
     | Event.Send { obj; op; mode } ->
       if Hashtbl.mem finals obj then
         broken := Printf.sprintf "send %s to %s after its final send" op obj :: !broken;
